@@ -121,7 +121,6 @@ fn relevant_plus_confidence() {
     let mut rows = Vec::new();
     for b in all_benchmarks() {
         for f in &b.faults {
-            let prepared = b.prepare(f).expect("corpus compiles");
             let session = b.session(f).expect("session builds");
             let trace = session.trace();
             let analysis = session.analysis();
@@ -145,7 +144,7 @@ fn relevant_plus_confidence() {
                 benign: &HashSet::new(),
                 corrupted: &HashSet::new(),
             });
-            let root = prepared.roots[0];
+            let root = session.roots()[0];
             let insts = trace.instances_of(root);
             let sanitized = insts.iter().all(|&i| conf.is_prunable(i));
             let in_slice = graph.backward_slice(class.wrong).contains_stmt(root);
@@ -177,26 +176,19 @@ fn relevant_plus_confidence() {
 /// brute-force critical-predicate search need vs the demand-driven
 /// verifier, and does it even find an answer?
 fn switching_vs_demand_driven() {
-    use omislice::omislice_analysis::ProgramAnalysis;
-    use omislice::omislice_interp::run_traced;
     use omislice::{find_critical_predicate, SearchOrder};
 
     println!("Ablation 4. Critical-predicate search (ICSE 2006) vs demand-driven (this paper)");
     let mut rows = Vec::new();
     for b in all_benchmarks() {
         for f in &b.faults {
-            let prepared = b.prepare(f).expect("corpus compiles");
             let session = b.session(f).expect("session builds");
             let expected = session.oracle().reference().output_values();
-
-            let analysis = ProgramAnalysis::build(&prepared.faulty);
-            let config = omislice::omislice_interp::RunConfig::with_inputs(f.failing_input.clone());
-            let trace = run_traced(&prepared.faulty, &analysis, &config).trace;
             let search = find_critical_predicate(
-                &prepared.faulty,
-                &analysis,
-                &config,
-                &trace,
+                session.program(),
+                session.analysis(),
+                session.config(),
+                session.trace(),
                 &expected,
                 SearchOrder::Prioritized,
             );
@@ -241,7 +233,6 @@ fn switching_vs_demand_driven() {
 /// it can cut verifications — or miss the omission entirely when the
 /// fault suppresses the defining code on every available input.
 fn union_graph_pd() {
-    use omislice::omislice_analysis::ProgramAnalysis;
     use omislice::omislice_interp::{run_traced, RunConfig};
     use omislice::omislice_slicing::UnionGraph;
     use omislice_corpus::WorkloadGen;
@@ -250,8 +241,7 @@ fn union_graph_pd() {
     let mut rows = Vec::new();
     for b in all_benchmarks() {
         for f in &b.faults {
-            let prepared = b.prepare(f).expect("corpus compiles");
-            let analysis = ProgramAnalysis::build(&prepared.faulty);
+            let session = b.session(f).expect("session builds");
             // Build the union graph over the whole test suite (failing +
             // passing + generated), as the prototype did.
             let mut union = UnionGraph::new();
@@ -263,17 +253,11 @@ fn union_graph_pd() {
             }
             for inputs in runs {
                 let cfg = RunConfig::with_inputs(inputs);
-                union.add_trace(&run_traced(&prepared.faulty, &analysis, &cfg).trace);
+                union.add_trace(&run_traced(session.program(), session.analysis(), &cfg).trace);
             }
 
-            let baseline = b
-                .session(f)
-                .expect("session builds")
-                .locate(&LocateConfig::default())
-                .expect("locates");
-            let with_union = b
-                .session(f)
-                .expect("session builds")
+            let baseline = session.locate(&LocateConfig::default()).expect("locates");
+            let with_union = session
                 .locate(&LocateConfig {
                     union_graph: Some(union),
                     ..LocateConfig::default()
@@ -317,20 +301,15 @@ fn union_graph_pd() {
 /// lose the root cause.
 fn pd_reach() {
     use omislice::omislice_analysis::PdMode;
-    use omislice::DebugSession;
 
     println!("Ablation 6. Potential-dependence reach (found / verifications / edges)");
     let mut rows = Vec::new();
     for b in all_benchmarks() {
         for f in &b.faults {
-            let prepared = b.prepare(f).expect("corpus compiles");
             let mut cells = vec![b.name.to_string(), f.id.to_string()];
             for mode in [PdMode::Intraprocedural, PdMode::InterproceduralGuards] {
-                let session = DebugSession::builder(&prepared.faulty_src)
-                    .reference(b.fixed_src)
-                    .failing_input(f.failing_input.clone())
-                    .profile_inputs(f.passing_inputs.iter().cloned())
-                    .root_cause_stmts(prepared.roots.iter().copied())
+                let session = b
+                    .session_builder(f)
                     .pd_mode(mode)
                     .build()
                     .expect("session builds");

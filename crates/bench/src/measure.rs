@@ -4,8 +4,7 @@
 //! paper's Tables 2 and 3 report; Table 4's timings are taken separately
 //! (see the `table4` binary and the Criterion benches).
 
-use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig};
+use omislice::omislice_interp::{run_traced, ResumeMode};
 use omislice::omislice_slicing::{prune_slice, relevant_slice, DepGraph, Feedback};
 use omislice::omislice_trace::VerificationStats;
 use omislice::{LocateConfig, LocateOutcome, UserOracle};
@@ -49,7 +48,6 @@ pub struct FaultMeasurement {
 /// Panics if the corpus entry is malformed (compile failure, no wrong
 /// output); the corpus test suite guarantees these cannot happen.
 pub fn measure_fault(bench: &Benchmark, fault: &Fault) -> FaultMeasurement {
-    let prepared = bench.prepare(fault).expect("corpus compiles");
     let session = bench.session(fault).expect("session builds");
     let trace = session.trace();
     let analysis = session.analysis();
@@ -77,7 +75,7 @@ pub fn measure_fault(bench: &Benchmark, fault: &Fault) -> FaultMeasurement {
         .os_slice(trace)
         .map(|s| (s.static_size(), s.dynamic_size()));
 
-    let root = prepared.roots[0];
+    let root = session.roots()[0];
     FaultMeasurement {
         bench: bench.name.to_string(),
         fault: fault.id.to_string(),
@@ -140,9 +138,8 @@ impl FaultTiming {
 /// Times one fault's executions (best of `reps` repetitions).
 pub fn time_fault(bench: &Benchmark, fault: &Fault, reps: usize) -> FaultTiming {
     use std::time::Instant;
-    let prepared = bench.prepare(fault).expect("corpus compiles");
-    let analysis = ProgramAnalysis::build(&prepared.faulty);
-    let config = RunConfig::with_inputs(fault.failing_input.clone());
+    let session = bench.session(fault).expect("session builds");
+    let (program, analysis, config) = (session.program(), session.analysis(), session.config());
 
     let best = |f: &mut dyn FnMut()| -> u128 {
         (0..reps.max(1))
@@ -156,16 +153,12 @@ pub fn time_fault(bench: &Benchmark, fault: &Fault, reps: usize) -> FaultTiming 
     };
 
     let plain_ns = best(&mut || {
-        std::hint::black_box(omislice::omislice_interp::run_plain(
-            &prepared.faulty,
-            &config,
-        ));
+        std::hint::black_box(omislice::omislice_interp::run_plain(program, config));
     });
     let graph_ns = best(&mut || {
-        std::hint::black_box(run_traced(&prepared.faulty, &analysis, &config));
+        std::hint::black_box(run_traced(program, analysis, config));
     });
 
-    let session = bench.session(fault).expect("session builds");
     let verif_ns = best(&mut || {
         std::hint::black_box(session.locate(&LocateConfig::default()).expect("locates"));
     });

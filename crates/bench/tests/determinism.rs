@@ -81,3 +81,37 @@ fn corpus_outcomes_identical_across_modes_and_jobs() {
         }
     }
 }
+
+/// Independent sessions of one fault own independently seeded hash maps
+/// (the static potential-dependence relation among them), as separate
+/// processes do; the journal, secondary-request order included, must not
+/// depend on them.
+#[test]
+fn corpus_journals_identical_across_independent_sessions() {
+    use omislice::{build_journal, JournalMeta};
+    for b in all_benchmarks() {
+        for fault in &b.faults {
+            let journals: Vec<String> = (0..8)
+                .map(|_| {
+                    let session = b.session(fault).expect("session builds");
+                    let lc = LocateConfig::default();
+                    let outcome = session.locate(&lc).expect("locates");
+                    let meta = JournalMeta {
+                        program: format!("{}:{}", b.name, fault.id),
+                    };
+                    let records =
+                        build_journal(&meta, &lc, &outcome, session.trace(), None, None, None);
+                    omislice_obs::strip_timing(&omislice_obs::to_jsonl(&records))
+                        .expect("journal strips")
+                })
+                .collect();
+            for (i, j) in journals.iter().enumerate().skip(1) {
+                assert_eq!(
+                    *j, journals[0],
+                    "{} {}: session {i}'s journal differs from session 0's",
+                    b.name, fault.id
+                );
+            }
+        }
+    }
+}

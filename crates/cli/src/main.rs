@@ -22,18 +22,24 @@
 //!                   [--early-exit] [--stats] [--budget ...] [--fault-plan ...]
 //!                   [--chaos ...] [--deadline <ms>]]
 //! ```
+//!
+//! `locate` and `corpus locate` are two front ends of one pipeline: both
+//! parse the same localization flags into a `LocateFlags` and hand a
+//! `DebugSessionBuilder` to `LocateFlags::run`, which builds, locates,
+//! and renders through `DebugSession`.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_plain, run_traced, BudgetSchedule, FaultPlan, RunConfig};
-use omislice::omislice_lang::{compile, printer::stmt_head, Program};
-use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice, ValueProfile};
+use omislice::omislice_interp::{
+    run_plain, run_traced, BudgetSchedule, FaultPlan, ResumeMode, RunConfig,
+};
+use omislice::omislice_lang::{compile, FrontendError, Program};
+use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice};
 use omislice::omislice_trace::{
-    note_recovery, take_recovery, ChaosPlan, RecoveryKind, RecoveryLog, RegionTree, Supervisor,
-    Trace, TraceStats,
+    take_recovery, ChaosPlan, RecoveryLog, RegionTree, Supervisor, Trace, TraceStats,
 };
 use omislice::{
-    build_journal, describe_inst, locate_fault, render_explain, GroundTruthOracle, JournalMeta,
-    LocateConfig, LocateOutcome, SchedulerMode, VerifierMode, VerifyMemo,
+    build_journal, describe_inst, DebugSession, DebugSessionBuilder, JournalMeta, LocateConfig,
+    LocateOutcome, SchedulerMode, SessionError, VerifierMode, VerifyMemo,
 };
 use omislice_corpus::all_benchmarks;
 use omislice_obs::{MetricSet, Reporter, SpanReport};
@@ -223,14 +229,21 @@ fn parse_inputs(text: Option<&str>) -> Result<Vec<i64>, CliError> {
     }
 }
 
+fn read_source(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// A compile error rendered against its source, under the file's name.
+fn frontend_error(path: &str, src: &str, e: &FrontendError) -> String {
+    format!(
+        "{path}:\n{}",
+        omislice::omislice_lang::render_frontend_error(src, e)
+    )
+}
+
 fn load_program(path: &str) -> Result<Program, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    compile(&src).map_err(|e| {
-        format!(
-            "{path}:\n{}",
-            omislice::omislice_lang::render_frontend_error(&src, &e)
-        )
-    })
+    let src = read_source(path)?;
+    compile(&src).map_err(|e| frontend_error(path, &src, &e))
 }
 
 fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
@@ -614,24 +627,6 @@ impl ObsOpts {
     }
 }
 
-/// Writes the locate journal as JSONL to `path`.
-#[allow(clippy::too_many_arguments)]
-fn write_journal_file(
-    path: &str,
-    meta: &JournalMeta,
-    lc: &LocateConfig,
-    outcome: &LocateOutcome,
-    trace: &Trace,
-    recovery: Option<&RecoveryLog>,
-    profile: Option<&omislice_obs::profile::ProfileSummary>,
-    spans: Option<&SpanReport>,
-) -> Result<(), String> {
-    let records = build_journal(meta, lc, outcome, trace, recovery, profile, spans);
-    let f = std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-    omislice_obs::write_jsonl(std::io::BufWriter::new(f), &records)
-        .map_err(|e| format!("cannot write `{path}`: {e}"))
-}
-
 /// Folds trace, locate, and verification counters — plus span
 /// aggregates when the recorder ran — into one exportable set.
 fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, spans: Option<&SpanReport>) -> MetricSet {
@@ -770,148 +765,154 @@ fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, spans: Option<&SpanRep
     set
 }
 
+/// The value flags `locate` and `corpus locate` share: localization
+/// tuning, supervision, and observability (`--mode` is `locate`'s alone).
+const LOCATE_FLAGS: [&str; 10] = [
+    "jobs",
+    "scheduler",
+    "capture-threshold",
+    "budget",
+    "fault-plan",
+    "chaos",
+    "deadline",
+    "obs-out",
+    "profile-out",
+    "metrics",
+];
+
+/// Everything both `locate` front ends take from their flags, parsed
+/// before any pipeline work so a malformed value costs nothing.
+struct LocateFlags {
+    obs: ObsOpts,
+    sup: Supervisor,
+    lc: LocateConfig,
+    stats: bool,
+}
+
+impl LocateFlags {
+    fn parse(opts: &Opts) -> Result<LocateFlags, CliError> {
+        let obs = ObsOpts::parse(opts)?;
+        let sup = parse_supervisor(opts)?;
+        let lc = LocateConfig {
+            mode: parse_mode(opts.value("mode"))?,
+            jobs: parse_jobs(opts)?,
+            resume: if opts.has("no-resume") {
+                ResumeMode::Disabled
+            } else {
+                ResumeMode::Auto
+            },
+            scheduler: parse_scheduler(opts.value("scheduler"))?,
+            capture_threshold: parse_capture_threshold(opts)?,
+            early_exit: opts.has("early-exit"),
+            memo: Some(VerifyMemo::shared()),
+            budget: parse_budget(opts.value("budget"))?,
+            fault: parse_fault_plan(opts.value("fault-plan"))?,
+            deadline: sup.deadline(),
+            ..LocateConfig::default()
+        };
+        Ok(LocateFlags {
+            obs,
+            sup,
+            lc,
+            stats: opts.has("stats"),
+        })
+    }
+
+    /// Runs one localization through the shared pipeline: builds the
+    /// session under the recorder and the supervisor, locates, and emits
+    /// the report, journal, profile, stats and metrics the flags ask for.
+    /// `program` names the journal's subject; `build_error` phrases a
+    /// failed build for the user.
+    fn run(
+        self,
+        builder: DebugSessionBuilder,
+        program: String,
+        build_error: impl FnOnce(SessionError) -> String,
+    ) -> Result<ExitCode, CliError> {
+        let LocateFlags {
+            obs,
+            sup,
+            lc,
+            stats,
+        } = self;
+        obs.start_recorder();
+        let session = builder.supervisor(sup).build().map_err(build_error)?;
+        for warning in session.warnings() {
+            Reporter::stderr().warn(warning);
+        }
+        let outcome = session.locate(&lc).map_err(|e| e.to_string())?;
+        let recovery = take_recovery();
+        let (spans, prof) = obs.stop_recorder();
+        let prof_summary = prof.as_ref().map(|p| p.summarize());
+        obs.write_profile(prof.as_ref(), spans.as_ref())?;
+        if let Some(path) = &obs.obs_out {
+            let records = build_journal(
+                &JournalMeta { program },
+                &lc,
+                &outcome,
+                session.trace(),
+                Some(&recovery),
+                prof_summary.as_ref(),
+                spans.as_ref(),
+            );
+            let f =
+                std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
+            omislice_obs::write_jsonl(std::io::BufWriter::new(f), &records)
+                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        }
+        obs.emit_human(&session.report(&outcome, obs.explain));
+        if stats {
+            let mut rep = Reporter::stderr();
+            rep.section("verification engine");
+            rep.block(&outcome.stats.to_string());
+            if !recovery.is_empty() {
+                rep.section("recovery");
+                rep.block(&render_recovery(&recovery));
+            }
+        }
+        if obs.metrics.is_some() {
+            obs.emit_metrics(&locate_metrics(session.trace(), &outcome, spans.as_ref()));
+        }
+        Ok(locate_exit(&outcome, &recovery))
+    }
+}
+
 fn cmd_locate(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(
-        args,
-        &[
-            "faulty",
-            "fixed",
-            "input",
-            "trace-in",
-            "profile",
-            "mode",
-            "jobs",
-            "scheduler",
-            "capture-threshold",
-            "budget",
-            "fault-plan",
-            "chaos",
-            "deadline",
-            "obs-out",
-            "profile-out",
-            "metrics",
-        ],
-    )?;
-    let obs = ObsOpts::parse(&opts)?;
-    let sup = parse_supervisor(&opts)?;
+    let value_flags = [
+        &LOCATE_FLAGS[..],
+        &["faulty", "fixed", "input", "trace-in", "profile", "mode"],
+    ]
+    .concat();
+    let opts = Opts::parse(args, &value_flags)?;
+    let flags = LocateFlags::parse(&opts)?;
     let faulty_path = opts
         .value("faulty")
         .ok_or_else(|| usage_err("locate needs --faulty"))?;
     let fixed_path = opts
         .value("fixed")
         .ok_or_else(|| usage_err("locate needs --fixed"))?;
-    obs.start_recorder();
-    let faulty = load_program(faulty_path)?;
-    let fixed = load_program(fixed_path)?;
     let inputs = parse_inputs(opts.value("input"))?;
-    let config = RunConfig::with_inputs(inputs);
-
-    let analysis = ProgramAnalysis::build(&faulty);
-    let fixed_analysis = ProgramAnalysis::build(&fixed);
-    // The failing trace: reloaded from an `omitrace/v1` file when
-    // `--trace-in` is given (it must come from running the faulty
-    // program on the same inputs), freshly recorded otherwise. A file
-    // that stays unreadable after the supervisor's retry climbs the last
-    // rung of the degradation ladder: re-trace from source.
-    let trace = match opts.value("trace-in") {
-        Some(p) => match sup.load_trace(std::path::Path::new(p)) {
-            Ok(t) => t,
-            Err(e) => {
-                note_recovery(RecoveryKind::RetraceFallback);
-                Reporter::stderr().warn(&format!(
-                    "cannot load trace from `{p}` ({e}); re-tracing from source"
-                ));
-                sup.run(|| run_traced(&faulty, &analysis, &config).trace)
-            }
-        },
-        None => sup.run(|| run_traced(&faulty, &analysis, &config).trace),
+    let profiles = match opts.value("profile") {
+        Some(spec) => spec
+            .split(';')
+            .map(|part| parse_inputs(Some(part)))
+            .collect::<Result<Vec<_>, _>>()?,
+        None => Vec::new(),
     };
-    // A `--trace-in` load skips the supervised trace run, so the deadline
-    // would otherwise go unchecked until deep inside verification; one
-    // counted check here keeps `--deadline` effective on that path too.
-    let _ = sup.check_deadline();
-
-    let mut profile = ValueProfile::new();
-    profile.add_trace(&trace);
-    if let Some(spec) = opts.value("profile") {
-        for part in spec.split(';') {
-            let extra = parse_inputs(Some(part))?;
-            let cfg = RunConfig::with_inputs(extra);
-            profile.add_trace(&run_traced(&faulty, &analysis, &cfg).trace);
-        }
+    let faulty_src = read_source(faulty_path)?;
+    let fixed_src = read_source(fixed_path)?;
+    let mut builder = DebugSession::builder(&faulty_src)
+        .reference(&fixed_src)
+        .failing_input(inputs)
+        .profile_inputs(profiles);
+    if let Some(path) = opts.value("trace-in") {
+        builder = builder.trace_file(path);
     }
-
-    // Roots from the structural diff between the two programs.
-    let roots = omislice_corpus::try_seeded_roots(&fixed, &faulty)?;
-    if roots.is_empty() {
-        return Err("fixed and faulty programs are identical".into());
-    }
-    let oracle = GroundTruthOracle::new(&fixed, &fixed_analysis, &config, roots.clone());
-    let lc = LocateConfig {
-        mode: parse_mode(opts.value("mode"))?,
-        jobs: parse_jobs(&opts)?,
-        resume: if opts.has("no-resume") {
-            omislice::omislice_interp::ResumeMode::Disabled
-        } else {
-            omislice::omislice_interp::ResumeMode::Auto
-        },
-        scheduler: parse_scheduler(opts.value("scheduler"))?,
-        capture_threshold: parse_capture_threshold(&opts)?,
-        early_exit: opts.has("early-exit"),
-        memo: Some(VerifyMemo::shared()),
-        budget: parse_budget(opts.value("budget"))?,
-        fault: parse_fault_plan(opts.value("fault-plan"))?,
-        deadline: sup.deadline(),
-        ..LocateConfig::default()
-    };
-    let outcome = locate_fault(&faulty, &analysis, &config, &trace, &profile, &oracle, &lc)
-        .map_err(|e| e.to_string())?;
-    let recovery = take_recovery();
-    let (spans, prof) = obs.stop_recorder();
-    let prof_summary = prof.as_ref().map(|p| p.summarize());
-    obs.write_profile(prof.as_ref(), spans.as_ref())?;
-    if let Some(path) = &obs.obs_out {
-        let meta = JournalMeta {
-            program: faulty_path.to_string(),
-        };
-        write_journal_file(
-            path,
-            &meta,
-            &lc,
-            &outcome,
-            &trace,
-            Some(&recovery),
-            prof_summary.as_ref(),
-            spans.as_ref(),
-        )?;
-    }
-
-    let mut human = omislice::render_report(&outcome, &trace, &analysis);
-    human.push('\n');
-    if obs.explain {
-        human.push_str(&render_explain(&outcome, &trace, &analysis));
-        human.push('\n');
-    }
-    human.push_str("seeded root statement(s):\n");
-    for r in roots {
-        if let Some(stmt) = faulty.stmt(r) {
-            human.push_str(&format!("  {r} {}\n", stmt_head(stmt)));
-        }
-    }
-    obs.emit_human(&human);
-    if opts.has("stats") {
-        let mut rep = Reporter::stderr();
-        rep.section("verification engine");
-        rep.block(&outcome.stats.to_string());
-        if !recovery.is_empty() {
-            rep.section("recovery");
-            rep.block(&render_recovery(&recovery));
-        }
-    }
-    if obs.metrics.is_some() {
-        obs.emit_metrics(&locate_metrics(&trace, &outcome, spans.as_ref()));
-    }
-    Ok(locate_exit(&outcome, &recovery))
+    flags.run(builder, faulty_path.to_string(), |e| match e {
+        SessionError::Faulty(e) => frontend_error(faulty_path, &faulty_src, &e),
+        SessionError::Reference(e) => frontend_error(fixed_path, &fixed_src, &e),
+        other => other.to_string(),
+    })
 }
 
 /// Final exit for `locate`-style commands: an expired deadline means the
@@ -1018,21 +1019,7 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_corpus(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(
-        args,
-        &[
-            "jobs",
-            "scheduler",
-            "capture-threshold",
-            "budget",
-            "fault-plan",
-            "chaos",
-            "deadline",
-            "obs-out",
-            "profile-out",
-            "metrics",
-        ],
-    )?;
+    let opts = Opts::parse(args, &LOCATE_FLAGS)?;
     match opts.positional.first().map(String::as_str) {
         None | Some("list") => {
             for b in all_benchmarks() {
@@ -1066,84 +1053,11 @@ fn cmd_corpus(args: Vec<String>) -> Result<ExitCode, CliError> {
             let fault = bench
                 .fault(fault_id)
                 .ok_or_else(|| usage_err(format!("no fault `{fault_id}` in `{bench_name}`")))?;
-            let obs = ObsOpts::parse(&opts)?;
-            let sup = parse_supervisor(&opts)?;
-            obs.start_recorder();
-            // The session builder records the failing trace, so it runs
-            // under the supervisor's chaos scope like `locate`'s.
-            let session = sup
-                .run(|| bench.session(fault))
-                .map_err(|e| e.to_string())?;
-            let lc = LocateConfig {
-                jobs: parse_jobs(&opts)?,
-                resume: if opts.has("no-resume") {
-                    omislice::omislice_interp::ResumeMode::Disabled
-                } else {
-                    omislice::omislice_interp::ResumeMode::Auto
-                },
-                scheduler: parse_scheduler(opts.value("scheduler"))?,
-                capture_threshold: parse_capture_threshold(&opts)?,
-                early_exit: opts.has("early-exit"),
-                // One memo for the whole corpus invocation: every locate
-                // this process runs shares switched runs and checkpoints.
-                memo: Some(VerifyMemo::shared()),
-                budget: parse_budget(opts.value("budget"))?,
-                fault: parse_fault_plan(opts.value("fault-plan"))?,
-                deadline: sup.deadline(),
-                ..LocateConfig::default()
-            };
-            let outcome = session.locate(&lc).map_err(|e| e.to_string())?;
-            let recovery = take_recovery();
-            let (spans, prof) = obs.stop_recorder();
-            let prof_summary = prof.as_ref().map(|p| p.summarize());
-            obs.write_profile(prof.as_ref(), spans.as_ref())?;
-            if let Some(path) = &obs.obs_out {
-                let meta = JournalMeta {
-                    program: format!("{bench_name}:{fault_id}"),
-                };
-                write_journal_file(
-                    path,
-                    &meta,
-                    &lc,
-                    &outcome,
-                    session.trace(),
-                    Some(&recovery),
-                    prof_summary.as_ref(),
-                    spans.as_ref(),
-                )?;
-            }
-
-            let mut human = session.report(&outcome);
-            human.push('\n');
-            if obs.explain {
-                human.push_str(&render_explain(
-                    &outcome,
-                    session.trace(),
-                    session.analysis(),
-                ));
-                human.push('\n');
-            }
-            let prepared = bench.prepare(fault).map_err(|e| e.to_string())?;
-            human.push_str("seeded root statement(s):\n");
-            for r in prepared.roots {
-                if let Some(stmt) = prepared.faulty.stmt(r) {
-                    human.push_str(&format!("  {r} {}\n", stmt_head(stmt)));
-                }
-            }
-            obs.emit_human(&human);
-            if opts.has("stats") {
-                let mut rep = Reporter::stderr();
-                rep.section("verification engine");
-                rep.block(&outcome.stats.to_string());
-                if !recovery.is_empty() {
-                    rep.section("recovery");
-                    rep.block(&render_recovery(&recovery));
-                }
-            }
-            if obs.metrics.is_some() {
-                obs.emit_metrics(&locate_metrics(session.trace(), &outcome, spans.as_ref()));
-            }
-            Ok(locate_exit(&outcome, &recovery))
+            LocateFlags::parse(&opts)?.run(
+                bench.session_builder(fault),
+                format!("{bench_name}:{fault_id}"),
+                |e| e.to_string(),
+            )
         }
         Some(other) => Err(usage_err(format!("unknown corpus subcommand `{other}`"))),
     }

@@ -1070,6 +1070,110 @@ fn locate_trace_in_with_deadline_exits_3_with_partial_report() {
     }
 }
 
+/// One cold `POST /locate` against a fresh in-process server.
+fn post_locate_cold(body: &omislice_obs::Json) -> omislice_obs::Json {
+    use std::io::Read as _;
+    let server = omislice_serve::start(omislice_serve::ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..omislice_serve::ServeConfig::default()
+    })
+    .expect("server starts");
+    let body = body.to_string();
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connects");
+    write!(
+        stream,
+        "POST /locate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("sends");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("reads");
+    server.shutdown();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    let (_, json) = response
+        .split_once("\r\n\r\n")
+        .expect("response has a body");
+    omislice_obs::json::parse(json.trim()).expect("response parses")
+}
+
+/// `locate`, `corpus locate` and a cold `POST /locate` are front ends of
+/// one pipeline: on the same program version they print the same report,
+/// byte for byte, with and without `--explain`.
+#[test]
+fn locate_front_ends_render_one_report() {
+    use omislice_obs::Json;
+    let benchmarks = omislice_corpus::all_benchmarks();
+    let sed = benchmarks.iter().find(|b| b.name == "sed").expect("sed");
+    let fault = sed.fault("V3-F2").expect("sed V3-F2");
+    let faulty = write_temp("front-faulty", &fault.apply(sed.fixed_src));
+    let fixed = write_temp("front-fixed", sed.fixed_src);
+    let csv = |inputs: &[i64]| {
+        inputs
+            .iter()
+            .map(i64::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let ints = |inputs: &[i64]| Json::Array(inputs.iter().map(|&v| Json::Int(v)).collect());
+    let input = csv(&fault.failing_input);
+    let profile = fault
+        .passing_inputs
+        .iter()
+        .map(|p| csv(p))
+        .collect::<Vec<_>>()
+        .join(";");
+    for explain in [false, true] {
+        let explain_flag: &[&str] = if explain { &["--explain"] } else { &[] };
+        let mut args = vec![
+            "locate",
+            "--faulty",
+            faulty.to_str().unwrap(),
+            "--fixed",
+            fixed.to_str().unwrap(),
+            "--input",
+            &input,
+            "--profile",
+            &profile,
+        ];
+        args.extend(explain_flag);
+        let cli = omislice(&args);
+        assert!(
+            cli.status.success(),
+            "{}",
+            String::from_utf8_lossy(&cli.stderr)
+        );
+        let cli = String::from_utf8(cli.stdout).expect("utf-8 report");
+        assert!(cli.contains("root cause captured : yes"), "{cli}");
+
+        let mut args = vec!["corpus", "locate", "sed", "V3-F2"];
+        args.extend(explain_flag);
+        let corpus = omislice(&args);
+        assert!(corpus.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&corpus.stdout),
+            cli,
+            "corpus locate (explain={explain}) differs from locate"
+        );
+
+        let served = post_locate_cold(&Json::object([
+            ("faulty", Json::str(fault.apply(sed.fixed_src))),
+            ("fixed", Json::str(sed.fixed_src)),
+            ("input", ints(&fault.failing_input)),
+            (
+                "profile",
+                Json::Array(fault.passing_inputs.iter().map(|p| ints(p)).collect()),
+            ),
+            ("explain", Json::Bool(explain)),
+        ]));
+        assert_eq!(
+            served.get("report").and_then(Json::as_str),
+            Some(cli.as_str()),
+            "served report (explain={explain}) differs from locate"
+        );
+    }
+}
+
 #[test]
 fn serve_starts_serves_and_dies_cleanly() {
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};

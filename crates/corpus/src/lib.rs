@@ -32,11 +32,12 @@
 mod programs;
 pub mod workload;
 
+pub use omislice::{seeded_roots, try_seeded_roots};
 pub use programs::{all_benchmarks, excluded_benchmarks};
 pub use workload::WorkloadGen;
 
-use omislice::{DebugSession, SessionError};
-use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
+use omislice::{DebugSession, DebugSessionBuilder, SessionError};
+use omislice_lang::{compile, FrontendError, Program, StmtId};
 
 /// Whether a fault mirrors one of the suite's real bugs or was seeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,19 +157,24 @@ impl Benchmark {
         })
     }
 
+    /// The [`DebugSession`] builder for one fault: the faulty variant
+    /// against the fixed source on the fault's failing input, profiled on
+    /// its passing inputs. The session derives the seeded root from the
+    /// two versions' diff, as [`Benchmark::prepare`] does.
+    pub fn session_builder(&self, fault: &Fault) -> DebugSessionBuilder {
+        DebugSession::builder(&fault.apply(self.fixed_src))
+            .reference(self.fixed_src)
+            .failing_input(fault.failing_input.clone())
+            .profile_inputs(fault.passing_inputs.iter().cloned())
+    }
+
     /// Builds a ready [`DebugSession`] for one fault.
     ///
     /// # Errors
     ///
     /// Propagates compilation failures as [`SessionError`].
     pub fn session(&self, fault: &Fault) -> Result<DebugSession, SessionError> {
-        let prepared = self.prepare(fault).map_err(SessionError::Faulty)?;
-        DebugSession::builder(&prepared.faulty_src)
-            .reference(self.fixed_src)
-            .failing_input(fault.failing_input.clone())
-            .profile_inputs(fault.passing_inputs.iter().cloned())
-            .root_cause_stmts(prepared.roots.iter().copied())
-            .build()
+        self.session_builder(fault).build()
     }
 }
 
@@ -183,46 +189,6 @@ pub struct PreparedFault {
     pub faulty_src: String,
     /// Statement ids whose text differs (the root cause).
     pub roots: Vec<StmtId>,
-}
-
-/// Finds the statements whose rendered text differs between two
-/// id-compatible programs.
-///
-/// # Panics
-///
-/// Panics if the programs do not have the same number of statements
-/// (fault seeding must preserve statement structure).
-pub fn seeded_roots(fixed: &Program, faulty: &Program) -> Vec<StmtId> {
-    try_seeded_roots(fixed, faulty).expect("fault seeding must preserve statement ids")
-}
-
-/// Fallible form of [`seeded_roots`] for callers whose program pair comes
-/// from untrusted input (the CLI's `--fixed`/`--faulty` files, a serve
-/// request body) rather than the corpus seeding machinery.
-///
-/// # Errors
-///
-/// Returns a description of the structural mismatch when the two programs
-/// do not have the same number of statements.
-pub fn try_seeded_roots(fixed: &Program, faulty: &Program) -> Result<Vec<StmtId>, String> {
-    if fixed.stmt_count() != faulty.stmt_count() {
-        return Err(format!(
-            "fixed and faulty programs are structurally incompatible: \
-             {} vs {} statements (fault seeding must preserve statement ids)",
-            fixed.stmt_count(),
-            faulty.stmt_count()
-        ));
-    }
-    let mut heads_fixed = Vec::new();
-    fixed.visit_stmts(&mut |s| heads_fixed.push((s.id, stmt_head(s))));
-    let mut heads_faulty = Vec::new();
-    faulty.visit_stmts(&mut |s| heads_faulty.push((s.id, stmt_head(s))));
-    Ok(heads_fixed
-        .iter()
-        .zip(&heads_faulty)
-        .filter(|((_, a), (_, b))| a != b)
-        .map(|((id, _), _)| *id)
-        .collect())
 }
 
 #[cfg(test)]

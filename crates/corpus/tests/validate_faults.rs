@@ -125,7 +125,7 @@ fn locator_captures_every_root_cause() {
             "{} {}: locator failed\n{}",
             b.name,
             fault.id,
-            session.report(&outcome)
+            session.report(&outcome, false)
         );
         let prepared = b.prepare(fault).unwrap();
         for &root in &prepared.roots {

@@ -76,7 +76,9 @@ pub use memo::{MemoSnapshot, VerifyMemo, DEFAULT_MEMO_CAPACITY};
 pub use oracle::{GroundTruthOracle, OutputClassification, UserOracle};
 pub use perturb::{perturbation_candidates, verify_by_perturbation, Perturbation};
 pub use report::{describe_inst, render_explain, render_report};
-pub use session::{DebugSession, DebugSessionBuilder, SessionError};
+pub use session::{
+    seeded_roots, try_seeded_roots, DebugSession, DebugSessionBuilder, SessionError,
+};
 pub use switching::{
     find_critical_predicate, find_critical_predicate_with_jobs, CriticalPredicate, SearchOrder,
 };

@@ -369,6 +369,12 @@ pub fn locate_fault(
             }
         }
     }
+    // The PD relation iterates a hash map; sorting fixes the order of the
+    // secondary requests, and so of the journal that lists them, across
+    // processes.
+    for uses in pd_inverse.values_mut() {
+        uses.sort_unstable();
+    }
 
     // PruneSlicing(): prune, then consult the user until the remaining
     // instances all hold corrupted state.

@@ -3,23 +3,23 @@
 //! Every handler is a pure function from a parsed body to either a
 //! response document or an [`ApiError`] carrying the HTTP status — the
 //! transport, worker pool, and panic isolation live in
-//! [`server`](crate::server). The locate pipeline mirrors the CLI's
-//! `cmd_locate` step for step so a served report is byte-identical to
-//! the in-process one: artifacts resolve (or build) under a
-//! [`Supervisor`], one counted deadline check runs after trace
-//! acquisition, and `locate_fault` runs with the deadline and the
-//! server's persistent [`VerifyMemo`].
+//! [`server`](crate::server). `POST /locate` is a thin adapter over
+//! [`DebugSession`], the pipeline the CLI's `locate` runs too: request
+//! fields become a session builder (built under the request's
+//! [`Supervisor`] on a cache miss) and a [`LocateConfig`] carrying the
+//! server's persistent [`VerifyMemo`](omislice::VerifyMemo), so a served
+//! report is the CLI's byte for byte.
 
-use crate::cache::{fnv64, key_hex, parse_key_hex, SessionArtifacts, SliceArtifacts};
+use crate::cache::{fnv64, key_hex, parse_key_hex, SliceArtifacts};
 use crate::server::ServerState;
-use omislice::omislice_interp::{run_traced, BudgetSchedule, FaultPlan, RunConfig};
-use omislice::omislice_lang::{compile, printer::stmt_head, Program};
-use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice, ValueProfile};
+use omislice::omislice_interp::{run_traced, BudgetSchedule, FaultPlan, ResumeMode, RunConfig};
+use omislice::omislice_lang::{compile, FrontendError, Program};
+use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice};
 use omislice::omislice_trace::supervisor::chaos_hit;
 use omislice::omislice_trace::{take_recovery, ChaosAction, ChaosPlan, ChaosSite, Supervisor};
 use omislice::{
-    build_journal, describe_inst, locate_fault, render_explain, render_report, GroundTruthOracle,
-    JournalMeta, LocateConfig, SchedulerMode, VerifierMode,
+    build_journal, describe_inst, DebugSession, JournalMeta, LocateConfig, SchedulerMode,
+    SessionError, VerifierMode,
 };
 use omislice_analysis::ProgramAnalysis;
 use omislice_bench::diffcheck::{run_diffcheck, DiffcheckOptions};
@@ -199,16 +199,19 @@ fn supervisor_fields(body: &Json) -> Result<Supervisor, ApiError> {
     Ok(sup)
 }
 
+/// A compile error rendered against its source, under the program's role.
+fn compile_error(which: &str, source: &str, e: &FrontendError) -> ApiError {
+    ApiError::bad(
+        "compile-error",
+        format!(
+            "{which} program:\n{}",
+            omislice::omislice_lang::render_frontend_error(source, e)
+        ),
+    )
+}
+
 fn compile_src(source: &str, which: &str) -> Result<Program, ApiError> {
-    compile(source).map_err(|e| {
-        ApiError::bad(
-            "compile-error",
-            format!(
-                "{which} program:\n{}",
-                omislice::omislice_lang::render_frontend_error(source, &e)
-            ),
-        )
-    })
+    compile(source).map_err(|e| compile_error(which, source, &e))
 }
 
 /// Canonical text forms used for cache keying, so `[1,2]` and `"1,2"`
@@ -231,19 +234,19 @@ fn canonical_profiles(profiles: &[Vec<i64>]) -> String {
 
 // --- POST /locate ----------------------------------------------------
 
-/// Resolves the session artifacts for a locate request: by `program`
-/// hash (hit required), or by sources (cache hit or a fresh build under
-/// the supervisor's chaos/deadline scope).
+/// Resolves the session for a locate request, with its cache key: by
+/// `program` hash (hit required), or by sources (a cache hit, or a fresh
+/// build whose failing trace records under the request's supervisor).
 fn resolve_session(
     state: &ServerState,
     body: &Json,
     sup: &Supervisor,
-) -> Result<(Arc<SessionArtifacts>, &'static str), ApiError> {
+) -> Result<(u64, Arc<DebugSession>, &'static str), ApiError> {
     if let Some(hex) = opt_str(body, "program")? {
         let key = parse_key_hex(hex)
             .ok_or_else(|| ApiError::bad("bad-field", format!("bad program hash `{hex}`")))?;
         return match state.cache.get_session(key) {
-            Some(a) => Ok((a, "hit")),
+            Some(session) => Ok((key, session, "hit")),
             None => Err(ApiError {
                 status: 404,
                 code: "unknown-program",
@@ -262,77 +265,47 @@ fn resolve_session(
         canonical_inputs(&inputs).as_bytes(),
         canonical_profiles(&profiles).as_bytes(),
     ]);
-    if let Some(a) = state.cache.get_session(key) {
-        return Ok((a, "hit"));
+    if let Some(session) = state.cache.get_session(key) {
+        return Ok((key, session, "hit"));
     }
 
-    // Fresh build: trace recording and profile runs execute under the
-    // request's chaos/deadline scope, exactly like the CLI pipeline.
-    let built = sup.run(|| -> Result<SessionArtifacts, ApiError> {
-        let faulty = compile_src(faulty_src, "faulty")?;
-        let fixed = compile_src(fixed_src, "fixed")?;
-        let analysis = ProgramAnalysis::build(&faulty);
-        let fixed_analysis = ProgramAnalysis::build(&fixed);
-        let config = RunConfig::with_inputs(inputs.clone());
-        let trace = run_traced(&faulty, &analysis, &config).trace;
-        let mut profile = ValueProfile::new();
-        profile.add_trace(&trace);
-        for spec in &profiles {
-            let cfg = RunConfig::with_inputs(spec.clone());
-            profile.add_trace(&run_traced(&faulty, &analysis, &cfg).trace);
-        }
-        let roots = omislice_corpus::try_seeded_roots(&fixed, &faulty)
-            .map_err(|m| ApiError::bad("structural-mismatch", m))?;
-        if roots.is_empty() {
-            return Err(ApiError::bad(
-                "identical-programs",
-                "fixed and faulty programs are identical",
-            ));
-        }
-        let oracle = GroundTruthOracle::new(&fixed, &fixed_analysis, &config, roots.clone());
-        Ok(SessionArtifacts {
-            key,
-            faulty,
-            analysis,
-            config,
-            trace,
-            profile,
-            oracle,
-            roots,
-        })
-    })?;
-
+    let session = DebugSession::builder(faulty_src)
+        .reference(fixed_src)
+        .failing_input(inputs)
+        .profile_inputs(profiles)
+        .supervisor(sup.clone())
+        .build()
+        .map_err(|e| match e {
+            SessionError::Faulty(e) => compile_error("faulty", faulty_src, &e),
+            SessionError::Reference(e) => compile_error("fixed", fixed_src, &e),
+            SessionError::StructuralMismatch(m) => ApiError::bad("structural-mismatch", m),
+            e @ SessionError::IdenticalPrograms => {
+                ApiError::bad("identical-programs", e.to_string())
+            }
+            e @ SessionError::MissingReference => ApiError::bad("missing-field", e.to_string()),
+        })?;
     let bytes = faulty_src.len()
         + fixed_src.len()
-        + built.trace.columns().bytes()
-        + built.oracle.reference().columns().bytes()
+        + session.trace().columns().bytes()
+        + session.oracle().reference().columns().bytes()
         + 4096;
-    let built = Arc::new(built);
+    let session = Arc::new(session);
     // A deadline that expired during the build leaves a partial trace:
     // serve the partial result but never cache it.
     if !sup.deadline_expired() {
-        state.cache.insert_session(key, Arc::clone(&built), bytes);
+        state.cache.insert_session(key, Arc::clone(&session), bytes);
     }
-    Ok((built, "miss"))
+    Ok((key, session, "miss"))
 }
 
-/// `POST /locate`: run (or replay) fault localization for one program
-/// version, sharing artifacts and the verification memo across requests.
-pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
-    state.locates.fetch_add(1, Ordering::Relaxed);
-    let sup = supervisor_fields(body)?;
-    // The handler chaos site fires inside the supervised scope so the
-    // server's catch_unwind fault isolation is exercised end-to-end.
-    sup.run(|| {
-        if chaos_hit(ChaosSite::Handler) == Some(ChaosAction::Panic) {
-            panic!("injected handler panic");
-        }
-    });
-    let (arts, cache_state) = resolve_session(state, body, &sup)?;
-    // Pipeline-top deadline check after trace acquisition: a preloaded
-    // (cached) trace must not skip the cooperative deadline.
-    let _ = sup.check_deadline();
-
+/// The request's [`LocateConfig`]: the tuning fields the CLI takes as
+/// flags, the deadline of the request's supervisor, and the server's
+/// shared verification memo.
+fn locate_config(
+    state: &ServerState,
+    body: &Json,
+    sup: &Supervisor,
+) -> Result<LocateConfig, ApiError> {
     let budget = match opt_str(body, "budget")? {
         Some(t) => BudgetSchedule::parse(t).map_err(|e| ApiError::bad("bad-field", e))?,
         None => BudgetSchedule::default(),
@@ -345,53 +318,48 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
         Some(t) => SchedulerMode::parse(t).map_err(|e| ApiError::bad("bad-field", e))?,
         None => SchedulerMode::default(),
     };
-    let capture_threshold = opt_u64(body, "capture_threshold")?.map(|n| n as usize);
-    let lc = LocateConfig {
+    Ok(LocateConfig {
         mode: mode_field(body)?,
         jobs: jobs_field(body)?,
         resume: if opt_bool(body, "no_resume")? {
-            omislice::omislice_interp::ResumeMode::Disabled
+            ResumeMode::Disabled
         } else {
-            omislice::omislice_interp::ResumeMode::Auto
+            ResumeMode::Auto
         },
         scheduler,
-        capture_threshold,
+        capture_threshold: opt_u64(body, "capture_threshold")?.map(|n| n as usize),
         early_exit: opt_bool(body, "early_exit")?,
         memo: Some(Arc::clone(&state.memo)),
         budget,
         fault,
         deadline: sup.deadline(),
         ..LocateConfig::default()
-    };
-    let outcome = locate_fault(
-        &arts.faulty,
-        &arts.analysis,
-        &arts.config,
-        &arts.trace,
-        &arts.profile,
-        &arts.oracle,
-        &lc,
-    )
-    .map_err(|e| ApiError {
+    })
+}
+
+/// `POST /locate`: run (or replay) fault localization for one program
+/// version, sharing sessions and the verification memo across requests.
+pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
+    state.locates.fetch_add(1, Ordering::Relaxed);
+    let sup = supervisor_fields(body)?;
+    // The handler chaos site fires inside the supervised scope so the
+    // server's catch_unwind fault isolation is exercised end-to-end.
+    sup.run(|| {
+        if chaos_hit(ChaosSite::Handler) == Some(ChaosAction::Panic) {
+            panic!("injected handler panic");
+        }
+    });
+    let lc = locate_config(state, body, &sup)?;
+    let explain = opt_bool(body, "explain")?;
+    let journal = opt_bool(body, "journal")?;
+    let label = opt_str(body, "label")?;
+    let (key, session, cache_state) = resolve_session(state, body, &sup)?;
+    let outcome = session.locate(&lc).map_err(|e| ApiError {
         status: 422,
         code: "no-wrong-output",
         message: e.to_string(),
     })?;
     let recovery = take_recovery();
-
-    // The human report, byte-identical to the CLI's stdout.
-    let mut report = render_report(&outcome, &arts.trace, &arts.analysis);
-    report.push('\n');
-    if opt_bool(body, "explain")? {
-        report.push_str(&render_explain(&outcome, &arts.trace, &arts.analysis));
-        report.push('\n');
-    }
-    report.push_str("seeded root statement(s):\n");
-    for r in &arts.roots {
-        if let Some(stmt) = arts.faulty.stmt(*r) {
-            report.push_str(&format!("  {r} {}\n", stmt_head(stmt)));
-        }
-    }
 
     let mut pairs: Vec<(&'static str, Json)> = vec![
         (
@@ -402,28 +370,27 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
                 "ok"
             }),
         ),
-        ("program", Json::str(key_hex(arts.key))),
+        ("program", Json::str(key_hex(key))),
         ("cache", Json::str(cache_state)),
         ("found", Json::Bool(outcome.found)),
         ("iterations", Json::Int(outcome.iterations as i64)),
         ("verifications", Json::Int(outcome.verifications as i64)),
         ("recoveries", Json::Int(recovery.total() as i64)),
-        ("report", Json::str(report)),
+        ("report", Json::str(session.report(&outcome, explain))),
         (
             "roots",
             Json::Array(
-                arts.roots
+                session
+                    .roots()
                     .iter()
                     .map(|r| Json::str(r.to_string()))
                     .collect(),
             ),
         ),
     ];
-    if opt_bool(body, "journal")? {
+    if journal {
         let meta = JournalMeta {
-            program: opt_str(body, "label")?
-                .map(str::to_string)
-                .unwrap_or_else(|| key_hex(arts.key)),
+            program: label.map_or_else(|| key_hex(key), str::to_string),
         };
         // Per-request journals never carry spans or profiles: the span
         // recorder is process-global and worker threads would interleave.
@@ -431,7 +398,7 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
             &meta,
             &lc,
             &outcome,
-            &arts.trace,
+            session.trace(),
             Some(&recovery),
             None,
             None,

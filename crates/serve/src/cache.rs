@@ -2,19 +2,17 @@
 //!
 //! Requests name a program version by the FNV-1a hash of its sources and
 //! inputs; the cache holds everything the pipeline derives from them —
-//! parsed programs, the `ProgramAnalysis` (CFGs, control deps, the
-//! static union graph), the failing trace, the value profile, and the
-//! ground-truth oracle — shared immutably across concurrent requests
+//! for `/locate` the built [`DebugSession`] (programs, analysis, failing
+//! trace, value profile, ground-truth oracle), for `/slice` the program,
+//! analysis and trace — shared immutably across concurrent requests
 //! behind `Arc`s. Eviction follows the `VerifyMemo` discipline: a
 //! deterministic logical tick orders entries and the least-recently-used
 //! one is dropped when the byte budget overflows, so a request replayed
 //! against a warm or a cold cache sees identical artifacts either way.
 
-use omislice::GroundTruthOracle;
+use omislice::DebugSession;
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::RunConfig;
-use omislice_lang::{Program, StmtId};
-use omislice_slicing::ValueProfile;
+use omislice_lang::Program;
 use omislice_trace::Trace;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -53,21 +51,6 @@ pub fn parse_key_hex(text: &str) -> Option<u64> {
         .flatten()
 }
 
-/// Everything `POST /locate` derives from one (faulty, fixed, input,
-/// profile) version: built once, shared immutably.
-pub struct SessionArtifacts {
-    /// The cache key the artifacts were stored under.
-    pub key: u64,
-    pub faulty: Program,
-    pub analysis: ProgramAnalysis,
-    pub config: RunConfig,
-    pub trace: Trace,
-    pub profile: ValueProfile,
-    pub oracle: GroundTruthOracle,
-    /// Seeded root statements (structural diff of the two versions).
-    pub roots: Vec<StmtId>,
-}
-
 /// Everything `POST /slice` derives from one (source, input) version.
 pub struct SliceArtifacts {
     pub key: u64,
@@ -85,7 +68,7 @@ struct Entry<T> {
 #[derive(Default)]
 struct Inner {
     tick: u64,
-    sessions: HashMap<u64, Entry<Arc<SessionArtifacts>>>,
+    sessions: HashMap<u64, Entry<Arc<DebugSession>>>,
     slices: HashMap<u64, Entry<Arc<SliceArtifacts>>>,
     bytes: usize,
     hits: u64,
@@ -121,8 +104,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up locate artifacts, refreshing their LRU tick on a hit.
-    pub fn get_session(&self, key: u64) -> Option<Arc<SessionArtifacts>> {
+    /// Looks up a locate session, refreshing its LRU tick on a hit.
+    pub fn get_session(&self, key: u64) -> Option<Arc<DebugSession>> {
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -142,10 +125,10 @@ impl ArtifactCache {
         }
     }
 
-    /// Inserts locate artifacts, evicting least-recently-used entries
+    /// Inserts a locate session, evicting least-recently-used entries
     /// until the byte budget holds. First insert wins on a key race so
     /// concurrent builders agree on the shared value.
-    pub fn insert_session(&self, key: u64, value: Arc<SessionArtifacts>, bytes: usize) {
+    pub fn insert_session(&self, key: u64, value: Arc<DebugSession>, bytes: usize) {
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -241,6 +224,7 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omislice_interp::RunConfig;
 
     fn slice_artifacts(src: &str) -> (u64, Arc<SliceArtifacts>) {
         let program = omislice_lang::compile(src).unwrap();

@@ -104,7 +104,7 @@ fn reference_journal(input: i64) -> String {
     let trace = run_traced(&faulty, &analysis, &config).trace;
     let mut profile = ValueProfile::new();
     profile.add_trace(&trace);
-    let roots = omislice_corpus::try_seeded_roots(&fixed, &faulty).expect("seeded roots");
+    let roots = omislice::try_seeded_roots(&fixed, &faulty).expect("seeded roots");
     let oracle = GroundTruthOracle::new(&fixed, &fixed_analysis, &config, roots);
     let lc = LocateConfig::default();
     let outcome = locate_fault(&faulty, &analysis, &config, &trace, &profile, &oracle, &lc)

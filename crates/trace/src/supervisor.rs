@@ -652,11 +652,6 @@ impl Supervisor {
         self.deadline.as_ref().is_some_and(|d| d.expired())
     }
 
-    /// One counted deadline check at a pipeline boundary.
-    pub fn check_deadline(&self) -> bool {
-        self.deadline.as_ref().is_some_and(|d| d.check())
-    }
-
     /// Runs `f` with the chaos plan and scoped deadline installed on
     /// the current thread. Use for the supervised initial trace.
     pub fn run<T>(&self, f: impl FnOnce() -> T) -> T {

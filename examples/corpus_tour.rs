@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stage two: the locator expands twice.
     let outcome = session.locate(&LocateConfig::default())?;
-    println!("{}", session.report(&outcome));
+    println!("{}", session.report(&outcome, false));
     assert!(outcome.found);
     assert!(
         outcome.iterations >= 2,

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    switching the guard and aligning the two runs, then walks the
     //    expanded graph back to the root cause.
     let outcome = session.locate(&LocateConfig::default())?;
-    println!("{}", session.report(&outcome));
+    println!("{}", session.report(&outcome, false));
 
     assert!(outcome.found);
     assert!(outcome.ips.contains_stmt(StmtId(0)));

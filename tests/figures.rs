@@ -359,7 +359,7 @@ fn locator_is_instance_precise_in_loops() {
         .build()
         .unwrap();
     let outcome = session.locate(&LocateConfig::default()).unwrap();
-    assert!(outcome.found, "{}", session.report(&outcome));
+    assert!(outcome.found, "{}", session.report(&outcome, false));
 
     // Exactly one of the five guard instances sits on the failure chain:
     // the one from iteration 3 (occurrence index 3).
