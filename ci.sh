@@ -390,6 +390,18 @@ fuzz_smoke() {
     echo "fuzz smoke OK"
 }
 
+# Benchmark-package check: omibench (a standalone package with its own
+# lock file) compiles against the workspace crates' public API, so a
+# change that removes or reshapes an item it uses must fail here, not
+# in the benchmark run. Runs the package's own tests in the shared
+# release target. Run standalone with `./ci.sh omibench-check`.
+omibench_check() {
+    echo "==> omibench check (benchmark package tests)"
+    CARGO_TARGET_DIR=target cargo test "${OFFLINE[@]}" --release -q \
+        --manifest-path omibench/Cargo.toml
+    echo "omibench check OK"
+}
+
 if [ "${1:-}" = "smoke" ]; then
     smoke
     exit 0
@@ -426,6 +438,10 @@ if [ "${1:-}" = "serve-smoke" ]; then
     serve_smoke
     exit 0
 fi
+if [ "${1:-}" = "omibench-check" ]; then
+    omibench_check
+    exit 0
+fi
 
 echo "==> cargo build --release"
 cargo build "${OFFLINE[@]}" --release --workspace
@@ -438,6 +454,8 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
+
+omibench_check
 
 smoke
 

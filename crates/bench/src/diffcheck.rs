@@ -29,20 +29,20 @@
 //!    save → load → locate) run under every injected-fault plan of the
 //!    [`omislice_trace::ChaosPlan`] sweep recovers without aborting and
 //!    produces the *same* normalized journal as the clean pipeline;
-//! 8. **Scheduler equivalence** — the checkpoint-trie verification
-//!    scheduler is a pure execution-plan optimization: locate journals
-//!    under the trie scheduler (dense and sparse capture thresholds)
-//!    and the legacy flat scheduler are byte-identical to the
-//!    invariant-6 reference across `jobs` × resume, and (`--chaos`)
-//!    both schedulers agree on every recovered chaos pipeline.
+//! 8. **Capture-plan equivalence** — the checkpoint trie is a pure
+//!    execution-plan optimization: locate journals under a dense trie
+//!    (capture every divergence point) and a sparse one (ancestor-only
+//!    resumes) are byte-identical to the invariant-6 reference, whose
+//!    configurations include the from-scratch run (resume off, no
+//!    checkpoints at all), across `jobs`.
 //!
 //! Divergences are returned as human-readable failure strings carrying
 //! the seed, so every finding is reproducible with
 //! `diffcheck --start <seed> --seeds 1`.
 
 use omislice::{
-    build_journal, locate_fault, GroundTruthOracle, JournalMeta, LocateConfig, SchedulerMode,
-    UserOracle, Verification, Verifier, VerifierMode, VerifyRequest,
+    build_journal, locate_fault, GroundTruthOracle, JournalMeta, LocateConfig, UserOracle,
+    Verification, Verifier, VerifierMode, VerifyRequest,
 };
 use omislice_align::Aligner;
 use omislice_analysis::ProgramAnalysis;
@@ -99,8 +99,8 @@ pub struct DiffcheckSummary {
     pub located: usize,
     /// Normalized journals compared byte-for-byte.
     pub journals_compared: usize,
-    /// Scheduler configurations (trie thresholds × flat) whose journals
-    /// matched the invariant-6 reference byte-for-byte.
+    /// Capture-plan configurations (dense and sparse trie × `jobs`)
+    /// whose journals matched the invariant-6 reference byte-for-byte.
     pub scheduler_configs: usize,
     /// Faulted pipelines cross-checked against the clean oracle
     /// (`--chaos` only).
@@ -375,55 +375,42 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
         }
     }
 
-    // --- invariant 8: the trie scheduler is a pure plan optimization ---
-    // The invariant-6 reference ran the default configuration (trie,
-    // default threshold). Every other scheduler shape must reproduce it
-    // byte for byte: a dense trie (capture everything), a sparse trie
-    // (ancestor resumes only), and the legacy flat scheduler.
+    // --- invariant 8: the capture plan is a pure optimization ---------
+    // The invariant-6 reference ran the default threshold and already
+    // matched the from-scratch run (resume off, no checkpoints). A dense
+    // trie (capture every divergence point) and a sparse one (ancestor
+    // resumes only) must reproduce it byte for byte. Thresholds only
+    // shape resumed runs, so resume stays on.
     let clean = reference
         .clone()
         .expect("invariant 6 set the journal reference");
-    let shapes: &[(SchedulerMode, Option<usize>)] = if quick {
-        &[(SchedulerMode::Trie, Some(1)), (SchedulerMode::Flat, None)]
-    } else {
-        &[
-            (SchedulerMode::Trie, Some(1)),
-            (SchedulerMode::Trie, Some(1000)),
-            (SchedulerMode::Flat, None),
-            (SchedulerMode::Flat, Some(1)),
-        ]
-    };
-    for &(scheduler, capture_threshold) in shapes {
+    for capture_threshold in [Some(1), Some(1000)] {
         for &jobs in jobs_set {
-            for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
-                let lc = LocateConfig {
-                    jobs,
-                    resume,
-                    scheduler,
-                    capture_threshold,
-                    ..LocateConfig::default()
-                };
-                let outcome = locate_fault(
-                    &case.faulty,
-                    &analysis,
-                    &config,
-                    trace,
-                    &profile,
-                    &oracle,
-                    &lc,
-                )
-                .map_err(|e| format!("locate_fault ({scheduler:?}) failed: {e}"))?;
-                let journal = normalize(&to_jsonl(&build_journal(
-                    &meta, &lc, &outcome, trace, None, None, None,
-                )))?;
-                if journal != clean {
-                    return Err(format!(
-                        "journal diverged from the reference under {scheduler:?} \
-                         threshold={capture_threshold:?} jobs={jobs} resume={resume:?}"
-                    ));
-                }
-                stats.scheduler_configs += 1;
+            let lc = LocateConfig {
+                jobs,
+                capture_threshold,
+                ..LocateConfig::default()
+            };
+            let outcome = locate_fault(
+                &case.faulty,
+                &analysis,
+                &config,
+                trace,
+                &profile,
+                &oracle,
+                &lc,
+            )
+            .map_err(|e| format!("locate_fault (threshold={capture_threshold:?}) failed: {e}"))?;
+            let journal = normalize(&to_jsonl(&build_journal(
+                &meta, &lc, &outcome, trace, None, None, None,
+            )))?;
+            if journal != clean {
+                return Err(format!(
+                    "journal diverged from the reference under \
+                     threshold={capture_threshold:?} jobs={jobs}"
+                ));
             }
+            stats.scheduler_configs += 1;
         }
     }
 
@@ -491,42 +478,32 @@ fn check_chaos_pipelines(
         let loaded = sup
             .load_trace(&tmp)
             .map_err(|e| format!("chaos `{text}`: supervised load failed: {e}"))?;
-        // Invariant 8 under chaos: both verification schedulers must
-        // agree with the clean pipeline on the recovered trace.
-        for scheduler in [SchedulerMode::Trie, SchedulerMode::Flat] {
-            let lc = LocateConfig {
-                scheduler,
-                ..LocateConfig::default()
-            };
-            let outcome = locate_fault(
-                &case.faulty,
-                analysis,
-                config,
-                &loaded,
-                profile,
-                oracle,
-                &lc,
-            )
-            .map_err(|e| {
-                format!("chaos `{text}`: locate ({scheduler:?}) on the recovered trace failed: {e}")
-            })?;
-            if !outcome.found {
-                std::fs::remove_file(&tmp).ok();
-                return Err(format!(
-                    "chaos `{text}`: recovered pipeline ({scheduler:?}) missed the planted root {}",
-                    case.root
-                ));
-            }
-            let journal = normalize(&to_jsonl(&build_journal(
-                meta, &lc, &outcome, &loaded, None, None, None,
-            )))?;
-            if journal != clean_journal {
-                std::fs::remove_file(&tmp).ok();
-                return Err(format!(
-                    "chaos `{text}`: recovered pipeline's journal ({scheduler:?}) differs \
-                     from the clean one"
-                ));
-            }
+        let lc = LocateConfig::default();
+        let outcome = locate_fault(
+            &case.faulty,
+            analysis,
+            config,
+            &loaded,
+            profile,
+            oracle,
+            &lc,
+        )
+        .map_err(|e| format!("chaos `{text}`: locate on the recovered trace failed: {e}"))?;
+        if !outcome.found {
+            std::fs::remove_file(&tmp).ok();
+            return Err(format!(
+                "chaos `{text}`: recovered pipeline missed the planted root {}",
+                case.root
+            ));
+        }
+        let journal = normalize(&to_jsonl(&build_journal(
+            meta, &lc, &outcome, &loaded, None, None, None,
+        )))?;
+        if journal != clean_journal {
+            std::fs::remove_file(&tmp).ok();
+            return Err(format!(
+                "chaos `{text}`: recovered pipeline's journal differs from the clean one"
+            ));
         }
         stats.chaos_pipelines += 1;
         stats.chaos_recoveries += take_recovery().total();

@@ -624,7 +624,7 @@ fn sample_json(s: &Sample) -> String {
             format!(
                 concat!(
                     "{{\"batch\":{},\"scratch_us\":{},\"resumed_us\":{},\"memo_us\":{},",
-                    "\"capture_runs\":{},\"inline_captures\":{},\"captures_skipped\":{},",
+                    "\"inline_captures\":{},\"captures_skipped\":{},",
                     "\"resumed_runs\":{},\"scratch_runs\":{},",
                     "\"steps_saved\":{},\"cache_hits\":{},\"reexecutions\":{},",
                     "\"resume_ratio\":{:.3},\"batch_scaling\":[{}]}}"
@@ -633,7 +633,6 @@ fn sample_json(s: &Sample) -> String {
                 json_us(v.scratch_ns),
                 json_us(v.resumed_ns),
                 json_us(v.memo_ns),
-                v.stats.capture_runs,
                 v.stats.inline_captures,
                 v.stats.captures_skipped,
                 v.stats.resumed_runs,

@@ -68,7 +68,7 @@ fn corpus_outcomes_identical_across_modes_and_jobs() {
                 if resume == ResumeMode::Disabled {
                     assert_eq!(out.stats.resumed_runs, 0);
                     assert_eq!(out.stats.steps_saved, 0);
-                    assert_eq!(out.stats.capture_runs, 0);
+                    assert_eq!(out.stats.inline_captures, 0);
                 }
                 let fp = fingerprint(&out);
                 match &reference {

@@ -10,23 +10,25 @@
 //!                   [--trace-in <file.omitrace>]
 //!                   [--profile 4,5;6,7] [--mode edge|path|value]
 //!                   [--jobs N] [--no-resume] [--stats]
-//!                   [--scheduler trie|flat] [--capture-threshold N]
-//!                   [--early-exit]
+//!                   [--capture-threshold N] [--early-exit]
 //!                   [--budget init[:factor[:attempts]]|off]
 //!                   [--fault-plan S<id>[:occ]=<action>]
 //!                   [--chaos <site>[:occ]=<action>] [--deadline <ms>]
 //! omislice verify   <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
 //!                   [--var name] [--expected v] [--mode edge|path|value]
 //! omislice corpus   [list | locate <bench> <fault> [--jobs N] [--no-resume]
-//!                   [--scheduler trie|flat] [--capture-threshold N]
-//!                   [--early-exit] [--stats] [--budget ...] [--fault-plan ...]
+//!                   [--capture-threshold N] [--early-exit] [--stats]
+//!                   [--budget ...] [--fault-plan ...]
 //!                   [--chaos ...] [--deadline <ms>]]
 //! ```
 //!
 //! `locate` and `corpus locate` are two front ends of one pipeline: both
 //! parse the same localization flags into a `LocateFlags` and hand a
 //! `DebugSessionBuilder` to `LocateFlags::run`, which builds, locates,
-//! and renders through `DebugSession`.
+//! and renders through `DebugSession`. Every command declares the flags
+//! it reads; any other `--name` is a usage error (exit 2).
+//! `--no-resume` runs every switched execution from scratch, without
+//! checkpoints: the report is byte-identical, only slower.
 
 use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{
@@ -39,7 +41,7 @@ use omislice::omislice_trace::{
 };
 use omislice::{
     build_journal, describe_inst, DebugSession, DebugSessionBuilder, JournalMeta, LocateConfig,
-    LocateOutcome, SchedulerMode, SessionError, VerifierMode, VerifyMemo,
+    LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
 };
 use omislice_corpus::all_benchmarks;
 use omislice_obs::{MetricSet, Reporter, SpanReport};
@@ -112,8 +114,7 @@ const USAGE: &str = "usage:
                    [--trace-in <file.omitrace>]
                    [--profile 4,5;6,7] [--mode edge|path|value]
                    [--jobs N] [--no-resume] [--stats]
-                   [--scheduler trie|flat] [--capture-threshold N]
-                   [--early-exit]
+                   [--capture-threshold N] [--early-exit]
                    [--budget init[:factor[:attempts]]|off]
                    [--fault-plan S<id>[:occ]=<action>]
                    [--chaos <plan>] [--deadline <ms>]
@@ -122,8 +123,8 @@ const USAGE: &str = "usage:
   omislice verify  <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
                    [--var name] [--expected v] [--mode edge|path|value]
   omislice corpus  [list | locate <bench> <fault> [--jobs N] [--no-resume]
-                   [--scheduler trie|flat] [--capture-threshold N]
-                   [--early-exit] [--stats] [--budget ...] [--fault-plan ...]
+                   [--capture-threshold N] [--early-exit] [--stats]
+                   [--budget ...] [--fault-plan ...]
                    [--chaos <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
                    [--profile-out <file.json>]]
@@ -138,8 +139,9 @@ one pipeline fault each (the pipeline must recover, not abort):
   builder=panic      channel=disconnect  queue=stall      encode=corrupt
   decode=corrupt     save=short-write    save=enospc      mmap=fail
   deadline[:K]=expire  handler=panic
---deadline <ms> cancels the run cooperatively; exit code 3 marks the
-partial report. Malformed invocations exit with code 2.";
+--jobs takes 1 to 256. --deadline <ms> cancels the run cooperatively;
+exit code 3 marks the partial report. Malformed invocations, unknown
+flags included, exit with code 2.";
 
 fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
     let mut it = args.into_iter();
@@ -164,7 +166,15 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: Vec<String>, value_flags: &[&str]) -> Result<Opts, CliError> {
+    /// Splits `args` by the command's declared flags: `value_flags` take
+    /// the next argument, `bool_flags` stand alone, and any other
+    /// `--name` is a usage error — a retired or misspelled flag fails
+    /// loudly instead of being ignored.
+    fn parse(
+        args: Vec<String>,
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Opts, CliError> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = args.into_iter();
@@ -175,8 +185,10 @@ impl Opts {
                         .next()
                         .ok_or_else(|| usage_err(format!("--{name} needs a value")))?;
                     flags.push((name.to_string(), Some(v)));
-                } else {
+                } else if bool_flags.contains(&name) {
                     flags.push((name.to_string(), None));
+                } else {
+                    return Err(usage_err(format!("unknown flag `--{name}`")));
                 }
             } else {
                 positional.push(a);
@@ -247,7 +259,7 @@ fn load_program(path: &str) -> Result<Program, String> {
 }
 
 fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &["input"])?;
+    let opts = Opts::parse(args, &["input"], &[])?;
     let path = opts
         .positional
         .first()
@@ -274,7 +286,11 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &["input", "save", "chaos", "deadline", "profile-out"])?;
+    let opts = Opts::parse(
+        args,
+        &["input", "save", "chaos", "deadline", "profile-out"],
+        &["regions", "dot", "stats"],
+    )?;
     let path = opts
         .positional
         .first()
@@ -376,7 +392,7 @@ fn print_slice(trace: &Trace, analysis: &ProgramAnalysis, slice: &Slice) {
 }
 
 fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &["input", "output", "jobs"])?;
+    let opts = Opts::parse(args, &["input", "output", "jobs"], &["relevant"])?;
     let path = opts
         .positional
         .first()
@@ -408,7 +424,7 @@ fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_cfg(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &["function"])?;
+    let opts = Opts::parse(args, &["function"], &[])?;
     let path = opts
         .positional
         .first()
@@ -433,13 +449,6 @@ fn parse_mode(text: Option<&str>) -> Result<VerifierMode, CliError> {
     })
 }
 
-/// Parses `--scheduler trie|flat` (default: trie).
-fn parse_scheduler(text: Option<&str>) -> Result<SchedulerMode, CliError> {
-    text.map_or(Ok(SchedulerMode::default()), |t| {
-        SchedulerMode::parse(t).map_err(usage_err)
-    })
-}
-
 /// Parses `--capture-threshold N`: the minimum replay-gap (in events)
 /// that justifies snapshotting a checkpoint. `None` keeps the built-in
 /// break-even default.
@@ -451,11 +460,14 @@ fn parse_capture_threshold(opts: &Opts) -> Result<Option<usize>, CliError> {
     )
 }
 
+/// Parses `--jobs N`, bounded to `1..=MAX_JOBS` like a served request's
+/// `jobs` (default 1).
 fn parse_jobs(opts: &Opts) -> Result<usize, CliError> {
-    match parse_flag::<usize>(opts, "jobs", "a positive integer")? {
+    let what = format!("an integer from 1 to {MAX_JOBS}");
+    match parse_flag::<usize>(opts, "jobs", &what)? {
         None => Ok(1),
-        Some(0) => Err(usage_err("bad --jobs `0` (need a positive integer)")),
-        Some(n) => Ok(n),
+        Some(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
+        Some(n) => Err(usage_err(format!("bad --jobs `{n}` (need {what})"))),
     }
 }
 
@@ -767,9 +779,8 @@ fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, spans: Option<&SpanRep
 
 /// The value flags `locate` and `corpus locate` share: localization
 /// tuning, supervision, and observability (`--mode` is `locate`'s alone).
-const LOCATE_FLAGS: [&str; 10] = [
+const LOCATE_FLAGS: [&str; 9] = [
     "jobs",
-    "scheduler",
     "capture-threshold",
     "budget",
     "fault-plan",
@@ -779,6 +790,9 @@ const LOCATE_FLAGS: [&str; 10] = [
     "profile-out",
     "metrics",
 ];
+
+/// The boolean flags `locate` and `corpus locate` share.
+const LOCATE_SWITCHES: [&str; 4] = ["no-resume", "early-exit", "stats", "explain"];
 
 /// Everything both `locate` front ends take from their flags, parsed
 /// before any pipeline work so a malformed value costs nothing.
@@ -801,7 +815,6 @@ impl LocateFlags {
             } else {
                 ResumeMode::Auto
             },
-            scheduler: parse_scheduler(opts.value("scheduler"))?,
             capture_threshold: parse_capture_threshold(opts)?,
             early_exit: opts.has("early-exit"),
             memo: Some(VerifyMemo::shared()),
@@ -883,7 +896,7 @@ fn cmd_locate(args: Vec<String>) -> Result<ExitCode, CliError> {
         &["faulty", "fixed", "input", "trace-in", "profile", "mode"],
     ]
     .concat();
-    let opts = Opts::parse(args, &value_flags)?;
+    let opts = Opts::parse(args, &value_flags, &LOCATE_SWITCHES)?;
     let flags = LocateFlags::parse(&opts)?;
     let faulty_path = opts
         .value("faulty")
@@ -952,7 +965,11 @@ fn parse_stmt_spec(text: &str) -> Result<(omislice::omislice_lang::StmtId, usize
 
 fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
     use omislice::omislice_trace::Value;
-    let opts = Opts::parse(args, &["input", "pred", "use", "var", "expected", "mode"])?;
+    let opts = Opts::parse(
+        args,
+        &["input", "pred", "use", "var", "expected", "mode"],
+        &[],
+    )?;
     let path = opts
         .positional
         .first()
@@ -1019,7 +1036,7 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_corpus(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &LOCATE_FLAGS)?;
+    let opts = Opts::parse(args, &LOCATE_FLAGS, &LOCATE_SWITCHES)?;
     match opts.positional.first().map(String::as_str) {
         None | Some("list") => {
             for b in all_benchmarks() {
@@ -1067,7 +1084,7 @@ fn cmd_corpus(args: Vec<String>) -> Result<ExitCode, CliError> {
 /// service until killed. The bound address is printed (and flushed)
 /// before blocking, so scripts binding port 0 can read the real port.
 fn cmd_serve(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &["addr", "workers", "queue", "cache-mb"])?;
+    let opts = Opts::parse(args, &["addr", "workers", "queue", "cache-mb"], &[])?;
     let addr = opts
         .value("addr")
         .ok_or_else(|| usage_err("serve needs --addr <host:port>"))?;

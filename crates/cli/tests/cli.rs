@@ -905,6 +905,10 @@ fn malformed_numeric_flags_exit_2_with_usage() {
             "bad --jobs `0`",
         ),
         (
+            vec!["locate", "--faulty", f, "--fixed", g, "--jobs", "257"],
+            "bad --jobs `257` (need an integer from 1 to 256)",
+        ),
+        (
             vec![
                 "locate",
                 "--faulty",
@@ -926,6 +930,7 @@ fn malformed_numeric_flags_exit_2_with_usage() {
         ),
         (vec!["slice", f, "--output", "last"], "bad --output `last`"),
         (vec!["slice", f, "--jobs", "-2"], "bad --jobs `-2`"),
+        (vec!["slice", f, "--jobs", "200000"], "bad --jobs `200000`"),
         (
             vec![
                 "verify",
@@ -986,6 +991,30 @@ fn usage_errors_exit_2_but_pipeline_failures_exit_1() {
     ] {
         let out = omislice(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+    }
+    // Retired and misspelled flags fail loudly instead of being ignored.
+    for (args, flag) in [
+        (
+            &["corpus", "locate", "gzip", "V2-F3", "--scheduler", "flat"] as &[&str],
+            "--scheduler",
+        ),
+        (
+            &["corpus", "locate", "gzip", "V2-F3", "--bogus-flag"],
+            "--bogus-flag",
+        ),
+        (
+            &["corpus", "locate", "gzip", "V2-F3", "--no-resum"],
+            "--no-resum",
+        ),
+        (&["trace", "x.omi", "--region"], "--region"),
+    ] {
+        let out = omislice(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
     }
     // A well-formed invocation that fails in the pipeline: exit 1, and
     // no usage block (the caller did nothing wrong).
@@ -1099,7 +1128,8 @@ fn post_locate_cold(body: &omislice_obs::Json) -> omislice_obs::Json {
 
 /// `locate`, `corpus locate` and a cold `POST /locate` are front ends of
 /// one pipeline: on the same program version they print the same report,
-/// byte for byte, with and without `--explain`.
+/// byte for byte, with and without `--explain`, and so does `locate
+/// --no-resume`.
 #[test]
 fn locate_front_ends_render_one_report() {
     use omislice_obs::Json;
@@ -1145,6 +1175,16 @@ fn locate_front_ends_render_one_report() {
         );
         let cli = String::from_utf8(cli.stdout).expect("utf-8 report");
         assert!(cli.contains("root cause captured : yes"), "{cli}");
+
+        // The from-scratch run (no checkpoints) is the trie's oracle.
+        args.push("--no-resume");
+        let scratch = omislice(&args);
+        assert!(scratch.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&scratch.stdout),
+            cli,
+            "locate --no-resume (explain={explain}) differs from locate"
+        );
 
         let mut args = vec!["corpus", "locate", "sed", "V3-F2"];
         args.extend(explain_flag);

@@ -26,8 +26,8 @@
 //! compare [`normalized_structure`] instead: timestamps and worker
 //! assignments are stripped and only the *scheduling-independent* event
 //! kinds (tasks, waves, memo probes, marks) are kept, sorted by stable
-//! ids. That projection is byte-identical across `--jobs`, resume
-//! modes, and schedulers.
+//! ids. That projection is byte-identical across `--jobs` and resume
+//! modes.
 
 use crate::json::Json;
 use crate::span::SpanReport;
@@ -49,7 +49,7 @@ pub const RING_CAPACITY: usize = 1 << 14;
 ///
 /// The discriminant order is load-bearing: [`normalized_structure`]
 /// keeps only the kinds whose presence and ids are deterministic across
-/// jobs × resume × scheduler (`Task`, `Wave`, `MemoHit`, `MemoMiss`,
+/// jobs × resume (`Task`, `Wave`, `MemoHit`, `MemoMiss`,
 /// `Mark`). `Steal` depends on scheduling, `Capture`/`CaptureSkip` on
 /// resume mode and capture planning, `Evict` on memo pressure, and
 /// `Counter` samples on timing — all excluded from the normalization.
@@ -361,8 +361,8 @@ impl ProfileReport {
 
 /// The deterministic projection of a profile: only scheduling-
 /// independent kinds, worker and timestamps stripped, sorted by
-/// `(kind, name, id)`. Two runs of the same workload — any `--jobs`,
-/// resume mode, or scheduler — produce byte-identical output.
+/// `(kind, name, id)`. Two runs of the same workload — any `--jobs` or
+/// resume mode — produce byte-identical output.
 pub fn normalized_structure(report: &ProfileReport) -> String {
     let mut lines: Vec<String> = report
         .events

@@ -70,7 +70,7 @@ pub mod verify;
 pub use journal::{build_journal, JournalMeta};
 pub use locate::{
     locate_fault, ChainEdge, ChainEdgeKind, EdgeRecord, IterationRecord, LocateConfig, LocateError,
-    LocateOutcome, ProvenanceEntry, RequestPhase, RequestRecord,
+    LocateOutcome, ProvenanceEntry, RequestPhase, RequestRecord, MAX_JOBS,
 };
 pub use memo::{MemoSnapshot, VerifyMemo, DEFAULT_MEMO_CAPACITY};
 pub use oracle::{GroundTruthOracle, OutputClassification, UserOracle};
@@ -83,8 +83,7 @@ pub use switching::{
     find_critical_predicate, find_critical_predicate_with_jobs, CriticalPredicate, SearchOrder,
 };
 pub use verify::{
-    SchedulerMode, Verdict, Verification, Verifier, VerifierMode, VerifyRequest,
-    DEFAULT_CAPTURE_THRESHOLD,
+    Verdict, Verification, Verifier, VerifierMode, VerifyRequest, DEFAULT_CAPTURE_THRESHOLD,
 };
 
 // Re-export the whole stack so downstream users depend on one crate.

@@ -19,7 +19,7 @@
 
 use crate::memo::VerifyMemo;
 use crate::oracle::{OutputClassification, UserOracle};
-use crate::verify::{SchedulerMode, Verdict, Verifier, VerifierMode, VerifyRequest};
+use crate::verify::{Verdict, Verifier, VerifierMode, VerifyRequest};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{BudgetSchedule, FaultPlan, ResumeMode, RunConfig};
 use omislice_lang::{Program, StmtId, VarId};
@@ -147,6 +147,12 @@ pub struct ProvenanceEntry {
     pub chain: Vec<ChainEdge>,
 }
 
+/// The most threads a front end lets one localization use (the CLI's
+/// `--jobs`, a served request's `jobs`). Index and CSR builds spawn a
+/// thread per chunk and relevant-slice frontiers one per job, so an
+/// unbounded value spawns thousands of threads for no gain.
+pub const MAX_JOBS: usize = 256;
+
 /// Tuning knobs for the locator (defaults reproduce the paper).
 #[derive(Debug, Clone)]
 pub struct LocateConfig {
@@ -190,11 +196,6 @@ pub struct LocateConfig {
     /// expired-timer rule) and the outcome is marked partial via
     /// [`LocateOutcome::deadline_expired`].
     pub deadline: Option<Deadline>,
-    /// Which batch scheduler the verifier runs
-    /// ([`SchedulerMode::Trie`] by default; [`SchedulerMode::Flat`] keeps
-    /// the pre-trie engine alive as a differential oracle — verdicts and
-    /// normalized journals are byte-identical either way).
-    pub scheduler: SchedulerMode,
     /// Capture break-even override in gap events (`None`: the cost
     /// model's static default,
     /// [`crate::verify::DEFAULT_CAPTURE_THRESHOLD`]).
@@ -223,7 +224,6 @@ impl Default for LocateConfig {
             budget: BudgetSchedule::default(),
             fault: None,
             deadline: None,
-            scheduler: SchedulerMode::default(),
             capture_threshold: None,
             early_exit: false,
             memo: None,
@@ -344,7 +344,6 @@ pub fn locate_fault(
     let mut verifier = Verifier::new(program, analysis, config, trace, lc.mode)
         .with_jobs(lc.jobs)
         .with_resume(lc.resume)
-        .with_scheduler(lc.scheduler)
         .with_capture_threshold(lc.capture_threshold)
         .with_early_exit(lc.early_exit)
         .with_budget_schedule(lc.budget)
@@ -957,7 +956,6 @@ mod tests {
                     normalized.stats.invalid_checkpoints = 0;
                     normalized.stats.scratch_fallbacks = 0;
                     normalized.stats.scratch_runs = 0;
-                    normalized.stats.capture_runs = 0;
                     match &reference {
                         Some(r) => {
                             assert_eq!(*r, fingerprint(&normalized), "jobs={jobs} {resume:?}")

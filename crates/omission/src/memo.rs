@@ -1,24 +1,23 @@
 //! Persistent cross-iteration verification memo.
 //!
-//! The batch verifier memoizes switched runs and checkpoints, but until
-//! this module the memo lived inside one [`crate::Verifier`] and died
-//! with it: locate iteration N+1 re-executed switches iteration N had
-//! already computed, and a corpus run re-executed them once per case
-//! visit. [`VerifyMemo`] lifts both stores into a shared, size-bounded
-//! LRU keyed by a *configuration fingerprint* — program source, inputs,
-//! step budget, budget schedule, and fault plan — so entries are reused
-//! exactly when the switched execution they cache would be re-derived
-//! byte-identically, and never across configurations that could
+//! [`VerifyMemo`] holds the batch verifier's switched runs and
+//! checkpoints — not its verdicts, which each [`crate::Verifier`] caches
+//! for itself — in a shared, size-bounded LRU keyed by a *configuration
+//! fingerprint*: program source, inputs, step budget, budget schedule,
+//! and fault plan. Locate iteration N+1 reuses the switched runs
+//! iteration N computed, corpus jobs reuse each other's, and an entry is
+//! reused exactly when the switched execution it caches would be
+//! re-derived byte-identically, never across configurations that could
 //! disagree.
 //!
 //! ## What is (and is not) safe to share
 //!
 //! A switched run is fully determined by the fingerprint plus the switch
-//! spec: thread count, resume mode, scheduler, and deadline never change
-//! its bytes (resumed and from-scratch runs are byte-identical, and
-//! runs are computed outside any deadline-dependent path). Those knobs
-//! are therefore deliberately *excluded* from the key, which is what
-//! makes cross-job reuse sound. Entries produced by a *cancelled*
+//! spec: thread count, resume mode, capture plan, and deadline never
+//! change its bytes (resumed and from-scratch runs are byte-identical,
+//! and runs are computed outside any deadline-dependent path). Those
+//! knobs are therefore deliberately *excluded* from the key, which is
+//! what makes cross-job reuse sound. Entries produced by a *cancelled*
 //! candidate (deadline or early-exit) are synthetic expired-timer
 //! verdicts, not executions — the verifier keeps those in its per-batch
 //! pinned view and never inserts them here.
@@ -120,7 +119,7 @@ impl VerifyMemo {
     /// outcome is hashed: program source, inputs, step budget, budget
     /// escalation schedule, fault plan, and the base trace length (a
     /// cheap guard against stale pairings). Thread count, resume mode,
-    /// scheduler, and deadline are excluded by design — runs are
+    /// capture plan, and deadline are excluded by design — runs are
     /// byte-identical across them, which is exactly what makes sharing
     /// sound.
     pub fn fingerprint(
@@ -166,16 +165,6 @@ impl VerifyMemo {
             inner.run_bytes -= old.bytes;
         }
         inner.evict_to(self.capacity)
-    }
-
-    /// Looks up the checkpoint captured for exactly `spec` under `key`.
-    pub(crate) fn get_checkpoint(&self, key: u64, spec: SwitchSpec) -> Option<Arc<Checkpoint>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let e = inner.checkpoints.get_mut(&(key, spec))?;
-        e.tick = tick;
-        Some(Arc::clone(&e.value))
     }
 
     /// Every checkpoint stored under `key`, for ancestor-donor selection
@@ -402,9 +391,10 @@ mod tests {
         let snap = memo.snapshot();
         assert_eq!(snap.checkpoints, 1);
         assert_eq!(snap.checkpoint_bytes, cp.approx_bytes());
-        let got = memo.get_checkpoint(3, spec).expect("hit");
-        assert_eq!(got.prefix_len(), cp.prefix_len());
-        assert_eq!(memo.checkpoints_for(3).len(), 1);
+        let got = memo.checkpoints_for(3);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].spec, spec);
+        assert_eq!(got[0].prefix_len(), cp.prefix_len());
         assert!(memo.checkpoints_for(4).is_empty());
     }
 }

@@ -27,19 +27,19 @@
 //! Switched runs dominate the cost of verification, so the engine avoids
 //! and shortens them aggressively:
 //!
-//! * switched runs are memoized per [`SwitchSpec`] in a persistent,
-//!   size-bounded [`VerifyMemo`] shared across locate iterations and
-//!   (opt-in) across verifiers and corpus jobs, and verdicts per
-//!   `(p, u, var)` — verifying `p` against many uses re-executes once,
-//!   and iteration N+1 reuses iteration N's runs;
+//! * switched runs and checkpoints are memoized per [`SwitchSpec`] in a
+//!   persistent, size-bounded [`VerifyMemo`] shared across locate
+//!   iterations and (opt-in) across verifiers and corpus jobs, and the
+//!   verifier caches its verdicts per `(p, u, var)` — verifying `p`
+//!   against many uses re-executes once, and iteration N+1 reuses
+//!   iteration N's runs;
 //! * a batch's switch specs are organized by shared execution prefix
 //!   into a **checkpoint trie** (with a single base execution the
 //!   prefix-sharing order is total, so the trie is a chain of divergence
 //!   points): the deepest uncaptured spec becomes the *spine*, one
-//!   switched run that doubles as the capture run — its pre-switch
-//!   prefix is the original execution verbatim, so it snapshots a
-//!   [`Checkpoint`] at every other planned divergence point en route,
-//!   replacing the old dedicated full replay;
+//!   switched run whose pre-switch prefix is the original execution
+//!   verbatim, so it snapshots a [`Checkpoint`] at every other planned
+//!   divergence point en route;
 //! * every other leaf *resumes* from the deepest checkpoint at or before
 //!   its own position — its own if captured, otherwise an ancestor's,
 //!   re-executing only the gap (see
@@ -53,12 +53,12 @@
 //!   identical to a serial run.
 //!
 //! Resumed and from-scratch switched runs are byte-identical (see
-//! `omislice_interp::snapshot`), so [`ResumeMode::Disabled`] exists only
-//! as an escape hatch to make that equivalence checkable, and
-//! [`SchedulerMode::Flat`] keeps the pre-trie scheduler (dedicated
-//! capture run, own-checkpoint resumes, claim-order dispatch) alive as a
-//! differential oracle — verdicts and normalized journals are
-//! byte-identical across schedulers, thread counts, and resume modes.
+//! `omislice_interp::snapshot`). [`ResumeMode::Disabled`] runs every
+//! candidate from scratch without any checkpoint — `VerifyDep` taken
+//! literally, one full re-execution per switched predicate — and is the
+//! differential oracle for the trie: verdicts and normalized journals
+//! are byte-identical across thread counts, resume modes, and capture
+//! thresholds.
 
 use crate::memo::{RunEntry, VerifyMemo};
 use omislice_align::Aligner;
@@ -78,37 +78,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Which batch scheduler [`Verifier::verify_all`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// The checkpoint trie: the deepest uncaptured spec doubles as the
-    /// capture run (the *spine*), every other leaf resumes from its
-    /// deepest available checkpoint (own or ancestor), and leaves
-    /// dispatch through cost-ordered work-stealing deques.
-    #[default]
-    Trie,
-    /// The pre-trie scheduler — dedicated capture run, own-checkpoint
-    /// resumes only, claim-order dispatch — kept as a differential
-    /// oracle: verdicts and normalized journals must be byte-identical
-    /// to [`SchedulerMode::Trie`].
-    Flat,
-}
-
-impl SchedulerMode {
-    /// Parses the CLI syntax `trie` / `flat`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on unknown names.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "trie" => Ok(SchedulerMode::Trie),
-            "flat" => Ok(SchedulerMode::Flat),
-            other => Err(format!("unknown scheduler `{other}` (expected trie|flat)")),
-        }
-    }
-}
 
 /// Default capture break-even, in gap events: a checkpoint is captured
 /// only when resuming from the best otherwise-available donor would
@@ -416,7 +385,6 @@ pub struct Verifier<'a> {
     trace: &'a Trace,
     mode: VerifierMode,
     resume: ResumeMode,
-    scheduler: SchedulerMode,
     jobs: usize,
     budget: BudgetSchedule,
     /// Cooperative deadline, checked only at serial batch boundaries so
@@ -477,7 +445,6 @@ impl<'a> Verifier<'a> {
             trace,
             mode,
             resume: ResumeMode::default(),
-            scheduler: SchedulerMode::default(),
             jobs: 1,
             budget,
             deadline: None,
@@ -513,12 +480,6 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Sets the batch scheduler (default [`SchedulerMode::Trie`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerMode) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Shares a persistent run/checkpoint memo with this verifier
     /// (default: a private one). Entries are keyed by configuration
     /// fingerprint, so sharing one memo across different programs,
@@ -543,7 +504,7 @@ impl<'a> Verifier<'a> {
     /// candidates are cancelled under the paper's expired-timer rule
     /// (they verify NotId without executing). The cut-off is decided in
     /// fixed-size chunks of the serial candidate order, so it is
-    /// identical across thread counts and schedulers.
+    /// identical across thread counts and resume modes.
     pub fn with_early_exit(mut self, early_exit: bool) -> Self {
         self.early_exit = early_exit;
         self
@@ -572,13 +533,15 @@ impl<'a> Verifier<'a> {
     }
 
     /// Sets a deterministic fault-injection plan applied to every
-    /// switched re-execution (default none). The checkpoint-capture run
-    /// only honors `corrupt-checkpoint` plans — other actions would
-    /// perturb the replayed original execution rather than the switched
-    /// runs under test. `panic-harness` plans fire in the verifier
-    /// itself, just before the switched run whose spec matches the
-    /// planned statement/occurrence, exercising per-candidate isolation
-    /// of the harness (not just the interpreter).
+    /// switched re-execution (default none). Every action but
+    /// `corrupt-checkpoint` ends the run where it fires, so checkpoints
+    /// the spine captured before it still snapshot the original
+    /// execution, and a leaf whose resumed prefix would contain the
+    /// planned instance runs from scratch. `panic-harness` plans fire in
+    /// the verifier itself, just before the switched run whose spec
+    /// matches the planned statement/occurrence, exercising
+    /// per-candidate isolation of the harness (not just the
+    /// interpreter).
     pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
         self.config.fault = plan;
         self.rekey();
@@ -591,8 +554,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// How many switched re-executions actually ran (resumed or from
-    /// scratch; checkpoint-capture re-runs are counted separately in
-    /// [`Verifier::stats`]).
+    /// scratch; the split is in [`Verifier::stats`]).
     pub fn reexecution_count(&self) -> usize {
         self.stats.reexecutions
     }
@@ -630,12 +592,12 @@ impl<'a> Verifier<'a> {
     /// Answers a batch of verification queries.
     ///
     /// The batch's distinct, not-yet-memoized switch specs are executed
-    /// together through the configured [`SchedulerMode`]: the persistent
-    /// memo is probed first (a hit pins the run for the batch without
-    /// executing anything), the trie scheduler then captures missing
-    /// checkpoints on the spine run and resumes every other leaf from
-    /// its deepest available checkpoint, fanning out across up to `jobs`
-    /// threads through cost-ordered work-stealing deques. Verdicts are
+    /// together through the checkpoint trie: the persistent memo is
+    /// probed first (a hit pins the run for the batch without executing
+    /// anything), the trie then captures missing checkpoints on the
+    /// spine run and resumes every other leaf from its deepest available
+    /// checkpoint, fanning out across up to `jobs` threads through
+    /// cost-ordered work-stealing deques. Verdicts are
     /// judged serially in request order, so results, memo contents, and
     /// counters are identical for any thread count.
     ///
@@ -666,11 +628,11 @@ impl<'a> Verifier<'a> {
             // resume from earlier waves' captures rather than replaying
             // from scratch. Wave boundaries depend only on the request
             // order, so verdicts and counters stay identical across
-            // jobs, resume modes, and schedulers.
+            // jobs, resume modes, and capture thresholds.
             let mut out = Vec::with_capacity(requests.len());
             // One wave-boundary id per batch: the profiler's sequence
             // counter only advances while profiling and resets with it,
-            // so wave ids are stable across jobs/resume/scheduler.
+            // so wave ids are stable across jobs and resume modes.
             let batch = omislice_obs::profile::profiling().then(omislice_obs::profile::next_seq);
             for (w, wave) in requests.chunks(VERIFY_WAVE).enumerate() {
                 if w > 0 {
@@ -730,8 +692,8 @@ impl<'a> Verifier<'a> {
     /// expired-timer rule (a synthetic [`RunOutcome::BudgetExhausted`]
     /// entry pinned for this batch only, never memoized) and judged to
     /// NotId without running. Chunk boundaries depend only on the
-    /// request order, so the cut-off is identical across thread counts,
-    /// resume modes, and schedulers.
+    /// request order, so the cut-off is identical across thread counts
+    /// and resume modes.
     fn verify_all_early_exit(&mut self, requests: &[VerifyRequest]) -> Vec<Verification> {
         let mut out = Vec::with_capacity(requests.len());
         let mut resolved = false;
@@ -823,18 +785,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// Executes (and memoizes) the switched runs for `missing` through
-    /// the configured scheduler.
-    fn prepare_runs(&mut self, missing: &[(SwitchSpec, InstId)]) {
-        if missing.is_empty() {
-            return;
-        }
-        match self.scheduler {
-            SchedulerMode::Trie => self.prepare_runs_trie(missing),
-            SchedulerMode::Flat => self.prepare_runs_flat(missing),
-        }
-    }
-
-    /// The checkpoint-trie scheduler.
+    /// the checkpoint trie.
     ///
     /// With one base execution every divergence point lies on a single
     /// prefix chain, so the trie's structure reduces to positions along
@@ -847,11 +798,15 @@ impl<'a> Verifier<'a> {
     /// from the deepest checkpoint at or before its own position (its
     /// own, a phase-A capture, or an earlier iteration's via the memo)
     /// and dispatches them across workers through cost-ordered
-    /// work-stealing deques.
-    fn prepare_runs_trie(&mut self, missing: &[(SwitchSpec, InstId)]) {
+    /// work-stealing deques. Under [`ResumeMode::Disabled`] there is no
+    /// spine and no donor: every leaf runs from scratch.
+    fn prepare_runs(&mut self, missing: &[(SwitchSpec, InstId)]) {
+        if missing.is_empty() {
+            return;
+        }
         // Stable task-id base for this dispatch: `seq << 16 | candidate`.
-        // Allocated at the same point in both schedulers (after the
-        // empty-batch early return), so ids agree across trie and flat.
+        // Allocated after the empty-batch early return, so ids agree
+        // across thread counts and resume modes.
         let seq = if omislice_obs::profile::profiling() {
             omislice_obs::profile::next_seq()
         } else {
@@ -860,9 +815,8 @@ impl<'a> Verifier<'a> {
         let expired = self.deadline.as_ref().is_some_and(|d| d.expired());
         // The cancellation mask is decided serially *before* any
         // execution: one counted deadline check per candidate, in
-        // candidate order — the same count and order as the flat
-        // scheduler, so a chaos-forced expiry cancels the identical set
-        // of candidates under either scheduler and any thread count.
+        // candidate order, so a chaos-forced expiry cancels the identical
+        // set of candidates for any thread count and resume mode.
         let cancelled: Vec<bool> = missing
             .iter()
             .map(|_| self.deadline.as_ref().is_some_and(|d| d.check()))
@@ -936,7 +890,6 @@ impl<'a> Verifier<'a> {
         // the shallowest planned capture (captures never fire inside a
         // resumed prefix — that segment is restored, not executed).
         if let Some(si) = spine {
-            let (spec, p) = missing[si];
             let donor = avail
                 .iter()
                 .filter(|cp| {
@@ -944,21 +897,16 @@ impl<'a> Verifier<'a> {
                 })
                 .last()
                 .cloned();
-            let _c = omislice_obs::span_indexed("verify.candidate", Some(si as u64));
-            let t0 = omislice_obs::profile::profiling().then(omislice_obs::profile::timestamp_ns);
-            let (run, captured) =
-                self.compute_switched_isolated(spec, p, donor.as_deref(), &capture_list);
-            if let Some(t0) = t0 {
-                // The spine runs on the coordinating thread; it shows up
-                // on the scheduler track, not a worker track.
-                omislice_obs::profile::task(
-                    "verify.candidate",
-                    omislice_obs::profile::WORKER_MAIN,
-                    (seq << 16) | si as u64,
-                    t0,
-                    omislice_obs::profile::timestamp_ns(),
-                );
-            }
+            // The spine runs on the coordinating thread; it shows up on
+            // the scheduler track, not a worker track.
+            let (run, captured) = self.run_candidate(
+                seq,
+                omislice_obs::profile::WORKER_MAIN,
+                missing,
+                si,
+                donor.as_deref(),
+                &capture_list,
+            );
             slots[si] = Some(run);
             for cp in captured {
                 // Recursion through a condition can capture the same spec
@@ -1026,78 +974,41 @@ impl<'a> Verifier<'a> {
                 k,
             )
         });
-        let jobs = self.jobs.min(leaves.len());
-        if jobs <= 1 {
-            for &k in &order {
+        let workers = self.jobs.min(leaves.len()).max(1);
+        let queues = WorkQueues::seed(&order, workers);
+        let steals = AtomicUsize::new(0);
+        let this: &Verifier<'_> = self;
+        // One worker's loop: its own deque front first, then steals from
+        // the back of the others'.
+        let drain = |w: usize| {
+            let mut local = Vec::new();
+            while let Some((k, stolen)) = queues.pop(w) {
                 let (i, donor) = &leaves[k];
-                let (spec, p) = missing[*i];
-                let _c = omislice_obs::span_indexed("verify.candidate", Some(*i as u64));
-                let t0 =
-                    omislice_obs::profile::profiling().then(omislice_obs::profile::timestamp_ns);
-                slots[*i] = Some(
-                    self.compute_switched_isolated(spec, p, donor.as_deref(), &[])
-                        .0,
-                );
-                if let Some(t0) = t0 {
-                    omislice_obs::profile::task(
-                        "verify.candidate",
-                        0,
+                if stolen {
+                    steals.fetch_add(1, Ordering::Relaxed);
+                    omislice_obs::profile::record(
+                        omislice_obs::profile::EventKind::Steal,
+                        "verify.steal",
+                        w as u32,
                         (seq << 16) | *i as u64,
-                        t0,
-                        omislice_obs::profile::timestamp_ns(),
+                        0,
                     );
                 }
+                let (run, _) =
+                    this.run_candidate(seq, w as u32, missing, *i, donor.as_deref(), &[]);
+                local.push((*i, run));
             }
+            local
+        };
+        let results = if workers == 1 {
+            // A single deque drains inline on the calling thread, in its
+            // seeded order: nothing to spawn, nothing to steal.
+            drain(0)
         } else {
-            let queues = WorkQueues::seed(&order, jobs);
-            let this: &Verifier<'_> = self;
-            let leaves = &leaves;
-            let steals = AtomicUsize::new(0);
-            let mut results: Vec<(usize, ComputedRun)> = Vec::new();
+            let mut results = Vec::new();
             std::thread::scope(|s| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|w| {
-                        let queues = &queues;
-                        let steals = &steals;
-                        s.spawn(move || {
-                            let mut local = Vec::new();
-                            while let Some((k, stolen)) = queues.pop(w) {
-                                let (i, donor) = &leaves[k];
-                                let id = (seq << 16) | *i as u64;
-                                if stolen {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    omislice_obs::profile::record(
-                                        omislice_obs::profile::EventKind::Steal,
-                                        "verify.steal",
-                                        w as u32,
-                                        id,
-                                        0,
-                                    );
-                                }
-                                let (spec, p) = missing[*i];
-                                let _c =
-                                    omislice_obs::span_indexed("verify.candidate", Some(*i as u64));
-                                let t0 = omislice_obs::profile::profiling()
-                                    .then(omislice_obs::profile::timestamp_ns);
-                                local.push((
-                                    *i,
-                                    this.compute_switched_isolated(spec, p, donor.as_deref(), &[])
-                                        .0,
-                                ));
-                                if let Some(t0) = t0 {
-                                    omislice_obs::profile::task(
-                                        "verify.candidate",
-                                        w as u32,
-                                        id,
-                                        t0,
-                                        omislice_obs::profile::timestamp_ns(),
-                                    );
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
+                let drain = &drain;
+                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || drain(w))).collect();
                 for h in handles {
                     // Per-candidate isolation makes a worker-level panic
                     // all but impossible, but if one does die its claimed
@@ -1109,182 +1020,16 @@ impl<'a> Verifier<'a> {
                     }
                 }
             });
-            for (i, r) in results {
-                slots[i] = Some(r);
-            }
             if omislice_obs::enabled() {
                 omislice_obs::counter_add(
                     "verify.sched.steals",
                     steals.load(Ordering::Relaxed) as u64,
                 );
             }
-        }
-        self.merge_slots(missing, slots);
-        self.stats.execution_wall += start.elapsed();
-    }
-
-    /// The pre-trie scheduler, kept as a differential oracle: a dedicated
-    /// capture run (when the break-even allows it), own-checkpoint
-    /// resumes only, claim-order dispatch. Verdicts and memo contents are
-    /// byte-identical to the trie's.
-    fn prepare_runs_flat(&mut self, missing: &[(SwitchSpec, InstId)]) {
-        // Same id base scheme as the trie (see `prepare_runs_trie`).
-        let seq = if omislice_obs::profile::profiling() {
-            omislice_obs::profile::next_seq()
-        } else {
-            0
+            results
         };
-        let expired = self.deadline.as_ref().is_some_and(|d| d.expired());
-        let threshold = self.capture_threshold.unwrap_or(DEFAULT_CAPTURE_THRESHOLD);
-        if self.resume == ResumeMode::Auto && !expired {
-            let uncaptured: Vec<(SwitchSpec, usize)> = missing
-                .iter()
-                .filter(|&&(s, _)| self.memo.get_checkpoint(self.memo_key, s).is_none())
-                .map(|&(s, p)| (s, p.0 as usize))
-                .collect();
-            // The capture run re-executes the original input once (~trace
-            // length), plus one snapshot per spec: worth it only when the
-            // prefixes the resumes will skip cover that bill.
-            let saving: usize = uncaptured.iter().map(|&(_, pos)| pos).sum();
-            if uncaptured.len() >= 2 && saving >= self.trace.len() + uncaptured.len() * threshold {
-                let start = Instant::now();
-                // The capture run replays the *original* execution; a
-                // fault plan targets the switched runs, so it is stripped
-                // here — except `corrupt-checkpoint`, which acts only at
-                // capture time and never perturbs execution.
-                let capture_cfg = match self.config.fault {
-                    Some(p) if matches!(p.action, FaultAction::CorruptCheckpoint) => {
-                        self.config.clone()
-                    }
-                    _ => RunConfig {
-                        fault: None,
-                        ..self.config.clone()
-                    },
-                };
-                let specs: Vec<SwitchSpec> = uncaptured.iter().map(|&(s, _)| s).collect();
-                let (_, captured) =
-                    run_traced_with_checkpoints(self.program, self.analysis, &capture_cfg, &specs);
-                for cp in captured {
-                    // First capture wins (see the memo's insert contract).
-                    self.stats.memo_evictions +=
-                        self.memo.insert_checkpoint(self.memo_key, Arc::new(cp)) as usize;
-                }
-                self.stats.capture_runs += 1;
-                self.stats.capture_wall += start.elapsed();
-            } else {
-                self.stats.captures_skipped += uncaptured.len();
-                if omislice_obs::profile::profiling() {
-                    for &(_, pos) in &uncaptured {
-                        omislice_obs::profile::mark(
-                            omislice_obs::profile::EventKind::CaptureSkip,
-                            "verify.capture",
-                            pos as u64,
-                        );
-                    }
-                }
-            }
-        }
-
-        let start = Instant::now();
-        // The cancellation mask is decided serially *before* dispatch:
-        // one counted deadline check per candidate, in candidate order.
-        // Workers never consult the clock, so the set of cancelled
-        // candidates — and therefore every verdict and counter — is
-        // identical for any thread count.
-        let cancelled: Vec<bool> = missing
-            .iter()
-            .map(|_| self.deadline.as_ref().is_some_and(|d| d.check()))
-            .collect();
-        // Donors are fetched serially so the memo's LRU clock ticks in a
-        // deterministic order; the flat scheduler only ever resumes a
-        // spec from its own checkpoint.
-        let donors: Vec<Option<Arc<Checkpoint>>> = missing
-            .iter()
-            .enumerate()
-            .map(|(i, &(s, _))| {
-                if !cancelled[i] && self.resume == ResumeMode::Auto {
-                    self.memo.get_checkpoint(self.memo_key, s)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let jobs = self.jobs.min(missing.len());
-        let mut slots: Vec<Option<ComputedRun>> = (0..missing.len()).map(|_| None).collect();
-        if jobs <= 1 {
-            for (i, (slot, &(spec, p))) in slots.iter_mut().zip(missing).enumerate() {
-                if cancelled[i] {
-                    *slot = Some(ComputedRun::cancelled());
-                    continue;
-                }
-                let _c = omislice_obs::span_indexed("verify.candidate", Some(i as u64));
-                let t0 =
-                    omislice_obs::profile::profiling().then(omislice_obs::profile::timestamp_ns);
-                *slot = Some(
-                    self.compute_switched_isolated(spec, p, donors[i].as_deref(), &[])
-                        .0,
-                );
-                if let Some(t0) = t0 {
-                    omislice_obs::profile::task(
-                        "verify.candidate",
-                        0,
-                        (seq << 16) | i as u64,
-                        t0,
-                        omislice_obs::profile::timestamp_ns(),
-                    );
-                }
-            }
-        } else {
-            let this: &Verifier<'_> = self;
-            let cancelled = &cancelled;
-            let donors = &donors;
-            let next = AtomicUsize::new(0);
-            let worker = |w: u32| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(spec, p)) = missing.get(i) else {
-                        break;
-                    };
-                    if cancelled[i] {
-                        local.push((i, ComputedRun::cancelled()));
-                        continue;
-                    }
-                    let _c = omislice_obs::span_indexed("verify.candidate", Some(i as u64));
-                    let t0 = omislice_obs::profile::profiling()
-                        .then(omislice_obs::profile::timestamp_ns);
-                    local.push((
-                        i,
-                        this.compute_switched_isolated(spec, p, donors[i].as_deref(), &[])
-                            .0,
-                    ));
-                    if let Some(t0) = t0 {
-                        omislice_obs::profile::task(
-                            "verify.candidate",
-                            w,
-                            (seq << 16) | i as u64,
-                            t0,
-                            omislice_obs::profile::timestamp_ns(),
-                        );
-                    }
-                }
-                local
-            };
-            std::thread::scope(|s| {
-                let worker = &worker;
-                let handles: Vec<_> = (0..jobs)
-                    .map(|w| s.spawn(move || worker(w as u32)))
-                    .collect();
-                for h in handles {
-                    // A dead worker's claimed slots degrade per candidate
-                    // in the merge below, not the whole batch.
-                    if let Ok(results) = h.join() {
-                        for (i, result) in results {
-                            slots[i] = Some(result);
-                        }
-                    }
-                }
-            });
+        for (i, r) in results {
+            slots[i] = Some(r);
         }
         self.merge_slots(missing, slots);
         self.stats.execution_wall += start.elapsed();
@@ -1344,6 +1089,35 @@ impl<'a> Verifier<'a> {
                 self.memo.insert_run(self.memo_key, spec, entry.clone()) as usize;
             self.runs.insert(spec, entry);
         }
+    }
+
+    /// Runs candidate `i`'s switched execution under its
+    /// `verify.candidate` span, timed as a profiler task on track
+    /// `worker` — the one dispatch path for the spine, the inline
+    /// single-worker drain, and every spawned worker.
+    fn run_candidate(
+        &self,
+        seq: u64,
+        worker: u32,
+        missing: &[(SwitchSpec, InstId)],
+        i: usize,
+        donor: Option<&Checkpoint>,
+        capture: &[SwitchSpec],
+    ) -> (ComputedRun, Vec<Checkpoint>) {
+        let (spec, p) = missing[i];
+        let _c = omislice_obs::span_indexed("verify.candidate", Some(i as u64));
+        let t0 = omislice_obs::profile::profiling().then(omislice_obs::profile::timestamp_ns);
+        let out = self.compute_switched_isolated(spec, p, donor, capture);
+        if let Some(t0) = t0 {
+            omislice_obs::profile::task(
+                "verify.candidate",
+                worker,
+                (seq << 16) | i as u64,
+                t0,
+                omislice_obs::profile::timestamp_ns(),
+            );
+        }
+        out
     }
 
     /// [`Verifier::compute_switched`] behind a per-candidate
@@ -1848,12 +1622,12 @@ mod tests {
         assert_eq!(v.reexecution_count(), 1);
         // Counter invariants: the hit is visible in the stats, the single
         // re-execution is classified exactly once, and a lone spec never
-        // triggers a checkpoint-capture run (nothing to amortize it).
+        // captures a checkpoint (nothing to amortize it).
         let st = v.stats();
         assert_eq!(st.cache_hits, 1);
         assert_eq!(st.verifications, 1);
         assert_eq!(st.resumed_runs + st.scratch_runs, st.reexecutions);
-        assert_eq!(st.capture_runs, 0);
+        assert_eq!(st.inline_captures, 0);
         assert_eq!(st.steps_saved, 0);
     }
 
@@ -1977,13 +1751,8 @@ mod tests {
                 }
                 if resume == ResumeMode::Disabled {
                     assert_eq!(v.stats().resumed_runs, 0);
-                    assert_eq!(v.stats().capture_runs, 0);
+                    assert_eq!(v.stats().inline_captures, 0, "no checkpoints at all");
                 } else {
-                    assert_eq!(
-                        v.stats().capture_runs,
-                        0,
-                        "the spine replaces the dedicated capture run"
-                    );
                     assert!(v.stats().inline_captures > 0, "the spine captured en route");
                     assert!(v.stats().resumed_runs > 0, "checkpoints are used");
                     assert!(v.stats().steps_saved > 0, "prefixes are skipped");
@@ -2044,56 +1813,6 @@ mod tests {
         assert_eq!(single, batch[0]);
         assert_eq!(v.reexecution_count(), reexec, "no new execution");
         assert_eq!(v.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn trie_and_flat_schedulers_agree() {
-        let s = setup(BATCH, vec![0]);
-        let requests = batch_requests(&s);
-        let mut reference: Option<(Vec<Verification>, (usize, usize, usize))> = None;
-        for scheduler in [SchedulerMode::Trie, SchedulerMode::Flat] {
-            for jobs in [1usize, 4] {
-                for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
-                    let mut v = Verifier::new(
-                        &s.program,
-                        &s.analysis,
-                        &s.config,
-                        &s.trace,
-                        VerifierMode::Edge,
-                    )
-                    .with_scheduler(scheduler)
-                    .with_jobs(jobs)
-                    .with_resume(resume)
-                    .with_capture_threshold(Some(1));
-                    let results = v.verify_all(&requests);
-                    let counts = (
-                        v.verification_count(),
-                        v.reexecution_count(),
-                        v.stats().cache_hits,
-                    );
-                    match &reference {
-                        Some((r, c)) => {
-                            assert_eq!(*r, results, "{scheduler:?} jobs={jobs} {resume:?}");
-                            assert_eq!(*c, counts, "{scheduler:?} jobs={jobs} {resume:?}");
-                        }
-                        None => reference = Some((results, counts)),
-                    }
-                    if resume == ResumeMode::Auto {
-                        match scheduler {
-                            SchedulerMode::Trie => {
-                                assert_eq!(v.stats().capture_runs, 0);
-                                assert!(v.stats().inline_captures > 0);
-                            }
-                            SchedulerMode::Flat => {
-                                assert_eq!(v.stats().capture_runs, 1);
-                                assert_eq!(v.stats().inline_captures, 0);
-                            }
-                        }
-                        assert!(v.stats().resumed_runs > 0, "{scheduler:?} resumes");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -2326,7 +2045,7 @@ mod tests {
 
     /// In BATCH, `a = a + i` (S4) executes only when an S3 switch forces
     /// the guard taken — a fault planted there fires in exactly the
-    /// switched runs and never in the base or capture run.
+    /// switched runs and never in the base run or a spine's prefix.
     fn switched_only_fault(action: FaultAction) -> FaultPlan {
         FaultPlan::new(StmtId(4), 0, action)
     }

@@ -1,11 +1,12 @@
 //! Property: the timeline profiler's *normalized* structure is
 //! deterministic — for a fixed workload, the projection that keeps only
 //! scheduling-independent events (tasks, waves, memo probes, marks) is
-//! byte-identical across `--jobs {1, 2, 4}`, resume on/off, and both
-//! batch schedulers, and the Chrome-trace export always passes the
-//! structural validator. Steals, checkpoint captures, evictions, and
-//! counter samples are excluded from the projection by design: they
-//! legitimately vary with scheduling and resume mode.
+//! byte-identical across `--jobs {1, 2, 4}` and resume on/off (resume
+//! off is the from-scratch run, with no checkpoints at all), and the
+//! Chrome-trace export always passes the structural validator. Steals,
+//! checkpoint captures, evictions, and counter samples are excluded from
+//! the projection by design: they legitimately vary with scheduling and
+//! resume mode.
 //!
 //! The profiler is global state, so every test here serializes on one
 //! mutex and resets the rings (and the stable-id counter) per
@@ -15,7 +16,7 @@ use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::{compile, printer::stmt_head, Program, StmtId};
 use omislice::omislice_slicing::ValueProfile;
-use omislice::{locate_fault, GroundTruthOracle, LocateConfig, SchedulerMode};
+use omislice::{locate_fault, GroundTruthOracle, LocateConfig};
 use omislice_obs::profile::{
     check_chrome_trace, chrome_trace, normalized_structure, profile_drain, profile_reset,
     set_profiling,
@@ -94,21 +95,18 @@ fn configurations() -> Vec<LocateConfig> {
     let mut out = Vec::new();
     for jobs in [1usize, 2, 4] {
         for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
-            for scheduler in [SchedulerMode::Trie, SchedulerMode::Flat] {
-                out.push(LocateConfig {
-                    jobs,
-                    resume,
-                    scheduler,
-                    ..LocateConfig::default()
-                });
-            }
+            out.push(LocateConfig {
+                jobs,
+                resume,
+                ..LocateConfig::default()
+            });
         }
     }
     out
 }
 
 /// The non-vacuous anchor: the Figure 1 pair produces a non-empty
-/// profile whose normalized structure is identical across all twelve
+/// profile whose normalized structure is identical across all six
 /// configurations.
 #[test]
 fn figure1_profile_structure_is_identical_across_configs() {
@@ -137,8 +135,8 @@ fn figure1_profile_structure_is_identical_across_configs() {
         match &reference {
             Some(r) => assert_eq!(
                 r, &normalized,
-                "jobs={} resume={:?} scheduler={:?} profile structure diverged",
-                lc.jobs, lc.resume, lc.scheduler
+                "jobs={} resume={:?} profile structure diverged",
+                lc.jobs, lc.resume
             ),
             None => reference = Some(normalized),
         }
@@ -230,8 +228,8 @@ proptest! {
             match &reference {
                 Some(r) => prop_assert_eq!(
                     r, &normalized,
-                    "jobs={} resume={:?} scheduler={:?} profile structure diverged",
-                    lc.jobs, lc.resume, lc.scheduler
+                    "jobs={} resume={:?} profile structure diverged",
+                    lc.jobs, lc.resume
                 ),
                 None => reference = Some(normalized),
             }

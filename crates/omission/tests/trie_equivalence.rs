@@ -5,21 +5,23 @@
 //!    checkpoint at or before the node — its own *or a strict
 //!    ancestor's* — is byte-identical to the from-scratch switched
 //!    oracle. This is the contract that lets leaves share prefixes.
-//! 2. **Scheduler equivalence** — `locate_fault` produces the same
-//!    iteration log, verdicts, and chain under the trie scheduler and
-//!    the legacy flat scheduler, across capture thresholds and thread
-//!    counts. The trie is a pure execution-plan optimization.
+//! 2. **Scratch equivalence** — `locate_fault` produces the same
+//!    iteration log, verdicts, and chain under the checkpoint trie, at
+//!    every capture threshold and thread count, as under the
+//!    from-scratch run (resume off, no checkpoints at all). The trie is
+//!    a pure execution-plan optimization.
 //! 3. **Cross-iteration memo** — a `VerifyMemo` shared between two
 //!    locate jobs answers the second job's switched runs without a
 //!    single re-execution.
 
 use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{
-    resume_switched_capturing, run_traced, run_traced_with_checkpoints, RunConfig, SwitchSpec,
+    resume_switched_capturing, run_traced, run_traced_with_checkpoints, ResumeMode, RunConfig,
+    SwitchSpec,
 };
 use omislice::omislice_lang::{compile, printer::stmt_head, Program, StmtId};
 use omislice::omislice_slicing::ValueProfile;
-use omislice::{locate_fault, GroundTruthOracle, LocateConfig, SchedulerMode, VerifyMemo};
+use omislice::{locate_fault, GroundTruthOracle, LocateConfig, VerifyMemo};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -197,12 +199,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property 2: the trie scheduler is a pure execution-plan
+    /// Property 2: the checkpoint trie is a pure execution-plan
     /// optimization — locate outcomes (iteration log with every verdict,
-    /// final chain, counters) are identical to the flat scheduler's
+    /// final chain, counters) are identical to the from-scratch run's
     /// across capture thresholds and thread counts.
     #[test]
-    fn trie_and_flat_locate_outcomes_agree(
+    fn trie_and_scratch_locate_outcomes_agree(
         (fixed, faulty) in pair_strategy(),
     ) {
         let roots = diff_roots(&fixed, &faulty);
@@ -215,18 +217,18 @@ proptest! {
         profile.add_trace(&trace);
         let oracle = GroundTruthOracle::new(&fixed, &fixed_analysis, &config, roots);
 
+        // The from-scratch run comes first: it is the reference.
         let configs = [
-            (SchedulerMode::Trie, None),
-            (SchedulerMode::Trie, Some(1)),
-            (SchedulerMode::Trie, Some(1000)),
-            (SchedulerMode::Flat, None),
-            (SchedulerMode::Flat, Some(1)),
+            (ResumeMode::Disabled, None),
+            (ResumeMode::Auto, None),
+            (ResumeMode::Auto, Some(1)),
+            (ResumeMode::Auto, Some(1000)),
         ];
         let mut reference: Option<String> = None;
-        for (scheduler, capture_threshold) in configs {
+        for (resume, capture_threshold) in configs {
             for jobs in [1usize, 2] {
                 let lc = LocateConfig {
-                    scheduler,
+                    resume,
                     capture_threshold,
                     jobs,
                     ..LocateConfig::default()
@@ -238,7 +240,7 @@ proptest! {
                     Err(_) => {
                         prop_assert!(
                             reference.is_none(),
-                            "locate error depends on the scheduler"
+                            "locate error depends on the capture plan"
                         );
                         return Ok(());
                     }
@@ -255,7 +257,7 @@ proptest! {
                     Some(r) => prop_assert_eq!(
                         r, &got,
                         "{:?} threshold={:?} jobs={} outcome diverged",
-                        scheduler, capture_threshold, jobs
+                        resume, capture_threshold, jobs
                     ),
                     None => reference = Some(got),
                 }

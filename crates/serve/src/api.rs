@@ -8,7 +8,9 @@
 //! fields become a session builder (built under the request's
 //! [`Supervisor`] on a cache miss) and a [`LocateConfig`] carrying the
 //! server's persistent [`VerifyMemo`](omislice::VerifyMemo), so a served
-//! report is the CLI's byte for byte.
+//! report is the CLI's byte for byte. Each handler names the fields it
+//! reads and answers 400 `bad-field` to any other, the way the CLI
+//! rejects unknown flags.
 
 use crate::cache::{fnv64, key_hex, parse_key_hex, SliceArtifacts};
 use crate::server::ServerState;
@@ -18,8 +20,8 @@ use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice};
 use omislice::omislice_trace::supervisor::chaos_hit;
 use omislice::omislice_trace::{take_recovery, ChaosAction, ChaosPlan, ChaosSite, Supervisor};
 use omislice::{
-    build_journal, describe_inst, DebugSession, JournalMeta, LocateConfig, SchedulerMode,
-    SessionError, VerifierMode,
+    build_journal, describe_inst, DebugSession, JournalMeta, LocateConfig, SessionError,
+    VerifierMode, MAX_JOBS,
 };
 use omislice_analysis::ProgramAnalysis;
 use omislice_bench::diffcheck::{run_diffcheck, DiffcheckOptions};
@@ -55,6 +57,17 @@ pub fn error_body(code: &str, message: &str) -> Json {
 }
 
 // --- request field helpers -------------------------------------------
+
+/// Rejects any field outside `known`, so a retired or misspelled knob
+/// fails loudly instead of silently taking its default.
+fn known_fields(body: &Json, known: &[&str]) -> Result<(), ApiError> {
+    if let Json::Object(pairs) = body {
+        if let Some((k, _)) = pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            return Err(ApiError::bad("bad-field", format!("unknown field `{k}`")));
+        }
+    }
+    Ok(())
+}
 
 fn opt_str<'a>(body: &'a Json, key: &str) -> Result<Option<&'a str>, ApiError> {
     match body.get(key) {
@@ -178,10 +191,10 @@ fn mode_field(body: &Json) -> Result<VerifierMode, ApiError> {
 fn jobs_field(body: &Json) -> Result<usize, ApiError> {
     match opt_u64(body, "jobs")? {
         None => Ok(1),
-        Some(n) if (1..=256).contains(&n) => Ok(n as usize),
+        Some(n) if (1..=MAX_JOBS as u64).contains(&n) => Ok(n as usize),
         Some(n) => Err(ApiError::bad(
             "bad-field",
-            format!("`jobs` must be between 1 and 256, got {n}"),
+            format!("`jobs` must be between 1 and {MAX_JOBS}, got {n}"),
         )),
     }
 }
@@ -233,6 +246,27 @@ fn canonical_profiles(profiles: &[Vec<i64>]) -> String {
 }
 
 // --- POST /locate ----------------------------------------------------
+
+/// Every field `POST /locate` reads.
+const LOCATE_FIELDS: [&str; 17] = [
+    "program",
+    "faulty",
+    "fixed",
+    "input",
+    "profile",
+    "mode",
+    "jobs",
+    "no_resume",
+    "capture_threshold",
+    "early_exit",
+    "budget",
+    "fault_plan",
+    "chaos",
+    "deadline_ms",
+    "explain",
+    "journal",
+    "label",
+];
 
 /// Resolves the session for a locate request, with its cache key: by
 /// `program` hash (hit required), or by sources (a cache hit, or a fresh
@@ -314,10 +348,6 @@ fn locate_config(
         .map(FaultPlan::parse)
         .transpose()
         .map_err(|e| ApiError::bad("bad-field", e))?;
-    let scheduler = match opt_str(body, "scheduler")? {
-        Some(t) => SchedulerMode::parse(t).map_err(|e| ApiError::bad("bad-field", e))?,
-        None => SchedulerMode::default(),
-    };
     Ok(LocateConfig {
         mode: mode_field(body)?,
         jobs: jobs_field(body)?,
@@ -326,7 +356,6 @@ fn locate_config(
         } else {
             ResumeMode::Auto
         },
-        scheduler,
         capture_threshold: opt_u64(body, "capture_threshold")?.map(|n| n as usize),
         early_exit: opt_bool(body, "early_exit")?,
         memo: Some(Arc::clone(&state.memo)),
@@ -341,6 +370,7 @@ fn locate_config(
 /// version, sharing sessions and the verification memo across requests.
 pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
     state.locates.fetch_add(1, Ordering::Relaxed);
+    known_fields(body, &LOCATE_FIELDS)?;
     let sup = supervisor_fields(body)?;
     // The handler chaos site fires inside the supervised scope so the
     // server's catch_unwind fault isolation is exercised end-to-end.
@@ -416,6 +446,7 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
 /// run, with the parsed program and trace cached per version.
 pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
     state.slices.fetch_add(1, Ordering::Relaxed);
+    known_fields(body, &["source", "input", "output", "jobs", "relevant"])?;
     let source = req_str(body, "source")?;
     let inputs = inputs_field(body, "input")?;
     let key = fnv64(&[
@@ -509,6 +540,7 @@ const MAX_DIFFCHECK_SEEDS: u64 = 500;
 /// `POST /diffcheck`: run the differential invariant sweep in-process.
 pub fn handle_diffcheck(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
     state.diffchecks.fetch_add(1, Ordering::Relaxed);
+    known_fields(body, &["seeds", "start_seed", "thorough", "chaos"])?;
     let seeds = opt_u64(body, "seeds")?.unwrap_or(5);
     if seeds == 0 || seeds > MAX_DIFFCHECK_SEEDS {
         return Err(ApiError::bad(

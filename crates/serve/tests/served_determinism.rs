@@ -1,8 +1,8 @@
 //! Serve-level determinism: concurrent clients hammering one server —
-//! cold cache, warm cache, different `jobs` and `scheduler` settings —
-//! must all receive the *same* localization journal, byte-identical
-//! after normalization, and identical to a journal built in-process
-//! without any server at all.
+//! cold cache, warm cache, different `jobs`, checkpoint resume on or off
+//! (`no_resume`: every switched run from scratch) — must all receive the
+//! *same* localization journal, byte-identical after normalization, and
+//! identical to a journal built in-process without any server at all.
 //!
 //! Normalization is the diffcheck contract plus one serving-specific
 //! allowance: timing fields are stripped, the header's `jobs`/`resume`
@@ -38,13 +38,13 @@ fn server_addr() -> SocketAddr {
         .addr()
 }
 
-fn locate_body(input: i64, jobs: u64, scheduler: &str) -> Json {
+fn locate_body(input: i64, jobs: u64, no_resume: bool) -> Json {
     Json::object([
         ("faulty", Json::str(FAULTY)),
         ("fixed", Json::str(FIXED)),
         ("input", Json::Array(vec![Json::Int(input)])),
         ("jobs", Json::UInt(jobs)),
-        ("scheduler", Json::str(scheduler)),
+        ("no_resume", Json::Bool(no_resume)),
         ("journal", Json::Bool(true)),
         ("label", Json::str("determinism-probe")),
     ])
@@ -117,46 +117,46 @@ fn reference_journal(input: i64) -> String {
     )))
 }
 
-fn post_locate(addr: SocketAddr, input: i64, jobs: u64, scheduler: &str) -> Json {
+fn post_locate(addr: SocketAddr, input: i64, jobs: u64, no_resume: bool) -> Json {
     let response = ServeClient::new(addr.to_string())
-        .post("/locate", &locate_body(input, jobs, scheduler))
+        .post("/locate", &locate_body(input, jobs, no_resume))
         .expect("locate round-trips");
     assert_eq!(
         response.status, 200,
-        "locate (jobs={jobs}, scheduler={scheduler}) failed: {}",
+        "locate (jobs={jobs}, no_resume={no_resume}) failed: {}",
         response.body
     );
     response.json().expect("locate response parses")
 }
 
 /// Cold then warm: one priming request builds the artifacts, then four
-/// concurrent clients with different jobs/scheduler settings must all
-/// hit the cache and agree byte-for-byte.
+/// concurrent clients with different jobs/resume settings must all hit
+/// the cache and agree byte-for-byte.
 fn assert_served_determinism(input: i64) {
     let addr = server_addr();
-    let cold = post_locate(addr, input, 1, "trie");
+    let cold = post_locate(addr, input, 1, false);
     let cold_journal = normalized_journal(&cold);
 
-    let threads: Vec<_> = [(1u64, "trie"), (4, "trie"), (1, "flat"), (4, "flat")]
+    let threads: Vec<_> = [(1u64, false), (4, false), (1, true), (4, true)]
         .into_iter()
-        .map(|(jobs, scheduler)| {
+        .map(|(jobs, no_resume)| {
             std::thread::spawn(move || {
-                let doc = post_locate(addr, input, jobs, scheduler);
-                (jobs, scheduler, doc)
+                let doc = post_locate(addr, input, jobs, no_resume);
+                (jobs, no_resume, doc)
             })
         })
         .collect();
     for t in threads {
-        let (jobs, scheduler, doc) = t.join().expect("client thread completes");
+        let (jobs, no_resume, doc) = t.join().expect("client thread completes");
         assert_eq!(
             doc.get("cache").and_then(Json::as_str),
             Some("hit"),
-            "warm request (jobs={jobs}, scheduler={scheduler}) missed the artifact cache"
+            "warm request (jobs={jobs}, no_resume={no_resume}) missed the artifact cache"
         );
         assert_eq!(
             normalized_journal(&doc),
             cold_journal,
-            "served journal (jobs={jobs}, scheduler={scheduler}) differs from the cold one"
+            "served journal (jobs={jobs}, no_resume={no_resume}) differs from the cold one"
         );
     }
 
@@ -175,7 +175,7 @@ fn concurrent_cold_clients_agree_with_the_in_process_pipeline() {
     let input = 9;
     let threads: Vec<_> = (0..4)
         .map(|_| {
-            std::thread::spawn(move || normalized_journal(&post_locate(addr, input, 1, "trie")))
+            std::thread::spawn(move || normalized_journal(&post_locate(addr, input, 1, false)))
         })
         .collect();
     let journals: Vec<String> = threads
@@ -201,9 +201,44 @@ proptest! {
 
     /// Any fault-exposing input (the programs disagree for inputs >= 3)
     /// yields one deterministic journal regardless of cache warmth,
-    /// client concurrency, jobs, or scheduler.
+    /// client concurrency, jobs, or resume mode.
     #[test]
     fn served_journals_are_deterministic(input in 3i64..=10) {
         assert_served_determinism(input);
+    }
+}
+
+/// Every handler reads a fixed set of fields and refuses the rest: the
+/// retired `scheduler` knob and a misspelled one answer 400 `bad-field`
+/// instead of silently running with their defaults.
+#[test]
+fn retired_and_misspelled_fields_are_rejected() {
+    let client = ServeClient::new(server_addr().to_string());
+    let mut retired = locate_body(6, 1, false);
+    let mut misspelled = locate_body(6, 1, false);
+    if let (Json::Object(a), Json::Object(b)) = (&mut retired, &mut misspelled) {
+        a.push(("scheduler".to_string(), Json::str("flat")));
+        b.push(("no-resume".to_string(), Json::Bool(true)));
+    }
+    let slice = Json::object([("source", Json::str(FIXED)), ("relevent", Json::Bool(true))]);
+    let diffcheck = Json::object([("seed", Json::Int(1))]);
+    for (route, body, field) in [
+        ("/locate", &retired, "scheduler"),
+        ("/locate", &misspelled, "no-resume"),
+        ("/slice", &slice, "relevent"),
+        ("/diffcheck", &diffcheck, "seed"),
+    ] {
+        let response = client.post(route, body).expect("request round-trips");
+        assert_eq!(response.status, 400, "{route} `{field}`: {}", response.body);
+        let doc = response.json().expect("error body parses");
+        let error = doc.get("error").expect("structured error");
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("bad-field"));
+        assert!(
+            error
+                .get("message")
+                .and_then(Json::as_str)
+                .is_some_and(|m| m.contains(field)),
+            "{route}: the error names `{field}`: {doc}"
+        );
     }
 }

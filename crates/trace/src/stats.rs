@@ -108,8 +108,6 @@ pub struct VerificationStats {
     /// Switched executions that ran from scratch (no checkpoint, a
     /// non-resumable one, or resumption disabled).
     pub scratch_runs: usize,
-    /// Instrumented base re-runs performed to capture checkpoints.
-    pub capture_runs: usize,
     /// Trace events *not* re-executed thanks to resumption (the summed
     /// prefix lengths of the resumed runs).
     pub steps_saved: usize,
@@ -157,7 +155,7 @@ pub struct VerificationStats {
     /// gap to the best available donor was under the capture threshold).
     pub captures_skipped: usize,
     /// Checkpoints captured inline by spine runs on their way to the
-    /// switch (the trie's replacement for dedicated capture runs).
+    /// switch.
     pub inline_captures: usize,
     /// Candidates cancelled by batch-level early exit after the batch's
     /// top-ranked use resolved StrongId (expired-timer rule: NotId
@@ -166,7 +164,9 @@ pub struct VerificationStats {
     /// Wall time spent executing switched runs (and building their
     /// region trees).
     pub execution_wall: Duration,
-    /// Wall time spent capturing checkpoints.
+    /// Wall time spent in checkpoint captures outside a switched run.
+    /// The trie captures inline on its spine run, whose time counts in
+    /// `execution_wall`, so the verifier leaves this at zero.
     pub capture_wall: Duration,
     /// Wall time spent aligning and judging verdicts.
     pub verdict_wall: Duration,
@@ -191,7 +191,6 @@ impl VerificationStats {
         self.reexecutions += other.reexecutions;
         self.resumed_runs += other.resumed_runs;
         self.scratch_runs += other.scratch_runs;
-        self.capture_runs += other.capture_runs;
         self.steps_saved += other.steps_saved;
         self.completed_runs += other.completed_runs;
         self.budget_exhausted_runs += other.budget_exhausted_runs;
@@ -227,8 +226,8 @@ impl fmt::Display for VerificationStats {
         )?;
         writeln!(
             f,
-            "capture runs     : {} ({} inline, {} skipped)",
-            self.capture_runs, self.inline_captures, self.captures_skipped
+            "captures         : {} inline, {} skipped",
+            self.inline_captures, self.captures_skipped
         )?;
         writeln!(f, "steps saved      : {}", self.steps_saved)?;
         writeln!(
@@ -333,7 +332,6 @@ mod tests {
             reexecutions: 2,
             resumed_runs: 1,
             scratch_runs: 1,
-            capture_runs: 1,
             steps_saved: 40,
             completed_runs: 1,
             budget_exhausted_runs: 1,
@@ -385,7 +383,7 @@ mod tests {
             "re-executions",
             "resumed",
             "steps saved",
-            "capture runs",
+            "captures",
             "run outcomes",
             "escalations",
             "fault isolation",
