@@ -313,26 +313,35 @@ verify_smoke() {
     echo "verify smoke OK (resumed/scratch ratio $ratio)"
 }
 
-# Timeline-profiler smoke: a parallel corpus locate with `--profile-out`
-# must emit a Chrome-trace JSON that parses, names every worker track,
-# carries the memo/checkpoint-bytes counter tracks, and reports a
-# utilization sum no larger than the worker count — plus a non-empty
-# collapsed-stack flamegraph next to it. The overhead guard then holds
-# the profiled pipeline to the same <=5% contract as the span recorder.
-# Run standalone with `./ci.sh profile-smoke`.
+# Recorder smoke: one parallel corpus locate writes all three outputs of
+# one recording. The `--profile-out` Chrome-trace JSON must parse, name
+# every worker track, carry the memo/checkpoint-bytes counter tracks,
+# and report a utilization sum no larger than the worker count, with a
+# non-empty collapsed-stack flamegraph next to it; the `--obs-out`
+# journal must validate; and the `--metrics json` object must report no
+# dropped events. The overhead guard then holds the enabled recorder to
+# the <=5% contract. Run standalone with `./ci.sh profile-smoke`.
 profile_smoke() {
-    echo "==> profile smoke (corpus locate --profile-out + Chrome-trace validation)"
+    echo "==> profile smoke (corpus locate --profile-out --obs-out --metrics json)"
     cargo build "${OFFLINE[@]}" --release \
         -p omislice-cli -p omislice-obs -p omislice-bench
     local prof=/tmp/omislice-profile-smoke.json
+    local journal=/tmp/omislice-profile-smoke.jsonl
+    local metrics=/tmp/omislice-profile-smoke.metrics.json
     RUST_BACKTRACE=1 ./target/release/omislice corpus locate sed V3-F2 \
-        --jobs 4 --profile-out "$prof" >/dev/null 2>&1
+        --jobs 4 --profile-out "$prof" --obs-out "$journal" --metrics json \
+        >"$metrics" 2>/dev/null
     ./target/release/validate_profile "$prof" --jobs 4
+    ./target/release/validate_journal "$journal"
     if [ ! -s "$prof.folded" ]; then
         echo "profile smoke FAILED: empty flamegraph at $prof.folded" >&2
         exit 1
     fi
-    echo "==> profiled overhead guard"
+    if ! grep -q '"counter_profile_drops":0[,}]' "$metrics"; then
+        echo "profile smoke FAILED: the recorder dropped events (see counter_profile_drops in $metrics)" >&2
+        exit 1
+    fi
+    echo "==> recorder overhead guard"
     ./target/release/overhead_guard
     echo "profile smoke OK"
 }

@@ -5,15 +5,16 @@
 //! overhead_guard --against <old.json> <new.json> [--tolerance 0.10]
 //! ```
 //!
-//! Default mode runs the sed trace → graph → slice → verify pipeline
-//! back-to-back with the recorder disabled, enabled, and enabled with
-//! the timeline profiler armed (min of N reps each) and fails if either
-//! instrumented run exceeds the disabled run by more than the
-//! tolerance. Because the disabled path costs one relaxed atomic load
-//! per guarded site, *enabled* staying within tolerance of *disabled*
-//! bounds the disabled path's drift from the pre-obs code far tighter
-//! than the 5% budget; the profiled pass holds `--profile-out` to the
-//! same contract.
+//! Default mode runs the sweep's reference pass (sed trace → index →
+//! graph → slice → verify) back-to-back with the recorder disabled and
+//! enabled (min of N reps each) and fails if the enabled run exceeds the
+//! disabled run by more than the tolerance. Enabled records everything
+//! `--obs-out`, `--metrics` and `--profile-out` read — spans, tasks,
+//! scheduler markers, gauges, counters — so the one contract covers all
+//! three. Because the disabled path costs one relaxed atomic load per
+//! guarded site, *enabled* staying within tolerance of *disabled* bounds
+//! the disabled path's drift from the pre-obs code far tighter than the
+//! 5% budget.
 //!
 //! `--against` compares two `BENCH_sweep.json` files row by row:
 //! deterministic columns must match exactly; timing columns of the new
@@ -22,11 +23,9 @@
 //! regenerating the committed sweep so no column regresses >10%.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig};
+use omislice::omislice_interp::RunConfig;
 use omislice::omislice_lang::compile;
-use omislice::omislice_slicing::{relevant_slice_on, DepGraph};
-use omislice::{Verifier, VerifierMode};
-use omislice_bench::sweep::{verify_batch, SWEEP_SEED};
+use omislice_bench::sweep::{reference_pass, SWEEP_SEED};
 use omislice_corpus::{all_benchmarks, WorkloadGen};
 use omislice_obs::json::{parse, Json};
 use std::process::ExitCode;
@@ -75,27 +74,15 @@ fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
-/// One full pipeline pass over the sed scale-50 workload; returns
-/// elapsed nanoseconds. Deterministic, so min-of-N is a stable
-/// measurement.
-fn pipeline_ns(
+/// One reference pass over the sed scale-50 workload; returns elapsed
+/// nanoseconds. Deterministic, so min-of-N is a stable measurement.
+fn pass_ns(
     program: &omislice::omislice_lang::Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
 ) -> u128 {
     let t = Instant::now();
-    let run = run_traced(program, analysis, config);
-    run.trace.build_index(1);
-    let graph = DepGraph::with_jobs(&run.trace, 1);
-    if let Some(last) = run.trace.outputs().last() {
-        let _ = relevant_slice_on(&graph, analysis, last.inst, 1);
-    }
-    let requests = verify_batch(&run.trace, analysis, 16);
-    if !requests.is_empty() {
-        let mut v = Verifier::new(program, analysis, config, &run.trace, VerifierMode::Edge)
-            .with_resume(ResumeMode::Auto);
-        v.verify_all(&requests);
-    }
+    reference_pass(program, analysis, config, 1);
     t.elapsed().as_nanos()
 }
 
@@ -112,50 +99,39 @@ fn in_process_guard(tolerance: f64, reps: usize) -> Result<String, String> {
 
     // Three attempts damp scheduler noise: one flaky spike must not
     // fail CI, a systematic regression fails all three.
-    let mut last = (0.0, 0.0, 0u128, 0u128, 0u128);
+    let mut last = (0.0, 0u128, 0u128);
     for attempt in 1..=3 {
-        omislice_obs::set_enabled(false);
         let mut disabled = u128::MAX;
         let mut enabled = u128::MAX;
-        let mut profiled = u128::MAX;
-        // Interleave the three modes so drift (thermal, cache warmup)
-        // hits all equally. The third mode arms the timeline profiler on
-        // top of the span recorder — the `--profile-out` configuration.
+        // Interleave the two modes so drift (thermal, cache warmup) hits
+        // both equally. Each enabled pass starts from an empty recorder
+        // and is drained outside the timed region, as a CLI run is.
         for _ in 0..reps {
             omislice_obs::set_enabled(false);
-            disabled = disabled.min(pipeline_ns(&program, &analysis, &config));
+            disabled = disabled.min(pass_ns(&program, &analysis, &config));
+            omislice_obs::reset();
             omislice_obs::set_enabled(true);
-            enabled = enabled.min(pipeline_ns(&program, &analysis, &config));
-            omislice_obs::profile::profile_reset();
-            omislice_obs::profile::set_profiling(true);
-            profiled = profiled.min(pipeline_ns(&program, &analysis, &config));
-            omislice_obs::profile::set_profiling(false);
-            let _ = omislice_obs::profile::profile_drain();
+            enabled = enabled.min(pass_ns(&program, &analysis, &config));
+            omislice_obs::set_enabled(false);
         }
-        omislice_obs::set_enabled(false);
-        let _ = omislice_obs::drain();
+        omislice_obs::reset();
         let ratio = enabled as f64 / disabled as f64;
-        let prof_ratio = profiled as f64 / disabled as f64;
-        last = (ratio, prof_ratio, disabled, enabled, profiled);
-        if ratio <= 1.0 + tolerance && prof_ratio <= 1.0 + tolerance {
+        last = (ratio, disabled, enabled);
+        if ratio <= 1.0 + tolerance {
             return Ok(format!(
-                "overhead OK (attempt {attempt}): disabled {:.1}us, enabled {:.1}us (ratio {:.3}), profiled {:.1}us (ratio {:.3}) <= {:.2}",
+                "overhead OK (attempt {attempt}): disabled {:.1}us, enabled {:.1}us (ratio {:.3}) <= {:.2}",
                 disabled as f64 / 1e3,
                 enabled as f64 / 1e3,
                 ratio,
-                profiled as f64 / 1e3,
-                prof_ratio,
                 1.0 + tolerance
             ));
         }
     }
     Err(format!(
-        "recorder overhead out of budget: disabled {:.1}us, enabled {:.1}us (ratio {:.3}), profiled {:.1}us (ratio {:.3}) > {:.2}",
+        "recorder overhead out of budget: disabled {:.1}us, enabled {:.1}us (ratio {:.3}) > {:.2}",
+        last.1 as f64 / 1e3,
         last.2 as f64 / 1e3,
-        last.3 as f64 / 1e3,
         last.0,
-        last.4 as f64 / 1e3,
-        last.1,
         1.0 + tolerance
     ))
 }

@@ -144,8 +144,7 @@ pub struct PhaseSample {
     pub verify_self_ns: u64,
 }
 
-/// Scheduler-level counters from the timeline profiler, captured in the
-/// same instrumented pass as [`PhaseSample`].
+/// Scheduler-level counters from the same recording as [`PhaseSample`].
 #[derive(Debug, Clone, Default)]
 pub struct SchedSample {
     /// Per-worker busy fraction of the profiled window (verify workers
@@ -155,7 +154,7 @@ pub struct SchedSample {
     pub tasks: u64,
     /// Tasks taken from another worker's queue.
     pub steals: u64,
-    /// Profiler events lost to ring overflow or drain contention.
+    /// Recorder events lost to ring overflow or drain contention.
     pub drops: u64,
 }
 
@@ -536,20 +535,16 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
     samples
 }
 
-/// Re-runs the trace → graph → slice → verify pipeline once with the
-/// span recorder on and folds the drained histogram into a
-/// [`PhaseSample`]. Kept separate from the `timed_min` sections: those
-/// measure the recorder-off product path.
-fn instrumented_pass(
+/// The reference pass the sweep's phase columns and the overhead guard
+/// both measure: trace, index build, dependence graph, the relevant
+/// slice of the last output, and a resumed 16-request verify batch, with
+/// `jobs` threads for the index, graph, and slice.
+pub fn reference_pass(
     program: &omislice::omislice_lang::Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
     jobs: usize,
-) -> (PhaseSample, SchedSample) {
-    omislice_obs::reset();
-    omislice_obs::set_enabled(true);
-    omislice_obs::profile::profile_reset();
-    omislice_obs::profile::set_profiling(true);
+) {
     let run = run_traced(program, analysis, config);
     run.trace.build_index(jobs);
     let graph = DepGraph::with_jobs(&run.trace, jobs);
@@ -562,13 +557,26 @@ fn instrumented_pass(
             .with_resume(ResumeMode::Auto);
         v.verify_all(&requests);
     }
-    omislice_obs::profile::set_profiling(false);
-    let profile = omislice_obs::profile::profile_drain();
+}
+
+/// Re-runs the [`reference_pass`] once with the recorder on and folds
+/// the drained recording into a [`PhaseSample`] and a [`SchedSample`].
+/// Kept separate from the `timed_min` sections: those measure the
+/// recorder-off product path.
+fn instrumented_pass(
+    program: &omislice::omislice_lang::Program,
+    analysis: &ProgramAnalysis,
+    config: &RunConfig,
+    jobs: usize,
+) -> (PhaseSample, SchedSample) {
+    omislice_obs::reset();
+    omislice_obs::set_enabled(true);
+    reference_pass(program, analysis, config, jobs);
     omislice_obs::set_enabled(false);
-    let report = omislice_obs::drain();
-    let self_times = report.self_times();
+    let rec = omislice_obs::drain();
+    let self_times = rec.self_times();
     let self_of = |name: &str| self_times.get(name).copied().unwrap_or(0);
-    let summary = profile.summarize();
+    let summary = rec.summarize();
     let sched = SchedSample {
         utilization: summary
             .workers
@@ -581,10 +589,10 @@ fn instrumented_pass(
         drops: summary.drops,
     };
     let phases = PhaseSample {
-        trace_ns: report.total_ns("trace"),
-        graph_ns: report.total_ns("graph"),
-        slice_ns: report.total_ns("slice"),
-        verify_ns: report.total_ns("verify"),
+        trace_ns: rec.total_ns("trace"),
+        graph_ns: rec.total_ns("graph"),
+        slice_ns: rec.total_ns("slice"),
+        verify_ns: rec.total_ns("verify"),
         trace_self_ns: self_of("trace"),
         graph_self_ns: self_of("graph"),
         slice_self_ns: self_of("slice"),

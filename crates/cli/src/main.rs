@@ -44,7 +44,7 @@ use omislice::{
     LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
 };
 use omislice_corpus::all_benchmarks;
-use omislice_obs::{MetricSet, Reporter, SpanReport};
+use omislice_obs::{MetricSet, Recording, Reporter};
 use std::process::ExitCode;
 
 /// Exit code for a run cut short by `--deadline`: the report is partial
@@ -304,8 +304,7 @@ fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
     let run = sup.run(|| run_traced(&program, &analysis, &config));
     // The traced run is this command's whole pipeline: close the profile
     // here so the early returns below all see it written.
-    let (spans, prof) = obs.stop_recorder();
-    obs.write_profile(prof.as_ref(), spans.as_ref())?;
+    obs.write_profile(obs.stop_recorder().as_ref())?;
     let trace = &run.trace;
     if let Some(out) = opts.value("save") {
         sup.save_trace(trace, std::path::Path::new(out))
@@ -547,72 +546,44 @@ impl ObsOpts {
         })
     }
 
-    /// Whether the span recorder needs to run at all.
+    /// Whether the recorder runs at all: any one of the three outputs
+    /// needs it, and all of them read the same recording.
     fn recording(&self) -> bool {
         self.obs_out.is_some() || self.metrics.is_some() || self.profile_out.is_some()
     }
 
     /// Turns the recorder on (before the pipeline starts, so parse and
-    /// analyze spans are captured too). `--profile-out` additionally
-    /// arms the scheduler event rings.
+    /// analyze spans are captured too).
     fn start_recorder(&self) {
         if self.recording() {
             omislice_obs::reset();
             omislice_obs::set_enabled(true);
         }
-        if self.profile_out.is_some() {
-            omislice_obs::profile::profile_reset();
-            omislice_obs::profile::set_profiling(true);
-        }
     }
 
-    /// Turns the recorder off and collects what it saw. The profiler is
-    /// drained first so its drop count can land in the span counters
-    /// while they are still recording.
-    fn stop_recorder(
-        &self,
-    ) -> (
-        Option<SpanReport>,
-        Option<omislice_obs::profile::ProfileReport>,
-    ) {
-        let profile = if self.profile_out.is_some() {
-            omislice_obs::profile::set_profiling(false);
-            let report = omislice_obs::profile::profile_drain();
-            omislice_obs::counter_add("profile.drops", report.drops);
-            Some(report)
-        } else {
-            None
-        };
-        let spans = if self.recording() {
+    /// Turns the recorder off and collects what it saw.
+    fn stop_recorder(&self) -> Option<Recording> {
+        self.recording().then(|| {
             omislice_obs::set_enabled(false);
-            Some(omislice_obs::drain())
-        } else {
-            None
-        };
-        (spans, profile)
+            omislice_obs::drain()
+        })
     }
 
     /// Writes the Chrome-trace JSON and collapsed-stack flamegraph, and
     /// narrates the aggregate scheduler report on stderr.
-    fn write_profile(
-        &self,
-        profile: Option<&omislice_obs::profile::ProfileReport>,
-        spans: Option<&SpanReport>,
-    ) -> Result<(), String> {
-        let (Some(path), Some(report)) = (&self.profile_out, profile) else {
+    fn write_profile(&self, rec: Option<&Recording>) -> Result<(), String> {
+        let (Some(path), Some(rec)) = (&self.profile_out, rec) else {
             return Ok(());
         };
-        let empty = SpanReport::default();
-        let spans = spans.unwrap_or(&empty);
-        let doc = omislice_obs::profile::chrome_trace(report, spans);
+        let doc = omislice_obs::profile::chrome_trace(rec);
         std::fs::write(path, format!("{doc}\n"))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         let folded = format!("{path}.folded");
-        std::fs::write(&folded, omislice_obs::profile::flamegraph(spans))
+        std::fs::write(&folded, omislice_obs::profile::flamegraph(rec))
             .map_err(|e| format!("cannot write `{folded}`: {e}"))?;
         let mut rep = Reporter::stderr();
         rep.section("timeline profile");
-        rep.block(&omislice_obs::profile::render_profile(report));
+        rep.block(&omislice_obs::profile::render_profile(rec));
         Ok(())
     }
 
@@ -641,7 +612,7 @@ impl ObsOpts {
 
 /// Folds trace, locate, and verification counters — plus span
 /// aggregates when the recorder ran — into one exportable set.
-fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, spans: Option<&SpanReport>) -> MetricSet {
+fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, rec: Option<&Recording>) -> MetricSet {
     let mut set = MetricSet::new();
     let ts = TraceStats::compute(trace);
     set.push(
@@ -771,8 +742,8 @@ fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, spans: Option<&SpanRep
         "Interpreter panics contained",
         vs.panics_isolated as f64,
     );
-    if let Some(report) = spans {
-        set.push_spans(report);
+    if let Some(rec) = rec {
+        set.push_spans(rec);
     }
     set
 }
@@ -855,18 +826,22 @@ impl LocateFlags {
         }
         let outcome = session.locate(&lc).map_err(|e| e.to_string())?;
         let recovery = take_recovery();
-        let (spans, prof) = obs.stop_recorder();
-        let prof_summary = prof.as_ref().map(|p| p.summarize());
-        obs.write_profile(prof.as_ref(), spans.as_ref())?;
+        let rec = obs.stop_recorder();
+        obs.write_profile(rec.as_ref())?;
         if let Some(path) = &obs.obs_out {
+            // The scheduler summary joins the journal of a profiled run.
+            let summary = rec
+                .as_ref()
+                .filter(|_| obs.profile_out.is_some())
+                .map(Recording::summarize);
             let records = build_journal(
                 &JournalMeta { program },
                 &lc,
                 &outcome,
                 session.trace(),
                 Some(&recovery),
-                prof_summary.as_ref(),
-                spans.as_ref(),
+                summary.as_ref(),
+                rec.as_ref(),
             );
             let f =
                 std::fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
@@ -884,7 +859,7 @@ impl LocateFlags {
             }
         }
         if obs.metrics.is_some() {
-            obs.emit_metrics(&locate_metrics(session.trace(), &outcome, spans.as_ref()));
+            obs.emit_metrics(&locate_metrics(session.trace(), &outcome, rec.as_ref()));
         }
         Ok(locate_exit(&outcome, &recovery))
     }

@@ -481,6 +481,144 @@ fn corpus_locate_supports_obs_flags() {
     assert!(jsonl.contains("\"program\":\"sed:V3-F2\""), "{jsonl}");
 }
 
+/// The `--metrics json` object of a finished run, parsed from stdout.
+fn metrics_of(out: &std::process::Output) -> omislice_obs::Json {
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    omislice_obs::json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("metrics parse")
+}
+
+/// The key set of a metrics object. Only the set is stable: a counter
+/// that fired (say, a scheduling-dependent steal) is listed before the
+/// zero-filled ones.
+fn metric_keys(metrics: &omislice_obs::Json) -> std::collections::BTreeSet<String> {
+    let omislice_obs::Json::Object(pairs) = metrics else {
+        panic!("metrics are one JSON object");
+    };
+    pairs.iter().map(|(k, _)| k.clone()).collect()
+}
+
+/// `--profile-out`, `--obs-out` and `--metrics` read one recording: each
+/// verification candidate is one slice in the Chrome trace, one span in
+/// the metrics, and one re-execution; and adding `--profile-out` to a run
+/// changes neither its metric keys nor its normalized journal.
+#[test]
+fn profile_out_records_each_candidate_once() {
+    let dir = std::env::temp_dir().join("omislice-cli-tests");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let pid = std::process::id();
+    let prof = dir.join(format!("once-{pid}.json"));
+    let journal = dir.join(format!("once-{pid}.jsonl"));
+    let plain_journal = dir.join(format!("once-plain-{pid}.jsonl"));
+    let base = ["corpus", "locate", "sed", "V3-F3", "--jobs", "2"];
+    let profiled = metrics_of(&omislice(
+        &[
+            &base[..],
+            &[
+                "--profile-out",
+                prof.to_str().unwrap(),
+                "--obs-out",
+                journal.to_str().unwrap(),
+                "--metrics",
+                "json",
+            ],
+        ]
+        .concat(),
+    ));
+    let plain = metrics_of(&omislice(
+        &[
+            &base[..],
+            &[
+                "--obs-out",
+                plain_journal.to_str().unwrap(),
+                "--metrics",
+                "json",
+            ],
+        ]
+        .concat(),
+    ));
+
+    let doc = omislice_obs::json::parse(&std::fs::read_to_string(&prof).expect("profile written"))
+        .expect("profile parses");
+    omislice_obs::profile::check_chrome_trace(&doc).expect("well-formed Chrome trace");
+    let events = doc
+        .get("traceEvents")
+        .and_then(omislice_obs::Json::as_array);
+    let candidate_slices = events
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| {
+            e.get("ph").and_then(omislice_obs::Json::as_str) == Some("X")
+                && e.get("name").and_then(omislice_obs::Json::as_str) == Some("verify.candidate")
+        })
+        .count() as i64;
+    let metric = |name: &str| profiled.get(name).and_then(omislice_obs::Json::as_int);
+    assert!(candidate_slices > 0);
+    assert_eq!(
+        Some(candidate_slices),
+        metric("span_verify_candidate_count")
+    );
+    assert_eq!(Some(candidate_slices), metric("verify_reexecutions"));
+    assert_eq!(metric("counter_profile_drops"), Some(0));
+
+    let folded =
+        std::fs::read_to_string(format!("{}.folded", prof.display())).expect("flamegraph written");
+    assert!(
+        folded
+            .lines()
+            .any(|l| l.starts_with("omislice;verify;verify.candidate ")),
+        "{folded}"
+    );
+
+    assert_eq!(metric_keys(&profiled), metric_keys(&plain));
+    let stripped = |path: &std::path::Path| {
+        omislice_obs::strip_timing(&std::fs::read_to_string(path).expect("journal written"))
+            .expect("journal strips")
+    };
+    assert_eq!(stripped(&journal), stripped(&plain_journal));
+}
+
+/// `trace --profile-out` records the traced run alone: a valid Chrome
+/// trace with its `trace` span and the zero-filled byte-gauge tracks,
+/// and a flamegraph rooted at it.
+#[test]
+fn trace_profile_out_writes_a_valid_profile() {
+    let faulty = write_temp("faulty-prof", FAULTY);
+    let prof = std::env::temp_dir()
+        .join("omislice-cli-tests")
+        .join(format!("trace-prof-{}.json", std::process::id()));
+    let out = omislice(&[
+        "trace",
+        faulty.to_str().unwrap(),
+        "--input",
+        "1",
+        "--profile-out",
+        prof.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("timeline profile"));
+    let doc = omislice_obs::json::parse(&std::fs::read_to_string(&prof).expect("profile written"))
+        .expect("profile parses");
+    let check = omislice_obs::profile::check_chrome_trace(&doc).expect("well-formed Chrome trace");
+    assert!(check.slices >= 1, "the trace span is a slice");
+    for gauge in omislice_obs::profile::GAUGES {
+        assert!(check.counter_tracks.iter().any(|t| t == gauge), "{gauge}");
+    }
+    let folded =
+        std::fs::read_to_string(format!("{}.folded", prof.display())).expect("flamegraph written");
+    assert!(
+        folded.lines().any(|l| l.starts_with("omislice;trace ")),
+        "{folded}"
+    );
+}
+
 /// Journal lines with the wall-clock `spans` record removed: spans
 /// carry real durations, so they are the one record that legitimately
 /// differs between two otherwise identical locate sessions.

@@ -13,7 +13,7 @@
 //! runs this against a fresh `locate --profile-out` trace.
 
 use omislice_obs::json::parse;
-use omislice_obs::profile::check_chrome_trace;
+use omislice_obs::profile::{check_chrome_trace, GAUGES};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -49,7 +49,7 @@ fn run(args: &[String]) -> Result<String, String> {
     let doc = parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
     let check = check_chrome_trace(&doc).map_err(|e| format!("{path}: {e}"))?;
 
-    for required in ["verify.checkpoint.bytes", "verify.memo.bytes"] {
+    for required in GAUGES {
         if !check.counter_tracks.iter().any(|c| c == required) {
             return Err(format!("{path}: missing counter track `{required}`"));
         }

@@ -13,11 +13,11 @@
 //! * an optional `recovery` record — present only when the pipeline
 //!   absorbed injected or real faults (or its deadline expired), with
 //!   the `recovery.*` counter totals and the ordered event list;
-//! * an optional `profile` record — present only when the timeline
-//!   profiler was on (`--profile-out`), with per-worker utilization
+//! * an optional `profile` record — present only in a profiled run
+//!   (`--profile-out`), with the recording's per-worker utilization
 //!   aggregates and ring drop counts;
-//! * an optional trailing `spans` record — the merged span timeline and
-//!   counter totals of the recorder.
+//! * an optional trailing `spans` record — the recording's spans and
+//!   tasks with their nesting, and its counter totals.
 //!
 //! Everything except fields ending in `_ns` (and the `spans` and
 //! `profile` records, which describe timing and scheduling) is

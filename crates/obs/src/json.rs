@@ -184,6 +184,7 @@ impl Json {
 /// the stack — the parser may see network request bodies).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -202,6 +203,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -257,50 +259,64 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one step:
+            // both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            let esc = self.peek().ok_or("unterminated string")?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => self.unicode_escape()?,
+                other => return Err(format!("bad escape `\\{}`", other as char)),
+            });
         }
+    }
+
+    /// Decodes a `\u` escape (its `\u` already consumed), joining a
+    /// UTF-16 surrogate pair into one char. A lone surrogate becomes
+    /// U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let high = self.hex4()?;
+        if (0xD800..0xDC00).contains(&high) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let after_high = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(code).expect("a surrogate pair decodes to a scalar"));
+            }
+            // Not a pair: the second escape decodes on its own.
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(high).unwrap_or('\u{fffd}'))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &b in hex {
+            code = code * 16 + (b as char).to_digit(16).ok_or("bad \\u escape")?;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -319,7 +335,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -472,6 +488,36 @@ mod tests {
             v.get("sub").unwrap().get("n").and_then(Json::as_int),
             Some(2)
         );
+    }
+
+    #[test]
+    fn huge_strings_parse_in_linear_time() {
+        // 8 MiB, the largest body serve accepts, mixing ASCII,
+        // multi-byte chars, and escapes: parsing must stay linear in the
+        // string's length.
+        let mut big = String::with_capacity(8 << 20);
+        while big.len() < 8 << 20 {
+            big.push_str("abcdefgh\u{e9}\u{1f600}\"\\\n");
+        }
+        let text = Json::str(big.clone()).to_string();
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), Json::Str(big));
+        assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn surrogate_pairs_join_into_one_char() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::str("\u{1f600}"));
+        assert_eq!(parse(r#""a\u00e9b""#).unwrap(), Json::str("a\u{e9}b"));
+        // Lone or mismatched halves decode to U+FFFD, and the next escape
+        // still decodes on its own.
+        assert_eq!(parse(r#""\ud83d""#).unwrap(), Json::str("\u{fffd}"));
+        assert_eq!(parse(r#""\ude00x""#).unwrap(), Json::str("\u{fffd}x"));
+        assert_eq!(parse(r#""\ud83d\u0041""#).unwrap(), Json::str("\u{fffd}A"));
+        assert!(parse(r#""\ud83d\uZZZZ""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\q""#).is_err());
+        assert!(parse(r#""unterminated\"#).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! where the numbers came from (keeping this crate a leaf).
 
 use crate::json::Json;
-use crate::span::SpanReport;
+use crate::profile::Recording;
 use std::fmt::Write as _;
 
 /// Every counter name an instrumentation site in the workspace can
@@ -75,7 +75,7 @@ impl MetricSet {
 
     /// Folds a recorder report in: per-span-name `count`/`total_ns`/
     /// `min_ns`/`max_ns` gauges plus every recorder counter.
-    pub fn push_spans(&mut self, report: &SpanReport) {
+    pub fn push_spans(&mut self, report: &Recording) {
         for (name, agg) in report.histogram() {
             let base = format!("span_{}", sanitize(name));
             self.push(
@@ -187,7 +187,7 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{drain, reset, set_enabled, span};
+    use crate::profile::{counter_add, drain, reset, set_enabled, span};
 
     #[test]
     fn prometheus_text_shape() {
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn folds_span_report() {
-        let _g = crate::span::tests::test_guard();
+        let _g = crate::profile::tests::test_guard();
         set_enabled(true);
         reset();
         {
@@ -233,13 +233,13 @@ mod tests {
 
     #[test]
     fn text_and_json_exporters_carry_identical_key_sets() {
-        let _g = crate::span::tests::test_guard();
+        let _g = crate::profile::tests::test_guard();
         set_enabled(true);
         reset();
         {
             let _s = span("verify");
         }
-        crate::span::counter_add("tracer.events", 5);
+        counter_add("tracer.events", 5);
         set_enabled(false);
         let report = drain();
         let mut set = MetricSet::new();

@@ -1,43 +1,44 @@
-//! Timeline profiler: per-worker scheduler event rings and exporters.
+//! The event recorder: one switch, one per-thread ring, one drain.
 //!
-//! The span layer ([`crate::span`]) answers *how long each phase took*;
-//! this module answers *where the scheduler spent its time*: which
-//! worker ran which verification candidate, when work was stolen, where
-//! wave boundaries fell, which memo probes hit, and how checkpoint
-//! bytes and the recorder queue evolved. Events land in a **fixed-
-//! capacity per-thread ring**: the hot path never allocates past the
-//! preallocated buffer and never blocks — a full ring or a contended
-//! slot (only `drain` takes the lock from another thread) degrades to a
-//! counted drop, so profiling a saturated scheduler costs a bounded,
-//! predictable amount.
+//! Every observation the pipeline makes — a phase span, a verification
+//! task on a worker lane, a wave boundary, a memo probe, a steal, a
+//! gauge sample — is one [`Event`] in the recording thread's
+//! **fixed-capacity ring**, and batched counters sit beside the ring in
+//! the same per-thread slot. The recorder is process-wide and
+//! **disabled by default**: every emit site first asks [`enabled`] (one
+//! relaxed atomic load), so the disabled product path is a near-no-op.
+//! When enabled, an event append never allocates past the preallocated
+//! ring and never blocks: a full ring or a contended slot (only
+//! [`drain`] takes the lock from another thread) degrades to a counted
+//! drop, so recording a saturated scheduler costs a bounded, predictable
+//! amount.
 //!
-//! Three consumers sit on top of one drained [`ProfileReport`]:
+//! [`drain`] merges every slot into one [`Recording`], and every view is
+//! derived from it:
 //!
+//! * [`Recording::histogram`] and [`Recording::self_times`] — per-phase
+//!   counts, durations, and exclusive time (`--metrics`, the sweep);
+//! * [`flamegraph`] — collapsed-stack text, self time per stack;
 //! * [`chrome_trace`] — Chrome trace-event JSON (Perfetto /
-//!   `chrome://tracing`), one track per verify worker plus counter
-//!   tracks for memo bytes, checkpoint bytes, and recorder queue depth;
-//! * [`flamegraph`] — collapsed-stack text derived from the span
-//!   hierarchy, one `stack;frames value` line per self-time bucket;
-//! * [`render_profile`] — an aggregated text report (per-worker
-//!   utilization, steal/task ratios, wave occupancy) for the stderr
-//!   reporter.
-//!
-//! Timelines are inherently nondeterministic, so determinism tests
-//! compare [`normalized_structure`] instead: timestamps and worker
-//! assignments are stripped and only the *scheduling-independent* event
-//! kinds (tasks, waves, memo probes, marks) are kept, sorted by stable
-//! ids. That projection is byte-identical across `--jobs` and resume
-//! modes.
+//!   `chrome://tracing`): a scheduler track, one track per verify
+//!   worker, one per span thread, and counter tracks for the byte gauges
+//!   and the recorder queue depth;
+//! * [`Recording::summarize`] and [`render_profile`] — per-worker
+//!   utilization, steal/task ratios, and wave occupancy;
+//! * [`normalized_structure`] — the projection determinism tests
+//!   compare: timestamps, workers, and scheduling-dependent kinds
+//!   stripped, only tasks, waves, memo probes, and marks kept, sorted by
+//!   stable id. It is byte-identical across `--jobs` and resume modes.
 
 use crate::json::Json;
-use crate::span::SpanReport;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
-/// Events recorded on the coordinating thread (wave boundaries, memo
-/// probes, counter samples) use this sentinel instead of a worker index.
+/// The lane of everything recorded outside a verify worker: spans, the
+/// spine task, wave boundaries, memo probes, gauge samples.
 pub const WORKER_MAIN: u32 = u32::MAX;
 
 /// Per-thread ring capacity, in events. Sized so a sed-scale locate run
@@ -45,18 +46,26 @@ pub const WORKER_MAIN: u32 = u32::MAX;
 /// magnitude to spare; overflow is counted, never grown.
 pub const RING_CAPACITY: usize = 1 << 14;
 
-/// What a timeline event describes.
+/// The byte gauges the verifier samples once per batch. Each is a
+/// counter track in every Chrome trace (zero-filled when the run never
+/// verified), and its exported counter is the largest of its samples.
+pub const GAUGES: [&str; 2] = ["verify.checkpoint.bytes", "verify.memo.bytes"];
+
+/// What an event describes.
 ///
-/// The discriminant order is load-bearing: [`normalized_structure`]
-/// keeps only the kinds whose presence and ids are deterministic across
-/// jobs × resume (`Task`, `Wave`, `MemoHit`, `MemoMiss`,
-/// `Mark`). `Steal` depends on scheduling, `Capture`/`CaptureSkip` on
-/// resume mode and capture planning, `Evict` on memo pressure, and
-/// `Counter` samples on timing — all excluded from the normalization.
+/// [`normalized_structure`] keeps only the kinds whose presence and ids
+/// are deterministic across jobs × resume (`Task`, `Wave`, `MemoHit`,
+/// `MemoMiss`, `Mark`). `Span` nesting follows the recording thread,
+/// `Steal` depends on scheduling, `Capture`/`CaptureSkip` on resume mode
+/// and capture planning, `Evict` on memo pressure, and `Counter` samples
+/// on timing — all excluded from the normalization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
-    /// A unit of scheduled work (candidate re-execution); `ts_ns` is the
-    /// start and `value` the end timestamp.
+    /// A pipeline phase (`parse`, `verify`, …) on the recording thread;
+    /// `ts_ns` is the start and `value` the end timestamp.
+    Span,
+    /// A unit of scheduled work (a candidate re-execution): an interval
+    /// like `Span` that also carries a worker lane and a stable id.
     Task,
     /// A wave boundary in `verify_all`.
     Wave,
@@ -74,7 +83,7 @@ pub enum EventKind {
     CaptureSkip,
     /// A memo eviction reclaimed `value` entries.
     Evict,
-    /// A sampled gauge (`value` = the sample): queue depth, live bytes.
+    /// A gauge sample (`value` = the sample): queue depth, live bytes.
     Counter,
 }
 
@@ -82,6 +91,7 @@ impl EventKind {
     /// Stable lowercase label used by the exporters.
     pub fn label(self) -> &'static str {
         match self {
+            EventKind::Span => "span",
             EventKind::Task => "task",
             EventKind::Wave => "wave",
             EventKind::MemoHit => "memo_hit",
@@ -96,183 +106,405 @@ impl EventKind {
     }
 }
 
-/// One timeline event. 48 bytes; the ring holds [`RING_CAPACITY`] of
+/// One recorded event. 56 bytes; the ring holds [`RING_CAPACITY`] of
 /// them per thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// What happened.
     pub kind: EventKind,
-    /// Event family (`"verify.candidate"`, `"verify.wave"`, …).
+    /// Phase or event family (`"verify"`, `"verify.candidate"`, …).
     pub name: &'static str,
-    /// Worker index within the batch, or [`WORKER_MAIN`].
+    /// Registration ordinal of the recording thread.
+    pub thread: u32,
+    /// Worker lane for tasks and steals, otherwise [`WORKER_MAIN`].
     pub worker: u32,
     /// Stable id: `batch << 16 | position` for tasks and waves, the
     /// instruction id for memo probes, the iteration number for marks.
     pub id: u64,
-    /// Kind-specific payload: end timestamp for tasks, sampled value for
-    /// counters, reclaimed entries for evictions, otherwise 0.
+    /// Kind-specific payload: end timestamp for spans and tasks, sampled
+    /// value for counters, reclaimed entries for evictions, otherwise 0.
     pub value: u64,
-    /// Nanoseconds since the shared recorder epoch.
+    /// Start (or instant), nanoseconds since the recorder epoch.
     pub ts_ns: u64,
 }
 
-static PROFILING: AtomicBool = AtomicBool::new(false);
+impl Event {
+    /// Whether the event is an interval (a span or a task).
+    pub(crate) fn is_interval(&self) -> bool {
+        matches!(self.kind, EventKind::Span | EventKind::Task)
+    }
+
+    /// End timestamp: `value` for intervals, `ts_ns` for instants.
+    pub fn end_ns(&self) -> u64 {
+        if self.is_interval() {
+            self.value
+        } else {
+            self.ts_ns
+        }
+    }
+
+    /// Interval length, nanoseconds (0 for instants).
+    pub(crate) fn duration_ns(&self) -> u64 {
+        self.end_ns().saturating_sub(self.ts_ns)
+    }
+}
+
+static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
+static NEXT_ORDINAL: AtomicU32 = AtomicU32::new(0);
 
-/// Whether the timeline profiler is capturing. One relaxed load; every
-/// emit site checks this first, so a disabled profiler is ≈ free.
+/// Whether the recorder is capturing. This is the guard every emit site
+/// checks; it is one relaxed atomic load, so leaving the recorder
+/// disabled costs nothing measurable.
 #[inline(always)]
-pub fn profiling() -> bool {
-    PROFILING.load(Ordering::Relaxed)
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns the timeline profiler on or off (independent of the span
-/// recorder switch).
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
+/// Turns the recorder on or off. Spans opened while enabled still close
+/// correctly after a disable.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Nanoseconds since the shared recorder epoch — the same clock span
-/// timestamps use, so tracks and spans align in one trace.
-#[inline]
-pub fn timestamp_ns() -> u64 {
-    crate::span::now_ns()
+/// Nanoseconds since the process-wide recorder epoch (the first
+/// observation): every event shares this one clock.
+fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Allocates the next batch/sequence number for stable event ids. The
-/// counter only advances while profiling, and [`profile_reset`] rewinds
-/// it, so two profiled runs of the same workload assign identical ids.
+/// Allocates the next batch sequence number for stable event ids. Emit
+/// sites only call it while recording and [`reset`] rewinds it, so two
+/// recorded runs of the same workload assign identical ids.
 pub fn next_seq() -> u64 {
     NEXT_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-struct RingSlot {
-    /// Preallocated to `RING_CAPACITY`; push checks `len == capacity`
-    /// and the buffer is never grown.
-    buf: Mutex<Vec<Event>>,
+/// How a counter total folds in a new value (sum or high-water mark);
+/// the drain merges threads with the same fold.
+type Fold = fn(u64, u64) -> u64;
+
+/// One thread's share of the recorder: its event ring and counter
+/// totals, behind one lock that only [`drain`] ever contends.
+struct Slot {
+    ordinal: u32,
+    ring: Mutex<Ring>,
     drops: AtomicU64,
 }
 
-fn rings() -> &'static Mutex<Vec<Arc<RingSlot>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<RingSlot>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+struct Ring {
+    /// Preallocated to `RING_CAPACITY`; appends check the length and the
+    /// buffer is never grown.
+    events: Vec<Event>,
+    counters: Vec<(&'static str, u64, Fold)>,
 }
+
+static REGISTRY: Mutex<Vec<Arc<Slot>>> = Mutex::new(Vec::new());
 
 thread_local! {
-    static RING: RefCell<Option<Arc<RingSlot>>> = const { RefCell::new(None) };
+    static SLOT: OnceCell<Arc<Slot>> = const { OnceCell::new() };
 }
 
-/// Appends one event to this thread's ring. Never blocks and never
-/// reallocates: a contended slot (drain in progress) or a full ring
-/// increments the drop counter instead.
-#[inline]
-pub fn record(kind: EventKind, name: &'static str, worker: u32, id: u64, value: u64) {
-    if !profiling() {
-        return;
-    }
-    record_at(kind, name, worker, id, value, timestamp_ns());
-}
-
-fn record_at(kind: EventKind, name: &'static str, worker: u32, id: u64, value: u64, ts_ns: u64) {
-    RING.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let slot = slot.get_or_insert_with(|| {
-            let s = Arc::new(RingSlot {
-                buf: Mutex::new(Vec::with_capacity(RING_CAPACITY)),
+/// Runs `f` on this thread's slot, registering it on first use. During
+/// thread teardown (the slot already destroyed) it records nothing, so a
+/// span guard dropped then cannot panic in `Drop`.
+fn with_slot(f: impl FnOnce(&Slot)) {
+    let _ = SLOT.try_with(|cell| {
+        f(cell.get_or_init(|| {
+            let slot = Arc::new(Slot {
+                ordinal: NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
+                ring: Mutex::new(Ring {
+                    events: Vec::with_capacity(RING_CAPACITY),
+                    counters: Vec::new(),
+                }),
                 drops: AtomicU64::new(0),
             });
-            rings().lock().unwrap().push(Arc::clone(&s));
-            s
-        });
-        match slot.buf.try_lock() {
-            Ok(mut buf) => {
-                if buf.len() < RING_CAPACITY {
-                    buf.push(Event {
-                        kind,
-                        name,
-                        worker,
-                        id,
-                        value,
-                        ts_ns,
-                    });
-                    debug_assert!(buf.capacity() == RING_CAPACITY, "ring must never grow");
-                } else {
-                    slot.drops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Only drain() contends; dropping one event beats stalling a
-            // verify worker behind an exporter.
-            Err(_) => {
-                slot.drops.fetch_add(1, Ordering::Relaxed);
-            }
-        };
+            lock(&REGISTRY).push(Arc::clone(&slot));
+            slot
+        }))
     });
 }
 
-/// Records a completed task: `ts_ns` = start, `value` = end.
-#[inline]
-pub fn task(name: &'static str, worker: u32, id: u64, start_ns: u64, end_ns: u64) {
-    if !profiling() {
-        return;
+/// Every update under the recorder's locks is a single push, fold, or
+/// drain, so a guard poisoned by a panicking thread still holds valid
+/// data and recording carries on.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Appends one event to this thread's ring. Never blocks and never
+/// reallocates: a full ring or a lost `try_lock` (a drain in progress)
+/// counts a drop instead — dropping one event beats stalling a verify
+/// worker behind an exporter.
+fn push(mut event: Event) {
+    with_slot(|slot| match slot.ring.try_lock() {
+        Ok(mut ring) if ring.events.len() < RING_CAPACITY => {
+            event.thread = slot.ordinal;
+            ring.events.push(event);
+            debug_assert!(
+                ring.events.capacity() == RING_CAPACITY,
+                "ring must never grow"
+            );
+        }
+        _ => {
+            slot.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+}
+
+fn event(kind: EventKind, name: &'static str, worker: u32, id: u64, value: u64) -> Event {
+    Event {
+        kind,
+        name,
+        thread: 0,
+        worker,
+        id,
+        value,
+        ts_ns: now_ns(),
     }
-    record_at(EventKind::Task, name, worker, id, end_ns, start_ns);
 }
 
-/// Records a sampled gauge value (queue depth, live checkpoint bytes).
+/// Records an instant event on `worker`'s lane (a steal, an eviction).
 #[inline]
-pub fn counter_sample(name: &'static str, value: u64) {
-    record(EventKind::Counter, name, WORKER_MAIN, 0, value);
+pub fn record(kind: EventKind, name: &'static str, worker: u32, id: u64, value: u64) {
+    if enabled() {
+        push(event(kind, name, worker, id, value));
+    }
 }
 
-/// Records a deterministic point marker (wave boundary, iteration).
+/// Records a deterministic point marker (wave boundary, memo probe,
+/// iteration).
 #[inline]
 pub fn mark(kind: EventKind, name: &'static str, id: u64) {
     record(kind, name, WORKER_MAIN, id, 0);
 }
 
-/// Everything the profiler captured since the last drain.
+/// Records one gauge sample (queue depth, live bytes): a point on the
+/// gauge's counter track, and for the [`GAUGES`] a candidate for the
+/// exported counter, which is the largest sample.
+#[inline]
+pub fn gauge(name: &'static str, value: u64) {
+    record(EventKind::Counter, name, WORKER_MAIN, 0, value);
+}
+
+/// RAII guard for one span or task; records the interval on drop. Inert
+/// (and free) when the recorder was disabled at open time.
+pub struct SpanGuard {
+    open: Option<Event>,
+}
+
+/// Opens a span named `name` on the calling thread's timeline.
+#[inline]
+pub fn span(name: &'static str) -> SpanGuard {
+    interval(EventKind::Span, name, WORKER_MAIN, 0)
+}
+
+/// Opens a task on `worker`'s lane with stable id `id` — the one event
+/// a verification candidate emits. It counts as a span too (histogram,
+/// self time, flamegraph) and as the lane's work in the scheduler views.
+#[inline]
+pub fn task(name: &'static str, worker: u32, id: u64) -> SpanGuard {
+    interval(EventKind::Task, name, worker, id)
+}
+
+fn interval(kind: EventKind, name: &'static str, worker: u32, id: u64) -> SpanGuard {
+    SpanGuard {
+        open: enabled().then(|| event(kind, name, worker, id, 0)),
+    }
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some(mut e) = self.open.take() {
+            e.value = now_ns();
+            push(e);
+        }
+    }
+}
+
+/// Adds `n` to the named counter. Call sites on hot paths should batch
+/// (one call per run or chunk, not per event) and guard with
+/// [`enabled`]; the function itself is also a no-op when disabled.
+#[inline]
+pub fn counter_add(name: &'static str, n: u64) {
+    bump(name, n, |total, n| total + n);
+}
+
+/// Raises the named counter to at least `n` (a high-water mark, e.g. a
+/// queue-depth maximum). Same batching guidance as [`counter_add`].
+#[inline]
+pub fn counter_max(name: &'static str, n: u64) {
+    bump(name, n, u64::max);
+}
+
+/// Counters are exact: unlike event appends they wait for the slot
+/// lock, which only a drain ever holds from another thread.
+fn bump(name: &'static str, n: u64, fold: Fold) {
+    if !enabled() || n == 0 {
+        return;
+    }
+    with_slot(|slot| {
+        let mut ring = lock(&slot.ring);
+        match ring.counters.iter_mut().find(|(k, _, _)| *k == name) {
+            Some(total) => total.1 = fold(total.1, n),
+            None => ring.counters.push((name, n, fold)),
+        }
+    });
+}
+
+/// Everything the recorder captured since the last drain.
 #[derive(Debug, Clone, Default)]
-pub struct ProfileReport {
-    /// Events merged across threads, sorted by
-    /// `(ts_ns, kind, name, id, worker)` so the merge order does not
-    /// depend on which thread drained last.
+pub struct Recording {
+    /// Events merged across threads, sorted by start time, then longest
+    /// first, then `(kind, name, id, worker, thread)`, so the order does
+    /// not depend on which thread drained last.
     pub events: Vec<Event>,
+    /// Counter totals by name: the batched adds and high-water marks,
+    /// each of the [`GAUGES`]' largest sample, `verify.sched.steals` (the
+    /// number of steal events), and `profile.drops` when events were lost.
+    pub counters: BTreeMap<&'static str, u64>,
     /// Events lost to full rings or drain contention.
     pub drops: u64,
 }
 
-/// Collects and clears every thread's ring.
-pub fn profile_drain() -> ProfileReport {
-    let slots: Vec<Arc<RingSlot>> = rings().lock().unwrap().clone();
-    let mut events = Vec::new();
-    let mut drops = 0;
-    for slot in slots {
-        let mut buf = slot.buf.lock().unwrap();
-        events.append(&mut buf);
-        // Keep the no-realloc invariant for the next recording window.
-        buf.reserve_exact(RING_CAPACITY);
-        drops += slot.drops.swap(0, Ordering::Relaxed);
+/// Collects and clears every thread's slot into one [`Recording`].
+pub fn drain() -> Recording {
+    let mut rec = Recording::default();
+    {
+        let mut registry = lock(&REGISTRY);
+        for slot in registry.iter() {
+            let mut ring = lock(&slot.ring);
+            // `append` leaves the ring's allocation in place, so the
+            // next recording window still never reallocates.
+            rec.events.append(&mut ring.events);
+            for (name, n, fold) in ring.counters.drain(..) {
+                let total = rec.counters.entry(name).or_insert(0);
+                *total = fold(*total, n);
+            }
+            rec.drops += slot.drops.swap(0, Ordering::Relaxed);
+        }
+        // A slot only the registry still holds belongs to an exited
+        // thread; it has just been emptied, so let it go.
+        registry.retain(|slot| Arc::strong_count(slot) > 1);
     }
-    events.sort_by(|a, b| {
+    rec.events.sort_by(|a, b| {
         a.ts_ns
             .cmp(&b.ts_ns)
+            .then(b.end_ns().cmp(&a.end_ns()))
             .then(a.kind.cmp(&b.kind))
             .then(a.name.cmp(b.name))
             .then(a.id.cmp(&b.id))
             .then(a.worker.cmp(&b.worker))
+            .then(a.thread.cmp(&b.thread))
     });
-    ProfileReport { events, drops }
+    for e in &rec.events {
+        match e.kind {
+            EventKind::Counter if e.value > 0 && GAUGES.contains(&e.name) => {
+                let top = rec.counters.entry(e.name).or_insert(0);
+                *top = (*top).max(e.value);
+            }
+            EventKind::Steal => *rec.counters.entry("verify.sched.steals").or_insert(0) += 1,
+            _ => {}
+        }
+    }
+    if rec.drops > 0 {
+        rec.counters.insert("profile.drops", rec.drops);
+    }
+    rec
 }
 
 /// Discards everything captured so far and rewinds the sequence
-/// counter, so the next profiled run assigns ids from zero again. Call
-/// before each run whose normalized structure will be compared.
-pub fn profile_reset() {
-    let _ = profile_drain();
+/// counter, so the next recorded run assigns ids from zero again. Call
+/// before each run whose output will be compared.
+pub fn reset() {
+    let _ = drain();
     NEXT_SEQ.store(0, Ordering::Relaxed);
 }
 
-/// Per-worker aggregate over one report.
+/// Number of log2 duration buckets in [`SpanAgg`]: bucket `i` counts
+/// durations in `[2^(i-1), 2^i)` ns, with the last bucket absorbing
+/// everything from ~9 minutes up.
+pub const DURATION_BUCKETS: usize = 40;
+
+/// Aggregate statistics for one span name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanAgg {
+    /// Closed spans with this name.
+    pub count: u64,
+    /// Summed wall time, nanoseconds.
+    pub total_ns: u64,
+    /// Shortest instance, nanoseconds.
+    pub min_ns: u64,
+    /// Longest instance, nanoseconds.
+    pub max_ns: u64,
+    /// Log2-bucketed duration histogram (see [`DURATION_BUCKETS`]);
+    /// powers the p50/p90/p99 estimates in `--metrics`.
+    pub buckets: [u64; DURATION_BUCKETS],
+}
+
+impl Default for SpanAgg {
+    fn default() -> Self {
+        SpanAgg {
+            count: 0,
+            total_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+            buckets: [0; DURATION_BUCKETS],
+        }
+    }
+}
+
+impl SpanAgg {
+    fn bucket(dur_ns: u64) -> usize {
+        ((64 - dur_ns.leading_zeros()) as usize).min(DURATION_BUCKETS - 1)
+    }
+
+    fn add(&mut self, dur_ns: u64) {
+        self.count += 1;
+        self.total_ns += dur_ns;
+        self.min_ns = self.min_ns.min(dur_ns);
+        self.max_ns = self.max_ns.max(dur_ns);
+        self.buckets[SpanAgg::bucket(dur_ns)] += 1;
+    }
+
+    /// Estimated `q`-quantile duration (`0.0 < q <= 1.0`): walks the
+    /// cumulative histogram to the bucket containing the target rank and
+    /// returns its upper bound, clamped to the observed `[min, max]`
+    /// range so single-sample aggregates are exact.
+    pub fn quantile_ns(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= target {
+                let upper = if i == 0 { 0 } else { 1u64 << i };
+                return upper.clamp(self.min_ns.min(self.max_ns), self.max_ns);
+            }
+        }
+        self.max_ns
+    }
+
+    /// Median duration estimate, nanoseconds.
+    pub fn p50_ns(&self) -> u64 {
+        self.quantile_ns(0.50)
+    }
+
+    /// 90th-percentile duration estimate, nanoseconds.
+    pub fn p90_ns(&self) -> u64 {
+        self.quantile_ns(0.90)
+    }
+
+    /// 99th-percentile duration estimate, nanoseconds.
+    pub fn p99_ns(&self) -> u64 {
+        self.quantile_ns(0.99)
+    }
+}
+
+/// Per-worker aggregate over one recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerAgg {
     /// Worker index, or [`WORKER_MAIN`] for the coordinating thread.
@@ -285,8 +517,7 @@ pub struct WorkerAgg {
     pub busy_ns: u64,
 }
 
-/// The journal-facing summary: small, scheduling-dependent, and emitted
-/// only when profiling was on (clean journals stay byte-unchanged).
+/// The journal-facing scheduler summary: small and scheduling-dependent.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileSummary {
     /// Total events captured.
@@ -310,43 +541,94 @@ impl ProfileSummary {
     }
 }
 
-impl ProfileReport {
+impl Recording {
+    /// Spans and tasks, in drain order.
+    fn intervals(&self) -> impl Iterator<Item = &Event> {
+        self.events.iter().filter(|e| e.is_interval())
+    }
+
+    /// Rebuilds each thread's interval stack: calls `visit` for every
+    /// span and task in drain order with the intervals still open around
+    /// it on the same thread, outermost first. Nesting depth, self time,
+    /// and the flamegraph all derive from this walk.
+    pub fn walk_intervals<'a>(&'a self, mut visit: impl FnMut(&'a Event, &[&'a Event])) {
+        let mut stacks: BTreeMap<u32, Vec<&Event>> = BTreeMap::new();
+        for e in self.intervals() {
+            let stack = stacks.entry(e.thread).or_default();
+            while stack.last().is_some_and(|open| open.end_ns() <= e.ts_ns) {
+                stack.pop();
+            }
+            visit(e, stack);
+            stack.push(e);
+        }
+    }
+
+    /// Per-name span aggregates (count/total/min/max/quantiles), sorted
+    /// by name. Tasks count as spans of their name.
+    pub fn histogram(&self) -> BTreeMap<&'static str, SpanAgg> {
+        let mut out: BTreeMap<&'static str, SpanAgg> = BTreeMap::new();
+        for e in self.intervals() {
+            out.entry(e.name).or_default().add(e.duration_ns());
+        }
+        out
+    }
+
+    /// Per-name *self* time — wall time exclusive of nested child spans
+    /// on the same thread. This is what the sweep's per-phase
+    /// attribution columns report: a regression in `verify` self time is
+    /// scheduler overhead, not candidate work.
+    pub fn self_times(&self) -> BTreeMap<&'static str, u64> {
+        let mut out: BTreeMap<&'static str, i128> = BTreeMap::new();
+        self.walk_intervals(|e, enclosing| {
+            let dur = e.duration_ns() as i128;
+            *out.entry(e.name).or_insert(0) += dur;
+            if let Some(parent) = enclosing.last() {
+                *out.entry(parent.name).or_insert(0) -= dur;
+            }
+        });
+        out.into_iter().map(|(k, v)| (k, v.max(0) as u64)).collect()
+    }
+
+    /// Total wall time of spans named `name`, nanoseconds.
+    pub fn total_ns(&self, name: &str) -> u64 {
+        self.intervals()
+            .filter(|e| e.name == name)
+            .map(Event::duration_ns)
+            .sum()
+    }
+
+    fn tasks(&self) -> impl Iterator<Item = &Event> {
+        self.events.iter().filter(|e| e.kind == EventKind::Task)
+    }
+
     /// The `[min start, max end]` window over task events, nanoseconds.
     pub fn task_window_ns(&self) -> u64 {
-        let mut lo = u64::MAX;
-        let mut hi = 0;
-        for e in self.events.iter().filter(|e| e.kind == EventKind::Task) {
-            lo = lo.min(e.ts_ns);
-            hi = hi.max(e.value);
+        let lo = self.tasks().map(|e| e.ts_ns).min();
+        let hi = self.tasks().map(|e| e.value).max();
+        match (lo, hi) {
+            (Some(lo), Some(hi)) => hi.saturating_sub(lo),
+            _ => 0,
         }
-        hi.saturating_sub(if lo == u64::MAX { hi } else { lo })
     }
 
     /// Aggregates per-worker tasks, steals, and busy time.
     pub fn summarize(&self) -> ProfileSummary {
         let mut workers: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
         for e in &self.events {
-            match e.kind {
-                EventKind::Task => {
-                    let w = workers.entry(e.worker).or_insert(WorkerAgg {
-                        worker: e.worker,
-                        tasks: 0,
-                        steals: 0,
-                        busy_ns: 0,
-                    });
-                    w.tasks += 1;
-                    w.busy_ns += e.value.saturating_sub(e.ts_ns);
-                }
-                EventKind::Steal => {
-                    let w = workers.entry(e.worker).or_insert(WorkerAgg {
-                        worker: e.worker,
-                        tasks: 0,
-                        steals: 0,
-                        busy_ns: 0,
-                    });
-                    w.steals += 1;
-                }
-                _ => {}
+            if !matches!(e.kind, EventKind::Task | EventKind::Steal) {
+                continue;
+            }
+            let w = workers.entry(e.worker).or_insert(WorkerAgg {
+                worker: e.worker,
+                tasks: 0,
+                steals: 0,
+                busy_ns: 0,
+            });
+            if e.kind == EventKind::Task {
+                w.tasks += 1;
+                w.busy_ns += e.duration_ns();
+            } else {
+                w.steals += 1;
             }
         }
         // BTreeMap order puts WORKER_MAIN (u32::MAX) last.
@@ -359,12 +641,12 @@ impl ProfileReport {
     }
 }
 
-/// The deterministic projection of a profile: only scheduling-
+/// The deterministic projection of a recording: only scheduling-
 /// independent kinds, worker and timestamps stripped, sorted by
 /// `(kind, name, id)`. Two runs of the same workload — any `--jobs` or
 /// resume mode — produce byte-identical output.
-pub fn normalized_structure(report: &ProfileReport) -> String {
-    let mut lines: Vec<String> = report
+pub fn normalized_structure(rec: &Recording) -> String {
+    let mut lines: Vec<String> = rec
         .events
         .iter()
         .filter(|e| {
@@ -398,9 +680,28 @@ fn meta_event(tid: u64, which: &str, name: String) -> Json {
     ])
 }
 
+fn counter_event(name: &str, ts_ns: u64, value: u64) -> Json {
+    Json::object([
+        ("ph", Json::str("C")),
+        ("pid", Json::UInt(0)),
+        ("name", Json::str(name)),
+        ("ts", us(ts_ns)),
+        ("args", Json::object([("value", Json::UInt(value))])),
+    ])
+}
+
 /// Offset separating span-thread tracks from worker tracks in the
 /// Chrome trace (worker w → tid w+1, span thread t → tid 1000+t).
 const SPAN_TID_BASE: u64 = 1000;
+
+/// The Chrome track of a worker lane: tid 0 for [`WORKER_MAIN`].
+fn lane_tid(worker: u32) -> u64 {
+    if worker == WORKER_MAIN {
+        0
+    } else {
+        worker as u64 + 1
+    }
+}
 
 /// Builds the Chrome trace-event document: `{"traceEvents": [...]}`,
 /// loadable in Perfetto or `chrome://tracing`. Track layout:
@@ -409,31 +710,35 @@ const SPAN_TID_BASE: u64 = 1000;
 ///   tasks as `X` slices, waves / memo probes / marks as instants;
 /// * tid w+1 `verify-worker-w` — one track per worker: candidate
 ///   executions as `X` slices, steals as instants;
-/// * tid 1000+t `span-thread-t` — the span hierarchy as `X` slices;
-/// * counter tracks (`ph:"C"`) for each sampled or high-water gauge.
-pub fn chrome_trace(profile: &ProfileReport, spans: &SpanReport) -> Json {
+/// * tid 1000+t `span-thread-t` — each thread's spans as `X` slices;
+/// * counter tracks (`ph:"C"`) for each gauge's samples, plus one point
+///   for every `.bytes` counter that has none (the [`GAUGES`]
+///   zero-filled when the run never verified).
+///
+/// Every candidate appears once, as a task slice on its lane.
+pub fn chrome_trace(rec: &Recording) -> Json {
     let mut events: Vec<Json> = Vec::new();
     events.push(meta_event(0, "process_name", "omislice".into()));
     events.push(meta_event(0, "thread_name", "scheduler".into()));
-
-    let mut worker_ids: Vec<u32> = profile
+    let lanes: BTreeSet<u32> = rec
         .events
         .iter()
         .filter(|e| e.worker != WORKER_MAIN)
         .map(|e| e.worker)
         .collect();
-    worker_ids.sort_unstable();
-    worker_ids.dedup();
-    for &w in &worker_ids {
+    for &w in &lanes {
         events.push(meta_event(
-            w as u64 + 1,
+            lane_tid(w),
             "thread_name",
             format!("verify-worker-{w}"),
         ));
     }
-    let mut span_threads: Vec<u32> = spans.spans.iter().map(|s| s.thread).collect();
-    span_threads.sort_unstable();
-    span_threads.dedup();
+    let span_threads: BTreeSet<u32> = rec
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Span)
+        .map(|e| e.thread)
+        .collect();
     for &t in &span_threads {
         events.push(meta_event(
             SPAN_TID_BASE + t as u64,
@@ -442,113 +747,85 @@ pub fn chrome_trace(profile: &ProfileReport, spans: &SpanReport) -> Json {
         ));
     }
 
-    for e in &profile.events {
-        let tid = if e.worker == WORKER_MAIN {
-            0
+    rec.walk_intervals(|e, enclosing| {
+        let (tid, arg) = if e.kind == EventKind::Span {
+            let depth = Json::UInt(enclosing.len() as u64);
+            (SPAN_TID_BASE + e.thread as u64, ("depth", depth))
         } else {
-            e.worker as u64 + 1
+            (lane_tid(e.worker), ("id", Json::UInt(e.id)))
         };
-        match e.kind {
-            EventKind::Task => events.push(Json::object([
-                ("ph", Json::str("X")),
-                ("pid", Json::UInt(0)),
-                ("tid", Json::UInt(tid)),
-                ("name", Json::str(e.name)),
-                ("ts", us(e.ts_ns)),
-                ("dur", us(e.value.saturating_sub(e.ts_ns))),
-                ("args", Json::object([("id", Json::UInt(e.id))])),
-            ])),
-            EventKind::Counter => events.push(Json::object([
-                ("ph", Json::str("C")),
-                ("pid", Json::UInt(0)),
-                ("name", Json::str(e.name)),
-                ("ts", us(e.ts_ns)),
-                ("args", Json::object([("value", Json::UInt(e.value))])),
-            ])),
-            _ => events.push(Json::object([
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("pid", Json::UInt(0)),
-                ("tid", Json::UInt(tid)),
-                ("name", Json::str(e.name)),
-                ("ts", us(e.ts_ns)),
-                (
-                    "args",
-                    Json::object([
-                        ("kind", Json::str(e.kind.label())),
-                        ("id", Json::UInt(e.id)),
-                        ("value", Json::UInt(e.value)),
-                    ]),
-                ),
-            ])),
-        }
-    }
-
-    for s in &spans.spans {
-        let mut args = vec![("depth", Json::UInt(s.depth as u64))];
-        if let Some(i) = s.index {
-            args.push(("index", Json::UInt(i)));
-        }
         events.push(Json::object([
             ("ph", Json::str("X")),
             ("pid", Json::UInt(0)),
-            ("tid", Json::UInt(SPAN_TID_BASE + s.thread as u64)),
-            ("name", Json::str(s.name)),
-            ("ts", us(s.start_ns)),
-            ("dur", us(s.end_ns.saturating_sub(s.start_ns))),
-            ("args", Json::object(args)),
+            ("tid", Json::UInt(tid)),
+            ("name", Json::str(e.name)),
+            ("ts", us(e.ts_ns)),
+            ("dur", us(e.duration_ns())),
+            ("args", Json::object([arg])),
+        ]));
+    });
+    let mut sampled: BTreeSet<&str> = BTreeSet::new();
+    for e in rec.events.iter().filter(|e| !e.is_interval()) {
+        if e.kind == EventKind::Counter {
+            sampled.insert(e.name);
+            events.push(counter_event(e.name, e.ts_ns, e.value));
+            continue;
+        }
+        events.push(Json::object([
+            ("ph", Json::str("i")),
+            ("s", Json::str("t")),
+            ("pid", Json::UInt(0)),
+            ("tid", Json::UInt(lane_tid(e.worker))),
+            ("name", Json::str(e.name)),
+            ("ts", us(e.ts_ns)),
+            (
+                "args",
+                Json::object([
+                    ("kind", Json::str(e.kind.label())),
+                    ("id", Json::UInt(e.id)),
+                    ("value", Json::UInt(e.value)),
+                ]),
+            ),
         ]));
     }
 
-    // High-water counters from the span layer become one-point counter
-    // tracks so Perfetto shows the memo/checkpoint byte ceilings. The
-    // two verify byte gauges are part of the document schema
-    // (validate_profile requires them), so they are zero-filled even
-    // when the run never reached the verify phase.
-    let mut byte_tracks: BTreeMap<&'static str, u64> =
-        BTreeMap::from([("verify.memo.bytes", 0), ("verify.checkpoint.bytes", 0)]);
-    for (name, &v) in &spans.counters {
+    // Byte counters without samples (e.g. `columnar.bytes`) become
+    // one-point tracks so Perfetto still shows their totals; the gauges
+    // are part of the document schema (validate_profile requires them).
+    let mut byte_tracks: BTreeMap<&str, u64> = GAUGES.iter().map(|&g| (g, 0)).collect();
+    for (&name, &v) in &rec.counters {
         if name.ends_with(".bytes") {
-            byte_tracks.insert(*name, v);
+            byte_tracks.insert(name, v);
         }
     }
     for (name, v) in byte_tracks {
-        events.push(Json::object([
-            ("ph", Json::str("C")),
-            ("pid", Json::UInt(0)),
-            ("name", Json::str(name)),
-            ("ts", us(0)),
-            ("args", Json::object([("value", Json::UInt(v))])),
-        ]));
+        if !sampled.contains(name) {
+            events.push(counter_event(name, 0, v));
+        }
     }
 
     Json::object([("traceEvents", Json::Array(events))])
 }
 
-/// Collapsed-stack flamegraph text from the span hierarchy: one
+/// Collapsed-stack flamegraph text from the interval hierarchy: one
 /// `omislice;parent;child self_time_ns` line per stack, sorted, ready
 /// for `flamegraph.pl` or speedscope. Self time is exclusive of
-/// children (a parent's value shrinks by each nested span).
-pub fn flamegraph(spans: &SpanReport) -> String {
+/// children (a parent's value shrinks by each nested interval).
+pub fn flamegraph(rec: &Recording) -> String {
     let mut totals: BTreeMap<String, i128> = BTreeMap::new();
-    let mut stacks: BTreeMap<u32, Vec<(String, u64)>> = BTreeMap::new();
-    for s in &spans.spans {
-        let stack = stacks.entry(s.thread).or_default();
-        while stack.last().is_some_and(|(_, end)| *end <= s.start_ns) {
-            stack.pop();
+    rec.walk_intervals(|e, enclosing| {
+        let mut parent = String::from("omislice");
+        for open in enclosing {
+            parent.push(';');
+            parent.push_str(open.name);
         }
-        let parent_key = match stack.last() {
-            Some((key, _)) => key.clone(),
-            None => "omislice".to_string(),
-        };
-        let key = format!("{parent_key};{}", s.name);
-        let dur = s.end_ns.saturating_sub(s.start_ns) as i128;
-        *totals.entry(key.clone()).or_insert(0) += dur;
-        // The parent was credited its full duration when it opened;
-        // carve this child's share back out so values are self time.
-        *totals.entry(parent_key).or_insert(0) -= dur;
-        stack.push((key, s.end_ns));
-    }
+        let dur = e.duration_ns() as i128;
+        *totals.entry(format!("{parent};{}", e.name)).or_insert(0) += dur;
+        // The parent was credited its full duration when it was
+        // visited; carve this child's share back out so values are self
+        // time.
+        *totals.entry(parent).or_insert(0) -= dur;
+    });
     let mut out = String::new();
     for (key, v) in &totals {
         if *v > 0 {
@@ -560,8 +837,8 @@ pub fn flamegraph(spans: &SpanReport) -> String {
 
 /// Renders the aggregated text report: per-worker utilization,
 /// steal/task ratio, wave occupancy histogram, and drop counts.
-pub fn render_profile(report: &ProfileReport) -> String {
-    let summary = report.summarize();
+pub fn render_profile(rec: &Recording) -> String {
+    let summary = rec.summarize();
     let mut out = String::new();
     out.push_str(&format!(
         "events {}  drops {}  window {:.3} ms\n",
@@ -595,7 +872,7 @@ pub fn render_profile(report: &ProfileReport) -> String {
     }
     // Wave occupancy: tasks per batch sequence (the id's high bits).
     let mut per_wave: BTreeMap<u64, u64> = BTreeMap::new();
-    for e in report.events.iter().filter(|e| e.kind == EventKind::Task) {
+    for e in rec.tasks() {
         *per_wave.entry(e.id >> 16).or_insert(0) += 1;
     }
     if !per_wave.is_empty() {
@@ -755,60 +1032,249 @@ pub fn check_chrome_trace(doc: &Json) -> Result<ProfileCheck, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::span::tests::test_guard;
-    use crate::span::SpanRecord;
 
-    fn reset_all() {
-        set_profiling(true);
-        profile_reset();
+    // The recorder is process-global; every test that records serializes
+    // on this lock so enable/drain cycles do not interleave. Tests in
+    // other modules of this crate must do the same.
+    pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
+    }
+
+    fn start() -> std::sync::MutexGuard<'static, ()> {
+        let g = test_guard();
+        set_enabled(true);
+        reset();
+        g
+    }
+
+    fn stop() -> Recording {
+        set_enabled(false);
+        drain()
+    }
+
+    fn interval(kind: EventKind, name: &'static str, thread: u32, start: u64, end: u64) -> Event {
+        Event {
+            kind,
+            name,
+            thread,
+            worker: WORKER_MAIN,
+            id: 0,
+            value: end,
+            ts_ns: start,
+        }
+    }
+
+    fn recording(events: Vec<Event>) -> Recording {
+        Recording {
+            events,
+            ..Recording::default()
+        }
+    }
+
+    #[test]
+    fn disabled_recorder_captures_nothing() {
+        let _g = test_guard();
+        set_enabled(false);
+        reset();
+        {
+            let _s = span("parse");
+            counter_add("tracer.events", 10);
+        }
+        let rec = drain();
+        assert!(rec.events.is_empty());
+        assert!(rec.counters.is_empty());
     }
 
     #[test]
     fn disabled_profiler_records_nothing() {
         let _g = test_guard();
-        set_profiling(false);
-        profile_reset();
+        set_enabled(false);
+        reset();
+        {
+            let _t = task("verify.candidate", 0, 1);
+            gauge("verify.memo.bytes", 64);
+        }
         record(EventKind::Mark, "noop", WORKER_MAIN, 1, 0);
-        task("t", 0, 1, 0, 10);
-        assert!(profile_drain().events.is_empty());
+        let rec = drain();
+        assert!(rec.events.is_empty());
+        assert!(rec.counters.is_empty());
+    }
+
+    #[test]
+    fn spans_nest_and_merge() {
+        let _g = start();
+        {
+            let _outer = span("verify");
+            for i in 0..3u64 {
+                let _inner = task("verify.candidate", WORKER_MAIN, i);
+            }
+        }
+        counter_add("frontier.claims", 2);
+        counter_add("frontier.claims", 3);
+        let rec = stop();
+        assert_eq!(rec.events.len(), 4);
+        let mut depths = Vec::new();
+        rec.walk_intervals(|e, enclosing| depths.push((e.name, enclosing.len())));
+        assert_eq!(depths[0], ("verify", 0));
+        assert!(depths[1..].iter().all(|&d| d == ("verify.candidate", 1)));
+        let outer = rec.events.iter().find(|e| e.name == "verify").unwrap();
+        for e in rec.events.iter().filter(|e| e.name == "verify.candidate") {
+            assert!(e.ts_ns >= outer.ts_ns && e.end_ns() <= outer.end_ns());
+        }
+        assert_eq!(rec.counters.get("frontier.claims"), Some(&5));
+        let hist = rec.histogram();
+        assert_eq!(hist["verify.candidate"].count, 3);
+        assert!(hist["verify"].total_ns >= hist["verify.candidate"].total_ns);
+        assert!(rec.total_ns("verify") >= 1);
+    }
+
+    #[test]
+    fn a_task_is_one_event_seen_by_every_view() {
+        let _g = start();
+        {
+            let _v = span("verify");
+            let _t = task("verify.candidate", 0, (3 << 16) | 2);
+        }
+        let rec = stop();
+        let tasks: Vec<_> = rec.tasks().collect();
+        assert_eq!(tasks.len(), 1);
+        assert_eq!(rec.histogram()["verify.candidate"].count, 1);
+        assert_eq!(rec.summarize().workers[0].tasks, 1);
+        assert!(flamegraph(&rec).contains("omislice;verify;verify.candidate "));
+        assert_eq!(
+            normalized_structure(&rec),
+            format!("task verify.candidate {}", (3 << 16) | 2)
+        );
+        let check = check_chrome_trace(&chrome_trace(&rec)).unwrap();
+        assert_eq!(check.worker_tracks, vec!["verify-worker-0"]);
+        assert_eq!(check.slices, 2, "one span slice plus one task slice");
+    }
+
+    #[test]
+    fn gauges_export_their_largest_sample_and_steals_their_count() {
+        let _g = start();
+        gauge("verify.memo.bytes", 300);
+        gauge("verify.memo.bytes", 700);
+        gauge("verify.memo.bytes", 500);
+        gauge("recorder.queue.depth", 4);
+        record(EventKind::Steal, "verify.steal", 0, 1, 0);
+        record(EventKind::Steal, "verify.steal", 1, 2, 0);
+        counter_max("recorder.queue_depth_max", 3);
+        std::thread::spawn(|| counter_max("recorder.queue_depth_max", 2))
+            .join()
+            .unwrap();
+        let rec = stop();
+        assert_eq!(rec.counters.get("verify.memo.bytes"), Some(&700));
+        assert_eq!(rec.counters.get("verify.sched.steals"), Some(&2));
+        assert_eq!(
+            rec.counters.get("recorder.queue_depth_max"),
+            Some(&3),
+            "high-water marks merge across threads by max"
+        );
+        assert_eq!(rec.counters.get("recorder.queue.depth"), None);
+        assert_eq!(rec.counters.get("profile.drops"), None);
+    }
+
+    #[test]
+    fn quantiles_walk_log_buckets_and_clamp_to_range() {
+        let mut agg = SpanAgg::default();
+        // 90 fast spans near 1 µs, 10 slow near 1 ms.
+        for _ in 0..90 {
+            agg.add(1_000);
+        }
+        for _ in 0..10 {
+            agg.add(1_000_000);
+        }
+        let p50 = agg.p50_ns();
+        let p99 = agg.p99_ns();
+        assert!((1_000..4_096).contains(&p50), "p50 = {p50}");
+        assert!((524_288..=1_000_000).contains(&p99), "p99 = {p99}");
+        assert_eq!(SpanAgg::default().p50_ns(), 0, "empty aggregate");
+        // A single sample is exact: clamped to [min, max].
+        let mut one = SpanAgg::default();
+        one.add(777);
+        assert_eq!(one.p50_ns(), 777);
+        assert_eq!(one.p99_ns(), 777);
+    }
+
+    #[test]
+    fn self_times_exclude_children() {
+        let rec = recording(vec![
+            interval(EventKind::Span, "locate", 0, 0, 1000),
+            interval(EventKind::Span, "verify", 0, 100, 900),
+            interval(EventKind::Task, "verify.candidate", 0, 200, 700),
+        ]);
+        let self_times = rec.self_times();
+        assert_eq!(self_times["locate"], 200);
+        assert_eq!(self_times["verify"], 300);
+        assert_eq!(self_times["verify.candidate"], 500);
+    }
+
+    #[test]
+    fn threads_merge_deterministically() {
+        let _g = start();
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let _sp = span("worker");
+                    counter_add("work", 1);
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let rec = stop();
+        assert_eq!(rec.events.len(), 4);
+        assert_eq!(rec.counters.get("work"), Some(&4));
+        let threads: BTreeSet<u32> = rec.events.iter().map(|e| e.thread).collect();
+        assert_eq!(threads.len(), 4, "one slot per recording thread");
+        // Sorted by start time.
+        for w in rec.events.windows(2) {
+            assert!(w[0].ts_ns <= w[1].ts_ns);
+        }
+        // The exited threads' slots were released by the drain.
+        assert!(lock(&REGISTRY)
+            .iter()
+            .all(|slot| !threads.contains(&slot.ordinal)));
     }
 
     #[test]
     fn ring_overflow_degrades_to_counted_drops() {
-        let _g = test_guard();
-        reset_all();
+        let _g = start();
         for i in 0..(RING_CAPACITY as u64 + 100) {
             record(EventKind::Mark, "m", WORKER_MAIN, i, 0);
         }
-        set_profiling(false);
-        let report = profile_drain();
-        assert_eq!(report.events.len(), RING_CAPACITY);
-        assert_eq!(report.drops, 100);
+        let rec = stop();
+        assert_eq!(rec.events.len(), RING_CAPACITY);
+        assert_eq!(rec.drops, 100);
+        assert_eq!(rec.counters.get("profile.drops"), Some(&100));
         // Events that fit were kept in order; the overflow was dropped,
         // not spilled into a reallocated buffer.
-        assert_eq!(report.events[0].id, 0);
-        assert_eq!(report.events.last().unwrap().id, RING_CAPACITY as u64 - 1);
+        assert_eq!(rec.events[0].id, 0);
+        assert_eq!(rec.events.last().unwrap().id, RING_CAPACITY as u64 - 1);
         // The next window starts clean.
-        set_profiling(true);
+        set_enabled(true);
         record(EventKind::Mark, "m2", WORKER_MAIN, 7, 0);
-        set_profiling(false);
-        let next = profile_drain();
+        let next = stop();
         assert_eq!(next.events.len(), 1);
         assert_eq!(next.drops, 0);
     }
 
     #[test]
     fn summarize_attributes_busy_time_per_worker() {
-        let _g = test_guard();
-        reset_all();
-        task("verify.candidate", 0, 1, 100, 400);
-        task("verify.candidate", 1, 2, 100, 300);
-        record(EventKind::Steal, "verify.steal", 1, 2, 0);
-        set_profiling(false);
-        let report = profile_drain();
-        let summary = report.summarize();
+        let mut events = vec![
+            interval(EventKind::Task, "verify.candidate", 0, 100, 400),
+            interval(EventKind::Task, "verify.candidate", 0, 100, 300),
+            interval(EventKind::Steal, "verify.steal", 0, 150, 0),
+        ];
+        events[0].worker = 0;
+        events[1].worker = 1;
+        events[2].worker = 1;
+        let summary = recording(events).summarize();
         assert_eq!(summary.events, 3);
         assert_eq!(summary.window_ns, 300);
         assert_eq!(summary.workers.len(), 2);
@@ -820,113 +1286,87 @@ mod tests {
 
     #[test]
     fn normalization_strips_workers_and_time_keeps_stable_ids() {
-        let _g = test_guard();
-        reset_all();
-        task("verify.candidate", 3, 42, 500, 900);
+        let _g = start();
+        drop(task("verify.candidate", 3, 42));
+        drop(span("verify"));
         mark(EventKind::Wave, "verify.wave", 1);
         mark(EventKind::MemoHit, "verify.memo", 7);
         record(EventKind::Steal, "verify.steal", 2, 42, 0);
-        counter_sample("queue.depth", 5);
-        set_profiling(false);
-        let a = normalized_structure(&profile_drain());
+        gauge("queue.depth", 5);
+        let a = normalized_structure(&stop());
         // Same structure, different workers/timestamps/steals.
-        set_profiling(true);
-        profile_reset();
+        set_enabled(true);
+        reset();
         mark(EventKind::MemoHit, "verify.memo", 7);
-        task("verify.candidate", 0, 42, 100, 200);
+        drop(task("verify.candidate", 0, 42));
         mark(EventKind::Wave, "verify.wave", 1);
-        set_profiling(false);
-        let b = normalized_structure(&profile_drain());
+        let b = normalized_structure(&stop());
         assert_eq!(a, b);
         assert!(a.contains("task verify.candidate 42"));
         assert!(!a.contains("steal"));
         assert!(!a.contains("counter"));
+        assert!(!a.contains("span"));
     }
 
     #[test]
     fn chrome_trace_round_trips_through_checker() {
-        let _g = test_guard();
-        reset_all();
-        task("verify.candidate", 0, 1, 1000, 5000);
-        task("verify.candidate", 1, 2, 1000, 3000);
+        let _g = start();
+        {
+            let _v = span("verify");
+            drop(task("verify.candidate", 0, 1));
+            drop(task("verify.candidate", 1, 2));
+        }
         record(EventKind::Steal, "verify.steal", 1, 2, 0);
         mark(EventKind::Wave, "verify.wave", 0);
-        counter_sample("recorder.queue.depth", 3);
-        set_profiling(false);
-        let profile = profile_drain();
-        let spans = SpanReport {
-            spans: vec![SpanRecord {
-                name: "verify",
-                index: None,
-                depth: 0,
-                thread: 0,
-                start_ns: 500,
-                end_ns: 6000,
-            }],
-            counters: [("verify.memo.bytes", 4096u64)].into_iter().collect(),
-        };
-        let doc = chrome_trace(&profile, &spans);
-        let text = doc.to_string();
+        gauge("recorder.queue.depth", 3);
+        counter_add("columnar.bytes", 4096);
+        let rec = stop();
+        let text = chrome_trace(&rec).to_string();
         let parsed = crate::json::parse(&text).expect("exporter emits valid JSON");
         let check = check_chrome_trace(&parsed).expect("well-formed trace");
         assert_eq!(
             check.worker_tracks,
             vec!["verify-worker-0", "verify-worker-1"]
         );
-        assert!(check
-            .counter_tracks
-            .contains(&"recorder.queue.depth".to_string()));
-        assert!(check
-            .counter_tracks
-            .contains(&"verify.memo.bytes".to_string()));
-        assert!(check.slices >= 3);
+        for track in GAUGES
+            .iter()
+            .chain(&["recorder.queue.depth", "columnar.bytes"])
+        {
+            assert!(
+                check.counter_tracks.iter().any(|t| t == track),
+                "missing counter track {track}"
+            );
+        }
+        assert_eq!(check.slices, 3);
         assert!(check.utilization_sum <= 2.0 + 1e-9);
     }
 
     #[test]
     fn flamegraph_produces_self_time_stacks() {
-        let mk = |name, thread, start, end, depth| SpanRecord {
-            name,
-            index: None,
-            depth,
-            thread,
-            start_ns: start,
-            end_ns: end,
-        };
-        let spans = SpanReport {
-            spans: vec![
-                mk("locate", 0, 0, 1000, 0),
-                mk("verify", 0, 100, 900, 1),
-                mk("verify.candidate", 0, 200, 600, 2),
-            ],
-            counters: BTreeMap::new(),
-        };
-        let fg = flamegraph(&spans);
+        let rec = recording(vec![
+            interval(EventKind::Span, "locate", 0, 0, 1000),
+            interval(EventKind::Span, "verify", 0, 100, 900),
+            interval(EventKind::Task, "verify.candidate", 0, 200, 600),
+            interval(EventKind::Task, "verify.candidate", 1, 200, 500),
+        ]);
+        let fg = flamegraph(&rec);
         assert!(fg.contains("omislice;locate 200\n"), "{fg}");
         assert!(fg.contains("omislice;locate;verify 400\n"), "{fg}");
         assert!(
             fg.contains("omislice;locate;verify;verify.candidate 400\n"),
             "{fg}"
         );
+        assert!(fg.contains("omislice;verify.candidate 300\n"), "{fg}");
     }
 
     #[test]
     fn render_profile_reports_utilization_and_waves() {
-        let _g = test_guard();
-        reset_all();
+        let _g = start();
         let seq = next_seq();
         for i in 0..4u64 {
-            task(
-                "verify.candidate",
-                (i % 2) as u32,
-                (seq << 16) | i,
-                i * 10,
-                i * 10 + 8,
-            );
+            drop(task("verify.candidate", (i % 2) as u32, (seq << 16) | i));
         }
-        set_profiling(false);
-        let report = profile_drain();
-        let text = render_profile(&report);
+        let text = render_profile(&stop());
         assert!(text.contains("worker 0"), "{text}");
         assert!(text.contains("worker 1"), "{text}");
         assert!(text.contains("wave occupancy"), "{text}");

@@ -4,12 +4,12 @@
 //! The journal content mirrors the deterministic [`IterationRecord`] log
 //! the locator produced, so it is byte-identical across thread counts and
 //! resume modes once timing fields are stripped
-//! ([`omislice_obs::strip_timing`]). Span timing rides along as a
-//! trailing `spans` record — pure timing, dropped by the stripper.
+//! ([`omislice_obs::strip_timing`]). The recorder's spans ride along as
+//! a trailing `spans` record — pure timing, dropped by the stripper.
 
 use crate::locate::{ChainEdgeKind, IterationRecord, LocateConfig, LocateOutcome, RequestPhase};
 use crate::verify::Verdict;
-use omislice_obs::{Json, ProfileSummary, SpanReport};
+use omislice_obs::{Json, ProfileSummary, Recording};
 use omislice_trace::{RecoveryLog, RunOutcome, Trace};
 
 /// Journal-stable name of a verdict.
@@ -107,9 +107,9 @@ fn iteration_record(it: &IterationRecord) -> Json {
 
 /// Builds the full journal for one run: header, one record per
 /// iteration, the summary, a recovery record when faults were absorbed
-/// or the deadline expired, a profile record when the timeline profiler
-/// was on, and — when a drained [`SpanReport`] is given — a trailing
-/// spans record.
+/// or the deadline expired, a profile record when a scheduler summary is
+/// given, and — when a drained [`Recording`] is given — a trailing spans
+/// record of its spans and tasks.
 ///
 /// The recovery record carries no timing fields, so it survives
 /// [`omislice_obs::strip_timing`]: journals from a faulted-and-recovered
@@ -125,7 +125,7 @@ pub fn build_journal(
     trace: &Trace,
     recovery: Option<&RecoveryLog>,
     profile: Option<&ProfileSummary>,
-    spans: Option<&SpanReport>,
+    spans: Option<&Recording>,
 ) -> Vec<Json> {
     let mut records = Vec::with_capacity(outcome.iteration_log.len() + 3);
     records.push(Json::object([
@@ -225,23 +225,20 @@ pub fn build_journal(
     }
 
     if let Some(report) = spans {
-        let spans_json: Vec<Json> = report
-            .spans
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    ("name", Json::str(s.name)),
-                    ("thread", Json::UInt(s.thread as u64)),
-                    ("depth", Json::UInt(s.depth as u64)),
-                    ("start_ns", Json::UInt(s.start_ns)),
-                    ("end_ns", Json::UInt(s.end_ns)),
-                ];
-                if let Some(i) = s.index {
-                    fields.insert(1, ("index", Json::UInt(i)));
-                }
-                Json::object(fields)
-            })
-            .collect();
+        let mut spans_json: Vec<Json> = Vec::new();
+        report.walk_intervals(|e, enclosing| {
+            let mut fields = vec![
+                ("name", Json::str(e.name)),
+                ("thread", Json::UInt(e.thread as u64)),
+                ("depth", Json::UInt(enclosing.len() as u64)),
+                ("start_ns", Json::UInt(e.ts_ns)),
+                ("end_ns", Json::UInt(e.end_ns())),
+            ];
+            if e.kind == omislice_obs::profile::EventKind::Task {
+                fields.insert(1, ("index", Json::UInt(e.id)));
+            }
+            spans_json.push(Json::object(fields));
+        });
         let counters: Vec<(String, Json)> = report
             .counters
             .iter()

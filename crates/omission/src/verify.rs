@@ -75,7 +75,7 @@ use omislice_trace::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -630,10 +630,10 @@ impl<'a> Verifier<'a> {
             // order, so verdicts and counters stay identical across
             // jobs, resume modes, and capture thresholds.
             let mut out = Vec::with_capacity(requests.len());
-            // One wave-boundary id per batch: the profiler's sequence
-            // counter only advances while profiling and resets with it,
+            // One wave-boundary id per batch: the recorder's sequence
+            // counter only advances while recording and resets with it,
             // so wave ids are stable across jobs and resume modes.
-            let batch = omislice_obs::profile::profiling().then(omislice_obs::profile::next_seq);
+            let batch = omislice_obs::enabled().then(omislice_obs::profile::next_seq);
             for (w, wave) in requests.chunks(VERIFY_WAVE).enumerate() {
                 if w > 0 {
                     self.runs.clear();
@@ -653,25 +653,14 @@ impl<'a> Verifier<'a> {
         };
         let snap = self.memo.snapshot();
         self.stats.checkpoint_bytes = self.stats.checkpoint_bytes.max(snap.checkpoint_bytes);
-        if omislice_obs::enabled() {
-            omislice_obs::counter_max("verify.checkpoint.bytes", snap.checkpoint_bytes as u64);
-            omislice_obs::counter_max(
-                "verify.memo.bytes",
-                (snap.run_bytes + snap.checkpoint_bytes) as u64,
-            );
-        }
-        if omislice_obs::profile::profiling() {
-            // Per-batch gauge samples: the counter tracks in the Chrome
-            // trace show how live bytes evolve wave over wave.
-            omislice_obs::profile::counter_sample(
-                "verify.checkpoint.bytes",
-                snap.checkpoint_bytes as u64,
-            );
-            omislice_obs::profile::counter_sample(
-                "verify.memo.bytes",
-                (snap.run_bytes + snap.checkpoint_bytes) as u64,
-            );
-        }
+        // Per-batch gauge samples: the counter tracks in the Chrome trace
+        // show how live bytes evolve wave over wave, and the exported
+        // counters are their maxima.
+        omislice_obs::gauge("verify.checkpoint.bytes", snap.checkpoint_bytes as u64);
+        omislice_obs::gauge(
+            "verify.memo.bytes",
+            (snap.run_bytes + snap.checkpoint_bytes) as u64,
+        );
         out
     }
 
@@ -807,11 +796,9 @@ impl<'a> Verifier<'a> {
         // Stable task-id base for this dispatch: `seq << 16 | candidate`.
         // Allocated after the empty-batch early return, so ids agree
         // across thread counts and resume modes.
-        let seq = if omislice_obs::profile::profiling() {
-            omislice_obs::profile::next_seq()
-        } else {
-            0
-        };
+        let seq = omislice_obs::enabled()
+            .then(omislice_obs::profile::next_seq)
+            .unwrap_or(0);
         let expired = self.deadline.as_ref().is_some_and(|d| d.expired());
         // The cancellation mask is decided serially *before* any
         // execution: one counted deadline check per candidate, in
@@ -976,7 +963,6 @@ impl<'a> Verifier<'a> {
         });
         let workers = self.jobs.min(leaves.len()).max(1);
         let queues = WorkQueues::seed(&order, workers);
-        let steals = AtomicUsize::new(0);
         let this: &Verifier<'_> = self;
         // One worker's loop: its own deque front first, then steals from
         // the back of the others'.
@@ -985,7 +971,6 @@ impl<'a> Verifier<'a> {
             while let Some((k, stolen)) = queues.pop(w) {
                 let (i, donor) = &leaves[k];
                 if stolen {
-                    steals.fetch_add(1, Ordering::Relaxed);
                     omislice_obs::profile::record(
                         omislice_obs::profile::EventKind::Steal,
                         "verify.steal",
@@ -1020,12 +1005,6 @@ impl<'a> Verifier<'a> {
                     }
                 }
             });
-            if omislice_obs::enabled() {
-                omislice_obs::counter_add(
-                    "verify.sched.steals",
-                    steals.load(Ordering::Relaxed) as u64,
-                );
-            }
             results
         };
         for (i, r) in results {
@@ -1091,10 +1070,9 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Runs candidate `i`'s switched execution under its
-    /// `verify.candidate` span, timed as a profiler task on track
-    /// `worker` — the one dispatch path for the spine, the inline
-    /// single-worker drain, and every spawned worker.
+    /// Runs candidate `i`'s switched execution as one `verify.candidate`
+    /// task on lane `worker` — the one dispatch path for the spine, the
+    /// inline single-worker drain, and every spawned worker.
     fn run_candidate(
         &self,
         seq: u64,
@@ -1105,19 +1083,8 @@ impl<'a> Verifier<'a> {
         capture: &[SwitchSpec],
     ) -> (ComputedRun, Vec<Checkpoint>) {
         let (spec, p) = missing[i];
-        let _c = omislice_obs::span_indexed("verify.candidate", Some(i as u64));
-        let t0 = omislice_obs::profile::profiling().then(omislice_obs::profile::timestamp_ns);
-        let out = self.compute_switched_isolated(spec, p, donor, capture);
-        if let Some(t0) = t0 {
-            omislice_obs::profile::task(
-                "verify.candidate",
-                worker,
-                (seq << 16) | i as u64,
-                t0,
-                omislice_obs::profile::timestamp_ns(),
-            );
-        }
-        out
+        let _task = omislice_obs::task("verify.candidate", worker, (seq << 16) | i as u64);
+        self.compute_switched_isolated(spec, p, donor, capture)
     }
 
     /// [`Verifier::compute_switched`] behind a per-candidate

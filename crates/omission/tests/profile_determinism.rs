@@ -1,4 +1,4 @@
-//! Property: the timeline profiler's *normalized* structure is
+//! Property: the event recorder's *normalized* structure is
 //! deterministic — for a fixed workload, the projection that keeps only
 //! scheduling-independent events (tasks, waves, memo probes, marks) is
 //! byte-identical across `--jobs {1, 2, 4}` and resume on/off (resume
@@ -8,7 +8,7 @@
 //! the projection by design: they legitimately vary with scheduling and
 //! resume mode.
 //!
-//! The profiler is global state, so every test here serializes on one
+//! The recorder is global state, so every test here serializes on one
 //! mutex and resets the rings (and the stable-id counter) per
 //! configuration.
 
@@ -17,14 +17,11 @@ use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::{compile, printer::stmt_head, Program, StmtId};
 use omislice::omislice_slicing::ValueProfile;
 use omislice::{locate_fault, GroundTruthOracle, LocateConfig};
-use omislice_obs::profile::{
-    check_chrome_trace, chrome_trace, normalized_structure, profile_drain, profile_reset,
-    set_profiling,
-};
+use omislice_obs::profile::{check_chrome_trace, chrome_trace, normalized_structure};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serializes profiler use across the harness's test threads.
+/// Serializes recorder use across the harness's test threads.
 static PROFILER: Mutex<()> = Mutex::new(());
 
 struct Workload {
@@ -67,12 +64,12 @@ fn workload(fixed: Program, faulty: Program, inputs: Vec<i64>) -> Option<Workloa
     })
 }
 
-/// Runs one locate under the profiler and returns the normalized
-/// structure plus the drained report's validator verdict. `None` when
+/// Runs one locate under the recorder and returns the normalized
+/// structure plus the drained recording's validator verdict. `None` when
 /// locate itself fails (the caller decides whether that is acceptable).
 fn profiled_locate(w: &Workload, lc: &LocateConfig) -> Option<(String, usize)> {
-    profile_reset();
-    set_profiling(true);
+    omislice_obs::reset();
+    omislice_obs::set_enabled(true);
     let result = locate_fault(
         &w.faulty,
         &w.analysis,
@@ -82,11 +79,11 @@ fn profiled_locate(w: &Workload, lc: &LocateConfig) -> Option<(String, usize)> {
         &w.oracle,
         lc,
     );
-    set_profiling(false);
-    let report = profile_drain();
+    omislice_obs::set_enabled(false);
+    let rec = omislice_obs::drain();
     result.ok()?;
-    let normalized = normalized_structure(&report);
-    let doc = chrome_trace(&report, &omislice_obs::SpanReport::default());
+    let normalized = normalized_structure(&rec);
+    let doc = chrome_trace(&rec);
     let check = check_chrome_trace(&doc).expect("profiled locate exports a valid Chrome trace");
     Some((normalized, check.slices))
 }

@@ -312,7 +312,7 @@ impl Recorder {
         self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
         // One gauge sample per chunk rotation: the builder queue's depth
         // over time becomes a counter track in `--profile-out` traces.
-        omislice_obs::profile::counter_sample("recorder.queue.depth", depth as u64);
+        omislice_obs::gauge("recorder.queue.depth", depth as u64);
         if stall {
             supervisor::note_recovery(RecoveryKind::QueueStall);
             self.stats.backpressure_stalls += 1;

@@ -443,7 +443,7 @@ thread_local! {
 }
 
 /// Records one recovery rung on the current thread's log and mirrors it
-/// to the observability counter set when the span recorder is on.
+/// to the observability counter set when the recorder is on.
 pub fn note_recovery(kind: RecoveryKind) {
     RECOVERY.with(|r| r.borrow_mut().note(kind));
     if omislice_obs::enabled() {
