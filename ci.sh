@@ -13,23 +13,6 @@ if [ -d vendor ]; then
     OFFLINE=(--offline)
 fi
 
-# Fault-injection smoke: the locator must survive every class of planted
-# fault — panics, crashes, budget exhaustion, corrupted checkpoints —
-# without crashing or failing the session. Run standalone with
-# `./ci.sh smoke`.
-smoke() {
-    echo "==> fault-injection smoke (corpus locate --fault-plan)"
-    cargo build "${OFFLINE[@]}" --release -p omislice-cli
-    local plan
-    for plan in "S2:0=panic" "S2:0=oob" "S2:0=budget" \
-                "S4:1=corrupt-checkpoint" "S5:0=div-zero"; do
-        echo "   -- $plan"
-        RUST_BACKTRACE=1 ./target/release/omislice corpus locate sed V3-F2 \
-            --fault-plan "$plan" --stats >/dev/null
-    done
-    echo "fault-injection smoke OK"
-}
-
 # Benchmark smoke: a scale-10 sweep must complete without panicking and
 # must exercise the verifier's verdict memo — a sweep publishing
 # `cache_hits: 0` means the memo went dead again. The overhead guard
@@ -150,23 +133,61 @@ EOF
     echo "trace smoke OK"
 }
 
-# Chaos smoke: every injectable pipeline fault — recorder builder panic,
-# channel disconnect, queue stall, encode/decode corruption, short
-# writes, ENOSPC, mmap failure — must be absorbed by the supervisor's
-# degradation ladders with zero effect on the localization verdict: the
-# report stays byte-identical to the clean run, the journal carries a
-# schema-valid `recovery` record, and saved traces come out bit-exact.
-# A pinned deadline expiry must exit 3 with a partial report, and the
-# differential harness's chaos mode (invariant 7) must hold over a seed
-# window. Run standalone with `./ci.sh chaos-smoke`.
-chaos_smoke() {
-    echo "==> chaos smoke (supervised recovery sweep)"
+# Fault-injection smoke: one `--fault-plan` language for every site.
+# Statement faults planted in the verifier's switched runs — panics,
+# crashes, budget exhaustion, corrupted checkpoints — must be survived
+# without failing the session, and `--stats` must show that each one
+# actually fired (a gate whose fault never fires passes vacuously); the
+# corrupted checkpoint must also leave the report byte-identical. Every
+# pipeline fault — recorder builder panic, channel disconnect, queue
+# stall, encode/decode corruption, short writes, ENOSPC, mmap failure —
+# must be absorbed by the supervisor's degradation ladders with zero
+# effect on the localization verdict: the report stays byte-identical to
+# the clean run, the journal carries a schema-valid `recovery` record,
+# and saved traces come out bit-exact. A pinned deadline expiry must
+# exit 3 with a partial report, and the differential harness's chaos
+# mode (invariant 7) must hold over a seed window. Run standalone with
+# `./ci.sh fault-smoke`.
+fault_smoke() {
+    echo "==> fault-injection smoke (--fault-plan at every site)"
     cargo build "${OFFLINE[@]}" --release \
         -p omislice-cli -p omislice-obs -p omislice-bench
     local dir
     dir=$(mktemp -d)
+
+    # Statement sites go through `corpus locate`: each plan names the
+    # `--stats` counter its fault must move off zero.
+    local fault plan fired
+    while read -r fault plan fired; do
+        echo "   -- sed $fault $plan (corpus locate)"
+        if ! RUST_BACKTRACE=1 ./target/release/omislice corpus locate sed "$fault" \
+            --fault-plan "$plan" --stats > "$dir/stmt.out" 2> "$dir/stmt.err"; then
+            echo "fault smoke FAILED: $plan failed the session:" >&2
+            cat "$dir/stmt.err" >&2
+            exit 1
+        fi
+        if ! grep -Eq " [1-9][0-9]* $fired" "$dir/stmt.err"; then
+            echo "fault smoke FAILED: $plan never fired (no $fired in --stats)" >&2
+            cat "$dir/stmt.err" >&2
+            exit 1
+        fi
+    done <<'PLANS'
+V3-F2 S2:0=panic panics isolated
+V3-F2 S2:0=oob crashed
+V3-F2 S2:0=budget budget-exhausted
+V3-F2 S5:0=div-zero crashed
+V3-F3 S25:1=corrupt-checkpoint invalid checkpoints
+PLANS
+    # The corrupted checkpoint (the last plan) falls back to a scratch
+    # run: the report must not change.
+    ./target/release/omislice corpus locate sed V3-F3 > "$dir/clean-f3.out"
+    if ! cmp -s "$dir/clean-f3.out" "$dir/stmt.out"; then
+        echo "fault smoke FAILED: corrupt-checkpoint changed the report" >&2
+        exit 1
+    fi
+
     # Loop-heavy pair (>4096 trace events) so the recorder spills chunks
-    # to its builder thread — otherwise the recorder chaos sites
+    # to its builder thread — otherwise the recorder sites
     # (builder/channel/queue) never fire.
     cat > "$dir/faulty.omi" <<'EOF'
 global acc = 0;
@@ -190,7 +211,7 @@ EOF
         --faulty "$dir/faulty.omi" --fixed "$dir/fixed.omi" --input 5,2)
     "${locate[@]}" > "$dir/clean.out"
     if ! grep -q "root cause captured : yes" "$dir/clean.out"; then
-        echo "chaos smoke FAILED: clean baseline did not locate the root" >&2
+        echo "fault smoke FAILED: clean baseline did not locate the root" >&2
         exit 1
     fi
     ./target/release/omislice trace "$dir/faulty.omi" --input 5,2 \
@@ -198,22 +219,21 @@ EOF
 
     # Save-side sites go through `trace --save`: the retried save must
     # produce a bit-exact trace file.
-    local plan
     for plan in encode=corrupt save=short-write save=enospc; do
         echo "   -- $plan (trace --save)"
         if ! ./target/release/omislice trace "$dir/faulty.omi" --input 5,2 \
-            --save "$dir/chaos.omitrace" --chaos "$plan" \
-            >/dev/null 2>"$dir/chaos.err"; then
-            echo "chaos smoke FAILED: $plan did not recover:" >&2
-            cat "$dir/chaos.err" >&2
+            --save "$dir/faulted.omitrace" --fault-plan "$plan" \
+            >/dev/null 2>"$dir/faulted.err"; then
+            echo "fault smoke FAILED: $plan did not recover:" >&2
+            cat "$dir/faulted.err" >&2
             exit 1
         fi
-        if ! grep -q "pipeline recovered" "$dir/chaos.err"; then
-            echo "chaos smoke FAILED: $plan recovery left no trail" >&2
+        if ! grep -q "pipeline recovered" "$dir/faulted.err"; then
+            echo "fault smoke FAILED: $plan recovery left no trail" >&2
             exit 1
         fi
-        if ! cmp -s "$dir/clean.omitrace" "$dir/chaos.omitrace"; then
-            echo "chaos smoke FAILED: $plan corrupted the saved trace" >&2
+        if ! cmp -s "$dir/clean.omitrace" "$dir/faulted.omitrace"; then
+            echo "fault smoke FAILED: $plan corrupted the saved trace" >&2
             exit 1
         fi
     done
@@ -224,49 +244,49 @@ EOF
     for plan in builder=panic channel=disconnect queue=stall \
                 decode=corrupt mmap=fail; do
         echo "   -- $plan (locate)"
-        local extra=(--chaos "$plan" --obs-out "$dir/chaos.jsonl")
+        local extra=(--fault-plan "$plan" --obs-out "$dir/faulted.jsonl")
         case "$plan" in
             decode=*|mmap=*) extra+=(--trace-in "$dir/clean.omitrace") ;;
         esac
         if ! "${locate[@]}" "${extra[@]}" \
-            > "$dir/chaos.out" 2> "$dir/chaos.err"; then
-            echo "chaos smoke FAILED: $plan did not recover:" >&2
-            cat "$dir/chaos.err" >&2
+            > "$dir/faulted.out" 2> "$dir/faulted.err"; then
+            echo "fault smoke FAILED: $plan did not recover:" >&2
+            cat "$dir/faulted.err" >&2
             exit 1
         fi
-        if ! cmp -s "$dir/clean.out" "$dir/chaos.out"; then
-            echo "chaos smoke FAILED: $plan changed the report" >&2
-            diff "$dir/clean.out" "$dir/chaos.out" >&2 || true
+        if ! cmp -s "$dir/clean.out" "$dir/faulted.out"; then
+            echo "fault smoke FAILED: $plan changed the report" >&2
+            diff "$dir/clean.out" "$dir/faulted.out" >&2 || true
             exit 1
         fi
-        if ! grep -q "pipeline recovered" "$dir/chaos.err"; then
-            echo "chaos smoke FAILED: $plan recovery left no trail" >&2
+        if ! grep -q "pipeline recovered" "$dir/faulted.err"; then
+            echo "fault smoke FAILED: $plan recovery left no trail" >&2
             exit 1
         fi
-        if ! grep -q '"type":"recovery"' "$dir/chaos.jsonl"; then
-            echo "chaos smoke FAILED: $plan journal has no recovery record" >&2
+        if ! grep -q '"type":"recovery"' "$dir/faulted.jsonl"; then
+            echo "fault smoke FAILED: $plan journal has no recovery record" >&2
             exit 1
         fi
-        ./target/release/validate_journal "$dir/chaos.jsonl"
+        ./target/release/validate_journal "$dir/faulted.jsonl"
     done
 
     echo "   -- deadline:1=expire (exit 3, partial report)"
     local code=0
-    "${locate[@]}" --chaos deadline:1=expire \
+    "${locate[@]}" --fault-plan deadline:1=expire \
         > "$dir/partial.out" 2>/dev/null || code=$?
     if [ "$code" -ne 3 ]; then
-        echo "chaos smoke FAILED: deadline expiry exited $code, want 3" >&2
+        echo "fault smoke FAILED: deadline expiry exited $code, want 3" >&2
         exit 1
     fi
     if ! grep -q "omislice fault localization report" "$dir/partial.out"; then
-        echo "chaos smoke FAILED: no partial report after deadline expiry" >&2
+        echo "fault smoke FAILED: no partial report after deadline expiry" >&2
         exit 1
     fi
 
     echo "   -- diffcheck --chaos (invariant 7 over a seed window)"
     RUST_BACKTRACE=1 ./target/release/diffcheck --seeds 25 --quick --chaos
     rm -rf "$dir"
-    echo "chaos smoke OK"
+    echo "fault smoke OK"
 }
 
 # Verification-scheduler smoke: the checkpoint-forest scheduler must
@@ -411,8 +431,8 @@ omibench_check() {
     echo "omibench check OK"
 }
 
-if [ "${1:-}" = "smoke" ]; then
-    smoke
+if [ "${1:-}" = "fault-smoke" ]; then
+    fault_smoke
     exit 0
 fi
 if [ "${1:-}" = "fuzz-smoke" ]; then
@@ -429,10 +449,6 @@ if [ "${1:-}" = "obs-smoke" ]; then
 fi
 if [ "${1:-}" = "trace-smoke" ]; then
     trace_smoke
-    exit 0
-fi
-if [ "${1:-}" = "chaos-smoke" ]; then
-    chaos_smoke
     exit 0
 fi
 if [ "${1:-}" = "verify-smoke" ]; then
@@ -466,7 +482,7 @@ cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 
 omibench_check
 
-smoke
+fault_smoke
 
 fuzz_smoke
 
@@ -475,8 +491,6 @@ bench_smoke
 obs_smoke
 
 trace_smoke
-
-chaos_smoke
 
 verify_smoke
 

@@ -8,14 +8,16 @@
 //! slice and locate responses, warm repeats answered from the artifact
 //! cache with byte-identical reports, structured errors for malformed
 //! bodies and unknown routes, and the metrics exporter. With
-//! `--chaos-check` it additionally fires a `handler=panic` chaos request
-//! concurrently with clean locates and requires the panic to come back
-//! as a structured 500 while the clean requests succeed untouched.
+//! `--chaos-check` it additionally fires a request whose `fault_plan` is
+//! `handler=panic` concurrently with clean locates and requires the
+//! panic to come back as a structured 500 while the clean requests
+//! succeed untouched.
 //!
 //! Exit codes: 0 all checks pass, 1 a check failed, 2 usage.
 
 use omislice_bench::client::ServeClient;
 use omislice_obs::Json;
+use omislice_trace::FaultPlan;
 
 const FAULTY: &str = "fn main() { let a = input(); let s = 0; while a > 0 { if a > 3 { s = s + a; } a = a - 1; } print(s); }";
 const FIXED: &str = "fn main() { let a = input(); let s = 0; while a > 0 { if a > 2 { s = s + a; } a = a - 1; } print(s); }";
@@ -155,9 +157,10 @@ fn main() {
 /// panic must come back as a structured 500 and the clean requests must
 /// succeed with the same report as before.
 fn run_chaos_check(client: &ServeClient, baseline: &Json) {
+    let plan = FaultPlan::parse("handler=panic").expect("a valid fault plan");
     let mut chaos_body = locate_body();
     if let Json::Object(pairs) = &mut chaos_body {
-        pairs.push(("chaos".to_string(), Json::str("handler=panic")));
+        pairs.push(("fault_plan".to_string(), Json::str(plan.to_string())));
     }
     let addr = client.addr().to_string();
     let clean_threads: Vec<_> = (0..2)

@@ -20,15 +20,16 @@
 //!    every sampled landed switch (Definition 3 / Algorithm 1);
 //! 5. **Verifier determinism** — [`Verifier::verify_all`] verdicts,
 //!    outcomes, and scheduling-independent counters are identical
-//!    across `jobs` × resume × fault-plan settings;
+//!    across `jobs` × resume × fault-plan statement entries;
 //! 6. **Locate + journal** — [`locate_fault`] terminates, finds the
 //!    planted root cause (the oracle knows `v_exp` by construction),
 //!    its final slice contains the root statement, and the normalized
 //!    `--obs-out` journal is byte-identical across `jobs` × resume;
 //! 7. **Chaos recovery** (`--chaos`) — the full pipeline (trace →
-//!    save → load → locate) run under every injected-fault plan of the
-//!    [`omislice_trace::ChaosPlan`] sweep recovers without aborting and
-//!    produces the *same* normalized journal as the clean pipeline;
+//!    save → load → locate) run under every pipeline-site
+//!    [`omislice_trace::FaultPlan`] of the sweep recovers without
+//!    aborting and produces the *same* normalized journal as the clean
+//!    pipeline;
 //! 8. **Capture-plan equivalence** — the checkpoint trie is a pure
 //!    execution-plan optimization: locate journals under a dense trie
 //!    (capture every divergence point) and a sparse one (ancestor-only
@@ -46,13 +47,13 @@ use omislice::{
 };
 use omislice_align::Aligner;
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::{
-    run_plain, run_traced, FaultAction, FaultPlan, ResumeMode, RunConfig, SwitchSpec,
-};
+use omislice_interp::{run_plain, run_traced, ResumeMode, RunConfig, SwitchSpec};
 use omislice_lang::{generate_case, GenOptions, GeneratedCase};
 use omislice_obs::{parse, strip_timing, to_jsonl, Json};
 use omislice_slicing::{prune_slice, relevant_slice, DepGraph, Feedback, ValueProfile};
-use omislice_trace::{take_recovery, ChaosPlan, InstId, Supervisor, Trace, Value};
+use omislice_trace::{
+    take_recovery, FaultAction, FaultEntry, FaultPlan, InstId, Supervisor, Trace, Value,
+};
 
 /// What to run. `seeds` cases are checked, starting at `start_seed`;
 /// `quick` trades probe density for speed (CI smoke mode) without
@@ -283,8 +284,16 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
     let plan_target = trace.event(requests[0].p).stmt;
     let plans = [
         None,
-        Some(FaultPlan::new(plan_target, 0, FaultAction::ExhaustBudget)),
-        Some(FaultPlan::new(plan_target, 0, FaultAction::PanicHarness)),
+        Some(FaultEntry::at_stmt(
+            plan_target,
+            0,
+            FaultAction::ExhaustBudget,
+        )),
+        Some(FaultEntry::at_stmt(
+            plan_target,
+            0,
+            FaultAction::PanicHarness,
+        )),
     ];
     for plan in plans {
         let mut reference: Option<(Vec<Verification>, Vec<usize>)> = None;
@@ -294,7 +303,7 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
                     Verifier::new(&case.faulty, &analysis, &config, trace, VerifierMode::Edge)
                         .with_jobs(jobs)
                         .with_resume(resume)
-                        .with_fault_plan(plan);
+                        .with_fault(plan);
                 let verdicts = v.verify_all(&requests);
                 let s = v.stats();
                 let got = (
@@ -469,8 +478,8 @@ fn check_chaos_pipelines(
     ));
     for text in plans {
         let plan =
-            ChaosPlan::parse(text).map_err(|e| format!("chaos plan `{text}` rejected: {e}"))?;
-        let sup = Supervisor::new().with_chaos(Some(plan));
+            FaultPlan::parse(text).map_err(|e| format!("fault plan `{text}` rejected: {e}"))?;
+        let sup = Supervisor::new().with_fault_plan(Some(plan));
         let _ = take_recovery();
         let chaos_run = sup.run(|| run_traced(&case.faulty, analysis, config));
         sup.save_trace(&chaos_run.trace, &tmp)

@@ -3,7 +3,7 @@
 //! ```text
 //! omislice run      <file> [--input 1,2,3]
 //! omislice trace    <file> [--input 1,2,3] [--regions] [--dot] [--stats]
-//!                   [--save <file.omitrace>] [--chaos <plan>] [--deadline <ms>]
+//!                   [--save <file.omitrace>] [--fault-plan <plan>] [--deadline <ms>]
 //! omislice slice    <file> [--input 1,2,3] [--output N] [--relevant] [--jobs N]
 //! omislice cfg      <file> [--function main]
 //! omislice locate   --faulty <file> --fixed <file> [--input 1,2,3]
@@ -12,14 +12,12 @@
 //!                   [--jobs N] [--no-resume] [--stats]
 //!                   [--capture-threshold N] [--early-exit]
 //!                   [--budget init[:factor[:attempts]]|off]
-//!                   [--fault-plan S<id>[:occ]=<action>]
-//!                   [--chaos <site>[:occ]=<action>] [--deadline <ms>]
+//!                   [--fault-plan <plan>] [--deadline <ms>]
 //! omislice verify   <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
 //!                   [--var name] [--expected v] [--mode edge|path|value]
 //! omislice corpus   [list | locate <bench> <fault> [--jobs N] [--no-resume]
 //!                   [--capture-threshold N] [--early-exit] [--stats]
-//!                   [--budget ...] [--fault-plan ...]
-//!                   [--chaos ...] [--deadline <ms>]]
+//!                   [--budget ...] [--fault-plan <plan>] [--deadline <ms>]]
 //! ```
 //!
 //! `locate` and `corpus locate` are two front ends of one pipeline: both
@@ -29,19 +27,24 @@
 //! it reads; any other `--name` is a usage error (exit 2).
 //! `--no-resume` runs every switched execution from scratch, without
 //! checkpoints: the report is byte-identical, only slower.
+//!
+//! `--fault-plan` is the one fault-injection knob: an
+//! `omislice_trace::FaultPlan` whose pipeline entries the command's
+//! `Supervisor` fires and whose `S<id>` statement entry the verifier's
+//! switched runs carry (so `trace`, which has none, rejects one).
 
 use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{
-    run_plain, run_traced, BudgetSchedule, FaultPlan, ResumeMode, RunConfig,
+    parse_inputs, parse_profiles, run_plain, run_traced, BudgetSchedule, ResumeMode, RunConfig,
 };
 use omislice::omislice_lang::{compile, FrontendError, Program};
-use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice};
+use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
 use omislice::omislice_trace::{
-    take_recovery, ChaosPlan, RecoveryLog, RegionTree, Supervisor, Trace, TraceStats,
+    take_recovery, FaultPlan, RecoveryLog, RegionTree, Supervisor, Trace, TraceStats,
 };
 use omislice::{
-    build_journal, describe_inst, DebugSession, DebugSessionBuilder, JournalMeta, LocateConfig,
-    LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
+    build_journal, describe_inst, render_slice, DebugSession, DebugSessionBuilder, JournalMeta,
+    LocateConfig, LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
 };
 use omislice_corpus::all_benchmarks;
 use omislice_obs::{MetricSet, Recording, Reporter};
@@ -106,7 +109,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   omislice run     <file> [--input 1,2,3]
   omislice trace   <file> [--input 1,2,3] [--regions] [--dot] [--stats]
-                   [--save <file.omitrace>] [--chaos <plan>] [--deadline <ms>]
+                   [--save <file.omitrace>] [--fault-plan <plan>] [--deadline <ms>]
                    [--profile-out <file.json>]
   omislice slice   <file> [--input 1,2,3] [--output N] [--relevant] [--jobs N]
   omislice cfg     <file> [--function main]
@@ -116,29 +119,29 @@ const USAGE: &str = "usage:
                    [--jobs N] [--no-resume] [--stats]
                    [--capture-threshold N] [--early-exit]
                    [--budget init[:factor[:attempts]]|off]
-                   [--fault-plan S<id>[:occ]=<action>]
-                   [--chaos <plan>] [--deadline <ms>]
+                   [--fault-plan <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
                    [--profile-out <file.json>]
   omislice verify  <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
                    [--var name] [--expected v] [--mode edge|path|value]
   omislice corpus  [list | locate <bench> <fault> [--jobs N] [--no-resume]
                    [--capture-threshold N] [--early-exit] [--stats]
-                   [--budget ...] [--fault-plan ...]
-                   [--chaos <plan>] [--deadline <ms>]
+                   [--budget ...] [--fault-plan <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
                    [--profile-out <file.json>]]
   omislice serve   --addr <host:port> [--workers N] [--queue N]
                    [--cache-mb N]
 
-fault-plan actions: oob, missing-callee, div-zero, type, stack-overflow,
-uninit, budget, panic, panic-harness, corrupt-checkpoint
-
-chaos plans are comma-separated <site>[:occ]=<action> entries injecting
-one pipeline fault each (the pipeline must recover, not abort):
-  builder=panic      channel=disconnect  queue=stall      encode=corrupt
-  decode=corrupt     save=short-write    save=enospc      mmap=fail
-  deadline[:K]=expire  handler=panic
+a fault plan is a comma-separated list of <site>[:occ]=<action> entries;
+each fires once, at the site's occ-th occurrence (default 0), and the
+pipeline must recover, not abort:
+  S<id>     oob, missing-callee, div-zero, type, stack-overflow, uninit,
+            budget, panic, panic-harness, corrupt-checkpoint
+            (statement S<id> in switched runs; locate only, one per plan)
+  builder   panic            channel   disconnect     queue  stall
+  encode    corrupt          decode    corrupt        mmap   fail
+  save      short-write, enospc        deadline  expire (one per plan)
+  handler   panic (served requests only)
 --jobs takes 1 to 256. --deadline <ms> cancels the run cooperatively;
 exit code 3 marks the partial report. Malformed invocations, unknown
 flags included, exit with code 2.";
@@ -226,19 +229,10 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
-fn parse_inputs(text: Option<&str>) -> Result<Vec<i64>, CliError> {
-    match text {
-        None => Ok(Vec::new()),
-        Some(t) if t.trim().is_empty() => Ok(Vec::new()),
-        Some(t) => t
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<i64>()
-                    .map_err(|_| usage_err(format!("bad input value `{s}`")))
-            })
-            .collect(),
-    }
+/// `--input 1,2,3`, in the input-stream grammar serve shares.
+fn input_flag(opts: &Opts) -> Result<Vec<i64>, CliError> {
+    opts.value("input")
+        .map_or(Ok(Vec::new()), |t| parse_inputs(t).map_err(usage_err))
 }
 
 fn read_source(path: &str) -> Result<String, String> {
@@ -265,7 +259,7 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
         .first()
         .ok_or_else(|| usage_err("run needs a program file"))?;
     let program = load_program(path)?;
-    let config = RunConfig::with_inputs(parse_inputs(opts.value("input"))?);
+    let config = RunConfig::with_inputs(input_flag(&opts)?);
     let result = run_plain(&program, &config);
     for v in &result.outputs {
         println!("{v}");
@@ -288,7 +282,7 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
 fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
     let opts = Opts::parse(
         args,
-        &["input", "save", "chaos", "deadline", "profile-out"],
+        &["input", "save", "fault-plan", "deadline", "profile-out"],
         &["regions", "dot", "stats"],
     )?;
     let path = opts
@@ -296,14 +290,20 @@ fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
         .first()
         .ok_or_else(|| usage_err("trace needs a program file"))?;
     let obs = ObsOpts::parse(&opts)?;
+    let sup = parse_supervisor(&opts)?;
+    if sup.stmt_fault().is_some() {
+        return Err(usage_err(format!(
+            "bad --fault-plan `{}` for trace: S<id> entries fire in switched runs, and trace has none",
+            opts.value("fault-plan").unwrap_or_default()
+        )));
+    }
     obs.start_recorder();
     let program = load_program(path)?;
     let analysis = ProgramAnalysis::build(&program);
-    let config = RunConfig::with_inputs(parse_inputs(opts.value("input"))?);
-    let sup = parse_supervisor(&opts)?;
+    let config = RunConfig::with_inputs(input_flag(&opts)?);
     let run = sup.run(|| run_traced(&program, &analysis, &config));
     // The traced run is this command's whole pipeline: close the profile
-    // here so the early returns below all see it written.
+    // before any output.
     obs.write_profile(obs.stop_recorder().as_ref())?;
     let trace = &run.trace;
     if let Some(out) = opts.value("save") {
@@ -315,79 +315,63 @@ fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
             trace.len(),
             trace.columns().deps_len(),
         ));
-        return Ok(trace_exit(&sup));
-    }
-    if opts.has("stats") {
+    } else if opts.has("stats") {
         let mut rep = Reporter::stderr();
         rep.section("trace statistics");
         rep.block(&TraceStats::compute(trace).to_string());
-        return Ok(trace_exit(&sup));
-    }
-    if opts.has("regions") {
-        if opts.has("dot") {
-            print!(
-                "{}",
-                omislice::omislice_trace::regions_to_dot(trace, analysis.index())
-            );
-        } else {
-            let regions = RegionTree::build(trace);
-            println!("{}", regions.render_all(trace));
-        }
-        return Ok(trace_exit(&sup));
-    }
-    if opts.has("dot") {
+    } else if opts.has("regions") && opts.has("dot") {
+        print!(
+            "{}",
+            omislice::omislice_trace::regions_to_dot(trace, analysis.index())
+        );
+    } else if opts.has("regions") {
+        println!("{}", RegionTree::build(trace).render_all(trace));
+    } else if opts.has("dot") {
         print!(
             "{}",
             omislice::omislice_trace::ddg_to_dot(trace, analysis.index())
         );
-        return Ok(trace_exit(&sup));
-    }
-    for inst in trace.insts() {
-        println!("{}", describe_inst(trace, &analysis, inst));
-    }
-    println!(
-        "-- {} instances, termination {:?}",
-        trace.len(),
-        trace.termination()
-    );
-    if run.input_underflows > 0 {
+    } else {
+        for inst in trace.insts() {
+            println!("{}", describe_inst(trace, &analysis, inst));
+        }
         println!(
-            "-- {} input() call(s) ran past the end of the input stream (yielded 0)",
-            run.input_underflows
+            "-- {} instances, termination {:?}",
+            trace.len(),
+            trace.termination()
         );
+        if run.input_underflows > 0 {
+            println!(
+                "-- {} input() call(s) ran past the end of the input stream (yielded 0)",
+                run.input_underflows
+            );
+        }
     }
-    Ok(trace_exit(&sup))
+    Ok(supervised_exit(
+        &take_recovery(),
+        sup.deadline_expired(),
+        "trace",
+    ))
 }
 
-/// Final exit for `trace`: reports any recoveries the supervised run
-/// absorbed and maps an expired deadline to the partial-result code.
-fn trace_exit(sup: &Supervisor) -> ExitCode {
-    let log = take_recovery();
-    if !log.is_empty() {
-        let mut rep = Reporter::stderr();
+/// Final exit for a supervised command: warns about the recoveries the
+/// pipeline absorbed, and maps an expired deadline to the partial-result
+/// code. `what` names the partial artifact.
+fn supervised_exit(recovery: &RecoveryLog, deadline_expired: bool, what: &str) -> ExitCode {
+    let mut rep = Reporter::stderr();
+    if !recovery.is_empty() {
         rep.warn(&format!(
             "pipeline recovered from {} fault(s): {}",
-            log.total(),
-            log.events().join(", ")
+            recovery.total(),
+            recovery.events().join(", ")
         ));
     }
-    if sup.deadline_expired() {
-        Reporter::stderr().warn("deadline expired: the trace is partial");
+    if deadline_expired {
+        rep.warn(&format!("deadline expired: the {what} is partial"));
         ExitCode::from(EXIT_DEADLINE)
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn print_slice(trace: &Trace, analysis: &ProgramAnalysis, slice: &Slice) {
-    for &inst in slice.insts() {
-        println!("{}", describe_inst(trace, analysis, inst));
-    }
-    println!(
-        "-- {} statements / {} instances",
-        slice.static_size(),
-        slice.dynamic_size()
-    );
 }
 
 fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
@@ -398,7 +382,7 @@ fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
         .ok_or_else(|| usage_err("slice needs a program file"))?;
     let program = load_program(path)?;
     let analysis = ProgramAnalysis::build(&program);
-    let config = RunConfig::with_inputs(parse_inputs(opts.value("input"))?);
+    let config = RunConfig::with_inputs(input_flag(&opts)?);
     let run = run_traced(&program, &analysis, &config);
     let trace = &run.trace;
     let outputs = trace.outputs();
@@ -418,7 +402,7 @@ fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
         trace.build_index(jobs);
         DepGraph::with_jobs(trace, jobs).backward_slice(criterion)
     };
-    print_slice(trace, &analysis, &slice);
+    print!("{}", render_slice(trace, &analysis, &slice));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -439,12 +423,10 @@ fn cmd_cfg(args: Vec<String>) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn parse_mode(text: Option<&str>) -> Result<VerifierMode, CliError> {
-    Ok(match text {
-        None | Some("edge") => VerifierMode::Edge,
-        Some("path") => VerifierMode::Path,
-        Some("value") => VerifierMode::ValueChange,
-        Some(other) => return Err(usage_err(format!("unknown --mode `{other}`"))),
+/// `--mode edge|path|value`, parsed by [`VerifierMode::parse`].
+fn mode_flag(opts: &Opts) -> Result<VerifierMode, CliError> {
+    opts.value("mode").map_or(Ok(VerifierMode::Edge), |t| {
+        VerifierMode::parse(t).map_err(|e| usage_err(e.replacen("mode", "--mode", 1)))
     })
 }
 
@@ -482,21 +464,14 @@ fn parse_budget(text: Option<&str>) -> Result<BudgetSchedule, CliError> {
     }
 }
 
-/// Parses `--fault-plan S<id>[:occ]=<action>` into a [`FaultPlan`].
-fn parse_fault_plan(text: Option<&str>) -> Result<Option<FaultPlan>, CliError> {
-    text.map(|t| FaultPlan::parse(t).map_err(usage_err))
-        .transpose()
-}
-
-/// Parses `--chaos <site>[:occ]=<action>,...` into a [`ChaosPlan`].
-fn parse_chaos(text: Option<&str>) -> Result<Option<ChaosPlan>, CliError> {
-    text.map(|t| ChaosPlan::parse(t).map_err(usage_err))
-        .transpose()
-}
-
-/// Builds the supervisor for one command from `--chaos`/`--deadline`.
+/// Builds the supervisor for one command from `--fault-plan` (parsed by
+/// [`FaultPlan::parse`]) and `--deadline`.
 fn parse_supervisor(opts: &Opts) -> Result<Supervisor, CliError> {
-    let mut sup = Supervisor::new().with_chaos(parse_chaos(opts.value("chaos"))?);
+    let plan = opts
+        .value("fault-plan")
+        .map(|t| FaultPlan::parse(t).map_err(usage_err))
+        .transpose()?;
+    let mut sup = Supervisor::new().with_fault_plan(plan);
     if let Some(ms) = parse_flag::<u64>(opts, "deadline", "milliseconds")? {
         sup = sup.with_deadline_ms(ms);
     }
@@ -750,12 +725,11 @@ fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, rec: Option<&Recording
 
 /// The value flags `locate` and `corpus locate` share: localization
 /// tuning, supervision, and observability (`--mode` is `locate`'s alone).
-const LOCATE_FLAGS: [&str; 9] = [
+const LOCATE_FLAGS: [&str; 8] = [
     "jobs",
     "capture-threshold",
     "budget",
     "fault-plan",
-    "chaos",
     "deadline",
     "obs-out",
     "profile-out",
@@ -779,7 +753,7 @@ impl LocateFlags {
         let obs = ObsOpts::parse(opts)?;
         let sup = parse_supervisor(opts)?;
         let lc = LocateConfig {
-            mode: parse_mode(opts.value("mode"))?,
+            mode: mode_flag(opts)?,
             jobs: parse_jobs(opts)?,
             resume: if opts.has("no-resume") {
                 ResumeMode::Disabled
@@ -790,7 +764,7 @@ impl LocateFlags {
             early_exit: opts.has("early-exit"),
             memo: Some(VerifyMemo::shared()),
             budget: parse_budget(opts.value("budget"))?,
-            fault: parse_fault_plan(opts.value("fault-plan"))?,
+            fault: sup.stmt_fault(),
             deadline: sup.deadline(),
             ..LocateConfig::default()
         };
@@ -861,7 +835,11 @@ impl LocateFlags {
         if obs.metrics.is_some() {
             obs.emit_metrics(&locate_metrics(session.trace(), &outcome, rec.as_ref()));
         }
-        Ok(locate_exit(&outcome, &recovery))
+        Ok(supervised_exit(
+            &recovery,
+            outcome.deadline_expired,
+            "report",
+        ))
     }
 }
 
@@ -879,14 +857,10 @@ fn cmd_locate(args: Vec<String>) -> Result<ExitCode, CliError> {
     let fixed_path = opts
         .value("fixed")
         .ok_or_else(|| usage_err("locate needs --fixed"))?;
-    let inputs = parse_inputs(opts.value("input"))?;
-    let profiles = match opts.value("profile") {
-        Some(spec) => spec
-            .split(';')
-            .map(|part| parse_inputs(Some(part)))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => Vec::new(),
-    };
+    let inputs = input_flag(&opts)?;
+    let profiles = opts
+        .value("profile")
+        .map_or(Ok(Vec::new()), |t| parse_profiles(t).map_err(usage_err))?;
     let faulty_src = read_source(faulty_path)?;
     let fixed_src = read_source(fixed_path)?;
     let mut builder = DebugSession::builder(&faulty_src)
@@ -901,24 +875,6 @@ fn cmd_locate(args: Vec<String>) -> Result<ExitCode, CliError> {
         SessionError::Reference(e) => frontend_error(fixed_path, &fixed_src, &e),
         other => other.to_string(),
     })
-}
-
-/// Final exit for `locate`-style commands: an expired deadline means the
-/// report above is partial, signalled by the dedicated exit code.
-fn locate_exit(outcome: &LocateOutcome, recovery: &RecoveryLog) -> ExitCode {
-    if !recovery.is_empty() {
-        Reporter::stderr().warn(&format!(
-            "pipeline recovered from {} fault(s): {}",
-            recovery.total(),
-            recovery.events().join(", ")
-        ));
-    }
-    if outcome.deadline_expired {
-        Reporter::stderr().warn("deadline expired: the report is partial");
-        ExitCode::from(EXIT_DEADLINE)
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// Parses `N` or `N:occ` into a statement id and occurrence index.
@@ -951,7 +907,7 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
         .ok_or_else(|| usage_err("verify needs a program file"))?;
     let program = load_program(path)?;
     let analysis = ProgramAnalysis::build(&program);
-    let config = RunConfig::with_inputs(parse_inputs(opts.value("input"))?);
+    let config = RunConfig::with_inputs(input_flag(&opts)?);
     let trace = run_traced(&program, &analysis, &config).trace;
 
     let (pred_stmt, pred_occ) = parse_stmt_spec(
@@ -983,13 +939,8 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
     };
     let expected = parse_flag::<i64>(&opts, "expected", "an integer value")?.map(Value::Int);
 
-    let mut verifier = omislice::Verifier::new(
-        &program,
-        &analysis,
-        &config,
-        &trace,
-        parse_mode(opts.value("mode"))?,
-    );
+    let mut verifier =
+        omislice::Verifier::new(&program, &analysis, &config, &trace, mode_flag(&opts)?);
     let result = verifier.verify(p, u, var, u, expected);
 
     println!("predicate : {}", describe_inst(&trace, &analysis, p));

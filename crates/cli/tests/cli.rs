@@ -818,7 +818,7 @@ fn locate_mode_flag_is_respected() {
 }
 
 // Loop-heavy pair (>4096 trace events) so the recorder actually spills
-// chunks across the builder thread — the recorder chaos sites (builder,
+// chunks across the builder thread — the recorder fault sites (builder,
 // channel, queue) only fire once chunking kicks in. The fix moves the
 // `acc = 0` reset under the right guard; with inputs `5,2` the faulty
 // program omits it.
@@ -858,7 +858,7 @@ fn locate_chaos_sweep_recovers_every_site() {
     let fixed = write_temp("fixed-chaos", FIXED_LONG);
     let faulty = write_temp("faulty-chaos", FAULTY_LONG);
 
-    // Clean baseline: the report every chaos run must reproduce.
+    // Clean baseline: the report every faulted run must reproduce.
     let clean = omislice(&[
         "locate",
         "--faulty",
@@ -885,7 +885,7 @@ fn locate_chaos_sweep_recovers_every_site() {
             fixed.to_str().unwrap(),
             "--input",
             "5,2",
-            "--chaos",
+            "--fault-plan",
             plan,
         ]);
         assert!(
@@ -904,6 +904,62 @@ fn locate_chaos_sweep_recovers_every_site() {
             "{plan}: the recovered report must match the clean one"
         );
     }
+}
+
+#[test]
+fn one_fault_plan_fires_statement_and_pipeline_entries_in_one_run() {
+    let fixed = write_temp("fixed-mixed", FIXED_LONG);
+    let faulty = write_temp("faulty-mixed", FAULTY_LONG);
+    let dir = std::env::temp_dir().join("omislice-cli-tests");
+    let journal = dir.join(format!("mixed-{}.jsonl", std::process::id()));
+    // S10 (`acc = 0`) runs only in switched runs, so its panic fires in
+    // the verifier; the builder panic fires while the failing run is
+    // traced.
+    let out = omislice(&[
+        "locate",
+        "--faulty",
+        faulty.to_str().unwrap(),
+        "--fixed",
+        fixed.to_str().unwrap(),
+        "--input",
+        "5,2",
+        "--fault-plan",
+        "S10:0=panic,builder=panic",
+        "--stats",
+        "--obs-out",
+        journal.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "both faults are absorbed:\n{stderr}");
+    assert!(stderr.contains("1 panics isolated"), "{stderr}");
+    assert!(
+        stderr.contains("pipeline recovered") && stderr.contains("recovery.inline_fallbacks"),
+        "{stderr}"
+    );
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let recovery = text
+        .lines()
+        .find(|l| l.contains("\"type\":\"recovery\""))
+        .expect("journal carries a recovery record");
+    assert!(recovery.contains("recovery.inline_fallbacks"), "{recovery}");
+}
+
+#[test]
+fn trace_rejects_statement_fault_entries() {
+    let faulty = write_temp("faulty-tracefault", FAULTY);
+    // `trace` runs no switched executions, so an S<id> entry could never
+    // fire: a usage error, not a silent no-op.
+    let out = omislice(&[
+        "trace",
+        faulty.to_str().unwrap(),
+        "--input",
+        "1",
+        "--fault-plan",
+        "S1=oob",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --fault-plan `S1=oob`"), "{stderr}");
 }
 
 #[test]
@@ -933,14 +989,14 @@ fn locate_chaos_load_faults_recover_and_journal_the_recovery() {
         "1",
         "--trace-in",
         trace_file.to_str().unwrap(),
-        "--chaos",
+        "--fault-plan",
         "decode=corrupt,mmap=fail",
         "--obs-out",
         journal.to_str().unwrap(),
     ]);
     assert!(
         out.status.success(),
-        "load chaos must recover:\n{}",
+        "load faults must recover:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("root cause captured : yes"));
@@ -970,7 +1026,7 @@ fn locate_deadline_expiry_exits_3_with_partial_report() {
         fixed.to_str().unwrap(),
         "--input",
         "1",
-        "--chaos",
+        "--fault-plan",
         "deadline:1=expire",
     ]);
     assert_eq!(out.status.code(), Some(3), "deadline expiry is exit 3");
@@ -1005,9 +1061,9 @@ fn chaos_and_deadline_flags_reject_bad_values() {
     let fixed = write_temp("fixed-badflags", FIXED);
     let faulty = write_temp("faulty-badflags", FAULTY);
     for (flag, value, expected) in [
-        ("--chaos", "bogus", "bad chaos entry"),
-        ("--chaos", "builder=fly", "unknown chaos action"),
-        ("--chaos", "nowhere=panic", "unknown chaos site"),
+        ("--fault-plan", "bogus", "bad fault plan entry"),
+        ("--fault-plan", "builder=fly", "unknown fault action"),
+        ("--fault-plan", "nowhere=panic", "unknown fault site"),
         ("--deadline", "nope", "bad --deadline"),
     ] {
         let out = omislice(&[
@@ -1145,6 +1201,30 @@ fn usage_errors_exit_2_but_pipeline_failures_exit_1() {
             "--no-resum",
         ),
         (&["trace", "x.omi", "--region"], "--region"),
+        (&["trace", "x.omi", "--chaos", "save=enospc"], "--chaos"),
+        (
+            &[
+                "locate",
+                "--faulty",
+                "a",
+                "--fixed",
+                "b",
+                "--chaos",
+                "builder=panic",
+            ],
+            "--chaos",
+        ),
+        (
+            &[
+                "corpus",
+                "locate",
+                "sed",
+                "V3-F2",
+                "--chaos",
+                "builder=panic",
+            ],
+            "--chaos",
+        ),
     ] {
         let out = omislice(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
@@ -1204,10 +1284,10 @@ fn locate_trace_in_with_deadline_exits_3_with_partial_report() {
 
     // A preloaded trace skips the supervised trace run; the pipeline-top
     // deadline check must still see the expiry on both the wall-clock
-    // and the chaos-pinned path.
+    // and the fault-pinned path.
     for extra in [
         &["--deadline", "0"] as &[&str],
-        &["--chaos", "deadline:1=expire"],
+        &["--fault-plan", "deadline:1=expire"],
     ] {
         let mut args = vec![
             "locate",

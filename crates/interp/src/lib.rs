@@ -12,7 +12,12 @@
 //!   dynamic instance of a chosen predicate to take the opposite branch,
 //!   the mechanism behind implicit-dependence verification;
 //! * both enforce a step budget, replacing the paper's wall-clock timer
-//!   for switched runs that no longer terminate.
+//!   for switched runs that no longer terminate;
+//! * both honor the statement entry of an
+//!   [`omislice_trace::FaultPlan`] (`S<id>[:occ]=<action>`, carried in
+//!   [`RunConfig::fault`]) at the same logical point, so injected
+//!   crashes, budget exhaustion and panics hit switched re-executions
+//!   deterministically.
 //!
 //! Executions are fully determined by `(program, inputs, switch)`, so the
 //! re-execution in Definition 2 ("reexecute with the same input, switch
@@ -31,7 +36,7 @@ pub use snapshot::{
 pub use tracer::{run_traced, TracedRun, MAX_CALL_DEPTH};
 
 use omislice_lang::StmtId;
-use omislice_trace::CrashKind;
+use omislice_trace::{CrashKind, FaultAction, FaultEntry, FaultSite};
 
 /// Selects one dynamic predicate instance whose branch outcome is negated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,99 +79,6 @@ impl OverrideSpec {
     }
 }
 
-/// What a deterministic fault injection does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultAction {
-    /// Stop the run with a structured runtime error of this class.
-    Crash(CrashKind),
-    /// Stop the run as if the step budget had just expired.
-    ExhaustBudget,
-    /// Raise a host-level panic (exercises the verifier's `catch_unwind`
-    /// isolation boundary).
-    Panic,
-    /// Raise a panic *in the verifier harness itself*, outside the
-    /// per-run execution — before the switched run for the planned
-    /// statement/occurrence even starts (exercises the per-candidate
-    /// isolation boundary around the whole harness, not just the
-    /// interpreter). Never fires inside an interpreter.
-    PanicHarness,
-    /// Emit a deliberately inconsistent [`Checkpoint`] when one is
-    /// captured at the planned statement/occurrence (exercises checkpoint
-    /// validation and the scratch fallback). Never perturbs the run
-    /// itself.
-    CorruptCheckpoint,
-}
-
-/// A deterministic fault injection: at the `occurrence`-th dynamic
-/// instance of `stmt`, perform `action`.
-///
-/// Both interpreters honor the plan identically, and a resumed run
-/// accounts for instances already in its replayed prefix, so fault
-/// injection preserves the resumed-equals-scratch equivalence (a plan
-/// that would fire *inside* a prefix makes the resume refuse instead,
-/// forcing the byte-identical from-scratch run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FaultPlan {
-    /// The statement whose dynamic instances are counted.
-    pub stmt: StmtId,
-    /// Which instance (0-based) triggers the action.
-    pub occurrence: u32,
-    /// What happens when it triggers.
-    pub action: FaultAction,
-}
-
-impl FaultPlan {
-    /// Builds a plan firing at the `occurrence`-th instance of `stmt`.
-    pub fn new(stmt: StmtId, occurrence: u32, action: FaultAction) -> Self {
-        FaultPlan {
-            stmt,
-            occurrence,
-            action,
-        }
-    }
-
-    /// Parses the CLI syntax `S<id>[:occ]=<action>`, e.g. `S4:2=panic`.
-    ///
-    /// Actions: `oob`, `missing-callee`, `div-zero`, `type`,
-    /// `stack-overflow`, `uninit`, `budget`, `panic`, `panic-harness`,
-    /// `corrupt-checkpoint`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on malformed input.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let (target, action) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("bad fault plan `{spec}` (expected S<id>[:occ]=<action>)"))?;
-        let (id, occ) = match target.split_once(':') {
-            Some((a, b)) => (
-                a,
-                b.parse::<u32>()
-                    .map_err(|_| format!("bad occurrence in fault plan `{spec}`"))?,
-            ),
-            None => (target, 0),
-        };
-        let id: u32 = id
-            .trim_start_matches('S')
-            .parse()
-            .map_err(|_| format!("bad statement id in fault plan `{spec}`"))?;
-        let action = match action {
-            "oob" => FaultAction::Crash(CrashKind::OobIndex),
-            "missing-callee" => FaultAction::Crash(CrashKind::MissingCallee),
-            "div-zero" => FaultAction::Crash(CrashKind::DivByZero),
-            "type" => FaultAction::Crash(CrashKind::TypeError),
-            "stack-overflow" => FaultAction::Crash(CrashKind::StackOverflow),
-            "uninit" => FaultAction::Crash(CrashKind::UninitRead),
-            "budget" => FaultAction::ExhaustBudget,
-            "panic" => FaultAction::Panic,
-            "panic-harness" => FaultAction::PanicHarness,
-            "corrupt-checkpoint" => FaultAction::CorruptCheckpoint,
-            other => return Err(format!("unknown fault action `{other}`")),
-        };
-        Ok(FaultPlan::new(StmtId(id), occ, action))
-    }
-}
-
 /// What an injected fault turns into at its firing site; each
 /// interpreter maps this onto its own stop signal.
 pub(crate) enum InjectedFault {
@@ -175,20 +87,20 @@ pub(crate) enum InjectedFault {
 }
 
 /// Shared fault-firing logic for both interpreters: counts instances of
-/// the planned statement in `seen` and, at the planned occurrence,
+/// the fault entry's statement in `seen` and, at the planned occurrence,
 /// produces the injected stop (or panics, for [`FaultAction::Panic`]).
-/// `CorruptCheckpoint` and `PanicHarness` plans never fire here — the
-/// former acts at checkpoint capture time, the latter in the verifier
-/// harness; both leave execution untouched.
+/// `corrupt-checkpoint` and `panic-harness` entries never fire here —
+/// the former acts at checkpoint capture time, the latter in the
+/// verifier harness; both leave execution untouched.
 pub(crate) fn fault_fires(
     seen: &mut u32,
-    plan: Option<FaultPlan>,
+    fault: Option<FaultEntry>,
     stmt: StmtId,
 ) -> Option<InjectedFault> {
-    let plan = plan?;
-    if plan.stmt != stmt
+    let fault = fault?;
+    if fault.site != FaultSite::Stmt(stmt)
         || matches!(
-            plan.action,
+            fault.action,
             FaultAction::CorruptCheckpoint | FaultAction::PanicHarness
         )
     {
@@ -196,16 +108,16 @@ pub(crate) fn fault_fires(
     }
     let n = *seen;
     *seen += 1;
-    if n != plan.occurrence {
+    if n != fault.occurrence {
         return None;
     }
-    match plan.action {
+    match fault.action {
         FaultAction::Crash(kind) => {
             Some(InjectedFault::Crash(kind, format!("injected {kind} fault")))
         }
         FaultAction::ExhaustBudget => Some(InjectedFault::Budget),
         FaultAction::Panic => panic!("injected panic at {stmt} (occurrence {n})"),
-        FaultAction::PanicHarness | FaultAction::CorruptCheckpoint => None,
+        _ => None,
     }
 }
 
@@ -320,8 +232,13 @@ pub struct RunConfig {
     pub switch: Option<SwitchSpec>,
     /// Optional value override (perturbation).
     pub value_override: Option<OverrideSpec>,
-    /// Optional deterministic fault injection.
-    pub fault: Option<FaultPlan>,
+    /// Optional deterministic fault injection: the statement entry of a
+    /// [`FaultPlan`](omislice_trace::FaultPlan). Both interpreters honor
+    /// it identically, and a resumed run accounts for instances already
+    /// in its replayed prefix (an entry that would fire *inside* a
+    /// prefix makes the resume refuse, forcing the byte-identical
+    /// from-scratch run).
+    pub fault: Option<FaultEntry>,
 }
 
 /// Default step budget: generous for corpus programs, small enough that a
@@ -350,7 +267,7 @@ impl RunConfig {
     }
 
     /// Returns a copy of this config with `switch` applied — the
-    /// re-execution of Definition 2. A fault plan carries over: injected
+    /// re-execution of Definition 2. A fault entry carries over: injected
     /// faults must hit switched re-executions too.
     pub fn switched(&self, switch: SwitchSpec) -> Self {
         RunConfig {
@@ -373,6 +290,36 @@ impl RunConfig {
             fault: self.fault,
         }
     }
+}
+
+/// Parses an input stream in its text form, shared by the CLI's
+/// `--input` flag and serve request bodies: comma-separated integers;
+/// blank text is the empty stream.
+///
+/// # Errors
+///
+/// Names the first value that is not an integer.
+pub fn parse_inputs(text: &str) -> Result<Vec<i64>, String> {
+    if text.trim().is_empty() {
+        return Ok(Vec::new());
+    }
+    text.split(',')
+        .map(|s| {
+            s.trim()
+                .parse::<i64>()
+                .map_err(|_| format!("bad input value `{s}`"))
+        })
+        .collect()
+}
+
+/// Parses profile input streams in their text form (`--profile` and the
+/// served `profile` string): [`parse_inputs`] streams separated by `;`.
+///
+/// # Errors
+///
+/// Names the first value that is not an integer.
+pub fn parse_profiles(text: &str) -> Result<Vec<Vec<i64>>, String> {
+    text.split(';').map(parse_inputs).collect()
 }
 
 #[cfg(test)]
@@ -879,28 +826,51 @@ mod tests {
         assert_eq!(pl.input_underflows, 1);
     }
 
+    /// The statement entry of a one-entry plan, as `RunConfig::fault`
+    /// carries it.
+    fn stmt_fault(text: &str) -> Option<FaultEntry> {
+        omislice_trace::FaultPlan::parse(text).unwrap().stmt_entry()
+    }
+
     #[test]
     fn fault_plan_parse_roundtrip() {
+        use omislice_trace::FaultPlan;
         assert_eq!(
-            FaultPlan::parse("S4:2=panic"),
-            Ok(FaultPlan::new(StmtId(4), 2, FaultAction::Panic))
+            stmt_fault("S4:2=panic"),
+            Some(FaultEntry::at_stmt(StmtId(4), 2, FaultAction::Panic))
         );
         assert_eq!(
-            FaultPlan::parse("S0=oob"),
-            Ok(FaultPlan::new(
+            stmt_fault("S0=oob"),
+            Some(FaultEntry::at_stmt(
                 StmtId(0),
                 0,
                 FaultAction::Crash(CrashKind::OobIndex)
             ))
         );
         assert_eq!(
-            FaultPlan::parse("S7=corrupt-checkpoint"),
-            Ok(FaultPlan::new(StmtId(7), 0, FaultAction::CorruptCheckpoint))
+            stmt_fault("S7=corrupt-checkpoint"),
+            Some(FaultEntry::at_stmt(
+                StmtId(7),
+                0,
+                FaultAction::CorruptCheckpoint
+            ))
         );
         assert!(FaultPlan::parse("S1").is_err());
         assert!(FaultPlan::parse("S1=warp").is_err());
         assert!(FaultPlan::parse("Sx=oob").is_err());
         assert!(FaultPlan::parse("S1:y=oob").is_err());
+    }
+
+    #[test]
+    fn input_streams_parse_in_one_place() {
+        assert_eq!(parse_inputs(" 1, -2,3 "), Ok(vec![1, -2, 3]));
+        assert_eq!(parse_inputs("  "), Ok(vec![]));
+        assert_eq!(parse_inputs("1,x"), Err("bad input value `x`".to_string()));
+        assert_eq!(
+            parse_profiles("4,5;6;"),
+            Ok(vec![vec![4, 5], vec![6], vec![]])
+        );
+        assert!(parse_profiles("4;y").is_err());
     }
 
     #[test]
@@ -929,7 +899,7 @@ mod tests {
         let (p, a) = setup(src);
         // S2 is `print(i)`; crash at its second instance.
         let cfg = RunConfig {
-            fault: Some(FaultPlan::parse("S2:1=div-zero").unwrap()),
+            fault: stmt_fault("S2:1=div-zero"),
             ..RunConfig::default()
         };
         let t = run_traced(&p, &a, &cfg);
@@ -950,7 +920,7 @@ mod tests {
         let src = "fn main() { print(1); print(2); }";
         let (p, a) = setup(src);
         let cfg = RunConfig {
-            fault: Some(FaultPlan::parse("S1=budget").unwrap()),
+            fault: stmt_fault("S1=budget"),
             ..RunConfig::default()
         };
         let t = run_traced(&p, &a, &cfg);
@@ -966,7 +936,7 @@ mod tests {
         let src = "fn main() { print(1); print(2); }";
         let (p, a) = setup(src);
         let cfg = RunConfig {
-            fault: Some(FaultPlan::parse("S1=panic").unwrap()),
+            fault: stmt_fault("S1=panic"),
             ..RunConfig::default()
         };
         let err =
@@ -981,7 +951,7 @@ mod tests {
         let src = "fn main() { print(1); }";
         let (p, a) = setup(src);
         let cfg = RunConfig {
-            fault: Some(FaultPlan::parse("S0:5=oob").unwrap()),
+            fault: stmt_fault("S0:5=oob"),
             ..RunConfig::default()
         };
         let t = run_traced(&p, &a, &cfg);

@@ -9,7 +9,7 @@
 //! A property test in this crate asserts the two interpreters produce
 //! identical outputs on randomized programs.
 
-use crate::{FaultPlan, OverrideSpec, RunConfig, SwitchSpec};
+use crate::{OverrideSpec, RunConfig, SwitchSpec};
 use omislice_lang::{
     BinOp, Block, Expr, ExprKind, GlobalInit, Program, Stmt, StmtId, StmtKind, UnOp,
 };
@@ -161,7 +161,7 @@ struct Evaluator<'a> {
     value_override: Option<OverrideSpec>,
     override_done: bool,
     /// Deterministic fault to inject, if any.
-    fault: Option<FaultPlan>,
+    fault: Option<omislice_trace::FaultEntry>,
     /// Instances of the fault statement seen so far.
     fault_seen: u32,
     occ: HashMap<StmtId, u32>,

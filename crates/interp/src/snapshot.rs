@@ -16,10 +16,10 @@
 
 use crate::store::{Frame, Globals};
 use crate::tracer::{self, TracedRun};
-use crate::{FaultAction, RunConfig, SwitchSpec};
+use crate::{RunConfig, SwitchSpec};
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::Program;
-use omislice_trace::{InstId, Trace};
+use omislice_trace::{FaultAction, FaultSite, InstId, Trace};
 use std::fmt;
 
 /// Interpreter state captured at a candidate predicate instance, from
@@ -122,7 +122,7 @@ pub enum ResumeError {
     /// never resume; run from scratch (not a fault — expected for such
     /// call shapes).
     NotResumable,
-    /// The run config carries a [`crate::FaultPlan`] that would have
+    /// The run config carries a fault entry that would have
     /// fired inside the replayed prefix; a resume would skip the fault
     /// and diverge from the from-scratch run, so it refuses instead.
     FaultInPrefix,
@@ -232,13 +232,13 @@ pub fn resume_switched_capturing(
     checkpoint
         .validate(program, base)
         .map_err(ResumeError::Invalid)?;
-    if let Some(plan) = config.fault {
-        if !matches!(plan.action, FaultAction::CorruptCheckpoint) {
+    if let Some(fault) = config.fault {
+        if fault.action != FaultAction::CorruptCheckpoint {
             let cols = base.columns();
             let in_prefix = (0..checkpoint.trace_len)
-                .filter(|&i| cols.stmt_of(InstId(i as u32)) == plan.stmt)
+                .filter(|&i| FaultSite::Stmt(cols.stmt_of(InstId(i as u32))) == fault.site)
                 .count() as u32;
-            if in_prefix > plan.occurrence {
+            if in_prefix > fault.occurrence {
                 return Err(ResumeError::FaultInPrefix);
             }
         }
@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn corrupted_checkpoint_fails_validation_and_resume() {
-        use crate::{FaultAction, FaultPlan};
+        use omislice_trace::FaultEntry;
         let (p, a) = analyzed(
             "fn main() {
                  let i = 0;
@@ -479,7 +479,11 @@ mod tests {
         // Corrupt the checkpoint captured at the while's second instance.
         let while_id = specs[0].pred;
         let corrupting = RunConfig {
-            fault: Some(FaultPlan::new(while_id, 1, FaultAction::CorruptCheckpoint)),
+            fault: Some(FaultEntry::at_stmt(
+                while_id,
+                1,
+                FaultAction::CorruptCheckpoint,
+            )),
             ..config.clone()
         };
         let (rerun, checkpoints) = run_traced_with_checkpoints(&p, &a, &corrupting, &specs);
@@ -506,7 +510,6 @@ mod tests {
 
     #[test]
     fn fault_in_prefix_refuses_resume_and_scratch_matches() {
-        use crate::FaultPlan;
         let src = "fn main() {
                  let i = 0;
                  while i < 6 {
@@ -520,10 +523,12 @@ mod tests {
         let specs = all_specs(&p, &base);
         let (_, checkpoints) = run_traced_with_checkpoints(&p, &a, &config, &specs);
         // Crash at the third instance of `i = i + 1` (statement S4).
-        let plan = FaultPlan::parse("S4:2=div-zero").unwrap();
+        let plan = omislice_trace::FaultPlan::parse("S4:2=div-zero")
+            .unwrap()
+            .stmt_entry();
         for cp in &checkpoints {
             let mut switched = config.switched(cp.spec);
-            switched.fault = Some(plan);
+            switched.fault = plan;
             let scratch = run_traced(&p, &a, &switched);
             match resume_switched(&p, &a, &switched, cp, &base.trace) {
                 Ok(resumed) => {

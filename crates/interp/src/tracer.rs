@@ -6,13 +6,14 @@
 
 use crate::snapshot::Checkpoint;
 use crate::store::{Cell, Frame, Globals, Slot};
-use crate::{FaultAction, FaultPlan, OverrideSpec, RunConfig, SwitchSpec};
+use crate::{OverrideSpec, RunConfig, SwitchSpec};
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::{
     BinOp, Block, Expr, ExprId, ExprKind, Program, Stmt, StmtId, StmtKind, UnOp, VarId,
 };
 use omislice_trace::{
-    CrashKind, Event, InstId, OutputRecord, RawEvent, Recorder, Termination, Trace, Value,
+    CrashKind, Event, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent, Recorder,
+    Termination, Trace, Value,
 };
 use std::collections::HashMap;
 
@@ -177,7 +178,7 @@ fn try_run_traced_capturing(
 /// reused verbatim (instance numbering continues from the cursor), the
 /// restored interpreter state equals the from-scratch state at the switch
 /// point by determinism, and the step budget still counts prefix events,
-/// so budget semantics are preserved exactly. An injected [`FaultPlan`]
+/// so budget semantics are preserved exactly. An injected fault entry
 /// keeps the same alignment: the occurrence counter it fires on is seeded
 /// with the number of prefix instances of the fault statement (the caller
 /// refuses resumption when the fault would have fired inside the prefix).
@@ -207,8 +208,8 @@ pub(crate) fn resume_switched_impl(
     }
     let cols = base.columns();
     let fault_seen = match config.fault {
-        Some(plan) => (0..checkpoint.trace_len)
-            .filter(|&i| cols.stmt_of(InstId(i as u32)) == plan.stmt)
+        Some(fault) => (0..checkpoint.trace_len)
+            .filter(|&i| FaultSite::Stmt(cols.stmt_of(InstId(i as u32))) == fault.site)
             .count() as u32,
         None => 0,
     };
@@ -355,7 +356,7 @@ struct Tracer<'a> {
     value_override: Option<OverrideSpec>,
     overridden: Option<InstId>,
     /// Deterministic fault to inject, if any.
-    fault: Option<FaultPlan>,
+    fault: Option<FaultEntry>,
     /// Instances of the fault statement seen so far (the plan fires on
     /// its `occurrence`-th). Seeded from the prefix on resumed runs.
     fault_seen: u32,
@@ -921,14 +922,15 @@ impl<'a> Tracer<'a> {
         if !requested {
             return;
         }
-        // Fault injection: a `corrupt-checkpoint` plan poisons the
+        // Fault injection: a `corrupt-checkpoint` entry poisons the
         // snapshot captured at its target instance with out-of-range
         // cursors, exercising the validate-then-fall-back path.
-        let corrupt = self.fault.is_some_and(|p| {
-            matches!(p.action, FaultAction::CorruptCheckpoint)
-                && p.stmt == stmt
-                && p.occurrence == entry_occ
-        });
+        let corrupt = self.fault
+            == Some(FaultEntry::at_stmt(
+                stmt,
+                entry_occ,
+                FaultAction::CorruptCheckpoint,
+            ));
         let (trace_len, outputs_len) = if corrupt {
             (usize::MAX, usize::MAX)
         } else {
@@ -1107,9 +1109,9 @@ fn unknown_var(name: &str) -> Stop {
     Stop::Crash(CrashKind::TypeError, format!("unknown variable `{name}`"))
 }
 
-/// Translates a fired [`FaultPlan`] into this interpreter's [`Stop`].
-fn check_fault(seen: &mut u32, plan: Option<FaultPlan>, stmt: StmtId) -> Result<(), Stop> {
-    match crate::fault_fires(seen, plan, stmt) {
+/// Translates a fired fault entry into this interpreter's [`Stop`].
+fn check_fault(seen: &mut u32, fault: Option<FaultEntry>, stmt: StmtId) -> Result<(), Stop> {
+    match crate::fault_fires(seen, fault, stmt) {
         None => Ok(()),
         Some(crate::InjectedFault::Budget) => Err(Stop::Budget),
         Some(crate::InjectedFault::Crash(kind, msg)) => Err(Stop::Crash(kind, msg)),

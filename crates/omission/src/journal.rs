@@ -113,7 +113,7 @@ fn iteration_record(it: &IterationRecord) -> Json {
 ///
 /// The recovery record carries no timing fields, so it survives
 /// [`omislice_obs::strip_timing`]: journals from a faulted-and-recovered
-/// run intentionally *differ* from clean ones there, and chaos
+/// run intentionally *differ* from clean ones there, and fault-plan
 /// comparisons must drop `"recovery"` records before diffing. The
 /// profile record is the opposite — scheduling facts — and is stripped
 /// alongside `spans`; a run without `--profile-out` emits no profile

@@ -75,7 +75,7 @@ pub use locate::{
 pub use memo::{MemoSnapshot, VerifyMemo, DEFAULT_MEMO_CAPACITY};
 pub use oracle::{GroundTruthOracle, OutputClassification, UserOracle};
 pub use perturb::{perturbation_candidates, verify_by_perturbation, Perturbation};
-pub use report::{describe_inst, render_explain, render_report};
+pub use report::{describe_inst, render_explain, render_report, render_slice};
 pub use session::{
     seeded_roots, try_seeded_roots, DebugSession, DebugSessionBuilder, SessionError,
 };

@@ -21,14 +21,14 @@ use crate::memo::VerifyMemo;
 use crate::oracle::{OutputClassification, UserOracle};
 use crate::verify::{Verdict, Verifier, VerifierMode, VerifyRequest};
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::{BudgetSchedule, FaultPlan, ResumeMode, RunConfig};
+use omislice_interp::{BudgetSchedule, ResumeMode, RunConfig};
 use omislice_lang::{Program, StmtId, VarId};
 use omislice_slicing::{
     is_potential_dep, potential_deps_by_var, prune_slice, union_pd, DepGraph, Feedback,
     PrunedSlice, Slice, UnionGraph, ValueProfile,
 };
 use omislice_trace::RunOutcome;
-use omislice_trace::{Deadline, InstId, Trace, VerificationStats};
+use omislice_trace::{Deadline, FaultEntry, InstId, Trace, VerificationStats};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -186,9 +186,10 @@ pub struct LocateConfig {
     /// budget (the paper's expired timer). The verdicts are identical to
     /// a single full-budget attempt; only the wall time changes.
     pub budget: BudgetSchedule,
-    /// Deterministic fault injection applied to the verifier's switched
-    /// re-executions (robustness testing; `None` in normal operation).
-    pub fault: Option<FaultPlan>,
+    /// The fault plan's statement entry, applied to the verifier's
+    /// switched re-executions (robustness testing; `None` in normal
+    /// operation).
+    pub fault: Option<FaultEntry>,
     /// Cooperative cancellation: checked at serial points only (loop
     /// tops, per-candidate dispatch), so the work performed under a given
     /// check count is identical for any `jobs`/`resume` configuration.
@@ -347,7 +348,7 @@ pub fn locate_fault(
         .with_capture_threshold(lc.capture_threshold)
         .with_early_exit(lc.early_exit)
         .with_budget_schedule(lc.budget)
-        .with_fault_plan(lc.fault)
+        .with_fault(lc.fault)
         .with_deadline(lc.deadline.clone());
     if let Some(memo) = &lc.memo {
         verifier = verifier.with_memo(Arc::clone(memo));
@@ -923,8 +924,7 @@ mod tests {
         // locator needs. The locator must degrade (conservatively fail
         // to verify) without panicking, and identically so across thread
         // counts, resume modes, and fault actions.
-        use omislice_interp::FaultAction;
-        use omislice_trace::CrashKind;
+        use omislice_trace::{CrashKind, FaultAction};
         let c = gzip_like();
         for action in [
             FaultAction::Crash(CrashKind::OobIndex),
@@ -944,7 +944,7 @@ mod tests {
                         &LocateConfig {
                             jobs,
                             resume,
-                            fault: Some(FaultPlan::new(StmtId(3), 0, action)),
+                            fault: Some(FaultEntry::at_stmt(StmtId(3), 0, action)),
                             ..LocateConfig::default()
                         },
                     )

@@ -4,11 +4,11 @@
 //! checkpoints — not its verdicts, which each [`crate::Verifier`] caches
 //! for itself — in a shared, size-bounded LRU keyed by a *configuration
 //! fingerprint*: program source, inputs, step budget, budget schedule,
-//! and fault plan. Locate iteration N+1 reuses the switched runs
-//! iteration N computed, corpus jobs reuse each other's, and an entry is
-//! reused exactly when the switched execution it caches would be
-//! re-derived byte-identically, never across configurations that could
-//! disagree.
+//! and the fault plan's statement entry. Locate iteration N+1 reuses the
+//! switched runs iteration N computed, corpus jobs reuse each other's,
+//! and an entry is reused exactly when the switched execution it caches
+//! would be re-derived byte-identically, never across configurations
+//! that could disagree.
 //!
 //! ## What is (and is not) safe to share
 //!
@@ -117,11 +117,11 @@ impl VerifyMemo {
     /// The configuration fingerprint under which a verifier's entries
     /// are stored. Everything that can change a switched run's bytes or
     /// outcome is hashed: program source, inputs, step budget, budget
-    /// escalation schedule, fault plan, and the base trace length (a
-    /// cheap guard against stale pairings). Thread count, resume mode,
-    /// capture plan, and deadline are excluded by design — runs are
-    /// byte-identical across them, which is exactly what makes sharing
-    /// sound.
+    /// escalation schedule, the fault plan's statement entry, and the
+    /// base trace length (a cheap guard against stale pairings). Thread
+    /// count, resume mode, capture plan, and deadline are excluded by
+    /// design — runs are byte-identical across them, which is exactly
+    /// what makes sharing sound.
     pub fn fingerprint(
         program: &Program,
         config: &RunConfig,

@@ -6,6 +6,7 @@
 
 use crate::locate::LocateOutcome;
 use omislice_analysis::ProgramAnalysis;
+use omislice_slicing::Slice;
 use omislice_trace::{InstId, Trace};
 use std::fmt::Write as _;
 
@@ -104,6 +105,22 @@ pub fn describe_inst(trace: &Trace, analysis: &ProgramAnalysis, inst: InstId) ->
     let info = analysis.index().stmt(ev.stmt);
     let value = ev.value.map(|v| format!(" = {v}")).unwrap_or_default();
     format!("{inst} {} [{}] {}{}", ev.stmt, info.func, info.head, value)
+}
+
+/// A slice as text: one [`describe_inst`] line per instance and a size
+/// footer — the body `omislice slice` prints and `POST /slice` returns.
+pub fn render_slice(trace: &Trace, analysis: &ProgramAnalysis, slice: &Slice) -> String {
+    let mut out = String::new();
+    for &inst in slice.insts() {
+        out.push_str(&describe_inst(trace, analysis, inst));
+        out.push('\n');
+    }
+    out.push_str(&format!(
+        "-- {} statements / {} instances\n",
+        slice.static_size(),
+        slice.dynamic_size()
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -114,8 +114,9 @@ impl DebugSessionBuilder {
         self
     }
 
-    /// Acquires the failing trace under `sup`: its chaos plan and
-    /// deadline scope the recording (or loading) of the failing run. The
+    /// Acquires the failing trace under `sup`: its fault plan's pipeline
+    /// entries and deadline scope the recording (or loading) of the
+    /// failing run. The
     /// profile runs and the reference run stay outside, so a deadline can
     /// cut the failing trace short but never the ground truth.
     pub fn supervisor(mut self, sup: Supervisor) -> Self {

@@ -65,13 +65,13 @@ use omislice_align::Aligner;
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
     resume_switched_capturing, run_traced_with_checkpoints, BudgetSchedule, Checkpoint,
-    FaultAction, FaultPlan, ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
+    ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
 };
 use omislice_lang::{Program, VarId};
 use omislice_slicing::DepGraph;
 use omislice_trace::{
-    CrashKind, Deadline, InstId, RegionTree, RunOutcome, Termination, Trace, Value,
-    VerificationStats,
+    CrashKind, Deadline, FaultAction, FaultEntry, InstId, RegionTree, RunOutcome, Termination,
+    Trace, Value, VerificationStats,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,6 +241,23 @@ pub enum VerifierMode {
     /// Extension: additionally accept the dependence when the value at
     /// `u'` differs from the value at `u` (direct observability).
     ValueChange,
+}
+
+impl VerifierMode {
+    /// Parses the mode's text form, shared by the CLI `--mode` flag and
+    /// serve request bodies: `edge`, `path` or `value`.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown mode.
+    pub fn parse(text: &str) -> Result<VerifierMode, String> {
+        match text {
+            "edge" => Ok(VerifierMode::Edge),
+            "path" => Ok(VerifierMode::Path),
+            "value" => Ok(VerifierMode::ValueChange),
+            other => Err(format!("unknown mode `{other}` (edge|path|value)")),
+        }
+    }
 }
 
 /// A cached verification result with its evidence.
@@ -522,7 +539,7 @@ impl<'a> Verifier<'a> {
 
     /// Sets a cooperative deadline (default none). Checks are counted
     /// and happen only at serial points — batch entry and per-candidate
-    /// dispatch — so under a chaos-forced expiry the set of cancelled
+    /// dispatch — so under a fault-plan-forced expiry the set of cancelled
     /// candidates is deterministic across thread counts and resume
     /// modes. Cancelled candidates never execute; their verdict follows
     /// the paper's expired-timer rule
@@ -532,18 +549,18 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Sets a deterministic fault-injection plan applied to every
-    /// switched re-execution (default none). Every action but
+    /// Sets the fault plan's statement entry, applied to every switched
+    /// re-execution (default none). Every action but
     /// `corrupt-checkpoint` ends the run where it fires, so checkpoints
     /// the spine captured before it still snapshot the original
     /// execution, and a leaf whose resumed prefix would contain the
-    /// planned instance runs from scratch. `panic-harness` plans fire in
-    /// the verifier itself, just before the switched run whose spec
+    /// planned instance runs from scratch. `panic-harness` entries fire
+    /// in the verifier itself, just before the switched run whose spec
     /// matches the planned statement/occurrence, exercising
     /// per-candidate isolation of the harness (not just the
     /// interpreter).
-    pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
-        self.config.fault = plan;
+    pub fn with_fault(mut self, fault: Option<FaultEntry>) -> Self {
+        self.config.fault = fault;
         self.rekey();
         self
     }
@@ -802,7 +819,7 @@ impl<'a> Verifier<'a> {
         let expired = self.deadline.as_ref().is_some_and(|d| d.expired());
         // The cancellation mask is decided serially *before* any
         // execution: one counted deadline check per candidate, in
-        // candidate order, so a chaos-forced expiry cancels the identical
+        // candidate order, so a fault-plan-forced expiry cancels the identical
         // set of candidates for any thread count and resume mode.
         let cancelled: Vec<bool> = missing
             .iter()
@@ -1105,16 +1122,13 @@ impl<'a> Verifier<'a> {
         capture: &[SwitchSpec],
     ) -> (ComputedRun, Vec<Checkpoint>) {
         catch_unwind(AssertUnwindSafe(|| {
-            if let Some(plan) = self.config.fault {
-                if matches!(plan.action, FaultAction::PanicHarness)
-                    && plan.stmt == spec.pred
-                    && plan.occurrence == spec.occurrence
-                {
-                    panic!(
-                        "injected harness panic for switch {}:{}",
-                        spec.pred, spec.occurrence
-                    );
-                }
+            let planted =
+                FaultEntry::at_stmt(spec.pred, spec.occurrence, FaultAction::PanicHarness);
+            if self.config.fault == Some(planted) {
+                panic!(
+                    "injected harness panic for switch {}:{}",
+                    spec.pred, spec.occurrence
+                );
             }
             self.compute_switched(spec, p, donor, capture)
         }))
@@ -2013,8 +2027,8 @@ mod tests {
     /// In BATCH, `a = a + i` (S4) executes only when an S3 switch forces
     /// the guard taken — a fault planted there fires in exactly the
     /// switched runs and never in the base run or a spine's prefix.
-    fn switched_only_fault(action: FaultAction) -> FaultPlan {
-        FaultPlan::new(StmtId(4), 0, action)
+    fn switched_only_fault(action: FaultAction) -> FaultEntry {
+        FaultEntry::at_stmt(StmtId(4), 0, action)
     }
 
     #[test]
@@ -2035,7 +2049,7 @@ mod tests {
                 )
                 .with_jobs(jobs)
                 .with_resume(resume)
-                .with_fault_plan(Some(switched_only_fault(FaultAction::Crash(
+                .with_fault(Some(switched_only_fault(FaultAction::Crash(
                     CrashKind::DivByZero,
                 ))));
                 let results = v.verify_all(&requests);
@@ -2092,7 +2106,7 @@ mod tests {
             .with_jobs(4)
             .with_resume(resume)
             .with_capture_threshold(Some(1))
-            .with_fault_plan(Some(switched_only_fault(FaultAction::Panic)));
+            .with_fault(Some(switched_only_fault(FaultAction::Panic)));
             // The assertion is that this call returns at all: every host
             // panic is caught at the per-candidate isolation boundary.
             let results = v.verify_all(&requests);
@@ -2135,7 +2149,7 @@ mod tests {
             VerifierMode::Edge,
         )
         .with_capture_threshold(Some(1))
-        .with_fault_plan(Some(FaultPlan::new(
+        .with_fault(Some(FaultEntry::at_stmt(
             StmtId(3),
             2,
             FaultAction::CorruptCheckpoint,
@@ -2260,7 +2274,7 @@ mod tests {
             VerifierMode::Edge,
         )
         .with_jobs(2)
-        .with_fault_plan(Some(FaultPlan::new(
+        .with_fault(Some(FaultEntry::at_stmt(
             StmtId(7),
             0,
             FaultAction::ExhaustBudget,

@@ -15,9 +15,9 @@
 //! on scheduling or on the checkpoint fast path.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_traced, FaultAction, FaultPlan, ResumeMode, RunConfig};
+use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::{compile, Program};
-use omislice::omislice_trace::CrashKind;
+use omislice::omislice_trace::{CrashKind, FaultAction, FaultEntry};
 use omislice::{Verification, Verifier, VerifierMode, VerifyRequest};
 use proptest::prelude::*;
 
@@ -161,7 +161,7 @@ fn fuzz_regress_worker_panic_surfaces_as_crashed() {
     // The plan panics the harness for the first predicate's switch spec;
     // `panic-harness` never fires inside an interpreter, so the second
     // candidate's switched run is untouched.
-    let plan = FaultPlan::new(trace.event(preds[0]).stmt, 0, FaultAction::PanicHarness);
+    let plan = FaultEntry::at_stmt(trace.event(preds[0]).stmt, 0, FaultAction::PanicHarness);
 
     let mut reference: Option<Vec<Verification>> = None;
     for jobs in [1usize, 4] {
@@ -169,7 +169,7 @@ fn fuzz_regress_worker_panic_surfaces_as_crashed() {
             let mut v = Verifier::new(&program, &analysis, &config, trace, VerifierMode::Edge)
                 .with_jobs(jobs)
                 .with_resume(resume)
-                .with_fault_plan(Some(plan));
+                .with_fault(Some(plan));
             let verdicts = v.verify_all(&requests);
             assert_eq!(
                 verdicts[0].outcome,
@@ -212,7 +212,7 @@ proptest! {
         // Plant the fault at a statement the base run actually executes,
         // so most plans fire inside the switched re-executions.
         let site_inst = fault_site.index(trace.len());
-        let plan = FaultPlan::new(
+        let plan = FaultEntry::at_stmt(
             trace.event(omislice::omislice_trace::InstId(site_inst as u32)).stmt,
             occurrence,
             action,
@@ -246,7 +246,7 @@ proptest! {
                 let mut v = Verifier::new(&program, &analysis, &config, trace, VerifierMode::Edge)
                     .with_jobs(jobs)
                     .with_resume(resume)
-                    .with_fault_plan(Some(plan));
+                    .with_fault(Some(plan));
                 let verdicts = v.verify_all(&requests);
                 let stats = v.stats();
                 let got: Snapshot = (

@@ -14,13 +14,15 @@
 
 use crate::cache::{fnv64, key_hex, parse_key_hex, SliceArtifacts};
 use crate::server::ServerState;
-use omislice::omislice_interp::{run_traced, BudgetSchedule, FaultPlan, ResumeMode, RunConfig};
+use omislice::omislice_interp::{
+    parse_inputs, parse_profiles, run_traced, BudgetSchedule, ResumeMode, RunConfig,
+};
 use omislice::omislice_lang::{compile, FrontendError, Program};
-use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph, Slice};
-use omislice::omislice_trace::supervisor::chaos_hit;
-use omislice::omislice_trace::{take_recovery, ChaosAction, ChaosPlan, ChaosSite, Supervisor};
+use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
+use omislice::omislice_trace::supervisor::fault_hit;
+use omislice::omislice_trace::{take_recovery, FaultAction, FaultPlan, FaultSite, Supervisor};
 use omislice::{
-    build_journal, describe_inst, DebugSession, JournalMeta, LocateConfig, SessionError,
+    build_journal, render_slice, DebugSession, JournalMeta, LocateConfig, SessionError,
     VerifierMode, MAX_JOBS,
 };
 use omislice_analysis::ProgramAnalysis;
@@ -107,7 +109,8 @@ fn opt_u64(body: &Json, key: &str) -> Result<Option<u64>, ApiError> {
 }
 
 /// Parses an input stream field: a JSON array of integers or the CLI's
-/// comma-separated string form. Absent means no inputs.
+/// comma-separated string form ([`parse_inputs`]). Absent means no
+/// inputs.
 fn inputs_field(body: &Json, key: &str) -> Result<Vec<i64>, ApiError> {
     match body.get(key) {
         None | Some(Json::Null) => Ok(Vec::new()),
@@ -119,8 +122,9 @@ fn inputs_field(body: &Json, key: &str) -> Result<Vec<i64>, ApiError> {
                 })
             })
             .collect(),
-        Some(Json::Str(t)) => parse_input_text(t)
-            .map_err(|s| ApiError::bad("bad-field", format!("bad value `{s}` in `{key}`"))),
+        Some(Json::Str(t)) => {
+            parse_inputs(t).map_err(|e| ApiError::bad("bad-field", format!("{e} in `{key}`")))
+        }
         Some(_) => Err(ApiError::bad(
             "bad-field",
             format!("`{key}` must be an array of integers or a comma-separated string"),
@@ -128,17 +132,8 @@ fn inputs_field(body: &Json, key: &str) -> Result<Vec<i64>, ApiError> {
     }
 }
 
-fn parse_input_text(text: &str) -> Result<Vec<i64>, String> {
-    if text.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|s| s.trim().parse::<i64>().map_err(|_| s.to_string()))
-        .collect()
-}
-
 /// Parses the profile-input field: an array of input streams or the
-/// CLI's `;`-separated string form.
+/// CLI's `;`-separated string form ([`parse_profiles`]).
 fn profiles_field(body: &Json) -> Result<Vec<Vec<i64>>, ApiError> {
     match body.get("profile") {
         None | Some(Json::Null) => Ok(Vec::new()),
@@ -159,14 +154,9 @@ fn profiles_field(body: &Json) -> Result<Vec<Vec<i64>>, ApiError> {
                 )),
             })
             .collect(),
-        Some(Json::Str(t)) => t
-            .split(';')
-            .map(|part| {
-                parse_input_text(part).map_err(|s| {
-                    ApiError::bad("bad-field", format!("bad value `{s}` in `profile`"))
-                })
-            })
-            .collect(),
+        Some(Json::Str(t)) => {
+            parse_profiles(t).map_err(|e| ApiError::bad("bad-field", format!("{e} in `profile`")))
+        }
         Some(_) => Err(ApiError::bad(
             "bad-field",
             "`profile` must be an array of integer arrays or a `;`-separated string",
@@ -175,16 +165,8 @@ fn profiles_field(body: &Json) -> Result<Vec<Vec<i64>>, ApiError> {
 }
 
 fn mode_field(body: &Json) -> Result<VerifierMode, ApiError> {
-    Ok(match opt_str(body, "mode")? {
-        None | Some("edge") => VerifierMode::Edge,
-        Some("path") => VerifierMode::Path,
-        Some("value") => VerifierMode::ValueChange,
-        Some(other) => {
-            return Err(ApiError::bad(
-                "bad-field",
-                format!("unknown mode `{other}` (edge|path|value)"),
-            ))
-        }
+    opt_str(body, "mode")?.map_or(Ok(VerifierMode::Edge), |t| {
+        VerifierMode::parse(t).map_err(|e| ApiError::bad("bad-field", e))
     })
 }
 
@@ -199,13 +181,14 @@ fn jobs_field(body: &Json) -> Result<usize, ApiError> {
     }
 }
 
-/// Builds the supervisor for one request from `chaos`/`deadline_ms`.
+/// Builds the supervisor for one request from `fault_plan` (parsed by
+/// [`FaultPlan::parse`]) and `deadline_ms`.
 fn supervisor_fields(body: &Json) -> Result<Supervisor, ApiError> {
-    let chaos = opt_str(body, "chaos")?
-        .map(ChaosPlan::parse)
+    let plan = opt_str(body, "fault_plan")?
+        .map(FaultPlan::parse)
         .transpose()
         .map_err(|e| ApiError::bad("bad-field", e))?;
-    let mut sup = Supervisor::new().with_chaos(chaos);
+    let mut sup = Supervisor::new().with_fault_plan(plan);
     if let Some(ms) = opt_u64(body, "deadline_ms")? {
         sup = sup.with_deadline_ms(ms);
     }
@@ -248,7 +231,7 @@ fn canonical_profiles(profiles: &[Vec<i64>]) -> String {
 // --- POST /locate ----------------------------------------------------
 
 /// Every field `POST /locate` reads.
-const LOCATE_FIELDS: [&str; 17] = [
+const LOCATE_FIELDS: [&str; 16] = [
     "program",
     "faulty",
     "fixed",
@@ -261,7 +244,6 @@ const LOCATE_FIELDS: [&str; 17] = [
     "early_exit",
     "budget",
     "fault_plan",
-    "chaos",
     "deadline_ms",
     "explain",
     "journal",
@@ -333,8 +315,8 @@ fn resolve_session(
 }
 
 /// The request's [`LocateConfig`]: the tuning fields the CLI takes as
-/// flags, the deadline of the request's supervisor, and the server's
-/// shared verification memo.
+/// flags, the statement fault and deadline of the request's supervisor,
+/// and the server's shared verification memo.
 fn locate_config(
     state: &ServerState,
     body: &Json,
@@ -344,10 +326,6 @@ fn locate_config(
         Some(t) => BudgetSchedule::parse(t).map_err(|e| ApiError::bad("bad-field", e))?,
         None => BudgetSchedule::default(),
     };
-    let fault = opt_str(body, "fault_plan")?
-        .map(FaultPlan::parse)
-        .transpose()
-        .map_err(|e| ApiError::bad("bad-field", e))?;
     Ok(LocateConfig {
         mode: mode_field(body)?,
         jobs: jobs_field(body)?,
@@ -360,7 +338,7 @@ fn locate_config(
         early_exit: opt_bool(body, "early_exit")?,
         memo: Some(Arc::clone(&state.memo)),
         budget,
-        fault,
+        fault: sup.stmt_fault(),
         deadline: sup.deadline(),
         ..LocateConfig::default()
     })
@@ -372,10 +350,10 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
     state.locates.fetch_add(1, Ordering::Relaxed);
     known_fields(body, &LOCATE_FIELDS)?;
     let sup = supervisor_fields(body)?;
-    // The handler chaos site fires inside the supervised scope so the
+    // The handler fault site fires inside the supervised scope so the
     // server's catch_unwind fault isolation is exercised end-to-end.
     sup.run(|| {
-        if chaos_hit(ChaosSite::Handler) == Some(ChaosAction::Panic) {
+        if fault_hit(FaultSite::Handler) == Some(FaultAction::Panic) {
             panic!("injected handler panic");
         }
     });
@@ -512,23 +490,11 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
                     .collect()
             }),
         ),
-        ("text", Json::str(render_slice(&arts, &slice))),
+        (
+            "text",
+            Json::str(render_slice(&arts.trace, &arts.analysis, &slice)),
+        ),
     ]))
-}
-
-/// The slice body exactly as the CLI prints it.
-fn render_slice(arts: &SliceArtifacts, slice: &Slice) -> String {
-    let mut out = String::new();
-    for &inst in slice.insts() {
-        out.push_str(&describe_inst(&arts.trace, &arts.analysis, inst));
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "-- {} statements / {} instances\n",
-        slice.static_size(),
-        slice.dynamic_size()
-    ));
-    out
 }
 
 // --- POST /diffcheck -------------------------------------------------

@@ -209,21 +209,27 @@ proptest! {
 }
 
 /// Every handler reads a fixed set of fields and refuses the rest: the
-/// retired `scheduler` knob and a misspelled one answer 400 `bad-field`
-/// instead of silently running with their defaults.
+/// retired `scheduler` and `chaos` knobs (fault plans travel in
+/// `fault_plan`) and a misspelled one answer 400 `bad-field` instead of
+/// silently running with their defaults.
 #[test]
 fn retired_and_misspelled_fields_are_rejected() {
     let client = ServeClient::new(server_addr().to_string());
     let mut retired = locate_body(6, 1, false);
+    let mut chaos = locate_body(6, 1, false);
     let mut misspelled = locate_body(6, 1, false);
-    if let (Json::Object(a), Json::Object(b)) = (&mut retired, &mut misspelled) {
+    if let (Json::Object(a), Json::Object(b), Json::Object(c)) =
+        (&mut retired, &mut misspelled, &mut chaos)
+    {
         a.push(("scheduler".to_string(), Json::str("flat")));
         b.push(("no-resume".to_string(), Json::Bool(true)));
+        c.push(("chaos".to_string(), Json::str("handler=panic")));
     }
     let slice = Json::object([("source", Json::str(FIXED)), ("relevent", Json::Bool(true))]);
     let diffcheck = Json::object([("seed", Json::Int(1))]);
     for (route, body, field) in [
         ("/locate", &retired, "scheduler"),
+        ("/locate", &chaos, "chaos"),
         ("/locate", &misspelled, "no-resume"),
         ("/slice", &slice, "relevent"),
         ("/diffcheck", &diffcheck, "seed"),

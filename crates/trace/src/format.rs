@@ -641,13 +641,13 @@ fn temp_sibling(path: &Path) -> std::path::PathBuf {
 /// Writes `bytes` to `tmp`, honouring injected save faults: a
 /// `save=short-write` plan persists only half the image (a torn write),
 /// `save=enospc` fails with a simulated out-of-space error.
-fn write_with_chaos(tmp: &Path, bytes: &[u8]) -> Result<(), TraceFileError> {
-    match crate::supervisor::chaos_hit(crate::supervisor::ChaosSite::Save) {
-        Some(crate::supervisor::ChaosAction::ShortWrite) => {
+fn write_with_fault_plan(tmp: &Path, bytes: &[u8]) -> Result<(), TraceFileError> {
+    match crate::supervisor::fault_hit(crate::supervisor::FaultSite::Save) {
+        Some(crate::supervisor::FaultAction::ShortWrite) => {
             std::fs::write(tmp, &bytes[..bytes.len() / 2])?;
             Ok(())
         }
-        Some(crate::supervisor::ChaosAction::Enospc) => Err(TraceFileError::Io(
+        Some(crate::supervisor::FaultAction::Enospc) => Err(TraceFileError::Io(
             std::io::Error::other("no space left on device (injected)"),
         )),
         _ => {
@@ -691,14 +691,14 @@ fn verify_written(tmp: &Path, expected_len: usize) -> Result<(), TraceFileError>
 /// every failure path.
 pub fn save_trace(trace: &Trace, path: &Path) -> Result<(), TraceFileError> {
     let mut bytes = encode_trace(trace);
-    if crate::supervisor::chaos_hit(crate::supervisor::ChaosSite::Encode).is_some() {
+    if crate::supervisor::fault_hit(crate::supervisor::FaultSite::Encode).is_some() {
         // Injected encode corruption: flip one body bit so the
         // read-back verification must catch it.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
     }
     let tmp = temp_sibling(path);
-    let result = write_with_chaos(&tmp, &bytes)
+    let result = write_with_fault_plan(&tmp, &bytes)
         .and_then(|()| verify_written(&tmp, bytes.len()))
         .and_then(|()| std::fs::rename(&tmp, path).map_err(TraceFileError::from));
     if result.is_err() {
@@ -716,7 +716,7 @@ pub fn save_trace(trace: &Trace, path: &Path) -> Result<(), TraceFileError> {
 /// structured decode errors of [`decode_trace`] for corrupt contents.
 pub fn load_trace(path: &Path) -> Result<Trace, TraceFileError> {
     let bytes = crate::mmap::read_file(path)?;
-    if crate::supervisor::chaos_hit(crate::supervisor::ChaosSite::Decode).is_some() {
+    if crate::supervisor::fault_hit(crate::supervisor::FaultSite::Decode).is_some() {
         // Injected decode corruption: flip one bit in a private copy of
         // the image (the file itself is untouched, so a retry is clean).
         let mut owned = bytes.to_vec();
@@ -871,7 +871,7 @@ mod tests {
 
     #[test]
     fn torn_write_never_leaves_a_partial_omitrace() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
+        use crate::supervisor::{FaultPlan, FaultScope};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-torn");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -879,8 +879,8 @@ mod tests {
         let t = sample();
         {
             // A mid-write crash, simulated as a torn (half-length) write.
-            let plan = ChaosPlan::parse("save=short-write").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("save=short-write").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             let err = save_trace(&t, &path).unwrap_err();
             assert!(matches!(err, TraceFileError::Truncated { .. }));
         }
@@ -896,7 +896,7 @@ mod tests {
 
     #[test]
     fn torn_write_never_clobbers_an_existing_good_file() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
+        use crate::supervisor::{FaultPlan, FaultScope};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-clobber");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -905,8 +905,8 @@ mod tests {
         save_trace(&t, &path).unwrap();
         let good = std::fs::read(&path).unwrap();
         {
-            let plan = ChaosPlan::parse("save=short-write").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("save=short-write").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             assert!(save_trace(&t, &path).is_err());
         }
         // The previous good bytes survive untouched.
@@ -917,15 +917,15 @@ mod tests {
 
     #[test]
     fn enospc_fails_cleanly_and_retry_succeeds() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
+        use crate::supervisor::{FaultPlan, FaultScope};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-enospc");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.omitrace");
         let t = sample();
         {
-            let plan = ChaosPlan::parse("save=enospc").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("save=enospc").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             let err = save_trace(&t, &path).unwrap_err();
             assert!(matches!(err, TraceFileError::Io(_)));
             assert!(!path.exists());
@@ -939,15 +939,15 @@ mod tests {
 
     #[test]
     fn encode_corruption_is_caught_before_rename() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
+        use crate::supervisor::{FaultPlan, FaultScope};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-encode");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.omitrace");
         let t = sample();
         {
-            let plan = ChaosPlan::parse("encode=corrupt").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("encode=corrupt").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             let err = save_trace(&t, &path).unwrap_err();
             assert!(matches!(err, TraceFileError::ChecksumMismatch { .. }));
         }
@@ -958,7 +958,7 @@ mod tests {
 
     #[test]
     fn decode_corruption_is_rejected_and_file_stays_clean() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
+        use crate::supervisor::{FaultPlan, FaultScope};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-decode");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -966,8 +966,8 @@ mod tests {
         let t = sample();
         save_trace(&t, &path).unwrap();
         {
-            let plan = ChaosPlan::parse("decode=corrupt").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("decode=corrupt").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             assert!(load_trace(&path).is_err());
             // The corruption lived in a private copy: a second load in
             // the same scope (the entry fired) reads the intact file.
@@ -978,7 +978,7 @@ mod tests {
 
     #[test]
     fn mmap_chaos_falls_back_to_buffered_read() {
-        use crate::supervisor::{take_recovery, ChaosPlan, ChaosScope, RecoveryKind};
+        use crate::supervisor::{take_recovery, FaultPlan, FaultScope, RecoveryKind};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-mmap");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -987,8 +987,8 @@ mod tests {
         save_trace(&t, &path).unwrap();
         let _ = take_recovery();
         {
-            let plan = ChaosPlan::parse("mmap=fail").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("mmap=fail").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             assert_eq!(load_trace(&path).unwrap().events_vec(), t.events_vec());
         }
         let log = take_recovery();
@@ -1000,7 +1000,7 @@ mod tests {
 
     #[test]
     fn supervisor_save_retries_once_and_matches_clean_bytes() {
-        use crate::supervisor::{take_recovery, ChaosPlan, RecoveryKind, Supervisor};
+        use crate::supervisor::{take_recovery, FaultPlan, RecoveryKind, Supervisor};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-supervised");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -1008,14 +1008,14 @@ mod tests {
         let clean = dir.join("clean.omitrace");
         Supervisor::new().save_trace(&t, &clean).unwrap();
         let _ = take_recovery();
-        for chaos in ["save=short-write", "save=enospc", "encode=corrupt"] {
+        for plan in ["save=short-write", "save=enospc", "encode=corrupt"] {
             let faulted = dir.join("faulted.omitrace");
-            let sup = Supervisor::new().with_chaos(Some(ChaosPlan::parse(chaos).unwrap()));
+            let sup = Supervisor::new().with_fault_plan(Some(FaultPlan::parse(plan).unwrap()));
             sup.save_trace(&t, &faulted).unwrap();
             assert_eq!(
                 std::fs::read(&faulted).unwrap(),
                 std::fs::read(&clean).unwrap(),
-                "retried save must equal clean save under `{chaos}`"
+                "retried save must equal clean save under `{plan}`"
             );
             std::fs::remove_file(&faulted).ok();
         }
@@ -1026,7 +1026,7 @@ mod tests {
 
     #[test]
     fn supervisor_load_retries_decode_corruption() {
-        use crate::supervisor::{take_recovery, ChaosPlan, RecoveryKind, Supervisor};
+        use crate::supervisor::{take_recovery, FaultPlan, RecoveryKind, Supervisor};
         let dir = std::env::temp_dir().join("omitrace-atomic-test-loadretry");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -1034,7 +1034,8 @@ mod tests {
         let t = sample();
         save_trace(&t, &path).unwrap();
         let _ = take_recovery();
-        let sup = Supervisor::new().with_chaos(Some(ChaosPlan::parse("decode=corrupt").unwrap()));
+        let sup =
+            Supervisor::new().with_fault_plan(Some(FaultPlan::parse("decode=corrupt").unwrap()));
         let back = sup.load_trace(&path).unwrap();
         assert_eq!(back.events_vec(), t.events_vec());
         assert_eq!(take_recovery().count(RecoveryKind::LoadRetry), 1);

@@ -34,17 +34,17 @@ impl Deref for FileBytes {
 
 /// Reads a whole file, preferring a memory mapping where the platform
 /// supports it. Mapping failures — real ones (e.g. exotic filesystems)
-/// or injected `mmap=fail` chaos — degrade to a buffered read rather
+/// or an injected `mmap=fail` fault — degrade to a buffered read rather
 /// than erroring, and the fallback is counted as a
 /// [`crate::supervisor::RecoveryKind::MmapFallback`] recovery.
 pub(crate) fn read_file(path: &Path) -> io::Result<FileBytes> {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
-        use crate::supervisor::{chaos_hit, note_recovery, ChaosSite, RecoveryKind};
+        use crate::supervisor::{fault_hit, note_recovery, FaultSite, RecoveryKind};
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         if len > 0 && len <= usize::MAX as u64 {
-            if chaos_hit(ChaosSite::Mmap).is_none() {
+            if fault_hit(FaultSite::Mmap).is_none() {
                 if let Ok(map) = linux::Mmap::map(&file, len as usize) {
                     return Ok(FileBytes::Mapped(map));
                 }

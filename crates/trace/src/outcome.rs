@@ -33,7 +33,10 @@ pub enum CrashKind {
 }
 
 impl CrashKind {
-    /// Stable machine-readable name (used by the CLI fault-plan syntax).
+    /// Stable machine-readable name, used in run-outcome text
+    /// (`crashed(div-by-zero)`) and journals. Fault plans spell crash
+    /// actions their own way (`oob`, `div-zero`, …) in the plan's action
+    /// table.
     pub fn as_str(self) -> &'static str {
         match self {
             CrashKind::OobIndex => "oob-index",

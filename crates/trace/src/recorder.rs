@@ -35,15 +35,15 @@
 //! `finish` maps the join result instead of unwrapping it. Callers
 //! (see `run_traced_capturing`) recover by re-running the deterministic
 //! execution with [`Recorder::inline_only`], which never spawns a
-//! builder and therefore cannot lose one. Chaos plans
-//! ([`crate::supervisor::ChaosPlan`]) inject builder panics, channel
+//! builder and therefore cannot lose one. Fault plans
+//! ([`crate::supervisor::FaultPlan`]) inject builder panics, channel
 //! disconnects, and queue stalls deterministically at chunk-rotation
 //! boundaries to exercise exactly these paths.
 
 use crate::columnar::{ColumnarTrace, RawEvent};
 use crate::event::InstId;
 use crate::index::{self, TraceIndex};
-use crate::supervisor::{self, ChaosSite, RecoveryKind};
+use crate::supervisor::{self, FaultSite, RecoveryKind};
 use omislice_lang::{StmtId, VarId};
 use std::collections::HashMap;
 use std::fmt;
@@ -76,7 +76,7 @@ impl fmt::Display for RecorderError {
 
 impl std::error::Error for RecorderError {}
 
-/// What travels over the chunk queue. The chaos variants let the
+/// What travels over the chunk queue. The injected-fault variants let the
 /// supervisor kill the builder deterministically from the producer side.
 /// `Chunk` is ~100% of traffic, so boxing it to shrink the enum would
 /// trade one allocation per 4096 events for nothing.
@@ -301,13 +301,13 @@ impl Recorder {
         // Injected faults fire at chunk-rotation boundaries, counted
         // per site: kill the builder, drop the receiver, or force the
         // backpressure path.
-        if supervisor::chaos_hit(ChaosSite::Builder).is_some() {
+        if supervisor::fault_hit(FaultSite::Builder).is_some() {
             let _ = p.tx.send(ChunkMsg::Panic);
         }
-        if supervisor::chaos_hit(ChaosSite::Channel).is_some() {
+        if supervisor::fault_hit(FaultSite::Channel).is_some() {
             let _ = p.tx.send(ChunkMsg::Stop);
         }
-        let stall = supervisor::chaos_hit(ChaosSite::Queue).is_some();
+        let stall = supervisor::fault_hit(FaultSite::Queue).is_some();
         let depth = p.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
         // One gauge sample per chunk rotation: the builder queue's depth
@@ -461,7 +461,7 @@ mod tests {
         for e in events {
             r.push(RawEvent::from(e));
         }
-        r.finish().expect("no chaos in scope")
+        r.finish().expect("no fault plan in scope")
     }
 
     #[test]
@@ -526,9 +526,9 @@ mod tests {
 
     #[test]
     fn builder_panic_surfaces_as_error_not_abort() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
-        let plan = ChaosPlan::parse("builder=panic").unwrap();
-        let _scope = ChaosScope::install(Some(&plan), None);
+        use crate::supervisor::{FaultPlan, FaultScope};
+        let plan = FaultPlan::parse("builder=panic").unwrap();
+        let _scope = FaultScope::install(Some(&plan), None);
         let mut r = Recorder::new();
         for e in synthetic(3 * CHUNK_EVENTS + 17) {
             r.push(RawEvent::from(&e));
@@ -538,9 +538,9 @@ mod tests {
 
     #[test]
     fn channel_disconnect_surfaces_as_error_not_abort() {
-        use crate::supervisor::{ChaosPlan, ChaosScope};
-        let plan = ChaosPlan::parse("channel:1=disconnect").unwrap();
-        let _scope = ChaosScope::install(Some(&plan), None);
+        use crate::supervisor::{FaultPlan, FaultScope};
+        let plan = FaultPlan::parse("channel:1=disconnect").unwrap();
+        let _scope = FaultScope::install(Some(&plan), None);
         let mut r = Recorder::new();
         for e in synthetic(4 * CHUNK_EVENTS) {
             r.push(RawEvent::from(&e));
@@ -550,12 +550,12 @@ mod tests {
 
     #[test]
     fn queue_stall_chaos_recovers_and_matches_oracle() {
-        use crate::supervisor::{take_recovery, ChaosPlan, ChaosScope, RecoveryKind};
+        use crate::supervisor::{take_recovery, FaultPlan, FaultScope, RecoveryKind};
         let _ = take_recovery();
         let events = synthetic(3 * CHUNK_EVENTS + 17);
         let cols = {
-            let plan = ChaosPlan::parse("queue:1=stall").unwrap();
-            let _scope = ChaosScope::install(Some(&plan), None);
+            let plan = FaultPlan::parse("queue:1=stall").unwrap();
+            let _scope = FaultScope::install(Some(&plan), None);
             let mut r = Recorder::new();
             for e in &events {
                 r.push(RawEvent::from(e));
@@ -591,10 +591,10 @@ mod tests {
 
     #[test]
     fn scoped_deadline_expiry_sets_deadline_hit() {
-        use crate::supervisor::{take_recovery, ChaosScope, Deadline};
+        use crate::supervisor::{take_recovery, Deadline, FaultScope};
         let _ = take_recovery();
         let d = Deadline::unlimited().with_force_expire(1);
-        let _scope = ChaosScope::install(None, Some(&d));
+        let _scope = FaultScope::install(None, Some(&d));
         let mut r = Recorder::new();
         for e in synthetic(3 * CHUNK_EVENTS) {
             if r.deadline_hit() {
@@ -619,7 +619,7 @@ mod tests {
         // The chunk is exactly full but not yet shipped: the patch must
         // still land on the final event.
         r.set_def_var_last(VarId(77));
-        let (cols, _, _) = r.finish().expect("no chaos in scope");
+        let (cols, _, _) = r.finish().expect("no fault plan in scope");
         assert_eq!(
             cols.event(InstId(CHUNK_EVENTS as u32 - 1)).def_var,
             Some(VarId(77))

@@ -1,27 +1,34 @@
-//! Supervised pipeline runtime: deterministic chaos injection, recovery
+//! Supervised pipeline runtime: the deterministic fault plan, recovery
 //! accounting, cooperative deadlines, and the unified [`PipelineError`]
 //! taxonomy.
 //!
-//! PR 2 gave the *interpreter* a fault-injection harness (`FaultPlan`);
-//! this module extends the idea to every non-interpreter stage of the
-//! pipeline. A [`ChaosPlan`] names a *site* (recorder builder thread,
-//! SPSC channel, bounded queue, trace encode/decode, save I/O, mmap,
-//! deadline clock), an occurrence index, and an *action*; the hooks at
-//! each site consult the plan through [`chaos_hit`] and fire the fault
-//! deterministically. Every injected fault is paired with a recovery
-//! ladder (pipelined recorder → inline recorder, mmap → `fs::read`,
-//! torn save → retry, corrupt load → retry → re-trace) whose steps are
-//! counted in a [`RecoveryLog`] and surfaced as `recovery.*` counters.
+//! # The fault plan
+//!
+//! A [`FaultPlan`] is the one fault-injection language of the system:
+//! a comma-separated list of `<site>[:occ]=<action>` entries. A site is
+//! either `S<id>` — an instance of that statement in the verifier's
+//! switched re-executions — or a pipeline stage (recorder builder
+//! thread, SPSC channel, bounded queue, trace encode/decode, save I/O,
+//! mmap, deadline clock, serve handler). Entries that could never fire
+//! are rejected at parse time.
+//!
+//! The statement entry travels to the interpreters as a small `Copy`
+//! [`FaultEntry`] in `RunConfig::fault` (via [`Supervisor::stmt_fault`]);
+//! the pipeline entries fire at hooks that consult the plan through
+//! [`fault_hit`]. Every pipeline fault is paired with a recovery ladder
+//! (pipelined recorder → inline recorder, mmap → `fs::read`, torn save
+//! → retry, corrupt load → retry → re-trace) whose steps are counted in
+//! a [`RecoveryLog`] and surfaced as `recovery.*` counters.
 //!
 //! # Determinism
 //!
-//! Chaos state is **thread-local** and installed only around
+//! Pipeline fault state is **thread-local** and installed only around
 //! pipeline-level supervised operations (the initial trace, save, load)
 //! on the calling thread. The verifier's switched re-executions never
-//! see an active plan, so verdicts, counters, and journals stay
-//! byte-identical across `--jobs` and resume modes even while chaos is
-//! firing upstream. Each plan entry fires exactly once; retries after a
-//! recovery therefore run clean.
+//! see the pipeline entries, so verdicts, counters, and journals stay
+//! byte-identical across `--jobs` and resume modes even while faults
+//! fire upstream. Each pipeline entry fires exactly once per scope;
+//! retries after a recovery therefore run clean.
 //!
 //! # Zero-cost happy path
 //!
@@ -30,8 +37,9 @@
 //! boundaries. Nothing on the per-event hot path changes.
 
 use crate::format::TraceFileError;
-use crate::outcome::RunOutcome;
+use crate::outcome::{CrashKind, RunOutcome};
 use crate::recorder::RecorderError;
+use omislice_lang::StmtId;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -39,12 +47,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
-// Chaos plans
+// Fault plans
 // ---------------------------------------------------------------------
 
-/// A pipeline stage where a fault can be injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosSite {
+/// Where a fault-plan entry fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FaultSite {
+    /// `S<id>`: the statement's instances in the verifier's switched
+    /// re-executions (never the original run).
+    Stmt(StmtId),
     /// The recorder's builder thread (action: `panic`).
     Builder,
     /// The SPSC chunk channel (action: `disconnect`).
@@ -66,33 +77,48 @@ pub enum ChaosSite {
     Handler,
 }
 
-const SITES: [(ChaosSite, &str); 9] = [
-    (ChaosSite::Builder, "builder"),
-    (ChaosSite::Channel, "channel"),
-    (ChaosSite::Queue, "queue"),
-    (ChaosSite::Encode, "encode"),
-    (ChaosSite::Decode, "decode"),
-    (ChaosSite::Save, "save"),
-    (ChaosSite::Mmap, "mmap"),
-    (ChaosSite::Deadline, "deadline"),
-    (ChaosSite::Handler, "handler"),
+/// The pipeline sites by name; statement sites are spelled `S<id>`.
+const SITES: [(FaultSite, &str); 9] = [
+    (FaultSite::Builder, "builder"),
+    (FaultSite::Channel, "channel"),
+    (FaultSite::Queue, "queue"),
+    (FaultSite::Encode, "encode"),
+    (FaultSite::Decode, "decode"),
+    (FaultSite::Save, "save"),
+    (FaultSite::Mmap, "mmap"),
+    (FaultSite::Deadline, "deadline"),
+    (FaultSite::Handler, "handler"),
 ];
 
-impl ChaosSite {
-    pub fn as_str(self) -> &'static str {
-        SITES.iter().find(|(s, _)| *s == self).expect("listed").1
-    }
-
-    fn index(self) -> usize {
-        SITES.iter().position(|(s, _)| *s == self).expect("listed")
+impl FaultSite {
+    /// The site's position in [`SITES`]; `None` for statement sites,
+    /// which fire in the interpreters rather than at pipeline hooks.
+    fn index(self) -> Option<usize> {
+        SITES.iter().position(|(s, _)| *s == self)
     }
 }
 
-/// What happens when a chaos entry fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosAction {
-    /// Panic the builder thread.
+/// What happens when a fault-plan entry fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FaultAction {
+    /// Stop the switched run with a structured runtime error of this
+    /// class.
+    Crash(CrashKind),
+    /// Stop the switched run as if the step budget had just expired.
+    ExhaustBudget,
+    /// Raise a host-level panic: in the interpreter at `S<id>` (caught
+    /// by the verifier's `catch_unwind`), on the recorder's builder
+    /// thread at `builder`, in the request handler at `handler`.
     Panic,
+    /// Raise a panic in the verifier harness itself, just before the
+    /// switched run whose switch matches the entry's statement and
+    /// occurrence (exercises per-candidate isolation of the harness, not
+    /// just the interpreter). Never fires inside an interpreter.
+    PanicHarness,
+    /// Emit a deliberately inconsistent checkpoint when one is captured
+    /// at the entry's statement instance (exercises checkpoint validation
+    /// and the scratch fallback). Never perturbs the run itself.
+    CorruptCheckpoint,
     /// Drop the builder's receiver mid-stream.
     Disconnect,
     /// Force the producer onto the blocking (queue-full) send path.
@@ -109,178 +135,255 @@ pub enum ChaosAction {
     Expire,
 }
 
-const ACTIONS: [(ChaosAction, &str); 8] = [
-    (ChaosAction::Panic, "panic"),
-    (ChaosAction::Disconnect, "disconnect"),
-    (ChaosAction::Stall, "stall"),
-    (ChaosAction::Corrupt, "corrupt"),
-    (ChaosAction::ShortWrite, "short-write"),
-    (ChaosAction::Enospc, "enospc"),
-    (ChaosAction::Fail, "fail"),
-    (ChaosAction::Expire, "expire"),
+/// Every action by its plan spelling. The crash spellings are the
+/// plan's own (`oob`, `div-zero`, …), not [`CrashKind::as_str`].
+const ACTIONS: [(FaultAction, &str); 17] = [
+    (FaultAction::Crash(CrashKind::OobIndex), "oob"),
+    (
+        FaultAction::Crash(CrashKind::MissingCallee),
+        "missing-callee",
+    ),
+    (FaultAction::Crash(CrashKind::DivByZero), "div-zero"),
+    (FaultAction::Crash(CrashKind::TypeError), "type"),
+    (
+        FaultAction::Crash(CrashKind::StackOverflow),
+        "stack-overflow",
+    ),
+    (FaultAction::Crash(CrashKind::UninitRead), "uninit"),
+    (FaultAction::ExhaustBudget, "budget"),
+    (FaultAction::Panic, "panic"),
+    (FaultAction::PanicHarness, "panic-harness"),
+    (FaultAction::CorruptCheckpoint, "corrupt-checkpoint"),
+    (FaultAction::Disconnect, "disconnect"),
+    (FaultAction::Stall, "stall"),
+    (FaultAction::Corrupt, "corrupt"),
+    (FaultAction::ShortWrite, "short-write"),
+    (FaultAction::Enospc, "enospc"),
+    (FaultAction::Fail, "fail"),
+    (FaultAction::Expire, "expire"),
 ];
 
-impl ChaosAction {
-    pub fn as_str(self) -> &'static str {
-        ACTIONS.iter().find(|(a, _)| *a == self).expect("listed").1
-    }
-}
-
 /// Which actions make sense at which site.
-fn compatible(site: ChaosSite, action: ChaosAction) -> bool {
-    use ChaosAction::*;
-    use ChaosSite::*;
+fn compatible(site: FaultSite, action: FaultAction) -> bool {
+    use FaultAction::*;
+    use FaultSite::*;
     matches!(
         (site, action),
-        (Builder, Panic)
+        (
+            Stmt(_),
+            Crash(_) | ExhaustBudget | Panic | PanicHarness | CorruptCheckpoint
+        ) | (Builder, Panic)
             | (Channel, Disconnect)
             | (Queue, Stall)
             | (Encode, Corrupt)
             | (Decode, Corrupt)
-            | (Save, ShortWrite)
-            | (Save, Enospc)
+            | (Save, ShortWrite | Enospc)
             | (Mmap, Fail)
             | (Deadline, Expire)
             | (Handler, Panic)
     )
 }
 
-/// One `<site>[:occ]=<action>` injection directive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosEntry {
-    pub site: ChaosSite,
-    /// Zero-based occurrence of the site at which to fire. For recorder
-    /// sites occurrences count chunk rotations; elsewhere they count
-    /// operations (saves, loads, deadline checks).
+/// One `<site>[:occ]=<action>` entry. A statement entry is the small
+/// `Copy` value the interpreters check at every statement instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FaultEntry {
+    pub site: FaultSite,
+    /// Zero-based occurrence of the site at which to fire: instances of
+    /// the statement for `S<id>`, chunk rotations for the recorder
+    /// sites, operations (saves, loads, deadline checks) elsewhere.
     pub occurrence: u32,
-    pub action: ChaosAction,
+    pub action: FaultAction,
 }
 
-/// A deterministic pipeline-wide fault plan: the `--chaos` flag.
+impl FaultEntry {
+    /// A statement entry: `action` at the `occurrence`-th instance of
+    /// `stmt` in a switched run.
+    pub fn at_stmt(stmt: StmtId, occurrence: u32, action: FaultAction) -> FaultEntry {
+        FaultEntry {
+            site: FaultSite::Stmt(stmt),
+            occurrence,
+            action,
+        }
+    }
+}
+
+/// A deterministic fault plan: the `--fault-plan` flag and the served
+/// `fault_plan` field.
 ///
-/// Parsed from a comma-separated list of `<site>[:occ]=<action>`
-/// directives, mirroring the interpreter-level
-/// `FaultPlan` syntax (`S<id>[:occ]=<action>`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChaosPlan {
-    pub entries: Vec<ChaosEntry>,
+/// Every entry can fire: the parser rejects a repeated (site,
+/// occurrence) pair, a second `deadline` entry, and a second statement
+/// entry (a switched run carries one).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FaultPlan {
+    entries: Vec<FaultEntry>,
 }
 
-impl ChaosPlan {
-    /// Parses `--chaos builder=panic,save:1=enospc` style specs.
-    pub fn parse(text: &str) -> Result<ChaosPlan, String> {
-        let mut entries = Vec::new();
-        for part in text.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
+impl FaultPlan {
+    /// Parses `S4:2=panic,builder=panic,save:1=enospc` style plans.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message naming the offending entry.
+    pub fn parse(text: &str) -> Result<FaultPlan, String> {
+        let mut entries: Vec<FaultEntry> = Vec::new();
+        let mut parts: Vec<&str> = Vec::new();
+        for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (lhs, action_text) = part.split_once('=').ok_or_else(|| {
-                format!("bad chaos entry `{part}` (expected <site>[:occ]=<action>)")
+                format!("bad fault plan entry `{part}` (expected <site>[:occ]=<action>)")
             })?;
-            let (site_text, occ) = match lhs.split_once(':') {
+            let (site_text, occurrence) = match lhs.split_once(':') {
                 Some((s, o)) => (
-                    s,
-                    o.parse::<u32>()
-                        .map_err(|_| format!("bad occurrence in chaos entry `{part}`"))?,
+                    s.trim(),
+                    o.trim()
+                        .parse::<u32>()
+                        .map_err(|_| format!("bad occurrence in fault plan entry `{part}`"))?,
                 ),
-                None => (lhs, 0),
+                None => (lhs.trim(), 0),
             };
-            let site = SITES
-                .iter()
-                .find(|(_, n)| *n == site_text.trim())
-                .map(|(s, _)| *s)
-                .ok_or_else(|| {
-                    format!(
-                        "unknown chaos site `{}` (expected one of: {})",
-                        site_text.trim(),
-                        SITES.map(|(_, n)| n).join(", ")
-                    )
-                })?;
+            let site = parse_site(site_text)?;
+            let action_text = action_text.trim();
             let action = ACTIONS
                 .iter()
-                .find(|(_, n)| *n == action_text.trim())
+                .find(|(_, n)| *n == action_text)
                 .map(|(a, _)| *a)
                 .ok_or_else(|| {
                     format!(
-                        "unknown chaos action `{}` (expected one of: {})",
-                        action_text.trim(),
+                        "unknown fault action `{action_text}` (expected one of: {})",
                         ACTIONS.map(|(_, n)| n).join(", ")
                     )
                 })?;
             if !compatible(site, action) {
                 return Err(format!(
-                    "chaos action `{}` does not apply to site `{}`",
-                    action.as_str(),
-                    site.as_str()
+                    "fault action `{action_text}` does not apply to site `{site_text}`"
                 ));
             }
-            entries.push(ChaosEntry {
+            let entry = FaultEntry {
                 site,
-                occurrence: occ,
+                occurrence,
                 action,
-            });
+            };
+            let clash = entries
+                .iter()
+                .zip(&parts)
+                .find_map(|(e, first)| Some((first, never_both(e, &entry)?)));
+            if let Some((first, why)) = clash {
+                return Err(format!(
+                    "fault plan entry `{part}` can never fire next to `{first}`: {why}"
+                ));
+            }
+            entries.push(entry);
+            parts.push(part);
         }
         if entries.is_empty() {
-            return Err("empty chaos plan".to_string());
+            return Err("empty fault plan".to_string());
         }
-        Ok(ChaosPlan { entries })
+        Ok(FaultPlan { entries })
+    }
+
+    /// The statement entry, which the verifier's switched runs carry.
+    pub fn stmt_entry(&self) -> Option<FaultEntry> {
+        self.entries
+            .iter()
+            .copied()
+            .find(|e| matches!(e.site, FaultSite::Stmt(_)))
     }
 
     /// The forced-expiry check index, when the plan injects a deadline
     /// expiry.
-    pub fn forced_deadline(&self) -> Option<u32> {
+    fn forced_deadline(&self) -> Option<u32> {
         self.entries
             .iter()
-            .find(|e| e.site == ChaosSite::Deadline)
+            .find(|e| e.site == FaultSite::Deadline)
             .map(|e| e.occurrence)
     }
 }
 
-impl fmt::Display for ChaosPlan {
+/// Why two entries cannot share a plan, if they cannot: the later one
+/// would never fire.
+fn never_both(first: &FaultEntry, later: &FaultEntry) -> Option<&'static str> {
+    match (first.site, later.site) {
+        (FaultSite::Stmt(_), FaultSite::Stmt(_)) => {
+            Some("a switched run carries one statement entry")
+        }
+        (FaultSite::Deadline, FaultSite::Deadline) => Some("the deadline expires once"),
+        (a, b) if a == b && first.occurrence == later.occurrence => {
+            Some("one entry fires per site and occurrence")
+        }
+        _ => None,
+    }
+}
+
+/// A site's spelling: `S<id>` exactly, or a pipeline site's name.
+fn parse_site(text: &str) -> Result<FaultSite, String> {
+    if let Some(digits) = text.strip_prefix('S') {
+        return match digits.parse::<u32>() {
+            Ok(id) if digits.bytes().all(|b| b.is_ascii_digit()) => Ok(FaultSite::Stmt(StmtId(id))),
+            _ => Err(format!(
+                "bad statement site `{text}` in fault plan (expected S<id>)"
+            )),
+        };
+    }
+    SITES
+        .iter()
+        .find(|(_, n)| *n == text)
+        .map(|(s, _)| *s)
+        .ok_or_else(|| {
+            format!(
+                "unknown fault site `{text}` (expected S<id> or one of: {})",
+                SITES.map(|(_, n)| n).join(", ")
+            )
+        })
+}
+
+impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
-                write!(f, ",")?;
+                f.write_str(",")?;
             }
-            if e.occurrence == 0 {
-                write!(f, "{}={}", e.site.as_str(), e.action.as_str())?;
-            } else {
-                write!(
-                    f,
-                    "{}:{}={}",
-                    e.site.as_str(),
-                    e.occurrence,
-                    e.action.as_str()
-                )?;
+            match e.site {
+                FaultSite::Stmt(id) => write!(f, "{id}")?,
+                site => f.write_str(SITES[site.index().expect("listed")].1)?,
             }
+            if e.occurrence != 0 {
+                write!(f, ":{}", e.occurrence)?;
+            }
+            let (_, action) = ACTIONS
+                .iter()
+                .find(|(a, _)| *a == e.action)
+                .expect("listed");
+            write!(f, "={action}")?;
         }
         Ok(())
     }
 }
 
-struct ActiveChaos {
-    /// Plan entries, each paired with a fired flag: every entry injects
-    /// exactly once so that post-recovery retries run clean.
-    entries: Vec<(ChaosEntry, bool)>,
+struct ActiveFaults {
+    /// The plan's pipeline entries, each paired with a fired flag: every
+    /// entry injects exactly once so that post-recovery retries run
+    /// clean.
+    entries: Vec<(FaultEntry, bool)>,
     /// Per-site occurrence counters.
     counts: [u32; SITES.len()],
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<ActiveChaos>> = const { RefCell::new(None) };
+    static ACTIVE: RefCell<Option<ActiveFaults>> = const { RefCell::new(None) };
     static SCOPED_DEADLINE: RefCell<Option<Deadline>> = const { RefCell::new(None) };
 }
 
-/// Consults the active chaos plan at an injection site. Counts the
-/// occurrence and returns the action to perform when an un-fired entry
-/// matches. One thread-local read when no plan is installed.
-pub fn chaos_hit(site: ChaosSite) -> Option<ChaosAction> {
+/// Consults the active fault plan at a pipeline injection site. Counts
+/// the occurrence and returns the action to perform when an un-fired
+/// entry matches. One thread-local read when no plan is installed;
+/// statement sites never match here.
+pub fn fault_hit(site: FaultSite) -> Option<FaultAction> {
     ACTIVE.with(|a| {
         let mut a = a.borrow_mut();
         let active = a.as_mut()?;
-        let occ = active.counts[site.index()];
-        active.counts[site.index()] = occ.saturating_add(1);
+        let i = site.index()?;
+        let occ = active.counts[i];
+        active.counts[i] = occ.saturating_add(1);
         for (entry, fired) in &mut active.entries {
             if !*fired && entry.site == site && entry.occurrence == occ {
                 *fired = true;
@@ -291,30 +394,37 @@ pub fn chaos_hit(site: ChaosSite) -> Option<ChaosAction> {
     })
 }
 
-/// Installs a chaos plan (and optionally a deadline visible to the
-/// recorder's chunk boundaries) on the current thread for the guard's
-/// lifetime. The previous state is restored on drop, so scopes nest.
-pub struct ChaosScope {
-    prev: Option<ActiveChaos>,
+/// Installs a plan's pipeline entries (and optionally a deadline visible
+/// to the recorder's chunk boundaries) on the current thread for the
+/// guard's lifetime. The previous state is restored on drop, so scopes
+/// nest.
+pub struct FaultScope {
+    prev: Option<ActiveFaults>,
     prev_deadline: Option<Deadline>,
 }
 
-impl ChaosScope {
-    pub fn install(plan: Option<&ChaosPlan>, deadline: Option<&Deadline>) -> ChaosScope {
-        let next = plan.map(|p| ActiveChaos {
-            entries: p.entries.iter().map(|&e| (e, false)).collect(),
+impl FaultScope {
+    pub fn install(plan: Option<&FaultPlan>, deadline: Option<&Deadline>) -> FaultScope {
+        let entries: Vec<(FaultEntry, bool)> = plan
+            .iter()
+            .flat_map(|p| &p.entries)
+            .filter(|e| e.site.index().is_some())
+            .map(|&e| (e, false))
+            .collect();
+        let next = (!entries.is_empty()).then_some(ActiveFaults {
+            entries,
             counts: [0; SITES.len()],
         });
         let prev = ACTIVE.with(|a| a.replace(next));
         let prev_deadline = SCOPED_DEADLINE.with(|d| d.replace(deadline.cloned()));
-        ChaosScope {
+        FaultScope {
             prev,
             prev_deadline,
         }
     }
 }
 
-impl Drop for ChaosScope {
+impl Drop for FaultScope {
     fn drop(&mut self) {
         ACTIVE.with(|a| {
             *a.borrow_mut() = self.prev.take();
@@ -466,7 +576,7 @@ pub fn take_recovery() -> RecoveryLog {
 /// top, verification batch entry, per-candidate dispatch, recorder chunk
 /// rotation), so cancellation never races the parallel workers: a
 /// candidate is either dispatched or cancelled before any thread runs.
-/// Expiry is sticky. `deadline[:K]=expire` chaos pins expiry to the
+/// Expiry is sticky. A `deadline[:K]=expire` fault pins expiry to the
 /// K-th counted check, making deadline behaviour fully deterministic in
 /// tests; real wall-clock expiry is inherently best-effort.
 #[derive(Debug, Clone)]
@@ -490,8 +600,8 @@ impl Deadline {
         }
     }
 
-    /// A deadline that never expires on its own (chaos can still force
-    /// it).
+    /// A deadline that never expires on its own (a fault plan can still
+    /// force it).
     pub fn unlimited() -> Deadline {
         Deadline {
             start: Instant::now(),
@@ -607,11 +717,11 @@ impl std::error::Error for PipelineError {}
 // ---------------------------------------------------------------------
 
 /// Per-stage supervision for pipeline-level operations: installs the
-/// chaos plan and scoped deadline around the initial trace, and wraps
-/// save/load with retry ladders.
+/// fault plan's pipeline entries and the scoped deadline around the
+/// initial trace, and wraps save/load with retry ladders.
 #[derive(Debug, Clone, Default)]
 pub struct Supervisor {
-    chaos: Option<ChaosPlan>,
+    plan: Option<FaultPlan>,
     deadline: Option<Deadline>,
 }
 
@@ -620,15 +730,17 @@ impl Supervisor {
         Supervisor::default()
     }
 
-    /// Installs a chaos plan. A `deadline[:K]=expire` entry forces an
+    /// Takes a whole fault plan. Its pipeline entries fire inside
+    /// [`Supervisor::run`]; a `deadline[:K]=expire` entry forces an
     /// (otherwise unlimited) deadline to expire at its K-th counted
-    /// check.
-    pub fn with_chaos(mut self, plan: Option<ChaosPlan>) -> Supervisor {
-        if let Some(forced) = plan.as_ref().and_then(|p| p.forced_deadline()) {
+    /// check; the statement entry is for the verifier
+    /// ([`Supervisor::stmt_fault`]).
+    pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Supervisor {
+        if let Some(forced) = plan.as_ref().and_then(FaultPlan::forced_deadline) {
             let base = self.deadline.take().unwrap_or_else(Deadline::unlimited);
             self.deadline = Some(base.with_force_expire(forced));
         }
-        self.chaos = plan;
+        self.plan = plan;
         self
     }
 
@@ -647,15 +759,22 @@ impl Supervisor {
         self.deadline.clone()
     }
 
+    /// The plan's statement entry, for wiring into the verifier's
+    /// switched runs the way [`Supervisor::deadline`] wires the deadline.
+    pub fn stmt_fault(&self) -> Option<FaultEntry> {
+        self.plan.as_ref().and_then(FaultPlan::stmt_entry)
+    }
+
     /// Whether the shared deadline has already expired.
     pub fn deadline_expired(&self) -> bool {
         self.deadline.as_ref().is_some_and(|d| d.expired())
     }
 
-    /// Runs `f` with the chaos plan and scoped deadline installed on
-    /// the current thread. Use for the supervised initial trace.
+    /// Runs `f` with the plan's pipeline entries and the scoped deadline
+    /// installed on the current thread. Use for the supervised initial
+    /// trace.
     pub fn run<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _scope = ChaosScope::install(self.chaos.as_ref(), self.deadline.as_ref());
+        let _scope = FaultScope::install(self.plan.as_ref(), self.deadline.as_ref());
         f()
     }
 
@@ -706,63 +825,153 @@ impl Supervisor {
 mod tests {
     use super::*;
 
+    fn parse_err(text: &str) -> String {
+        FaultPlan::parse(text).expect_err(text)
+    }
+
     #[test]
     fn plans_parse_and_render() {
-        let plan = ChaosPlan::parse("builder=panic, save:1=enospc,decode=corrupt").unwrap();
+        let plan = FaultPlan::parse("builder=panic, save:1=enospc,decode=corrupt").unwrap();
         assert_eq!(plan.entries.len(), 3);
         assert_eq!(
             plan.to_string(),
             "builder=panic,save:1=enospc,decode=corrupt"
         );
         assert_eq!(plan.entries[1].occurrence, 1);
-        assert_eq!(plan.entries[1].action, ChaosAction::Enospc);
+        assert_eq!(plan.entries[1].action, FaultAction::Enospc);
+        let plan = FaultPlan::parse("S4:2=panic").unwrap();
+        assert_eq!(
+            plan.stmt_entry(),
+            Some(FaultEntry::at_stmt(StmtId(4), 2, FaultAction::Panic))
+        );
+    }
+
+    #[test]
+    fn mixed_plans_round_trip_through_display() {
+        let plan = FaultPlan::parse(
+            "S10:3=corrupt-checkpoint, builder=panic,save:1=enospc,save=short-write,\
+             deadline:2=expire,handler=panic",
+        )
+        .unwrap();
+        assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan.clone()));
+        assert_eq!(
+            plan.stmt_entry(),
+            Some(FaultEntry::at_stmt(
+                StmtId(10),
+                3,
+                FaultAction::CorruptCheckpoint
+            ))
+        );
+        assert_eq!(plan.forced_deadline(), Some(2));
     }
 
     #[test]
     fn bad_plans_are_rejected() {
-        assert!(ChaosPlan::parse("").is_err());
-        assert!(ChaosPlan::parse("builder").is_err());
-        assert!(ChaosPlan::parse("nowhere=panic").is_err());
-        assert!(ChaosPlan::parse("builder=explode").is_err());
-        assert!(ChaosPlan::parse("builder:x=panic").is_err());
+        assert!(FaultPlan::parse("").is_err());
+        assert!(FaultPlan::parse(" , ").is_err());
+        assert!(FaultPlan::parse("builder").is_err());
+        assert!(FaultPlan::parse("nowhere=panic").is_err());
+        assert!(FaultPlan::parse("builder=explode").is_err());
+        assert!(FaultPlan::parse("builder:x=panic").is_err());
+        assert!(FaultPlan::parse("S1:y=oob").is_err());
         // Incompatible site/action pairs are caught at parse time.
-        assert!(ChaosPlan::parse("builder=corrupt").is_err());
-        assert!(ChaosPlan::parse("save=panic").is_err());
+        assert!(FaultPlan::parse("builder=corrupt").is_err());
+        assert!(FaultPlan::parse("save=panic").is_err());
+        assert!(FaultPlan::parse("S1=stall").is_err());
+        assert!(FaultPlan::parse("mmap=oob").is_err());
+    }
+
+    #[test]
+    fn entries_are_trimmed() {
+        assert_eq!(
+            FaultPlan::parse(" S4 = oob , queue : 1 = stall "),
+            FaultPlan::parse("S4=oob,queue:1=stall")
+        );
+        assert!(FaultPlan::parse("S4=oob ").is_ok());
+    }
+
+    #[test]
+    fn repeated_site_and_occurrence_is_rejected() {
+        let e = parse_err("save=enospc,save=short-write");
+        assert!(
+            e.contains("`save=short-write`") && e.contains("`save=enospc`"),
+            "{e}"
+        );
+        assert!(parse_err("queue=stall,queue:0=stall").contains("per site and occurrence"));
+        assert!(FaultPlan::parse("save=enospc,save:1=short-write").is_ok());
+    }
+
+    #[test]
+    fn second_deadline_entry_is_rejected() {
+        let e = parse_err("deadline=expire,deadline:3=expire");
+        assert!(e.contains("deadline expires once"), "{e}");
+    }
+
+    #[test]
+    fn second_statement_entry_is_rejected() {
+        let e = parse_err("S4=oob,builder=panic,S5:2=panic");
+        assert!(e.contains("one statement entry"), "{e}");
+        assert!(parse_err("S4=oob,S4:1=oob").contains("one statement entry"));
+    }
+
+    #[test]
+    fn statement_sites_are_exactly_s_digits() {
+        for text in [
+            "4=oob", "SS4=oob", "S=oob", "Sx=oob", "S+4=oob", "S-1=oob", "s4=oob",
+        ] {
+            assert!(FaultPlan::parse(text).is_err(), "{text} must be rejected");
+        }
+        assert!(parse_err("SS4=oob").contains("bad statement site `SS4`"));
+        assert!(parse_err("4=oob").contains("unknown fault site `4`"));
+        assert!(FaultPlan::parse("S007=oob").is_ok());
     }
 
     #[test]
     fn handler_site_parses_and_fires() {
-        let plan = ChaosPlan::parse("handler=panic").unwrap();
-        assert!(ChaosPlan::parse("handler=corrupt").is_err());
-        let _scope = ChaosScope::install(Some(&plan), None);
-        assert_eq!(chaos_hit(ChaosSite::Handler), Some(ChaosAction::Panic));
-        assert_eq!(chaos_hit(ChaosSite::Handler), None); // fired already
+        let plan = FaultPlan::parse("handler=panic").unwrap();
+        assert!(FaultPlan::parse("handler=corrupt").is_err());
+        let _scope = FaultScope::install(Some(&plan), None);
+        assert_eq!(fault_hit(FaultSite::Handler), Some(FaultAction::Panic));
+        assert_eq!(fault_hit(FaultSite::Handler), None); // fired already
     }
 
     #[test]
     fn entries_fire_once_at_their_occurrence() {
-        let plan = ChaosPlan::parse("queue:2=stall").unwrap();
-        let _scope = ChaosScope::install(Some(&plan), None);
-        assert_eq!(chaos_hit(ChaosSite::Queue), None); // occ 0
-        assert_eq!(chaos_hit(ChaosSite::Builder), None); // other site
-        assert_eq!(chaos_hit(ChaosSite::Queue), None); // occ 1
-        assert_eq!(chaos_hit(ChaosSite::Queue), Some(ChaosAction::Stall)); // occ 2
-        assert_eq!(chaos_hit(ChaosSite::Queue), None); // fired already
+        let plan = FaultPlan::parse("queue:2=stall").unwrap();
+        let _scope = FaultScope::install(Some(&plan), None);
+        assert_eq!(fault_hit(FaultSite::Queue), None); // occ 0
+        assert_eq!(fault_hit(FaultSite::Builder), None); // other site
+        assert_eq!(fault_hit(FaultSite::Queue), None); // occ 1
+        assert_eq!(fault_hit(FaultSite::Queue), Some(FaultAction::Stall)); // occ 2
+        assert_eq!(fault_hit(FaultSite::Queue), None); // fired already
+    }
+
+    #[test]
+    fn statement_entries_stay_out_of_the_pipeline_scope() {
+        let plan = FaultPlan::parse("S2=panic").unwrap();
+        let _scope = FaultScope::install(Some(&plan), None);
+        assert!(ACTIVE.with(|a| a.borrow().is_none()));
+        assert_eq!(fault_hit(FaultSite::Stmt(StmtId(2))), None);
+        let sup = Supervisor::new().with_fault_plan(Some(plan));
+        assert_eq!(
+            sup.stmt_fault(),
+            Some(FaultEntry::at_stmt(StmtId(2), 0, FaultAction::Panic))
+        );
     }
 
     #[test]
     fn scopes_nest_and_restore() {
-        assert_eq!(chaos_hit(ChaosSite::Save), None);
-        let outer = ChaosPlan::parse("save=enospc").unwrap();
-        let _o = ChaosScope::install(Some(&outer), None);
+        assert_eq!(fault_hit(FaultSite::Save), None);
+        let outer = FaultPlan::parse("save=enospc").unwrap();
+        let _o = FaultScope::install(Some(&outer), None);
         {
-            let inner = ChaosPlan::parse("mmap=fail").unwrap();
-            let _i = ChaosScope::install(Some(&inner), None);
-            assert_eq!(chaos_hit(ChaosSite::Save), None);
-            assert_eq!(chaos_hit(ChaosSite::Mmap), Some(ChaosAction::Fail));
+            let inner = FaultPlan::parse("mmap=fail").unwrap();
+            let _i = FaultScope::install(Some(&inner), None);
+            assert_eq!(fault_hit(FaultSite::Save), None);
+            assert_eq!(fault_hit(FaultSite::Mmap), Some(FaultAction::Fail));
         }
         // Outer plan restored, its counts untouched by the inner scope.
-        assert_eq!(chaos_hit(ChaosSite::Save), Some(ChaosAction::Enospc));
+        assert_eq!(fault_hit(FaultSite::Save), Some(FaultAction::Enospc));
     }
 
     #[test]
