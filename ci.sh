@@ -290,13 +290,17 @@ EOF
 }
 
 # Verification-scheduler smoke: the checkpoint-forest scheduler must
-# actually pay off, not just pass its unit tests. Two probes: (1) a
+# actually pay off, not just pass its unit tests. Three probes: (1) a
 # 2-iteration corpus locate must answer some switched runs from the
 # cross-iteration memo (memo_hits == 0 means the persistent memo went
-# dead); (2) a sed ×250 sweep's resumed verification pass must beat the
-# from-scratch pass by at least 2× (the published sed ×1000 ratio is
-# ~0.09; the 0.5 gate leaves headroom for noisy CI hosts while still
-# catching a disabled or regressed resume path). Run standalone with
+# dead); (2) gzip V2-F3, whose one iteration asks the user for dozens
+# of benign judgements, must record exactly one `confidence-prune` span
+# per PruneSlicing round (iterations + 1) — a count, so no timing — or
+# the locator went back to a full pruning pass per judgement; (3) a
+# sed ×250 sweep's resumed verification pass must beat the from-scratch
+# pass by at least 2× (the published sed ×1000 ratio is ~0.09; the 0.5
+# gate leaves headroom for noisy CI hosts while still catching a
+# disabled or regressed resume path). Run standalone with
 # `./ci.sh verify-smoke`.
 verify_smoke() {
     echo "==> verify smoke (checkpoint-forest scheduler gate)"
@@ -316,6 +320,21 @@ verify_smoke() {
         exit 1
     fi
     echo "   locate: iterations=$iters memo_hits=$hits"
+    RUST_BACKTRACE=1 ./target/release/omislice corpus locate gzip V2-F3 \
+        --metrics text >"$metrics"
+    local prunings rounds
+    iters=$(awk '$1 == "omislice_locate_iterations" {print int($2)}' "$metrics")
+    prunings=$(awk '$1 == "omislice_locate_user_prunings" {print int($2)}' "$metrics")
+    rounds=$(awk '$1 == "omislice_span_confidence_prune_count" {print int($2)}' "$metrics")
+    if [ "${rounds:-0}" -ne $((${iters:-0} + 1)) ]; then
+        echo "verify smoke FAILED: gzip V2-F3 recorded ${rounds:-0} confidence-prune spans over $iters iterations, want $((${iters:-0} + 1)) (one per PruneSlicing round)" >&2
+        exit 1
+    fi
+    if [ "${prunings:-0}" -lt 2 ]; then
+        echo "verify smoke FAILED: gzip V2-F3 asked for ${prunings:-0} benign judgements, want >= 2 (round count untestable)" >&2
+        exit 1
+    fi
+    echo "   prune: iterations=$iters user_prunings=$prunings confidence_prune_spans=$rounds"
     local out=/tmp/omislice-verify-smoke.json
     ./target/release/sweep --scales 250 --out "$out" >/dev/null
     local ratio

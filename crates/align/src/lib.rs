@@ -23,6 +23,10 @@
 //! 3. if the sub-region heads took different branch outcomes, `u` cannot
 //!    have executed in `E'` (no match); otherwise descend.
 //!
+//! [`Aligner::match_inst_memo`] answers the same query while remembering
+//! the region correspondences its descents establish, so matching many
+//! instances against one switched run walks each sub-region once.
+//!
 //! ```
 //! use omislice_align::Aligner;
 //! use omislice_analysis::ProgramAnalysis;
@@ -47,6 +51,7 @@
 //! ```
 
 use omislice_trace::{InstId, RegionTree, Trace};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Aligns an original trace against a switched re-execution of the same
@@ -57,6 +62,17 @@ pub struct Aligner<'a> {
     switched: &'a Trace,
     orig_regions: Arc<RegionTree>,
     switched_regions: Arc<RegionTree>,
+}
+
+/// The region correspondences [`Aligner::match_inst_memo`] has
+/// established against one switched run: each original sub-region head
+/// a descent reached, with its switched counterpart (`None` when the
+/// switched run has none). Valid for one original trace, one switched
+/// trace and one switch point.
+#[derive(Debug, Default)]
+pub struct MatchMemo {
+    p: Option<InstId>,
+    heads: HashMap<InstId, Option<InstId>>,
 }
 
 impl<'a> Aligner<'a> {
@@ -115,18 +131,30 @@ impl<'a> Aligner<'a> {
     /// defining evidence of implicit dependence, so an invalid argument
     /// must fail loudly instead of masquerading as "no counterpart".
     pub fn match_inst(&self, p: InstId, u: InstId) -> Option<InstId> {
-        assert!(
-            p.index() < self.orig.len() && p.index() < self.switched.len(),
-            "switch point {p} must exist in both traces"
-        );
+        self.match_inst_memo(&mut MatchMemo::default(), p, u)
+    }
+
+    /// [`Aligner::match_inst`] for many uses against one switched run:
+    /// `memo` keeps the switched counterpart of every sub-region head a
+    /// descent reaches. Below the region where the descent starts, a
+    /// head's counterpart does not depend on which use the descent looks
+    /// for, so a later match walks up from `u` only to the nearest head
+    /// already matched and descends from there. A loop's iterations nest
+    /// in the region tree, so one descent can be as deep as the loop is
+    /// long; with the memo, matching every use of a run walks each
+    /// sub-region on their paths once. Sharing `memo` never changes an
+    /// answer: [`Aligner::match_inst`] is this with an empty memo.
+    ///
+    /// # Panics
+    ///
+    /// As [`Aligner::match_inst`], and if `memo` was filled for another
+    /// switch point.
+    pub fn match_inst_memo(&self, memo: &mut MatchMemo, p: InstId, u: InstId) -> Option<InstId> {
+        self.check_query(p, u);
         assert_eq!(
-            self.orig.event(p).stmt,
-            self.switched.event(p).stmt,
-            "traces disagree at the switch point; not a switched re-execution"
-        );
-        assert!(
-            u.index() < self.orig.len(),
-            "use {u} is not an instance of the original trace"
+            *memo.p.get_or_insert(p),
+            p,
+            "match memo belongs to another switch point"
         );
         // Instances before (or at) the switch point are in the common
         // prefix and correspond to themselves.
@@ -145,48 +173,89 @@ impl<'a> Aligner<'a> {
             }
             region = self.orig_regions.parent(head);
         }
-        self.match_inside(region, region, u)
+        // Walk up from u to the region or the nearest matched head; the
+        // descent resumes from there (`None`: nothing below it matches).
+        let mut path = Vec::new();
+        let mut x = u;
+        let mut head = loop {
+            if let Some(&known) = memo.heads.get(&x) {
+                if x == u {
+                    return known;
+                }
+                break self.descends(x, known);
+            }
+            path.push(x);
+            let parent = self.orig_regions.parent(x);
+            if parent == region {
+                break Some((region, region));
+            }
+            x = parent.expect("the enclosing region contains u");
+        };
+        // `MatchInsideRegion(R, u, R')`: descend back down the path, one
+        // sub-region per step.
+        while let Some((r, r2)) = head {
+            let c = path.pop().expect("the descent returns at u");
+            let kids: &[InstId] = match r {
+                Some(h) => self.orig_regions.children(h),
+                None => self.orig_regions.roots(),
+            };
+            let kids2: &[InstId] = match r2 {
+                Some(h) => self.switched_regions.children(h),
+                None => self.switched_regions.roots(),
+            };
+            // Children are sorted by instance id, so the sibling on u's
+            // path is found by binary search instead of the paper's
+            // linear lockstep walk. The walk's early-exit case is
+            // preserved: if the switched region has fewer siblings than
+            // the target index (break/return under the switched branch,
+            // or a loop that stopped iterating — Figure 3), there is no
+            // match. Corresponding sub-regions must be instances of the
+            // same statement for the positional correspondence to be
+            // meaningful; a mismatch means control flow diverged.
+            let i = kids.partition_point(|&k| k < c);
+            debug_assert_eq!(kids.get(i), Some(&c));
+            let c2 = kids2
+                .get(i)
+                .copied()
+                .filter(|&c2| self.orig.event(c).stmt == self.switched.event(c2).stmt);
+            memo.heads.insert(c, c2);
+            if c == u {
+                return c2;
+            }
+            head = self.descends(c, c2);
+        }
+        // The rest of the path lies below a head that has no counterpart
+        // or took the other branch: none of it ran in the switched run.
+        for c in path {
+            memo.heads.insert(c, None);
+        }
+        None
     }
 
-    /// `MatchInsideRegion(R, u, R')` — lockstep sibling walk, then descent.
-    /// `None` as a region head denotes the virtual whole-execution region.
-    fn match_inside(&self, r: Option<InstId>, r2: Option<InstId>, u: InstId) -> Option<InstId> {
-        let kids: &[InstId] = match r {
-            Some(h) => self.orig_regions.children(h),
-            None => self.orig_regions.roots(),
-        };
-        let kids2: &[InstId] = match r2 {
-            Some(h) => self.switched_regions.children(h),
-            None => self.switched_regions.roots(),
-        };
-        // Children are sorted by instance id and u lies in exactly one
-        // sibling's subtree (u ∈ R), so the sibling containing u is the
-        // last child at or before u — found by binary search instead of
-        // the paper's linear lockstep walk. The walk's early-exit case is
-        // preserved: if the switched region has fewer siblings than the
-        // target index (break/return under the switched branch, or a loop
-        // that stopped iterating — Figure 3), there is no match.
-        let i = kids.partition_point(|&c| c <= u).checked_sub(1)?;
-        let c = kids[i];
-        debug_assert!(self.orig_regions.in_region(c, u));
-        // SiblingRegion(r') == NULL: the switched run left this region
-        // early before producing sibling i.
-        let c2 = *kids2.get(i)?;
-        // Corresponding sub-regions must be instances of the same
-        // statement for the positional correspondence to be meaningful; a
-        // mismatch means control flow diverged.
-        if self.orig.event(c).stmt != self.switched.event(c2).stmt {
-            return None;
-        }
-        if c == u {
-            return Some(c2);
-        }
-        // Branch(r) != Branch(r'): switching p flipped a predicate u is
-        // control dependent on, so u did not execute in E'.
-        if self.orig.event(c).branch != self.switched.event(c2).branch {
-            return None;
-        }
-        self.match_inside(Some(c), Some(c2), u)
+    /// The region pair a descent continues into below `c`, whose
+    /// counterpart is `c2`. Branch(r) != Branch(r'): switching p flipped
+    /// a predicate everything below `c` is control dependent on, so none
+    /// of it executed in E'.
+    fn descends(&self, c: InstId, c2: Option<InstId>) -> Option<(Option<InstId>, Option<InstId>)> {
+        let c2 = c2.filter(|&c2| self.orig.event(c).branch == self.switched.event(c2).branch)?;
+        Some((Some(c), Some(c2)))
+    }
+
+    /// The preconditions every matcher enforces.
+    fn check_query(&self, p: InstId, u: InstId) {
+        assert!(
+            p.index() < self.orig.len() && p.index() < self.switched.len(),
+            "switch point {p} must exist in both traces"
+        );
+        assert_eq!(
+            self.orig.event(p).stmt,
+            self.switched.event(p).stmt,
+            "traces disagree at the switch point; not a switched re-execution"
+        );
+        assert!(
+            u.index() < self.orig.len(),
+            "use {u} is not an instance of the original trace"
+        );
     }
 
     /// Convenience: matches `u` and returns the corresponding event of the
@@ -222,19 +291,7 @@ impl<'a> Aligner<'a> {
     /// Same preconditions as [`Aligner::match_inst`].
     #[doc(hidden)]
     pub fn match_inst_naive(&self, p: InstId, u: InstId) -> Option<InstId> {
-        assert!(
-            p.index() < self.orig.len() && p.index() < self.switched.len(),
-            "switch point {p} must exist in both traces"
-        );
-        assert_eq!(
-            self.orig.event(p).stmt,
-            self.switched.event(p).stmt,
-            "traces disagree at the switch point; not a switched re-execution"
-        );
-        assert!(
-            u.index() < self.orig.len(),
-            "use {u} is not an instance of the original trace"
-        );
+        self.check_query(p, u);
         if u <= p {
             return Some(u);
         }
@@ -562,6 +619,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One memo shared across every use gives the naive oracle's answer
+    /// on every (p, u) pair, whichever order the uses come in, for every
+    /// switch point of a nested loop (where iterations nest and descents
+    /// are deep), a loop exit by switch, and the paper's figures.
+    #[test]
+    fn memoized_matcher_agrees_with_naive_oracle_in_any_order() {
+        for (src, inputs) in [
+            (FIGURE2, vec![]),
+            (FIGURE2_VARIANT, vec![]),
+            (
+                "global s = 0; fn main() { let i = 0; while i < 4 { let j = 0;\
+                 while j < i { if j == 1 { s = s + 10; } s = s + j; j = j + 1; }\
+                 if s > 3 { print(s); } i = i + 1; } print(s); }",
+                vec![],
+            ),
+            (
+                "fn main() { let i = 0; while i < 3 { i = i + 1; } print(i); }",
+                vec![],
+            ),
+        ] {
+            let (program, analysis) = setup(src);
+            let cfg = RunConfig::with_inputs(inputs);
+            let orig = run_traced(&program, &analysis, &cfg);
+            for p in orig.trace.insts() {
+                if !orig.trace.event(p).is_predicate() {
+                    continue;
+                }
+                let spec = SwitchSpec::new(
+                    orig.trace.event(p).stmt,
+                    orig.trace.occurrence_index(p) as u32,
+                );
+                let sw = run_traced(&program, &analysis, &cfg.switched(spec));
+                if !sw.trace.termination().is_normal() {
+                    continue;
+                }
+                let aligner = Aligner::new(&orig.trace, &sw.trace);
+                let uses: Vec<InstId> = orig.trace.insts().collect();
+                let mut interleaved: Vec<InstId> = uses.iter().copied().step_by(2).collect();
+                interleaved.extend(uses.iter().copied().skip(1).step_by(2).rev());
+                for order in [
+                    uses.clone(),
+                    uses.iter().rev().copied().collect(),
+                    interleaved,
+                ] {
+                    let mut memo = MatchMemo::default();
+                    for &u in &order {
+                        assert_eq!(
+                            aligner.match_inst_memo(&mut memo, p, u),
+                            aligner.match_inst_naive(p, u),
+                            "{src}: diverged at p={p}, u={u}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "match memo belongs to another switch point")]
+    fn match_memo_is_tied_to_one_switch_point() {
+        let src = "fn main() { let i = 0; while i < 3 { i = i + 1; } print(i); }";
+        let (orig, sw) = run_pair(src, vec![], 1, 1);
+        let aligner = Aligner::new(&orig.trace, &sw.trace);
+        let whiles = orig.trace.instances_of(StmtId(1));
+        let mut memo = MatchMemo::default();
+        let _ = aligner.match_inst_memo(&mut memo, whiles[1], whiles[1]);
+        let _ = aligner.match_inst_memo(&mut memo, whiles[0], whiles[0]);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!    dependences, §2 of the paper);
 //! 3. **PS ⊆ DS** — confidence pruning only removes candidates, never
 //!    invents them;
-//! 4. **Alignment** — the indexed [`Aligner::match_inst`] agrees with
-//!    the naive O(n·depth) region-walk oracle on every probed use, for
-//!    every sampled landed switch (Definition 3 / Algorithm 1);
+//! 4. **Alignment** — the indexed [`Aligner::match_inst`] and its
+//!    memoized form [`Aligner::match_inst_memo`] (one memo per switch,
+//!    probed from the last use back) agree with the naive O(n·depth)
+//!    region-walk oracle on every probed use, for every sampled landed
+//!    switch (Definition 3 / Algorithm 1);
 //! 5. **Verifier determinism** — [`Verifier::verify_all`] verdicts,
 //!    outcomes, and scheduling-independent counters are identical
 //!    across `jobs` × resume × fault-plan statement entries;
@@ -45,7 +47,7 @@ use omislice::{
     build_journal, locate_fault, GroundTruthOracle, JournalMeta, LocateConfig, UserOracle,
     Verification, Verifier, VerifierMode, VerifyRequest,
 };
-use omislice_align::Aligner;
+use omislice_align::{Aligner, MatchMemo};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{run_plain, run_traced, ResumeMode, RunConfig, SwitchSpec};
 use omislice_lang::{generate_case, GenOptions, GeneratedCase};
@@ -245,14 +247,16 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
         }
         stats.alignment_switches += 1;
         let aligner = Aligner::new(trace, &switched.trace);
+        let mut memo = MatchMemo::default();
         let u_stride = if quick { (trace.len() / 64).max(1) } else { 1 };
-        for u in (0..trace.len()).step_by(u_stride) {
+        for u in (0..trace.len()).step_by(u_stride).rev() {
             let u = InstId(u as u32);
             let fast = aligner.match_inst(p, u);
+            let memoized = aligner.match_inst_memo(&mut memo, p, u);
             let naive = aligner.match_inst_naive(p, u);
-            if fast != naive {
+            if fast != naive || memoized != naive {
                 return Err(format!(
-                    "alignment divergence at switch {p}, use {u}: indexed {fast:?} vs naive {naive:?}"
+                    "alignment divergence at switch {p}, use {u}: indexed {fast:?}, memoized {memoized:?} vs naive {naive:?}"
                 ));
             }
             stats.alignment_probes += 1;

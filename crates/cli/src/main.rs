@@ -627,6 +627,11 @@ fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, rec: Option<&Recording
         outcome.iterations as f64,
     );
     set.push(
+        "locate_user_prunings",
+        "Benign judgements requested from the user",
+        outcome.user_prunings as f64,
+    );
+    set.push(
         "locate_expanded_edges",
         "Verified implicit edges added",
         outcome.expanded_edges as f64,

@@ -387,6 +387,16 @@ fn locate_metrics_own_stdout() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.trim_start().starts_with('{'), "{stdout}");
     assert!(stdout.contains("\"locate_found\":1"), "{stdout}");
+    // One `confidence-prune` span per PruneSlicing round: the round
+    // before the first iteration and one after each.
+    let doc = omislice_obs::json::parse(&stdout).expect("metrics parse");
+    let metric = |name: &str| doc.get(name).and_then(omislice_obs::Json::as_int);
+    assert!(metric("locate_user_prunings").is_some(), "{stdout}");
+    assert_eq!(
+        metric("span_confidence_prune_count"),
+        metric("locate_iterations").map(|i| i + 1),
+        "{stdout}"
+    );
 
     let bad = omislice(&[
         "locate",

@@ -121,16 +121,20 @@ pub(crate) fn fault_fires(
     }
 }
 
-/// The verifier's adaptive step-budget escalation schedule: switched
-/// runs start at `initial` steps and retry with geometrically growing
-/// budgets (`factor`) until they terminate within budget or the final
-/// rung — the configured full step budget — also expires. `attempts`
-/// bounds the total number of executions per switched run.
+/// The verifier's step-budget escalation schedule: switched runs start
+/// at `initial` steps and retry with geometrically growing budgets
+/// (`factor`) until they terminate within budget or the final rung — the
+/// configured full step budget — also expires. `attempts` bounds the
+/// total number of executions per switched run.
 ///
-/// The schedule makes the paper's expired-timer rule cheap: a switched
-/// run stuck in an infinite loop is cut off after `initial` steps
-/// instead of the full budget, while legitimately long runs still get
-/// the full budget at the last rung.
+/// The schedule makes no run cheaper. [`budgets`](Self::budgets) always
+/// ends at the full budget, and a step budget only bounds a run: one that
+/// finishes early costs its own length under any budget. A switched run
+/// stuck in an infinite loop costs every rung (`initial` +
+/// `initial·factor` + … + the full budget) instead of the full budget
+/// alone, and a run longer than `initial` re-executes, from its start or
+/// its checkpoint, at every rung it outgrows. Verdicts equal a single
+/// attempt at the full budget ([`BudgetSchedule::disabled`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetSchedule {
     /// Budget of the first attempt.

@@ -24,7 +24,7 @@ use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{BudgetSchedule, ResumeMode, RunConfig};
 use omislice_lang::{Program, StmtId, VarId};
 use omislice_slicing::{
-    is_potential_dep, potential_deps_by_var, prune_slice, union_pd, DepGraph, Feedback,
+    is_potential_dep, potential_deps_by_var, prune_round, union_pd, DepGraph, Feedback,
     PrunedSlice, Slice, UnionGraph, ValueProfile,
 };
 use omislice_trace::RunOutcome;
@@ -164,8 +164,6 @@ pub struct LocateConfig {
     /// dependent uses (Algorithm 2 lines 12–18). Disabling this is the
     /// Figure 5 ablation.
     pub verify_all_uses: bool,
-    /// Safety valve on simulated-user interactions.
-    pub max_user_prunings: usize,
     /// When set, potential-dependence candidates are restricted to
     /// predicates controlling a definition *observed* in this union
     /// dependence graph (the paper's §4 prototype configuration). This
@@ -218,7 +216,6 @@ impl Default for LocateConfig {
             mode: VerifierMode::Edge,
             max_iterations: 25,
             verify_all_uses: true,
-            max_user_prunings: 10_000,
             union_graph: None,
             jobs: 1,
             resume: ResumeMode::Auto,
@@ -377,22 +374,24 @@ pub fn locate_fault(
     }
 
     // PruneSlicing(): prune, then consult the user until the remaining
-    // instances all hold corrupted state.
+    // instances all hold corrupted state — one confidence pass per round,
+    // each benign judgement extending certainty in place. The judgements
+    // of one localization are capped as a safety valve.
+    const MAX_USER_PRUNINGS: usize = 10_000;
     let prune_with_user =
         |graph: &DepGraph<'_>, feedback: &mut Feedback, user_prunings: &mut usize| -> PrunedSlice {
-            loop {
-                let ps = prune_slice(graph, analysis, profile, &outputs.correct, wrong, feedback);
-                let next_benign = ps.ranked.iter().find(|r| {
-                    !feedback.benign.contains(&r.inst) && oracle.is_benign(trace, r.inst)
-                });
-                match next_benign {
-                    Some(r) if *user_prunings < lc.max_user_prunings => {
-                        feedback.benign.insert(r.inst);
-                        *user_prunings += 1;
-                    }
-                    _ => return ps,
-                }
-            }
+            let (ps, judged) = prune_round(
+                graph,
+                analysis,
+                profile,
+                &outputs.correct,
+                wrong,
+                feedback,
+                |inst| oracle.is_benign(trace, inst),
+                MAX_USER_PRUNINGS - *user_prunings,
+            );
+            *user_prunings += judged;
+            ps
         };
 
     let mut ps = prune_with_user(&graph, &mut feedback, &mut user_prunings);
@@ -964,6 +963,56 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Counts every benign judgement the locator asks for.
+    struct CountingOracle<'a> {
+        inner: &'a GroundTruthOracle,
+        asked: std::cell::RefCell<HashMap<InstId, usize>>,
+    }
+
+    impl UserOracle for CountingOracle<'_> {
+        fn classify_outputs(&self, trace: &Trace) -> Option<OutputClassification> {
+            self.inner.classify_outputs(trace)
+        }
+
+        fn is_benign(&self, trace: &Trace, inst: InstId) -> bool {
+            *self.asked.borrow_mut().entry(inst).or_default() += 1;
+            self.inner.is_benign(trace, inst)
+        }
+
+        fn is_root_cause(&self, stmt: StmtId) -> bool {
+            self.inner.is_root_cause(stmt)
+        }
+    }
+
+    #[test]
+    fn each_instance_is_judged_at_most_once_per_round() {
+        let c = gzip_like();
+        let oracle = CountingOracle {
+            inner: &c.oracle,
+            asked: Default::default(),
+        };
+        let out = locate_fault(
+            &c.faulty,
+            &c.analysis,
+            &c.config,
+            &c.trace,
+            &c.profile,
+            &oracle,
+            &LocateConfig::default(),
+        )
+        .unwrap();
+        assert!(out.user_prunings >= 1, "no judgement to re-ask around");
+        // One PruneSlicing round before the first iteration, one after
+        // each: re-asking earlier candidates after every judgement would
+        // ask the top-ranked wrong output more often than that.
+        let rounds = out.iterations + 1;
+        let asked = oracle.asked.into_inner();
+        assert!(asked.contains_key(&out.wrong_output));
+        for (inst, n) in asked {
+            assert!(n <= rounds, "{inst} asked {n} times in {rounds} rounds");
         }
     }
 

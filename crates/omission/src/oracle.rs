@@ -35,6 +35,11 @@ pub trait UserOracle {
     fn classify_outputs(&self, trace: &Trace) -> Option<OutputClassification>;
 
     /// Whether the program state produced by `inst` is benign (correct).
+    ///
+    /// The answer must be a pure function of `(trace, inst)` within one
+    /// localization: PruneSlicing asks each ranked instance at most once
+    /// per round and never re-asks the candidates it has passed, so an
+    /// answer that changed on a second asking would be ignored.
     fn is_benign(&self, trace: &Trace, inst: InstId) -> bool;
 
     /// Whether `stmt` is (part of) the root cause — the loop-termination

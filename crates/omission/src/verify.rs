@@ -61,7 +61,7 @@
 //! thresholds.
 
 use crate::memo::{RunEntry, VerifyMemo};
-use omislice_align::Aligner;
+use omislice_align::{Aligner, MatchMemo};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
     resume_switched_capturing, run_traced_with_checkpoints, BudgetSchedule, Checkpoint,
@@ -421,6 +421,10 @@ pub struct Verifier<'a> {
     /// early-exit) also land here, and *only* here: their synthetic
     /// expired-timer outcomes must never poison the shared memo.
     runs: HashMap<SwitchSpec, RunEntry>,
+    /// Region correspondences found while aligning against each pinned
+    /// run, so a batch's verifications of one switch point share their
+    /// descents. Cleared with `runs`.
+    matches: HashMap<SwitchSpec, MatchMemo>,
     /// Capture break-even in gap events; `None` uses the cost model's
     /// static estimate [`DEFAULT_CAPTURE_THRESHOLD`].
     capture_threshold: Option<usize>,
@@ -468,6 +472,7 @@ impl<'a> Verifier<'a> {
             orig_regions: Arc::new(RegionTree::build(trace)),
             memo: VerifyMemo::shared(),
             runs: HashMap::new(),
+            matches: HashMap::new(),
             capture_threshold: None,
             early_exit: false,
             cost: CostModel::new(rungs),
@@ -632,6 +637,7 @@ impl<'a> Verifier<'a> {
         // The batch re-pins everything it needs from the memo; stale
         // pins from earlier batches would keep evicted entries alive.
         self.runs.clear();
+        self.matches.clear();
         let out = if self.early_exit_applicable(requests) {
             self.verify_all_early_exit(requests)
         } else {
@@ -654,6 +660,7 @@ impl<'a> Verifier<'a> {
             for (w, wave) in requests.chunks(VERIFY_WAVE).enumerate() {
                 if w > 0 {
                     self.runs.clear();
+                    self.matches.clear();
                 }
                 if let Some(b) = batch {
                     omislice_obs::profile::mark(
@@ -1342,16 +1349,17 @@ impl<'a> Verifier<'a> {
             Arc::clone(&self.orig_regions),
             Arc::clone(&run.regions),
         );
+        let matches = self.matches.entry(spec).or_default();
 
         // Line 27-28: does the switch produce the expected value at o×?
-        let matched_failure = aligner.match_inst(p, wrong_output);
+        let matched_failure = aligner.match_inst_memo(matches, p, wrong_output);
         let failure_value = matched_failure.and_then(|m| switched.event(m).value);
         if let (Some(v), Some(exp)) = (failure_value, expected) {
             if v == exp {
                 return Verification {
                     verdict: Verdict::StrongId,
                     outcome,
-                    matched_use: aligner.match_inst(p, u),
+                    matched_use: aligner.match_inst_memo(matches, p, u),
                     matched_failure,
                     failure_value,
                 };
@@ -1359,7 +1367,7 @@ impl<'a> Verifier<'a> {
         }
 
         // Line 29-30: u unmatched ⇒ implicit dependence (case (i)).
-        let Some(u2) = aligner.match_inst(p, u) else {
+        let Some(u2) = aligner.match_inst_memo(matches, p, u) else {
             return Verification {
                 verdict: Verdict::Id,
                 outcome,

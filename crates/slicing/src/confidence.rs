@@ -25,7 +25,7 @@ use crate::graph::DepGraph;
 use crate::profile::ValueProfile;
 use omislice_analysis::ProgramAnalysis;
 use omislice_trace::InstId;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// Inputs to one confidence computation.
 #[derive(Debug)]
@@ -50,6 +50,9 @@ pub struct ConfidenceParams<'a> {
 #[derive(Debug, Clone)]
 pub struct Confidence {
     conf: Vec<f64>,
+    /// The wrong output and the user-marked corrupted instances: held at
+    /// 0 whatever the evidence, and never crossed by certainty.
+    pinned: Vec<bool>,
 }
 
 impl Confidence {
@@ -66,6 +69,62 @@ impl Confidence {
     /// (confidence 1).
     pub fn is_prunable(&self, inst: InstId) -> bool {
         self.of(inst) >= 1.0 - f64::EPSILON
+    }
+
+    /// Certainty propagation: makes every seed certain (confidence 1) and
+    /// lets certainty flow backwards — through invertible computations,
+    /// from predicates onto binary-domain operands, and across added
+    /// edges. Only instances neither certain nor pinned are visited, so
+    /// re-entering with one more benign instance costs the edges of what
+    /// it newly makes certain, and the certain set is the same closure
+    /// one pass over all seeds computes. Confidence 1 marks exactly the
+    /// certain instances: the range-based estimate stays below 1.
+    pub(crate) fn extend_certainty(
+        &mut self,
+        graph: &DepGraph<'_>,
+        analysis: &ProgramAnalysis,
+        profile: &ValueProfile,
+        seeds: impl IntoIterator<Item = InstId>,
+    ) {
+        let Confidence { conf, pinned } = self;
+        let mut mark = |i: InstId, work: &mut Vec<InstId>| {
+            if conf[i.index()] < 1.0 && !pinned[i.index()] {
+                conf[i.index()] = 1.0;
+                work.push(i);
+            }
+        };
+        let mut work = Vec::new();
+        for seed in seeds {
+            mark(seed, &mut work);
+        }
+        let cols = graph.trace().columns();
+        while let Some(j) = work.pop() {
+            // One-to-one computations pin their inputs (Figure 4's `+`
+            // case); predicates pin operands whose observed domain is
+            // binary — the range-based estimate of PLDI 2006 (outcome +
+            // two-valued domain determine the value).
+            if analysis.index().stmt(cols.stmt_of(j)).invertible {
+                for &i in cols.deps_of(j) {
+                    mark(i, &mut work);
+                }
+            } else if cols.branch_of(j).is_some() {
+                for &i in cols.deps_of(j) {
+                    if profile.range(cols.stmt_of(i)) <= 2 {
+                        mark(i, &mut work);
+                    }
+                }
+            }
+            // Added dependence edges transfer correctness evidence to
+            // their target: `j` (implicitly) depends on the predicate, and
+            // `j` being correct exonerates it. This is exactly the Figure 5
+            // pruning the paper wants across *verified* edges — and
+            // exactly the root-sanitizing hazard it warns about when the
+            // edges are merely *potential* (§3.2), which the ablation
+            // harness demonstrates.
+            for &i in graph.extra_edges_of(j) {
+                mark(i, &mut work);
+            }
+        }
     }
 }
 
@@ -85,54 +144,23 @@ pub fn analyze(params: &ConfidenceParams<'_>) -> Confidence {
     let trace = params.graph.trace();
     let n = trace.len();
 
-    // 1. Certainty propagation: correct values flow backwards through
-    //    invertible computations along data-dependence edges.
-    let mut certain = vec![false; n];
-    let mut pinned_zero = vec![false; n];
-    pinned_zero[params.wrong_output.index()] = true;
+    // 1. Certainty propagation from the correct outputs and the benign
+    //    marks.
+    let mut pinned = vec![false; n];
+    pinned[params.wrong_output.index()] = true;
     for &c in params.corrupted {
-        pinned_zero[c.index()] = true;
+        pinned[c.index()] = true;
     }
-    let mut queue: VecDeque<InstId> = VecDeque::new();
-    for &seed in params.correct_outputs.iter().chain(params.benign.iter()) {
-        if !pinned_zero[seed.index()] && !certain[seed.index()] {
-            certain[seed.index()] = true;
-            queue.push_back(seed);
-        }
-    }
-    let cols = trace.columns();
-    while let Some(j) = queue.pop_front() {
-        let mut mark = |i: InstId, queue: &mut VecDeque<InstId>| {
-            if !certain[i.index()] && !pinned_zero[i.index()] {
-                certain[i.index()] = true;
-                queue.push_back(i);
-            }
-        };
-        // One-to-one computations pin their inputs (Figure 4's `+` case);
-        // predicates pin operands whose observed domain is binary — the
-        // range-based estimate of PLDI 2006 (outcome + two-valued domain
-        // determine the value).
-        if params.analysis.index().stmt(cols.stmt_of(j)).invertible {
-            for &i in cols.deps_of(j) {
-                mark(i, &mut queue);
-            }
-        } else if cols.branch_of(j).is_some() {
-            for &i in cols.deps_of(j) {
-                if params.profile.range(cols.stmt_of(i)) <= 2 {
-                    mark(i, &mut queue);
-                }
-            }
-        }
-        // Added dependence edges transfer correctness evidence to their
-        // target: `j` (implicitly) depends on the predicate, and `j` being
-        // correct exonerates it. This is exactly the Figure 5 pruning the
-        // paper wants across *verified* edges — and exactly the
-        // root-sanitizing hazard it warns about when the edges are merely
-        // *potential* (§3.2), which the ablation harness demonstrates.
-        for &i in params.graph.extra_edges_of(j) {
-            mark(i, &mut queue);
-        }
-    }
+    let mut confidence = Confidence {
+        conf: vec![0.0; n],
+        pinned,
+    };
+    confidence.extend_certainty(
+        params.graph,
+        params.analysis,
+        params.profile,
+        params.correct_outputs.iter().chain(params.benign).copied(),
+    );
 
     // 2. Output reachability over the augmented graph. Dependences point
     //    strictly backwards in time, so one descending sweep suffices.
@@ -153,22 +181,16 @@ pub fn analyze(params: &ConfidenceParams<'_>) -> Confidence {
         }
     }
 
-    // 3. Combine.
-    let conf = (0..n)
-        .map(|idx| {
-            if pinned_zero[idx] {
-                0.0
-            } else if certain[idx] {
-                1.0
-            } else if reach[idx] & CORRECT != 0 {
-                let stmt = cols.stmt_of(InstId(idx as u32));
-                partial_confidence(params.profile.range(stmt))
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Confidence { conf }
+    // 3. Combine: uncertain, unpinned instances that reach a correct
+    //    output get the range-based estimate; everything else stays 0.
+    let cols = trace.columns();
+    for (idx, &mask) in reach.iter().enumerate() {
+        if mask & CORRECT != 0 && confidence.conf[idx] < 1.0 && !confidence.pinned[idx] {
+            let stmt = cols.stmt_of(InstId(idx as u32));
+            confidence.conf[idx] = partial_confidence(params.profile.range(stmt));
+        }
+    }
+    confidence
 }
 
 #[cfg(test)]

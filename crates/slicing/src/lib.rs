@@ -9,8 +9,9 @@
 //!   (Definition 1), the conservative baseline (**RS**);
 //! * [`ValueProfile`] — per-statement value ranges from the test suite;
 //! * [`confidence`] — the PLDI 2006 confidence analysis;
-//! * [`prune_slice`] — pruning + ranking (**PS**), the `PruneSlicing()`
-//!   primitive of Algorithm 2.
+//! * [`prune_slice`] — pruning + ranking (**PS**), and [`prune_round`] —
+//!   the `PruneSlicing()` round of Algorithm 2 (one pass, then the user's
+//!   benign judgements, each extending certainty in place).
 //!
 //! ```
 //! use omislice_analysis::ProgramAnalysis;
@@ -46,7 +47,7 @@ pub use confidence::{
 };
 pub use graph::{DepGraph, ExtraEdges, Slice};
 pub use profile::ValueProfile;
-pub use prune::{prune_slice, Feedback, PrunedSlice, RankedInst};
+pub use prune::{prune_round, prune_slice, Feedback, PrunedSlice, RankedInst};
 pub use relevant::{
     is_potential_dep, potential_dep_instances, potential_deps_by_var, potential_deps_by_var_naive,
     relevant_slice, relevant_slice_jobs, relevant_slice_naive, relevant_slice_on,

@@ -7,7 +7,9 @@
 //! the survivors: lowest confidence first, then closest to the failure
 //! point (dependence distance), then latest execution. The head of the
 //! ranking is "the most promising" instance for implicit-dependence
-//! verification.
+//! verification. [`prune_round`] is the whole interactive round: one
+//! such pass, then the user's benign judgements, each extending
+//! certainty in place instead of re-running the pass.
 
 use crate::confidence::{analyze, Confidence, ConfidenceParams};
 use crate::graph::{DepGraph, Slice};
@@ -75,6 +77,84 @@ pub fn prune_slice(
     feedback: &Feedback,
 ) -> PrunedSlice {
     let _span = omislice_obs::span("confidence-prune");
+    rank(
+        graph,
+        analysis,
+        profile,
+        correct_outputs,
+        wrong_output,
+        feedback,
+    )
+}
+
+/// Runs one whole `PruneSlicing()` round: one pruning pass, then the
+/// user's benign judgements in ranking order, until no remaining
+/// candidate is benign or `limit` judgements have been made. Returns the
+/// final pruned slice and the number of judgements (instances added to
+/// `feedback.benign`).
+///
+/// A benign mark only extends certainty — the slice, output reachability
+/// and distances never read the feedback — so after each mark the
+/// ranking is the previous one minus the newly certain instances. Each
+/// judgement therefore extends certainty in place from the marked
+/// instance, the newly certain candidates drop out of the ranking in one
+/// compaction at the end, and the scan resumes where it stopped: the
+/// candidates before it were already rejected. `is_benign` must answer
+/// the same for the same instance; it is asked at most once per ranked
+/// instance. The result equals re-running [`prune_slice`] after every
+/// judgement and taking the first benign candidate from the top.
+#[allow(clippy::too_many_arguments)]
+pub fn prune_round(
+    graph: &DepGraph<'_>,
+    analysis: &ProgramAnalysis,
+    profile: &ValueProfile,
+    correct_outputs: &[InstId],
+    wrong_output: InstId,
+    feedback: &mut Feedback,
+    mut is_benign: impl FnMut(InstId) -> bool,
+    limit: usize,
+) -> (PrunedSlice, usize) {
+    let _span = omislice_obs::span("confidence-prune");
+    let mut ps = rank(
+        graph,
+        analysis,
+        profile,
+        correct_outputs,
+        wrong_output,
+        feedback,
+    );
+    let mut judged = 0;
+    for r in &ps.ranked {
+        if judged == limit {
+            break;
+        }
+        // Certain since the pass, or a pinned instance marked benign in
+        // an earlier round: either way not a candidate to judge.
+        if ps.confidence.is_prunable(r.inst)
+            || feedback.benign.contains(&r.inst)
+            || !is_benign(r.inst)
+        {
+            continue;
+        }
+        feedback.benign.insert(r.inst);
+        judged += 1;
+        ps.confidence
+            .extend_certainty(graph, analysis, profile, [r.inst]);
+    }
+    let confidence = &ps.confidence;
+    ps.ranked.retain(|r| !confidence.is_prunable(r.inst));
+    (ps, judged)
+}
+
+/// The pass behind [`prune_slice`] and [`prune_round`].
+fn rank(
+    graph: &DepGraph<'_>,
+    analysis: &ProgramAnalysis,
+    profile: &ValueProfile,
+    correct_outputs: &[InstId],
+    wrong_output: InstId,
+    feedback: &Feedback,
+) -> PrunedSlice {
     let slice = graph.backward_slice(wrong_output);
     let confidence = analyze(&ConfidenceParams {
         graph,

@@ -9,21 +9,25 @@
 //!   3. `DepGraph::backward_slice` (CSR + bitset) equals a hash-set BFS
 //!      over the allocated dependence vectors;
 //!   4. `relevant_slice_jobs` equals `relevant_slice_naive` for
-//!      `jobs ∈ {1, 2, 4}`.
+//!      `jobs ∈ {1, 2, 4}`;
+//!   5. `prune_round` (one confidence pass per round, certainty extended
+//!      in place per benign judgement) equals re-running `prune_slice`
+//!      after every judgement, for random wrong outputs, extra edges,
+//!      benign oracles and judgement limits.
 //!
-//! This is the safety net under the ISSUE's perf tentpole: every index
-//! shortcut must be invisible in results.
+//! Every index and incremental shortcut must be invisible in results.
 
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{run_traced, RunConfig};
 use omislice_lang::{compile, Program};
 use omislice_slicing::{
-    potential_deps_by_var, potential_deps_by_var_naive, relevant_slice_jobs, relevant_slice_naive,
-    DepGraph, Slice,
+    potential_deps_by_var, potential_deps_by_var_naive, prune_round, prune_slice,
+    relevant_slice_jobs, relevant_slice_naive, DepGraph, Feedback, PrunedSlice, Slice,
+    ValueProfile,
 };
 use omislice_trace::{InstId, Trace};
 use proptest::prelude::*;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 // --- tiny structured-program generator ----------------------------------
 
@@ -165,6 +169,126 @@ proptest! {
             );
             let rs = relevant_slice_jobs(trace, &analysis, criterion, jobs);
             prop_assert_eq!(&rs, &rs_ref, "relevant_slice diverged (jobs={})", jobs);
+        }
+    }
+}
+
+/// The re-prune-per-judgement `PruneSlicing()` round: a full
+/// `prune_slice` pass after every benign judgement, each scanning the
+/// ranking from the top for the first benign candidate not yet marked.
+#[allow(clippy::too_many_arguments)]
+fn prune_round_naive(
+    graph: &DepGraph<'_>,
+    analysis: &ProgramAnalysis,
+    profile: &ValueProfile,
+    correct_outputs: &[InstId],
+    wrong_output: InstId,
+    feedback: &mut Feedback,
+    is_benign: impl Fn(InstId) -> bool,
+    limit: usize,
+) -> (PrunedSlice, usize) {
+    let mut judged = 0;
+    loop {
+        let ps = prune_slice(
+            graph,
+            analysis,
+            profile,
+            correct_outputs,
+            wrong_output,
+            feedback,
+        );
+        let next = ps
+            .ranked
+            .iter()
+            .find(|r| !feedback.benign.contains(&r.inst) && is_benign(r.inst));
+        match next {
+            Some(r) if judged < limit => {
+                feedback.benign.insert(r.inst);
+                judged += 1;
+            }
+            _ => return (ps, judged),
+        }
+    }
+}
+
+/// A deterministic benign oracle: about `percent`% of instances, chosen
+/// by hashing the instance with `seed` (splitmix64).
+fn seeded_oracle(seed: u64, percent: u64) -> impl Fn(InstId) -> bool {
+    move |inst| {
+        let mut z = seed ^ u64::from(inst.0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % 100 < percent
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn incremental_prune_round_matches_repruning_per_judgement(
+        program in program_strategy(),
+        wrong_pick in any::<prop::sample::Index>(),
+        edge_picks in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..6),
+        corrupted_picks in prop::collection::vec(any::<prop::sample::Index>(), 0..2),
+        oracle_seed in any::<u64>(),
+        benign_percent in 0u64..101,
+    ) {
+        let analysis = ProgramAnalysis::build(&program);
+        let trace = &run_traced(&program, &analysis, &RunConfig::default()).trace;
+        prop_assert!(trace.termination().is_normal());
+        let mut profile = ValueProfile::new();
+        profile.add_trace(trace);
+        let outputs = trace.outputs();
+        let w = wrong_pick.index(outputs.len());
+        let correct: Vec<InstId> = outputs[..w].iter().map(|o| o.inst).collect();
+        let wrong = outputs[w].inst;
+        let inst = |pick: &prop::sample::Index| InstId(pick.index(trace.len()) as u32);
+        let edges: Vec<(InstId, InstId)> = edge_picks
+            .iter()
+            .map(|(a, b)| (inst(a), inst(b)))
+            .filter(|(from, to)| to < from)
+            .collect();
+        let corrupted: HashSet<InstId> = corrupted_picks.iter().map(inst).collect();
+        let is_benign = seeded_oracle(oracle_seed, benign_percent);
+
+        for limit in [0usize, 1, 3, usize::MAX] {
+            // Two rounds with edges added in between, as Algorithm 2 adds
+            // verified edges between PruneSlicing rounds.
+            let mut graph = DepGraph::new(trace);
+            let mut fast = Feedback { benign: HashSet::new(), corrupted: corrupted.clone() };
+            let mut slow = fast.clone();
+            let mut left = limit;
+            let (first, second) = edges.split_at(edges.len() / 2);
+            for half in [first, second] {
+                for &(from, to) in half {
+                    graph.add_edge(from, to);
+                }
+                let mut asked: HashMap<InstId, usize> = HashMap::new();
+                let (got, got_n) = prune_round(
+                    &graph, &analysis, &profile, &correct, wrong, &mut fast,
+                    |i| {
+                        *asked.entry(i).or_default() += 1;
+                        is_benign(i)
+                    },
+                    left,
+                );
+                let (want, want_n) = prune_round_naive(
+                    &graph, &analysis, &profile, &correct, wrong, &mut slow, &is_benign, left,
+                );
+                prop_assert_eq!(&got.ranked, &want.ranked, "ranking (limit {})", limit);
+                let conf = |ps: &PrunedSlice| {
+                    trace.insts().map(|i| ps.confidence.of(i)).collect::<Vec<f64>>()
+                };
+                prop_assert_eq!(conf(&got), conf(&want), "confidence (limit {})", limit);
+                prop_assert_eq!(&fast.benign, &slow.benign, "benign marks (limit {})", limit);
+                prop_assert_eq!(got_n, want_n, "judgements (limit {})", limit);
+                prop_assert!(
+                    asked.values().all(|&n| n == 1),
+                    "an instance was judged twice in one round: {:?}", asked
+                );
+                left -= got_n;
+            }
         }
     }
 }
