@@ -290,18 +290,22 @@ EOF
 }
 
 # Verification-scheduler smoke: the checkpoint-forest scheduler must
-# actually pay off, not just pass its unit tests. Three probes: (1) a
+# actually pay off, not just pass its unit tests. Four probes: (1) a
 # 2-iteration corpus locate must answer some switched runs from the
 # cross-iteration memo (memo_hits == 0 means the persistent memo went
-# dead); (2) gzip V2-F3, whose one iteration asks the user for dozens
-# of benign judgements, must record exactly one `confidence-prune` span
-# per PruneSlicing round (iterations + 1) — a count, so no timing — or
-# the locator went back to a full pruning pass per judgement; (3) a
-# sed ×250 sweep's resumed verification pass must beat the from-scratch
-# pass by at least 2× (the published sed ×1000 ratio is ~0.09; the 0.5
-# gate leaves headroom for noisy CI hosts while still catching a
-# disabled or regressed resume path). Run standalone with
-# `./ci.sh verify-smoke`.
+# dead); (2) the same locate under a dense budget schedule (10:2:6)
+# must trace exactly as many runs as under `--budget off` — the
+# schedule only counts the rungs a run outgrew, it never re-executes
+# one — while counting at least one retry, so the gate cannot pass
+# vacuously (the counts are deterministic); (3) gzip V2-F3, whose one
+# iteration asks the user for dozens of benign judgements, must record
+# exactly one `confidence-prune` span per PruneSlicing round
+# (iterations + 1) — a count, so no timing — or the locator went back
+# to a full pruning pass per judgement; (4) a sed ×250 sweep's resumed
+# verification pass must beat the from-scratch pass by at least 2× (the
+# published sed ×1000 ratio is ~0.09; the 0.5 gate leaves headroom for
+# noisy CI hosts while still catching a disabled or regressed resume
+# path). Run standalone with `./ci.sh verify-smoke`.
 verify_smoke() {
     echo "==> verify smoke (checkpoint-forest scheduler gate)"
     cargo build "${OFFLINE[@]}" --release -p omislice-cli -p omislice-bench
@@ -320,6 +324,23 @@ verify_smoke() {
         exit 1
     fi
     echo "   locate: iterations=$iters memo_hits=$hits"
+    local dense_runs retries off_runs
+    RUST_BACKTRACE=1 ./target/release/omislice corpus locate sed V3-F2 \
+        --budget 10:2:6 --metrics text >"$metrics"
+    dense_runs=$(awk '$1 == "omislice_counter_tracer_runs" {print int($2)}' "$metrics")
+    retries=$(awk '$1 == "omislice_verify_budget_retries" {print int($2)}' "$metrics")
+    RUST_BACKTRACE=1 ./target/release/omislice corpus locate sed V3-F2 \
+        --budget off --metrics text >"$metrics"
+    off_runs=$(awk '$1 == "omislice_counter_tracer_runs" {print int($2)}' "$metrics")
+    if [ "${retries:-0}" -lt 1 ]; then
+        echo "verify smoke FAILED: sed V3-F2 under --budget 10:2:6 counted ${retries:-0} budget retries, want >= 1 (single execution untestable)" >&2
+        exit 1
+    fi
+    if [ -z "$dense_runs" ] || [ "$dense_runs" != "${off_runs:-}" ]; then
+        echo "verify smoke FAILED: sed V3-F2 traced ${dense_runs:-?} runs under --budget 10:2:6 but ${off_runs:-?} under --budget off (outgrown rungs re-executed)" >&2
+        exit 1
+    fi
+    echo "   budget: tracer_runs=$dense_runs under 10:2:6 and off, budget_retries=$retries"
     RUST_BACKTRACE=1 ./target/release/omislice corpus locate gzip V2-F3 \
         --metrics text >"$metrics"
     local prunings rounds

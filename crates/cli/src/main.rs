@@ -43,8 +43,8 @@ use omislice::omislice_trace::{
     take_recovery, FaultPlan, RecoveryLog, RegionTree, Supervisor, Trace, TraceStats,
 };
 use omislice::{
-    build_journal, describe_inst, render_slice, DebugSession, DebugSessionBuilder, JournalMeta,
-    LocateConfig, LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
+    build_journal, default_jobs, describe_inst, render_slice, DebugSession, DebugSessionBuilder,
+    JournalMeta, LocateConfig, LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
 };
 use omislice_corpus::all_benchmarks;
 use omislice_obs::{MetricSet, Recording, Reporter};
@@ -142,7 +142,8 @@ pipeline must recover, not abort:
   encode    corrupt          decode    corrupt        mmap   fail
   save      short-write, enospc        deadline  expire (one per plan)
   handler   panic (served requests only)
---jobs takes 1 to 256. --deadline <ms> cancels the run cooperatively;
+--jobs takes 1 to 256 and defaults to the host's available parallelism
+(one worker per core). --deadline <ms> cancels the run cooperatively;
 exit code 3 marks the partial report. Malformed invocations, unknown
 flags included, exit with code 2.";
 
@@ -442,19 +443,22 @@ fn parse_capture_threshold(opts: &Opts) -> Result<Option<usize>, CliError> {
 }
 
 /// Parses `--jobs N`, bounded to `1..=MAX_JOBS` like a served request's
-/// `jobs` (default 1).
+/// `jobs`. The default is [`default_jobs`], one worker per available core
+/// (a served request defaults to 1: the server's worker pool already
+/// spreads requests over the cores).
 fn parse_jobs(opts: &Opts) -> Result<usize, CliError> {
     let what = format!("an integer from 1 to {MAX_JOBS}");
     match parse_flag::<usize>(opts, "jobs", &what)? {
-        None => Ok(1),
+        None => Ok(default_jobs()),
         Some(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
         Some(n) => Err(usage_err(format!("bad --jobs `{n}` (need {what})"))),
     }
 }
 
-/// Parses `--budget init[:factor[:attempts]]` (or `off` to disable
-/// escalation) into a [`BudgetSchedule`]. The grammar lives with the
-/// type ([`BudgetSchedule::parse`]); this wrapper only names the flag.
+/// Parses `--budget init[:factor[:attempts]]` (or `off`: no rungs, no
+/// retries counted) into a [`BudgetSchedule`], the escalation accounting
+/// of `--stats`. The grammar lives with the type
+/// ([`BudgetSchedule::parse`]); this wrapper only names the flag.
 fn parse_budget(text: Option<&str>) -> Result<BudgetSchedule, CliError> {
     match text {
         None => Ok(BudgetSchedule::default()),
@@ -586,8 +590,14 @@ impl ObsOpts {
 }
 
 /// Folds trace, locate, and verification counters — plus span
-/// aggregates when the recorder ran — into one exportable set.
-fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, rec: Option<&Recording>) -> MetricSet {
+/// aggregates when the recorder ran — into one exportable set. `jobs`
+/// is the worker count the localization ran with.
+fn locate_metrics(
+    trace: &Trace,
+    outcome: &LocateOutcome,
+    jobs: usize,
+    rec: Option<&Recording>,
+) -> MetricSet {
     let mut set = MetricSet::new();
     let ts = TraceStats::compute(trace);
     set.push(
@@ -625,6 +635,11 @@ fn locate_metrics(trace: &Trace, outcome: &LocateOutcome, rec: Option<&Recording
         "locate_iterations",
         "Algorithm 2 iterations",
         outcome.iterations as f64,
+    );
+    set.push(
+        "locate_jobs",
+        "Verify workers the localization used",
+        jobs as f64,
     );
     set.push(
         "locate_user_prunings",
@@ -838,7 +853,12 @@ impl LocateFlags {
             }
         }
         if obs.metrics.is_some() {
-            obs.emit_metrics(&locate_metrics(session.trace(), &outcome, rec.as_ref()));
+            obs.emit_metrics(&locate_metrics(
+                session.trace(),
+                &outcome,
+                lc.jobs,
+                rec.as_ref(),
+            ));
         }
         Ok(supervised_exit(
             &recovery,

@@ -511,6 +511,53 @@ fn metric_keys(metrics: &omislice_obs::Json) -> std::collections::BTreeSet<Strin
     pairs.iter().map(|(k, _)| k.clone()).collect()
 }
 
+/// Without `--jobs`, a localization runs one verify worker per available
+/// core and says so in its metrics; the report and every `--stats`
+/// counter equal those of `--jobs 1`.
+#[test]
+fn jobs_default_to_the_hosts_parallelism() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as i64;
+    let default = omislice(&["corpus", "locate", "sed", "V3-F3", "--metrics", "json"]);
+    let metrics = metrics_of(&default);
+    assert_eq!(
+        metrics
+            .get("locate_jobs")
+            .and_then(omislice_obs::Json::as_int),
+        Some(cores.min(256))
+    );
+    let one = omislice(&[
+        "corpus",
+        "locate",
+        "sed",
+        "V3-F3",
+        "--metrics",
+        "json",
+        "--jobs",
+        "1",
+    ]);
+    assert_eq!(
+        metrics_of(&one)
+            .get("locate_jobs")
+            .and_then(omislice_obs::Json::as_int),
+        Some(1)
+    );
+    // Without `--metrics` the report owns stdout and `--stats` goes to
+    // stderr; only the `wall:` line may differ.
+    let report = |jobs: &[&str]| {
+        let out = omislice(&[&["corpus", "locate", "sed", "V3-F3", "--stats"], jobs].concat());
+        assert!(out.status.success());
+        let stats: String = String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("wall:"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stats)
+    };
+    let (default_report, default_stats) = report(&[]);
+    assert!(default_stats.contains("re-executions"), "{default_stats}");
+    assert_eq!((default_report, default_stats), report(&["--jobs", "1"]));
+}
+
 /// `--profile-out`, `--obs-out` and `--metrics` read one recording: each
 /// verification candidate is one slice in the Chrome trace, one span in
 /// the metrics, and one re-execution; and adding `--profile-out` to a run

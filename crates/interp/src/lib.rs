@@ -33,7 +33,7 @@ pub use snapshot::{
     resume_switched, resume_switched_capturing, run_traced_with_checkpoints, Checkpoint,
     ResumeError, ResumeMode,
 };
-pub use tracer::{run_traced, TracedRun, MAX_CALL_DEPTH};
+pub use tracer::{last_demand, run_traced, TracedRun, MAX_CALL_DEPTH};
 
 use omislice_lang::StmtId;
 use omislice_trace::{CrashKind, FaultAction, FaultEntry, FaultSite};
@@ -121,27 +121,24 @@ pub(crate) fn fault_fires(
     }
 }
 
-/// The verifier's step-budget escalation schedule: switched runs start
-/// at `initial` steps and retry with geometrically growing budgets
-/// (`factor`) until they terminate within budget or the final rung — the
-/// configured full step budget — also expires. `attempts` bounds the
-/// total number of executions per switched run.
-///
-/// The schedule makes no run cheaper. [`budgets`](Self::budgets) always
-/// ends at the full budget, and a step budget only bounds a run: one that
-/// finishes early costs its own length under any budget. A switched run
-/// stuck in an infinite loop costs every rung (`initial` +
-/// `initial·factor` + … + the full budget) instead of the full budget
-/// alone, and a run longer than `initial` re-executes, from its start or
-/// its checkpoint, at every rung it outgrows. Verdicts equal a single
-/// attempt at the full budget ([`BudgetSchedule::disabled`]).
+/// The verifier's step-budget escalation schedule, kept as accounting
+/// only: rungs of `initial`, `initial·factor`, … steps below the
+/// configured full step budget, at most `attempts` rungs counting the
+/// full budget itself. No rung executes. A switched run executes once, at
+/// the full budget, and reports as *retries* the rungs below it that its
+/// demand outgrew ([`retries`](Self::retries)): exactly the attempts that
+/// would have expired had the run been re-executed at each rung until one
+/// did not. A step budget only bounds a run, so a run that finishes
+/// within a rung is the same run at the full budget, and its verdict
+/// equals a single attempt at the full budget
+/// ([`BudgetSchedule::disabled`], which reports no retries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetSchedule {
-    /// Budget of the first attempt.
+    /// The first rung, in steps.
     pub initial: u64,
-    /// Multiplier between consecutive attempts (≥ 2 effective).
+    /// Multiplier between consecutive rungs (≥ 2 effective).
     pub factor: u64,
-    /// Maximum attempts, final rung included (≥ 1 effective).
+    /// Maximum rungs, the full budget included (≥ 1 effective).
     pub attempts: u32,
 }
 
@@ -156,7 +153,7 @@ impl Default for BudgetSchedule {
 }
 
 impl BudgetSchedule {
-    /// A schedule with no escalation: one attempt at the full budget.
+    /// A schedule with no escalation: one rung, the full budget.
     pub fn disabled() -> Self {
         BudgetSchedule {
             initial: u64::MAX,
@@ -207,9 +204,9 @@ impl BudgetSchedule {
         })
     }
 
-    /// The strictly increasing budgets to try, ending at `cap` (the full
+    /// The strictly increasing rungs, ending at `cap` (the full
     /// configured step budget). Rungs at or above `cap` are dropped, so
-    /// the final attempt always runs with exactly `cap`.
+    /// the last rung is always exactly `cap`.
     pub fn budgets(&self, cap: u64) -> Vec<u64> {
         let mut out = Vec::new();
         let mut b = self.initial.max(1);
@@ -219,6 +216,19 @@ impl BudgetSchedule {
         }
         out.push(cap);
         out
+    }
+
+    /// The retries a run executed once at the full budget `cap` counts:
+    /// one per rung below `cap` that its `demand` (see
+    /// [`tracer::last_demand`]) exceeds, or every such rung when the run
+    /// ended budget-exhausted (at `cap`, or by an injected budget fault
+    /// that fires under any budget).
+    pub fn retries(&self, cap: u64, demand: u64, exhausted: bool) -> usize {
+        let budgets = self.budgets(cap);
+        budgets[..budgets.len() - 1]
+            .iter()
+            .filter(|&&b| exhausted || demand > b)
+            .count()
     }
 }
 
@@ -895,6 +905,48 @@ mod tests {
             attempts: 0,
         };
         assert_eq!(degenerate.budgets(9), vec![9]);
+    }
+
+    #[test]
+    fn retries_count_the_rungs_a_demand_outgrows() {
+        let s = BudgetSchedule {
+            initial: 10,
+            factor: 10,
+            attempts: 3,
+        };
+        // Rungs 10 and 100 below the cap of 5,000.
+        assert_eq!(s.retries(5_000, 10, false), 0, "a run of 10 fits rung 10");
+        assert_eq!(s.retries(5_000, 11, false), 1);
+        assert_eq!(s.retries(5_000, 101, false), 2);
+        assert_eq!(s.retries(5_000, 3, true), 2, "exhausted at every rung");
+        assert_eq!(BudgetSchedule::disabled().retries(5_000, 9_999, true), 0);
+    }
+
+    #[test]
+    fn demand_counts_the_refused_event_and_survives_a_panic() {
+        let (p, a) = setup("fn main() { let i = 0; while i < 5 { i = i + 1; } print(i); }");
+        let full = run_traced(&p, &a, &RunConfig::default());
+        let n = full.trace.len() as u64;
+        assert_eq!(last_demand(), n, "a completed run asks for its events");
+        for budget in [n - 1, n, n + 1] {
+            let cfg = RunConfig {
+                step_budget: budget,
+                ..RunConfig::default()
+            };
+            let run = run_traced(&p, &a, &cfg);
+            let exhausted = *run.trace.termination() == Termination::BudgetExhausted;
+            assert_eq!(exhausted, n > budget, "budget {budget}");
+            assert_eq!(last_demand(), if exhausted { budget + 1 } else { n });
+        }
+        // The injected panic fires at the print, the run's last event.
+        let cfg = RunConfig {
+            fault: stmt_fault("S3=panic"),
+            ..RunConfig::default()
+        };
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_traced(&p, &a, &cfg)));
+        assert!(caught.is_err());
+        assert_eq!(last_demand(), n, "known after the panic unwound");
     }
 
     #[test]

@@ -38,6 +38,36 @@ pub struct TracedRun {
     pub input_underflows: u64,
 }
 
+thread_local! {
+    static LAST_DEMAND: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The *demand* of the calling thread's most recent traced run, from
+/// scratch or resumed: how many events it asked to record, its replayed
+/// prefix included. A run that completes asks for exactly its events; one
+/// stopped at its step budget, or by an injected fault at an event, also
+/// asked for that one refused event. So the same run under a smaller
+/// budget `b` would have stopped budget-exhausted exactly when its demand
+/// exceeds `b`.
+///
+/// The value is published when the run returns and also while a panic
+/// unwinds out of it, so a caller that isolates the panic with
+/// `catch_unwind` still learns how far the run got.
+pub fn last_demand() -> u64 {
+    LAST_DEMAND.with(std::cell::Cell::get)
+}
+
+/// A run's demand counter; publishes it to [`last_demand`] when dropped,
+/// which happens on return and during unwinding alike.
+struct Demand(std::cell::Cell<u64>);
+
+impl Drop for Demand {
+    fn drop(&mut self) {
+        // `try_with`: a drop during thread teardown must not panic.
+        let _ = LAST_DEMAND.try_with(|d| d.set(self.0.get()));
+    }
+}
+
 /// Executes `program` under `config`, producing a full trace.
 ///
 /// The `analysis` must have been built for the same program: the
@@ -107,6 +137,7 @@ fn try_run_traced_capturing(
             .or_default()
             .push(spec.occurrence);
     }
+    let demand = Demand(std::cell::Cell::new(0));
     let mut t = Tracer {
         program,
         analysis,
@@ -132,6 +163,7 @@ fn try_run_traced_capturing(
         frames: Vec::new(),
         capture_specs,
         captured: Vec::new(),
+        demand: &demand.0,
     };
     // The recorder guard sits outside the event-append loop: one
     // `enabled()` check and one counter flush per run, never per event.
@@ -220,6 +252,7 @@ pub(crate) fn resume_switched_impl(
             .or_default()
             .push(spec.occurrence);
     }
+    let demand = Demand(std::cell::Cell::new(checkpoint.trace_len as u64));
     let mut t = Tracer {
         program,
         analysis,
@@ -241,6 +274,7 @@ pub(crate) fn resume_switched_impl(
         frames: vec![checkpoint.frames[0].clone()],
         capture_specs,
         captured: Vec::new(),
+        demand: &demand.0,
     };
     let termination = match t.resume_main(checkpoint, &paths) {
         Ok(()) => Termination::Normal,
@@ -376,6 +410,9 @@ struct Tracer<'a> {
     /// by statement. Empty on ordinary and resumed runs.
     capture_specs: HashMap<StmtId, Vec<u32>>,
     captured: Vec<Checkpoint>,
+    /// Events asked for so far, refused ones included (see
+    /// [`last_demand`]).
+    demand: &'a std::cell::Cell<u64>,
 }
 
 impl<'a> Tracer<'a> {
@@ -410,6 +447,7 @@ impl<'a> Tracer<'a> {
     /// rule: the run terminates as budget-exhausted), or an injected
     /// fault fires at this instance.
     fn record(&mut self, ev: Event) -> Result<InstId, Stop> {
+        self.demand.set(self.rec.len() as u64 + 1);
         if self.rec.len() as u64 >= self.budget || self.rec.deadline_hit() {
             return Err(Stop::Budget);
         }

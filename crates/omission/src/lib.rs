@@ -69,8 +69,9 @@ pub mod verify;
 
 pub use journal::{build_journal, JournalMeta};
 pub use locate::{
-    locate_fault, ChainEdge, ChainEdgeKind, EdgeRecord, IterationRecord, LocateConfig, LocateError,
-    LocateOutcome, ProvenanceEntry, RequestPhase, RequestRecord, MAX_JOBS,
+    default_jobs, locate_fault, ChainEdge, ChainEdgeKind, EdgeRecord, IterationRecord,
+    LocateConfig, LocateError, LocateOutcome, ProvenanceEntry, RequestPhase, RequestRecord,
+    MAX_JOBS,
 };
 pub use memo::{MemoSnapshot, VerifyMemo, DEFAULT_MEMO_CAPACITY};
 pub use oracle::{GroundTruthOracle, OutputClassification, UserOracle};

@@ -153,6 +153,15 @@ pub struct ProvenanceEntry {
 /// unbounded value spawns thousands of threads for no gain.
 pub const MAX_JOBS: usize = 256;
 
+/// The default worker count of one localization: the host's available
+/// parallelism, clamped to `1..=MAX_JOBS` (1 when it cannot be read).
+/// [`LocateConfig::jobs`] and the CLI's `--jobs` start here; a served
+/// request keeps 1, because the server's worker pool already spreads
+/// requests over the cores.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().clamp(1, MAX_JOBS))
+}
+
 /// Tuning knobs for the locator (defaults reproduce the paper).
 #[derive(Debug, Clone)]
 pub struct LocateConfig {
@@ -171,18 +180,22 @@ pub struct LocateConfig {
     /// definition was exercised by at least one profiled run.
     pub union_graph: Option<UnionGraph>,
     /// Threads the verifier may use for each batch of independent
-    /// switched executions (1 = fully serial). The outcome is identical
-    /// for any value; only the wall time changes.
+    /// switched executions (1 = fully serial), and the chunk count of the
+    /// trace index and graph builds. Defaults to [`default_jobs`], one
+    /// per available core. The outcome is identical for any value; only
+    /// the wall time changes.
     pub jobs: usize,
     /// Whether switched runs may resume from checkpoints captured on the
     /// original input ([`ResumeMode::Auto`]) or must always re-execute
     /// from scratch ([`ResumeMode::Disabled`] — escape hatch, the traces
     /// are byte-identical either way).
     pub resume: ResumeMode,
-    /// Adaptive step-budget escalation for switched runs: start small,
-    /// retry with geometrically growing budgets, give up at the full
-    /// budget (the paper's expired timer). The verdicts are identical to
-    /// a single full-budget attempt; only the wall time changes.
+    /// The step-budget escalation schedule switched runs are accounted
+    /// against. No rung executes: each switched run executes once, at
+    /// the full step budget (the paper's expired timer), and its retries
+    /// are the rungs below it that the run's demand outgrew
+    /// ([`BudgetSchedule::retries`]). Verdicts, outcomes and wall time do
+    /// not depend on it; only the `escalations` counters do.
     pub budget: BudgetSchedule,
     /// The fault plan's statement entry, applied to the verifier's
     /// switched re-executions (robustness testing; `None` in normal
@@ -217,7 +230,7 @@ impl Default for LocateConfig {
             max_iterations: 25,
             verify_all_uses: true,
             union_graph: None,
-            jobs: 1,
+            jobs: default_jobs(),
             resume: ResumeMode::Auto,
             budget: BudgetSchedule::default(),
             fault: None,

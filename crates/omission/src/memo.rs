@@ -3,8 +3,8 @@
 //! [`VerifyMemo`] holds the batch verifier's switched runs and
 //! checkpoints — not its verdicts, which each [`crate::Verifier`] caches
 //! for itself — in a shared, size-bounded LRU keyed by a *configuration
-//! fingerprint*: program source, inputs, step budget, budget schedule,
-//! and the fault plan's statement entry. Locate iteration N+1 reuses the
+//! fingerprint*: program source, inputs, step budget, and the fault
+//! plan's statement entry. Locate iteration N+1 reuses the
 //! switched runs iteration N computed, corpus jobs reuse each other's,
 //! and an entry is reused exactly when the switched execution it caches
 //! would be re-derived byte-identically, never across configurations
@@ -13,11 +13,13 @@
 //! ## What is (and is not) safe to share
 //!
 //! A switched run is fully determined by the fingerprint plus the switch
-//! spec: thread count, resume mode, capture plan, and deadline never
-//! change its bytes (resumed and from-scratch runs are byte-identical,
-//! and runs are computed outside any deadline-dependent path). Those
-//! knobs are therefore deliberately *excluded* from the key, which is
-//! what makes cross-job reuse sound. Entries produced by a *cancelled*
+//! spec: thread count, resume mode, capture plan, budget escalation
+//! schedule, and deadline never change its bytes (resumed and
+//! from-scratch runs are byte-identical, every switched run executes
+//! once at the full step budget whatever the schedule, and runs are
+//! computed outside any deadline-dependent path). Those knobs are
+//! therefore deliberately *excluded* from the key, which is what makes
+//! cross-job and cross-request reuse sound. Entries produced by a *cancelled*
 //! candidate (deadline or early-exit) are synthetic expired-timer
 //! verdicts, not executions — the verifier keeps those in its per-batch
 //! pinned view and never inserts them here.
@@ -34,7 +36,7 @@
 //! eviction sequence replays identically run to run.
 
 use crate::verify::SwitchedRun;
-use omislice_interp::{BudgetSchedule, Checkpoint, RunConfig, SwitchSpec};
+use omislice_interp::{Checkpoint, RunConfig, SwitchSpec};
 use omislice_lang::printer::print_program;
 use omislice_lang::Program;
 use omislice_trace::RunOutcome;
@@ -116,18 +118,13 @@ impl VerifyMemo {
 
     /// The configuration fingerprint under which a verifier's entries
     /// are stored. Everything that can change a switched run's bytes or
-    /// outcome is hashed: program source, inputs, step budget, budget
-    /// escalation schedule, the fault plan's statement entry, and the
-    /// base trace length (a cheap guard against stale pairings). Thread
-    /// count, resume mode, capture plan, and deadline are excluded by
-    /// design — runs are byte-identical across them, which is exactly
-    /// what makes sharing sound.
-    pub fn fingerprint(
-        program: &Program,
-        config: &RunConfig,
-        budget: &BudgetSchedule,
-        trace_len: usize,
-    ) -> u64 {
+    /// outcome is hashed: program source, inputs, step budget, the fault
+    /// plan's statement entry, and the base trace length (a cheap guard
+    /// against stale pairings). Thread count, resume mode, capture plan,
+    /// budget escalation schedule, and deadline are excluded by design —
+    /// runs are byte-identical across them, which is exactly what makes
+    /// sharing sound.
+    pub fn fingerprint(program: &Program, config: &RunConfig, trace_len: usize) -> u64 {
         let mut h = Fnv::new();
         h.write(print_program(program).as_bytes());
         for v in &config.inputs {
@@ -135,7 +132,6 @@ impl VerifyMemo {
         }
         h.write(&config.step_budget.to_le_bytes());
         h.write(format!("{:?}", config.fault).as_bytes());
-        h.write(format!("{budget:?}").as_bytes());
         h.write(&(trace_len as u64).to_le_bytes());
         h.finish()
     }
@@ -328,18 +324,34 @@ mod tests {
         let p2 = compile("fn main() { print(3); }").unwrap();
         let c1 = RunConfig::with_inputs(vec![1]);
         let c2 = RunConfig::with_inputs(vec![2]);
-        let b = BudgetSchedule::default();
-        let k = VerifyMemo::fingerprint(&p1, &c1, &b, 10);
-        assert_eq!(k, VerifyMemo::fingerprint(&p1, &c1, &b, 10), "stable");
-        assert_ne!(k, VerifyMemo::fingerprint(&p2, &c1, &b, 10), "program");
-        assert_ne!(k, VerifyMemo::fingerprint(&p1, &c2, &b, 10), "inputs");
-        assert_ne!(k, VerifyMemo::fingerprint(&p1, &c1, &b, 11), "trace len");
-        let tight = BudgetSchedule {
+        let k = VerifyMemo::fingerprint(&p1, &c1, 10);
+        assert_eq!(k, VerifyMemo::fingerprint(&p1, &c1, 10), "stable");
+        assert_ne!(k, VerifyMemo::fingerprint(&p2, &c1, 10), "program");
+        assert_ne!(k, VerifyMemo::fingerprint(&p1, &c2, 10), "inputs");
+        assert_ne!(k, VerifyMemo::fingerprint(&p1, &c1, 11), "trace len");
+        // The budget schedule is accounting only — every switched run
+        // executes once, at the full step budget — so it is no part of
+        // the key: a verifier under another schedule finds the entry.
+        let a1 = ProgramAnalysis::build(&p1);
+        let trace = run_traced(&p1, &a1, &c1).trace;
+        let guard = trace.instances_of(StmtId(1))[0];
+        let out = trace.outputs()[0].inst;
+        let x = a1.index().stmt(StmtId(0)).def.expect("`let x` defines x");
+        let memo = VerifyMemo::shared();
+        let memo_hits = |budget| {
+            let mut v = crate::Verifier::new(&p1, &a1, &c1, &trace, crate::VerifierMode::Edge)
+                .with_memo(Arc::clone(&memo))
+                .with_budget_schedule(budget);
+            v.verify(guard, out, x, out, None);
+            v.stats().memo_hits
+        };
+        assert_eq!(memo_hits(omislice_interp::BudgetSchedule::default()), 0);
+        let tight = omislice_interp::BudgetSchedule {
             initial: 16,
             factor: 2,
             attempts: 2,
         };
-        assert_ne!(k, VerifyMemo::fingerprint(&p1, &c1, &tight, 10), "budget");
+        assert_eq!(memo_hits(tight), 1, "budget");
     }
 
     #[test]

@@ -20,7 +20,9 @@ use omislice_analysis::{PdMode, ProgramAnalysis};
 use omislice_interp::{run_traced, RunConfig, DEFAULT_STEP_BUDGET};
 use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
 use omislice_slicing::ValueProfile;
-use omislice_trace::{note_recovery, RecoveryKind, Supervisor, Trace};
+use omislice_trace::{
+    absorb_recovery, note_recovery, take_recovery, RecoveryKind, Supervisor, Trace,
+};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
@@ -138,6 +140,14 @@ impl DebugSessionBuilder {
     /// Compiles both programs, acquires the failing trace, runs the
     /// profiling suite, and assembles the session.
     ///
+    /// The reference run that builds the oracle reads nothing the failing
+    /// trace produces, so it runs on its own scoped thread beside the
+    /// failing-trace recording (or load) and the profile runs. The
+    /// supervisor's scope is the calling thread's, so the reference run
+    /// stays outside it; a recovery it notes is absorbed into the
+    /// caller's [`RecoveryLog`](omislice_trace::RecoveryLog), and a panic
+    /// in it resumes on the caller.
+    ///
     /// # Errors
     ///
     /// Returns a [`SessionError`] if either program fails to compile, no
@@ -165,28 +175,38 @@ impl DebugSessionBuilder {
         let sup = &self.supervisor;
         let record = || sup.run(|| run_traced(&faulty, &analysis, &config).trace);
         let mut warnings = Vec::new();
-        let trace = match &self.trace_file {
-            None => record(),
-            Some(path) => sup.load_trace(path).unwrap_or_else(|e| {
-                note_recovery(RecoveryKind::RetraceFallback);
-                warnings.push(format!(
-                    "cannot load trace from `{}` ({e}); re-tracing from source",
-                    path.display()
-                ));
-                record()
-            }),
-        };
-        let mut profile = ValueProfile::new();
-        profile.add_trace(&trace);
-        for inputs in self.profile_inputs {
-            let cfg = RunConfig {
-                inputs,
-                ..config.clone()
+        let (trace, profile, oracle) = std::thread::scope(|s| {
+            let reference_run = s.spawn(|| {
+                let oracle =
+                    GroundTruthOracle::new(&reference, &reference_analysis, &config, roots.clone());
+                (oracle, take_recovery())
+            });
+            let trace = match &self.trace_file {
+                None => record(),
+                Some(path) => sup.load_trace(path).unwrap_or_else(|e| {
+                    note_recovery(RecoveryKind::RetraceFallback);
+                    warnings.push(format!(
+                        "cannot load trace from `{}` ({e}); re-tracing from source",
+                        path.display()
+                    ));
+                    record()
+                }),
             };
-            profile.add_trace(&run_traced(&faulty, &analysis, &cfg).trace);
-        }
-        let oracle =
-            GroundTruthOracle::new(&reference, &reference_analysis, &config, roots.clone());
+            let mut profile = ValueProfile::new();
+            profile.add_trace(&trace);
+            for inputs in self.profile_inputs {
+                let cfg = RunConfig {
+                    inputs,
+                    ..config.clone()
+                };
+                profile.add_trace(&run_traced(&faulty, &analysis, &cfg).trace);
+            }
+            let (oracle, recovery) = reference_run
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            absorb_recovery(&recovery);
+            (trace, profile, oracle)
+        });
         Ok(DebugSession {
             faulty,
             analysis,

@@ -47,10 +47,13 @@
 //! * leaves are dispatched across threads ([`Verifier::with_jobs`])
 //!   through work-stealing deques seeded in predicted-cost order
 //!   (longest remaining suffix first; an online [`CostModel`] refines
-//!   the estimate from observed per-rung costs but only ever reorders
+//!   the estimate from observed per-event costs but only ever reorders
 //!   dispatch); results land in per-candidate slots and are merged in
 //!   candidate order, so verdicts, memo contents, and counters are
-//!   identical to a serial run.
+//!   identical to a serial run;
+//! * each switched run executes once, at the full step budget: the
+//!   [`BudgetSchedule`] only counts the rungs the run's demand outgrew
+//!   (see [`Verifier::with_budget_schedule`]).
 //!
 //! Resumed and from-scratch switched runs are byte-identical (see
 //! `omislice_interp::snapshot`). [`ResumeMode::Disabled`] runs every
@@ -64,8 +67,8 @@ use crate::memo::{RunEntry, VerifyMemo};
 use omislice_align::{Aligner, MatchMemo};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
-    resume_switched_capturing, run_traced_with_checkpoints, BudgetSchedule, Checkpoint,
-    ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
+    last_demand, resume_switched_capturing, run_traced_with_checkpoints, BudgetSchedule,
+    Checkpoint, ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
 };
 use omislice_lang::{Program, VarId};
 use omislice_slicing::DepGraph;
@@ -107,16 +110,16 @@ const EARLY_EXIT_CHUNK: usize = 8;
 /// request order, never on the thread count.
 const VERIFY_WAVE: usize = 32;
 
-/// Online per-rung cost model. Observes `ns / executed event` for each
-/// budget-escalation rung and folds it into an exponentially-weighted
-/// moving average (atomics, so workers update it lock-free). Predictions
-/// order work-stealing dispatch (longest predicted remaining suffix
-/// first) — they never influence a verdict, a capture decision, or a
-/// counter, keeping every observable output timing-independent.
+/// Online cost model. Observes `ns / executed event` for each switched
+/// run and folds it into an exponentially-weighted moving average (an
+/// atomic, so workers update it lock-free). Predictions order
+/// work-stealing dispatch (longest predicted remaining suffix first) —
+/// they never influence a verdict, a capture decision, or a counter,
+/// keeping every observable output timing-independent.
 struct CostModel {
-    /// EWMA of ns-per-event per rung index, stored as `f64` bits; 0
-    /// means "no observation yet".
-    rung_ns_per_event: Vec<AtomicU64>,
+    /// EWMA of ns per event, stored as `f64` bits; 0 means "no
+    /// observation yet".
+    ns_per_event: AtomicU64,
 }
 
 /// EWMA smoothing factor: new observations move the estimate 1/4 of the
@@ -124,43 +127,36 @@ struct CostModel {
 const COST_EWMA_ALPHA: f64 = 0.25;
 
 impl CostModel {
-    fn new(rungs: usize) -> Self {
+    fn new() -> Self {
         CostModel {
-            rung_ns_per_event: (0..rungs.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            ns_per_event: AtomicU64::new(0),
         }
     }
 
-    /// Folds one observed attempt (rung index, events re-executed, wall
-    /// nanoseconds) into the model.
-    fn observe(&self, rung: usize, events: usize, ns: u64) {
+    /// Folds one observed run (events executed, wall nanoseconds) into
+    /// the model.
+    fn observe(&self, events: usize, ns: u64) {
         if events == 0 {
             return;
         }
-        let Some(slot) = self.rung_ns_per_event.get(rung) else {
-            return;
-        };
         let sample = ns as f64 / events as f64;
         // Racy read-modify-write is fine: the model only orders work.
-        let old = f64::from_bits(slot.load(Ordering::Relaxed));
+        let old = f64::from_bits(self.ns_per_event.load(Ordering::Relaxed));
         let next = if old == 0.0 {
             sample
         } else {
             old + COST_EWMA_ALPHA * (sample - old)
         };
-        slot.store(next.to_bits(), Ordering::Relaxed);
+        self.ns_per_event.store(next.to_bits(), Ordering::Relaxed);
     }
 
-    /// Predicted cost of re-executing `events` events at the first rung,
-    /// in model-nanoseconds. Falls back to a flat per-event unit before
-    /// the first observation, which still orders leaves by remaining
-    /// suffix length.
+    /// Predicted cost of executing `events` events, in
+    /// model-nanoseconds. Falls back to a flat per-event unit before the
+    /// first observation, which still orders leaves by remaining suffix
+    /// length.
     fn predict(&self, events: usize) -> u64 {
-        let per_event = self
-            .rung_ns_per_event
-            .iter()
-            .map(|s| f64::from_bits(s.load(Ordering::Relaxed)))
-            .find(|&v| v > 0.0)
-            .unwrap_or(100.0);
+        let per_event = f64::from_bits(self.ns_per_event.load(Ordering::Relaxed));
+        let per_event = if per_event > 0.0 { per_event } else { 100.0 };
         (events as f64 * per_event) as u64
     }
 }
@@ -305,19 +301,19 @@ pub struct VerifyRequest {
     pub expected: Option<Value>,
 }
 
-/// The result of one (possibly escalated, possibly resumed, possibly
-/// fault-isolated) switched execution, with the per-run bookkeeping the
-/// merge step folds into [`VerificationStats`].
+/// The result of one (possibly resumed, possibly fault-isolated)
+/// switched execution, with the per-run bookkeeping the merge step folds
+/// into [`VerificationStats`].
 struct ComputedRun {
     /// The memoized run; `None` when the switch never landed (budget
     /// cut-off, crash, isolated panic, or a path change).
     run: Option<Arc<SwitchedRun>>,
-    /// How the final execution attempt ended.
+    /// How the execution ended.
     outcome: RunOutcome,
-    /// Prefix events skipped when the final attempt resumed from a
-    /// checkpoint.
+    /// Prefix events skipped when the run resumed from a checkpoint.
     saved: Option<usize>,
-    /// Budget escalation retries performed after the first attempt.
+    /// Budget schedule rungs the run's demand outgrew
+    /// ([`BudgetSchedule::retries`]).
     retries: usize,
     /// The spec's checkpoint failed validation or its resumption
     /// failed/panicked.
@@ -329,7 +325,7 @@ struct ComputedRun {
     /// The candidate was cancelled by an expired deadline before its
     /// switched run was dispatched (it never executed).
     deadline_cancelled: bool,
-    /// `input()` underflows of the final execution attempt.
+    /// `input()` underflows of the run.
     input_underflows: u64,
 }
 
@@ -456,10 +452,8 @@ impl<'a> Verifier<'a> {
             value_override: None,
             fault: config.fault,
         };
-        let budget = BudgetSchedule::default();
-        let rungs = budget.budgets(config.step_budget).len();
         Verifier {
-            memo_key: VerifyMemo::fingerprint(program, &config, &budget, trace.len()),
+            memo_key: VerifyMemo::fingerprint(program, &config, trace.len()),
             program,
             analysis,
             config,
@@ -467,7 +461,7 @@ impl<'a> Verifier<'a> {
             mode,
             resume: ResumeMode::default(),
             jobs: 1,
-            budget,
+            budget: BudgetSchedule::default(),
             deadline: None,
             orig_regions: Arc::new(RegionTree::build(trace)),
             memo: VerifyMemo::shared(),
@@ -475,17 +469,10 @@ impl<'a> Verifier<'a> {
             matches: HashMap::new(),
             capture_threshold: None,
             early_exit: false,
-            cost: CostModel::new(rungs),
+            cost: CostModel::new(),
             cache: HashMap::new(),
             stats: VerificationStats::default(),
         }
-    }
-
-    /// Recomputes the memo fingerprint after a builder changed something
-    /// it covers (fault plan or budget schedule).
-    fn rekey(&mut self) {
-        self.memo_key =
-            VerifyMemo::fingerprint(self.program, &self.config, &self.budget, self.trace.len());
     }
 
     /// Sets how many threads [`Verifier::verify_all`] may use for the
@@ -532,13 +519,16 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Sets the adaptive budget escalation schedule for switched runs
-    /// (default [`BudgetSchedule::default`]; use
-    /// [`BudgetSchedule::disabled`] for a single full-budget attempt).
+    /// Sets the budget escalation schedule the verifier accounts
+    /// switched runs against (default [`BudgetSchedule::default`]). No
+    /// rung executes: each switched run executes once, at the full step
+    /// budget, and counts as retries the rungs below it that its demand
+    /// outgrew ([`BudgetSchedule::retries`]), in `escalated_runs` and
+    /// `budget_retries`. Verdicts, outcomes and memoized runs do not
+    /// depend on the schedule; [`BudgetSchedule::disabled`] counts no
+    /// retries.
     pub fn with_budget_schedule(mut self, budget: BudgetSchedule) -> Self {
         self.budget = budget;
-        self.cost = CostModel::new(budget.budgets(self.config.step_budget).len());
-        self.rekey();
         self
     }
 
@@ -566,7 +556,7 @@ impl<'a> Verifier<'a> {
     /// interpreter).
     pub fn with_fault(mut self, fault: Option<FaultEntry>) -> Self {
         self.config.fault = fault;
-        self.rekey();
+        self.memo_key = VerifyMemo::fingerprint(self.program, &self.config, self.trace.len());
         self
     }
 
@@ -1142,21 +1132,23 @@ impl<'a> Verifier<'a> {
         .unwrap_or_else(|_| (ComputedRun::harness_panic(), Vec::new()))
     }
 
-    /// Executes one switched run: resumes from the planned `donor`
-    /// checkpoint when given (its own or an ancestor's — the resumed
-    /// segment between the donor and the switch point replays the
-    /// original execution by determinism, so the switch lands at its
-    /// exact original position either way; falls back to from-scratch
-    /// execution if the checkpoint is invalid or the resume fails),
-    /// escalates the step budget through [`BudgetSchedule`] while the run
-    /// keeps expiring, captures a [`Checkpoint`] at each spec in
-    /// `capture` passed on the way to the switch (the spine's phase-A
-    /// role), and isolates any panic *of the interpreter* behind
-    /// `catch_unwind`; panics in the harness work around it are caught
-    /// one level up by [`Verifier::compute_switched_isolated`].
+    /// Executes one switched run, once, at the full step budget: resumes
+    /// from the planned `donor` checkpoint when given (its own or an
+    /// ancestor's — the resumed segment between the donor and the switch
+    /// point replays the original execution by determinism, so the switch
+    /// lands at its exact original position either way; falls back to
+    /// from-scratch execution if the checkpoint is invalid or the resume
+    /// fails), captures a [`Checkpoint`] at each spec in `capture` passed
+    /// on the way to the switch (the spine's phase-A role), and isolates
+    /// any panic *of the interpreter* behind `catch_unwind`; panics in the
+    /// harness work around it are caught one level up by
+    /// [`Verifier::compute_switched_isolated`].
     ///
-    /// Per-attempt wall time feeds the [`CostModel`] (dispatch ordering
-    /// only — it never influences a verdict or counter).
+    /// The budget schedule is pure accounting: the run's demand
+    /// ([`last_demand`], known even after an isolated panic) says which
+    /// rungs it outgrew. The run's wall time feeds the [`CostModel`]
+    /// (dispatch ordering only — it never influences a verdict or
+    /// counter).
     fn compute_switched(
         &self,
         spec: SwitchSpec,
@@ -1164,7 +1156,7 @@ impl<'a> Verifier<'a> {
         donor: Option<&Checkpoint>,
         capture: &[SwitchSpec],
     ) -> (ComputedRun, Vec<Checkpoint>) {
-        let full = self.config.switched(spec);
+        let cfg = self.config.switched(spec);
         let mut out = ComputedRun {
             run: None,
             outcome: RunOutcome::BudgetExhausted,
@@ -1176,132 +1168,81 @@ impl<'a> Verifier<'a> {
             deadline_cancelled: false,
             input_underflows: 0,
         };
-        let mut captured: Vec<Checkpoint> = Vec::new();
-        let mut checkpoint = donor;
-        let budgets = self.budget.budgets(self.config.step_budget);
-        let last = budgets.len() - 1;
-        for (attempt, &budget) in budgets.iter().enumerate() {
-            if attempt > 0 {
-                out.retries += 1;
-            }
-            out.saved = None;
-            // Doomed-rung synthesis: a valid checkpoint proves the base
-            // run executed `prefix_len` events before the switch point,
-            // and a switched run replays that trajectory verbatim up to
-            // the switch (determinism; the switch is the first
-            // divergence). A rung no larger than the prefix therefore
-            // exhausts its budget before the switch can land: the
-            // attempt's outcome is fully determined, so record it and
-            // escalate without executing ~budget events for nothing.
-            // Poisoned cursors (prefix_len beyond the base trace) are
-            // excluded — those must still run so validation rejects
-            // them — and the final rung always executes.
-            if attempt < last {
-                if let Some(cp) = checkpoint {
-                    if (cp.prefix_len() as u64) >= budget && cp.prefix_len() <= self.trace.len() {
-                        out.outcome = RunOutcome::BudgetExhausted;
-                        out.run = None;
-                        continue;
-                    }
+        let start = Instant::now();
+        let mut resumed: Option<(TracedRun, Vec<Checkpoint>)> = None;
+        if let Some(cp) = donor {
+            match catch_unwind(AssertUnwindSafe(|| {
+                resume_switched_capturing(
+                    self.program,
+                    self.analysis,
+                    &cfg,
+                    cp,
+                    self.trace,
+                    capture,
+                )
+            })) {
+                Ok(Ok(run)) => {
+                    out.saved = Some(cp.prefix_len());
+                    resumed = Some(run);
+                }
+                // Expected shapes (an expression-position call frame, or
+                // a fault plan firing inside the prefix): run from
+                // scratch; the checkpoint itself is not at fault.
+                Ok(Err(ResumeError::NotResumable | ResumeError::FaultInPrefix)) => {}
+                // The checkpoint is corrupt (failed validation) or its
+                // resumption blew up: record it and fall back.
+                Ok(Err(ResumeError::Invalid(_))) | Err(_) => {
+                    out.invalid_checkpoint = true;
+                    out.scratch_fallback = true;
                 }
             }
-            let cfg = RunConfig {
-                step_budget: budget,
-                ..full.clone()
-            };
-            // Checkpoint fast path. Rungs no larger than the replayed
-            // prefix are skipped: such an attempt exhausts its budget
-            // either way, and the from-scratch run reaches that verdict
-            // without cloning the prefix (and stays byte-identical to
-            // what ResumeMode::Disabled executes). A prefix length beyond
-            // the base trace is a poisoned cursor, not a long prefix —
-            // those still go through resumption so validation rejects
-            // them.
-            let attempt_start = Instant::now();
-            let mut run: Option<TracedRun> = None;
-            if let Some(cp) = checkpoint.filter(|cp| {
-                (cp.prefix_len() as u64) < budget || cp.prefix_len() > self.trace.len()
-            }) {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    resume_switched_capturing(
-                        self.program,
-                        self.analysis,
-                        &cfg,
-                        cp,
-                        self.trace,
-                        capture,
-                    )
-                })) {
-                    Ok(Ok((resumed, cps))) => {
-                        out.saved = Some(cp.prefix_len());
-                        captured = cps;
-                        run = Some(resumed);
-                    }
-                    // Expected shapes (an expression-position call frame,
-                    // or a fault plan firing inside the prefix): run from
-                    // scratch; the checkpoint itself is not at fault.
-                    Ok(Err(ResumeError::NotResumable | ResumeError::FaultInPrefix)) => {
-                        checkpoint = None;
-                    }
-                    // The checkpoint is corrupt (failed validation) or
-                    // its resumption blew up: record it and fall back.
-                    Ok(Err(ResumeError::Invalid(_))) | Err(_) => {
-                        out.invalid_checkpoint = true;
-                        out.scratch_fallback = true;
-                        checkpoint = None;
-                    }
-                }
-            }
-            let run = match run {
-                Some(r) => r,
-                None => {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        run_traced_with_checkpoints(self.program, self.analysis, &cfg, capture)
-                    })) {
-                        Ok((r, cps)) => {
-                            captured = cps;
-                            r
-                        }
-                        Err(_) => {
-                            // The from-scratch execution itself panicked
-                            // (an injected host fault): isolate it and
-                            // give up — retrying is deterministic.
-                            out.panic_isolated = true;
-                            out.outcome = RunOutcome::Crashed(CrashKind::Panic);
-                            out.run = None;
-                            return (out, captured);
-                        }
-                    }
-                }
-            };
-            self.cost.observe(
-                attempt,
-                run.trace.len().saturating_sub(out.saved.unwrap_or(0)),
-                attempt_start.elapsed().as_nanos() as u64,
-            );
-            out.input_underflows = run.input_underflows;
-            out.outcome = match run.trace.termination() {
-                Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,
-                Termination::Normal => RunOutcome::SwitchNotLanded,
-                Termination::BudgetExhausted => RunOutcome::BudgetExhausted,
-                Termination::RuntimeError(kind, _) => RunOutcome::Crashed(*kind),
-            };
-            // The switch must land at the same timestamp (identical
-            // prefix); if the run was cut off before reaching it, treat
-            // the whole re-execution as failed.
-            out.run = match run.switched {
-                Some(inst) if inst == p => Some(Arc::new(SwitchedRun {
-                    regions: Arc::new(RegionTree::build(&run.trace)),
-                    trace: run.trace,
-                })),
-                _ => None,
-            };
-            if out.outcome == RunOutcome::BudgetExhausted && attempt < last {
-                continue; // escalate to the next budget rung
-            }
-            return (out, captured);
         }
-        unreachable!("the final budget rung always returns")
+        let (run, captured) = match resumed {
+            Some(r) => r,
+            None => match catch_unwind(AssertUnwindSafe(|| {
+                run_traced_with_checkpoints(self.program, self.analysis, &cfg, capture)
+            })) {
+                Ok(r) => r,
+                Err(_) => {
+                    // The from-scratch execution itself panicked (an
+                    // injected host fault): isolate it. Its captures
+                    // unwound with it.
+                    out.panic_isolated = true;
+                    out.outcome = RunOutcome::Crashed(CrashKind::Panic);
+                    out.retries =
+                        self.budget
+                            .retries(self.config.step_budget, last_demand(), false);
+                    return (out, Vec::new());
+                }
+            },
+        };
+        self.cost.observe(
+            run.trace.len().saturating_sub(out.saved.unwrap_or(0)),
+            start.elapsed().as_nanos() as u64,
+        );
+        out.input_underflows = run.input_underflows;
+        out.outcome = match run.trace.termination() {
+            Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,
+            Termination::Normal => RunOutcome::SwitchNotLanded,
+            Termination::BudgetExhausted => RunOutcome::BudgetExhausted,
+            Termination::RuntimeError(kind, _) => RunOutcome::Crashed(*kind),
+        };
+        out.retries = self.budget.retries(
+            self.config.step_budget,
+            last_demand(),
+            out.outcome == RunOutcome::BudgetExhausted,
+        );
+        // The switch must land at the same timestamp (identical prefix);
+        // if the run was cut off before reaching it, treat the whole
+        // re-execution as failed.
+        out.run = match run.switched {
+            Some(inst) if inst == p => Some(Arc::new(SwitchedRun {
+                regions: Arc::new(RegionTree::build(&run.trace)),
+                trace: run.trace,
+            })),
+            _ => None,
+        };
+        (out, captured)
     }
 
     fn verify_uncached(
@@ -1841,9 +1782,9 @@ mod tests {
         assert_eq!(b.reexecution_count(), 0, "all runs came from the memo");
         assert_eq!(b.stats().memo_hits, a.reexecution_count());
 
-        // A different budget schedule is a different fingerprint: the
-        // shared memo never answers across configurations that could
-        // disagree.
+        // The budget schedule is accounting only: a verifier under a
+        // different schedule shares the same runs, answering every one
+        // from the memo (and so retrying none).
         let mut c = Verifier::new(
             &s.program,
             &s.analysis,
@@ -1857,9 +1798,27 @@ mod tests {
             factor: 100,
             attempts: 3,
         });
-        let _ = c.verify_all(&requests);
-        assert_eq!(c.stats().memo_hits, 0, "fingerprints separate configs");
-        assert!(c.reexecution_count() > 0);
+        assert_eq!(c.verify_all(&requests), first);
+        assert_eq!(c.reexecution_count(), 0, "the schedule is not keyed");
+        assert_eq!(c.stats().memo_hits, a.reexecution_count());
+
+        // A different fault plan changes runs, so it is a different
+        // fingerprint: the shared memo never answers across
+        // configurations that could disagree.
+        let mut d = Verifier::new(
+            &s.program,
+            &s.analysis,
+            &s.config,
+            &s.trace,
+            VerifierMode::Edge,
+        )
+        .with_memo(Arc::clone(&memo))
+        .with_fault(Some(switched_only_fault(FaultAction::Crash(
+            CrashKind::DivByZero,
+        ))));
+        let _ = d.verify_all(&requests);
+        assert_eq!(d.stats().memo_hits, 0, "fingerprints separate configs");
+        assert!(d.reexecution_count() > 0);
     }
 
     #[test]
@@ -2222,6 +2181,56 @@ mod tests {
         assert_eq!(st.budget_retries, 1);
         assert_eq!(st.completed_runs, 1);
         assert_eq!(st.budget_exhausted_runs, 0);
+    }
+
+    #[test]
+    fn escalated_switched_run_executes_once() {
+        // LONG_SWITCH's switched run outgrows the 100-step rung: the
+        // schedule counts that rung as a retry, but the run executes
+        // once, at the full budget — one traced run on the recorder,
+        // where re-executing each outgrown rung would record two.
+        let program = compile(LONG_SWITCH).unwrap();
+        let analysis = ProgramAnalysis::build(&program);
+        let config = RunConfig {
+            inputs: vec![1],
+            step_budget: 10_000,
+            ..RunConfig::default()
+        };
+        let trace = run_traced(&program, &analysis, &config).trace;
+        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge)
+            .with_budget_schedule(BudgetSchedule {
+                initial: 100,
+                factor: 100,
+                attempts: 3,
+            });
+        let guard = trace.instances_of(StmtId(1))[0];
+        let out = trace.outputs()[0].inst;
+        let i = analysis.index().vars().global("i").unwrap();
+        // The recorder is process-global and other tests run
+        // concurrently, so only this thread's events count: the window
+        // span names its thread, and each traced run opens one `trace`
+        // span (where it also adds 1 to `tracer.runs`).
+        omislice_obs::reset();
+        omislice_obs::set_enabled(true);
+        let window = omislice_obs::span("test.window");
+        let r = v.verify(guard, out, i, out, None);
+        drop(window);
+        omislice_obs::set_enabled(false);
+        let rec = omislice_obs::drain();
+        assert_eq!(r.outcome, RunOutcome::Completed);
+        assert_eq!(v.stats().budget_retries, 1);
+        let thread = rec
+            .events
+            .iter()
+            .find(|e| e.name == "test.window")
+            .expect("the window span was recorded")
+            .thread;
+        let runs = rec
+            .events
+            .iter()
+            .filter(|e| e.name == "trace" && e.thread == thread)
+            .count();
+        assert_eq!(runs, 1, "tracer.runs for the switched run");
     }
 
     #[test]

@@ -10,16 +10,26 @@
 //!      switched runs resume from checkpoints or re-execute from
 //!      scratch.
 //!
-//! This is the robustness contract of ISSUE.md: one bad candidate run
-//! must never take down a batch, and degraded results must not depend
-//! on scheduling or on the checkpoint fast path.
+//! This is the robustness contract: one bad candidate run must never
+//! take down a batch, and degraded results must not depend on
+//! scheduling or on the checkpoint fast path.
+//!
+//! A second property pins single execution against the literal budget
+//! escalation ladder: each switched run executes once, at the full step
+//! budget, and must report the verdicts, outcomes and counters of a
+//! ladder that re-executes it from scratch at every rung until one does
+//! not expire.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig};
+use omislice::omislice_interp::{run_traced, BudgetSchedule, ResumeMode, RunConfig, SwitchSpec};
 use omislice::omislice_lang::{compile, Program};
-use omislice::omislice_trace::{CrashKind, FaultAction, FaultEntry};
+use omislice::omislice_trace::{
+    CrashKind, FaultAction, FaultEntry, InstId, RunOutcome, Termination, Trace, VerificationStats,
+};
 use omislice::{Verification, Verifier, VerifierMode, VerifyRequest};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 // --- tiny structured-program generator ----------------------------------
 
@@ -94,16 +104,109 @@ fn program_strategy() -> impl Strategy<Value = Program> {
     })
 }
 
+/// Every statement fault action, each crash kind included.
 fn action_strategy() -> impl Strategy<Value = FaultAction> {
     prop_oneof![
         Just(FaultAction::Crash(CrashKind::OobIndex)),
+        Just(FaultAction::Crash(CrashKind::MissingCallee)),
         Just(FaultAction::Crash(CrashKind::DivByZero)),
         Just(FaultAction::Crash(CrashKind::TypeError)),
+        Just(FaultAction::Crash(CrashKind::StackOverflow)),
+        Just(FaultAction::Crash(CrashKind::UninitRead)),
         Just(FaultAction::ExhaustBudget),
         Just(FaultAction::Panic),
         Just(FaultAction::PanicHarness),
         Just(FaultAction::CorruptCheckpoint),
     ]
+}
+
+/// The escalation schedules the ladder property runs: the default, two
+/// dense ones that escalate even the generator's short runs, and off.
+fn schedules() -> [BudgetSchedule; 4] {
+    [
+        BudgetSchedule::default(),
+        BudgetSchedule::parse("1:2:12").unwrap(),
+        BudgetSchedule::parse("3:3:5").unwrap(),
+        BudgetSchedule::disabled(),
+    ]
+}
+
+/// What the literal ladder settles on for one switched run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LadderRun {
+    outcome: RunOutcome,
+    retries: usize,
+    panicked: bool,
+    input_underflows: u64,
+}
+
+/// The budget escalation ladder taken literally — the reference single
+/// execution must reproduce: the switched run executes from scratch at
+/// each rung of `schedule`, under `catch_unwind`, until a rung does not
+/// expire (or the last rung, the full budget, is reached). A
+/// `panic-harness` entry for this spec fires in the verifier before any
+/// rung runs.
+fn literal_ladder(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    config: &RunConfig,
+    schedule: BudgetSchedule,
+    trace: &Trace,
+    p: InstId,
+) -> LadderRun {
+    let spec = SwitchSpec::new(trace.event(p).stmt, trace.occurrence_index(p) as u32);
+    let crashed = |retries| LadderRun {
+        outcome: RunOutcome::Crashed(CrashKind::Panic),
+        retries,
+        panicked: true,
+        input_underflows: 0,
+    };
+    if config.fault
+        == Some(FaultEntry::at_stmt(
+            spec.pred,
+            spec.occurrence,
+            FaultAction::PanicHarness,
+        ))
+    {
+        return crashed(0);
+    }
+    let rungs = schedule.budgets(config.step_budget);
+    for (rung, &budget) in rungs.iter().enumerate() {
+        let cfg = RunConfig {
+            step_budget: budget,
+            ..config.switched(spec)
+        };
+        let Ok(run) = catch_unwind(AssertUnwindSafe(|| run_traced(program, analysis, &cfg))) else {
+            return crashed(rung);
+        };
+        let outcome = match run.trace.termination() {
+            Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,
+            Termination::Normal => RunOutcome::SwitchNotLanded,
+            Termination::BudgetExhausted => RunOutcome::BudgetExhausted,
+            Termination::RuntimeError(kind, _) => RunOutcome::Crashed(*kind),
+        };
+        if outcome == RunOutcome::BudgetExhausted && rung + 1 < rungs.len() {
+            continue;
+        }
+        return LadderRun {
+            outcome,
+            retries: rung,
+            panicked: false,
+            input_underflows: run.input_underflows,
+        };
+    }
+    unreachable!("the last rung always settles")
+}
+
+/// `stats` with its wall-clock fields zeroed, so the rest compares
+/// exactly.
+fn counters(stats: &VerificationStats) -> VerificationStats {
+    VerificationStats {
+        execution_wall: Duration::ZERO,
+        capture_wall: Duration::ZERO,
+        verdict_wall: Duration::ZERO,
+        ..stats.clone()
+    }
 }
 
 // --- regressions pinned by the differential harness ----------------------
@@ -275,6 +378,104 @@ proptest! {
                         plan
                     ),
                     None => reference = Some(got),
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Single execution against the literal ladder: for every schedule,
+    /// resume mode and worker count, the verdicts and outcomes equal the
+    /// ladder's, `escalated_runs`/`budget_retries` and every outcome
+    /// counter are the ladder's sums, and every other counter (resume,
+    /// capture, isolation) equals the same configuration's with
+    /// escalation off — the schedule is accounting only.
+    #[test]
+    fn single_execution_matches_the_literal_ladder(
+        program in program_strategy(),
+        fault_site in any::<prop::sample::Index>(),
+        occurrence in 0u32..3,
+        action in action_strategy(),
+    ) {
+        let analysis = ProgramAnalysis::build(&program);
+        let config = RunConfig::with_inputs(vec![]);
+        let run = run_traced(&program, &analysis, &config);
+        prop_assert!(run.trace.termination().is_normal());
+        let trace = &run.trace;
+        let site_inst = fault_site.index(trace.len());
+        let plan = FaultEntry::at_stmt(trace.event(InstId(site_inst as u32)).stmt, occurrence, action);
+        let config = RunConfig { fault: Some(plan), ..config };
+
+        let u = trace.outputs().last().expect("trailing print").inst;
+        let Some(&var) = analysis.index().stmt(trace.event(u).stmt).uses.first() else {
+            return Ok(());
+        };
+        let requests: Vec<VerifyRequest> = trace
+            .insts()
+            .filter(|&i| i < u && trace.event(i).is_predicate())
+            .take(8)
+            .map(|p| VerifyRequest { p, u, var, wrong_output: u, expected: None })
+            .collect();
+        if requests.is_empty() {
+            return Ok(());
+        }
+
+        for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
+            for jobs in [1usize, 2] {
+                let verify = |schedule| {
+                    let mut v = Verifier::new(&program, &analysis, &config, trace, VerifierMode::Edge)
+                        .with_jobs(jobs)
+                        .with_resume(resume)
+                        .with_budget_schedule(schedule)
+                        .with_fault(Some(plan));
+                    let verdicts = v.verify_all(&requests);
+                    (verdicts, counters(v.stats()))
+                };
+                let (off_verdicts, off_stats) = verify(BudgetSchedule::disabled());
+                for schedule in schedules() {
+                    let (verdicts, stats) = verify(schedule);
+                    let mut expected = off_stats.clone();
+                    expected.escalated_runs = 0;
+                    expected.budget_retries = 0;
+                    expected.completed_runs = 0;
+                    expected.budget_exhausted_runs = 0;
+                    expected.crashed_runs = 0;
+                    expected.switch_not_landed_runs = 0;
+                    expected.panics_isolated = 0;
+                    expected.input_underflows = 0;
+                    let mut seen: Vec<InstId> = Vec::new();
+                    for (i, r) in requests.iter().enumerate() {
+                        let ladder = literal_ladder(&program, &analysis, &config, schedule, trace, r.p);
+                        prop_assert_eq!(
+                            verdicts[i].outcome, ladder.outcome,
+                            "{:?} {:?} jobs={} plan={:?}", schedule, resume, jobs, plan
+                        );
+                        prop_assert_eq!(verdicts[i], off_verdicts[i]);
+                        if seen.contains(&r.p) {
+                            continue;
+                        }
+                        seen.push(r.p);
+                        if ladder.retries > 0 {
+                            expected.escalated_runs += 1;
+                            expected.budget_retries += ladder.retries;
+                        }
+                        match ladder.outcome {
+                            RunOutcome::Completed => expected.completed_runs += 1,
+                            RunOutcome::BudgetExhausted => expected.budget_exhausted_runs += 1,
+                            RunOutcome::Crashed(_) => expected.crashed_runs += 1,
+                            RunOutcome::SwitchNotLanded => expected.switch_not_landed_runs += 1,
+                            RunOutcome::CheckpointInvalid => {}
+                        }
+                        expected.panics_isolated += usize::from(ladder.panicked);
+                        expected.input_underflows += ladder.input_underflows as usize;
+                    }
+                    prop_assert_eq!(
+                        &stats, &expected,
+                        "{:?} {:?} jobs={} plan={:?}", schedule, resume, jobs, plan
+                    );
                 }
             }
         }

@@ -170,6 +170,9 @@ fn mode_field(body: &Json) -> Result<VerifierMode, ApiError> {
     })
 }
 
+/// The request's `jobs`, default 1 rather than
+/// [`omislice::default_jobs`]: the server's worker pool already spreads
+/// concurrent requests over the cores.
 fn jobs_field(body: &Json) -> Result<usize, ApiError> {
     match opt_u64(body, "jobs")? {
         None => Ok(1),

@@ -48,8 +48,8 @@ pub use recorder::{Recorder, RecorderError, RecorderStats};
 pub use region::RegionTree;
 pub use stats::{TraceStats, VerificationStats};
 pub use supervisor::{
-    note_recovery, take_recovery, Deadline, FaultAction, FaultEntry, FaultPlan, FaultSite,
-    PipelineError, RecoveryKind, RecoveryLog, Supervisor,
+    absorb_recovery, note_recovery, take_recovery, Deadline, FaultAction, FaultEntry, FaultPlan,
+    FaultSite, PipelineError, RecoveryKind, RecoveryLog, Supervisor,
 };
 pub use trace::{Termination, Trace};
 pub use value::Value;

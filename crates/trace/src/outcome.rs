@@ -66,8 +66,8 @@ impl fmt::Display for CrashKind {
 pub enum RunOutcome {
     /// The switched run terminated normally with the switch landed.
     Completed,
-    /// The step budget (the paper's timer) expired, even after every
-    /// escalation attempt.
+    /// The full step budget (the paper's timer) expired, or an injected
+    /// budget fault fired.
     BudgetExhausted,
     /// The run crashed with the given failure class.
     Crashed(CrashKind),

@@ -114,8 +114,8 @@ pub struct VerificationStats {
     /// Switched executions that completed normally with the switch
     /// landed.
     pub completed_runs: usize,
-    /// Switched executions cut off by the step budget even at the final
-    /// escalation rung (the paper's expired timer).
+    /// Switched executions cut off by the full step budget (the paper's
+    /// expired timer) or by an injected budget fault.
     pub budget_exhausted_runs: usize,
     /// Switched executions that crashed (structured runtime error or an
     /// isolated panic).
@@ -123,10 +123,12 @@ pub struct VerificationStats {
     /// Switched executions that terminated normally without the switch
     /// ever landing.
     pub switch_not_landed_runs: usize,
-    /// Switched executions that needed at least one budget escalation
-    /// retry before settling.
+    /// Switched executions whose demand outgrew at least one rung of the
+    /// budget escalation schedule (each still executed once, at the full
+    /// budget).
     pub escalated_runs: usize,
-    /// Total escalation retries across all switched executions.
+    /// Total escalation retries across all switched executions: the
+    /// schedule rungs their demands outgrew.
     pub budget_retries: usize,
     /// Checkpoints rejected by validation (or whose resumption failed /
     /// panicked); each one fell back to from-scratch execution.

@@ -566,6 +566,13 @@ pub fn take_recovery() -> RecoveryLog {
     RECOVERY.with(|r| std::mem::take(&mut *r.borrow_mut()))
 }
 
+/// Appends `log` — drained with [`take_recovery`] on a helper thread
+/// that worked for this one — to the current thread's log. (Its
+/// `recovery.*` counters already reached the recorder when noted.)
+pub fn absorb_recovery(log: &RecoveryLog) {
+    RECOVERY.with(|r| r.borrow_mut().absorb(log));
+}
+
 // ---------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------
@@ -996,6 +1003,24 @@ mod tests {
             ]
         );
         assert!(take_recovery().is_empty());
+    }
+
+    #[test]
+    fn helper_thread_recovery_is_absorbed_after_the_callers_own() {
+        let _ = take_recovery();
+        note_recovery(RecoveryKind::SaveRetry);
+        let helper = std::thread::spawn(|| {
+            note_recovery(RecoveryKind::InlineFallback);
+            take_recovery()
+        })
+        .join()
+        .unwrap();
+        absorb_recovery(&helper);
+        let log = take_recovery();
+        assert_eq!(
+            log.events(),
+            ["recovery.save_retries", "recovery.inline_fallbacks"]
+        );
     }
 
     #[test]
