@@ -139,11 +139,10 @@ EOF
 # without failing the session, and `--stats` must show that each one
 # actually fired (a gate whose fault never fires passes vacuously); the
 # corrupted checkpoint must also leave the report byte-identical. Every
-# pipeline fault — recorder builder panic, channel disconnect, queue
-# stall, encode/decode corruption, short writes, ENOSPC, mmap failure —
-# must be absorbed by the supervisor's degradation ladders with zero
-# effect on the localization verdict: the report stays byte-identical to
-# the clean run, the journal carries a schema-valid `recovery` record,
+# pipeline fault — encode/decode corruption, short writes, ENOSPC, mmap
+# failure — must be absorbed by the supervisor's degradation ladders
+# with zero effect on the localization verdict: the report stays
+# byte-identical to the clean run, the journal carries a schema-valid `recovery` record,
 # and saved traces come out bit-exact. A pinned deadline expiry must
 # exit 3 with a partial report, and the differential harness's chaos
 # mode (invariant 7) must hold over a seed window. Run standalone with
@@ -186,9 +185,8 @@ PLANS
         exit 1
     fi
 
-    # Loop-heavy pair (>4096 trace events) so the recorder spills chunks
-    # to its builder thread — otherwise the recorder sites
-    # (builder/channel/queue) never fire.
+    # Loop-heavy pair (>4096 trace events): the failing run spans
+    # several of the recorder's counted deadline checks.
     cat > "$dir/faulty.omi" <<'EOF'
 global acc = 0;
 fn main() {
@@ -238,16 +236,13 @@ EOF
         fi
     done
 
-    # Recorder and load sites go through `locate`: the recovered report
+    # Load sites go through `locate --trace-in`: the recovered report
     # must be byte-identical to the clean one, and the journal must
     # carry a schema-valid recovery record.
-    for plan in builder=panic channel=disconnect queue=stall \
-                decode=corrupt mmap=fail; do
+    for plan in decode=corrupt mmap=fail; do
         echo "   -- $plan (locate)"
-        local extra=(--fault-plan "$plan" --obs-out "$dir/faulted.jsonl")
-        case "$plan" in
-            decode=*|mmap=*) extra+=(--trace-in "$dir/clean.omitrace") ;;
-        esac
+        local extra=(--fault-plan "$plan" --obs-out "$dir/faulted.jsonl"
+                     --trace-in "$dir/clean.omitrace")
         if ! "${locate[@]}" "${extra[@]}" \
             > "$dir/faulted.out" 2> "$dir/faulted.err"; then
             echo "fault smoke FAILED: $plan did not recover:" >&2

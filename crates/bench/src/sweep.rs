@@ -588,12 +588,14 @@ fn instrumented_pass(
         steals: summary.workers.iter().map(|w| w.steals).sum(),
         drops: summary.drops,
     };
+    // The trace phase is record plus index build: the index is built on
+    // demand, in its own `index` span outside the `trace` span.
     let phases = PhaseSample {
-        trace_ns: rec.total_ns("trace"),
+        trace_ns: rec.total_ns("trace") + rec.total_ns("index"),
         graph_ns: rec.total_ns("graph"),
         slice_ns: rec.total_ns("slice"),
         verify_ns: rec.total_ns("verify"),
-        trace_self_ns: self_of("trace"),
+        trace_self_ns: self_of("trace") + self_of("index"),
         graph_self_ns: self_of("graph"),
         slice_self_ns: self_of("slice"),
         verify_self_ns: self_of("verify"),

@@ -56,7 +56,7 @@ proptest! {
             chaos: true,
         });
         prop_assert_eq!(summary.failures, Vec::<String>::new());
-        prop_assert_eq!(summary.chaos_pipelines, 3);
+        prop_assert_eq!(summary.chaos_pipelines, 2);
         prop_assert!(summary.chaos_recoveries > 0, "chaos sweep was vacuous");
     }
 }

@@ -138,7 +138,6 @@ pipeline must recover, not abort:
   S<id>     oob, missing-callee, div-zero, type, stack-overflow, uninit,
             budget, panic, panic-harness, corrupt-checkpoint
             (statement S<id> in switched runs; locate only, one per plan)
-  builder   panic            channel   disconnect     queue  stall
   encode    corrupt          decode    corrupt        mmap   fail
   save      short-write, enospc        deadline  expire (one per plan)
   handler   panic (served requests only)

@@ -491,6 +491,27 @@ fn corpus_locate_supports_obs_flags() {
     assert!(jsonl.contains("\"program\":\"sed:V3-F2\""), "{jsonl}");
 }
 
+/// A localization indexes one trace — the failing run, which relevant
+/// slicing queries — though it records seven. The recordings themselves
+/// (the reference run, the switched runs) build no index.
+#[test]
+fn corpus_locate_indexes_only_the_failing_trace() {
+    let out = omislice(&["corpus", "locate", "sed", "V3-F2", "--metrics", "text"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let metric = |name: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+    };
+    assert_eq!(metric("omislice_span_index_count"), Some("1"), "{stdout}");
+    assert_eq!(metric("omislice_span_trace_count"), Some("7"), "{stdout}");
+}
+
 /// The `--metrics json` object of a finished run, parsed from stdout.
 fn metrics_of(out: &std::process::Output) -> omislice_obs::Json {
     assert!(
@@ -808,8 +829,11 @@ fn locate_trace_in_recovers_from_corrupt_files_by_retracing() {
             String::from_utf8_lossy(&out.stderr)
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
+        // The supervisor's error names its stage: `load: <cause>`.
         assert!(
-            stderr.contains("cannot load trace") && stderr.contains("re-tracing from source"),
+            stderr.contains("cannot load trace")
+                && stderr.contains("(load: ")
+                && stderr.contains("re-tracing from source"),
             "{what}: the degradation must be reported, got:\n{stderr}"
         );
         assert!(
@@ -841,7 +865,12 @@ fn locate_trace_in_recovers_from_corrupt_files_by_retracing() {
     ]);
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cannot load trace") && stderr.contains("re-tracing from source"));
+    assert!(
+        stderr.contains("cannot load trace")
+            && stderr.contains("(load: ")
+            && stderr.contains("re-tracing from source"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -874,11 +903,10 @@ fn locate_mode_flag_is_respected() {
     assert!(!out.status.success());
 }
 
-// Loop-heavy pair (>4096 trace events) so the recorder actually spills
-// chunks across the builder thread — the recorder fault sites (builder,
-// channel, queue) only fire once chunking kicks in. The fix moves the
-// `acc = 0` reset under the right guard; with inputs `5,2` the faulty
-// program omits it.
+// Loop-heavy pair (>4096 trace events): the failing run spans several of
+// the recorder's counted deadline checks. The fix moves the `acc = 0`
+// reset under the right guard; with inputs `5,2` the faulty program
+// omits it.
 const FIXED_LONG: &str = "global acc = 0;\n\
     fn main() {\n\
       let n = input();\n\
@@ -910,10 +938,29 @@ const FAULTY_LONG: &str = "global acc = 0;\n\
       print(acc);\n\
     }\n";
 
+/// Saves the failing run of `faulty` on input `5,2` to an `omitrace/v1`
+/// file named after `name`, for the `--trace-in` load sites.
+fn save_long_trace(name: &str, faulty: &std::path::Path) -> std::path::PathBuf {
+    let path = std::env::temp_dir()
+        .join("omislice-cli-tests")
+        .join(format!("{name}-{}.omitrace", std::process::id()));
+    let saved = omislice(&[
+        "trace",
+        faulty.to_str().unwrap(),
+        "--input",
+        "5,2",
+        "--save",
+        path.to_str().unwrap(),
+    ]);
+    assert!(saved.status.success());
+    path
+}
+
 #[test]
 fn locate_chaos_sweep_recovers_every_site() {
     let fixed = write_temp("fixed-chaos", FIXED_LONG);
     let faulty = write_temp("faulty-chaos", FAULTY_LONG);
+    let trace_file = save_long_trace("chaos", &faulty);
 
     // Clean baseline: the report every faulted run must reproduce.
     let clean = omislice(&[
@@ -929,10 +976,10 @@ fn locate_chaos_sweep_recovers_every_site() {
     let clean_report = String::from_utf8_lossy(&clean.stdout).to_string();
     assert!(clean_report.contains("root cause captured : yes"));
 
+    // The sites a locate recovers from fire while loading `--trace-in`.
     for (plan, counter) in [
-        ("builder=panic", "recovery.inline_fallbacks"),
-        ("channel=disconnect", "recovery.inline_fallbacks"),
-        ("queue=stall", "recovery.queue_stalls"),
+        ("decode=corrupt", "recovery.load_retries"),
+        ("mmap=fail", "recovery.mmap_fallbacks"),
     ] {
         let out = omislice(&[
             "locate",
@@ -942,6 +989,8 @@ fn locate_chaos_sweep_recovers_every_site() {
             fixed.to_str().unwrap(),
             "--input",
             "5,2",
+            "--trace-in",
+            trace_file.to_str().unwrap(),
             "--fault-plan",
             plan,
         ]);
@@ -969,9 +1018,10 @@ fn one_fault_plan_fires_statement_and_pipeline_entries_in_one_run() {
     let faulty = write_temp("faulty-mixed", FAULTY_LONG);
     let dir = std::env::temp_dir().join("omislice-cli-tests");
     let journal = dir.join(format!("mixed-{}.jsonl", std::process::id()));
+    let trace_file = save_long_trace("mixed", &faulty);
     // S10 (`acc = 0`) runs only in switched runs, so its panic fires in
-    // the verifier; the builder panic fires while the failing run is
-    // traced.
+    // the verifier; the mmap failure fires while the failing run is
+    // loaded.
     let out = omislice(&[
         "locate",
         "--faulty",
@@ -980,8 +1030,10 @@ fn one_fault_plan_fires_statement_and_pipeline_entries_in_one_run() {
         fixed.to_str().unwrap(),
         "--input",
         "5,2",
+        "--trace-in",
+        trace_file.to_str().unwrap(),
         "--fault-plan",
-        "S10:0=panic,builder=panic",
+        "S10:0=panic,mmap=fail",
         "--stats",
         "--obs-out",
         journal.to_str().unwrap(),
@@ -990,7 +1042,7 @@ fn one_fault_plan_fires_statement_and_pipeline_entries_in_one_run() {
     assert!(out.status.success(), "both faults are absorbed:\n{stderr}");
     assert!(stderr.contains("1 panics isolated"), "{stderr}");
     assert!(
-        stderr.contains("pipeline recovered") && stderr.contains("recovery.inline_fallbacks"),
+        stderr.contains("pipeline recovered") && stderr.contains("recovery.mmap_fallbacks"),
         "{stderr}"
     );
     let text = std::fs::read_to_string(&journal).expect("journal written");
@@ -998,7 +1050,7 @@ fn one_fault_plan_fires_statement_and_pipeline_entries_in_one_run() {
         .lines()
         .find(|l| l.contains("\"type\":\"recovery\""))
         .expect("journal carries a recovery record");
-    assert!(recovery.contains("recovery.inline_fallbacks"), "{recovery}");
+    assert!(recovery.contains("recovery.mmap_fallbacks"), "{recovery}");
 }
 
 #[test]
@@ -1119,8 +1171,12 @@ fn chaos_and_deadline_flags_reject_bad_values() {
     let faulty = write_temp("faulty-badflags", FAULTY);
     for (flag, value, expected) in [
         ("--fault-plan", "bogus", "bad fault plan entry"),
-        ("--fault-plan", "builder=fly", "unknown fault action"),
+        ("--fault-plan", "save=fly", "unknown fault action"),
         ("--fault-plan", "nowhere=panic", "unknown fault site"),
+        // Retired recorder sites.
+        ("--fault-plan", "builder=panic", "unknown fault site"),
+        ("--fault-plan", "channel=disconnect", "unknown fault site"),
+        ("--fault-plan", "queue=stall", "unknown fault site"),
         ("--deadline", "nope", "bad --deadline"),
     ] {
         let out = omislice(&[
@@ -1132,7 +1188,11 @@ fn chaos_and_deadline_flags_reject_bad_values() {
             flag,
             value,
         ]);
-        assert!(!out.status.success(), "{flag} {value} must be rejected");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} {value} must be rejected as a usage error"
+        );
         assert!(
             String::from_utf8_lossy(&out.stderr).contains(expected),
             "{flag} {value}: expected `{expected}`"
@@ -1267,19 +1327,12 @@ fn usage_errors_exit_2_but_pipeline_failures_exit_1() {
                 "--fixed",
                 "b",
                 "--chaos",
-                "builder=panic",
+                "save=enospc",
             ],
             "--chaos",
         ),
         (
-            &[
-                "corpus",
-                "locate",
-                "sed",
-                "V3-F2",
-                "--chaos",
-                "builder=panic",
-            ],
+            &["corpus", "locate", "sed", "V3-F2", "--chaos", "save=enospc"],
             "--chaos",
         ),
     ] {

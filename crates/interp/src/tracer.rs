@@ -108,28 +108,6 @@ pub(crate) fn run_traced_capturing(
     config: &RunConfig,
     capture: &[SwitchSpec],
 ) -> (TracedRun, Vec<Checkpoint>) {
-    match try_run_traced_capturing(program, analysis, config, capture, false) {
-        Ok(done) => done,
-        Err(_) => {
-            // The pipelined recorder lost its builder thread (a real
-            // failure or an injected one). Execution is deterministic,
-            // so the degradation ladder is simply: re-run the whole
-            // trace with the inline recorder, which has no builder to
-            // lose.
-            omislice_trace::note_recovery(omislice_trace::RecoveryKind::InlineFallback);
-            try_run_traced_capturing(program, analysis, config, capture, true)
-                .expect("inline recorders cannot fail")
-        }
-    }
-}
-
-fn try_run_traced_capturing(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    config: &RunConfig,
-    capture: &[SwitchSpec],
-    inline_only: bool,
-) -> Result<(TracedRun, Vec<Checkpoint>), omislice_trace::RecorderError> {
     let mut capture_specs: HashMap<StmtId, Vec<u32>> = HashMap::new();
     for spec in capture {
         capture_specs
@@ -152,11 +130,7 @@ fn try_run_traced_capturing(
         fault: config.fault,
         fault_seen: 0,
         occ: vec![0; program.stmt_count() as usize],
-        rec: if inline_only {
-            Recorder::inline_only()
-        } else {
-            Recorder::new()
-        },
+        rec: Recorder::new(),
         outputs: Vec::new(),
         globals: Globals::init(program, analysis.index()),
         region_stack: Vec::new(),
@@ -173,22 +147,20 @@ fn try_run_traced_capturing(
         Err(Stop::Budget) => Termination::BudgetExhausted,
         Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
     };
-    let (cols, index, stats) = t.rec.finish()?;
+    let cols = t.rec.finish();
     if omislice_obs::enabled() {
         omislice_obs::counter_add("tracer.events", cols.len() as u64);
         omislice_obs::counter_add("tracer.runs", 1);
         omislice_obs::counter_add("columnar.bytes", cols.bytes() as u64);
-        omislice_obs::counter_max("recorder.queue_depth_max", stats.queue_depth_max as u64);
-        omislice_obs::counter_add("recorder.backpressure_stalls", stats.backpressure_stalls);
     }
     drop(span);
     let run = TracedRun {
-        trace: Trace::from_recorded(cols, t.outputs, termination, index),
+        trace: Trace::from_recorded(cols, t.outputs, termination),
         switched: t.switched,
         overridden: t.overridden,
         input_underflows: t.input_underflows,
     };
-    Ok((run, t.captured))
+    (run, t.captured)
 }
 
 /// Resumes the suspended base run from `checkpoint` with `config.switch`
@@ -281,13 +253,9 @@ pub(crate) fn resume_switched_impl(
         Err(Stop::Budget) => Termination::BudgetExhausted,
         Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
     };
-    let (cols, index, _stats) = t
-        .rec
-        .finish()
-        .expect("prefix-seeded recorders never pipeline");
     Some((
         TracedRun {
-            trace: Trace::from_recorded(cols, t.outputs, termination, index),
+            trace: Trace::from_recorded(t.rec.finish(), t.outputs, termination),
             switched: t.switched,
             overridden: t.overridden,
             input_underflows: t.input_underflows,
@@ -443,7 +411,7 @@ impl<'a> Tracer<'a> {
 
     /// Records an event, assigning its timestamp, region parent, and call
     /// depth. Fails when the step budget is exhausted, a scoped deadline
-    /// expired at the last chunk boundary (the paper's expired-timer
+    /// expired at the recorder's last counted check (the paper's expired-timer
     /// rule: the run terminates as budget-exhausted), or an injected
     /// fault fires at this instance.
     fn record(&mut self, ev: Event) -> Result<InstId, Stop> {

@@ -41,7 +41,7 @@ pub use journal::{
 pub use json::{parse, Json};
 pub use metrics::{Metric, MetricSet, KNOWN_COUNTERS};
 pub use profile::{
-    counter_add, counter_max, drain, enabled, gauge, reset, set_enabled, span, task,
-    ProfileSummary, Recording, SpanAgg, SpanGuard,
+    counter_add, drain, enabled, gauge, reset, set_enabled, span, task, ProfileSummary, Recording,
+    SpanAgg, SpanGuard,
 };
 pub use report::Reporter;

@@ -20,13 +20,9 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "csr.fill.edges",
     "frontier.claims",
     "profile.drops",
-    "recorder.backpressure_stalls",
-    "recorder.queue_depth_max",
     "recovery.deadline_expirations",
-    "recovery.inline_fallbacks",
     "recovery.load_retries",
     "recovery.mmap_fallbacks",
-    "recovery.queue_stalls",
     "recovery.retrace_fallbacks",
     "recovery.save_retries",
     "tracer.events",

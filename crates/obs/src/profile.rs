@@ -21,8 +21,7 @@
 //! * [`flamegraph`] — collapsed-stack text, self time per stack;
 //! * [`chrome_trace`] — Chrome trace-event JSON (Perfetto /
 //!   `chrome://tracing`): a scheduler track, one track per verify
-//!   worker, one per span thread, and counter tracks for the byte gauges
-//!   and the recorder queue depth;
+//!   worker, one per span thread, and one counter track per gauge;
 //! * [`Recording::summarize`] and [`render_profile`] — per-worker
 //!   utilization, steal/task ratios, and wave occupancy;
 //! * [`normalized_structure`] — the projection determinism tests
@@ -83,7 +82,7 @@ pub enum EventKind {
     CaptureSkip,
     /// A memo eviction reclaimed `value` entries.
     Evict,
-    /// A gauge sample (`value` = the sample): queue depth, live bytes.
+    /// A gauge sample (`value` = the sample), e.g. live bytes.
     Counter,
 }
 
@@ -181,10 +180,6 @@ pub fn next_seq() -> u64 {
     NEXT_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How a counter total folds in a new value (sum or high-water mark);
-/// the drain merges threads with the same fold.
-type Fold = fn(u64, u64) -> u64;
-
 /// One thread's share of the recorder: its event ring and counter
 /// totals, behind one lock that only [`drain`] ever contends.
 struct Slot {
@@ -197,7 +192,7 @@ struct Ring {
     /// Preallocated to `RING_CAPACITY`; appends check the length and the
     /// buffer is never grown.
     events: Vec<Event>,
-    counters: Vec<(&'static str, u64, Fold)>,
+    counters: Vec<(&'static str, u64)>,
 }
 
 static REGISTRY: Mutex<Vec<Arc<Slot>>> = Mutex::new(Vec::new());
@@ -226,7 +221,7 @@ fn with_slot(f: impl FnOnce(&Slot)) {
     });
 }
 
-/// Every update under the recorder's locks is a single push, fold, or
+/// Every update under the recorder's locks is a single push, add, or
 /// drain, so a guard poisoned by a panicking thread still holds valid
 /// data and recording carries on.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -280,7 +275,7 @@ pub fn mark(kind: EventKind, name: &'static str, id: u64) {
     record(kind, name, WORKER_MAIN, id, 0);
 }
 
-/// Records one gauge sample (queue depth, live bytes): a point on the
+/// Records one gauge sample (e.g. live bytes): a point on the
 /// gauge's counter track, and for the [`GAUGES`] a candidate for the
 /// exported counter, which is the largest sample.
 #[inline]
@@ -326,29 +321,19 @@ impl Drop for SpanGuard {
 /// Adds `n` to the named counter. Call sites on hot paths should batch
 /// (one call per run or chunk, not per event) and guard with
 /// [`enabled`]; the function itself is also a no-op when disabled.
-#[inline]
-pub fn counter_add(name: &'static str, n: u64) {
-    bump(name, n, |total, n| total + n);
-}
-
-/// Raises the named counter to at least `n` (a high-water mark, e.g. a
-/// queue-depth maximum). Same batching guidance as [`counter_add`].
-#[inline]
-pub fn counter_max(name: &'static str, n: u64) {
-    bump(name, n, u64::max);
-}
-
+///
 /// Counters are exact: unlike event appends they wait for the slot
 /// lock, which only a drain ever holds from another thread.
-fn bump(name: &'static str, n: u64, fold: Fold) {
+#[inline]
+pub fn counter_add(name: &'static str, n: u64) {
     if !enabled() || n == 0 {
         return;
     }
     with_slot(|slot| {
         let mut ring = lock(&slot.ring);
-        match ring.counters.iter_mut().find(|(k, _, _)| *k == name) {
-            Some(total) => total.1 = fold(total.1, n),
-            None => ring.counters.push((name, n, fold)),
+        match ring.counters.iter_mut().find(|(k, _)| *k == name) {
+            Some(total) => total.1 += n,
+            None => ring.counters.push((name, n)),
         }
     });
 }
@@ -360,8 +345,8 @@ pub struct Recording {
     /// first, then `(kind, name, id, worker, thread)`, so the order does
     /// not depend on which thread drained last.
     pub events: Vec<Event>,
-    /// Counter totals by name: the batched adds and high-water marks,
-    /// each of the [`GAUGES`]' largest sample, `verify.sched.steals` (the
+    /// Counter totals by name: the batched adds, each of the
+    /// [`GAUGES`]' largest sample, `verify.sched.steals` (the
     /// number of steal events), and `profile.drops` when events were lost.
     pub counters: BTreeMap<&'static str, u64>,
     /// Events lost to full rings or drain contention.
@@ -378,9 +363,8 @@ pub fn drain() -> Recording {
             // `append` leaves the ring's allocation in place, so the
             // next recording window still never reallocates.
             rec.events.append(&mut ring.events);
-            for (name, n, fold) in ring.counters.drain(..) {
-                let total = rec.counters.entry(name).or_insert(0);
-                *total = fold(*total, n);
+            for (name, n) in ring.counters.drain(..) {
+                *rec.counters.entry(name).or_insert(0) += n;
             }
             rec.drops += slot.drops.swap(0, Ordering::Relaxed);
         }
@@ -720,13 +704,17 @@ pub fn chrome_trace(rec: &Recording) -> Json {
     let mut events: Vec<Json> = Vec::new();
     events.push(meta_event(0, "process_name", "omislice".into()));
     events.push(meta_event(0, "thread_name", "scheduler".into()));
-    let lanes: BTreeSet<u32> = rec
+    // Every lane up to the highest one seen gets a track: a spawned
+    // worker whose deque was stolen empty before it ran records nothing,
+    // yet the worker tracks stay contiguous from `verify-worker-0`.
+    let lanes = rec
         .events
         .iter()
         .filter(|e| e.worker != WORKER_MAIN)
-        .map(|e| e.worker)
-        .collect();
-    for &w in &lanes {
+        .map(|e| e.worker + 1)
+        .max()
+        .unwrap_or(0);
+    for w in 0..lanes {
         events.push(meta_event(
             lane_tid(w),
             "thread_name",
@@ -1132,6 +1120,19 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_idle_worker_still_gets_its_track() {
+        let _g = start();
+        // Worker 1 stole worker 0's only task before worker 0 ran.
+        record(EventKind::Steal, "verify.steal", 1, 7, 0);
+        drop(task("verify.candidate", 1, 7));
+        let check = check_chrome_trace(&chrome_trace(&stop())).unwrap();
+        assert_eq!(
+            check.worker_tracks,
+            vec!["verify-worker-0", "verify-worker-1"]
+        );
+    }
+
+    #[test]
     fn a_task_is_one_event_seen_by_every_view() {
         let _g = start();
         {
@@ -1159,22 +1160,22 @@ pub(crate) mod tests {
         gauge("verify.memo.bytes", 300);
         gauge("verify.memo.bytes", 700);
         gauge("verify.memo.bytes", 500);
-        gauge("recorder.queue.depth", 4);
+        gauge("test.depth", 4);
         record(EventKind::Steal, "verify.steal", 0, 1, 0);
         record(EventKind::Steal, "verify.steal", 1, 2, 0);
-        counter_max("recorder.queue_depth_max", 3);
-        std::thread::spawn(|| counter_max("recorder.queue_depth_max", 2))
+        counter_add("tracer.runs", 3);
+        std::thread::spawn(|| counter_add("tracer.runs", 2))
             .join()
             .unwrap();
         let rec = stop();
         assert_eq!(rec.counters.get("verify.memo.bytes"), Some(&700));
         assert_eq!(rec.counters.get("verify.sched.steals"), Some(&2));
         assert_eq!(
-            rec.counters.get("recorder.queue_depth_max"),
-            Some(&3),
-            "high-water marks merge across threads by max"
+            rec.counters.get("tracer.runs"),
+            Some(&5),
+            "counters merge across threads by sum"
         );
-        assert_eq!(rec.counters.get("recorder.queue.depth"), None);
+        assert_eq!(rec.counters.get("test.depth"), None);
         assert_eq!(rec.counters.get("profile.drops"), None);
     }
 
@@ -1318,7 +1319,7 @@ pub(crate) mod tests {
         }
         record(EventKind::Steal, "verify.steal", 1, 2, 0);
         mark(EventKind::Wave, "verify.wave", 0);
-        gauge("recorder.queue.depth", 3);
+        gauge("test.depth", 3);
         counter_add("columnar.bytes", 4096);
         let rec = stop();
         let text = chrome_trace(&rec).to_string();
@@ -1328,10 +1329,7 @@ pub(crate) mod tests {
             check.worker_tracks,
             vec!["verify-worker-0", "verify-worker-1"]
         );
-        for track in GAUGES
-            .iter()
-            .chain(&["recorder.queue.depth", "columnar.bytes"])
-        {
+        for track in GAUGES.iter().chain(&["test.depth", "columnar.bytes"]) {
             assert!(
                 check.counter_tracks.iter().any(|t| t == track),
                 "missing counter track {track}"

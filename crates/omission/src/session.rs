@@ -20,9 +20,7 @@ use omislice_analysis::{PdMode, ProgramAnalysis};
 use omislice_interp::{run_traced, RunConfig, DEFAULT_STEP_BUDGET};
 use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
 use omislice_slicing::ValueProfile;
-use omislice_trace::{
-    absorb_recovery, note_recovery, take_recovery, RecoveryKind, Supervisor, Trace,
-};
+use omislice_trace::{note_recovery, RecoveryKind, Supervisor, Trace};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
@@ -144,9 +142,8 @@ impl DebugSessionBuilder {
     /// trace produces, so it runs on its own scoped thread beside the
     /// failing-trace recording (or load) and the profile runs. The
     /// supervisor's scope is the calling thread's, so the reference run
-    /// stays outside it; a recovery it notes is absorbed into the
-    /// caller's [`RecoveryLog`](omislice_trace::RecoveryLog), and a panic
-    /// in it resumes on the caller.
+    /// stays outside it (no fault fires and no recovery is noted there),
+    /// and a panic in it resumes on the caller.
     ///
     /// # Errors
     ///
@@ -177,9 +174,7 @@ impl DebugSessionBuilder {
         let mut warnings = Vec::new();
         let (trace, profile, oracle) = std::thread::scope(|s| {
             let reference_run = s.spawn(|| {
-                let oracle =
-                    GroundTruthOracle::new(&reference, &reference_analysis, &config, roots.clone());
-                (oracle, take_recovery())
+                GroundTruthOracle::new(&reference, &reference_analysis, &config, roots.clone())
             });
             let trace = match &self.trace_file {
                 None => record(),
@@ -201,10 +196,9 @@ impl DebugSessionBuilder {
                 };
                 profile.add_trace(&run_traced(&faulty, &analysis, &cfg).trace);
             }
-            let (oracle, recovery) = reference_run
+            let oracle = reference_run
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            absorb_recovery(&recovery);
             (trace, profile, oracle)
         });
         Ok(DebugSession {

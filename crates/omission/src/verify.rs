@@ -45,10 +45,8 @@
 //!   re-executing only the gap (see
 //!   `omislice_interp::resume_switched_capturing`);
 //! * leaves are dispatched across threads ([`Verifier::with_jobs`])
-//!   through work-stealing deques seeded in predicted-cost order
-//!   (longest remaining suffix first; an online [`CostModel`] refines
-//!   the estimate from observed per-event costs but only ever reorders
-//!   dispatch); results land in per-candidate slots and are merged in
+//!   through work-stealing deques seeded longest remaining suffix
+//!   first; results land in per-candidate slots and are merged in
 //!   candidate order, so verdicts, memo contents, and counters are
 //!   identical to a serial run;
 //! * each switched run executes once, at the full step budget: the
@@ -78,19 +76,17 @@ use omislice_trace::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default capture break-even, in gap events: a checkpoint is captured
 /// only when resuming from the best otherwise-available donor would
-/// re-execute at least this many extra events. The constant is the cost
-/// model's static estimate of one snapshot's cost (state clone ≈ a few
-/// µs) divided by the per-event execution cost (~0.1 µs); the online
-/// model refines dispatch *ordering* but deliberately not this decision,
-/// which must replay identically run to run (capture choices change
-/// resume counters, and those are part of the determinism contract
-/// within a configuration).
+/// re-execute at least this many extra events. The constant is a static
+/// estimate of one snapshot's cost (state clone ≈ a few µs) divided by
+/// the per-event execution cost (~0.1 µs). It is deliberately static:
+/// the decision must replay identically run to run (capture choices
+/// change resume counters, and those are part of the determinism
+/// contract within a configuration).
 pub const DEFAULT_CAPTURE_THRESHOLD: usize = 32;
 
 /// Chunk size of the early-exit ladder: candidates are prepared and
@@ -110,59 +106,8 @@ const EARLY_EXIT_CHUNK: usize = 8;
 /// request order, never on the thread count.
 const VERIFY_WAVE: usize = 32;
 
-/// Online cost model. Observes `ns / executed event` for each switched
-/// run and folds it into an exponentially-weighted moving average (an
-/// atomic, so workers update it lock-free). Predictions order
-/// work-stealing dispatch (longest predicted remaining suffix first) —
-/// they never influence a verdict, a capture decision, or a counter,
-/// keeping every observable output timing-independent.
-struct CostModel {
-    /// EWMA of ns per event, stored as `f64` bits; 0 means "no
-    /// observation yet".
-    ns_per_event: AtomicU64,
-}
-
-/// EWMA smoothing factor: new observations move the estimate 1/4 of the
-/// way, damping scheduling jitter without going stale.
-const COST_EWMA_ALPHA: f64 = 0.25;
-
-impl CostModel {
-    fn new() -> Self {
-        CostModel {
-            ns_per_event: AtomicU64::new(0),
-        }
-    }
-
-    /// Folds one observed run (events executed, wall nanoseconds) into
-    /// the model.
-    fn observe(&self, events: usize, ns: u64) {
-        if events == 0 {
-            return;
-        }
-        let sample = ns as f64 / events as f64;
-        // Racy read-modify-write is fine: the model only orders work.
-        let old = f64::from_bits(self.ns_per_event.load(Ordering::Relaxed));
-        let next = if old == 0.0 {
-            sample
-        } else {
-            old + COST_EWMA_ALPHA * (sample - old)
-        };
-        self.ns_per_event.store(next.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Predicted cost of executing `events` events, in
-    /// model-nanoseconds. Falls back to a flat per-event unit before the
-    /// first observation, which still orders leaves by remaining suffix
-    /// length.
-    fn predict(&self, events: usize) -> u64 {
-        let per_event = f64::from_bits(self.ns_per_event.load(Ordering::Relaxed));
-        let per_event = if per_event > 0.0 { per_event } else { 100.0 };
-        (events as f64 * per_event) as u64
-    }
-}
-
 /// Work-stealing deques for one batch dispatch: each worker owns a deque
-/// seeded round-robin from the cost-ordered leaf list, pops its own from
+/// seeded round-robin from the longest-first leaf list, pops its own from
 /// the front, and steals from the back of a victim's when empty. Steal
 /// counts surface through the `verify.sched.steals` obs counter (timing
 /// dependent by nature; the journal stripper drops the spans record, so
@@ -172,9 +117,9 @@ struct WorkQueues {
 }
 
 impl WorkQueues {
-    /// Distributes `order` (leaf indices, most expensive first) over
-    /// `workers` deques round-robin, so every worker starts with a
-    /// balanced share of predicted cost.
+    /// Distributes `order` (leaf indices, longest remaining suffix first)
+    /// over `workers` deques round-robin, so every worker starts with a
+    /// balanced share of the work.
     fn seed(order: &[usize], workers: usize) -> Self {
         let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
         for (i, &leaf) in order.iter().enumerate() {
@@ -421,15 +366,13 @@ pub struct Verifier<'a> {
     /// run, so a batch's verifications of one switch point share their
     /// descents. Cleared with `runs`.
     matches: HashMap<SwitchSpec, MatchMemo>,
-    /// Capture break-even in gap events; `None` uses the cost model's
-    /// static estimate [`DEFAULT_CAPTURE_THRESHOLD`].
+    /// Capture break-even in gap events; `None` uses the static
+    /// estimate [`DEFAULT_CAPTURE_THRESHOLD`].
     capture_threshold: Option<usize>,
     /// Cancel a batch's tail once its first StrongId resolves the
     /// top-ranked use (off by default: it trades completeness of the
     /// non-root verdicts for wall time).
     early_exit: bool,
-    /// Online dispatch-ordering model (never affects results).
-    cost: CostModel,
     /// Memoized verdicts keyed by (p, u, var, strong-check-enabled).
     cache: HashMap<(InstId, InstId, VarId, bool), Verification>,
     stats: VerificationStats,
@@ -469,7 +412,6 @@ impl<'a> Verifier<'a> {
             matches: HashMap::new(),
             capture_threshold: None,
             early_exit: false,
-            cost: CostModel::new(),
             cache: HashMap::new(),
             stats: VerificationStats::default(),
         }
@@ -609,7 +551,7 @@ impl<'a> Verifier<'a> {
     /// anything), the trie then captures missing checkpoints on the
     /// spine run and resumes every other leaf from its deepest available
     /// checkpoint, fanning out across up to `jobs` threads through
-    /// cost-ordered work-stealing deques. Verdicts are
+    /// longest-first work-stealing deques. Verdicts are
     /// judged serially in request order, so results, memo contents, and
     /// counters are identical for any thread count.
     ///
@@ -800,7 +742,7 @@ impl<'a> Verifier<'a> {
     /// before the switch fires). Phase B resumes every remaining leaf
     /// from the deepest checkpoint at or before its own position (its
     /// own, a phase-A capture, or an earlier iteration's via the memo)
-    /// and dispatches them across workers through cost-ordered
+    /// and dispatches them across workers through longest-first
     /// work-stealing deques. Under [`ResumeMode::Disabled`] there is no
     /// spine and no donor: every leaf runs from scratch.
     fn prepare_runs(&mut self, missing: &[(SwitchSpec, InstId)]) {
@@ -839,8 +781,8 @@ impl<'a> Verifier<'a> {
         // ascending position and capture only where resuming from the
         // best otherwise-available donor (a known checkpoint or an
         // earlier planned capture) would re-execute at least `threshold`
-        // extra events. The decision is static — the online cost model
-        // never feeds it — so it replays identically run to run.
+        // extra events. The decision is static, so it replays
+        // identically run to run.
         let mut capture_list: Vec<SwitchSpec> = Vec::new();
         let mut min_capture_pos = usize::MAX;
         let mut spine: Option<usize> = None;
@@ -961,19 +903,16 @@ impl<'a> Verifier<'a> {
             };
             leaves.push((i, donor));
         }
-        // Longest predicted remaining suffix first; ties break on batch
-        // order so the seeded deques are deterministic (execution order
-        // affects nothing observable, but determinism is cheap here).
+        // Longest remaining suffix first; ties break on batch order so
+        // the seeded deques are deterministic (execution order affects
+        // nothing observable, but determinism is cheap here).
         let mut order: Vec<usize> = (0..leaves.len()).collect();
         order.sort_by_key(|&k| {
             let saved = leaves[k]
                 .1
                 .as_ref()
                 .map_or(0, |cp| cp.prefix_len().min(self.trace.len()));
-            (
-                std::cmp::Reverse(self.cost.predict(self.trace.len().saturating_sub(saved))),
-                k,
-            )
+            (std::cmp::Reverse(self.trace.len().saturating_sub(saved)), k)
         });
         let workers = self.jobs.min(leaves.len()).max(1);
         let queues = WorkQueues::seed(&order, workers);
@@ -1146,9 +1085,7 @@ impl<'a> Verifier<'a> {
     ///
     /// The budget schedule is pure accounting: the run's demand
     /// ([`last_demand`], known even after an isolated panic) says which
-    /// rungs it outgrew. The run's wall time feeds the [`CostModel`]
-    /// (dispatch ordering only — it never influences a verdict or
-    /// counter).
+    /// rungs it outgrew.
     fn compute_switched(
         &self,
         spec: SwitchSpec,
@@ -1168,7 +1105,6 @@ impl<'a> Verifier<'a> {
             deadline_cancelled: false,
             input_underflows: 0,
         };
-        let start = Instant::now();
         let mut resumed: Option<(TracedRun, Vec<Checkpoint>)> = None;
         if let Some(cp) = donor {
             match catch_unwind(AssertUnwindSafe(|| {
@@ -1216,10 +1152,6 @@ impl<'a> Verifier<'a> {
                 }
             },
         };
-        self.cost.observe(
-            run.trace.len().saturating_sub(out.saved.unwrap_or(0)),
-            start.elapsed().as_nanos() as u64,
-        );
         out.input_underflows = run.input_underflows;
         out.outcome = match run.trace.termination() {
             Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,

@@ -156,6 +156,7 @@ impl ColumnarTrace {
     }
 
     /// Number of stored instances (shared prefix included).
+    #[inline]
     pub fn len(&self) -> usize {
         self.prefix_len() + self.stmt.len()
     }
@@ -229,27 +230,6 @@ impl ColumnarTrace {
         self.deps.extend_from_slice(ev.deps);
         self.deps_off.push(self.deps.len() as u32);
         id
-    }
-
-    /// Appends every event of `other` (used by the chunked recorder).
-    /// `other`'s dependence and parent ids must already be absolute;
-    /// its own instance ids (the sparse cell column) are rebased.
-    pub fn append(&mut self, other: &ColumnarTrace) {
-        assert!(other.prefix.is_none(), "appended chunks are always flat");
-        let id_base = self.len() as u32;
-        self.stmt.extend_from_slice(&other.stmt);
-        self.meta.extend_from_slice(&other.meta);
-        self.value.extend_from_slice(&other.value);
-        self.call_depth.extend_from_slice(&other.call_depth);
-        self.cd_parent.extend_from_slice(&other.cd_parent);
-        self.region_parent.extend_from_slice(&other.region_parent);
-        self.def_var.extend_from_slice(&other.def_var);
-        let base = self.deps.len() as u32;
-        self.deps.extend_from_slice(&other.deps);
-        self.deps_off
-            .extend(other.deps_off[1..].iter().map(|&o| o + base));
-        self.cell_index
-            .extend(other.cell_index.iter().map(|&(i, c)| (i + id_base, c)));
     }
 
     /// Overwrites the defined-variable column of the most recent event
@@ -586,19 +566,6 @@ mod tests {
             let prefix = cols.clone_prefix(len);
             assert_eq!(prefix.to_events(), events[..len].to_vec());
         }
-    }
-
-    #[test]
-    fn append_rebases_offsets() {
-        let events = sample_events();
-        let mut whole = build(&events[..1]);
-        let mut tail = ColumnarTrace::new();
-        for e in &events[1..] {
-            // Recreate with absolute ids (they already are).
-            tail.push(RawEvent::from(e));
-        }
-        whole.append(&tail);
-        assert_eq!(whole.to_events(), events);
     }
 
     #[test]

@@ -622,7 +622,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceFileError> {
         cols.cell_index.push((inst, v));
     }
 
-    Ok(Trace::from_recorded(cols, outputs, termination, None))
+    Ok(Trace::from_recorded(cols, outputs, termination))
 }
 
 // --- file i/o ----------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Indexed queries over a [`Trace`] — the layer that makes slicing and
 //! potential-dependence discovery scale to very large traces.
 //!
-//! Three sub-indexes, each built in one O(n) pass:
+//! Two sub-indexes, each built in one O(n) pass:
 //!
 //! * an **Euler-tour timestamp index** over the dynamic control-dependence
 //!   forest (the `cd_parent` pointers): every instance gets an entry/exit
@@ -12,20 +12,19 @@
 //!   the sorted list of instances that evaluated that predicate to that
 //!   outcome, so "instances of `p` with branch `b` in the window
 //!   `[def, u)`" (Definition 1, conditions (i)+(iii)+(iv)) is a binary
-//!   search plus a contiguous range scan;
-//! * **definition postings**: for every variable, the sorted list of
-//!   instances defining it, giving "latest definition before `t`" by
-//!   binary search.
+//!   search plus a contiguous range scan.
 //!
-//! Construction parallelizes with the same `std::thread::scope` fan-out
-//! the verification engine uses: one worker owns the Euler tour, the rest
-//! build postings over contiguous trace chunks that are merged in trace
-//! order, so the result is identical for any thread count.
+//! The index is built on demand, once per trace, and only for a trace
+//! that is queried: relevant slicing over the failing run is its one
+//! reader. Construction parallelizes with the same `std::thread::scope`
+//! fan-out the verification engine uses: one worker owns the Euler tour,
+//! the rest build postings over contiguous trace chunks that are merged
+//! in trace order, so the result is identical for any thread count.
 
 use crate::columnar::ColumnarTrace;
 use crate::event::InstId;
 use crate::trace::Trace;
-use omislice_lang::{StmtId, VarId};
+use omislice_lang::StmtId;
 use std::collections::HashMap;
 
 /// Below this trace length the serial build wins; above it, chunked
@@ -42,8 +41,6 @@ pub struct TraceIndex {
     cd_tout: Vec<u32>,
     /// Sorted instances of each predicate statement that took branch `b`.
     preds: HashMap<(StmtId, bool), Vec<InstId>>,
-    /// Sorted defining instances of each variable.
-    defs: HashMap<VarId, Vec<InstId>>,
 }
 
 impl TraceIndex {
@@ -60,16 +57,16 @@ impl TraceIndex {
     /// Panics if an event's `cd_parent` does not precede it (the
     /// interpreter records parents before children by construction).
     pub fn build_with_jobs(trace: &Trace, jobs: usize) -> Self {
+        let _span = omislice_obs::span("index");
         let n = trace.len();
         let jobs = jobs.max(1).min(n.max(1));
         if jobs == 1 || n < PARALLEL_BUILD_THRESHOLD {
             let (cd_tin, cd_tout) = euler_tour(trace.columns());
-            let (preds, defs) = postings(trace.columns(), 0, n);
+            let preds = postings(trace.columns(), 0, n);
             return TraceIndex {
                 cd_tin,
                 cd_tout,
                 preds,
-                defs,
             };
         }
         std::thread::scope(|s| {
@@ -83,16 +80,11 @@ impl TraceIndex {
                 })
                 .collect();
             // Chunks join in trace order, so every postings list stays
-            // sorted and the merged maps are thread-count independent.
+            // sorted and the merged map is thread-count independent.
             let mut preds: HashMap<(StmtId, bool), Vec<InstId>> = HashMap::new();
-            let mut defs: HashMap<VarId, Vec<InstId>> = HashMap::new();
             for h in handles {
-                let (p, d) = h.join().expect("postings workers do not panic");
-                for (k, mut v) in p {
+                for (k, mut v) in h.join().expect("postings workers do not panic") {
                     preds.entry(k).or_default().append(&mut v);
-                }
-                for (k, mut v) in d {
-                    defs.entry(k).or_default().append(&mut v);
                 }
             }
             let (cd_tin, cd_tout) = euler.join().expect("euler worker does not panic");
@@ -100,27 +92,8 @@ impl TraceIndex {
                 cd_tin,
                 cd_tout,
                 preds,
-                defs,
             }
         })
-    }
-
-    /// Assembles an index from parts the pipelined recorder built
-    /// incrementally. The parts must match what [`TraceIndex::build`]
-    /// would produce for the same trace (the columnar-equivalence
-    /// property tests pin this down).
-    pub(crate) fn assemble(
-        cd_tin: Vec<u32>,
-        cd_tout: Vec<u32>,
-        preds: HashMap<(StmtId, bool), Vec<InstId>>,
-        defs: HashMap<VarId, Vec<InstId>>,
-    ) -> Self {
-        TraceIndex {
-            cd_tin,
-            cd_tout,
-            preds,
-            defs,
-        }
     }
 
     /// Whether `anc` is a *proper* CD ancestor of `desc` — i.e. `desc` is
@@ -152,25 +125,13 @@ impl TraceIndex {
         let b = list.partition_point(|&i| i < hi);
         &list[a..b]
     }
-
-    /// All instances defining `var`, sorted by timestamp.
-    pub fn defs_of(&self, var: VarId) -> &[InstId] {
-        self.defs.get(&var).map_or(&[], Vec::as_slice)
-    }
-
-    /// The latest instance defining `var` strictly before `before`.
-    pub fn latest_def_before(&self, var: VarId, before: InstId) -> Option<InstId> {
-        let list = self.defs_of(var);
-        let k = list.partition_point(|&i| i < before);
-        k.checked_sub(1).map(|k| list[k])
-    }
 }
 
 /// Entry/exit timestamps of an iterative DFS over the CD forest. One
 /// global clock across the roots (in trace order) gives disjoint
 /// intervals to separate trees, so the containment test needs no
 /// root bookkeeping.
-pub(crate) fn euler_tour(cols: &ColumnarTrace) -> (Vec<u32>, Vec<u32>) {
+fn euler_tour(cols: &ColumnarTrace) -> (Vec<u32>, Vec<u32>) {
     let n = cols.len();
     // Children in CSR form: counting pass, prefix sums, fill pass.
     let mut counts = vec![0u32; n];
@@ -222,26 +183,20 @@ pub(crate) fn euler_tour(cols: &ColumnarTrace) -> (Vec<u32>, Vec<u32>) {
     (tin, tout)
 }
 
-pub(crate) type Postings = (
-    HashMap<(StmtId, bool), Vec<InstId>>,
-    HashMap<VarId, Vec<InstId>>,
-);
-
-/// Predicate and definition postings for the chunk `[start, end)`.
-pub(crate) fn postings(cols: &ColumnarTrace, start: usize, end: usize) -> Postings {
+/// Predicate postings for the chunk `[start, end)`.
+fn postings(
+    cols: &ColumnarTrace,
+    start: usize,
+    end: usize,
+) -> HashMap<(StmtId, bool), Vec<InstId>> {
     let mut preds: HashMap<(StmtId, bool), Vec<InstId>> = HashMap::new();
-    let mut defs: HashMap<VarId, Vec<InstId>> = HashMap::new();
     for i in start..end {
         let inst = InstId(i as u32);
-        let ev = cols.event(inst);
-        if let Some(b) = ev.branch {
-            preds.entry((ev.stmt, b)).or_default().push(inst);
-        }
-        if let Some(v) = ev.def_var {
-            defs.entry(v).or_default().push(inst);
+        if let Some(b) = cols.branch_of(inst) {
+            preds.entry((cols.stmt_of(inst), b)).or_default().push(inst);
         }
     }
-    (preds, defs)
+    preds
 }
 
 #[cfg(test)]
@@ -315,22 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn def_postings_and_latest_def() {
-        let mut e0 = Event::new(StmtId(0));
-        e0.def_var = Some(VarId(4));
-        let e1 = Event::new(StmtId(1));
-        let mut e2 = Event::new(StmtId(0));
-        e2.def_var = Some(VarId(4));
-        let t = Trace::from_parts(vec![e0, e1, e2], vec![], Termination::Normal);
-        let idx = TraceIndex::build(&t);
-        assert_eq!(idx.defs_of(VarId(4)), &[InstId(0), InstId(2)]);
-        assert_eq!(idx.latest_def_before(VarId(4), InstId(2)), Some(InstId(0)));
-        assert_eq!(idx.latest_def_before(VarId(4), InstId(3)), Some(InstId(2)));
-        assert_eq!(idx.latest_def_before(VarId(4), InstId(0)), None);
-        assert_eq!(idx.latest_def_before(VarId(9), InstId(3)), None);
-    }
-
-    #[test]
     fn parallel_build_is_identical() {
         // Big enough to cross the parallel threshold: a chain of nested
         // regions plus alternating predicates.
@@ -340,9 +279,6 @@ mod tests {
                 let mut e = Event::new(StmtId(i % 7));
                 if i % 3 == 0 {
                     e.branch = Some(i % 2 == 0);
-                }
-                if i % 5 == 0 {
-                    e.def_var = Some(VarId(i % 4));
                 }
                 if i > 0 {
                     e.cd_parent = Some(InstId(i / 2));
@@ -356,7 +292,6 @@ mod tests {
         assert_eq!(serial.cd_tin, parallel.cd_tin);
         assert_eq!(serial.cd_tout, parallel.cd_tout);
         assert_eq!(serial.preds, parallel.preds);
-        assert_eq!(serial.defs, parallel.defs);
     }
 
     #[test]

@@ -44,12 +44,12 @@ pub use event::{Event, EventRef, InstId, OutputRecord};
 pub use format::{decode_trace, encode_trace, load_trace, save_trace, TraceFileError};
 pub use index::TraceIndex;
 pub use outcome::{CrashKind, RunOutcome};
-pub use recorder::{Recorder, RecorderError, RecorderStats};
+pub use recorder::Recorder;
 pub use region::RegionTree;
 pub use stats::{TraceStats, VerificationStats};
 pub use supervisor::{
-    absorb_recovery, note_recovery, take_recovery, Deadline, FaultAction, FaultEntry, FaultPlan,
-    FaultSite, PipelineError, RecoveryKind, RecoveryLog, Supervisor,
+    note_recovery, take_recovery, Deadline, FaultAction, FaultEntry, FaultPlan, FaultSite,
+    PipelineError, RecoveryKind, RecoveryLog, Supervisor,
 };
 pub use trace::{Termination, Trace};
 pub use value::Value;

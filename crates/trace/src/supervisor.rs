@@ -7,18 +7,17 @@
 //! A [`FaultPlan`] is the one fault-injection language of the system:
 //! a comma-separated list of `<site>[:occ]=<action>` entries. A site is
 //! either `S<id>` — an instance of that statement in the verifier's
-//! switched re-executions — or a pipeline stage (recorder builder
-//! thread, SPSC channel, bounded queue, trace encode/decode, save I/O,
-//! mmap, deadline clock, serve handler). Entries that could never fire
-//! are rejected at parse time.
+//! switched re-executions — or a pipeline stage (trace encode/decode,
+//! save I/O, mmap, deadline clock, serve handler). Entries that could
+//! never fire are rejected at parse time.
 //!
 //! The statement entry travels to the interpreters as a small `Copy`
 //! [`FaultEntry`] in `RunConfig::fault` (via [`Supervisor::stmt_fault`]);
 //! the pipeline entries fire at hooks that consult the plan through
 //! [`fault_hit`]. Every pipeline fault is paired with a recovery ladder
-//! (pipelined recorder → inline recorder, mmap → `fs::read`, torn save
-//! → retry, corrupt load → retry → re-trace) whose steps are counted in
-//! a [`RecoveryLog`] and surfaced as `recovery.*` counters.
+//! (mmap → `fs::read`, torn save → retry, corrupt load → retry →
+//! re-trace) whose steps are counted in a [`RecoveryLog`] and surfaced
+//! as `recovery.*` counters.
 //!
 //! # Determinism
 //!
@@ -33,12 +32,12 @@
 //! # Zero-cost happy path
 //!
 //! With no plan installed, every hook is one thread-local read of a
-//! `bool`-like option; deadline checks only happen at chunk/candidate
-//! boundaries. Nothing on the per-event hot path changes.
+//! `bool`-like option; deadline checks only happen every few thousand
+//! recorded events and at candidate boundaries. Nothing on the
+//! per-event hot path changes.
 
 use crate::format::TraceFileError;
-use crate::outcome::{CrashKind, RunOutcome};
-use crate::recorder::RecorderError;
+use crate::outcome::CrashKind;
 use omislice_lang::StmtId;
 use std::cell::RefCell;
 use std::fmt;
@@ -56,12 +55,6 @@ pub enum FaultSite {
     /// `S<id>`: the statement's instances in the verifier's switched
     /// re-executions (never the original run).
     Stmt(StmtId),
-    /// The recorder's builder thread (action: `panic`).
-    Builder,
-    /// The SPSC chunk channel (action: `disconnect`).
-    Channel,
-    /// The bounded chunk queue (action: `stall`).
-    Queue,
     /// Trace encoding, before bytes hit the disk (action: `corrupt`).
     Encode,
     /// Trace decoding, after bytes leave the disk (action: `corrupt`).
@@ -78,10 +71,7 @@ pub enum FaultSite {
 }
 
 /// The pipeline sites by name; statement sites are spelled `S<id>`.
-const SITES: [(FaultSite, &str); 9] = [
-    (FaultSite::Builder, "builder"),
-    (FaultSite::Channel, "channel"),
-    (FaultSite::Queue, "queue"),
+const SITES: [(FaultSite, &str); 6] = [
     (FaultSite::Encode, "encode"),
     (FaultSite::Decode, "decode"),
     (FaultSite::Save, "save"),
@@ -107,8 +97,8 @@ pub enum FaultAction {
     /// Stop the switched run as if the step budget had just expired.
     ExhaustBudget,
     /// Raise a host-level panic: in the interpreter at `S<id>` (caught
-    /// by the verifier's `catch_unwind`), on the recorder's builder
-    /// thread at `builder`, in the request handler at `handler`.
+    /// by the verifier's `catch_unwind`), in the request handler at
+    /// `handler`.
     Panic,
     /// Raise a panic in the verifier harness itself, just before the
     /// switched run whose switch matches the entry's statement and
@@ -119,10 +109,6 @@ pub enum FaultAction {
     /// at the entry's statement instance (exercises checkpoint validation
     /// and the scratch fallback). Never perturbs the run itself.
     CorruptCheckpoint,
-    /// Drop the builder's receiver mid-stream.
-    Disconnect,
-    /// Force the producer onto the blocking (queue-full) send path.
-    Stall,
     /// Flip a byte in the encoded/decoded image.
     Corrupt,
     /// Persist only a prefix of the encoded trace.
@@ -137,7 +123,7 @@ pub enum FaultAction {
 
 /// Every action by its plan spelling. The crash spellings are the
 /// plan's own (`oob`, `div-zero`, …), not [`CrashKind::as_str`].
-const ACTIONS: [(FaultAction, &str); 17] = [
+const ACTIONS: [(FaultAction, &str); 15] = [
     (FaultAction::Crash(CrashKind::OobIndex), "oob"),
     (
         FaultAction::Crash(CrashKind::MissingCallee),
@@ -154,8 +140,6 @@ const ACTIONS: [(FaultAction, &str); 17] = [
     (FaultAction::Panic, "panic"),
     (FaultAction::PanicHarness, "panic-harness"),
     (FaultAction::CorruptCheckpoint, "corrupt-checkpoint"),
-    (FaultAction::Disconnect, "disconnect"),
-    (FaultAction::Stall, "stall"),
     (FaultAction::Corrupt, "corrupt"),
     (FaultAction::ShortWrite, "short-write"),
     (FaultAction::Enospc, "enospc"),
@@ -172,10 +156,7 @@ fn compatible(site: FaultSite, action: FaultAction) -> bool {
         (
             Stmt(_),
             Crash(_) | ExhaustBudget | Panic | PanicHarness | CorruptCheckpoint
-        ) | (Builder, Panic)
-            | (Channel, Disconnect)
-            | (Queue, Stall)
-            | (Encode, Corrupt)
+        ) | (Encode, Corrupt)
             | (Decode, Corrupt)
             | (Save, ShortWrite | Enospc)
             | (Mmap, Fail)
@@ -190,8 +171,8 @@ fn compatible(site: FaultSite, action: FaultAction) -> bool {
 pub struct FaultEntry {
     pub site: FaultSite,
     /// Zero-based occurrence of the site at which to fire: instances of
-    /// the statement for `S<id>`, chunk rotations for the recorder
-    /// sites, operations (saves, loads, deadline checks) elsewhere.
+    /// the statement for `S<id>`, operations (saves, loads, deadline
+    /// checks) elsewhere.
     pub occurrence: u32,
     pub action: FaultAction,
 }
@@ -220,7 +201,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parses `S4:2=panic,builder=panic,save:1=enospc` style plans.
+    /// Parses `S4:2=panic,mmap=fail,save:1=enospc` style plans.
     ///
     /// # Errors
     ///
@@ -395,7 +376,7 @@ pub fn fault_hit(site: FaultSite) -> Option<FaultAction> {
 }
 
 /// Installs a plan's pipeline entries (and optionally a deadline visible
-/// to the recorder's chunk boundaries) on the current thread for the
+/// to the recorder's counted checks) on the current thread for the
 /// guard's lifetime. The previous state is restored on drop, so scopes
 /// nest.
 pub struct FaultScope {
@@ -435,8 +416,9 @@ impl Drop for FaultScope {
     }
 }
 
-/// Counted deadline check for the recorder's chunk boundaries: true when
-/// a deadline is in scope on this thread and has expired.
+/// Counted deadline check for the recorder (one per
+/// `CHUNK_EVENTS` recorded events): true when a deadline is in scope on
+/// this thread and has expired.
 pub fn scoped_deadline_check() -> bool {
     SCOPED_DEADLINE.with(|d| match d.borrow().as_ref() {
         Some(deadline) => deadline.check(),
@@ -451,11 +433,6 @@ pub fn scoped_deadline_check() -> bool {
 /// One rung of a degradation ladder that actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryKind {
-    /// Pipelined recorder failed; the run was re-traced inline.
-    InlineFallback,
-    /// The chunk queue filled (or a stall was injected) and the producer
-    /// blocked.
-    QueueStall,
     /// A torn or failed save was retried.
     SaveRetry,
     /// A corrupt load was retried.
@@ -469,9 +446,7 @@ pub enum RecoveryKind {
     DeadlineExpired,
 }
 
-const RECOVERY_KINDS: [(RecoveryKind, &str); 7] = [
-    (RecoveryKind::InlineFallback, "recovery.inline_fallbacks"),
-    (RecoveryKind::QueueStall, "recovery.queue_stalls"),
+const RECOVERY_KINDS: [(RecoveryKind, &str); 5] = [
     (RecoveryKind::SaveRetry, "recovery.save_retries"),
     (RecoveryKind::LoadRetry, "recovery.load_retries"),
     (RecoveryKind::MmapFallback, "recovery.mmap_fallbacks"),
@@ -539,13 +514,6 @@ impl RecoveryLog {
     pub fn events(&self) -> &[&'static str] {
         &self.events
     }
-
-    pub fn absorb(&mut self, other: &RecoveryLog) {
-        for (i, c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.events.extend_from_slice(&other.events);
-    }
 }
 
 thread_local! {
@@ -566,13 +534,6 @@ pub fn take_recovery() -> RecoveryLog {
     RECOVERY.with(|r| std::mem::take(&mut *r.borrow_mut()))
 }
 
-/// Appends `log` — drained with [`take_recovery`] on a helper thread
-/// that worked for this one — to the current thread's log. (Its
-/// `recovery.*` counters already reached the recorder when noted.)
-pub fn absorb_recovery(log: &RecoveryLog) {
-    RECOVERY.with(|r| r.borrow_mut().absorb(log));
-}
-
 // ---------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------
@@ -580,9 +541,10 @@ pub fn absorb_recovery(log: &RecoveryLog) {
 /// A cooperative wall-clock deadline with counted checks.
 ///
 /// Checks happen only at serial pipeline boundaries (locate iteration
-/// top, verification batch entry, per-candidate dispatch, recorder chunk
-/// rotation), so cancellation never races the parallel workers: a
-/// candidate is either dispatched or cancelled before any thread runs.
+/// top, verification batch entry, per-candidate dispatch, every
+/// `CHUNK_EVENTS` events of a supervised recording), so cancellation
+/// never races the parallel workers: a candidate is either dispatched or
+/// cancelled before any thread runs.
 /// Expiry is sticky. A `deadline[:K]=expire` fault pins expiry to the
 /// K-th counted check, making deadline behaviour fully deterministic in
 /// tests; real wall-clock expiry is inherently best-effort.
@@ -657,63 +619,18 @@ impl Deadline {
 // The unified error taxonomy
 // ---------------------------------------------------------------------
 
-/// Everything that can go wrong anywhere in the supervised pipeline,
-/// folded into one structured, journal-visible surface.
+/// The one failure a supervised stage reports: a trace file that could
+/// not be written (`save`) or read back (`load`) after its retry.
 #[derive(Debug)]
-pub enum PipelineError {
-    /// A (switched) execution terminated abnormally.
-    Run {
-        stage: &'static str,
-        outcome: RunOutcome,
-    },
-    /// A trace file could not be written or read back.
-    TraceFile {
-        stage: &'static str,
-        error: TraceFileError,
-    },
-    /// The pipelined recorder lost its builder.
-    Recorder {
-        stage: &'static str,
-        error: RecorderError,
-    },
-    /// A cooperative deadline expired before the stage finished.
-    DeadlineExpired { stage: &'static str },
-}
-
-impl PipelineError {
-    /// The pipeline stage that failed.
-    pub fn stage(&self) -> &'static str {
-        match self {
-            PipelineError::Run { stage, .. }
-            | PipelineError::TraceFile { stage, .. }
-            | PipelineError::Recorder { stage, .. }
-            | PipelineError::DeadlineExpired { stage } => stage,
-        }
-    }
-
-    /// A stable machine-readable class for journals and metrics.
-    pub fn code(&self) -> &'static str {
-        match self {
-            PipelineError::Run { .. } => "run",
-            PipelineError::TraceFile { .. } => "trace-file",
-            PipelineError::Recorder { .. } => "recorder",
-            PipelineError::DeadlineExpired { .. } => "deadline-expired",
-        }
-    }
+pub struct PipelineError {
+    /// The supervised stage that failed: `save` or `load`.
+    pub stage: &'static str,
+    pub error: TraceFileError,
 }
 
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Run { stage, outcome } => {
-                write!(f, "{stage}: run terminated abnormally ({outcome})")
-            }
-            PipelineError::TraceFile { stage, error } => write!(f, "{stage}: {error}"),
-            PipelineError::Recorder { stage, error } => write!(f, "{stage}: {error}"),
-            PipelineError::DeadlineExpired { stage } => {
-                write!(f, "{stage}: deadline expired")
-            }
-        }
+        write!(f, "{}: {}", self.stage, self.error)
     }
 }
 
@@ -796,7 +713,7 @@ impl Supervisor {
             if let Err(first) = crate::format::save_trace(trace, path) {
                 note_recovery(RecoveryKind::SaveRetry);
                 let _ = first;
-                crate::format::save_trace(trace, path).map_err(|error| PipelineError::TraceFile {
+                crate::format::save_trace(trace, path).map_err(|error| PipelineError {
                     stage: "save",
                     error,
                 })
@@ -813,13 +730,13 @@ impl Supervisor {
     pub fn load_trace(&self, path: &std::path::Path) -> Result<crate::trace::Trace, PipelineError> {
         self.run(|| match crate::format::load_trace(path) {
             Ok(t) => Ok(t),
-            Err(TraceFileError::Io(e)) => Err(PipelineError::TraceFile {
+            Err(TraceFileError::Io(e)) => Err(PipelineError {
                 stage: "load",
                 error: TraceFileError::Io(e),
             }),
             Err(_) => {
                 note_recovery(RecoveryKind::LoadRetry);
-                crate::format::load_trace(path).map_err(|error| PipelineError::TraceFile {
+                crate::format::load_trace(path).map_err(|error| PipelineError {
                     stage: "load",
                     error,
                 })
@@ -838,12 +755,9 @@ mod tests {
 
     #[test]
     fn plans_parse_and_render() {
-        let plan = FaultPlan::parse("builder=panic, save:1=enospc,decode=corrupt").unwrap();
+        let plan = FaultPlan::parse("mmap=fail, save:1=enospc,decode=corrupt").unwrap();
         assert_eq!(plan.entries.len(), 3);
-        assert_eq!(
-            plan.to_string(),
-            "builder=panic,save:1=enospc,decode=corrupt"
-        );
+        assert_eq!(plan.to_string(), "mmap=fail,save:1=enospc,decode=corrupt");
         assert_eq!(plan.entries[1].occurrence, 1);
         assert_eq!(plan.entries[1].action, FaultAction::Enospc);
         let plan = FaultPlan::parse("S4:2=panic").unwrap();
@@ -856,7 +770,7 @@ mod tests {
     #[test]
     fn mixed_plans_round_trip_through_display() {
         let plan = FaultPlan::parse(
-            "S10:3=corrupt-checkpoint, builder=panic,save:1=enospc,save=short-write,\
+            "S10:3=corrupt-checkpoint, mmap=fail,save:1=enospc,save=short-write,\
              deadline:2=expire,handler=panic",
         )
         .unwrap();
@@ -876,23 +790,27 @@ mod tests {
     fn bad_plans_are_rejected() {
         assert!(FaultPlan::parse("").is_err());
         assert!(FaultPlan::parse(" , ").is_err());
-        assert!(FaultPlan::parse("builder").is_err());
+        assert!(FaultPlan::parse("save").is_err());
         assert!(FaultPlan::parse("nowhere=panic").is_err());
-        assert!(FaultPlan::parse("builder=explode").is_err());
-        assert!(FaultPlan::parse("builder:x=panic").is_err());
+        assert!(FaultPlan::parse("save=explode").is_err());
+        assert!(FaultPlan::parse("save:x=enospc").is_err());
         assert!(FaultPlan::parse("S1:y=oob").is_err());
+        // Retired recorder sites and actions.
+        for text in ["builder=panic", "channel=disconnect", "queue=stall"] {
+            assert!(parse_err(text).contains("unknown fault site"), "{text}");
+        }
+        assert!(parse_err("S1=stall").contains("unknown fault action"));
         // Incompatible site/action pairs are caught at parse time.
-        assert!(FaultPlan::parse("builder=corrupt").is_err());
+        assert!(FaultPlan::parse("encode=fail").is_err());
         assert!(FaultPlan::parse("save=panic").is_err());
-        assert!(FaultPlan::parse("S1=stall").is_err());
         assert!(FaultPlan::parse("mmap=oob").is_err());
     }
 
     #[test]
     fn entries_are_trimmed() {
         assert_eq!(
-            FaultPlan::parse(" S4 = oob , queue : 1 = stall "),
-            FaultPlan::parse("S4=oob,queue:1=stall")
+            FaultPlan::parse(" S4 = oob , save : 1 = enospc "),
+            FaultPlan::parse("S4=oob,save:1=enospc")
         );
         assert!(FaultPlan::parse("S4=oob ").is_ok());
     }
@@ -904,7 +822,7 @@ mod tests {
             e.contains("`save=short-write`") && e.contains("`save=enospc`"),
             "{e}"
         );
-        assert!(parse_err("queue=stall,queue:0=stall").contains("per site and occurrence"));
+        assert!(parse_err("mmap=fail,mmap:0=fail").contains("per site and occurrence"));
         assert!(FaultPlan::parse("save=enospc,save:1=short-write").is_ok());
     }
 
@@ -916,7 +834,7 @@ mod tests {
 
     #[test]
     fn second_statement_entry_is_rejected() {
-        let e = parse_err("S4=oob,builder=panic,S5:2=panic");
+        let e = parse_err("S4=oob,mmap=fail,S5:2=panic");
         assert!(e.contains("one statement entry"), "{e}");
         assert!(parse_err("S4=oob,S4:1=oob").contains("one statement entry"));
     }
@@ -944,13 +862,13 @@ mod tests {
 
     #[test]
     fn entries_fire_once_at_their_occurrence() {
-        let plan = FaultPlan::parse("queue:2=stall").unwrap();
+        let plan = FaultPlan::parse("save:2=enospc").unwrap();
         let _scope = FaultScope::install(Some(&plan), None);
-        assert_eq!(fault_hit(FaultSite::Queue), None); // occ 0
-        assert_eq!(fault_hit(FaultSite::Builder), None); // other site
-        assert_eq!(fault_hit(FaultSite::Queue), None); // occ 1
-        assert_eq!(fault_hit(FaultSite::Queue), Some(FaultAction::Stall)); // occ 2
-        assert_eq!(fault_hit(FaultSite::Queue), None); // fired already
+        assert_eq!(fault_hit(FaultSite::Save), None); // occ 0
+        assert_eq!(fault_hit(FaultSite::Mmap), None); // other site
+        assert_eq!(fault_hit(FaultSite::Save), None); // occ 1
+        assert_eq!(fault_hit(FaultSite::Save), Some(FaultAction::Enospc)); // occ 2
+        assert_eq!(fault_hit(FaultSite::Save), None); // fired already
     }
 
     #[test]
@@ -1006,24 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn helper_thread_recovery_is_absorbed_after_the_callers_own() {
-        let _ = take_recovery();
-        note_recovery(RecoveryKind::SaveRetry);
-        let helper = std::thread::spawn(|| {
-            note_recovery(RecoveryKind::InlineFallback);
-            take_recovery()
-        })
-        .join()
-        .unwrap();
-        absorb_recovery(&helper);
-        let log = take_recovery();
-        assert_eq!(
-            log.events(),
-            ["recovery.save_retries", "recovery.inline_fallbacks"]
-        );
-    }
-
-    #[test]
     fn forced_deadline_expires_at_counted_check() {
         let _ = take_recovery();
         let d = Deadline::unlimited().with_force_expire(2);
@@ -1052,18 +952,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         assert!(d.check());
         let _ = take_recovery();
-    }
-
-    #[test]
-    fn pipeline_error_surface() {
-        let e = PipelineError::Run {
-            stage: "initial-trace",
-            outcome: RunOutcome::BudgetExhausted,
-        };
-        assert_eq!(e.stage(), "initial-trace");
-        assert_eq!(e.code(), "run");
-        assert!(e.to_string().contains("initial-trace"));
-        let e = PipelineError::DeadlineExpired { stage: "locate" };
-        assert_eq!(e.code(), "deadline-expired");
     }
 }

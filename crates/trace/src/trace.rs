@@ -28,7 +28,9 @@ pub struct Trace {
     /// O(trace) pass per verified candidate for nothing.
     by_stmt: OnceLock<ByStmt>,
     termination: Termination,
-    /// Lazily built query index (Euler-tour CD timestamps + postings).
+    /// Lazily built query index (Euler-tour CD timestamps + predicate
+    /// postings). Only a queried trace — the failing run that relevant
+    /// slicing walks — ever builds it.
     index: OnceLock<TraceIndex>,
 }
 
@@ -117,27 +119,22 @@ impl Trace {
         for e in &events {
             cols.push(RawEvent::from(e));
         }
-        Trace::from_recorded(cols, outputs, termination, None)
+        Trace::from_recorded(cols, outputs, termination)
     }
 
-    /// Assembles a trace directly from a columnar store, optionally with
-    /// a query index the recorder already built concurrently.
+    /// Assembles a trace directly from a columnar store. The query index
+    /// is built on first use.
     pub fn from_recorded(
         cols: ColumnarTrace,
         outputs: Vec<OutputRecord>,
         termination: Termination,
-        index: Option<TraceIndex>,
     ) -> Self {
-        let cell = OnceLock::new();
-        if let Some(idx) = index {
-            cell.set(idx).ok();
-        }
         Trace {
             cols: Arc::new(cols),
             outputs,
             by_stmt: OnceLock::new(),
             termination,
-            index: cell,
+            index: OnceLock::new(),
         }
     }
 
@@ -164,12 +161,6 @@ impl Trace {
     pub fn build_index(&self, jobs: usize) -> &TraceIndex {
         self.index
             .get_or_init(|| TraceIndex::build_with_jobs(self, jobs))
-    }
-
-    /// Whether the query index has already been built (or prebuilt by
-    /// the pipelined recorder).
-    pub fn has_index(&self) -> bool {
-        self.index.get().is_some()
     }
 
     /// Number of statement instances.

@@ -1,17 +1,15 @@
 //! Differential properties pinning the columnar trace engine to its
 //! row-major oracle.
 //!
-//! `run_traced` produces traces through the pipelined recorder: events
-//! stream through a bounded queue into a builder thread that packs the
-//! columns and pre-builds the query index concurrently with the
-//! interpreter. [`Trace::from_parts`] is the legacy inline constructor,
-//! kept precisely as the oracle for these tests: it re-packs the same
-//! events on the calling thread and builds every index lazily. For any
-//! generated program × input vector the two must be observationally
-//! identical — same events, same per-statement postings, same
-//! control-dependence (Euler-tour) answers, same relevant slices at any
-//! worker count — and the on-disk `omitrace/v1` round trip must be the
-//! identity.
+//! `run_traced` produces traces through the recorder, which writes each
+//! event straight into the columns as the interpreter executes it; the
+//! query index is built on demand. [`Trace::from_parts`] is the legacy
+//! row-major constructor, kept precisely as the oracle for these tests:
+//! it re-packs the same events from owned rows. For any generated
+//! program × input vector the two must be observationally identical —
+//! same events, same per-statement postings, same control-dependence
+//! (Euler-tour) answers, same relevant slices at any worker count — and
+//! the on-disk `omitrace/v1` round trip must be the identity.
 
 mod generator;
 
@@ -83,8 +81,8 @@ proptest! {
         let (program, analysis) = compiled(&src);
         let run = run_traced(&program, &analysis, &RunConfig::with_inputs(inputs));
         let oracle = oracle_of(&run.trace);
-        // The recorder pre-builds the Euler tour on its builder thread;
-        // the oracle derives it lazily. Every ancestor chain must agree.
+        // One trace answers from the recorded columns, the oracle from
+        // the re-packed rows. Every ancestor chain must agree.
         for inst in run.trace.insts() {
             prop_assert_eq!(
                 run.trace.cd_ancestors(inst),
