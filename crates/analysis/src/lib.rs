@@ -49,8 +49,9 @@ pub struct ProgramAnalysis {
     cds: HashMap<String, ControlDeps>,
     mods: ModSummaries,
     potential: PotentialDeps,
-    /// Flattened statement-level CD parents (StmtIds are program-unique).
-    cd_by_stmt: HashMap<StmtId, Vec<CdParent>>,
+    /// Flattened statement-level CD parents, dense over `StmtId` (the
+    /// tracing interpreter reads them once per executed statement).
+    cd_by_stmt: Vec<Vec<CdParent>>,
 }
 
 impl ProgramAnalysis {
@@ -71,11 +72,12 @@ impl ProgramAnalysis {
             .collect();
         let mods = ModSummaries::compute(&index);
         let potential = PotentialDeps::compute_with(program, &index, &cfgs, &cds, &mods, pd_mode);
-        let mut cd_by_stmt: HashMap<StmtId, Vec<CdParent>> = HashMap::new();
-        for info in index.stmts() {
-            let parents = cds[&info.func].parents(info.id).to_vec();
-            cd_by_stmt.insert(info.id, parents);
-        }
+        // `index.stmts()` is in id order and covers every id.
+        let cd_by_stmt = index
+            .stmts()
+            .iter()
+            .map(|info| cds[&info.func].parents(info.id).to_vec())
+            .collect();
         ProgramAnalysis {
             index,
             cfgs,
@@ -103,7 +105,7 @@ impl ProgramAnalysis {
 
     /// Immediate static control-dependence parents of a statement.
     pub fn cd_parents(&self, stmt: StmtId) -> &[CdParent] {
-        self.cd_by_stmt.get(&stmt).map_or(&[], Vec::as_slice)
+        self.cd_by_stmt.get(stmt.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Whether `stmt` transitively statically depends on `pred` (in the

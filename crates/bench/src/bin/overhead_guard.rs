@@ -1,14 +1,16 @@
 //! Overhead guard for the observability layer.
 //!
 //! ```text
-//! overhead_guard [--tolerance 0.05] [--reps 7]
+//! overhead_guard [--tolerance 0.05] [--reps 21]
 //! overhead_guard --against <old.json> <new.json> [--tolerance 0.10]
 //! ```
 //!
 //! Default mode runs the sweep's reference pass (sed trace → index →
 //! graph → slice → verify) back-to-back with the recorder disabled and
-//! enabled (min of N reps each) and fails if the enabled run exceeds the
-//! disabled run by more than the tolerance. Enabled records everything
+//! enabled, N interleaved pairs, and fails if the median of the per-pair
+//! enabled/disabled ratios exceeds 1 by more than the tolerance. A pair
+//! shares whatever the host is doing at that moment, so its ratio cancels
+//! most of the noise that separate per-mode minimums each pick up. Enabled records everything
 //! `--obs-out`, `--metrics` and `--profile-out` read — spans, tasks,
 //! scheduler markers, gauges, counters — so the one contract covers all
 //! three. Because the disabled path costs one relaxed atomic load per
@@ -47,7 +49,7 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<String, String> {
     let mut tolerance: Option<f64> = None;
-    let mut reps = 7usize;
+    let mut reps = 21usize;
     let mut against: Option<(String, String)> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -75,7 +77,7 @@ fn run(args: &[String]) -> Result<String, String> {
 }
 
 /// One reference pass over the sed scale-50 workload; returns elapsed
-/// nanoseconds. Deterministic, so min-of-N is a stable measurement.
+/// nanoseconds.
 fn pass_ns(
     program: &omislice::omislice_lang::Program,
     analysis: &ProgramAnalysis,
@@ -101,39 +103,50 @@ fn in_process_guard(tolerance: f64, reps: usize) -> Result<String, String> {
     // fail CI, a systematic regression fails all three.
     let mut last = (0.0, 0u128, 0u128);
     for attempt in 1..=3 {
-        let mut disabled = u128::MAX;
-        let mut enabled = u128::MAX;
+        let mut ratios = Vec::with_capacity(reps);
+        let mut disabled = Vec::with_capacity(reps);
+        let mut enabled = Vec::with_capacity(reps);
         // Interleave the two modes so drift (thermal, cache warmup) hits
-        // both equally. Each enabled pass starts from an empty recorder
-        // and is drained outside the timed region, as a CLI run is.
+        // both halves of a pair equally. Each enabled pass starts from an
+        // empty recorder and is drained outside the timed region, as a
+        // CLI run is.
         for _ in 0..reps {
             omislice_obs::set_enabled(false);
-            disabled = disabled.min(pass_ns(&program, &analysis, &config));
+            let off = pass_ns(&program, &analysis, &config);
             omislice_obs::reset();
             omislice_obs::set_enabled(true);
-            enabled = enabled.min(pass_ns(&program, &analysis, &config));
+            let on = pass_ns(&program, &analysis, &config);
             omislice_obs::set_enabled(false);
+            ratios.push(on as f64 / off.max(1) as f64);
+            disabled.push(off);
+            enabled.push(on);
         }
         omislice_obs::reset();
-        let ratio = enabled as f64 / disabled as f64;
-        last = (ratio, disabled, enabled);
+        let ratio = median(&mut ratios);
+        last = (ratio, median(&mut disabled), median(&mut enabled));
         if ratio <= 1.0 + tolerance {
             return Ok(format!(
-                "overhead OK (attempt {attempt}): disabled {:.1}us, enabled {:.1}us (ratio {:.3}) <= {:.2}",
-                disabled as f64 / 1e3,
-                enabled as f64 / 1e3,
+                "overhead OK (attempt {attempt}): median of {reps} paired ratios {:.3} <= {:.2} (medians: disabled {:.1}us, enabled {:.1}us)",
                 ratio,
-                1.0 + tolerance
+                1.0 + tolerance,
+                last.1 as f64 / 1e3,
+                last.2 as f64 / 1e3,
             ));
         }
     }
     Err(format!(
-        "recorder overhead out of budget: disabled {:.1}us, enabled {:.1}us (ratio {:.3}) > {:.2}",
+        "recorder overhead out of budget: median of {reps} paired ratios {:.3} > {:.2} (medians: disabled {:.1}us, enabled {:.1}us)",
+        last.0,
+        1.0 + tolerance,
         last.1 as f64 / 1e3,
         last.2 as f64 / 1e3,
-        last.0,
-        1.0 + tolerance
     ))
+}
+
+/// The middle element of `xs` (the upper one of an even count).
+fn median<T: Copy + PartialOrd>(xs: &mut [T]) -> T {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+    xs[xs.len() / 2]
 }
 
 // --- sweep-file comparison ----------------------------------------------

@@ -153,7 +153,11 @@ pub fn time_fault(bench: &Benchmark, fault: &Fault, reps: usize) -> FaultTiming 
     };
 
     let plain_ns = best(&mut || {
-        std::hint::black_box(omislice::omislice_interp::run_plain(program, config));
+        std::hint::black_box(omislice::omislice_interp::run_plain_indexed(
+            program,
+            analysis.index(),
+            config,
+        ));
     });
     let graph_ns = best(&mut || {
         std::hint::black_box(run_traced(program, analysis, config));

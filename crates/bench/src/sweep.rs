@@ -16,7 +16,7 @@
 //! screen-scraping.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_plain, run_traced, ResumeMode, RunConfig};
+use omislice::omislice_interp::{run_plain, run_plain_indexed, run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::compile;
 use omislice::omislice_slicing::{relevant_slice_on, DepGraph};
 use omislice::omislice_trace::{load_trace, save_trace, Trace, VerificationStats};
@@ -407,7 +407,9 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
             // ceiling grow with the tier.
             config.step_budget = config.step_budget.max(scale as u64 * 1024);
 
-            let (plain, plain_ns) = timed_min(opts.reps, || run_plain(&program, &config));
+            let (plain, plain_ns) = timed_min(opts.reps, || {
+                run_plain_indexed(&program, analysis.index(), &config)
+            });
             assert!(plain.is_normal(), "{}: {:?}", b.name, plain.termination);
 
             let (run, graph_ns) = timed_min(opts.reps, || run_traced(&program, &analysis, &config));

@@ -28,7 +28,7 @@ pub mod snapshot;
 pub mod store;
 pub mod tracer;
 
-pub use plain::{run_plain, PlainRun};
+pub use plain::{run_plain, run_plain_indexed, PlainRun};
 pub use snapshot::{
     resume_switched, resume_switched_capturing, run_traced_with_checkpoints, Checkpoint,
     ResumeError, ResumeMode,
@@ -530,6 +530,26 @@ mod tests {
     }
 
     #[test]
+    fn expression_call_parameters_inherit_every_distinct_argument_source() {
+        // S0 returns `x`; its event depends on the parameter's defining
+        // instances: both sources of `a + b`, but `a` once for `a + a`.
+        let run = traced(
+            "fn id(x) { return x; } \
+             fn main() { let a = input(); let b = input(); print(id(a + b)); print(id(a + a)); }",
+            vec![3, 4],
+        );
+        let t = &run.trace;
+        let (a, b) = (
+            t.instances_of(omislice_lang::StmtId(1))[0],
+            t.instances_of(omislice_lang::StmtId(2))[0],
+        );
+        let rets = t.instances_of(omislice_lang::StmtId(0));
+        assert_eq!(t.event(rets[0]).data_deps, vec![a, b]);
+        assert_eq!(t.event(rets[1]).data_deps, vec![a]);
+        assert_eq!(outs(&run), vec![7, 6]);
+    }
+
+    #[test]
     fn control_dependence_within_function() {
         let run = traced(
             "fn main() { if input() > 0 { print(1); } print(2); }",
@@ -689,6 +709,21 @@ mod tests {
             );
             assert_eq!(t.trace.termination().is_normal(), pl.is_normal());
         }
+    }
+
+    #[test]
+    fn plain_and_traced_agree_when_a_local_shadows_a_global_array() {
+        // Both interpreters resolve `a` in `a[0]` to the local scalar.
+        let (p, a) = setup("global a = [1; 2]; fn main() { let a = 1; print(a[0]); }");
+        let cfg = RunConfig::default();
+        let t = run_traced(&p, &a, &cfg);
+        let pl = run_plain(&p, &cfg);
+        assert!(matches!(
+            t.trace.termination(),
+            Termination::RuntimeError(CrashKind::TypeError, m) if m.contains("is not an array")
+        ));
+        assert_eq!(pl.termination, *t.trace.termination());
+        assert_eq!(pl.outputs, t.trace.output_values());
     }
 
     #[test]

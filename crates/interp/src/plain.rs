@@ -11,10 +11,10 @@
 
 use crate::{OverrideSpec, RunConfig, SwitchSpec};
 use omislice_lang::{
-    BinOp, Block, Expr, ExprKind, GlobalInit, Program, Stmt, StmtId, StmtKind, UnOp,
+    BinOp, Block, Expr, ExprId, ExprKind, FnDecl, FnId, GlobalInit, Program, ProgramIndex, Stmt,
+    StmtId, StmtKind, UnOp, VarId,
 };
 use omislice_trace::{CrashKind, Termination, Value};
-use std::collections::HashMap;
 
 /// Result of an untraced execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +39,10 @@ impl PlainRun {
 
 /// Executes `program` under `config` without building a trace.
 ///
+/// Builds the program's [`ProgramIndex`] first; a caller that already
+/// holds one (every analyzed program does) should use
+/// [`run_plain_indexed`] instead.
+///
 /// # Examples
 ///
 /// ```
@@ -52,8 +56,17 @@ impl PlainRun {
 /// # Ok::<(), omislice_lang::FrontendError>(())
 /// ```
 pub fn run_plain(program: &Program, config: &RunConfig) -> PlainRun {
+    run_plain_indexed(program, &ProgramIndex::build(program), config)
+}
+
+/// Executes `program` under `config` without building a trace, resolving
+/// names, calls and slots through `index`, which must have been built
+/// for the same program — the same parse-time resolution the tracing
+/// interpreter uses, so both resolve every name identically.
+pub fn run_plain_indexed(program: &Program, index: &ProgramIndex, config: &RunConfig) -> PlainRun {
     let mut e = Evaluator {
-        program,
+        index,
+        fns: program.functions().collect(),
         inputs: &config.inputs,
         input_pos: 0,
         input_underflows: 0,
@@ -65,10 +78,11 @@ pub fn run_plain(program: &Program, config: &RunConfig) -> PlainRun {
         override_done: false,
         fault: config.fault,
         fault_seen: 0,
-        occ: HashMap::new(),
+        occ: vec![0; program.stmt_count() as usize],
         globals: init_globals(program),
-        local_names: collect_local_names(program),
+        locals: Vec::new(),
         frames: Vec::new(),
+        args: Vec::new(),
         outputs: Vec::new(),
     };
     let termination = match e.run_main() {
@@ -101,55 +115,23 @@ enum PlainSlot {
     Array(Vec<Value>),
 }
 
-/// Names that are function-local (parameters or `let`s anywhere in the
-/// body) per function — the same flat function scoping the variable table
-/// uses, so both interpreters resolve names identically.
-fn collect_local_names(program: &Program) -> HashMap<String, std::collections::HashSet<String>> {
-    fn walk(block: &Block, out: &mut std::collections::HashSet<String>) {
-        for stmt in &block.stmts {
-            match &stmt.kind {
-                StmtKind::Let { name, .. } => {
-                    out.insert(name.clone());
-                }
-                StmtKind::If {
-                    then_blk, else_blk, ..
-                } => {
-                    walk(then_blk, out);
-                    if let Some(e) = else_blk {
-                        walk(e, out);
-                    }
-                }
-                StmtKind::While { body, .. } => walk(body, out),
-                _ => {}
-            }
-        }
-    }
-    program
-        .functions()
-        .map(|f| {
-            let mut names: std::collections::HashSet<String> = f.params.iter().cloned().collect();
-            walk(&f.body, &mut names);
-            (f.name.clone(), names)
-        })
-        .collect()
-}
-
-fn init_globals(program: &Program) -> HashMap<String, PlainSlot> {
+/// Global values, indexed by [`VarId`] (globals are numbered first, in
+/// declaration order).
+fn init_globals(program: &Program) -> Vec<PlainSlot> {
     program
         .globals()
-        .map(|g| {
-            let slot = match &g.init {
-                GlobalInit::Int(n) => PlainSlot::Scalar(Value::Int(*n)),
-                GlobalInit::Bool(b) => PlainSlot::Scalar(Value::Bool(*b)),
-                GlobalInit::Array { elem, len } => PlainSlot::Array(vec![Value::Int(*elem); *len]),
-            };
-            (g.name.clone(), slot)
+        .map(|g| match &g.init {
+            GlobalInit::Int(n) => PlainSlot::Scalar(Value::Int(*n)),
+            GlobalInit::Bool(b) => PlainSlot::Scalar(Value::Bool(*b)),
+            GlobalInit::Array { elem, len } => PlainSlot::Array(vec![Value::Int(*elem); *len]),
         })
         .collect()
 }
 
 struct Evaluator<'a> {
-    program: &'a Program,
+    index: &'a ProgramIndex,
+    /// Function declarations by [`FnId`].
+    fns: Vec<&'a FnDecl>,
     inputs: &'a [i64],
     input_pos: usize,
     /// `input()` calls that ran past the end of the stream (yielding 0).
@@ -164,22 +146,30 @@ struct Evaluator<'a> {
     fault: Option<omislice_trace::FaultEntry>,
     /// Instances of the fault statement seen so far.
     fault_seen: u32,
-    occ: HashMap<StmtId, u32>,
-    globals: HashMap<String, PlainSlot>,
-    local_names: HashMap<String, std::collections::HashSet<String>>,
-    /// One frame per active call: function name plus local values.
-    frames: Vec<(String, HashMap<String, Value>)>,
+    /// Per-statement execution counters, dense over `StmtId`.
+    occ: Vec<u32>,
+    globals: Vec<PlainSlot>,
+    /// The local values of every active call, one slot per local of its
+    /// function (`None` until written); each frame owns a window.
+    locals: Vec<Option<Value>>,
+    /// One frame per active call: its function and the start of its
+    /// window in `locals`.
+    frames: Vec<(FnId, usize)>,
+    /// Argument values of calls being bound.
+    args: Vec<Value>,
     outputs: Vec<Value>,
 }
 
 impl<'a> Evaluator<'a> {
     fn run_main(&mut self) -> Result<(), Stop> {
         let main = self
-            .program
-            .function("main")
+            .index
+            .function_id("main")
             .ok_or_else(|| missing_callee("main"))?;
-        self.frames.push(("main".to_string(), HashMap::new()));
-        self.exec_block(&main.body).map(|_| ())
+        self.locals
+            .resize(self.index.function(main).locals.len(), None);
+        self.frames.push((main, 0));
+        self.exec_block(&self.fns[main.index()].body).map(|_| ())
     }
 
     /// Fires an injected fault at this statement's next dynamic instance
@@ -194,10 +184,15 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Whether `name` is a local of the currently executing function.
-    fn is_local(&self, name: &str) -> bool {
-        let (func, _) = self.frames.last().expect("at least one frame");
-        self.local_names.get(func).is_some_and(|s| s.contains(name))
+    /// The slot in `locals` of a local variable of the current frame's
+    /// function, `None` for globals.
+    #[inline]
+    fn local_slot(&self, var: VarId) -> Option<usize> {
+        let &(func, base) = self.frames.last().expect("at least one frame");
+        let locals = &self.index.function(func).locals;
+        locals
+            .contains(&var.0)
+            .then(|| base + (var.0 - locals.start) as usize)
     }
 
     fn tick(&mut self) -> Result<(), Stop> {
@@ -209,39 +204,31 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn read_var(&self, name: &str) -> Result<Value, Stop> {
-        if self.is_local(name) {
-            let (_, locals) = self.frames.last().expect("at least one frame");
-            return locals.get(name).copied().ok_or_else(|| {
-                Stop::Crash(
-                    CrashKind::UninitRead,
-                    format!("`{name}` used before initialization"),
-                )
-            });
+    fn read_var(&self, id: ExprId, name: &str) -> Result<Value, Stop> {
+        let var = self
+            .index
+            .resolved_var(id)
+            .ok_or_else(|| unknown_var(name))?;
+        if let Some(slot) = self.local_slot(var) {
+            return self.locals[slot].ok_or_else(|| uninit_read(name));
         }
-        match self.globals.get(name) {
+        match self.globals.get(var.index()) {
             Some(PlainSlot::Scalar(v)) => Ok(*v),
             Some(PlainSlot::Array(_)) => Err(Stop::Crash(
                 CrashKind::TypeError,
                 format!("array `{name}` used as a scalar"),
             )),
-            None => Err(Stop::Crash(
-                CrashKind::TypeError,
-                format!("unknown variable `{name}`"),
-            )),
+            None => Err(uninit_read(name)),
         }
     }
 
-    fn write_var(&mut self, name: &str, value: Value) -> Result<(), Stop> {
-        if self.is_local(name) {
-            self.frames
-                .last_mut()
-                .expect("at least one frame")
-                .1
-                .insert(name.to_string(), value);
+    fn write_var(&mut self, stmt: StmtId, name: &str, value: Value) -> Result<(), Stop> {
+        let var = self.index.stmt(stmt).def.ok_or_else(|| unknown_var(name))?;
+        if let Some(slot) = self.local_slot(var) {
+            self.locals[slot] = Some(value);
             return Ok(());
         }
-        match self.globals.get_mut(name) {
+        match self.globals.get_mut(var.index()) {
             Some(PlainSlot::Scalar(v)) => {
                 *v = value;
                 Ok(())
@@ -250,10 +237,15 @@ impl<'a> Evaluator<'a> {
                 CrashKind::TypeError,
                 format!("cannot assign whole array `{name}`"),
             )),
-            None => Err(Stop::Crash(
-                CrashKind::TypeError,
-                format!("unknown variable `{name}`"),
-            )),
+            None => Err(unknown_var(name)),
+        }
+    }
+
+    /// The global array `var` names, `None` when it is not one.
+    fn array(&mut self, var: Option<VarId>) -> Option<&mut Vec<Value>> {
+        match self.globals.get_mut(var?.index()) {
+            Some(PlainSlot::Array(cells)) => Some(cells),
+            _ => None,
         }
     }
 
@@ -261,7 +253,7 @@ impl<'a> Evaluator<'a> {
         match &expr.kind {
             ExprKind::Int(n) => Ok(Value::Int(*n)),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
-            ExprKind::Var(name) => self.read_var(name),
+            ExprKind::Var(name) => self.read_var(expr.id, name),
             ExprKind::Load { name, index } => {
                 let idx = self.eval(index)?.as_int().ok_or_else(|| {
                     Stop::Crash(
@@ -269,25 +261,22 @@ impl<'a> Evaluator<'a> {
                         "array index must be an integer".to_string(),
                     )
                 })?;
-                match self.globals.get(name) {
-                    Some(PlainSlot::Array(cells)) => {
-                        if idx < 0 || idx as usize >= cells.len() {
-                            return Err(oob(idx, name, cells.len()));
-                        }
-                        Ok(cells[idx as usize])
-                    }
-                    _ => Err(Stop::Crash(
-                        CrashKind::TypeError,
-                        format!("`{name}` is not an array"),
-                    )),
+                let var = self.index.resolved_var(expr.id);
+                let Some(cells) = self.array(var) else {
+                    return Err(not_an_array(name));
+                };
+                if idx < 0 || idx as usize >= cells.len() {
+                    return Err(oob(idx, name, cells.len()));
                 }
+                Ok(cells[idx as usize])
             }
             ExprKind::Call { callee, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<Result<_, _>>()?;
-                self.call(callee, vals)
+                let arg_mark = self.args.len();
+                for a in args {
+                    let v = self.eval(a)?;
+                    self.args.push(v);
+                }
+                self.call(self.index.expr_callee(expr.id), callee, arg_mark)
             }
             ExprKind::Input => {
                 let v = match self.inputs.get(self.input_pos) {
@@ -312,7 +301,9 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn call(&mut self, callee: &str, args: Vec<Value>) -> Result<Value, Stop> {
+    /// Calls `target` (`callee` names it for error messages) with the
+    /// argument values `args[arg_mark..]`.
+    fn call(&mut self, target: Option<FnId>, callee: &str, arg_mark: usize) -> Result<Value, Stop> {
         if self.frames.len() >= crate::tracer::MAX_CALL_DEPTH {
             return Err(Stop::Crash(
                 CrashKind::StackOverflow,
@@ -322,14 +313,20 @@ impl<'a> Evaluator<'a> {
                 ),
             ));
         }
-        let decl = self
-            .program
-            .function(callee)
-            .ok_or_else(|| missing_callee(callee))?;
-        let locals: HashMap<String, Value> = decl.params.iter().cloned().zip(args).collect();
-        self.frames.push((callee.to_string(), locals));
-        let flow = self.exec_block(&decl.body);
+        let func = target.ok_or_else(|| missing_callee(callee))?;
+        let info = self.index.function(func);
+        let base = self.locals.len();
+        self.locals.resize(base + info.locals.len(), None);
+        let nargs = self.args.len() - arg_mark;
+        for (k, &param) in info.params.iter().enumerate().take(nargs) {
+            self.locals[base + (param.0 - info.locals.start) as usize] =
+                Some(self.args[arg_mark + k]);
+        }
+        self.args.truncate(arg_mark);
+        self.frames.push((func, base));
+        let flow = self.exec_block(&self.fns[func.index()].body);
         self.frames.pop();
+        self.locals.truncate(base);
         match flow? {
             Flow::Return(v) => Ok(v),
             Flow::Normal => Ok(Value::Int(0)),
@@ -352,7 +349,7 @@ impl<'a> Evaluator<'a> {
     fn predicate(&mut self, stmt: StmtId, cond: &Expr) -> Result<bool, Stop> {
         let v = self.eval(cond)?;
         let mut outcome = v.truthy();
-        let c = self.occ.entry(stmt).or_insert(0);
+        let c = &mut self.occ[stmt.index()];
         let occurrence = *c;
         *c += 1;
         if !self.switch_done
@@ -388,7 +385,7 @@ impl<'a> Evaluator<'a> {
                 let mut v = self.eval(expr)?;
                 if let Some(o) = self.value_override {
                     if o.stmt == stmt.id && !self.override_done {
-                        let c = self.occ.entry(stmt.id).or_insert(0);
+                        let c = &mut self.occ[stmt.id.index()];
                         let occurrence = *c;
                         *c += 1;
                         if occurrence == o.occurrence {
@@ -398,7 +395,7 @@ impl<'a> Evaluator<'a> {
                     }
                 }
                 self.check_fault(stmt.id)?;
-                self.write_var(name, v)?;
+                self.write_var(stmt.id, name, v)?;
                 Ok(Flow::Normal)
             }
             StmtKind::Store { name, index, value } => {
@@ -409,22 +406,16 @@ impl<'a> Evaluator<'a> {
                     )
                 })?;
                 let v = self.eval(value)?;
-                let len = match self.globals.get(name) {
-                    Some(PlainSlot::Array(cells)) => cells.len(),
-                    _ => {
-                        return Err(Stop::Crash(
-                            CrashKind::TypeError,
-                            format!("`{name}` is not an array"),
-                        ))
-                    }
+                let var = self.index.stmt(stmt.id).def;
+                let Some(cells) = self.array(var) else {
+                    return Err(not_an_array(name));
                 };
+                let len = cells.len();
                 if idx < 0 || idx as usize >= len {
                     return Err(oob(idx, name, len));
                 }
                 self.check_fault(stmt.id)?;
-                let Some(PlainSlot::Array(cells)) = self.globals.get_mut(name) else {
-                    unreachable!("checked just above");
-                };
+                let cells = self.array(var).expect("checked just above");
                 cells[idx as usize] = v;
                 Ok(Flow::Normal)
             }
@@ -475,12 +466,13 @@ impl<'a> Evaluator<'a> {
                 Ok(Flow::Normal)
             }
             StmtKind::CallStmt { callee, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<Result<_, _>>()?;
+                let arg_mark = self.args.len();
+                for a in args {
+                    let v = self.eval(a)?;
+                    self.args.push(v);
+                }
                 self.check_fault(stmt.id)?;
-                self.call(callee, vals)?;
+                self.call(self.index.stmt_callee(stmt.id), callee, arg_mark)?;
                 Ok(Flow::Normal)
             }
         }
@@ -489,6 +481,21 @@ impl<'a> Evaluator<'a> {
 
 fn missing_callee(name: &str) -> Stop {
     Stop::Crash(CrashKind::MissingCallee, format!("no function `{name}`"))
+}
+
+fn unknown_var(name: &str) -> Stop {
+    Stop::Crash(CrashKind::TypeError, format!("unknown variable `{name}`"))
+}
+
+fn uninit_read(name: &str) -> Stop {
+    Stop::Crash(
+        CrashKind::UninitRead,
+        format!("`{name}` used before initialization"),
+    )
+}
+
+fn not_an_array(name: &str) -> Stop {
+    Stop::Crash(CrashKind::TypeError, format!("`{name}` is not an array"))
 }
 
 fn oob(idx: i64, name: &str, len: usize) -> Stop {

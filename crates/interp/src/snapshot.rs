@@ -89,11 +89,12 @@ impl Checkpoint {
         if self.frames.is_empty() {
             return Err("checkpoint has no frames".to_string());
         }
+        let functions = program.functions().count();
         for frame in &self.frames {
-            if program.function(&frame.func).is_none() {
+            if frame.func.index() >= functions {
                 return Err(format!(
-                    "checkpoint frame names unknown function `{}`",
-                    frame.func
+                    "checkpoint frame names unknown function #{} of {functions}",
+                    frame.func.0
                 ));
             }
         }

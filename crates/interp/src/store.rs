@@ -1,13 +1,61 @@
 //! Value storage with definition provenance.
 //!
 //! Every scalar cell and array element carries, besides its value, the
-//! set of trace instances that defined it — usually a single assignment
-//! instance, but parameter cells inherit the instances that computed the
-//! argument (compressing the paper's register/stack copy chains).
+//! set of trace instances that defined it. Writes, array stores and
+//! returns define a cell with exactly one instance, held inline; only a
+//! parameter bound from an expression-position call whose argument has
+//! two or more sources inherits them all (compressing the paper's
+//! register/stack copy chains) and spills them to the heap.
+//!
+//! Storage is index-addressed: globals by their [`VarId`] (globals are
+//! numbered first), a frame's locals by their slot in the function's
+//! dense local range, and a frame's predicates by
+//! [`ProgramIndex::pred_slot`].
 
-use omislice_lang::{GlobalInit, Program, ProgramIndex, VarId};
+use omislice_lang::{FnId, FnInfo, GlobalInit, Program, ProgramIndex, StmtId, VarId};
 use omislice_trace::{InstId, Value};
-use std::collections::HashMap;
+
+/// The instances that defined a cell's value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Defs {
+    /// No defining instance (initial values and uninitialized locals).
+    #[default]
+    None,
+    /// The common case: one defining instance, held inline.
+    One(InstId),
+    /// Two or more distinct sources, in first-use order.
+    Many(Box<[InstId]>),
+}
+
+impl Defs {
+    /// The defining instances of a window of operand sources that is
+    /// already free of duplicates; allocates only for two or more.
+    pub fn from_distinct(insts: &[InstId]) -> Self {
+        match insts {
+            [] => Defs::None,
+            [one] => Defs::One(*one),
+            many => Defs::Many(many.into()),
+        }
+    }
+
+    /// The instances as a slice.
+    #[inline]
+    pub fn as_slice(&self) -> &[InstId] {
+        match self {
+            Defs::None => &[],
+            Defs::One(inst) => std::slice::from_ref(inst),
+            Defs::Many(insts) => insts,
+        }
+    }
+
+    /// Heap bytes held by a spilled list.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Defs::Many(insts) => std::mem::size_of_val(&**insts),
+            _ => 0,
+        }
+    }
+}
 
 /// A storage cell: a value plus the instances that defined it.
 #[derive(Debug, Clone, Default)]
@@ -15,12 +63,12 @@ pub struct Cell {
     /// Current value (`None` before first write for locals).
     pub value: Option<Value>,
     /// Instances whose execution produced this value.
-    pub defs: Vec<InstId>,
+    pub defs: Defs,
 }
 
 impl Cell {
     /// A cell holding `value` defined by `defs`.
-    pub fn new(value: Value, defs: Vec<InstId>) -> Self {
+    pub fn new(value: Value, defs: Defs) -> Self {
         Cell {
             value: Some(value),
             defs,
@@ -31,7 +79,7 @@ impl Cell {
     /// checkpoint store's size-bounded eviction. Deterministic: derived
     /// from element counts and `size_of`, never from allocator state.
     pub(crate) fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Cell>() + self.defs.len() * std::mem::size_of::<InstId>()
+        std::mem::size_of::<Cell>() + self.defs.heap_bytes()
     }
 }
 
@@ -44,75 +92,78 @@ pub enum Slot {
     Array(Vec<Cell>),
 }
 
-/// Global storage, indexed by [`VarId`].
+/// Global storage, indexed by [`VarId`] (globals hold ids
+/// `0..global_count`).
 #[derive(Debug, Clone)]
 pub struct Globals {
-    slots: HashMap<VarId, Slot>,
+    slots: Vec<Slot>,
 }
 
 impl Globals {
     /// Initializes globals from the program's declarations. Initial
     /// values have no defining instance (they exist before the trace).
     pub fn init(program: &Program, index: &ProgramIndex) -> Self {
-        let mut slots = HashMap::new();
+        let mut slots = Vec::with_capacity(index.vars().global_count());
         for g in program.globals() {
             let var = index
                 .vars()
                 .global(&g.name)
                 .expect("declared global is in the table");
-            let slot = match &g.init {
-                GlobalInit::Int(n) => Slot::Scalar(Cell::new(Value::Int(*n), Vec::new())),
-                GlobalInit::Bool(b) => Slot::Scalar(Cell::new(Value::Bool(*b), Vec::new())),
+            debug_assert_eq!(var.index(), slots.len(), "globals are numbered first");
+            slots.push(match &g.init {
+                GlobalInit::Int(n) => Slot::Scalar(Cell::new(Value::Int(*n), Defs::None)),
+                GlobalInit::Bool(b) => Slot::Scalar(Cell::new(Value::Bool(*b), Defs::None)),
                 GlobalInit::Array { elem, len } => {
-                    Slot::Array(vec![Cell::new(Value::Int(*elem), Vec::new()); *len])
+                    Slot::Array(vec![Cell::new(Value::Int(*elem), Defs::None); *len])
                 }
-            };
-            slots.insert(var, slot);
+            });
         }
         Globals { slots }
     }
 
     /// The slot for `var`, if it is a global.
+    #[inline]
     pub fn get(&self, var: VarId) -> Option<&Slot> {
-        self.slots.get(&var)
+        self.slots.get(var.index())
     }
 
     /// Mutable access to the slot for `var`.
+    #[inline]
     pub fn get_mut(&mut self, var: VarId) -> Option<&mut Slot> {
-        self.slots.get_mut(&var)
+        self.slots.get_mut(var.index())
     }
 
     /// Whether `var` is a global slot.
     pub fn contains(&self, var: VarId) -> bool {
-        self.slots.contains_key(&var)
+        var.index() < self.slots.len()
     }
 
     /// Approximate footprint in bytes (see [`Cell::approx_bytes`]).
     pub(crate) fn approx_bytes(&self) -> usize {
         let slots: usize = self
             .slots
-            .values()
+            .iter()
             .map(|slot| match slot {
                 Slot::Scalar(c) => c.approx_bytes(),
                 Slot::Array(cells) => cells.iter().map(Cell::approx_bytes).sum(),
             })
             .sum();
-        std::mem::size_of::<Globals>()
-            + self.slots.len() * std::mem::size_of::<(VarId, Slot)>()
-            + slots
+        std::mem::size_of::<Globals>() + self.slots.len() * std::mem::size_of::<Slot>() + slots
     }
 }
 
 /// One call frame: local cells plus dynamic-control-dependence context.
 #[derive(Debug, Clone, Default)]
 pub struct Frame {
-    /// Name of the function this frame executes.
-    pub func: String,
-    /// Local variable cells (parameters and `let`s).
-    pub locals: HashMap<VarId, Cell>,
-    /// Last instance and outcome of each predicate executed in this frame,
-    /// used to resolve dynamic control-dependence parents.
-    pub preds: HashMap<omislice_lang::StmtId, (InstId, bool)>,
+    /// The function this frame executes.
+    pub func: FnId,
+    /// Local variable cells (parameters and `let`s), one per slot of the
+    /// function's local range ([`FnInfo::locals`]).
+    pub locals: Vec<Cell>,
+    /// Last instance and outcome of each predicate executed in this
+    /// frame, one per [`ProgramIndex::pred_slot`], used to resolve
+    /// dynamic control-dependence parents.
+    pub preds: Vec<Option<(InstId, bool)>>,
     /// Control-dependence parent inherited from the call site, used for
     /// statements with no static CD parent inside this function.
     pub inherited_cd: Option<InstId>,
@@ -121,20 +172,34 @@ pub struct Frame {
     /// which marks a checkpoint taken below them as non-resumable (their
     /// continuation includes a pending expression value the snapshot
     /// cannot capture).
-    pub call_site: Option<omislice_lang::StmtId>,
+    pub call_site: Option<StmtId>,
 }
 
 impl Frame {
+    /// Re-initializes this frame (possibly a recycled one, keeping its
+    /// buffers) for a fresh call of `func`: every local uninitialized,
+    /// no predicate executed yet.
+    pub(crate) fn enter(
+        &mut self,
+        func: FnId,
+        info: &FnInfo,
+        inherited_cd: Option<InstId>,
+        call_site: Option<StmtId>,
+    ) {
+        self.func = func;
+        self.locals.clear();
+        self.locals.resize_with(info.locals.len(), Cell::default);
+        self.preds.clear();
+        self.preds.resize(info.preds as usize, None);
+        self.inherited_cd = inherited_cd;
+        self.call_site = call_site;
+    }
+
     /// Approximate footprint in bytes (see [`Cell::approx_bytes`]).
     pub(crate) fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Frame>()
-            + self.func.len()
-            + self
-                .locals
-                .values()
-                .map(|c| std::mem::size_of::<VarId>() + c.approx_bytes())
-                .sum::<usize>()
-            + self.preds.len() * std::mem::size_of::<(omislice_lang::StmtId, (InstId, bool))>()
+            + self.locals.iter().map(Cell::approx_bytes).sum::<usize>()
+            + self.preds.len() * std::mem::size_of::<Option<(InstId, bool)>>()
     }
 }
 
@@ -164,19 +229,29 @@ mod tests {
             Some(Slot::Array(cells)) => {
                 assert_eq!(cells.len(), 3);
                 assert!(cells.iter().all(|c| c.value == Some(Value::Int(9))));
-                assert!(cells.iter().all(|c| c.defs.is_empty()));
+                assert!(cells.iter().all(|c| c.defs.as_slice().is_empty()));
             }
             other => panic!("unexpected slot {other:?}"),
         }
         assert!(globals.contains(a));
+        let ret_main = idx.vars().ret_slot("main").unwrap();
+        assert!(!globals.contains(ret_main));
+        assert!(globals.get(ret_main).is_none());
     }
 
     #[test]
     fn cell_records_provenance() {
-        let c = Cell::new(Value::Int(1), vec![InstId(4), InstId(7)]);
+        let c = Cell::new(Value::Int(1), Defs::from_distinct(&[InstId(4), InstId(7)]));
         assert_eq!(c.value, Some(Value::Int(1)));
-        assert_eq!(c.defs, vec![InstId(4), InstId(7)]);
+        assert_eq!(c.defs.as_slice(), &[InstId(4), InstId(7)]);
+        assert_eq!(Defs::from_distinct(&[InstId(3)]), Defs::One(InstId(3)));
+        assert_eq!(Defs::from_distinct(&[]), Defs::None);
         let d = Cell::default();
         assert_eq!(d.value, None);
+        assert!(d.defs.as_slice().is_empty());
+        // Only a spilled list adds heap bytes.
+        let one = Cell::new(Value::Int(1), Defs::One(InstId(2)));
+        assert_eq!(one.approx_bytes(), std::mem::size_of::<Cell>());
+        assert_eq!(c.approx_bytes(), std::mem::size_of::<Cell>() + 8);
     }
 }

@@ -5,17 +5,17 @@
 //! dynamic predicate instance to take the opposite branch.
 
 use crate::snapshot::Checkpoint;
-use crate::store::{Cell, Frame, Globals, Slot};
+use crate::store::{Cell, Defs, Frame, Globals, Slot};
 use crate::{OverrideSpec, RunConfig, SwitchSpec};
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::{
-    BinOp, Block, Expr, ExprId, ExprKind, Program, Stmt, StmtId, StmtKind, UnOp, VarId,
+    BinOp, Block, Expr, ExprId, ExprKind, FnDecl, FnId, Program, ProgramIndex, Stmt, StmtId,
+    StmtKind, UnOp, VarId,
 };
 use omislice_trace::{
-    CrashKind, Event, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent, Recorder,
+    CrashKind, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent, Recorder,
     Termination, Trace, Value,
 };
-use std::collections::HashMap;
 
 /// Maximum call depth; deeper recursion is reported as a runtime error
 /// rather than overflowing the host stack.
@@ -108,17 +108,11 @@ pub(crate) fn run_traced_capturing(
     config: &RunConfig,
     capture: &[SwitchSpec],
 ) -> (TracedRun, Vec<Checkpoint>) {
-    let mut capture_specs: HashMap<StmtId, Vec<u32>> = HashMap::new();
-    for spec in capture {
-        capture_specs
-            .entry(spec.pred)
-            .or_default()
-            .push(spec.occurrence);
-    }
     let demand = Demand(std::cell::Cell::new(0));
     let mut t = Tracer {
-        program,
         analysis,
+        index: analysis.index(),
+        fns: program.functions().collect(),
         inputs: &config.inputs,
         input_pos: 0,
         input_underflows: 0,
@@ -135,7 +129,11 @@ pub(crate) fn run_traced_capturing(
         globals: Globals::init(program, analysis.index()),
         region_stack: Vec::new(),
         frames: Vec::new(),
-        capture_specs,
+        spare: Vec::new(),
+        deps: Vec::new(),
+        args: Vec::new(),
+        scratch: Vec::new(),
+        capture: capture_table(program, capture),
         captured: Vec::new(),
         demand: &demand.0,
     };
@@ -163,6 +161,24 @@ pub(crate) fn run_traced_capturing(
     (run, t.captured)
 }
 
+/// Capture requests indexed by predicate statement, each list sorted for
+/// binary search; empty when nothing is requested.
+fn capture_table(program: &Program, capture: &[SwitchSpec]) -> Vec<Vec<u32>> {
+    if capture.is_empty() {
+        return Vec::new();
+    }
+    let mut table = vec![Vec::new(); program.stmt_count() as usize];
+    for spec in capture {
+        if let Some(occs) = table.get_mut(spec.pred.index()) {
+            occs.push(spec.occurrence);
+        }
+    }
+    for occs in &mut table {
+        occs.sort_unstable();
+    }
+    table
+}
+
 /// Resumes the suspended base run from `checkpoint` with `config.switch`
 /// armed (falling back to the checkpoint's own spec when unset),
 /// re-executing only the suffix. The armed switch is allowed to sit
@@ -173,9 +189,10 @@ pub(crate) fn run_traced_capturing(
 /// replayed segment capture further checkpoints en route (`capture`).
 /// Returns `None` when the suspended call stack cannot be re-entered (a
 /// frame's function or the static path to its suspension point no longer
-/// resolves) — the caller reports the checkpoint invalid and falls back
-/// to a from-scratch run. Resumability and structural validity are
-/// checked by the caller ([`crate::resume_switched`]) before this runs.
+/// resolves, or a frame's tables do not fit its function) — the caller
+/// reports the checkpoint invalid and falls back to a from-scratch run.
+/// Resumability and structural validity are checked by the caller
+/// ([`crate::resume_switched`]) before this runs.
 ///
 /// The resumed trace is byte-identical to `run_traced` under
 /// `config.switched(checkpoint.spec)`: the recorded prefix of `base` is
@@ -186,6 +203,8 @@ pub(crate) fn run_traced_capturing(
 /// keeps the same alignment: the occurrence counter it fires on is seeded
 /// with the number of prefix instances of the fault statement (the caller
 /// refuses resumption when the fault would have fired inside the prefix).
+/// The dependence buffer needs no restoring: it is empty at every
+/// resumable capture point.
 pub(crate) fn resume_switched_impl(
     program: &Program,
     analysis: &ProgramAnalysis,
@@ -194,6 +213,7 @@ pub(crate) fn resume_switched_impl(
     base: &Trace,
     capture: &[SwitchSpec],
 ) -> Option<(TracedRun, Vec<Checkpoint>)> {
+    let fns: Vec<&FnDecl> = program.functions().collect();
     // Reconstruct, per frame, the static path from the function body to
     // the statement the frame is suspended at: the call site of the next
     // frame, or the switched predicate itself for the innermost frame.
@@ -203,7 +223,11 @@ pub(crate) fn resume_switched_impl(
             Some(next) => next.call_site.expect("is_resumable checked call sites"),
             None => checkpoint.spec.pred,
         };
-        let decl = program.function(&frame.func)?;
+        let decl = fns.get(frame.func.index())?;
+        let info = analysis.index().function(frame.func);
+        if frame.locals.len() != info.locals.len() || frame.preds.len() != info.preds as usize {
+            return None;
+        }
         let mut steps = Vec::new();
         if !find_path(&decl.body, target, &mut steps) {
             return None;
@@ -217,17 +241,11 @@ pub(crate) fn resume_switched_impl(
             .count() as u32,
         None => 0,
     };
-    let mut capture_specs: HashMap<StmtId, Vec<u32>> = HashMap::new();
-    for spec in capture {
-        capture_specs
-            .entry(spec.pred)
-            .or_default()
-            .push(spec.occurrence);
-    }
     let demand = Demand(std::cell::Cell::new(checkpoint.trace_len as u64));
     let mut t = Tracer {
-        program,
         analysis,
+        index: analysis.index(),
+        fns,
         inputs: &config.inputs,
         input_pos: checkpoint.input_pos,
         input_underflows: checkpoint.input_underflows,
@@ -244,7 +262,11 @@ pub(crate) fn resume_switched_impl(
         globals: checkpoint.globals.clone(),
         region_stack: checkpoint.region_stack.clone(),
         frames: vec![checkpoint.frames[0].clone()],
-        capture_specs,
+        spare: Vec::new(),
+        deps: Vec::new(),
+        args: Vec::new(),
+        scratch: Vec::new(),
+        capture: capture_table(program, capture),
         captured: Vec::new(),
         demand: &demand.0,
     };
@@ -339,15 +361,45 @@ enum Flow {
     Normal,
     Break,
     Continue,
-    Return(Value, Vec<InstId>),
+    /// A returned value and the `return` instance that defined it (`None`
+    /// for a bare `return;`).
+    Return(Value, Option<InstId>),
 }
 
 type ExecResult = Result<Flow, Stop>;
-type EvalResult = Result<(Value, Vec<InstId>), Stop>;
+type EvalResult = Result<Value, Stop>;
+
+/// The fields of an event about to be recorded, short of its data
+/// dependences (a window of [`Tracer::deps`]) and of what the recorder
+/// derives itself (timestamp, region parent, call depth).
+#[derive(Clone, Copy)]
+struct Ev {
+    stmt: StmtId,
+    cd_parent: Option<InstId>,
+    value: Option<Value>,
+    branch: Option<bool>,
+    def_var: Option<VarId>,
+    cell_index: Option<i64>,
+}
+
+impl Ev {
+    fn new(stmt: StmtId, cd_parent: Option<InstId>) -> Self {
+        Ev {
+            stmt,
+            cd_parent,
+            value: None,
+            branch: None,
+            def_var: None,
+            cell_index: None,
+        }
+    }
+}
 
 struct Tracer<'a> {
-    program: &'a Program,
     analysis: &'a ProgramAnalysis,
+    index: &'a ProgramIndex,
+    /// Function declarations by [`FnId`].
+    fns: Vec<&'a FnDecl>,
     inputs: &'a [i64],
     input_pos: usize,
     /// `input()` calls that ran past the end of the stream (yielding 0).
@@ -363,8 +415,7 @@ struct Tracer<'a> {
     /// its `occurrence`-th). Seeded from the prefix on resumed runs.
     fault_seen: u32,
     /// Per-statement execution counters (for switch occurrence matching),
-    /// dense over `StmtId` — indexed on every recorded predicate, so a
-    /// flat array beats hashing.
+    /// dense over `StmtId`.
     occ: Vec<u32>,
     /// The streaming columnar recorder the run appends into.
     rec: Recorder,
@@ -374,9 +425,24 @@ struct Tracer<'a> {
     /// call boundaries.
     region_stack: Vec<InstId>,
     frames: Vec<Frame>,
-    /// Predicate occurrences at which to capture a [`Checkpoint`], keyed
-    /// by statement. Empty on ordinary and resumed runs.
-    capture_specs: HashMap<StmtId, Vec<u32>>,
+    /// Popped frames kept for reuse: once the call stack has been this
+    /// deep, a call allocates nothing.
+    spare: Vec<Frame>,
+    /// The run's one dependence buffer. Evaluating an expression appends
+    /// the defining instances of the operands it reads, in evaluation
+    /// order (index before cell, lhs before rhs, arguments in order); a
+    /// statement records the window it opened, deduplicated in place, and
+    /// truncates the buffer back. Windows of callers suspended in an
+    /// expression-position call sit below the callee's.
+    deps: Vec<InstId>,
+    /// Argument values of calls being bound, each with the start of its
+    /// sources' window in `deps`; a stack like `deps`.
+    args: Vec<(Value, u32)>,
+    /// Scratch for deduplicating long dependence windows.
+    scratch: Vec<(InstId, u32)>,
+    /// Predicate occurrences at which to capture a [`Checkpoint`],
+    /// indexed by statement, sorted. Empty on ordinary and resumed runs.
+    capture: Vec<Vec<u32>>,
     captured: Vec<Checkpoint>,
     /// Events asked for so far, refused ones included (see
     /// [`last_demand`]).
@@ -386,14 +452,13 @@ struct Tracer<'a> {
 impl<'a> Tracer<'a> {
     fn run_main(&mut self) -> Result<(), Stop> {
         let main = self
-            .program
-            .function("main")
+            .index
+            .function_id("main")
             .ok_or_else(|| missing_callee("main"))?;
-        self.frames.push(Frame {
-            func: "main".to_string(),
-            ..Frame::default()
-        });
-        match self.exec_block(&main.body)? {
+        let mut frame = Frame::default();
+        frame.enter(main, self.index.function(main), None, None);
+        self.frames.push(frame);
+        match self.exec_block(&self.fns[main.index()].body)? {
             Flow::Normal | Flow::Return(..) => Ok(()),
             Flow::Break | Flow::Continue => {
                 unreachable!("checker rejects break/continue outside loops")
@@ -409,28 +474,33 @@ impl<'a> Tracer<'a> {
         self.frames.last_mut().expect("at least one frame")
     }
 
-    /// Records an event, assigning its timestamp, region parent, and call
-    /// depth. Fails when the step budget is exhausted, a scoped deadline
-    /// expired at the recorder's last counted check (the paper's expired-timer
-    /// rule: the run terminates as budget-exhausted), or an injected
-    /// fault fires at this instance.
-    fn record(&mut self, ev: Event) -> Result<InstId, Stop> {
+    /// Records an event whose data dependences are the operand sources
+    /// in `deps[mark..]`, assigning its timestamp, region parent, and
+    /// call depth, then truncates the buffer back to `mark`. Fails when
+    /// the step budget is exhausted, a scoped deadline expired at the
+    /// recorder's last counted check (the paper's expired-timer rule: the
+    /// run terminates as budget-exhausted), or an injected fault fires at
+    /// this instance.
+    fn record(&mut self, ev: Ev, mark: usize) -> Result<InstId, Stop> {
         self.demand.set(self.rec.len() as u64 + 1);
         if self.rec.len() as u64 >= self.budget || self.rec.deadline_hit() {
             return Err(Stop::Budget);
         }
         check_fault(&mut self.fault_seen, self.fault, ev.stmt)?;
-        Ok(self.rec.push(RawEvent {
+        let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
+        let inst = self.rec.push(RawEvent {
             stmt: ev.stmt,
             value: ev.value,
             branch: ev.branch,
-            deps: &ev.data_deps,
+            deps: &self.deps[mark..mark + n],
             cd_parent: ev.cd_parent,
             region_parent: self.region_stack.last().copied(),
             def_var: ev.def_var,
             cell_index: ev.cell_index,
             call_depth: (self.frames.len() - 1) as u32,
-        }))
+        });
+        self.deps.truncate(mark);
+        Ok(inst)
     }
 
     /// Dynamic control-dependence parent for a statement about to execute:
@@ -441,9 +511,9 @@ impl<'a> Tracer<'a> {
         let frame = self.frame();
         let mut best: Option<InstId> = None;
         for cp in self.analysis.cd_parents(stmt) {
-            if let Some(&(inst, outcome)) = frame.preds.get(&cp.pred) {
-                if outcome == cp.branch {
-                    best = Some(best.map_or(inst, |b| b.max(inst)));
+            if let Some(Some((inst, outcome))) = frame.preds.get(self.index.pred_slot(cp.pred)) {
+                if *outcome == cp.branch {
+                    best = Some(best.map_or(*inst, |b| b.max(*inst)));
                 }
             }
         }
@@ -474,65 +544,71 @@ impl<'a> Tracer<'a> {
     /// instead of two string-hash lookups per read.
     #[inline]
     fn resolved(&self, id: ExprId, name: &str) -> Result<VarId, Stop> {
-        self.analysis
-            .index()
-            .resolved_var(id)
-            .ok_or_else(|| unknown_var(name))
+        self.index.resolved_var(id).ok_or_else(|| unknown_var(name))
     }
 
-    fn read_var(&self, id: ExprId, name: &str) -> EvalResult {
+    /// The current frame's slot for a local variable of its function,
+    /// `None` for globals.
+    #[inline]
+    fn local_slot(&self, var: VarId) -> Option<usize> {
+        let locals = &self.index.function(self.frame().func).locals;
+        locals
+            .contains(&var.0)
+            .then(|| (var.0 - locals.start) as usize)
+    }
+
+    /// Reads a scalar, appending its defining instances to the
+    /// dependence buffer.
+    fn read_var(&mut self, id: ExprId, name: &str) -> EvalResult {
         let var = self.resolved(id, name)?;
-        if let Some(cell) = self.frame().locals.get(&var) {
-            let value = cell.value.ok_or_else(|| {
-                Stop::Crash(
-                    CrashKind::UninitRead,
-                    format!("`{name}` used before initialization"),
-                )
-            })?;
-            return Ok((value, cell.defs.clone()));
+        let cell = match self.local_slot(var) {
+            Some(slot) => &self.frames.last().expect("at least one frame").locals[slot],
+            None => match self.globals.get(var) {
+                Some(Slot::Scalar(cell)) => cell,
+                Some(Slot::Array(_)) => {
+                    return Err(Stop::Crash(
+                        CrashKind::TypeError,
+                        format!("array `{name}` used as a scalar"),
+                    ))
+                }
+                None => return Err(uninit_read(name)),
+            },
+        };
+        let value = cell.value.ok_or_else(|| uninit_read(name))?;
+        self.deps.extend_from_slice(cell.defs.as_slice());
+        Ok(value)
+    }
+
+    /// Writes a scalar through its pre-resolved slot, defined by the
+    /// single instance `inst`; `name` is only for error messages.
+    fn write_scalar(
+        &mut self,
+        var: VarId,
+        name: &str,
+        value: Value,
+        inst: InstId,
+    ) -> Result<(), Stop> {
+        let cell = Cell::new(value, Defs::One(inst));
+        if let Some(slot) = self.local_slot(var) {
+            self.frame_mut().locals[slot] = cell;
+            return Ok(());
         }
-        match self.globals.get(var) {
-            Some(Slot::Scalar(cell)) => {
-                let value = cell
-                    .value
-                    .expect("global scalars are initialized at declaration");
-                Ok((value, cell.defs.clone()))
+        match self.globals.get_mut(var) {
+            Some(Slot::Scalar(c)) => {
+                *c = cell;
+                Ok(())
             }
             Some(Slot::Array(_)) => Err(Stop::Crash(
                 CrashKind::TypeError,
-                format!("array `{name}` used as a scalar"),
+                format!("cannot assign whole array `{name}`"),
             )),
-            None => Err(Stop::Crash(
-                CrashKind::UninitRead,
-                format!("`{name}` used before initialization"),
-            )),
-        }
-    }
-
-    /// Writes a scalar through its pre-resolved slot; `name` is only for
-    /// error messages.
-    fn write_scalar(&mut self, var: VarId, name: &str, cell: Cell) -> Result<VarId, Stop> {
-        if self.analysis.index().vars().is_global(var) {
-            match self.globals.get_mut(var) {
-                Some(Slot::Scalar(c)) => {
-                    *c = cell;
-                    Ok(var)
-                }
-                Some(Slot::Array(_)) => Err(Stop::Crash(
-                    CrashKind::TypeError,
-                    format!("cannot assign whole array `{name}`"),
-                )),
-                None => unreachable!("globals are initialized at startup"),
-            }
-        } else {
-            self.frame_mut().locals.insert(var, cell);
-            Ok(var)
+            None => unreachable!("a defined variable is a local or a global"),
         }
     }
 
     /// Bounds-checks an element access on a pre-resolved array variable;
     /// `name` is only for error messages.
-    fn array_index(&self, var: VarId, name: &str, index: i64) -> Result<(VarId, usize), Stop> {
+    fn array_index(&self, var: VarId, name: &str, index: i64) -> Result<usize, Stop> {
         let Some(Slot::Array(cells)) = self.globals.get(var) else {
             return Err(Stop::Crash(
                 CrashKind::TypeError,
@@ -548,29 +624,43 @@ impl<'a> Tracer<'a> {
                 ),
             ));
         }
-        Ok((var, index as usize))
+        Ok(index as usize)
     }
 
     // --- expression evaluation ---------------------------------------
 
+    /// Evaluates `expr`, appending the defining instances of every
+    /// operand it reads to the dependence buffer.
     fn eval(&mut self, expr: &Expr) -> EvalResult {
         match &expr.kind {
-            ExprKind::Int(n) => Ok((Value::Int(*n), Vec::new())),
-            ExprKind::Bool(b) => Ok((Value::Bool(*b), Vec::new())),
+            ExprKind::Int(n) => Ok(Value::Int(*n)),
+            ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Var(name) => self.read_var(expr.id, name),
             ExprKind::Load { name, index } => {
-                let (iv, mut deps) = self.eval(index)?;
+                let iv = self.eval(index)?;
                 let idx = int_operand(iv, "array index")?;
-                let arr = self.resolved(expr.id, name)?;
-                let (var, i) = self.array_index(arr, name, idx)?;
+                let var = self.resolved(expr.id, name)?;
+                let i = self.array_index(var, name, idx)?;
                 let Some(Slot::Array(cells)) = self.globals.get(var) else {
                     unreachable!("array_index verified the slot");
                 };
                 let cell = &cells[i];
-                deps.extend(cell.defs.iter().copied());
-                Ok((cell.value.expect("array cells are initialized"), deps))
+                self.deps.extend_from_slice(cell.defs.as_slice());
+                Ok(cell.value.expect("array cells are initialized"))
             }
-            ExprKind::Call { callee, args } => self.eval_call(callee, args),
+            ExprKind::Call { callee, args } => {
+                let mark = self.deps.len();
+                let arg_mark = self.args.len();
+                for a in args {
+                    let start = self.deps.len() as u32;
+                    let v = self.eval(a)?;
+                    self.args.push((v, start));
+                }
+                let target = self.index.expr_callee(expr.id);
+                let (value, def) = self.call_function(target, callee, mark, arg_mark, None)?;
+                self.deps.extend(def);
+                Ok(value)
+            }
             ExprKind::Input => {
                 let v = match self.inputs.get(self.input_pos) {
                     Some(&v) => v,
@@ -580,61 +670,78 @@ impl<'a> Tracer<'a> {
                     }
                 };
                 self.input_pos += 1;
-                Ok((Value::Int(v), Vec::new()))
+                Ok(Value::Int(v))
             }
             ExprKind::Unary { op, operand } => {
-                let (v, deps) = self.eval(operand)?;
-                Ok((apply_unary(*op, v)?, deps))
+                let v = self.eval(operand)?;
+                apply_unary(*op, v)
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let (l, mut deps) = self.eval(lhs)?;
-                let (r, rdeps) = self.eval(rhs)?;
-                deps.extend(rdeps);
-                Ok((apply_binary(*op, l, r)?, deps))
+                let l = self.eval(lhs)?;
+                let r = self.eval(rhs)?;
+                apply_binary(*op, l, r)
             }
         }
     }
 
-    fn eval_args(&mut self, args: &[Expr]) -> Result<Vec<(Value, Vec<InstId>)>, Stop> {
-        args.iter().map(|a| self.eval(a)).collect()
-    }
-
-    fn eval_call(&mut self, callee: &str, args: &[Expr]) -> EvalResult {
-        let evaluated = self.eval_args(args)?;
-        self.call_function(callee, evaluated, None)
-    }
-
+    /// Calls `target` (`callee` names it for error messages) with the
+    /// argument values `args[arg_mark..]`, then truncates `args` back to
+    /// `arg_mark` and the dependence buffer back to `mark` before the
+    /// body runs. A statement-position call passes its recorded instance
+    /// as `through`, which defines every parameter; an expression-position
+    /// call binds each parameter to its argument's sources, the window of
+    /// `deps` from that argument's start. Returns the value and the
+    /// `return` instance that defined it.
     fn call_function(
         &mut self,
+        target: Option<FnId>,
         callee: &str,
-        args: Vec<(Value, Vec<InstId>)>,
-        call_site: Option<StmtId>,
-    ) -> EvalResult {
+        mark: usize,
+        arg_mark: usize,
+        through: Option<(InstId, StmtId)>,
+    ) -> Result<(Value, Option<InstId>), Stop> {
         if self.frames.len() >= MAX_CALL_DEPTH {
             return Err(Stop::Crash(
                 CrashKind::StackOverflow,
                 format!("call depth limit ({MAX_CALL_DEPTH}) exceeded calling `{callee}`"),
             ));
         }
-        let decl = self
-            .program
-            .function(callee)
-            .ok_or_else(|| missing_callee(callee))?;
-        let mut frame = Frame {
-            func: callee.to_string(),
-            inherited_cd: self.region_stack.last().copied(),
-            call_site,
-            ..Frame::default()
-        };
-        for (&var, (value, deps)) in self.analysis.index().param_ids(callee).iter().zip(args) {
-            frame.locals.insert(var, Cell::new(value, deps));
+        let func = target.ok_or_else(|| missing_callee(callee))?;
+        let info = self.index.function(func);
+        let mut frame = self.spare.pop().unwrap_or_default();
+        frame.enter(
+            func,
+            info,
+            self.region_stack.last().copied(),
+            through.map(|(_, site)| site),
+        );
+        let nargs = self.args.len() - arg_mark;
+        for (k, &param) in info.params.iter().enumerate().take(nargs) {
+            let (value, start) = self.args[arg_mark + k];
+            let defs = match through {
+                Some((inst, _)) => Defs::One(inst),
+                None => {
+                    let end = match self.args.get(arg_mark + k + 1) {
+                        Some(&(_, next)) => next as usize,
+                        None => self.deps.len(),
+                    };
+                    let window = &mut self.deps[start as usize..end];
+                    let n = dedup_in_place(window, &mut self.scratch);
+                    Defs::from_distinct(&window[..n])
+                }
+            };
+            frame.locals[(param.0 - info.locals.start) as usize] = Cell::new(value, defs);
         }
+        self.args.truncate(arg_mark);
+        self.deps.truncate(mark);
         self.frames.push(frame);
+        let decl = self.fns[func.index()];
         let flow = self.exec_block(&decl.body);
-        self.frames.pop();
+        let frame = self.frames.pop().expect("the callee frame");
+        self.spare.push(frame);
         match flow? {
-            Flow::Return(v, deps) => Ok((v, deps)),
-            Flow::Normal => Ok((Value::Int(0), Vec::new())),
+            Flow::Return(v, def) => Ok((v, def)),
+            Flow::Normal => Ok((Value::Int(0), None)),
             Flow::Break | Flow::Continue => {
                 unreachable!("checker rejects break/continue outside loops")
             }
@@ -678,48 +785,50 @@ impl<'a> Tracer<'a> {
 
     fn exec_stmt_inner(&mut self, stmt: &Stmt) -> ExecResult {
         let cd = self.cd_of(stmt.id);
+        // This statement's window of the dependence buffer starts here.
+        let mark = self.deps.len();
         match &stmt.kind {
             StmtKind::Let { name, expr } | StmtKind::Assign { name, expr } => {
-                let (computed, deps) = self.eval(expr)?;
+                let computed = self.eval(expr)?;
                 let (v, overridden_here) = self.maybe_override(stmt.id, computed);
-                let mut ev = Event::new(stmt.id);
-                ev.value = Some(v);
-                ev.data_deps = dedup(deps);
-                ev.cd_parent = cd;
-                let inst_placeholder = self.record(ev)?;
-                if overridden_here {
-                    self.overridden = Some(inst_placeholder);
-                }
-                let var = match self.analysis.index().stmt(stmt.id).def {
-                    Some(var) => var,
-                    None => return Err(unknown_var(name)),
+                let ev = Ev {
+                    value: Some(v),
+                    ..Ev::new(stmt.id, cd)
                 };
-                self.write_scalar(var, name, Cell::new(v, vec![inst_placeholder]))?;
+                let inst = self.record(ev, mark)?;
+                if overridden_here {
+                    self.overridden = Some(inst);
+                }
+                let var = self
+                    .index
+                    .stmt(stmt.id)
+                    .def
+                    .ok_or_else(|| unknown_var(name))?;
+                self.write_scalar(var, name, v, inst)?;
                 self.rec.set_def_var_last(var);
                 Ok(Flow::Normal)
             }
             StmtKind::Store { name, index, value } => {
-                let (iv, ideps) = self.eval(index)?;
+                let iv = self.eval(index)?;
                 let idx = int_operand(iv, "array index")?;
-                let (v, vdeps) = self.eval(value)?;
-                let arr = self
-                    .analysis
-                    .index()
+                let v = self.eval(value)?;
+                let var = self
+                    .index
                     .stmt(stmt.id)
                     .def
                     .ok_or_else(|| unknown_var(name))?;
-                let (var, i) = self.array_index(arr, name, idx)?;
-                let mut ev = Event::new(stmt.id);
-                ev.value = Some(v);
-                ev.data_deps = dedup(ideps.into_iter().chain(vdeps).collect());
-                ev.cd_parent = cd;
-                ev.def_var = Some(var);
-                ev.cell_index = Some(idx);
-                let inst = self.record(ev)?;
+                let i = self.array_index(var, name, idx)?;
+                let ev = Ev {
+                    value: Some(v),
+                    def_var: Some(var),
+                    cell_index: Some(idx),
+                    ..Ev::new(stmt.id, cd)
+                };
+                let inst = self.record(ev, mark)?;
                 let Some(Slot::Array(cells)) = self.globals.get_mut(var) else {
                     unreachable!("array_index verified the slot");
                 };
-                cells[i] = Cell::new(v, vec![inst]);
+                cells[i] = Cell::new(v, Defs::One(inst));
                 Ok(Flow::Normal)
             }
             StmtKind::If {
@@ -729,71 +838,57 @@ impl<'a> Tracer<'a> {
             } => self.run_if(stmt.id, cond, then_blk, else_blk.as_ref(), cd),
             StmtKind::While { cond, body } => self.run_while(stmt.id, cond, body, false),
             StmtKind::Break => {
-                let mut ev = Event::new(stmt.id);
-                ev.cd_parent = cd;
-                self.record(ev)?;
+                self.record(Ev::new(stmt.id, cd), mark)?;
                 Ok(Flow::Break)
             }
             StmtKind::Continue => {
-                let mut ev = Event::new(stmt.id);
-                ev.cd_parent = cd;
-                self.record(ev)?;
+                self.record(Ev::new(stmt.id, cd), mark)?;
                 Ok(Flow::Continue)
             }
             StmtKind::Return(expr) => {
-                let (value, deps) = match expr {
-                    Some(e) => {
-                        let (v, deps) = self.eval(e)?;
-                        (Some(v), deps)
-                    }
-                    None => (None, Vec::new()),
+                let value = match expr {
+                    Some(e) => Some(self.eval(e)?),
+                    None => None,
                 };
-                let mut ev = Event::new(stmt.id);
-                ev.value = value;
-                ev.data_deps = dedup(deps);
-                ev.cd_parent = cd;
-                if value.is_some() {
-                    ev.def_var = self.analysis.index().stmt(stmt.id).def;
-                }
-                let inst = self.record(ev)?;
-                match value {
-                    Some(v) => Ok(Flow::Return(v, vec![inst])),
-                    None => Ok(Flow::Return(Value::Int(0), Vec::new())),
-                }
+                let ev = Ev {
+                    value,
+                    def_var: value.and(self.index.stmt(stmt.id).def),
+                    ..Ev::new(stmt.id, cd)
+                };
+                let inst = self.record(ev, mark)?;
+                Ok(Flow::Return(
+                    value.unwrap_or(Value::Int(0)),
+                    value.map(|_| inst),
+                ))
             }
             StmtKind::Print(expr) => {
-                let (v, deps) = self.eval(expr)?;
-                let mut ev = Event::new(stmt.id);
-                ev.value = Some(v);
-                ev.data_deps = dedup(deps);
-                ev.cd_parent = cd;
-                let inst = self.record(ev)?;
+                let v = self.eval(expr)?;
+                let ev = Ev {
+                    value: Some(v),
+                    ..Ev::new(stmt.id, cd)
+                };
+                let inst = self.record(ev, mark)?;
                 self.outputs.push(OutputRecord { inst, value: v });
                 Ok(Flow::Normal)
             }
             StmtKind::CallStmt { callee, args } => {
-                let evaluated = self.eval_args(args)?;
-                let mut ev = Event::new(stmt.id);
-                ev.data_deps = dedup(
-                    evaluated
-                        .iter()
-                        .flat_map(|(_, d)| d.iter().copied())
-                        .collect(),
-                );
-                ev.cd_parent = cd;
-                let inst = self.record(ev)?;
+                let arg_mark = self.args.len();
+                for a in args {
+                    let v = self.eval(a)?;
+                    self.args.push((v, 0));
+                }
                 // The call statement is the conduit for its arguments:
-                // parameters are defined by the call instance, keeping the
-                // uses of the argument variables (and their potential
+                // its event depends on every argument's sources, and
+                // parameters are defined by the call instance, keeping
+                // the uses of the argument variables (and their potential
                 // dependences) inside the slice. Calls in expressions
                 // cannot do this (their statement's event is recorded
                 // after the callee runs), so there the argument sources
-                // flow into the parameters directly.
-                let through_call: Vec<(Value, Vec<InstId>)> = evaluated
-                    .into_iter()
-                    .map(|(v, _)| (v, vec![inst]))
-                    .collect();
-                self.call_function(callee, through_call, Some(stmt.id))?;
+                // flow into the parameters directly. Recording first
+                // also leaves the dependence buffer empty on entry.
+                let inst = self.record(Ev::new(stmt.id, cd), mark)?;
+                let target = self.index.stmt_callee(stmt.id);
+                self.call_function(target, callee, mark, arg_mark, Some((inst, stmt.id)))?;
                 Ok(Flow::Normal)
             }
         }
@@ -865,7 +960,7 @@ impl<'a> Tracer<'a> {
 
     /// Evaluates a predicate, applies a pending switch if this is the
     /// chosen instance, records the event, and registers the outcome in
-    /// the frame's predicate map. `loop_ctx` is `None` for `if`
+    /// the frame's predicate table. `loop_ctx` is `None` for `if`
     /// predicates and `Some(pushed)` for `while` condition evaluations;
     /// it is snapshotted so a resume can re-enter the loop correctly.
     fn eval_predicate(
@@ -876,7 +971,8 @@ impl<'a> Tracer<'a> {
         loop_ctx: Option<bool>,
     ) -> Result<(bool, InstId), Stop> {
         self.maybe_capture(stmt, loop_ctx);
-        let (v, deps) = self.eval(cond)?;
+        let mark = self.deps.len();
+        let v = self.eval(cond)?;
         let mut outcome = v.truthy();
         // 0-based occurrence index of this predicate instance; every
         // `while` iteration re-enters here and counts separately.
@@ -892,16 +988,17 @@ impl<'a> Tracer<'a> {
         if is_switch_target {
             outcome = !outcome;
         }
-        let mut ev = Event::new(stmt);
-        ev.value = Some(Value::Bool(outcome));
-        ev.branch = Some(outcome);
-        ev.data_deps = dedup(deps);
-        ev.cd_parent = cd;
-        let inst = self.record(ev)?;
+        let ev = Ev {
+            value: Some(Value::Bool(outcome)),
+            branch: Some(outcome),
+            ..Ev::new(stmt, cd)
+        };
+        let inst = self.record(ev, mark)?;
         if is_switch_target {
             self.switched = Some(inst);
         }
-        self.frame_mut().preds.insert(stmt, (inst, outcome));
+        let slot = self.index.pred_slot(stmt);
+        self.frame_mut().preds[slot] = Some((inst, outcome));
         Ok((outcome, inst))
     }
 
@@ -917,17 +1014,25 @@ impl<'a> Tracer<'a> {
     /// position before its own switch point (the trie spine), because its
     /// pre-switch prefix is the original execution verbatim.
     fn maybe_capture(&mut self, stmt: StmtId, loop_ctx: Option<bool>) {
-        if self.capture_specs.is_empty() || self.switched.is_some() {
+        if self.capture.is_empty() || self.switched.is_some() {
             return;
         }
         let entry_occ = self.occ[stmt.0 as usize];
-        let requested = self
-            .capture_specs
-            .get(&stmt)
-            .is_some_and(|occs| occs.contains(&entry_occ));
-        if !requested {
+        if self.capture[stmt.index()]
+            .binary_search(&entry_occ)
+            .is_err()
+        {
             return;
         }
+        // Only statement-position calls stand between a resumable
+        // suspension and `main`, and each records before entering its
+        // callee: no operand or argument is pending, so the snapshot
+        // needs no part of the dependence buffer.
+        debug_assert!(
+            (self.deps.is_empty() && self.args.is_empty())
+                || self.frames.iter().skip(1).any(|f| f.call_site.is_none()),
+            "pending operands at a resumable capture point"
+        );
         // Fault injection: a `corrupt-checkpoint` entry poisons the
         // snapshot captured at its target instance with out-of-range
         // cursors, exercising the validate-then-fall-back path.
@@ -961,10 +1066,7 @@ impl<'a> Tracer<'a> {
     /// Re-enters the suspended call stack: frame 0 is already in place;
     /// deeper frames are pushed as the descent crosses their call sites.
     fn resume_main(&mut self, cp: &Checkpoint, paths: &[Vec<Step>]) -> Result<(), Stop> {
-        let main = self
-            .program
-            .function("main")
-            .ok_or_else(|| missing_callee("main"))?;
+        let main = self.fns[cp.frames[0].func.index()];
         match self.resume_block(&main.body, &paths[0], cp, paths, 0)? {
             Flow::Normal | Flow::Return(..) => Ok(()),
             Flow::Break | Flow::Continue => {
@@ -1034,11 +1136,12 @@ impl<'a> Tracer<'a> {
                 // binding are in the prefix, so push the restored callee
                 // frame and resume inside it. A call statement discards
                 // the return value.
-                self.frames.push(cp.frames[k + 1].clone());
-                let decl = self
-                    .program
-                    .function(callee)
+                let func = self
+                    .index
+                    .stmt_callee(stmt.id)
                     .ok_or_else(|| missing_callee(callee))?;
+                self.frames.push(cp.frames[k + 1].clone());
+                let decl = self.fns[func.index()];
                 let flow = self.resume_block(&decl.body, &paths[k + 1], cp, paths, k + 1);
                 self.frames.pop();
                 match flow? {
@@ -1086,25 +1189,38 @@ impl<'a> Tracer<'a> {
     }
 }
 
-fn dedup(mut deps: Vec<InstId>) -> Vec<InstId> {
-    // Dependence lists are almost always a handful of operands, so an
-    // in-place first-occurrence scan beats allocating a hash set per
-    // recorded event; fall back to hashing for the rare long list.
-    if deps.len() > 32 {
-        let mut seen = std::collections::HashSet::new();
-        deps.retain(|d| seen.insert(*d));
-        return deps;
-    }
-    let mut w = 0;
-    for r in 0..deps.len() {
-        let d = deps[r];
-        if !deps[..w].contains(&d) {
-            deps[w] = d;
-            w += 1;
+/// Keeps the first occurrence of each instance in `window`, in order, and
+/// returns how many remain at its front. Dependence windows are almost
+/// always a handful of operands, so a quadratic scan beats any set; a
+/// long window sorts `(instance, position)` pairs in `scratch` instead.
+fn dedup_in_place(window: &mut [InstId], scratch: &mut Vec<(InstId, u32)>) -> usize {
+    if window.len() <= 32 {
+        let mut w = 0;
+        for r in 0..window.len() {
+            let d = window[r];
+            if !window[..w].contains(&d) {
+                window[w] = d;
+                w += 1;
+            }
         }
+        return w;
     }
-    deps.truncate(w);
-    deps
+    scratch.clear();
+    scratch.extend(window.iter().enumerate().map(|(i, &d)| (d, i as u32)));
+    scratch.sort_unstable();
+    scratch.dedup_by_key(|&mut (d, _)| d);
+    scratch.sort_unstable_by_key(|&(_, i)| i);
+    for (slot, &(d, _)) in window.iter_mut().zip(scratch.iter()) {
+        *slot = d;
+    }
+    scratch.len()
+}
+
+fn uninit_read(name: &str) -> Stop {
+    Stop::Crash(
+        CrashKind::UninitRead,
+        format!("`{name}` used before initialization"),
+    )
 }
 
 fn missing_callee(name: &str) -> Stop {
@@ -1206,6 +1322,38 @@ fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value, Stop> {
                 return Err(type_err());
             };
             Ok(Value::Bool(if op == And { a && b } else { a || b }))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// First occurrences in order: the reference the in-place pass must
+    /// reproduce on both of its paths.
+    fn first_occurrences(deps: &[InstId]) -> Vec<InstId> {
+        let mut out = Vec::new();
+        for &d in deps {
+            if !out.contains(&d) {
+                out.push(d);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn window_dedup_keeps_first_occurrences_in_order() {
+        let mut scratch = Vec::new();
+        for len in [0usize, 1, 5, 32, 33, 200] {
+            // Repeats at several strides, so both short and long windows
+            // see duplicates before and after their first occurrence.
+            let deps: Vec<InstId> = (0..len)
+                .map(|i| InstId(((i * 7) % (len / 3 + 1)) as u32))
+                .collect();
+            let mut window = deps.clone();
+            let n = dedup_in_place(&mut window, &mut scratch);
+            assert_eq!(window[..n], first_occurrences(&deps)[..], "len {len}");
         }
     }
 }

@@ -40,6 +40,33 @@ impl fmt::Display for VarId {
     }
 }
 
+/// Dense identifier of a function: its position among
+/// [`Program::functions`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct FnId(pub u32);
+
+impl FnId {
+    /// Returns the id as a `usize` index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Call-resolution facts for one function, computed once at index build
+/// so the interpreters bind a call without a name lookup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FnInfo {
+    /// Parameter slots in declaration order.
+    pub params: Vec<VarId>,
+    /// The function's locals (parameters and `let`s): the dense
+    /// [`VarId`] range `locals.start..locals.end`, so `var.0 -
+    /// locals.start` is a local's slot in a frame.
+    pub locals: std::ops::Range<u32>,
+    /// Number of predicates (`if`/`while`) in the body;
+    /// [`ProgramIndex::pred_slot`] numbers them `0..preds`.
+    pub preds: u32,
+}
+
 /// What kind of storage a [`VarId`] names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VarKind {
@@ -70,6 +97,11 @@ pub struct VarInfo {
 }
 
 /// Maps source names to dense [`VarId`]s, with function-scoped locals.
+///
+/// Globals are numbered first, in declaration order (`0..global_count`);
+/// then, per function in source order, its return slot followed by its
+/// locals, so each function's locals form one dense range
+/// ([`FnInfo::locals`]).
 #[derive(Debug, Clone, Default)]
 pub struct VarTable {
     vars: Vec<VarInfo>,
@@ -117,6 +149,11 @@ impl VarTable {
             .and_then(|m| m.get(name))
             .or_else(|| self.globals.get(name))
             .copied()
+    }
+
+    /// Number of globals; their ids are `0..global_count`.
+    pub fn global_count(&self) -> usize {
+        self.globals.len()
     }
 
     /// The id of a global variable, if one with this name exists.
@@ -242,8 +279,19 @@ pub struct ProgramIndex {
     /// runtime errors). Indexed by `ExprId`; lets the interpreters replace
     /// two string-hash lookups per variable read with one array load.
     resolved_vars: Vec<Option<VarId>>,
-    /// Per-function parameter slots in declaration order, resolved once.
-    param_ids: HashMap<String, Vec<VarId>>,
+    /// Per-function call-resolution facts, indexed by [`FnId`].
+    fns: Vec<FnInfo>,
+    /// Function ids by name, for entry points resolved once per run.
+    fn_ids: HashMap<String, FnId>,
+    /// For every [`ExprId`] of a `Call` expression, the callee it names
+    /// (`None` elsewhere and for unknown functions).
+    expr_callees: Vec<Option<FnId>>,
+    /// For every call statement, the callee it names, indexed by
+    /// [`StmtId`] (`None` elsewhere and for unknown functions).
+    stmt_callees: Vec<Option<FnId>>,
+    /// For every predicate, its position among its function's
+    /// predicates, indexed by [`StmtId`] (`u32::MAX` elsewhere).
+    pred_slots: Vec<u32>,
 }
 
 impl ProgramIndex {
@@ -274,41 +322,75 @@ impl ProgramIndex {
             .filter(|s| s.is_predicate())
             .map(|s| s.id)
             .collect();
+        let fn_ids: HashMap<String, FnId> = program
+            .functions()
+            .enumerate()
+            .map(|(i, f)| (f.name.clone(), FnId(i as u32)))
+            .collect();
         let mut resolved_vars: Vec<Option<VarId>> = vec![None; program.expr_count() as usize];
+        let mut expr_callees: Vec<Option<FnId>> = vec![None; program.expr_count() as usize];
+        let mut stmt_callees: Vec<Option<FnId>> = vec![None; stmts.len()];
+        let mut pred_slots = vec![u32::MAX; stmts.len()];
+        let mut fns = Vec::new();
         for f in program.functions() {
+            let mut preds = 0;
             visit_block(&f.body, &mut |stmt| {
-                for_each_expr(stmt, &mut |expr| {
-                    let name = match &expr.kind {
-                        ExprKind::Var(name) | ExprKind::Load { name, .. } => name,
-                        _ => return,
-                    };
-                    if let Some(slot) = resolved_vars.get_mut(expr.id.index()) {
-                        *slot = vars.resolve(&f.name, name);
+                match &stmt.kind {
+                    StmtKind::If { .. } | StmtKind::While { .. } => {
+                        pred_slots[stmt.id.index()] = preds;
+                        preds += 1;
                     }
+                    StmtKind::CallStmt { callee, .. } => {
+                        stmt_callees[stmt.id.index()] = fn_ids.get(callee).copied();
+                    }
+                    _ => {}
+                }
+                for_each_expr(stmt, &mut |expr| match &expr.kind {
+                    ExprKind::Var(name) | ExprKind::Load { name, .. } => {
+                        if let Some(slot) = resolved_vars.get_mut(expr.id.index()) {
+                            *slot = vars.resolve(&f.name, name);
+                        }
+                    }
+                    ExprKind::Call { callee, .. } => {
+                        if let Some(slot) = expr_callees.get_mut(expr.id.index()) {
+                            *slot = fn_ids.get(callee).copied();
+                        }
+                    }
+                    _ => {}
                 });
             });
+            let params = f
+                .params
+                .iter()
+                .map(|p| {
+                    vars.resolve(&f.name, p)
+                        .expect("parameters are in the table")
+                })
+                .collect();
+            // The return slot is followed by the function's locals.
+            let first = vars
+                .ret_slot(&f.name)
+                .expect("every function has a return slot")
+                .0
+                + 1;
+            let count = vars.locals.get(&f.name).map_or(0, HashMap::len) as u32;
+            fns.push(FnInfo {
+                params,
+                locals: first..first + count,
+                preds,
+            });
         }
-        let param_ids = program
-            .functions()
-            .map(|f| {
-                let ids = f
-                    .params
-                    .iter()
-                    .map(|p| {
-                        vars.resolve(&f.name, p)
-                            .expect("parameters are in the table")
-                    })
-                    .collect();
-                (f.name.clone(), ids)
-            })
-            .collect();
         ProgramIndex {
             vars,
             stmts,
             outputs,
             predicates,
             resolved_vars,
-            param_ids,
+            fns,
+            fn_ids,
+            expr_callees,
+            stmt_callees,
+            pred_slots,
         }
     }
 
@@ -355,10 +437,42 @@ impl ProgramIndex {
         self.resolved_vars.get(id.index()).copied().flatten()
     }
 
-    /// Parameter slots of `func` in declaration order, resolved once at
-    /// index build. Empty for unknown functions.
-    pub fn param_ids(&self, func: &str) -> &[VarId] {
-        self.param_ids.get(func).map_or(&[], Vec::as_slice)
+    /// Call-resolution facts of a function.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    #[inline]
+    pub fn function(&self, id: FnId) -> &FnInfo {
+        &self.fns[id.index()]
+    }
+
+    /// The id of the function named `name`, if it exists.
+    pub fn function_id(&self, name: &str) -> Option<FnId> {
+        self.fn_ids.get(name).copied()
+    }
+
+    /// The callee of a `Call` expression, resolved at index build.
+    /// `None` for other expressions, unknown functions, and
+    /// [`ExprId::DUMMY`] nodes.
+    #[inline]
+    pub fn expr_callee(&self, id: ExprId) -> Option<FnId> {
+        self.expr_callees.get(id.index()).copied().flatten()
+    }
+
+    /// The callee of a call statement, resolved at index build. `None`
+    /// for other statements and unknown functions.
+    #[inline]
+    pub fn stmt_callee(&self, id: StmtId) -> Option<FnId> {
+        self.stmt_callees.get(id.index()).copied().flatten()
+    }
+
+    /// A predicate's position among its function's predicates
+    /// (`0..FnInfo::preds`): a frame keeps one slot per predicate.
+    /// Meaningless for statements that are not predicates.
+    #[inline]
+    pub fn pred_slot(&self, id: StmtId) -> usize {
+        self.pred_slots[id.index()] as usize
     }
 }
 
@@ -749,6 +863,35 @@ mod tests {
         assert_eq!(info.role, StmtRole::Call);
         assert_eq!(info.uses, vec![idx.vars().global("g").unwrap()]);
         assert_eq!(info.calls, vec!["f".to_string()]);
+    }
+
+    #[test]
+    fn calls_resolve_to_functions_with_dense_local_ranges() {
+        let idx = index_of(
+            "global g = 0; fn f(a, b) { let c = a; if c > b { g = c; } return c; } \
+             fn main() { let x = f(1, 2); f(x, 3); while x < 0 { x = x + 1; } }",
+        );
+        let f = idx.function_id("f").unwrap();
+        let main = idx.function_id("main").unwrap();
+        assert_eq!((f, main), (FnId(0), FnId(1)));
+        let info = idx.function(f);
+        let vars = idx.vars();
+        let (a, b, c) = (
+            vars.resolve("f", "a").unwrap(),
+            vars.resolve("f", "b").unwrap(),
+            vars.resolve("f", "c").unwrap(),
+        );
+        assert_eq!(info.params, vec![a, b]);
+        assert_eq!(info.locals, a.0..c.0 + 1);
+        assert_eq!(vars.global_count(), 1);
+        assert_eq!(info.preds, 1);
+        // S4 `let x = f(1, 2);` calls in expression position, S5 in
+        // statement position; both predicates are slot 0 of their function.
+        assert_eq!(idx.stmt_callee(StmtId(5)), Some(f));
+        assert_eq!(idx.stmt_callee(StmtId(4)), None);
+        assert_eq!(idx.pred_slot(StmtId(1)), 0);
+        assert_eq!(idx.pred_slot(StmtId(6)), 0);
+        assert_eq!(idx.function(main).preds, 1);
     }
 
     #[test]

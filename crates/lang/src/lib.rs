@@ -57,7 +57,9 @@ pub use ast::{
 pub use check::{check_program, CheckError};
 pub use diagnostics::{render_diagnostic, render_frontend_error};
 pub use generate::{generate_case, GenOptions, GeneratedCase};
-pub use index::{ProgramIndex, StmtInfo, StmtRole, VarId, VarInfo, VarKind, VarTable};
+pub use index::{
+    FnId, FnInfo, ProgramIndex, StmtInfo, StmtRole, VarId, VarInfo, VarKind, VarTable,
+};
 pub use parser::{parse_program, ParseError};
 pub use span::{SourceMap, Span};
 

@@ -19,7 +19,7 @@
 //! the wrong output, ordered by dependence distance.
 
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::{run_plain, RunConfig, SwitchSpec};
+use omislice_interp::{run_plain_indexed, RunConfig, SwitchSpec};
 use omislice_lang::Program;
 use omislice_slicing::DepGraph;
 use omislice_trace::{InstId, Trace, Value};
@@ -93,7 +93,7 @@ pub fn find_critical_predicate_with_jobs(
     let is_critical = |inst: InstId| {
         let ev = trace.event(inst);
         let spec = SwitchSpec::new(ev.stmt, trace.occurrence_index(inst) as u32);
-        let run = run_plain(program, &config.switched(spec));
+        let run = run_plain_indexed(program, analysis.index(), &config.switched(spec));
         run.is_normal() && run.outputs == expected_outputs
     };
     let chunk_size = if jobs == 1 { 1 } else { jobs * 2 };

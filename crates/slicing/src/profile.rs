@@ -8,12 +8,85 @@
 
 use omislice_lang::StmtId;
 use omislice_trace::{Trace, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher};
+
+/// Hashes profile values for their per-statement sets: one
+/// multiply-rotate step per word (the Fx hash) from a per-profile random
+/// key, finished with a full 64-bit avalanche. Folding a trace probes a
+/// set once per recorded value, where SipHash's per-lookup cost
+/// dominated; the key and the avalanche keep values chosen through a
+/// program's input from piling into one bucket. No output depends on hash
+/// order ([`ValueProfile::values`] sorts).
+#[derive(Debug, Clone, Copy)]
+struct ValueHash(u64);
+
+impl Default for ValueHash {
+    fn default() -> Self {
+        ValueHash(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for ValueHash {
+    type Hasher = FxHasher;
+
+    fn build_hasher(&self) -> FxHasher {
+        FxHasher(self.0)
+    }
+}
+
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_i64(&mut self, n: i64) {
+        self.add(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.add(n as u64);
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    /// The `fmix64` finalizer of MurmurHash3.
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+type ValueSet = HashSet<Value, ValueHash>;
 
 /// Distinct values observed per statement across profiled runs.
 #[derive(Debug, Clone, Default)]
 pub struct ValueProfile {
-    values: HashMap<StmtId, HashSet<Value>>,
+    /// One set per statement, indexed by `StmtId` (grown on demand).
+    values: Vec<ValueSet>,
+    key: ValueHash,
     runs: usize,
 }
 
@@ -27,7 +100,13 @@ impl ValueProfile {
     pub fn add_trace(&mut self, trace: &Trace) {
         for ev in trace.iter_events() {
             if let Some(v) = ev.value {
-                self.values.entry(ev.stmt).or_default().insert(v);
+                let i = ev.stmt.index();
+                if i >= self.values.len() {
+                    let key = self.key;
+                    self.values
+                        .resize_with(i + 1, || ValueSet::with_hasher(key));
+                }
+                self.values[i].insert(v);
             }
         }
         self.runs += 1;
@@ -50,19 +129,21 @@ impl ValueProfile {
     /// Number of distinct values observed at `stmt` (0 if never executed
     /// or it produces no value).
     pub fn range(&self, stmt: StmtId) -> usize {
-        self.values.get(&stmt).map_or(0, HashSet::len)
+        self.values.get(stmt.index()).map_or(0, HashSet::len)
     }
 
     /// Whether `value` was ever observed at `stmt`.
     pub fn observed(&self, stmt: StmtId, value: Value) -> bool {
-        self.values.get(&stmt).is_some_and(|s| s.contains(&value))
+        self.values
+            .get(stmt.index())
+            .is_some_and(|s| s.contains(&value))
     }
 
     /// The distinct values observed at `stmt`, in sorted order.
     pub fn values(&self, stmt: StmtId) -> Vec<Value> {
         let mut out: Vec<Value> = self
             .values
-            .get(&stmt)
+            .get(stmt.index())
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
         out.sort();
@@ -96,6 +177,17 @@ mod tests {
             profile.values(StmtId(1)),
             vec![Value::Int(0), Value::Int(1)]
         );
+    }
+
+    #[test]
+    fn values_sharing_low_bits_spread_over_buckets() {
+        // Multiples of 2^32 agree in every low bit, where a hash table
+        // picks its bucket; the keyed avalanche must still spread them.
+        let key = ValueHash::default();
+        let buckets: HashSet<u64> = (0..4096i64)
+            .map(|k| key.hash_one(Value::Int(k << 32)) & 0xffff)
+            .collect();
+        assert!(buckets.len() > 3500, "{} of 4096", buckets.len());
     }
 
     #[test]
