@@ -288,7 +288,8 @@ EOF
 # actually pay off, not just pass its unit tests. Four probes: (1) a
 # 2-iteration corpus locate must answer some switched runs from the
 # cross-iteration memo (memo_hits == 0 means the persistent memo went
-# dead); (2) the same locate under a dense budget schedule (10:2:6)
+# dead), and trace exactly its re-executions plus the failing run (the
+# reference and profile runs keep values only); (2) the same locate under a dense budget schedule (10:2:6)
 # must trace exactly as many runs as under `--budget off` — the
 # schedule only counts the rungs a run outgrew, it never re-executes
 # one — while counting at least one retry, so the gate cannot pass
@@ -319,6 +320,17 @@ verify_smoke() {
         exit 1
     fi
     echo "   locate: iterations=$iters memo_hits=$hits"
+    # Only the failing run and the switched runs are traced: the oracle's
+    # reference run and the profile runs are value runs, so the tracer
+    # runs once per re-execution plus once for the failing trace.
+    local traced reexecs
+    traced=$(awk '$1 == "omislice_counter_tracer_runs" {print int($2)}' "$metrics")
+    reexecs=$(awk '$1 == "omislice_verify_reexecutions" {print int($2)}' "$metrics")
+    if [ -z "$traced" ] || [ -z "$reexecs" ] || [ "$traced" -ne $((reexecs + 1)) ]; then
+        echo "verify smoke FAILED: sed V3-F2 traced ${traced:-?} runs for ${reexecs:-?} re-executions, want re-executions + 1 (a value-only run was traced)" >&2
+        exit 1
+    fi
+    echo "   traced: tracer_runs=$traced = reexecutions $reexecs + the failing run"
     local dense_runs retries off_runs
     RUST_BACKTRACE=1 ./target/release/omislice corpus locate sed V3-F2 \
         --budget 10:2:6 --metrics text >"$metrics"

@@ -50,9 +50,8 @@
 //! # Ok::<(), omislice_lang::FrontendError>(())
 //! ```
 
-use omislice_trace::{InstId, RegionTree, Trace};
+use omislice_trace::{InstId, RegionTree, Siblings, Trace};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Aligns an original trace against a switched re-execution of the same
 /// program on the same input.
@@ -60,8 +59,8 @@ use std::sync::Arc;
 pub struct Aligner<'a> {
     orig: &'a Trace,
     switched: &'a Trace,
-    orig_regions: Arc<RegionTree>,
-    switched_regions: Arc<RegionTree>,
+    orig_regions: RegionTree<'a>,
+    switched_regions: RegionTree<'a>,
 }
 
 /// The region correspondences [`Aligner::match_inst_memo`] has
@@ -75,43 +74,27 @@ pub struct MatchMemo {
     heads: HashMap<InstId, Option<InstId>>,
 }
 
+/// The sub-regions of the region headed by `head`, or the top-level
+/// regions when `head` is the whole execution (`None`).
+fn sub_regions<'a>(tree: &RegionTree<'a>, head: Option<InstId>) -> Siblings<'a> {
+    match head {
+        Some(h) => tree.children(h),
+        None => tree.roots(),
+    }
+}
+
 impl<'a> Aligner<'a> {
-    /// Builds the region trees for both traces.
+    /// Aligns `switched` against `orig`. Each trace's region tree is one
+    /// of its lazily built columns ([`Trace::regions`]), so aligning one
+    /// original trace against many switched runs builds the original's
+    /// once.
     pub fn new(orig: &'a Trace, switched: &'a Trace) -> Self {
         Aligner {
             orig,
             switched,
-            orig_regions: Arc::new(RegionTree::build(orig)),
-            switched_regions: Arc::new(RegionTree::build(switched)),
+            orig_regions: orig.regions(),
+            switched_regions: switched.regions(),
         }
-    }
-
-    /// Like [`Aligner::new`], but reuses region trees built elsewhere.
-    /// Region-tree construction is O(trace length), so callers that align
-    /// one original trace against many switched runs (the verifier) share
-    /// the original's tree and memoize the switched ones.
-    pub fn with_regions(
-        orig: &'a Trace,
-        switched: &'a Trace,
-        orig_regions: Arc<RegionTree>,
-        switched_regions: Arc<RegionTree>,
-    ) -> Self {
-        Aligner {
-            orig,
-            switched,
-            orig_regions,
-            switched_regions,
-        }
-    }
-
-    /// The region tree of the original trace.
-    pub fn orig_regions(&self) -> &RegionTree {
-        &self.orig_regions
-    }
-
-    /// The region tree of the switched trace.
-    pub fn switched_regions(&self) -> &RegionTree {
-        &self.switched_regions
     }
 
     /// `Match(p, u, p')` — finds the instance of the switched trace
@@ -164,8 +147,8 @@ impl<'a> Aligner<'a> {
         // Ascend from p until the region contains u. Ancestors of p are
         // in the common prefix, so the corresponding region heads in the
         // switched trace carry the same instance ids. Each containment
-        // test is O(1) via the region tree's Euler-tour timestamps, so
-        // the ascent costs only the nesting depth of p.
+        // test is O(1) via the region tree's subtree sizes, so the ascent
+        // costs only the nesting depth of p.
         let mut region = self.orig_regions.parent(p);
         while let Some(head) = region {
             if self.orig_regions.in_region(head, u) {
@@ -195,28 +178,19 @@ impl<'a> Aligner<'a> {
         // sub-region per step.
         while let Some((r, r2)) = head {
             let c = path.pop().expect("the descent returns at u");
-            let kids: &[InstId] = match r {
-                Some(h) => self.orig_regions.children(h),
-                None => self.orig_regions.roots(),
-            };
-            let kids2: &[InstId] = match r2 {
-                Some(h) => self.switched_regions.children(h),
-                None => self.switched_regions.roots(),
-            };
-            // Children are sorted by instance id, so the sibling on u's
-            // path is found by binary search instead of the paper's
-            // linear lockstep walk. The walk's early-exit case is
-            // preserved: if the switched region has fewer siblings than
-            // the target index (break/return under the switched branch,
-            // or a loop that stopped iterating — Figure 3), there is no
-            // match. Corresponding sub-regions must be instances of the
-            // same statement for the positional correspondence to be
-            // meaningful; a mismatch means control flow diverged.
-            let i = kids.partition_point(|&k| k < c);
-            debug_assert_eq!(kids.get(i), Some(&c));
-            let c2 = kids2
-                .get(i)
-                .copied()
+            // The paper's lockstep walk: the position of u's sub-region
+            // among r's, then the sub-region at that position among r''s.
+            // If the switched region has fewer sub-regions (break/return
+            // under the switched branch, or a loop that stopped iterating
+            // — Figure 3), there is no match. Corresponding sub-regions
+            // must be instances of the same statement for the positional
+            // correspondence to be meaningful; a mismatch means control
+            // flow diverged.
+            let i = sub_regions(&self.orig_regions, r)
+                .position(|k| k == c)
+                .expect("the path runs through r's sub-regions");
+            let c2 = sub_regions(&self.switched_regions, r2)
+                .nth(i)
                 .filter(|&c2| self.orig.event(c).stmt == self.switched.event(c2).stmt);
             memo.heads.insert(c, c2);
             if c == u {
@@ -265,7 +239,7 @@ impl<'a> Aligner<'a> {
     }
 
     /// Naive containment test: walks `x`'s ancestor chain instead of
-    /// using the Euler-tour timestamps. O(depth).
+    /// using the subtree sizes. O(depth).
     fn naive_contains(&self, head: InstId, x: InstId) -> bool {
         let mut cur = Some(x);
         while let Some(i) = cur {
@@ -280,11 +254,11 @@ impl<'a> Aligner<'a> {
     /// Reference implementation of `Match(p, u, p')` — the paper's
     /// Algorithm 1 transcribed literally: a linear lockstep walk over
     /// sibling regions with an ancestor-chain containment test,
-    /// O(n·depth) against [`Aligner::match_inst`]'s indexed O(depth·log).
+    /// O(n·depth) against [`Aligner::match_inst`]'s O(depth·siblings).
     ///
-    /// Exists solely as the differential-testing oracle for the indexed
-    /// matcher (the `diffcheck` harness asserts agreement on every
-    /// generated program); not part of the public API.
+    /// Exists solely as the differential-testing oracle for the
+    /// memoized matcher (the `diffcheck` harness asserts agreement on
+    /// every generated program); not part of the public API.
     ///
     /// # Panics
     ///
@@ -314,19 +288,13 @@ impl<'a> Aligner<'a> {
         r2: Option<InstId>,
         u: InstId,
     ) -> Option<InstId> {
-        let kids: &[InstId] = match r {
-            Some(h) => self.orig_regions.children(h),
-            None => self.orig_regions.roots(),
-        };
-        let kids2: &[InstId] = match r2 {
-            Some(h) => self.switched_regions.children(h),
-            None => self.switched_regions.roots(),
-        };
-        for (i, &c) in kids.iter().enumerate() {
+        let mut kids2 = sub_regions(&self.switched_regions, r2);
+        for c in sub_regions(&self.orig_regions, r) {
+            let c2 = kids2.next();
             if !self.naive_contains(c, u) {
                 continue;
             }
-            let c2 = *kids2.get(i)?;
+            let c2 = c2?;
             if self.orig.event(c).stmt != self.switched.event(c2).stmt {
                 return None;
             }
@@ -698,6 +666,6 @@ mod tests {
         let u = orig.trace.instances_of(StmtId(10))[0];
         let ev = aligner.match_event(p, u).unwrap();
         assert_eq!(ev.stmt, StmtId(10));
-        let _ = (aligner.orig_regions(), aligner.switched_regions(), &sw);
+        let _ = &sw;
     }
 }

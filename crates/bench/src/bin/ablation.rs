@@ -183,7 +183,7 @@ fn switching_vs_demand_driven() {
     for b in all_benchmarks() {
         for f in &b.faults {
             let session = b.session(f).expect("session builds");
-            let expected = session.oracle().reference().output_values();
+            let expected = session.oracle().expected_outputs().to_vec();
             let search = find_critical_predicate(
                 session.program(),
                 session.analysis(),

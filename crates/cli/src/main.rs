@@ -40,7 +40,7 @@ use omislice::omislice_interp::{
 use omislice::omislice_lang::{compile, FrontendError, Program};
 use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
 use omislice::omislice_trace::{
-    take_recovery, FaultPlan, RecoveryLog, RegionTree, Supervisor, Trace, TraceStats,
+    take_recovery, FaultPlan, RecoveryLog, Supervisor, Trace, TraceStats,
 };
 use omislice::{
     build_journal, default_jobs, describe_inst, render_slice, DebugSession, DebugSessionBuilder,
@@ -325,7 +325,7 @@ fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
             omislice::omislice_trace::regions_to_dot(trace, analysis.index())
         );
     } else if opts.has("regions") {
-        println!("{}", RegionTree::build(trace).render_all(trace));
+        println!("{}", trace.regions().render_all());
     } else if opts.has("dot") {
         print!(
             "{}",

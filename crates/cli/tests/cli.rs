@@ -492,8 +492,9 @@ fn corpus_locate_supports_obs_flags() {
 }
 
 /// A localization indexes one trace — the failing run, which relevant
-/// slicing queries — though it records seven. The recordings themselves
-/// (the reference run, the switched runs) build no index.
+/// slicing queries — and traces only it and the switched runs: three
+/// recordings on sed V3-F2, whose two switched runs build no index. The
+/// oracle's reference run and the profile runs are value runs.
 #[test]
 fn corpus_locate_indexes_only_the_failing_trace() {
     let out = omislice(&["corpus", "locate", "sed", "V3-F2", "--metrics", "text"]);
@@ -509,7 +510,7 @@ fn corpus_locate_indexes_only_the_failing_trace() {
             .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
     };
     assert_eq!(metric("omislice_span_index_count"), Some("1"), "{stdout}");
-    assert_eq!(metric("omislice_span_trace_count"), Some("7"), "{stdout}");
+    assert_eq!(metric("omislice_span_trace_count"), Some("3"), "{stdout}");
 }
 
 /// The `--metrics json` object of a finished run, parsed from stdout.

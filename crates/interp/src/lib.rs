@@ -8,6 +8,9 @@
 //!   region nesting, timestamps) — the paper's "Graph" configuration;
 //! * [`run_plain`] executes without any tracking — the paper's "Plain"
 //!   configuration, also used for cheap output-only re-executions;
+//! * [`run_values`] is the plain evaluator keeping each statement's
+//!   values, for readers that compare values and nothing else (the
+//!   ground-truth oracle's reference run, value profiles);
 //! * both support **predicate switching** ([`SwitchSpec`]): forcing one
 //!   dynamic instance of a chosen predicate to take the opposite branch,
 //!   the mechanism behind implicit-dependence verification;
@@ -28,7 +31,7 @@ pub mod snapshot;
 pub mod store;
 pub mod tracer;
 
-pub use plain::{run_plain, run_plain_indexed, PlainRun};
+pub use plain::{run_plain, run_plain_indexed, run_values, PlainRun, StmtValues, ValueRun};
 pub use snapshot::{
     resume_switched, resume_switched_capturing, run_traced_with_checkpoints, Checkpoint,
     ResumeError, ResumeMode,
@@ -341,7 +344,7 @@ mod tests {
     use super::*;
     use omislice_analysis::ProgramAnalysis;
     use omislice_lang::{compile, Program};
-    use omislice_trace::{InstId, RegionTree, Termination, Value};
+    use omislice_trace::{InstId, Termination, Value};
 
     fn setup(src: &str) -> (Program, ProgramAnalysis) {
         let p = compile(src).unwrap();
@@ -599,7 +602,7 @@ mod tests {
             vec![],
         );
         let t = &run.trace;
-        let r = RegionTree::build(t);
+        let r = t.regions();
         let whiles = t.instances_of(omislice_lang::StmtId(1));
         assert_eq!(r.parent(whiles[1]), Some(whiles[0]));
         assert_eq!(r.parent(whiles[2]), Some(whiles[1]));
@@ -618,7 +621,7 @@ mod tests {
             vec![1],
         );
         let t = &run.trace;
-        let r = RegionTree::build(t);
+        let r = t.regions();
         let if_inst = t.instances_of(omislice_lang::StmtId(1))[0];
         let inner_print = t.instances_of(omislice_lang::StmtId(0))[0];
         assert!(r.in_region(if_inst, inner_print));
@@ -708,6 +711,67 @@ mod tests {
                 "modes disagree on {src}"
             );
             assert_eq!(t.trace.termination().is_normal(), pl.is_normal());
+        }
+    }
+
+    /// A value run keeps what a traced run records — outputs,
+    /// termination and each statement's values — and stops where it
+    /// stops: at every crash class, at every budget up to past the end
+    /// (plain's own step count would stop a `while` earlier), under a
+    /// switch and under a value override.
+    #[test]
+    fn value_runs_stop_where_traced_runs_stop() {
+        let srcs = [
+            "global a = [0; 2]; fn main() { let i = 0; while i < 5 { a[i] = i; print(i); i = i + 1; } }",
+            "fn main() { let i = 3; while i > (0 - 2) { print(12 / i); i = i - 1; } }",
+            "fn main() { let k = input(); if k > 2 { let x = 1; } print(x); }",
+            "global a = [1; 2]; fn main() { let a = 1; print(a[0]); }",
+            "fn f(n) { if n > 0 { return f(n - 1) + 1; } return 0; } fn main() { print(f(200)); }",
+            "fn g(n) { print(n); if n > 1 { return; } return n * 2; }\
+             fn main() { let i = 0; while i < 4 { g(i); let r = g(i) + 1; print(r > 2); \
+             if r == 3 { break; } i = i + 1; } }",
+        ];
+        for src in srcs {
+            let (p, a) = setup(src);
+            let full = run_traced(&p, &a, &RunConfig::with_inputs(vec![1]))
+                .trace
+                .len() as u64;
+            let mut configs: Vec<RunConfig> = (0..=full + 2)
+                .map(|budget| RunConfig {
+                    step_budget: budget,
+                    ..RunConfig::with_inputs(vec![1])
+                })
+                .collect();
+            configs.push(
+                RunConfig::with_inputs(vec![1])
+                    .switched(SwitchSpec::new(omislice_lang::StmtId(1), 1)),
+            );
+            configs.push(
+                RunConfig::with_inputs(vec![1]).overridden(OverrideSpec::new(
+                    omislice_lang::StmtId(0),
+                    0,
+                    Value::Int(4),
+                )),
+            );
+            for cfg in &configs {
+                let t = run_traced(&p, &a, cfg).trace;
+                let v = run_values(&p, a.index(), cfg);
+                assert_eq!(v.outputs, t.output_values(), "{src} under {cfg:?}");
+                assert_eq!(&v.termination, t.termination(), "{src} under {cfg:?}");
+                for s in 0..p.stmt_count() {
+                    let stmt = omislice_lang::StmtId(s);
+                    let want: Vec<Value> = t
+                        .instances_of(stmt)
+                        .iter()
+                        .filter_map(|&i| t.event(i).value)
+                        .collect();
+                    assert_eq!(v.values.of(stmt).collect::<Vec<_>>(), want, "{src}: {stmt}");
+                    for (k, &w) in want.iter().enumerate() {
+                        assert_eq!(v.values.get(stmt, k), Some(w));
+                    }
+                    assert_eq!(v.values.get(stmt, want.len()), None);
+                }
+            }
         }
     }
 

@@ -6,8 +6,15 @@
 //! It also powers cheap output-only re-executions (e.g. the ICSE 2006
 //! critical-predicate search, which only compares final outputs).
 //!
-//! A property test in this crate asserts the two interpreters produce
-//! identical outputs on randomized programs.
+//! [`run_values`] is the same evaluator with a value sink: it keeps, per
+//! statement, the values the tracer records at its events, and stops
+//! where the tracer would — what a reader that only compares values (the
+//! ground-truth oracle's reference run, value profiles) needs of a run,
+//! at a fraction of a trace's bytes.
+//!
+//! Property tests in this crate assert the two interpreters produce
+//! identical outputs on randomized programs, and that a value run's
+//! outputs, termination and per-statement values equal a traced run's.
 
 use crate::{OverrideSpec, RunConfig, SwitchSpec};
 use omislice_lang::{
@@ -64,6 +71,182 @@ pub fn run_plain(program: &Program, config: &RunConfig) -> PlainRun {
 /// for the same program — the same parse-time resolution the tracing
 /// interpreter uses, so both resolve every name identically.
 pub fn run_plain_indexed(program: &Program, index: &ProgramIndex, config: &RunConfig) -> PlainRun {
+    let (e, termination) = evaluate(program, index, config, ());
+    PlainRun {
+        outputs: e.outputs,
+        termination,
+        steps: e.steps,
+        input_underflows: e.input_underflows,
+    }
+}
+
+/// The values one run computed, per statement, in execution order: the
+/// assigned, stored, printed and returned values and the predicate
+/// outcomes the tracer records in its events' `value` field. Whether an
+/// instance has a value depends only on its statement's kind, so the
+/// `k`-th value of a statement is the value of its `k`-th instance.
+/// Nine bytes per valued instance: the payload, and whether it is a
+/// boolean.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StmtValues {
+    /// Payload per statement and instance (booleans as 0/1).
+    words: Vec<Vec<i64>>,
+    /// Whether each payload is a boolean, parallel to `words`.
+    bools: Vec<Vec<bool>>,
+}
+
+impl StmtValues {
+    fn with_stmts(stmts: usize) -> Self {
+        StmtValues {
+            words: vec![Vec::new(); stmts],
+            bools: vec![Vec::new(); stmts],
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, stmt: StmtId, value: Value) {
+        let (word, is_bool) = match value {
+            Value::Int(n) => (n, false),
+            Value::Bool(b) => (b as i64, true),
+        };
+        self.words[stmt.index()].push(word);
+        self.bools[stmt.index()].push(is_bool);
+    }
+
+    /// The value of the `k`-th (0-based) valued instance of `stmt`, if
+    /// it ran that often.
+    pub fn get(&self, stmt: StmtId, k: usize) -> Option<Value> {
+        let word = *self.words.get(stmt.index())?.get(k)?;
+        Some(if self.bools[stmt.index()][k] {
+            Value::Bool(word != 0)
+        } else {
+            Value::Int(word)
+        })
+    }
+
+    /// The values of `stmt`'s instances, in execution order.
+    pub fn of(&self, stmt: StmtId) -> impl Iterator<Item = Value> + '_ {
+        let i = stmt.index();
+        let words = self.words.get(i).map_or(&[][..], Vec::as_slice);
+        let bools = self.bools.get(i).map_or(&[][..], Vec::as_slice);
+        words.iter().zip(bools).map(|(&w, &b)| {
+            if b {
+                Value::Bool(w != 0)
+            } else {
+                Value::Int(w)
+            }
+        })
+    }
+
+    /// Statements covered (the program's statement count).
+    pub fn stmt_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Bytes the values occupy: nine per valued instance.
+    pub fn bytes(&self) -> usize {
+        9 * self.words.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// Result of a value run ([`run_values`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValueRun {
+    /// Values printed, in order.
+    pub outputs: Vec<Value>,
+    /// How the run ended.
+    pub termination: Termination,
+    /// The values each statement computed, in execution order.
+    pub values: StmtValues,
+}
+
+/// Executes `program` under `config` keeping only values: the outputs,
+/// the termination, and per statement the values [`crate::run_traced`]
+/// records in its events, with no dependences, regions or event columns.
+///
+/// The run stops exactly where `run_traced` would: the step budget caps
+/// the instances recorded (not [`run_plain`]'s steps, which also count
+/// each `while` entry), checked before an injected fault fires. A value
+/// run is never scoped by a [`Supervisor`](omislice_trace::Supervisor)
+/// deadline, which only the failing run's recording observes.
+pub fn run_values(program: &Program, index: &ProgramIndex, config: &RunConfig) -> ValueRun {
+    let sink = ValueSink {
+        events: 0,
+        values: StmtValues::with_stmts(program.stmt_count() as usize),
+    };
+    let (e, termination) = evaluate(program, index, config, sink);
+    let mut values = e.sink.values;
+    for (words, bools) in values.words.iter_mut().zip(&mut values.bools) {
+        words.shrink_to_fit();
+        bools.shrink_to_fit();
+    }
+    ValueRun {
+        outputs: e.outputs,
+        termination,
+        values,
+    }
+}
+
+/// Where the evaluator reports each statement instance it completes, at
+/// the points where the tracing interpreter records an event.
+trait Sink {
+    /// Whether the evaluator's own step count (one per statement and per
+    /// `while` condition) bounds the run; otherwise the sink does.
+    const TICKS: bool;
+
+    /// Admits the next instance, or stops the run at `budget`.
+    fn admit(&mut self, budget: u64) -> Result<(), Stop>;
+
+    /// Records the admitted instance of `stmt` and the value it computed.
+    fn record(&mut self, stmt: StmtId, value: Option<Value>);
+}
+
+/// The plain run: nothing kept, bounded by its own step count.
+impl Sink for () {
+    const TICKS: bool = true;
+
+    #[inline]
+    fn admit(&mut self, _: u64) -> Result<(), Stop> {
+        Ok(())
+    }
+
+    #[inline]
+    fn record(&mut self, _: StmtId, _: Option<Value>) {}
+}
+
+/// A value run: bounded, like the tracer, by the instances recorded.
+struct ValueSink {
+    events: u64,
+    values: StmtValues,
+}
+
+impl Sink for ValueSink {
+    const TICKS: bool = false;
+
+    #[inline]
+    fn admit(&mut self, budget: u64) -> Result<(), Stop> {
+        if self.events >= budget {
+            Err(Stop::Budget)
+        } else {
+            Ok(())
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, stmt: StmtId, value: Option<Value>) {
+        self.events += 1;
+        if let Some(v) = value {
+            self.values.push(stmt, v);
+        }
+    }
+}
+
+fn evaluate<'a, S: Sink>(
+    program: &'a Program,
+    index: &'a ProgramIndex,
+    config: &'a RunConfig,
+    sink: S,
+) -> (Evaluator<'a, S>, Termination) {
     let mut e = Evaluator {
         index,
         fns: program.functions().collect(),
@@ -84,18 +267,14 @@ pub fn run_plain_indexed(program: &Program, index: &ProgramIndex, config: &RunCo
         frames: Vec::new(),
         args: Vec::new(),
         outputs: Vec::new(),
+        sink,
     };
     let termination = match e.run_main() {
         Ok(()) => Termination::Normal,
         Err(Stop::Budget) => Termination::BudgetExhausted,
         Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
     };
-    PlainRun {
-        outputs: e.outputs,
-        termination,
-        steps: e.steps,
-        input_underflows: e.input_underflows,
-    }
+    (e, termination)
 }
 
 enum Stop {
@@ -128,7 +307,7 @@ fn init_globals(program: &Program) -> Vec<PlainSlot> {
         .collect()
 }
 
-struct Evaluator<'a> {
+struct Evaluator<'a, S> {
     index: &'a ProgramIndex,
     /// Function declarations by [`FnId`].
     fns: Vec<&'a FnDecl>,
@@ -158,9 +337,10 @@ struct Evaluator<'a> {
     /// Argument values of calls being bound.
     args: Vec<Value>,
     outputs: Vec<Value>,
+    sink: S,
 }
 
-impl<'a> Evaluator<'a> {
+impl<'a, S: Sink> Evaluator<'a, S> {
     fn run_main(&mut self) -> Result<(), Stop> {
         let main = self
             .index
@@ -172,16 +352,21 @@ impl<'a> Evaluator<'a> {
         self.exec_block(&self.fns[main.index()].body).map(|_| ())
     }
 
-    /// Fires an injected fault at this statement's next dynamic instance
-    /// when the plan says so. Called exactly where the tracing
-    /// interpreter records the statement's event, so both interpreters
-    /// fail at the same logical point.
-    fn check_fault(&mut self, stmt: StmtId) -> Result<(), Stop> {
+    /// Completes an instance of `stmt` that computed `value`. Called
+    /// exactly where the tracing interpreter records the statement's
+    /// event, so both interpreters fail at the same logical point: the
+    /// sink's budget check first, then an injected fault at this
+    /// statement's next dynamic instance when the plan says so.
+    #[inline]
+    fn event(&mut self, stmt: StmtId, value: Option<Value>) -> Result<(), Stop> {
+        self.sink.admit(self.budget)?;
         match crate::fault_fires(&mut self.fault_seen, self.fault, stmt) {
-            None => Ok(()),
-            Some(crate::InjectedFault::Budget) => Err(Stop::Budget),
-            Some(crate::InjectedFault::Crash(kind, msg)) => Err(Stop::Crash(kind, msg)),
+            None => {}
+            Some(crate::InjectedFault::Budget) => return Err(Stop::Budget),
+            Some(crate::InjectedFault::Crash(kind, msg)) => return Err(Stop::Crash(kind, msg)),
         }
+        self.sink.record(stmt, value);
+        Ok(())
     }
 
     /// The slot in `locals` of a local variable of the current frame's
@@ -196,6 +381,9 @@ impl<'a> Evaluator<'a> {
     }
 
     fn tick(&mut self) -> Result<(), Stop> {
+        if !S::TICKS {
+            return Ok(());
+        }
         self.steps += 1;
         if self.steps > self.budget {
             Err(Stop::Budget)
@@ -360,7 +548,7 @@ impl<'a> Evaluator<'a> {
             outcome = !outcome;
             self.switch_done = true;
         }
-        self.check_fault(stmt)?;
+        self.event(stmt, Some(Value::Bool(outcome)))?;
         Ok(outcome)
     }
 
@@ -394,7 +582,7 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 }
-                self.check_fault(stmt.id)?;
+                self.event(stmt.id, Some(v))?;
                 self.write_var(stmt.id, name, v)?;
                 Ok(Flow::Normal)
             }
@@ -414,7 +602,7 @@ impl<'a> Evaluator<'a> {
                 if idx < 0 || idx as usize >= len {
                     return Err(oob(idx, name, len));
                 }
-                self.check_fault(stmt.id)?;
+                self.event(stmt.id, Some(v))?;
                 let cells = self.array(var).expect("checked just above");
                 cells[idx as usize] = v;
                 Ok(Flow::Normal)
@@ -444,24 +632,24 @@ impl<'a> Evaluator<'a> {
                 }
             },
             StmtKind::Break => {
-                self.check_fault(stmt.id)?;
+                self.event(stmt.id, None)?;
                 Ok(Flow::Break)
             }
             StmtKind::Continue => {
-                self.check_fault(stmt.id)?;
+                self.event(stmt.id, None)?;
                 Ok(Flow::Continue)
             }
             StmtKind::Return(expr) => {
                 let v = match expr {
-                    Some(e) => self.eval(e)?,
-                    None => Value::Int(0),
+                    Some(e) => Some(self.eval(e)?),
+                    None => None,
                 };
-                self.check_fault(stmt.id)?;
-                Ok(Flow::Return(v))
+                self.event(stmt.id, v)?;
+                Ok(Flow::Return(v.unwrap_or(Value::Int(0))))
             }
             StmtKind::Print(expr) => {
                 let v = self.eval(expr)?;
-                self.check_fault(stmt.id)?;
+                self.event(stmt.id, Some(v))?;
                 self.outputs.push(v);
                 Ok(Flow::Normal)
             }
@@ -471,7 +659,7 @@ impl<'a> Evaluator<'a> {
                     let v = self.eval(a)?;
                     self.args.push(v);
                 }
-                self.check_fault(stmt.id)?;
+                self.event(stmt.id, None)?;
                 self.call(self.index.stmt_callee(stmt.id), callee, arg_mark)?;
                 Ok(Flow::Normal)
             }

@@ -6,12 +6,18 @@
 //!
 //! This is the contract the verification engine's checkpoint-resume fast
 //! path relies on; any divergence here would silently corrupt verdicts.
+//!
+//! A second property holds the region tree, a subtree-size column read
+//! with the trace's parent column, to a naive tree built from the parent
+//! column alone, on the base run and on from-scratch and resumed
+//! switched runs (whose head is the base run's shared prefix).
 
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
-    resume_switched, run_traced, run_traced_with_checkpoints, RunConfig, SwitchSpec,
+    resume_switched, run_traced, run_traced_with_checkpoints, RunConfig, SwitchSpec, TracedRun,
 };
 use omislice_lang::{compile, Program};
+use omislice_trace::{InstId, Trace};
 use proptest::prelude::*;
 
 // --- tiny structured-program generator ----------------------------------
@@ -98,7 +104,106 @@ fn program_strategy() -> impl Strategy<Value = Program> {
     })
 }
 
-// --- the property --------------------------------------------------------
+// --- the properties ------------------------------------------------------
+
+/// The base run of `program`, and for the predicate instance `pick`
+/// selects, the from-scratch and (when its checkpoint is resumable) the
+/// resumed switched runs. `None` when the base run has no predicate.
+fn switched_runs(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    pick: prop::sample::Index,
+) -> Result<Option<(TracedRun, TracedRun, Option<TracedRun>)>, TestCaseError> {
+    let config = RunConfig::with_inputs(vec![]);
+    let base = run_traced(program, analysis, &config);
+    prop_assert!(base.trace.termination().is_normal());
+
+    let preds: Vec<_> = base
+        .trace
+        .insts()
+        .filter(|&i| base.trace.event(i).is_predicate())
+        .collect();
+    if preds.is_empty() {
+        return Ok(None);
+    }
+    let p = preds[pick.index(preds.len())];
+    let spec = SwitchSpec::new(
+        base.trace.event(p).stmt,
+        base.trace.occurrence_index(p) as u32,
+    );
+    let switched_cfg = config.switched(spec);
+
+    let scratch = run_traced(program, analysis, &switched_cfg);
+
+    let (_, checkpoints) = run_traced_with_checkpoints(program, analysis, &config, &[spec]);
+    let cp = checkpoints.iter().find(|cp| cp.spec == spec);
+    // The switch point was reached in the base run, so the instrumented
+    // re-run must capture it.
+    prop_assert!(cp.is_some(), "no checkpoint captured for {spec:?}");
+    let cp = cp.unwrap();
+    if !cp.is_resumable() {
+        return Ok(Some((base, scratch, None)));
+    }
+    let Ok(resumed) = resume_switched(program, analysis, &switched_cfg, cp, &base.trace) else {
+        return Err(TestCaseError::fail(format!(
+            "resumable checkpoint {spec:?} failed to resume"
+        )));
+    };
+    Ok(Some((base, scratch, Some(resumed))))
+}
+
+/// Checks `trace.regions()` against a tree built naively from the
+/// `region_parent` column: parents, child lists, roots, next siblings,
+/// and region containment by ancestor walk for every pair.
+fn check_regions(trace: &Trace) -> Result<(), TestCaseError> {
+    let n = trace.len();
+    let parent: Vec<Option<InstId>> = trace
+        .insts()
+        .map(|i| trace.event(i).region_parent)
+        .collect();
+    let mut children = vec![Vec::new(); n];
+    let mut roots = Vec::new();
+    for i in trace.insts() {
+        match parent[i.index()] {
+            Some(p) => children[p.index()].push(i),
+            None => roots.push(i),
+        }
+    }
+    let tree = trace.regions();
+    prop_assert_eq!(tree.bytes(), 4 * n);
+    prop_assert_eq!(tree.roots().collect::<Vec<_>>(), roots.clone());
+    let mut is_ancestor = vec![false; n];
+    for i in trace.insts() {
+        prop_assert_eq!(tree.parent(i), parent[i.index()]);
+        prop_assert_eq!(
+            tree.children(i).collect::<Vec<_>>(),
+            children[i.index()].clone()
+        );
+        let siblings = parent[i.index()].map_or(&roots, |p| &children[p.index()]);
+        let pos = siblings.iter().position(|&c| c == i).unwrap();
+        prop_assert_eq!(tree.next_sibling(i), siblings.get(pos + 1).copied());
+        let mut chain = vec![i];
+        while let Some(p) = parent[chain[chain.len() - 1].index()] {
+            chain.push(p);
+        }
+        for a in &chain {
+            is_ancestor[a.index()] = true;
+        }
+        for h in trace.insts() {
+            prop_assert_eq!(
+                tree.in_region(h, i),
+                is_ancestor[h.index()],
+                "in_region({}, {})",
+                h,
+                i
+            );
+        }
+        for a in &chain {
+            is_ancestor[a.index()] = false;
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -109,48 +214,32 @@ proptest! {
         pick in any::<prop::sample::Index>(),
     ) {
         let analysis = ProgramAnalysis::build(&program);
-        let config = RunConfig::with_inputs(vec![]);
-        let base = run_traced(&program, &analysis, &config);
-        prop_assert!(base.trace.termination().is_normal());
-
-        let preds: Vec<_> = base
-            .trace
-            .insts()
-            .filter(|&i| base.trace.event(i).is_predicate())
-            .collect();
-        if preds.is_empty() {
+        let Some((_, scratch, resumed)) = switched_runs(&program, &analysis, pick)? else {
             return Ok(());
-        }
-        let p = preds[pick.index(preds.len())];
-        let spec = SwitchSpec::new(
-            base.trace.event(p).stmt,
-            base.trace.occurrence_index(p) as u32,
-        );
-        let switched_cfg = config.switched(spec);
-
-        let scratch = run_traced(&program, &analysis, &switched_cfg);
-
-        let (_, checkpoints) =
-            run_traced_with_checkpoints(&program, &analysis, &config, &[spec]);
-        let cp = checkpoints.iter().find(|cp| cp.spec == spec);
-        // The switch point was reached in the base run, so the
-        // instrumented re-run must capture it.
-        prop_assert!(cp.is_some(), "no checkpoint captured for {spec:?}");
-        let cp = cp.unwrap();
-        if !cp.is_resumable() {
+        };
+        let Some(resumed) = resumed else {
             return Ok(());
-        }
-
-        let Ok(resumed) = resume_switched(&program, &analysis, &switched_cfg, cp, &base.trace)
-        else {
-            return Err(TestCaseError::fail(format!(
-                "resumable checkpoint {spec:?} failed to resume"
-            )));
         };
         prop_assert_eq!(resumed.switched, scratch.switched);
         prop_assert_eq!(resumed.trace.events_vec(), scratch.trace.events_vec());
         prop_assert_eq!(resumed.trace.outputs(), scratch.trace.outputs());
         prop_assert_eq!(resumed.trace.termination(), scratch.trace.termination());
         prop_assert_eq!(resumed.input_underflows, scratch.input_underflows);
+    }
+
+    #[test]
+    fn region_trees_match_the_parent_column(
+        program in program_strategy(),
+        pick in any::<prop::sample::Index>(),
+    ) {
+        let analysis = ProgramAnalysis::build(&program);
+        let Some((base, scratch, resumed)) = switched_runs(&program, &analysis, pick)? else {
+            return Ok(());
+        };
+        check_regions(&base.trace)?;
+        check_regions(&scratch.trace)?;
+        if let Some(resumed) = resumed {
+            check_regions(&resumed.trace)?;
+        }
     }
 }

@@ -35,11 +35,10 @@
 //! trace bytes), never from allocator state, so a single-verifier
 //! eviction sequence replays identically run to run.
 
-use crate::verify::SwitchedRun;
 use omislice_interp::{Checkpoint, RunConfig, SwitchSpec};
 use omislice_lang::printer::print_program;
 use omislice_lang::Program;
-use omislice_trace::RunOutcome;
+use omislice_trace::{RunOutcome, Trace};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -48,9 +47,9 @@ use std::sync::{Arc, Mutex};
 /// bounded.
 pub const DEFAULT_MEMO_CAPACITY: usize = 64 * 1024 * 1024;
 
-/// A memoized switched execution: the run (`None` when the switch never
-/// landed) and how it ended.
-pub(crate) type RunEntry = (Option<Arc<SwitchedRun>>, RunOutcome);
+/// A memoized switched execution: the run's trace, its region tree
+/// built (`None` when the switch never landed), and how it ended.
+pub(crate) type RunEntry = (Option<Arc<Trace>>, RunOutcome);
 
 struct Entry<T> {
     value: T,
@@ -267,12 +266,12 @@ impl Inner {
     }
 }
 
-/// Approximate footprint of one memoized run: the columnar trace's own
-/// accounting plus a per-event estimate for the region tree the aligner
-/// walks. `None` runs (switch never landed) cost a fixed stub.
+/// Footprint of one memoized run: the columnar trace's own accounting
+/// plus the region tree the aligner walks, one `u32` per instance.
+/// `None` runs (switch never landed) cost a fixed stub.
 fn run_bytes(entry: &RunEntry) -> usize {
     match &entry.0 {
-        Some(run) => run.trace.columns().bytes() + run.trace.len() * 16 + 64,
+        Some(run) => run.columns().bytes() + run.len() * 4 + 64,
         None => 64,
     }
 }
@@ -304,16 +303,13 @@ mod tests {
     use omislice_analysis::ProgramAnalysis;
     use omislice_interp::run_traced;
     use omislice_lang::{compile, StmtId};
-    use omislice_trace::RegionTree;
 
-    fn switched_run(src: &str, inputs: Vec<i64>) -> Arc<SwitchedRun> {
+    fn switched_run(src: &str, inputs: Vec<i64>) -> Arc<Trace> {
         let p = compile(src).unwrap();
         let a = ProgramAnalysis::build(&p);
         let run = run_traced(&p, &a, &RunConfig::with_inputs(inputs));
-        Arc::new(SwitchedRun {
-            regions: Arc::new(RegionTree::build(&run.trace)),
-            trace: run.trace,
-        })
+        run.trace.regions();
+        Arc::new(run.trace)
     }
 
     const SRC: &str = "fn main() { let x = input(); if x == 1 { print(1); } print(2); }";
@@ -373,7 +369,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_when_over_capacity() {
         let run = switched_run(SRC, vec![1]);
-        let one = run.trace.columns().bytes() + run.trace.len() * 16 + 64;
+        let one = run.columns().bytes() + run.len() * 4 + 64;
         // Room for two runs, not three.
         let memo = VerifyMemo::new(2 * one + one / 2);
         let s = |n| SwitchSpec::new(StmtId(n), 0);

@@ -11,7 +11,7 @@
 //! values against that reference run.
 
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::{run_traced, RunConfig};
+use omislice_interp::{run_values, RunConfig, StmtValues};
 use omislice_lang::{Program, StmtId};
 use omislice_trace::{InstId, Trace, Value};
 use std::collections::HashSet;
@@ -53,9 +53,15 @@ pub trait UserOracle {
 /// the faulty and fixed runs are compared positionally: the k-th instance
 /// of statement `s` in the faulty run is benign iff the fixed run also
 /// executes `s` at least `k+1` times with the same value.
+///
+/// The oracle reads nothing of the reference run but values, so it keeps
+/// only those: the printed outputs and each statement's values in
+/// execution order ([`run_values`]), nine bytes per valued instance — no
+/// trace, dependences or statement index.
 #[derive(Debug)]
 pub struct GroundTruthOracle {
-    reference: Trace,
+    outputs: Vec<Value>,
+    values: StmtValues,
     roots: HashSet<StmtId>,
 }
 
@@ -70,6 +76,7 @@ impl GroundTruthOracle {
         config: &RunConfig,
         roots: impl IntoIterator<Item = StmtId>,
     ) -> Self {
+        let _span = omislice_obs::span("reference");
         let plain = RunConfig {
             inputs: config.inputs.clone(),
             step_budget: config.step_budget,
@@ -77,32 +84,40 @@ impl GroundTruthOracle {
             value_override: None,
             fault: None,
         };
-        let reference = run_traced(fixed_program, fixed_analysis, &plain).trace;
+        let run = run_values(fixed_program, fixed_analysis.index(), &plain);
         GroundTruthOracle {
-            reference,
+            outputs: run.outputs,
+            values: run.values,
             roots: roots.into_iter().collect(),
         }
     }
 
-    /// The reference (fixed-program) trace.
-    pub fn reference(&self) -> &Trace {
-        &self.reference
+    /// The reference (fixed-program) run's printed values: the expected
+    /// output.
+    pub fn expected_outputs(&self) -> &[Value] {
+        &self.outputs
+    }
+
+    /// Bytes the oracle holds: the expected outputs and the reference
+    /// run's per-statement values.
+    pub fn bytes(&self) -> usize {
+        self.outputs.len() * std::mem::size_of::<Value>() + self.values.bytes()
     }
 }
 
 impl UserOracle for GroundTruthOracle {
     fn classify_outputs(&self, trace: &Trace) -> Option<OutputClassification> {
         let actual = trace.outputs();
-        let expected = self.reference.outputs();
+        let expected = &self.outputs;
         let mut correct = Vec::new();
         for (i, out) in actual.iter().enumerate() {
             match expected.get(i) {
-                Some(e) if e.value == out.value => correct.push(out.inst),
+                Some(&e) if e == out.value => correct.push(out.inst),
                 _ => {
                     return Some(OutputClassification {
                         correct,
                         wrong: out.inst,
-                        expected: expected.get(i).map(|e| e.value),
+                        expected: expected.get(i).copied(),
                     })
                 }
             }
@@ -118,11 +133,10 @@ impl UserOracle for GroundTruthOracle {
         if ev.value.is_none() {
             return false;
         }
+        // Whether a statement's instances carry values depends only on
+        // its kind, so the k-th instance is the k-th value.
         let k = trace.occurrence_index(inst);
-        match self.reference.nth_instance(ev.stmt, k) {
-            Some(r) => self.reference.event(r).value == ev.value,
-            None => false,
-        }
+        self.values.get(ev.stmt, k) == ev.value
     }
 
     fn is_root_cause(&self, stmt: StmtId) -> bool {
@@ -133,6 +147,7 @@ impl UserOracle for GroundTruthOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omislice_interp::run_traced;
     use omislice_lang::compile;
 
     const FIXED: &str = "\
@@ -225,6 +240,10 @@ mod tests {
         let (_, oracle) = runs();
         assert!(oracle.is_root_cause(StmtId(0)));
         assert!(!oracle.is_root_cause(StmtId(1)));
-        assert!(!oracle.reference().is_empty());
+        assert_eq!(oracle.expected_outputs(), [Value::Int(1), Value::Int(2)]);
+        // Six valued reference instances (`save`, both `flags`
+        // assignments, the guard and the two prints) at nine bytes each,
+        // beside the two expected outputs.
+        assert_eq!(oracle.bytes(), 2 * std::mem::size_of::<Value>() + 9 * 6);
     }
 }

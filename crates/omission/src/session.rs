@@ -17,7 +17,7 @@ use crate::locate::{locate_fault, LocateConfig, LocateError, LocateOutcome};
 use crate::oracle::GroundTruthOracle;
 use crate::report::{render_explain, render_report};
 use omislice_analysis::{PdMode, ProgramAnalysis};
-use omislice_interp::{run_traced, RunConfig, DEFAULT_STEP_BUDGET};
+use omislice_interp::{run_traced, run_values, RunConfig, DEFAULT_STEP_BUDGET};
 use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
 use omislice_slicing::ValueProfile;
 use omislice_trace::{note_recovery, RecoveryKind, Supervisor, Trace};
@@ -138,7 +138,9 @@ impl DebugSessionBuilder {
     /// Compiles both programs, acquires the failing trace, runs the
     /// profiling suite, and assembles the session.
     ///
-    /// The reference run that builds the oracle reads nothing the failing
+    /// Only the failing run is traced: the oracle's reference run and the
+    /// profile runs are read for values alone, so they are value runs
+    /// ([`run_values`]). The reference run reads nothing the failing
     /// trace produces, so it runs on its own scoped thread beside the
     /// failing-trace recording (or load) and the profile runs. The
     /// supervisor's scope is the calling thread's, so the reference run
@@ -187,6 +189,7 @@ impl DebugSessionBuilder {
                     record()
                 }),
             };
+            let profile_span = omislice_obs::span("value-profile");
             let mut profile = ValueProfile::new();
             profile.add_trace(&trace);
             for inputs in self.profile_inputs {
@@ -194,8 +197,9 @@ impl DebugSessionBuilder {
                     inputs,
                     ..config.clone()
                 };
-                profile.add_trace(&run_traced(&faulty, &analysis, &cfg).trace);
+                profile.add_values(&run_values(&faulty, analysis.index(), &cfg).values);
             }
+            drop(profile_span);
             let oracle = reference_run
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));

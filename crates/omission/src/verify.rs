@@ -71,8 +71,8 @@ use omislice_interp::{
 use omislice_lang::{Program, VarId};
 use omislice_slicing::DepGraph;
 use omislice_trace::{
-    CrashKind, Deadline, FaultAction, FaultEntry, InstId, RegionTree, RunOutcome, Termination,
-    Trace, Value, VerificationStats,
+    CrashKind, Deadline, FaultAction, FaultEntry, InstId, RunOutcome, Termination, Trace, Value,
+    VerificationStats,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -252,7 +252,7 @@ pub struct VerifyRequest {
 struct ComputedRun {
     /// The memoized run; `None` when the switch never landed (budget
     /// cut-off, crash, isolated panic, or a path change).
-    run: Option<Arc<SwitchedRun>>,
+    run: Option<Arc<Trace>>,
     /// How the execution ended.
     outcome: RunOutcome,
     /// Prefix events skipped when the run resumed from a checkpoint.
@@ -315,16 +315,6 @@ impl ComputedRun {
     }
 }
 
-/// One memoized switched execution: the trace plus the region tree the
-/// aligner navigates (built once, shared across alignments).
-#[derive(Debug)]
-pub struct SwitchedRun {
-    /// The switched trace.
-    pub trace: Trace,
-    /// Its region tree.
-    pub regions: Arc<RegionTree>,
-}
-
 /// Verifies implicit dependences for one failing execution by re-running
 /// the program with predicates switched.
 ///
@@ -348,8 +338,6 @@ pub struct Verifier<'a> {
     /// Cooperative deadline, checked only at serial batch boundaries so
     /// cancellation decisions are identical for any thread count.
     deadline: Option<Deadline>,
-    /// The original trace's region tree, shared by every alignment.
-    orig_regions: Arc<RegionTree>,
     /// The persistent run/checkpoint store, with the configuration
     /// fingerprint this verifier's entries live under.
     memo: Arc<VerifyMemo>,
@@ -406,7 +394,6 @@ impl<'a> Verifier<'a> {
             jobs: 1,
             budget: BudgetSchedule::default(),
             deadline: None,
-            orig_regions: Arc::new(RegionTree::build(trace)),
             memo: VerifyMemo::shared(),
             runs: HashMap::new(),
             matches: HashMap::new(),
@@ -1168,10 +1155,12 @@ impl<'a> Verifier<'a> {
         // if the run was cut off before reaching it, treat the whole
         // re-execution as failed.
         out.run = match run.switched {
-            Some(inst) if inst == p => Some(Arc::new(SwitchedRun {
-                regions: Arc::new(RegionTree::build(&run.trace)),
-                trace: run.trace,
-            })),
+            Some(inst) if inst == p => {
+                // The aligner walks the run's region tree: build it here,
+                // on the worker, not in the serial judging pass.
+                run.trace.regions();
+                Some(Arc::new(run.trace))
+            }
             _ => None,
         };
         (out, captured)
@@ -1207,7 +1196,7 @@ impl<'a> Verifier<'a> {
             return Verification::not_id(outcome);
         };
         let run = Arc::clone(run);
-        let switched = &run.trace;
+        let switched: &Trace = &run;
         // The paper's timer, extended to crashes: a switched run that
         // does not terminate normally fails verification.
         if !switched.termination().is_normal() {
@@ -1216,12 +1205,7 @@ impl<'a> Verifier<'a> {
         // The span covers alignment and verdict judging: everything after
         // the switched execution itself.
         let _span = omislice_obs::span("align");
-        let aligner = Aligner::with_regions(
-            orig,
-            switched,
-            Arc::clone(&self.orig_regions),
-            Arc::clone(&run.regions),
-        );
+        let aligner = Aligner::new(orig, switched);
         let matches = self.matches.entry(spec).or_default();
 
         // Line 27-28: does the switch produce the expected value at o×?
@@ -1260,7 +1244,7 @@ impl<'a> Verifier<'a> {
                     .copied()
                     .filter(|&d| switched.event(d).def_var == Some(var))
                     .max();
-                let in_region = d2.is_some_and(|d| aligner.switched_regions().in_region(p, d));
+                let in_region = d2.is_some_and(|d| switched.regions().in_region(p, d));
                 let value_changed = mode == VerifierMode::ValueChange
                     && switched.event(u2).value != orig.event(u).value;
                 if in_region || value_changed {

@@ -306,7 +306,7 @@ fn resolve_session(
     let bytes = faulty_src.len()
         + fixed_src.len()
         + session.trace().columns().bytes()
-        + session.oracle().reference().columns().bytes()
+        + session.oracle().bytes()
         + 4096;
     let session = Arc::new(session);
     // A deadline that expired during the build leaves a partial trace:

@@ -6,6 +6,7 @@
 //! across runs; the observed *range* approximates the domain size used in
 //! the PLDI 2006 confidence estimate.
 
+use omislice_interp::StmtValues;
 use omislice_lang::StmtId;
 use omislice_trace::{Trace, Value};
 use std::collections::hash_map::RandomState;
@@ -96,20 +97,50 @@ impl ValueProfile {
         ValueProfile::default()
     }
 
-    /// Folds one trace's values into the profile.
+    /// Folds one trace's values into the profile, straight off its
+    /// statement, meta and value columns. A value equal to its
+    /// statement's previous one is already in the set, so it is skipped
+    /// without a probe.
     pub fn add_trace(&mut self, trace: &Trace) {
-        for ev in trace.iter_events() {
-            if let Some(v) = ev.value {
-                let i = ev.stmt.index();
-                if i >= self.values.len() {
-                    let key = self.key;
-                    self.values
-                        .resize_with(i + 1, || ValueSet::with_hasher(key));
+        let mut last: Vec<Option<Value>> = Vec::new();
+        trace.columns().for_each_value(&mut |stmt, v| {
+            let i = stmt.index();
+            if i >= last.len() {
+                last.resize(i + 1, None);
+            }
+            if last[i] != Some(v) {
+                last[i] = Some(v);
+                self.set(i).insert(v);
+            }
+        });
+        self.runs += 1;
+    }
+
+    /// Folds one value run's values ([`omislice_interp::run_values`])
+    /// into the profile, skipping repeats as [`ValueProfile::add_trace`]
+    /// does: a value run keeps the values a traced run records, so both
+    /// folds yield the same profile.
+    pub fn add_values(&mut self, values: &StmtValues) {
+        for i in 0..values.stmt_count() {
+            let mut last = None;
+            for v in values.of(StmtId(i as u32)) {
+                if last != Some(v) {
+                    last = Some(v);
+                    self.set(i).insert(v);
                 }
-                self.values[i].insert(v);
             }
         }
         self.runs += 1;
+    }
+
+    /// The value set of statement index `i`, grown on demand.
+    fn set(&mut self, i: usize) -> &mut ValueSet {
+        if i >= self.values.len() {
+            let key = self.key;
+            self.values
+                .resize_with(i + 1, || ValueSet::with_hasher(key));
+        }
+        &mut self.values[i]
     }
 
     /// Builds a profile from several traces at once.
@@ -188,6 +219,40 @@ mod tests {
             .map(|k| key.hash_one(Value::Int(k << 32)) & 0xffff)
             .collect();
         assert!(buckets.len() > 3500, "{} of 4096", buckets.len());
+    }
+
+    /// The column fold and the value-run fold build the profile the
+    /// event-by-event fold did, statement by statement.
+    #[test]
+    fn column_and_value_run_folds_match_the_event_fold() {
+        let p = compile(
+            "global s = 0; fn main() { let i = 0; while i < 6 { s = s + i % 3;\
+             if s > 4 { print(s > 7); } i = i + 1; } print(s); }",
+        )
+        .unwrap();
+        let a = ProgramAnalysis::build(&p);
+        let mut by_columns = ValueProfile::new();
+        let mut by_values = ValueProfile::new();
+        let mut by_events: Vec<std::collections::BTreeSet<Value>> =
+            vec![Default::default(); p.stmt_count() as usize];
+        for input in 0..3 {
+            let cfg = RunConfig::with_inputs(vec![input]);
+            let run = run_traced(&p, &a, &cfg);
+            for ev in run.trace.iter_events() {
+                if let Some(v) = ev.value {
+                    by_events[ev.stmt.index()].insert(v);
+                }
+            }
+            by_columns.add_trace(&run.trace);
+            by_values.add_values(&omislice_interp::run_values(&p, a.index(), &cfg).values);
+        }
+        for (i, want) in by_events.iter().enumerate() {
+            let want: Vec<Value> = want.iter().copied().collect();
+            assert_eq!(by_columns.values(StmtId(i as u32)), want, "S{i}");
+            assert_eq!(by_values.values(StmtId(i as u32)), want, "S{i}");
+        }
+        assert_eq!(by_columns.run_count(), 3);
+        assert_eq!(by_values.run_count(), 3);
     }
 
     #[test]

@@ -452,19 +452,20 @@ impl ColumnarTrace {
     }
 
     /// Calls `f(i, raw_region_parent)` for the first `n` instances in
-    /// execution order ([`NONE_U32`] = top level): the prefix-aware
-    /// replacement for iterating the raw column, used by the region-tree
-    /// build's hot pass.
-    pub(crate) fn for_each_region_parent(&self, n: usize, f: &mut impl FnMut(usize, u32)) {
+    /// reverse execution order ([`NONE_U32`] = top level): the
+    /// prefix-aware replacement for iterating the raw column backwards,
+    /// used by the region-size build.
+    pub(crate) fn for_each_region_parent_rev(&self, n: usize, f: &mut impl FnMut(usize, u32)) {
         let plen = self.prefix_len();
-        if let Some(p) = &self.prefix {
-            p.cols.for_each_region_parent(n.min(plen), f);
-        }
         for (j, &rp) in self.region_parent[..n.saturating_sub(plen)]
             .iter()
             .enumerate()
+            .rev()
         {
             f(plen + j, rp);
+        }
+        if let Some(p) = &self.prefix {
+            p.cols.for_each_region_parent_rev(n.min(plen), f);
         }
     }
 
@@ -478,6 +479,33 @@ impl ColumnarTrace {
         }
         for (j, &s) in self.stmt[..n.saturating_sub(plen)].iter().enumerate() {
             f(plen + j, s);
+        }
+    }
+
+    /// Calls `f(stmt, value)` for every instance that computed a value,
+    /// in execution order, straight off the statement, meta and value
+    /// columns (prefix-aware): what a value profile folds, without
+    /// materializing an event view per instance.
+    pub fn for_each_value(&self, f: &mut impl FnMut(StmtId, Value)) {
+        self.for_each_value_upto(self.len(), f);
+    }
+
+    fn for_each_value_upto(&self, n: usize, f: &mut impl FnMut(StmtId, Value)) {
+        let plen = self.prefix_len();
+        if let Some(p) = &self.prefix {
+            p.cols.for_each_value_upto(n.min(plen), f);
+        }
+        let t = n.saturating_sub(plen);
+        for ((&s, &m), &v) in self.stmt[..t]
+            .iter()
+            .zip(&self.meta[..t])
+            .zip(&self.value[..t])
+        {
+            match m & VALUE_TAG_MASK {
+                VALUE_INT => f(s, Value::Int(v)),
+                VALUE_BOOL => f(s, Value::Bool(v != 0)),
+                _ => {}
+            }
         }
     }
 

@@ -2,7 +2,6 @@
 //! region tree, with statement text on the nodes. Handy for inspecting
 //! small runs (`omislice trace --dot ...` in the CLI) and for figures.
 
-use crate::region::RegionTree;
 use crate::trace::Trace;
 use omislice_lang::ProgramIndex;
 use std::fmt::Write as _;
@@ -37,14 +36,14 @@ pub fn ddg_to_dot(trace: &Trace, index: &ProgramIndex) -> String {
 
 /// Renders the region tree (Definition 3) as a top-down hierarchy.
 pub fn regions_to_dot(trace: &Trace, index: &ProgramIndex) -> String {
-    let regions = RegionTree::build(trace);
+    let regions = trace.regions();
     let mut out =
         String::from("digraph regions {\n  rankdir=TB;\n  node [shape=box, fontsize=10];\n");
     for i in 0..trace.len() {
         let _ = writeln!(out, "  n{i} [label=\"{}\"];", node_label(trace, index, i));
     }
     for inst in trace.insts() {
-        for &child in regions.children(inst) {
+        for child in regions.children(inst) {
             let _ = writeln!(out, "  n{} -> n{};", inst.index(), child.index());
         }
     }

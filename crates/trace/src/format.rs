@@ -558,6 +558,8 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceFileError> {
         }
     }
 
+    check_regions_nest(&cols.region_parent)?;
+
     let mut c = Cursor::new(section(SEC_DEF_VAR)?);
     for _ in 0..n {
         let v = c.varint("def var column")?;
@@ -623,6 +625,33 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceFileError> {
     }
 
     Ok(Trace::from_recorded(cols, outputs, termination))
+}
+
+/// Checks that regions nest: each instance's region parent is still
+/// open, i.e. lies on the ancestor chain of the instance before it. The
+/// interpreter keeps region parents as a stack, so every region it
+/// records is a contiguous instance interval, and the region tree
+/// ([`Trace::regions`]) is read as such; a parent that reopens a closed
+/// region would silently mis-align. The parent pointers themselves serve
+/// as the stack: the chain from `i - 1` up to `i`'s parent is closed for
+/// good once `i` attaches, so each instance is stepped over at most once.
+/// Parents must already be known to point backwards.
+fn check_regions_nest(parent: &[u32]) -> Result<(), TraceFileError> {
+    for (i, &rp) in parent.iter().enumerate().skip(1) {
+        if rp == u32::MAX {
+            continue;
+        }
+        let mut open = (i - 1) as u32;
+        while open != u32::MAX && open > rp {
+            open = parent[open as usize];
+        }
+        if open != rp {
+            return Err(malformed(format!(
+                "region parent of instance {i} reopens closed region {rp}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 // --- file i/o ----------------------------------------------------------
@@ -785,6 +814,30 @@ mod tests {
         let a = encode_trace(&sample());
         let b = encode_trace(&sample());
         assert_eq!(a, b);
+    }
+
+    /// A region parent must still be open: here instance 3 names
+    /// instance 0, whose region closed when top-level instance 2 ran.
+    /// Sizes summed over such a tree describe no interval, so the file
+    /// is rejected instead of mis-aligning.
+    #[test]
+    fn rejects_reopened_regions() {
+        let mk = |stmt, rp: Option<u32>| {
+            let mut e = Event::new(StmtId(stmt));
+            e.region_parent = rp.map(InstId);
+            e
+        };
+        let nested = [mk(0, None), mk(1, Some(0)), mk(2, Some(1)), mk(3, Some(0))];
+        let ok = Trace::from_parts(nested.to_vec(), vec![], Termination::Normal);
+        assert!(decode_trace(&encode_trace(&ok)).is_ok());
+        let reopened = [mk(0, None), mk(1, Some(0)), mk(2, None), mk(3, Some(0))];
+        let bad = Trace::from_parts(reopened.to_vec(), vec![], Termination::Normal);
+        match decode_trace(&encode_trace(&bad)) {
+            Err(TraceFileError::Malformed(msg)) => {
+                assert!(msg.contains("reopens closed region 0"), "{msg}")
+            }
+            other => panic!("accepted a reopened region: {other:?}"),
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! consumed by the slicing, alignment, and fault-locating crates.
 //!
 //! ```
-//! use omislice_trace::{Event, InstId, RegionTree, Termination, Trace};
+//! use omislice_trace::{Event, InstId, Termination, Trace};
 //! use omislice_lang::StmtId;
 //!
 //! let mut guard = Event::new(StmtId(0));
@@ -19,7 +19,7 @@
 //! body.region_parent = Some(InstId(0));
 //! body.cd_parent = Some(InstId(0));
 //! let trace = Trace::from_parts(vec![guard, body], vec![], Termination::Normal);
-//! let regions = RegionTree::build(&trace);
+//! let regions = trace.regions();
 //! assert!(regions.in_region(InstId(0), InstId(1)));
 //! ```
 
@@ -45,7 +45,7 @@ pub use format::{decode_trace, encode_trace, load_trace, save_trace, TraceFileEr
 pub use index::TraceIndex;
 pub use outcome::{CrashKind, RunOutcome};
 pub use recorder::Recorder;
-pub use region::RegionTree;
+pub use region::{RegionTree, Siblings};
 pub use stats::{TraceStats, VerificationStats};
 pub use supervisor::{
     note_recovery, take_recovery, Deadline, FaultAction, FaultEntry, FaultPlan, FaultSite,

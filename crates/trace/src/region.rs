@@ -3,7 +3,7 @@
 //! > *"A statement execution s and the statement executions that are
 //! > control dependent on s form a region."*
 //!
-//! The tree is built from each event's `region_parent` pointer, which the
+//! The tree is read from each event's `region_parent` pointer, which the
 //! interpreter maintains as the innermost guarding predicate instance
 //! (crossing call boundaries, and chaining `while` iterations so that a
 //! whole loop execution forms one region headed by the first evaluation
@@ -12,150 +12,139 @@
 //!
 //! Every statement instance heads a region: a leaf region for
 //! non-predicates, a subtree for predicates.
+//!
+//! The interpreter maintains `region_parent` as a stack — a child's
+//! parent is always the innermost *open* region, parents strictly precede
+//! children, and a region never reopens once control leaves it — so every
+//! region's instances form the contiguous interval `[head, head + size)`.
+//! One subtree size per instance therefore describes the whole tree: the
+//! sub-regions of `h` are `h + 1`, then each next one at `c + size[c]`,
+//! up to `h + size[h]`; the top-level regions are walked the same way
+//! from instance 0; and parents come from the trace's own
+//! `region_parent` column.
 
-use crate::columnar::NONE_U32;
+use crate::columnar::{ColumnarTrace, NONE_U32};
 use crate::event::InstId;
 use crate::trace::Trace;
 use std::fmt::Write as _;
 
-/// The region tree of one trace.
+/// Builds the subtree-size column of a trace: one reverse pass, since
+/// parents precede children, so `size[i]` is complete by the time `i` is
+/// folded into its parent.
 ///
-/// Stored as flat columns plus a CSR child arena — no per-node heap
-/// vectors. The verifier builds one of these per *switched run*, so for
-/// a 200k-event trace the old `Vec<Vec<InstId>>` layout cost ~200k
-/// small allocations (and as many frees on eviction) per verified
-/// candidate; the CSR layout is seven flat allocations total.
-#[derive(Debug, Clone)]
-pub struct RegionTree {
-    /// Region-nesting parent per instance; [`NO_PARENT`] at top level.
-    parent: Vec<u32>,
-    /// CSR offsets into `child_arena`; `len + 1` entries.
-    child_off: Vec<u32>,
-    /// Children of every instance, grouped by parent, execution order
-    /// within each group.
-    child_arena: Vec<InstId>,
-    /// Position of each instance within its sibling list.
-    child_index: Vec<u32>,
-    roots: Vec<InstId>,
-    /// Subtree size (self included) per instance: `in_region` in O(1).
-    ///
-    /// The interpreter maintains `region_parent` as a stack — a child's
-    /// parent is always the innermost *open* region, parents strictly
-    /// precede children, and a region never reopens once control leaves
-    /// it — so every region's descendants form the contiguous instance
-    /// interval `[head, head + size)`. Containment is an interval test,
-    /// with no Euler tour to build.
-    size: Vec<u32>,
+/// # Panics
+///
+/// Panics if a parent pointer refers to a later instance (parents must
+/// precede children in execution order).
+pub(crate) fn region_sizes(cols: &ColumnarTrace) -> Vec<u32> {
+    let n = cols.len();
+    let mut size = vec![1u32; n];
+    cols.for_each_region_parent_rev(n, &mut |i, rp| {
+        if rp != NONE_U32 {
+            assert!((rp as usize) < i, "region parent {rp} not before child {i}");
+            size[rp as usize] += size[i];
+        }
+    });
+    // Sums of subtree sizes describe intervals only if regions nest:
+    // every child's interval must lie inside its parent's. Decoding
+    // rejects traces whose regions reopen, and the interpreter never
+    // records one.
+    #[cfg(debug_assertions)]
+    for i in 0..n {
+        if let Some(p) = cols.region_parent_of(InstId(i as u32)) {
+            let p = p.index();
+            debug_assert!(
+                i + size[i] as usize <= p + size[p] as usize,
+                "region of instance {i} escapes its parent {p}: regions do not nest"
+            );
+        }
+    }
+    size
 }
 
-/// Sentinel in `RegionTree::parent` for top-level instances.
-const NO_PARENT: u32 = u32::MAX;
+/// The region tree of one trace ([`Trace::regions`]): the trace's
+/// subtree-size column, one `u32` per instance, read together with its
+/// `region_parent` column.
+#[derive(Debug, Clone, Copy)]
+pub struct RegionTree<'a> {
+    trace: &'a Trace,
+    size: &'a [u32],
+}
 
-impl RegionTree {
-    /// Builds the region tree of `trace` from its `region_parent`
-    /// pointers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a parent pointer refers to a later instance (parents
-    /// must precede children in execution order).
-    pub fn build(trace: &Trace) -> Self {
-        let n = trace.len();
-        let mut parent = vec![NO_PARENT; n];
-        let mut child_off = vec![0u32; n + 1];
-        let mut child_index = vec![0u32; n];
-        let mut roots = Vec::new();
-        // Pass 1: parent pointers and per-parent child counts, straight
-        // off the raw column (materializing an event view per instance
-        // costs more than the whole rest of the build); prefix-shared
-        // traces iterate the donor's slice then their own tail.
-        trace.columns().for_each_region_parent(n, &mut |i, rp| {
-            if rp == NONE_U32 {
-                child_index[i] = roots.len() as u32;
-                roots.push(InstId(i as u32));
-            } else {
-                assert!((rp as usize) < i, "region parent {rp} not before child {i}");
-                parent[i] = rp;
-                child_off[rp as usize + 1] += 1;
-            }
-        });
-        for i in 1..=n {
-            child_off[i] += child_off[i - 1];
+/// The sub-regions of one region, in execution order
+/// ([`RegionTree::children`], [`RegionTree::roots`]).
+#[derive(Debug, Clone)]
+pub struct Siblings<'a> {
+    size: &'a [u32],
+    next: usize,
+    end: usize,
+}
+
+impl Iterator for Siblings<'_> {
+    type Item = InstId;
+
+    #[inline]
+    fn next(&mut self) -> Option<InstId> {
+        if self.next >= self.end {
+            return None;
         }
-        // Pass 2: counting sort of children into the arena. Instances
-        // are visited in execution order, so each parent's children land
-        // in execution order within its CSR slice.
-        let mut child_arena = vec![InstId(0); child_off[n] as usize];
-        let mut cursor = child_off[..n].to_vec();
-        for (i, &p) in parent.iter().enumerate() {
-            if p != NO_PARENT {
-                let c = &mut cursor[p as usize];
-                child_index[i] = *c - child_off[p as usize];
-                child_arena[*c as usize] = InstId(i as u32);
-                *c += 1;
-            }
-        }
-        // Pass 3: subtree sizes, one reverse sweep. Children have larger
-        // instance ids than their parents, so by the time `i` is folded
-        // into its parent, `size[i]` is already complete.
-        let mut size = vec![1u32; n];
-        for i in (0..n).rev() {
-            let p = parent[i];
-            if p != NO_PARENT {
-                size[p as usize] += size[i];
-            }
-        }
-        RegionTree {
-            parent,
-            child_off,
-            child_arena,
-            child_index,
-            roots,
-            size,
-        }
+        let c = self.next;
+        self.next += self.size[c] as usize;
+        Some(InstId(c as u32))
+    }
+}
+
+impl<'a> RegionTree<'a> {
+    pub(crate) fn new(trace: &'a Trace, size: &'a [u32]) -> Self {
+        RegionTree { trace, size }
+    }
+
+    /// Bytes the tree holds: one `u32` per instance.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.size)
     }
 
     /// Top-level instances (the virtual whole-execution region's
     /// children), in execution order.
-    pub fn roots(&self) -> &[InstId] {
-        &self.roots
+    pub fn roots(&self) -> Siblings<'a> {
+        Siblings {
+            size: self.size,
+            next: 0,
+            end: self.size.len(),
+        }
     }
 
     /// The region-nesting parent of `inst`, or `None` at top level.
     pub fn parent(&self, inst: InstId) -> Option<InstId> {
-        match self.parent[inst.index()] {
-            NO_PARENT => None,
-            p => Some(InstId(p)),
-        }
+        self.trace.columns().region_parent_of(inst)
     }
 
     /// The sub-regions of the region headed by `inst`, in execution order.
-    pub fn children(&self, inst: InstId) -> &[InstId] {
-        let i = inst.index();
-        &self.child_arena[self.child_off[i] as usize..self.child_off[i + 1] as usize]
+    pub fn children(&self, inst: InstId) -> Siblings<'a> {
+        let h = inst.index();
+        Siblings {
+            size: self.size,
+            next: h + 1,
+            end: h + self.size[h] as usize,
+        }
     }
 
     /// The first sub-region of `inst`'s region (`FirstSubRegion` in
     /// Algorithm 1), if any.
     pub fn first_child(&self, inst: InstId) -> Option<InstId> {
-        self.children(inst).first().copied()
+        self.children(inst).next()
     }
 
     /// The next sibling region of `inst` (`SiblingRegion` in Algorithm 1),
     /// or `None` if `inst` is the last sub-region of its parent — the
     /// signal Algorithm 1 uses for the single-entry-multiple-exit case.
     pub fn next_sibling(&self, inst: InstId) -> Option<InstId> {
-        let idx = self.child_index[inst.index()] as usize;
-        let siblings = match self.parent(inst) {
-            Some(p) => self.children(p),
-            None => &self.roots,
+        let end = match self.parent(inst) {
+            Some(p) => p.index() + self.size[p.index()] as usize,
+            None => self.size.len(),
         };
-        siblings.get(idx + 1).copied()
-    }
-
-    /// Position of `inst` within its sibling list.
-    pub fn child_index(&self, inst: InstId) -> usize {
-        self.child_index[inst.index()] as usize
+        let next = inst.index() + self.size[inst.index()] as usize;
+        (next < end).then_some(InstId(next as u32))
     }
 
     /// Whether `inst` lies inside the region headed by `head`
@@ -188,27 +177,27 @@ impl RegionTree {
     /// Renders the region headed by `inst` in the paper's bracket
     /// notation over statement ids, e.g. `[13,[14,[15],[16]],[17],[18]]`
     /// — leaf regions print as bare statement numbers.
-    pub fn render(&self, trace: &Trace, inst: InstId) -> String {
+    pub fn render(&self, inst: InstId) -> String {
         let mut out = String::new();
-        self.render_into(trace, inst, &mut out);
+        self.render_into(inst, &mut out);
         out
     }
 
     /// Renders the whole execution as a sibling list of top-level regions.
-    pub fn render_all(&self, trace: &Trace) -> String {
-        let parts: Vec<String> = self.roots.iter().map(|&r| self.render(trace, r)).collect();
+    pub fn render_all(&self) -> String {
+        let parts: Vec<String> = self.roots().map(|r| self.render(r)).collect();
         parts.join(", ")
     }
 
-    fn render_into(&self, trace: &Trace, inst: InstId, out: &mut String) {
-        let stmt = trace.event(inst).stmt.0;
-        if self.children(inst).is_empty() {
+    fn render_into(&self, inst: InstId, out: &mut String) {
+        let stmt = self.trace.columns().stmt_of(inst).0;
+        if self.size[inst.index()] == 1 {
             let _ = write!(out, "{stmt}");
         } else {
             let _ = write!(out, "[{stmt}");
-            for &c in self.children(inst) {
+            for c in self.children(inst) {
                 out.push(',');
-                self.render_into(trace, c, out);
+                self.render_into(c, out);
             }
             out.push(']');
         }
@@ -230,7 +219,7 @@ mod tests {
 
     /// t0:S13 [ t1:S14 [ t2:S15, t3:S16 ], t4:S17, t5:S18 ]  — mirrors the
     /// paper's `[13,[14,15,16],17,18]` region of Figure 2.
-    fn sample() -> (Trace, RegionTree) {
+    fn sample() -> Trace {
         let events = vec![
             mk(13, None),
             mk(14, Some(0)),
@@ -239,36 +228,44 @@ mod tests {
             mk(17, Some(0)),
             mk(18, Some(0)),
         ];
-        let t = Trace::from_parts(events, vec![], Termination::Normal);
-        let r = RegionTree::build(&t);
-        (t, r)
+        Trace::from_parts(events, vec![], Termination::Normal)
+    }
+
+    fn ids(it: impl Iterator<Item = InstId>) -> Vec<InstId> {
+        it.collect()
     }
 
     #[test]
     fn structure_matches_parents() {
-        let (_, r) = sample();
-        assert_eq!(r.roots(), &[InstId(0)]);
-        assert_eq!(r.children(InstId(0)), &[InstId(1), InstId(4), InstId(5)]);
-        assert_eq!(r.children(InstId(1)), &[InstId(2), InstId(3)]);
+        let t = sample();
+        let r = t.regions();
+        assert_eq!(ids(r.roots()), [InstId(0)]);
+        assert_eq!(
+            ids(r.children(InstId(0))),
+            [InstId(1), InstId(4), InstId(5)]
+        );
+        assert_eq!(ids(r.children(InstId(1))), [InstId(2), InstId(3)]);
         assert_eq!(r.parent(InstId(2)), Some(InstId(1)));
         assert_eq!(r.parent(InstId(0)), None);
     }
 
     #[test]
     fn navigation_ops() {
-        let (_, r) = sample();
+        let t = sample();
+        let r = t.regions();
         assert_eq!(r.first_child(InstId(0)), Some(InstId(1)));
         assert_eq!(r.first_child(InstId(2)), None);
         assert_eq!(r.next_sibling(InstId(1)), Some(InstId(4)));
         assert_eq!(r.next_sibling(InstId(5)), None);
         assert_eq!(r.next_sibling(InstId(2)), Some(InstId(3)));
+        assert_eq!(r.next_sibling(InstId(3)), None);
         assert_eq!(r.next_sibling(InstId(0)), None);
-        assert_eq!(r.child_index(InstId(4)), 1);
     }
 
     #[test]
     fn in_region_semantics() {
-        let (_, r) = sample();
+        let t = sample();
+        let r = t.regions();
         assert!(r.in_region(InstId(0), InstId(3)));
         assert!(r.in_region(InstId(1), InstId(2)));
         assert!(r.in_region(InstId(1), InstId(1)), "head is in its region");
@@ -297,7 +294,7 @@ mod tests {
         ];
         let n = events.len() as u32;
         let t = Trace::from_parts(events, vec![], Termination::Normal);
-        let r = RegionTree::build(&t);
+        let r = t.regions();
         for h in 0..n {
             for i in 0..n {
                 let mut cur = Some(InstId(i));
@@ -320,7 +317,8 @@ mod tests {
 
     #[test]
     fn ancestors_and_depth() {
-        let (_, r) = sample();
+        let t = sample();
+        let r = t.regions();
         assert_eq!(r.ancestors(InstId(2)), vec![InstId(1), InstId(0)]);
         assert_eq!(r.depth(InstId(2)), 2);
         assert_eq!(r.depth(InstId(0)), 0);
@@ -328,23 +326,35 @@ mod tests {
 
     #[test]
     fn render_matches_paper_notation() {
-        let (t, r) = sample();
-        assert_eq!(r.render(&t, InstId(0)), "[13,[14,15,16],17,18]");
-        assert_eq!(r.render_all(&t), "[13,[14,15,16],17,18]");
+        let t = sample();
+        let r = t.regions();
+        assert_eq!(r.render(InstId(0)), "[13,[14,15,16],17,18]");
+        assert_eq!(r.render_all(), "[13,[14,15,16],17,18]");
     }
 
     #[test]
     fn multiple_roots_are_siblings() {
         let events = vec![mk(1, None), mk(2, None), mk(3, Some(1))];
         let t = Trace::from_parts(events, vec![], Termination::Normal);
-        let r = RegionTree::build(&t);
-        assert_eq!(r.roots(), &[InstId(0), InstId(1)]);
+        let r = t.regions();
+        assert_eq!(ids(r.roots()), [InstId(0), InstId(1)]);
         assert_eq!(r.next_sibling(InstId(0)), Some(InstId(1)));
-        assert_eq!(r.render_all(&t), "1, [2,3]");
-        // Separate trees have disjoint timestamp intervals.
+        assert_eq!(r.render_all(), "1, [2,3]");
+        // Separate trees have disjoint intervals.
         assert!(!r.in_region(InstId(0), InstId(1)));
         assert!(!r.in_region(InstId(0), InstId(2)));
         assert!(r.in_region(InstId(1), InstId(2)));
+    }
+
+    /// The tree is its size column: 4 bytes per instance, no child
+    /// lists, offsets, positions or parent copy.
+    #[test]
+    fn tree_holds_four_bytes_per_instance() {
+        let t = sample();
+        assert_eq!(t.regions().bytes(), 4 * t.len());
+        let empty = Trace::from_parts(vec![], vec![], Termination::Normal);
+        assert_eq!(empty.regions().bytes(), 0);
+        assert_eq!(empty.regions().roots().count(), 0);
     }
 
     #[test]
@@ -354,6 +364,16 @@ mod tests {
         e1.region_parent = Some(InstId(1));
         let e2 = Event::new(StmtId(1));
         let t = Trace::from_parts(vec![e1, e2], vec![], Termination::Normal);
-        let _ = RegionTree::build(&t);
+        let _ = t.regions();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "regions do not nest")]
+    fn reopened_region_fails_the_debug_check() {
+        // t2 closes t0's region; t3 reopens it.
+        let events = vec![mk(1, None), mk(2, Some(0)), mk(3, None), mk(4, Some(0))];
+        let t = Trace::from_parts(events, vec![], Termination::Normal);
+        let _ = t.regions();
     }
 }

@@ -4,6 +4,7 @@ use crate::columnar::{ColumnarTrace, RawEvent};
 use crate::event::{Event, EventRef, InstId, OutputRecord};
 use crate::index::TraceIndex;
 use crate::outcome::CrashKind;
+use crate::region::{region_sizes, RegionTree};
 use crate::value::Value;
 use omislice_lang::StmtId;
 use std::sync::{Arc, OnceLock};
@@ -32,6 +33,9 @@ pub struct Trace {
     /// postings). Only a queried trace — the failing run that relevant
     /// slicing walks — ever builds it.
     index: OnceLock<TraceIndex>,
+    /// Lazily built region subtree sizes, one per instance: only traces
+    /// the aligner walks (the failing run and switched runs) build them.
+    regions: OnceLock<Vec<u32>>,
 }
 
 /// Statement → instances, as a CSR over dense statement ids (statement
@@ -135,6 +139,7 @@ impl Trace {
             by_stmt: OnceLock::new(),
             termination,
             index: OnceLock::new(),
+            regions: OnceLock::new(),
         }
     }
 
@@ -161,6 +166,18 @@ impl Trace {
     pub fn build_index(&self, jobs: usize) -> &TraceIndex {
         self.index
             .get_or_init(|| TraceIndex::build_with_jobs(self, jobs))
+    }
+
+    /// The region tree of this trace (Definition 3), its subtree-size
+    /// column built serially on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on first use if a region parent pointer refers to a later
+    /// instance.
+    pub fn regions(&self) -> RegionTree<'_> {
+        let size = self.regions.get_or_init(|| region_sizes(&self.cols));
+        RegionTree::new(self, size)
     }
 
     /// Number of statement instances.

@@ -22,15 +22,10 @@ fn demo(title: &str, src: &str, pred: StmtId, watch: StmtId) {
         &config.switched(SwitchSpec::new(pred, 0)),
     );
 
-    let orig_regions = RegionTree::build(&orig.trace);
-    let switched_regions = RegionTree::build(&switched.trace);
-    println!(
-        "original regions : {}",
-        orig_regions.render_all(&orig.trace)
-    );
+    println!("original regions : {}", orig.trace.regions().render_all());
     println!(
         "switched regions : {}",
-        switched_regions.render_all(&switched.trace)
+        switched.trace.regions().render_all()
     );
 
     let aligner = Aligner::new(&orig.trace, &switched.trace);

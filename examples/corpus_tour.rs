@@ -28,8 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.len(),
         trace.output_values()
     );
-    let reference = session.oracle().reference();
-    println!("expected    : outputs {:?}", reference.output_values());
+    println!(
+        "expected    : outputs {:?}",
+        session.oracle().expected_outputs()
+    );
 
     let class = session
         .oracle()

@@ -198,7 +198,7 @@ fn reference_runs_classify_full_output_prefixes() {
             let session = b.session(fault).unwrap();
             let trace = session.trace();
             let class = session.oracle().classify_outputs(trace).unwrap();
-            let expected = session.oracle().reference().output_values();
+            let expected = session.oracle().expected_outputs();
             for (i, out) in trace.outputs().iter().enumerate() {
                 if out.inst == class.wrong {
                     assert_ne!(Some(&out.value), expected.get(i), "{} {}", b.name, fault.id);

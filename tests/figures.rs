@@ -117,8 +117,7 @@ fn fig2_region_rendering_shows_loop_chaining() {
         &analysis,
         &RunConfig::default().switched(SwitchSpec::new(StmtId(0), 0)),
     );
-    let regions = RegionTree::build(&sw.trace);
-    let rendered = regions.render_all(&sw.trace);
+    let rendered = sw.trace.regions().render_all();
     // The loop head (S3) heads a region containing its re-evaluation —
     // the paper's [6,7,8,11,12,6] unit.
     assert!(rendered.contains("[3,"), "loop region exists: {rendered}");

@@ -5,6 +5,9 @@
 //! well-formedness across the whole pipeline:
 //!
 //! * plain and traced interpreters produce identical outputs;
+//! * a value run keeps exactly the outputs, termination and per-statement
+//!   values a traced run records, under any step budget and injected
+//!   fault;
 //! * pretty-print → re-parse → re-run is observationally identical;
 //! * trace dependence edges always point backwards in time;
 //! * region trees are properly nested;
@@ -12,8 +15,10 @@
 //! * a switched re-execution shares the prefix up to the switch point,
 //!   and the aligner maps prefix instances to themselves.
 
+use omislice::omislice_interp::run_values;
 use omislice::omislice_lang::printer::print_program;
 use omislice::omislice_slicing::relevant_slice;
+use omislice::omislice_trace::{CrashKind, FaultAction, FaultEntry};
 use omislice::prelude::*;
 use proptest::prelude::*;
 
@@ -45,6 +50,47 @@ proptest! {
             traced.trace.termination().is_normal(),
             "termination mismatch on:\n{}", src
         );
+    }
+
+    #[test]
+    fn value_runs_keep_what_traced_runs_record(
+        (src, inputs) in program_strategy(),
+        budget in prop_oneof![Just(None), (0u64..80).prop_map(Some)],
+        fault in prop_oneof![
+            Just(None),
+            (any::<prop::sample::Index>(), 0u32..3, any::<bool>()).prop_map(Some)
+        ],
+    ) {
+        let (program, analysis) = compiled(&src);
+        let mut config = RunConfig::with_inputs(inputs);
+        if let Some(budget) = budget {
+            config.step_budget = budget;
+        }
+        // An injected crash or budget stop at some instance of some
+        // statement: both interpreters must stop at the same event.
+        if let Some((stmt, occurrence, crash)) = fault {
+            let stmt = StmtId(stmt.index(program.stmt_count() as usize) as u32);
+            let action = if crash {
+                FaultAction::Crash(CrashKind::DivByZero)
+            } else {
+                FaultAction::ExhaustBudget
+            };
+            config.fault = Some(FaultEntry::at_stmt(stmt, occurrence, action));
+        }
+        let traced = run_traced(&program, &analysis, &config).trace;
+        let values = run_values(&program, analysis.index(), &config);
+        prop_assert_eq!(&values.outputs, &traced.output_values(), "src:\n{}", src);
+        prop_assert_eq!(&values.termination, traced.termination(), "src:\n{}", src);
+        for s in 0..program.stmt_count() {
+            let stmt = StmtId(s);
+            let want: Vec<Value> = traced
+                .instances_of(stmt)
+                .iter()
+                .filter_map(|&i| traced.event(i).value)
+                .collect();
+            let got: Vec<Value> = values.values.of(stmt).collect();
+            prop_assert_eq!(got, want, "{} on:\n{}", stmt, src);
+        }
     }
 
     #[test]
@@ -82,12 +128,12 @@ proptest! {
     fn region_trees_are_properly_nested((src, inputs) in program_strategy()) {
         let (program, analysis) = compiled(&src);
         let run = run_traced(&program, &analysis, &RunConfig::with_inputs(inputs));
-        let regions = RegionTree::build(&run.trace);
+        let regions = run.trace.regions();
         for inst in run.trace.insts() {
             for anc in regions.ancestors(inst) {
                 prop_assert!(regions.in_region(anc, inst));
             }
-            for &child in regions.children(inst) {
+            for child in regions.children(inst) {
                 prop_assert_eq!(regions.parent(child), Some(inst));
             }
         }
