@@ -1,11 +1,14 @@
 //! Criterion counterpart of Table 4's Plain-vs-Graph comparison: the
 //! cost of building the dynamic dependence graph during execution, per
 //! corpus benchmark (failing input), plus a scaling series over loop
-//! iteration counts.
+//! iteration counts. Each case times the evaluator under its three sinks
+//! side by side, all resolving through one prebuilt `ProgramIndex` as
+//! Table 4 does: `plain` records nothing, `values` keeps each
+//! statement's values and `graph` records the full trace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_plain, run_traced, RunConfig};
+use omislice::omislice_interp::{run_plain_indexed, run_traced, run_values, RunConfig};
 use omislice::omislice_lang::compile;
 use omislice_corpus::all_benchmarks;
 use std::hint::black_box;
@@ -22,7 +25,11 @@ fn corpus_plain_vs_graph(c: &mut Criterion) {
             let config = RunConfig::with_inputs(fault.failing_input.clone());
             let id = format!("{}-{}", b.name, fault.id);
             group.bench_with_input(BenchmarkId::new("plain", &id), &config, |bench, cfg| {
-                bench.iter(|| black_box(run_plain(&prepared.faulty, cfg)));
+                bench
+                    .iter(|| black_box(run_plain_indexed(&prepared.faulty, analysis.index(), cfg)));
+            });
+            group.bench_with_input(BenchmarkId::new("values", &id), &config, |bench, cfg| {
+                bench.iter(|| black_box(run_values(&prepared.faulty, analysis.index(), cfg)));
             });
             group.bench_with_input(BenchmarkId::new("graph", &id), &config, |bench, cfg| {
                 bench.iter(|| black_box(run_traced(&prepared.faulty, &analysis, cfg)));
@@ -54,7 +61,10 @@ fn scaling_with_trace_length(c: &mut Criterion) {
         let analysis = ProgramAnalysis::build(&program);
         let config = RunConfig::default();
         group.bench_with_input(BenchmarkId::new("plain", n), &n, |bench, _| {
-            bench.iter(|| black_box(run_plain(&program, &config)));
+            bench.iter(|| black_box(run_plain_indexed(&program, analysis.index(), &config)));
+        });
+        group.bench_with_input(BenchmarkId::new("values", n), &n, |bench, _| {
+            bench.iter(|| black_box(run_values(&program, analysis.index(), &config)));
         });
         group.bench_with_input(BenchmarkId::new("graph", n), &n, |bench, _| {
             bench.iter(|| black_box(run_traced(&program, &analysis, &config)));

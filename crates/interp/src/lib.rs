@@ -1,45 +1,47 @@
 //! # omislice-interp
 //!
-//! Deterministic interpreters for the mini-language — the substrate that
-//! replaces the paper's valgrind-2.2.0 instrumentation layer:
+//! A deterministic interpreter for the mini-language — the substrate that
+//! replaces the paper's valgrind-2.2.0 instrumentation layer. One
+//! evaluator runs every execution, generic over what it records:
 //!
-//! * [`run_traced`] executes a program while constructing the full dynamic
-//!   dependence graph (data dependences, dynamic control dependences,
-//!   region nesting, timestamps) — the paper's "Graph" configuration;
-//! * [`run_plain`] executes without any tracking — the paper's "Plain"
-//!   configuration, also used for cheap output-only re-executions;
-//! * [`run_values`] is the plain evaluator keeping each statement's
-//!   values, for readers that compare values and nothing else (the
-//!   ground-truth oracle's reference run, value profiles);
-//! * both support **predicate switching** ([`SwitchSpec`]): forcing one
-//!   dynamic instance of a chosen predicate to take the opposite branch,
-//!   the mechanism behind implicit-dependence verification;
-//! * both enforce a step budget, replacing the paper's wall-clock timer
-//!   for switched runs that no longer terminate;
-//! * both honor the statement entry of an
-//!   [`omislice_trace::FaultPlan`] (`S<id>[:occ]=<action>`, carried in
-//!   [`RunConfig::fault`]) at the same logical point, so injected
-//!   crashes, budget exhaustion and panics hit switched re-executions
-//!   deterministically.
+//! * [`run_traced`] records the full dynamic dependence graph (data
+//!   dependences, dynamic control dependences, region nesting,
+//!   timestamps) — the paper's "Graph" configuration;
+//! * [`run_plain`] records nothing — the paper's "Plain" configuration,
+//!   also used for cheap output-only re-executions;
+//! * [`run_values`] keeps each statement's values, for readers that
+//!   compare values and nothing else (the ground-truth oracle's
+//!   reference run, value profiles).
+//!
+//! Whatever it records, every run supports **predicate switching**
+//! ([`SwitchSpec`]): forcing one dynamic instance of a chosen predicate to
+//! take the opposite branch, the mechanism behind implicit-dependence
+//! verification. Every run enforces a step budget, replacing the paper's
+//! wall-clock timer for switched runs that no longer terminate, and
+//! honors the statement entry of an [`omislice_trace::FaultPlan`]
+//! (`S<id>[:occ]=<action>`, carried in [`RunConfig::fault`]) at the same
+//! logical point, so injected crashes, budget exhaustion and panics hit
+//! switched re-executions deterministically.
 //!
 //! Executions are fully determined by `(program, inputs, switch)`, so the
 //! re-execution in Definition 2 ("reexecute with the same input, switch
 //! `p`") reproduces the original run exactly up to the switch point.
 
-pub mod plain;
 pub mod snapshot;
 pub mod store;
 pub mod tracer;
 
-pub use plain::{run_plain, run_plain_indexed, run_values, PlainRun, StmtValues, ValueRun};
 pub use snapshot::{
     resume_switched, resume_switched_capturing, run_traced_with_checkpoints, Checkpoint,
     ResumeError, ResumeMode,
 };
-pub use tracer::{last_demand, run_traced, TracedRun, MAX_CALL_DEPTH};
+pub use tracer::{
+    last_demand, run_plain, run_plain_indexed, run_traced, run_values, PlainRun, StmtValues,
+    TracedRun, ValueRun, MAX_CALL_DEPTH,
+};
 
 use omislice_lang::StmtId;
-use omislice_trace::{CrashKind, FaultAction, FaultEntry, FaultSite};
+use omislice_trace::FaultEntry;
 
 /// Selects one dynamic predicate instance whose branch outcome is negated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,48 +81,6 @@ impl OverrideSpec {
             occurrence,
             value,
         }
-    }
-}
-
-/// What an injected fault turns into at its firing site; each
-/// interpreter maps this onto its own stop signal.
-pub(crate) enum InjectedFault {
-    Crash(CrashKind, String),
-    Budget,
-}
-
-/// Shared fault-firing logic for both interpreters: counts instances of
-/// the fault entry's statement in `seen` and, at the planned occurrence,
-/// produces the injected stop (or panics, for [`FaultAction::Panic`]).
-/// `corrupt-checkpoint` and `panic-harness` entries never fire here —
-/// the former acts at checkpoint capture time, the latter in the
-/// verifier harness; both leave execution untouched.
-pub(crate) fn fault_fires(
-    seen: &mut u32,
-    fault: Option<FaultEntry>,
-    stmt: StmtId,
-) -> Option<InjectedFault> {
-    let fault = fault?;
-    if fault.site != FaultSite::Stmt(stmt)
-        || matches!(
-            fault.action,
-            FaultAction::CorruptCheckpoint | FaultAction::PanicHarness
-        )
-    {
-        return None;
-    }
-    let n = *seen;
-    *seen += 1;
-    if n != fault.occurrence {
-        return None;
-    }
-    match fault.action {
-        FaultAction::Crash(kind) => {
-            Some(InjectedFault::Crash(kind, format!("injected {kind} fault")))
-        }
-        FaultAction::ExhaustBudget => Some(InjectedFault::Budget),
-        FaultAction::Panic => panic!("injected panic at {stmt} (occurrence {n})"),
-        _ => None,
     }
 }
 
@@ -223,7 +183,7 @@ impl BudgetSchedule {
 
     /// The retries a run executed once at the full budget `cap` counts:
     /// one per rung below `cap` that its `demand` (see
-    /// [`tracer::last_demand`]) exceeds, or every such rung when the run
+    /// [`last_demand`]) exceeds, or every such rung when the run
     /// ended budget-exhausted (at `cap`, or by an injected budget fault
     /// that fires under any budget).
     pub fn retries(&self, cap: u64, demand: u64, exhausted: bool) -> usize {
@@ -250,8 +210,8 @@ pub struct RunConfig {
     /// Optional value override (perturbation).
     pub value_override: Option<OverrideSpec>,
     /// Optional deterministic fault injection: the statement entry of a
-    /// [`FaultPlan`](omislice_trace::FaultPlan). Both interpreters honor
-    /// it identically, and a resumed run accounts for instances already
+    /// [`FaultPlan`](omislice_trace::FaultPlan). Every run honors it at
+    /// the same instance, and a resumed run accounts for instances already
     /// in its replayed prefix (an entry that would fire *inside* a
     /// prefix makes the resume refuse, forcing the byte-identical
     /// from-scratch run).
@@ -344,7 +304,7 @@ mod tests {
     use super::*;
     use omislice_analysis::ProgramAnalysis;
     use omislice_lang::{compile, Program};
-    use omislice_trace::{InstId, Termination, Value};
+    use omislice_trace::{CrashKind, FaultAction, InstId, Termination, Value};
 
     fn setup(src: &str) -> (Program, ProgramAnalysis) {
         let p = compile(src).unwrap();
@@ -718,10 +678,13 @@ mod tests {
     /// termination and each statement's values — and stops where it
     /// stops: at every crash class, at every budget up to past the end
     /// (plain's own step count would stop a `while` earlier), under a
-    /// switch and under a value override.
+    /// switch and under a value override. A plain run, unbudgeted, ends
+    /// the same way, crash message included.
     #[test]
     fn value_runs_stop_where_traced_runs_stop() {
         let srcs = [
+            "global a = [0; 2]; fn main() { print(a[true]); }",
+            "global a = [0; 2]; fn main() { a[1 < 2] = 3; }",
             "global a = [0; 2]; fn main() { let i = 0; while i < 5 { a[i] = i; print(i); i = i + 1; } }",
             "fn main() { let i = 3; while i > (0 - 2) { print(12 / i); i = i - 1; } }",
             "fn main() { let k = input(); if k > 2 { let x = 1; } print(x); }",
@@ -733,9 +696,10 @@ mod tests {
         ];
         for src in srcs {
             let (p, a) = setup(src);
-            let full = run_traced(&p, &a, &RunConfig::with_inputs(vec![1]))
-                .trace
-                .len() as u64;
+            let traced = run_traced(&p, &a, &RunConfig::with_inputs(vec![1]));
+            let plain = run_plain(&p, &RunConfig::with_inputs(vec![1]));
+            assert_eq!(&plain.termination, traced.trace.termination(), "{src}");
+            let full = traced.trace.len() as u64;
             let mut configs: Vec<RunConfig> = (0..=full + 2)
                 .map(|budget| RunConfig {
                     step_budget: budget,
@@ -777,7 +741,7 @@ mod tests {
 
     #[test]
     fn plain_and_traced_agree_when_a_local_shadows_a_global_array() {
-        // Both interpreters resolve `a` in `a[0]` to the local scalar.
+        // Plain and traced runs resolve `a` in `a[0]` to the local scalar.
         let (p, a) = setup("global a = [1; 2]; fn main() { let a = 1; print(a[0]); }");
         let cfg = RunConfig::default();
         let t = run_traced(&p, &a, &cfg);

@@ -14,7 +14,7 @@
 //! evaluates), keyed by the predicate's entry-occurrence count, so the
 //! snapshot precedes every side effect of the instance being switched.
 
-use crate::store::{Frame, Globals};
+use crate::store::{Defs, Frame, Globals};
 use crate::tracer::{self, TracedRun};
 use crate::{RunConfig, SwitchSpec};
 use omislice_analysis::ProgramAnalysis;
@@ -23,13 +23,14 @@ use omislice_trace::{FaultAction, FaultSite, InstId, Trace};
 use std::fmt;
 
 /// Interpreter state captured at a candidate predicate instance, from
-/// which a switched run can resume.
+/// which a switched run can resume. Only traced runs capture checkpoints,
+/// so cells hold [`Defs`]; the parameter lets generic capture code name it.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
+pub struct Checkpoint<D = Defs> {
     /// The switch this checkpoint was captured for.
     pub spec: SwitchSpec,
-    pub(crate) globals: Globals,
-    pub(crate) frames: Vec<Frame>,
+    pub(crate) globals: Globals<D>,
+    pub(crate) frames: Vec<Frame<D>>,
     /// Per-statement execution counters, dense over `StmtId`.
     pub(crate) occ: Vec<u32>,
     pub(crate) region_stack: Vec<InstId>,
@@ -233,20 +234,22 @@ pub fn resume_switched_capturing(
     checkpoint
         .validate(program, base)
         .map_err(ResumeError::Invalid)?;
+    // Instances of the fault statement in the prefix: the resumed run's
+    // fault counter starts there.
+    let mut fault_seen = 0;
     if let Some(fault) = config.fault {
-        if fault.action != FaultAction::CorruptCheckpoint {
-            let cols = base.columns();
-            let in_prefix = (0..checkpoint.trace_len)
-                .filter(|&i| FaultSite::Stmt(cols.stmt_of(InstId(i as u32))) == fault.site)
-                .count() as u32;
-            if in_prefix > fault.occurrence {
-                return Err(ResumeError::FaultInPrefix);
-            }
+        let cols = base.columns();
+        fault_seen = (0..checkpoint.trace_len)
+            .filter(|&i| FaultSite::Stmt(cols.stmt_of(InstId(i as u32))) == fault.site)
+            .count() as u32;
+        if fault.action != FaultAction::CorruptCheckpoint && fault_seen > fault.occurrence {
+            return Err(ResumeError::FaultInPrefix);
         }
     }
-    tracer::resume_switched_impl(program, analysis, config, checkpoint, base, capture).ok_or_else(
-        || ResumeError::Invalid("suspended call stack cannot be re-entered".to_string()),
+    tracer::resume_switched_impl(
+        program, analysis, config, checkpoint, base, capture, fault_seen,
     )
+    .ok_or_else(|| ResumeError::Invalid("suspended call stack cannot be re-entered".to_string()))
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Value storage with definition provenance.
 //!
-//! Every scalar cell and array element carries, besides its value, the
-//! set of trace instances that defined it. Writes, array stores and
-//! returns define a cell with exactly one instance, held inline; only a
-//! parameter bound from an expression-position call whose argument has
-//! two or more sources inherits them all (compressing the paper's
-//! register/stack copy chains) and spills them to the heap.
+//! Every scalar cell and array element carries, besides its value, its
+//! provenance: in traced runs ([`Defs`]) the set of trace instances that
+//! defined it, in runs that record no dependences nothing at all.
+//! Writes, array stores and returns define a cell with exactly one
+//! instance, held inline; only a parameter bound from an
+//! expression-position call whose argument has two or more sources
+//! inherits them all (compressing the paper's register/stack copy chains)
+//! and spills them to the heap.
 //!
 //! Storage is index-addressed: globals by their [`VarId`] (globals are
 //! numbered first), a frame's locals by their slot in the function's
@@ -38,16 +40,6 @@ impl Defs {
         }
     }
 
-    /// The instances as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[InstId] {
-        match self {
-            Defs::None => &[],
-            Defs::One(inst) => std::slice::from_ref(inst),
-            Defs::Many(insts) => insts,
-        }
-    }
-
     /// Heap bytes held by a spilled list.
     fn heap_bytes(&self) -> usize {
         match self {
@@ -57,24 +49,63 @@ impl Defs {
     }
 }
 
+/// What a cell keeps of the instances that defined its value: [`Defs`]
+/// in traced runs, nothing (`()`) in runs that record no dependences, so
+/// their writes move a bare value.
+pub(crate) trait Provenance: Clone + Default {
+    /// Defined by the single instance `inst`.
+    fn one(inst: InstId) -> Self;
+
+    /// The defining instances.
+    fn as_slice(&self) -> &[InstId];
+}
+
+impl Provenance for () {
+    #[inline]
+    fn one(_: InstId) {}
+
+    #[inline]
+    fn as_slice(&self) -> &[InstId] {
+        &[]
+    }
+}
+
+impl Provenance for Defs {
+    #[inline]
+    fn one(inst: InstId) -> Self {
+        Defs::One(inst)
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[InstId] {
+        match self {
+            Defs::None => &[],
+            Defs::One(inst) => std::slice::from_ref(inst),
+            Defs::Many(insts) => insts,
+        }
+    }
+}
+
 /// A storage cell: a value plus the instances that defined it.
 #[derive(Debug, Clone, Default)]
-pub struct Cell {
+pub struct Cell<D = Defs> {
     /// Current value (`None` before first write for locals).
     pub value: Option<Value>,
     /// Instances whose execution produced this value.
-    pub defs: Defs,
+    pub defs: D,
 }
 
-impl Cell {
+impl<D> Cell<D> {
     /// A cell holding `value` defined by `defs`.
-    pub fn new(value: Value, defs: Defs) -> Self {
+    pub fn new(value: Value, defs: D) -> Self {
         Cell {
             value: Some(value),
             defs,
         }
     }
+}
 
+impl Cell {
     /// Approximate heap + inline footprint in bytes, used for the
     /// checkpoint store's size-bounded eviction. Deterministic: derived
     /// from element counts and `size_of`, never from allocator state.
@@ -85,24 +116,24 @@ impl Cell {
 
 /// A global slot: scalar or array.
 #[derive(Debug, Clone)]
-pub enum Slot {
+pub enum Slot<D = Defs> {
     /// A scalar global.
-    Scalar(Cell),
+    Scalar(Cell<D>),
     /// A fixed-size integer array.
-    Array(Vec<Cell>),
+    Array(Vec<Cell<D>>),
 }
 
 /// Global storage, indexed by [`VarId`] (globals hold ids
 /// `0..global_count`).
 #[derive(Debug, Clone)]
-pub struct Globals {
-    slots: Vec<Slot>,
+pub struct Globals<D = Defs> {
+    slots: Vec<Slot<D>>,
 }
 
-impl Globals {
+impl<D: Clone + Default> Globals<D> {
     /// Initializes globals from the program's declarations. Initial
     /// values have no defining instance (they exist before the trace).
-    pub fn init(program: &Program, index: &ProgramIndex) -> Self {
+    pub(crate) fn init(program: &Program, index: &ProgramIndex) -> Self {
         let mut slots = Vec::with_capacity(index.vars().global_count());
         for g in program.globals() {
             let var = index
@@ -111,33 +142,32 @@ impl Globals {
                 .expect("declared global is in the table");
             debug_assert_eq!(var.index(), slots.len(), "globals are numbered first");
             slots.push(match &g.init {
-                GlobalInit::Int(n) => Slot::Scalar(Cell::new(Value::Int(*n), Defs::None)),
-                GlobalInit::Bool(b) => Slot::Scalar(Cell::new(Value::Bool(*b), Defs::None)),
+                GlobalInit::Int(n) => Slot::Scalar(Cell::new(Value::Int(*n), D::default())),
+                GlobalInit::Bool(b) => Slot::Scalar(Cell::new(Value::Bool(*b), D::default())),
                 GlobalInit::Array { elem, len } => {
-                    Slot::Array(vec![Cell::new(Value::Int(*elem), Defs::None); *len])
+                    Slot::Array(vec![Cell::new(Value::Int(*elem), D::default()); *len])
                 }
             });
         }
         Globals { slots }
     }
+}
 
+impl<D> Globals<D> {
     /// The slot for `var`, if it is a global.
     #[inline]
-    pub fn get(&self, var: VarId) -> Option<&Slot> {
+    pub(crate) fn get(&self, var: VarId) -> Option<&Slot<D>> {
         self.slots.get(var.index())
     }
 
     /// Mutable access to the slot for `var`.
     #[inline]
-    pub fn get_mut(&mut self, var: VarId) -> Option<&mut Slot> {
+    pub(crate) fn get_mut(&mut self, var: VarId) -> Option<&mut Slot<D>> {
         self.slots.get_mut(var.index())
     }
+}
 
-    /// Whether `var` is a global slot.
-    pub fn contains(&self, var: VarId) -> bool {
-        var.index() < self.slots.len()
-    }
-
+impl Globals {
     /// Approximate footprint in bytes (see [`Cell::approx_bytes`]).
     pub(crate) fn approx_bytes(&self) -> usize {
         let slots: usize = self
@@ -154,15 +184,15 @@ impl Globals {
 
 /// One call frame: local cells plus dynamic-control-dependence context.
 #[derive(Debug, Clone, Default)]
-pub struct Frame {
+pub struct Frame<D = Defs> {
     /// The function this frame executes.
     pub func: FnId,
     /// Local variable cells (parameters and `let`s), one per slot of the
     /// function's local range ([`FnInfo::locals`]).
-    pub locals: Vec<Cell>,
+    pub locals: Vec<Cell<D>>,
     /// Last instance and outcome of each predicate executed in this
     /// frame, one per [`ProgramIndex::pred_slot`], used to resolve
-    /// dynamic control-dependence parents.
+    /// dynamic control-dependence parents; kept by traced runs only.
     pub preds: Vec<Option<(InstId, bool)>>,
     /// Control-dependence parent inherited from the call site, used for
     /// statements with no static CD parent inside this function.
@@ -175,26 +205,37 @@ pub struct Frame {
     pub call_site: Option<StmtId>,
 }
 
-impl Frame {
+impl<D: Default> Frame<D> {
     /// Re-initializes this frame (possibly a recycled one, keeping its
-    /// buffers) for a fresh call of `func`: every local uninitialized,
-    /// no predicate executed yet.
-    pub(crate) fn enter(
-        &mut self,
-        func: FnId,
-        info: &FnInfo,
-        inherited_cd: Option<InstId>,
-        call_site: Option<StmtId>,
-    ) {
+    /// buffers) for a fresh call of `func` from `call_site`: every local
+    /// uninitialized. The control-dependence context (`preds`,
+    /// `inherited_cd`) is the tracing sink's to reset.
+    pub(crate) fn enter(&mut self, func: FnId, info: &FnInfo, call_site: Option<StmtId>) {
         self.func = func;
         self.locals.clear();
         self.locals.resize_with(info.locals.len(), Cell::default);
-        self.preds.clear();
-        self.preds.resize(info.preds as usize, None);
-        self.inherited_cd = inherited_cd;
         self.call_site = call_site;
     }
+}
 
+impl<D> Frame<D> {
+    /// The cell of `var` when it is a local of this frame's function.
+    #[inline]
+    pub(crate) fn local(&self, index: &ProgramIndex, var: VarId) -> Option<&Cell<D>> {
+        let slot = var.0.checked_sub(index.function(self.func).locals.start)?;
+        self.locals.get(slot as usize)
+    }
+
+    /// Mutable access to the cell of `var` when it is a local of this
+    /// frame's function.
+    #[inline]
+    pub(crate) fn local_mut(&mut self, index: &ProgramIndex, var: VarId) -> Option<&mut Cell<D>> {
+        let slot = var.0.checked_sub(index.function(self.func).locals.start)?;
+        self.locals.get_mut(slot as usize)
+    }
+}
+
+impl Frame {
     /// Approximate footprint in bytes (see [`Cell::approx_bytes`]).
     pub(crate) fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Frame>()
@@ -213,7 +254,7 @@ mod tests {
         let p =
             compile("global g = 7; global flag = true; global a = [9; 3]; fn main() { }").unwrap();
         let idx = ProgramIndex::build(&p);
-        let globals = Globals::init(&p, &idx);
+        let globals: Globals = Globals::init(&p, &idx);
         let g = idx.vars().global("g").unwrap();
         match globals.get(g) {
             Some(Slot::Scalar(c)) => assert_eq!(c.value, Some(Value::Int(7))),
@@ -233,9 +274,7 @@ mod tests {
             }
             other => panic!("unexpected slot {other:?}"),
         }
-        assert!(globals.contains(a));
         let ret_main = idx.vars().ret_slot("main").unwrap();
-        assert!(!globals.contains(ret_main));
         assert!(globals.get(ret_main).is_none());
     }
 
@@ -246,7 +285,7 @@ mod tests {
         assert_eq!(c.defs.as_slice(), &[InstId(4), InstId(7)]);
         assert_eq!(Defs::from_distinct(&[InstId(3)]), Defs::One(InstId(3)));
         assert_eq!(Defs::from_distinct(&[]), Defs::None);
-        let d = Cell::default();
+        let d: Cell = Cell::default();
         assert_eq!(d.value, None);
         assert!(d.defs.as_slice().is_empty());
         // Only a spilled list adds heap bytes.

@@ -1,16 +1,34 @@
-//! The tracing interpreter: executes a program while building the dynamic
-//! dependence graph (data dependences, dynamic control dependences, region
-//! nesting, timestamps, outputs) — the role Valgrind instrumentation plays
-//! in the paper — and implements *predicate switching*: forcing a chosen
-//! dynamic predicate instance to take the opposite branch.
+//! The evaluator: the one interpreter of the mini-language, generic over a
+//! [`Sink`] that decides what a run keeps beyond its outputs — the way a
+//! Valgrind tool decides what to keep of the events its core reports.
+//! Three sinks:
+//!
+//! * the no-op sink keeps nothing ([`run_plain`]): the paper's "Plain"
+//!   configuration, also used for cheap output-only re-executions such as
+//!   the critical-predicate search;
+//! * the value sink keeps each statement's values ([`run_values`]): what
+//!   a reader that compares values and nothing else needs (the
+//!   ground-truth oracle's reference run, value profiles), at a fraction
+//!   of a trace's bytes;
+//! * the full sink records the dynamic dependence graph — data
+//!   dependences, dynamic control dependences, region nesting, timestamps
+//!   ([`run_traced`]), the paper's "Graph" configuration — and captures
+//!   the checkpoints switched runs resume from.
+//!
+//! Every run keeps frames, globals and cells, the occurrence counters
+//! behind *predicate switching* (forcing a chosen dynamic predicate
+//! instance to take the opposite branch), value overrides and injected
+//! faults, the input cursor, the outputs and the instance counter. A
+//! plain run is the trace erasure of a traced one: the three agree by
+//! construction.
 
 use crate::snapshot::Checkpoint;
-use crate::store::{Cell, Defs, Frame, Globals, Slot};
+use crate::store::{Cell, Defs, Frame, Globals, Provenance, Slot};
 use crate::{OverrideSpec, RunConfig, SwitchSpec};
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::{
-    BinOp, Block, Expr, ExprId, ExprKind, FnDecl, FnId, Program, ProgramIndex, Stmt, StmtId,
-    StmtKind, UnOp, VarId,
+    BinOp, Block, Expr, ExprId, ExprKind, FnDecl, FnId, FnInfo, Program, ProgramIndex, Stmt,
+    StmtId, StmtKind, UnOp, VarId,
 };
 use omislice_trace::{
     CrashKind, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent, Recorder,
@@ -20,6 +38,169 @@ use omislice_trace::{
 /// Maximum call depth; deeper recursion is reported as a runtime error
 /// rather than overflowing the host stack.
 pub const MAX_CALL_DEPTH: usize = 96;
+
+/// Result of an untraced execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlainRun {
+    /// Values printed, in order.
+    pub outputs: Vec<Value>,
+    /// How the run ended.
+    pub termination: Termination,
+    /// Number of statements executed.
+    pub steps: u64,
+    /// How many `input()` calls ran past the end of the input stream
+    /// (each yielded `0`).
+    pub input_underflows: u64,
+}
+
+impl PlainRun {
+    /// Whether the run terminated normally.
+    pub fn is_normal(&self) -> bool {
+        self.termination.is_normal()
+    }
+}
+
+/// Executes `program` under `config` without building a trace.
+///
+/// Builds the program's [`ProgramIndex`] first; a caller that already
+/// holds one (every analyzed program does) should use
+/// [`run_plain_indexed`] instead.
+///
+/// # Examples
+///
+/// ```
+/// use omislice_interp::{run_plain, RunConfig};
+/// use omislice_lang::compile;
+/// use omislice_trace::Value;
+///
+/// let program = compile("fn main() { print(2 * input()); }")?;
+/// let run = run_plain(&program, &RunConfig::with_inputs(vec![21]));
+/// assert_eq!(run.outputs, vec![Value::Int(42)]);
+/// # Ok::<(), omislice_lang::FrontendError>(())
+/// ```
+pub fn run_plain(program: &Program, config: &RunConfig) -> PlainRun {
+    run_plain_indexed(program, &ProgramIndex::build(program), config)
+}
+
+/// Executes `program` under `config` without building a trace, resolving
+/// names, calls and slots through `index`, which must have been built
+/// for the same program.
+///
+/// The run is bounded by its own step count: one per statement entry
+/// and one per `while` condition ([`PlainRun::steps`]), which stops a
+/// loop earlier than a traced run's instance count would.
+pub fn run_plain_indexed(program: &Program, index: &ProgramIndex, config: &RunConfig) -> PlainRun {
+    let mut e = Eval::new(program, index, config, ());
+    let termination = termination(e.run_main());
+    PlainRun {
+        outputs: e.outputs.into_iter().map(|o| o.value).collect(),
+        termination,
+        steps: e.ticks,
+        input_underflows: e.input_underflows,
+    }
+}
+
+/// The values one run computed, per statement, in execution order: the
+/// assigned, stored, printed and returned values and the predicate
+/// outcomes the tracer records in its events' `value` field. Whether an
+/// instance has a value depends only on its statement's kind, so the
+/// `k`-th value of a statement is the value of its `k`-th instance.
+/// Nine bytes per valued instance: the payload, and whether it is a
+/// boolean.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StmtValues {
+    /// Payload per statement and instance (booleans as 0/1).
+    words: Vec<Vec<i64>>,
+    /// Whether each payload is a boolean, parallel to `words`.
+    bools: Vec<Vec<bool>>,
+}
+
+impl StmtValues {
+    #[inline]
+    fn push(&mut self, stmt: StmtId, value: Value) {
+        let (word, is_bool) = match value {
+            Value::Int(n) => (n, false),
+            Value::Bool(b) => (b as i64, true),
+        };
+        self.words[stmt.index()].push(word);
+        self.bools[stmt.index()].push(is_bool);
+    }
+
+    /// The value of the `k`-th (0-based) valued instance of `stmt`, if
+    /// it ran that often.
+    pub fn get(&self, stmt: StmtId, k: usize) -> Option<Value> {
+        let word = *self.words.get(stmt.index())?.get(k)?;
+        Some(if self.bools[stmt.index()][k] {
+            Value::Bool(word != 0)
+        } else {
+            Value::Int(word)
+        })
+    }
+
+    /// The values of `stmt`'s instances, in execution order.
+    pub fn of(&self, stmt: StmtId) -> impl Iterator<Item = Value> + '_ {
+        let i = stmt.index();
+        let words = self.words.get(i).map_or(&[][..], Vec::as_slice);
+        let bools = self.bools.get(i).map_or(&[][..], Vec::as_slice);
+        words.iter().zip(bools).map(|(&w, &b)| {
+            if b {
+                Value::Bool(w != 0)
+            } else {
+                Value::Int(w)
+            }
+        })
+    }
+
+    /// Statements covered (the program's statement count).
+    pub fn stmt_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Bytes the values occupy: nine per valued instance.
+    pub fn bytes(&self) -> usize {
+        9 * self.words.iter().map(Vec::len).sum::<usize>()
+    }
+}
+
+/// Result of a value run ([`run_values`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ValueRun {
+    /// Values printed, in order.
+    pub outputs: Vec<Value>,
+    /// How the run ended.
+    pub termination: Termination,
+    /// The values each statement computed, in execution order.
+    pub values: StmtValues,
+}
+
+/// Executes `program` under `config` keeping only values: the outputs,
+/// the termination, and per statement the values [`run_traced`] records
+/// in its events, with no dependences, regions or event columns.
+///
+/// The run stops exactly where `run_traced` would: the step budget caps
+/// the instances recorded (not [`run_plain`]'s steps, which also count
+/// each `while` entry), checked before an injected fault fires. A value
+/// run is never scoped by a [`Supervisor`](omislice_trace::Supervisor)
+/// deadline, which only the failing run's recording observes.
+pub fn run_values(program: &Program, index: &ProgramIndex, config: &RunConfig) -> ValueRun {
+    let stmts = program.stmt_count() as usize;
+    let sink = StmtValues {
+        words: vec![Vec::new(); stmts],
+        bools: vec![Vec::new(); stmts],
+    };
+    let mut e = Eval::new(program, index, config, sink);
+    let termination = termination(e.run_main());
+    let mut values = e.sink;
+    for (words, bools) in values.words.iter_mut().zip(&mut values.bools) {
+        words.shrink_to_fit();
+        bools.shrink_to_fit();
+    }
+    ValueRun {
+        outputs: e.outputs.into_iter().map(|o| o.value).collect(),
+        termination,
+        values,
+    }
+}
 
 /// Result of a traced execution.
 #[derive(Debug, Clone)]
@@ -59,12 +240,12 @@ pub fn last_demand() -> u64 {
 
 /// A run's demand counter; publishes it to [`last_demand`] when dropped,
 /// which happens on return and during unwinding alike.
-struct Demand(std::cell::Cell<u64>);
+struct Demand(u64);
 
 impl Drop for Demand {
     fn drop(&mut self) {
         // `try_with`: a drop during thread teardown must not panic.
-        let _ = LAST_DEMAND.try_with(|d| d.set(self.0.get()));
+        let _ = LAST_DEMAND.try_with(|d| d.set(self.0));
     }
 }
 
@@ -108,75 +289,21 @@ pub(crate) fn run_traced_capturing(
     config: &RunConfig,
     capture: &[SwitchSpec],
 ) -> (TracedRun, Vec<Checkpoint>) {
-    let demand = Demand(std::cell::Cell::new(0));
-    let mut t = Tracer {
-        analysis,
-        index: analysis.index(),
-        fns: program.functions().collect(),
-        inputs: &config.inputs,
-        input_pos: 0,
-        input_underflows: 0,
-        budget: config.step_budget,
-        switch: config.switch,
-        switched: None,
-        value_override: config.value_override,
-        overridden: None,
-        fault: config.fault,
-        fault_seen: 0,
-        occ: vec![0; program.stmt_count() as usize],
-        rec: Recorder::new(),
-        outputs: Vec::new(),
-        globals: Globals::init(program, analysis.index()),
-        region_stack: Vec::new(),
-        frames: Vec::new(),
-        spare: Vec::new(),
-        deps: Vec::new(),
-        args: Vec::new(),
-        scratch: Vec::new(),
-        capture: capture_table(program, capture),
-        captured: Vec::new(),
-        demand: &demand.0,
-    };
+    let sink = Full::new(analysis, Recorder::new(), Vec::new(), program, capture);
+    let mut e = Eval::new(program, analysis.index(), config, sink);
     // The recorder guard sits outside the event-append loop: one
     // `enabled()` check and one counter flush per run, never per event.
     let span = omislice_obs::span("trace");
-    let termination = match t.run_main() {
-        Ok(()) => Termination::Normal,
-        Err(Stop::Budget) => Termination::BudgetExhausted,
-        Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
-    };
-    let cols = t.rec.finish();
+    let result = e.run_main();
+    let (run, captured) = e.into_traced(result);
     if omislice_obs::enabled() {
+        let cols = run.trace.columns();
         omislice_obs::counter_add("tracer.events", cols.len() as u64);
         omislice_obs::counter_add("tracer.runs", 1);
         omislice_obs::counter_add("columnar.bytes", cols.bytes() as u64);
     }
     drop(span);
-    let run = TracedRun {
-        trace: Trace::from_recorded(cols, t.outputs, termination),
-        switched: t.switched,
-        overridden: t.overridden,
-        input_underflows: t.input_underflows,
-    };
-    (run, t.captured)
-}
-
-/// Capture requests indexed by predicate statement, each list sorted for
-/// binary search; empty when nothing is requested.
-fn capture_table(program: &Program, capture: &[SwitchSpec]) -> Vec<Vec<u32>> {
-    if capture.is_empty() {
-        return Vec::new();
-    }
-    let mut table = vec![Vec::new(); program.stmt_count() as usize];
-    for spec in capture {
-        if let Some(occs) = table.get_mut(spec.pred.index()) {
-            occs.push(spec.occurrence);
-        }
-    }
-    for occs in &mut table {
-        occs.sort_unstable();
-    }
-    table
+    (run, captured)
 }
 
 /// Resumes the suspended base run from `checkpoint` with `config.switch`
@@ -201,8 +328,9 @@ fn capture_table(program: &Program, capture: &[SwitchSpec]) -> Vec<Vec<u32>> {
 /// point by determinism, and the step budget still counts prefix events,
 /// so budget semantics are preserved exactly. An injected fault entry
 /// keeps the same alignment: the occurrence counter it fires on is seeded
-/// with the number of prefix instances of the fault statement (the caller
-/// refuses resumption when the fault would have fired inside the prefix).
+/// with `fault_seen`, the prefix instances of the fault statement (the
+/// caller refuses resumption when the fault would have fired inside the
+/// prefix).
 /// The dependence buffer needs no restoring: it is empty at every
 /// resumable capture point.
 pub(crate) fn resume_switched_impl(
@@ -212,8 +340,12 @@ pub(crate) fn resume_switched_impl(
     checkpoint: &Checkpoint,
     base: &Trace,
     capture: &[SwitchSpec],
+    fault_seen: u32,
 ) -> Option<(TracedRun, Vec<Checkpoint>)> {
-    let fns: Vec<&FnDecl> = program.functions().collect();
+    let rec = Recorder::from_prefix(&base.columns_arc(), checkpoint.trace_len);
+    let regions = checkpoint.region_stack.clone();
+    let sink = Full::new(analysis, rec, regions, program, capture);
+    let mut e = Eval::new(program, analysis.index(), config, sink);
     // Reconstruct, per frame, the static path from the function body to
     // the statement the frame is suspended at: the call site of the next
     // frame, or the switched predicate itself for the innermost frame.
@@ -223,7 +355,7 @@ pub(crate) fn resume_switched_impl(
             Some(next) => next.call_site.expect("is_resumable checked call sites"),
             None => checkpoint.spec.pred,
         };
-        let decl = fns.get(frame.func.index())?;
+        let decl = e.fns.get(frame.func.index())?;
         let info = analysis.index().function(frame.func);
         if frame.locals.len() != info.locals.len() || frame.preds.len() != info.preds as usize {
             return None;
@@ -234,126 +366,328 @@ pub(crate) fn resume_switched_impl(
         }
         paths.push(steps);
     }
-    let cols = base.columns();
-    let fault_seen = match config.fault {
-        Some(fault) => (0..checkpoint.trace_len)
-            .filter(|&i| FaultSite::Stmt(cols.stmt_of(InstId(i as u32))) == fault.site)
-            .count() as u32,
-        None => 0,
-    };
-    let demand = Demand(std::cell::Cell::new(checkpoint.trace_len as u64));
-    let mut t = Tracer {
-        analysis,
-        index: analysis.index(),
-        fns,
-        inputs: &config.inputs,
-        input_pos: checkpoint.input_pos,
-        input_underflows: checkpoint.input_underflows,
-        budget: config.step_budget,
-        switch: config.switch.or(Some(checkpoint.spec)),
-        switched: None,
-        value_override: None,
-        overridden: None,
-        fault: config.fault,
-        fault_seen,
-        occ: checkpoint.occ.clone(),
-        rec: Recorder::from_prefix(&base.columns_arc(), checkpoint.trace_len),
-        outputs: base.outputs()[..checkpoint.outputs_len].to_vec(),
-        globals: checkpoint.globals.clone(),
-        region_stack: checkpoint.region_stack.clone(),
-        frames: vec![checkpoint.frames[0].clone()],
-        spare: Vec::new(),
-        deps: Vec::new(),
-        args: Vec::new(),
-        scratch: Vec::new(),
-        capture: capture_table(program, capture),
-        captured: Vec::new(),
-        demand: &demand.0,
-    };
-    let termination = match t.resume_main(checkpoint, &paths) {
-        Ok(()) => Termination::Normal,
-        Err(Stop::Budget) => Termination::BudgetExhausted,
-        Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
-    };
-    Some((
-        TracedRun {
-            trace: Trace::from_recorded(t.rec.finish(), t.outputs, termination),
-            switched: t.switched,
-            overridden: t.overridden,
-            input_underflows: t.input_underflows,
-        },
-        t.captured,
-    ))
+    // The state the base run had at the suspension, with the
+    // checkpoint's own switch armed unless the config arms one.
+    e.input_pos = checkpoint.input_pos;
+    e.input_underflows = checkpoint.input_underflows;
+    e.next = checkpoint.trace_len as u32;
+    e.switch = e.switch.or(Some(checkpoint.spec));
+    e.value_override = None;
+    e.fault_seen = fault_seen;
+    e.occ.clone_from(&checkpoint.occ);
+    e.outputs = base.outputs()[..checkpoint.outputs_len].to_vec();
+    e.globals = checkpoint.globals.clone();
+    e.frames = vec![checkpoint.frames[0].clone()];
+    let result = e.resume_main(checkpoint, &paths);
+    Some(e.into_traced(result))
 }
 
-/// One step of a static resume path: which statement of the current block
-/// the suspension lies at, and how execution descends into it (`None`
-/// marks the suspension statement itself).
-struct Step {
-    index: usize,
-    descend: Option<Descend>,
-}
-
-enum Descend {
-    Then,
-    Else,
-    Body,
-}
-
-/// Depth-first search for the unique static path from `block` to the
-/// statement `target`, recorded as [`Step`]s.
-fn find_path(block: &Block, target: StmtId, out: &mut Vec<Step>) -> bool {
-    for (index, stmt) in block.stmts.iter().enumerate() {
-        if stmt.id == target {
-            out.push(Step {
-                index,
-                descend: None,
-            });
-            return true;
-        }
-        match &stmt.kind {
-            StmtKind::If {
-                then_blk, else_blk, ..
-            } => {
-                out.push(Step {
-                    index,
-                    descend: Some(Descend::Then),
-                });
-                if find_path(then_blk, target, out) {
-                    return true;
-                }
-                out.pop();
-                if let Some(e) = else_blk {
-                    out.push(Step {
-                        index,
-                        descend: Some(Descend::Else),
-                    });
-                    if find_path(e, target, out) {
-                        return true;
-                    }
-                    out.pop();
-                }
-            }
-            StmtKind::While { body, .. } => {
-                out.push(Step {
-                    index,
-                    descend: Some(Descend::Body),
-                });
-                if find_path(body, target, out) {
-                    return true;
-                }
-                out.pop();
-            }
-            _ => {}
+/// Capture requests indexed by predicate statement, each list sorted for
+/// binary search; empty when nothing is requested.
+fn capture_table(program: &Program, capture: &[SwitchSpec]) -> Vec<Vec<u32>> {
+    if capture.is_empty() {
+        return Vec::new();
+    }
+    let mut table = vec![Vec::new(); program.stmt_count() as usize];
+    for spec in capture {
+        if let Some(occs) = table.get_mut(spec.pred.index()) {
+            occs.push(spec.occurrence);
         }
     }
-    false
+    for occs in &mut table {
+        occs.sort_unstable();
+    }
+    table
 }
+
+// --- sinks -----------------------------------------------------------
+
+/// What a run keeps beyond what the evaluator keeps for every run. The
+/// evaluator reports each instance it completes, the operand sources it
+/// reads, the calls and regions it enters and the predicates it may
+/// capture a checkpoint at; every hook but [`record`](Self::record)
+/// defaults to doing nothing, so a sink pays only for what it keeps and
+/// monomorphization removes the rest.
+trait Sink {
+    /// Whether the evaluator's tick count (one per statement entry and
+    /// per `while` condition) bounds the run. Otherwise the admitted
+    /// instances do, checked before an injected fault fires.
+    const TICKS: bool;
+
+    /// What the run's cells keep of the instances that defined them.
+    type Defs: Provenance;
+
+    /// Whether instance `next` may run; asked before the step budget is
+    /// checked. `false` stops the run as budget-exhausted.
+    #[inline]
+    fn admit(&mut self, _next: u32) -> bool {
+        true
+    }
+
+    /// Keeps the admitted instance `inst`: its event, the window of the
+    /// dependence buffer from `mark`, and its call depth.
+    fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32);
+
+    /// Sets the defined variable of the instance just recorded.
+    #[inline]
+    fn def_var(&mut self, _var: VarId) {}
+
+    /// The length of the dependence buffer, where a window starts.
+    #[inline]
+    fn mark(&self) -> usize {
+        0
+    }
+
+    /// Appends an operand's defining instances to the dependence buffer.
+    #[inline]
+    fn read(&mut self, _defs: &[InstId]) {}
+
+    /// Truncates the dependence buffer back to `mark`.
+    #[inline]
+    fn truncate(&mut self, _mark: usize) {}
+
+    /// The distinct sources in the dependence buffer from `start` to
+    /// `end` (its end when `None`): what an expression-position call's
+    /// parameter inherits from its argument.
+    #[inline]
+    fn sources(&mut self, _start: usize, _end: Option<usize>) -> Self::Defs {
+        Self::Defs::default()
+    }
+
+    /// The dynamic control-dependence parent of `stmt`, about to execute
+    /// in the innermost of `frames`.
+    #[inline]
+    fn cd_of(&self, _frames: &[Frame<Self::Defs>], _stmt: StmtId) -> Option<InstId> {
+        None
+    }
+
+    /// Prepares a freshly entered frame of a function described by `info`.
+    #[inline]
+    fn enter(&self, _frame: &mut Frame<Self::Defs>, _info: &FnInfo) {}
+
+    /// Notes the instance and outcome of a predicate statement in the
+    /// innermost of the frames.
+    #[inline]
+    fn predicate(&self, _: &mut [Frame<Self::Defs>], _: StmtId, _: InstId, _outcome: bool) {}
+
+    /// Opens the region of predicate instance `inst`.
+    #[inline]
+    fn push_region(&mut self, _inst: InstId) {}
+
+    /// Closes the innermost open region.
+    #[inline]
+    fn pop_region(&mut self) {}
+
+    /// Whether to capture a checkpoint at entry to the next instance of
+    /// predicate `stmt`, given the occurrence counters `occ`.
+    #[inline]
+    fn captures(&self, _stmt: StmtId, _occ: &[u32]) -> bool {
+        false
+    }
+
+    /// Keeps a checkpoint the evaluator captured, adding the open regions.
+    #[inline]
+    fn keep(&mut self, _checkpoint: Checkpoint<Self::Defs>) {}
+}
+
+/// The no-op sink: a plain run keeps nothing and is bounded by its ticks.
+impl Sink for () {
+    const TICKS: bool = true;
+    type Defs = ();
+
+    #[inline]
+    fn record(&mut self, _: InstId, _: Ev, _: usize, _: u32) {}
+}
+
+/// The value sink: a value run keeps each statement's values.
+impl Sink for StmtValues {
+    const TICKS: bool = false;
+    type Defs = ();
+
+    #[inline]
+    fn record(&mut self, _: InstId, ev: Ev, _: usize, _: u32) {
+        if let Some(v) = ev.value {
+            self.push(ev.stmt, v);
+        }
+    }
+}
+
+/// The full sink: records the trace and captures checkpoints.
+struct Full<'a> {
+    analysis: &'a ProgramAnalysis,
+    /// The column writer the run appends into, polled for the
+    /// supervisor's deadline.
+    rec: Recorder,
+    /// The run's one dependence buffer. Evaluating an expression appends
+    /// the defining instances of the operands it reads, in evaluation
+    /// order (index before cell, lhs before rhs, arguments in order); a
+    /// statement records the window it opened, deduplicated in place, and
+    /// truncates the buffer back. Windows of callers suspended in an
+    /// expression-position call sit below the callee's.
+    deps: Vec<InstId>,
+    /// Scratch for deduplicating long dependence windows.
+    scratch: Vec<(InstId, u32)>,
+    /// Innermost guarding predicate instances (region nesting), crossing
+    /// call boundaries.
+    region_stack: Vec<InstId>,
+    /// Predicate occurrences at which to capture a [`Checkpoint`],
+    /// indexed by statement, sorted. Empty on ordinary and resumed runs.
+    capture: Vec<Vec<u32>>,
+    captured: Vec<Checkpoint>,
+    /// Events asked for so far, refused ones included (see
+    /// [`last_demand`]).
+    demand: Demand,
+}
+
+impl<'a> Full<'a> {
+    fn new(
+        analysis: &'a ProgramAnalysis,
+        rec: Recorder,
+        region_stack: Vec<InstId>,
+        program: &Program,
+        capture: &[SwitchSpec],
+    ) -> Self {
+        Full {
+            analysis,
+            demand: Demand(rec.len() as u64),
+            rec,
+            deps: Vec::new(),
+            scratch: Vec::new(),
+            region_stack,
+            capture: capture_table(program, capture),
+            captured: Vec::new(),
+        }
+    }
+}
+
+impl Sink for Full<'_> {
+    const TICKS: bool = false;
+    type Defs = Defs;
+
+    /// Counts the demand, and refuses once a scoped deadline expired at
+    /// the recorder's last counted check (the paper's expired-timer rule:
+    /// the run terminates as budget-exhausted).
+    #[inline]
+    fn admit(&mut self, next: u32) -> bool {
+        self.demand.0 = next as u64 + 1;
+        !self.rec.deadline_hit()
+    }
+
+    /// Records the event with its timestamp, region parent and call depth
+    /// and the deduplicated window as its data dependences.
+    #[inline]
+    fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32) {
+        let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
+        let recorded = self.rec.push(RawEvent {
+            stmt: ev.stmt,
+            value: ev.value,
+            branch: ev.branch,
+            deps: &self.deps[mark..mark + n],
+            cd_parent: ev.cd_parent,
+            region_parent: self.region_stack.last().copied(),
+            def_var: ev.def_var,
+            cell_index: ev.cell_index,
+            call_depth: depth,
+        });
+        debug_assert_eq!(recorded, inst, "the evaluator counts what is recorded");
+        self.deps.truncate(mark);
+    }
+
+    #[inline]
+    fn def_var(&mut self, var: VarId) {
+        self.rec.set_def_var_last(var);
+    }
+
+    #[inline]
+    fn mark(&self) -> usize {
+        self.deps.len()
+    }
+
+    #[inline]
+    fn read(&mut self, defs: &[InstId]) {
+        self.deps.extend_from_slice(defs);
+    }
+
+    #[inline]
+    fn truncate(&mut self, mark: usize) {
+        self.deps.truncate(mark);
+    }
+
+    fn sources(&mut self, start: usize, end: Option<usize>) -> Defs {
+        let end = end.unwrap_or(self.deps.len());
+        let window = &mut self.deps[start..end];
+        let n = dedup_in_place(window, &mut self.scratch);
+        Defs::from_distinct(&window[..n])
+    }
+
+    /// The most recent instance in `frame` of a static CD parent whose
+    /// branch outcome matches, falling back to the parent inherited from
+    /// the call site for statements at the top level of their function.
+    fn cd_of(&self, frames: &[Frame], stmt: StmtId) -> Option<InstId> {
+        let frame = frames.last().expect("at least one frame");
+        let index = self.analysis.index();
+        let mut best: Option<InstId> = None;
+        for cp in self.analysis.cd_parents(stmt) {
+            if let Some(Some((inst, outcome))) = frame.preds.get(index.pred_slot(cp.pred)) {
+                if *outcome == cp.branch {
+                    best = Some(best.map_or(*inst, |b| b.max(*inst)));
+                }
+            }
+        }
+        best.or(frame.inherited_cd)
+    }
+
+    /// Clears the frame's predicate table and inherits the innermost open
+    /// region as the control-dependence parent of the callee's top level.
+    fn enter(&self, frame: &mut Frame, info: &FnInfo) {
+        frame.preds.clear();
+        frame.preds.resize(info.preds as usize, None);
+        frame.inherited_cd = self.region_stack.last().copied();
+    }
+
+    #[inline]
+    fn predicate(&self, frames: &mut [Frame], stmt: StmtId, inst: InstId, outcome: bool) {
+        let frame = frames.last_mut().expect("at least one frame");
+        frame.preds[self.analysis.index().pred_slot(stmt)] = Some((inst, outcome));
+    }
+
+    #[inline]
+    fn push_region(&mut self, inst: InstId) {
+        self.region_stack.push(inst);
+    }
+
+    #[inline]
+    fn pop_region(&mut self) {
+        self.region_stack.pop();
+    }
+
+    #[inline]
+    fn captures(&self, stmt: StmtId, occ: &[u32]) -> bool {
+        let occs = self.capture.get(stmt.index());
+        occs.is_some_and(|occs| occs.binary_search(&occ[stmt.index()]).is_ok())
+    }
+
+    fn keep(&mut self, mut checkpoint: Checkpoint) {
+        checkpoint.region_stack = self.region_stack.clone();
+        self.captured.push(checkpoint);
+    }
+}
+
+// --- the evaluator ---------------------------------------------------
 
 /// Why execution stopped abnormally.
 enum Stop {
     Budget,
     Crash(CrashKind, String),
+}
+
+/// How a run that stopped with `result` terminated.
+fn termination(result: Result<(), Stop>) -> Termination {
+    match result {
+        Ok(()) => Termination::Normal,
+        Err(Stop::Budget) => Termination::BudgetExhausted,
+        Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
+    }
 }
 
 /// Intra-procedural control flow signal.
@@ -370,8 +704,8 @@ type ExecResult = Result<Flow, Stop>;
 type EvalResult = Result<Value, Stop>;
 
 /// The fields of an event about to be recorded, short of its data
-/// dependences (a window of [`Tracer::deps`]) and of what the recorder
-/// derives itself (timestamp, region parent, call depth).
+/// dependences (a window of the dependence buffer) and of what the
+/// recorder derives itself (timestamp, region parent, call depth).
 #[derive(Clone, Copy)]
 struct Ev {
     stmt: StmtId,
@@ -395,8 +729,7 @@ impl Ev {
     }
 }
 
-struct Tracer<'a> {
-    analysis: &'a ProgramAnalysis,
+struct Eval<'a, S: Sink> {
     index: &'a ProgramIndex,
     /// Function declarations by [`FnId`].
     fns: Vec<&'a FnDecl>,
@@ -405,6 +738,12 @@ struct Tracer<'a> {
     /// `input()` calls that ran past the end of the stream (yielding 0).
     input_underflows: u64,
     budget: u64,
+    /// Statement entries and `while` conditions so far, counted only
+    /// when the sink's ticks bound the run.
+    ticks: u64,
+    /// The instance the next event gets: the events so far, a resumed
+    /// run's prefix included.
+    next: u32,
     switch: Option<SwitchSpec>,
     switched: Option<InstId>,
     value_override: Option<OverrideSpec>,
@@ -417,46 +756,54 @@ struct Tracer<'a> {
     /// Per-statement execution counters (for switch occurrence matching),
     /// dense over `StmtId`.
     occ: Vec<u32>,
-    /// The streaming columnar recorder the run appends into.
-    rec: Recorder,
     outputs: Vec<OutputRecord>,
-    globals: Globals,
-    /// Innermost guarding predicate instances (region nesting), crossing
-    /// call boundaries.
-    region_stack: Vec<InstId>,
-    frames: Vec<Frame>,
+    globals: Globals<S::Defs>,
+    frames: Vec<Frame<S::Defs>>,
     /// Popped frames kept for reuse: once the call stack has been this
     /// deep, a call allocates nothing.
-    spare: Vec<Frame>,
-    /// The run's one dependence buffer. Evaluating an expression appends
-    /// the defining instances of the operands it reads, in evaluation
-    /// order (index before cell, lhs before rhs, arguments in order); a
-    /// statement records the window it opened, deduplicated in place, and
-    /// truncates the buffer back. Windows of callers suspended in an
-    /// expression-position call sit below the callee's.
-    deps: Vec<InstId>,
+    spare: Vec<Frame<S::Defs>>,
     /// Argument values of calls being bound, each with the start of its
-    /// sources' window in `deps`; a stack like `deps`.
+    /// sources' window in the dependence buffer; a stack like it.
     args: Vec<(Value, u32)>,
-    /// Scratch for deduplicating long dependence windows.
-    scratch: Vec<(InstId, u32)>,
-    /// Predicate occurrences at which to capture a [`Checkpoint`],
-    /// indexed by statement, sorted. Empty on ordinary and resumed runs.
-    capture: Vec<Vec<u32>>,
-    captured: Vec<Checkpoint>,
-    /// Events asked for so far, refused ones included (see
-    /// [`last_demand`]).
-    demand: &'a std::cell::Cell<u64>,
+    sink: S,
 }
 
-impl<'a> Tracer<'a> {
+impl<'a, S: Sink> Eval<'a, S> {
+    fn new(program: &'a Program, index: &'a ProgramIndex, config: &'a RunConfig, sink: S) -> Self {
+        Eval {
+            index,
+            fns: program.functions().collect(),
+            inputs: &config.inputs,
+            input_pos: 0,
+            input_underflows: 0,
+            budget: config.step_budget,
+            ticks: 0,
+            next: 0,
+            switch: config.switch,
+            switched: None,
+            value_override: config.value_override,
+            overridden: None,
+            fault: config.fault,
+            fault_seen: 0,
+            occ: vec![0; program.stmt_count() as usize],
+            outputs: Vec::new(),
+            globals: Globals::init(program, index),
+            frames: Vec::new(),
+            spare: Vec::new(),
+            args: Vec::new(),
+            sink,
+        }
+    }
+
     fn run_main(&mut self) -> Result<(), Stop> {
         let main = self
             .index
             .function_id("main")
             .ok_or_else(|| missing_callee("main"))?;
+        let info = self.index.function(main);
         let mut frame = Frame::default();
-        frame.enter(main, self.index.function(main), None, None);
+        frame.enter(main, info, None);
+        self.sink.enter(&mut frame, info);
         self.frames.push(frame);
         match self.exec_block(&self.fns[main.index()].body)? {
             Flow::Normal | Flow::Return(..) => Ok(()),
@@ -466,58 +813,37 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    fn frame(&self) -> &Frame {
-        self.frames.last().expect("at least one frame")
-    }
-
-    fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("at least one frame")
-    }
-
-    /// Records an event whose data dependences are the operand sources
-    /// in `deps[mark..]`, assigning its timestamp, region parent, and
-    /// call depth, then truncates the buffer back to `mark`. Fails when
-    /// the step budget is exhausted, a scoped deadline expired at the
-    /// recorder's last counted check (the paper's expired-timer rule: the
-    /// run terminates as budget-exhausted), or an injected fault fires at
-    /// this instance.
-    fn record(&mut self, ev: Ev, mark: usize) -> Result<InstId, Stop> {
-        self.demand.set(self.rec.len() as u64 + 1);
-        if self.rec.len() as u64 >= self.budget || self.rec.deadline_hit() {
-            return Err(Stop::Budget);
-        }
-        check_fault(&mut self.fault_seen, self.fault, ev.stmt)?;
-        let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
-        let inst = self.rec.push(RawEvent {
-            stmt: ev.stmt,
-            value: ev.value,
-            branch: ev.branch,
-            deps: &self.deps[mark..mark + n],
-            cd_parent: ev.cd_parent,
-            region_parent: self.region_stack.last().copied(),
-            def_var: ev.def_var,
-            cell_index: ev.cell_index,
-            call_depth: (self.frames.len() - 1) as u32,
-        });
-        self.deps.truncate(mark);
-        Ok(inst)
-    }
-
-    /// Dynamic control-dependence parent for a statement about to execute:
-    /// the most recent instance in this frame of a static CD parent whose
-    /// branch outcome matches, falling back to the parent inherited from
-    /// the call site for statements at the top level of their function.
-    fn cd_of(&self, stmt: StmtId) -> Option<InstId> {
-        let frame = self.frame();
-        let mut best: Option<InstId> = None;
-        for cp in self.analysis.cd_parents(stmt) {
-            if let Some(Some((inst, outcome))) = frame.preds.get(self.index.pred_slot(cp.pred)) {
-                if *outcome == cp.branch {
-                    best = Some(best.map_or(*inst, |b| b.max(*inst)));
-                }
+    /// Counts a statement entry or a `while` condition when the sink's
+    /// ticks bound the run, stopping it once they exceed the budget.
+    #[inline]
+    fn tick(&mut self) -> Result<(), Stop> {
+        if S::TICKS {
+            self.ticks += 1;
+            if self.ticks > self.budget {
+                return Err(Stop::Budget);
             }
         }
-        best.or(frame.inherited_cd)
+        Ok(())
+    }
+
+    /// Completes the next instance, whose data dependences are the
+    /// operand sources from `mark` in the dependence buffer. Fails when
+    /// the sink refuses it, when it would exceed a budget that instances
+    /// bound, or when an injected fault fires at this instance. Forced
+    /// inline like `exec_stmt_inner`, so a sink that keeps nothing builds
+    /// no event.
+    #[cfg_attr(not(debug_assertions), inline(always))]
+    fn record(&mut self, ev: Ev, mark: usize) -> Result<InstId, Stop> {
+        let admitted = self.sink.admit(self.next);
+        if !S::TICKS && (u64::from(self.next) >= self.budget || !admitted) {
+            return Err(Stop::Budget);
+        }
+        fault_fires(&mut self.fault_seen, self.fault, ev.stmt)?;
+        let inst = InstId(self.next);
+        self.next += 1;
+        let depth = (self.frames.len() - 1) as u32;
+        self.sink.record(inst, ev, mark, depth);
+        Ok(inst)
     }
 
     /// Applies a pending value override if this is the chosen instance
@@ -529,9 +855,8 @@ impl<'a> Tracer<'a> {
         if o.stmt != stmt || self.overridden.is_some() {
             return (computed, false);
         }
-        let c = &mut self.occ[stmt.0 as usize];
-        let occurrence = *c;
-        *c += 1;
+        let occurrence = self.occ[stmt.index()];
+        self.occ[stmt.index()] += 1;
         if occurrence == o.occurrence {
             (o.value, true)
         } else {
@@ -547,40 +872,32 @@ impl<'a> Tracer<'a> {
         self.index.resolved_var(id).ok_or_else(|| unknown_var(name))
     }
 
-    /// The current frame's slot for a local variable of its function,
-    /// `None` for globals.
-    #[inline]
-    fn local_slot(&self, var: VarId) -> Option<usize> {
-        let locals = &self.index.function(self.frame().func).locals;
-        locals
-            .contains(&var.0)
-            .then(|| (var.0 - locals.start) as usize)
-    }
-
-    /// Reads a scalar, appending its defining instances to the
-    /// dependence buffer.
+    /// Reads a scalar, reporting its defining instances to the sink.
+    /// Globals are numbered first, so a global needs no frame lookup.
     fn read_var(&mut self, id: ExprId, name: &str) -> EvalResult {
         let var = self.resolved(id, name)?;
-        let cell = match self.local_slot(var) {
-            Some(slot) => &self.frames.last().expect("at least one frame").locals[slot],
-            None => match self.globals.get(var) {
-                Some(Slot::Scalar(cell)) => cell,
-                Some(Slot::Array(_)) => {
-                    return Err(Stop::Crash(
-                        CrashKind::TypeError,
-                        format!("array `{name}` used as a scalar"),
-                    ))
-                }
-                None => return Err(uninit_read(name)),
-            },
+        let cell = match self.globals.get(var) {
+            Some(Slot::Scalar(cell)) => Some(cell),
+            Some(Slot::Array(_)) => {
+                return Err(Stop::Crash(
+                    CrashKind::TypeError,
+                    format!("array `{name}` used as a scalar"),
+                ))
+            }
+            None => {
+                let frame = self.frames.last().expect("at least one frame");
+                frame.local(self.index, var)
+            }
         };
+        let cell = cell.ok_or_else(|| uninit_read(name))?;
         let value = cell.value.ok_or_else(|| uninit_read(name))?;
-        self.deps.extend_from_slice(cell.defs.as_slice());
+        self.sink.read(cell.defs.as_slice());
         Ok(value)
     }
 
     /// Writes a scalar through its pre-resolved slot, defined by the
     /// single instance `inst`; `name` is only for error messages.
+    #[inline]
     fn write_scalar(
         &mut self,
         var: VarId,
@@ -588,49 +905,29 @@ impl<'a> Tracer<'a> {
         value: Value,
         inst: InstId,
     ) -> Result<(), Stop> {
-        let cell = Cell::new(value, Defs::One(inst));
-        if let Some(slot) = self.local_slot(var) {
-            self.frame_mut().locals[slot] = cell;
-            return Ok(());
-        }
-        match self.globals.get_mut(var) {
-            Some(Slot::Scalar(c)) => {
-                *c = cell;
-                Ok(())
+        let cell = Cell::new(value, S::Defs::one(inst));
+        let slot = match self.globals.get_mut(var) {
+            Some(Slot::Scalar(c)) => c,
+            Some(Slot::Array(_)) => {
+                return Err(Stop::Crash(
+                    CrashKind::TypeError,
+                    format!("cannot assign whole array `{name}`"),
+                ))
             }
-            Some(Slot::Array(_)) => Err(Stop::Crash(
-                CrashKind::TypeError,
-                format!("cannot assign whole array `{name}`"),
-            )),
-            None => unreachable!("a defined variable is a local or a global"),
-        }
-    }
-
-    /// Bounds-checks an element access on a pre-resolved array variable;
-    /// `name` is only for error messages.
-    fn array_index(&self, var: VarId, name: &str, index: i64) -> Result<usize, Stop> {
-        let Some(Slot::Array(cells)) = self.globals.get(var) else {
-            return Err(Stop::Crash(
-                CrashKind::TypeError,
-                format!("`{name}` is not an array"),
-            ));
+            None => {
+                let frame = self.frames.last_mut().expect("at least one frame");
+                let local = frame.local_mut(self.index, var);
+                local.expect("a defined variable is a local or a global")
+            }
         };
-        if index < 0 || index as usize >= cells.len() {
-            return Err(Stop::Crash(
-                CrashKind::OobIndex,
-                format!(
-                    "index {index} out of bounds for `{name}` (len {})",
-                    cells.len()
-                ),
-            ));
-        }
-        Ok(index as usize)
+        *slot = cell;
+        Ok(())
     }
 
     // --- expression evaluation ---------------------------------------
 
-    /// Evaluates `expr`, appending the defining instances of every
-    /// operand it reads to the dependence buffer.
+    /// Evaluates `expr`, reporting the defining instances of every
+    /// operand it reads to the sink.
     fn eval(&mut self, expr: &Expr) -> EvalResult {
         match &expr.kind {
             ExprKind::Int(n) => Ok(Value::Int(*n)),
@@ -640,25 +937,22 @@ impl<'a> Tracer<'a> {
                 let iv = self.eval(index)?;
                 let idx = int_operand(iv, "array index")?;
                 let var = self.resolved(expr.id, name)?;
-                let i = self.array_index(var, name, idx)?;
-                let Some(Slot::Array(cells)) = self.globals.get(var) else {
-                    unreachable!("array_index verified the slot");
-                };
-                let cell = &cells[i];
-                self.deps.extend_from_slice(cell.defs.as_slice());
-                Ok(cell.value.expect("array cells are initialized"))
+                let cell = element(&self.globals, var, name, idx)?;
+                let value = cell.value.expect("array cells are initialized");
+                self.sink.read(cell.defs.as_slice());
+                Ok(value)
             }
             ExprKind::Call { callee, args } => {
-                let mark = self.deps.len();
+                let mark = self.sink.mark();
                 let arg_mark = self.args.len();
                 for a in args {
-                    let start = self.deps.len() as u32;
+                    let start = self.sink.mark() as u32;
                     let v = self.eval(a)?;
                     self.args.push((v, start));
                 }
                 let target = self.index.expr_callee(expr.id);
                 let (value, def) = self.call_function(target, callee, mark, arg_mark, None)?;
-                self.deps.extend(def);
+                self.sink.read(def.as_slice());
                 Ok(value)
             }
             ExprKind::Input => {
@@ -690,8 +984,8 @@ impl<'a> Tracer<'a> {
     /// body runs. A statement-position call passes its recorded instance
     /// as `through`, which defines every parameter; an expression-position
     /// call binds each parameter to its argument's sources, the window of
-    /// `deps` from that argument's start. Returns the value and the
-    /// `return` instance that defined it.
+    /// the dependence buffer from that argument's start. Returns the
+    /// value and the `return` instance that defined it.
     fn call_function(
         &mut self,
         target: Option<FnId>,
@@ -709,31 +1003,22 @@ impl<'a> Tracer<'a> {
         let func = target.ok_or_else(|| missing_callee(callee))?;
         let info = self.index.function(func);
         let mut frame = self.spare.pop().unwrap_or_default();
-        frame.enter(
-            func,
-            info,
-            self.region_stack.last().copied(),
-            through.map(|(_, site)| site),
-        );
+        frame.enter(func, info, through.map(|(_, site)| site));
+        self.sink.enter(&mut frame, info);
         let nargs = self.args.len() - arg_mark;
         for (k, &param) in info.params.iter().enumerate().take(nargs) {
             let (value, start) = self.args[arg_mark + k];
             let defs = match through {
-                Some((inst, _)) => Defs::One(inst),
+                Some((inst, _)) => S::Defs::one(inst),
                 None => {
-                    let end = match self.args.get(arg_mark + k + 1) {
-                        Some(&(_, next)) => next as usize,
-                        None => self.deps.len(),
-                    };
-                    let window = &mut self.deps[start as usize..end];
-                    let n = dedup_in_place(window, &mut self.scratch);
-                    Defs::from_distinct(&window[..n])
+                    let end = self.args.get(arg_mark + k + 1).map(|&(_, n)| n as usize);
+                    self.sink.sources(start as usize, end)
                 }
             };
             frame.locals[(param.0 - info.locals.start) as usize] = Cell::new(value, defs);
         }
         self.args.truncate(arg_mark);
-        self.deps.truncate(mark);
+        self.sink.truncate(mark);
         self.frames.push(frame);
         let decl = self.fns[func.index()];
         let flow = self.exec_block(&decl.body);
@@ -760,6 +1045,7 @@ impl<'a> Tracer<'a> {
         Ok(Flow::Normal)
     }
 
+    #[inline]
     fn exec_stmt(&mut self, stmt: &Stmt) -> ExecResult {
         let result = self.exec_stmt_inner(stmt);
         Self::decorate(stmt, result)
@@ -769,6 +1055,7 @@ impl<'a> Tracer<'a> {
     /// Shared by normal execution and checkpoint resume so error messages
     /// (part of [`Termination::RuntimeError`], hence of trace identity)
     /// match between the two.
+    #[inline]
     fn decorate(stmt: &Stmt, result: ExecResult) -> ExecResult {
         match result {
             Err(Stop::Crash(kind, msg)) if !msg.contains(" in S") => Err(Stop::Crash(
@@ -783,10 +1070,15 @@ impl<'a> Tracer<'a> {
         }
     }
 
+    // Forced into `exec_block` in optimized builds, where a plain run
+    // spends much of its time crossing this call; debug builds keep the
+    // frames of deep recursion small.
+    #[cfg_attr(not(debug_assertions), inline(always))]
     fn exec_stmt_inner(&mut self, stmt: &Stmt) -> ExecResult {
-        let cd = self.cd_of(stmt.id);
+        self.tick()?;
+        let cd = self.sink.cd_of(&self.frames, stmt.id);
         // This statement's window of the dependence buffer starts here.
-        let mark = self.deps.len();
+        let mark = self.sink.mark();
         match &stmt.kind {
             StmtKind::Let { name, expr } | StmtKind::Assign { name, expr } => {
                 let computed = self.eval(expr)?;
@@ -805,7 +1097,7 @@ impl<'a> Tracer<'a> {
                     .def
                     .ok_or_else(|| unknown_var(name))?;
                 self.write_scalar(var, name, v, inst)?;
-                self.rec.set_def_var_last(var);
+                self.sink.def_var(var);
                 Ok(Flow::Normal)
             }
             StmtKind::Store { name, index, value } => {
@@ -817,7 +1109,7 @@ impl<'a> Tracer<'a> {
                     .stmt(stmt.id)
                     .def
                     .ok_or_else(|| unknown_var(name))?;
-                let i = self.array_index(var, name, idx)?;
+                element(&self.globals, var, name, idx)?;
                 let ev = Ev {
                     value: Some(v),
                     def_var: Some(var),
@@ -826,9 +1118,9 @@ impl<'a> Tracer<'a> {
                 };
                 let inst = self.record(ev, mark)?;
                 let Some(Slot::Array(cells)) = self.globals.get_mut(var) else {
-                    unreachable!("array_index verified the slot");
+                    unreachable!("`element` verified the slot");
                 };
-                cells[i] = Cell::new(v, Defs::One(inst));
+                cells[idx as usize] = Cell::new(v, S::Defs::one(inst));
                 Ok(Flow::Normal)
             }
             StmtKind::If {
@@ -904,7 +1196,7 @@ impl<'a> Tracer<'a> {
         cd: Option<InstId>,
     ) -> ExecResult {
         let (outcome, inst) = self.eval_predicate(stmt, cond, cd, None)?;
-        self.region_stack.push(inst);
+        self.sink.push_region(inst);
         let flow = if outcome {
             self.exec_block(then_blk)
         } else if let Some(e) = else_blk {
@@ -912,13 +1204,13 @@ impl<'a> Tracer<'a> {
         } else {
             Ok(Flow::Normal)
         };
-        self.region_stack.pop();
+        self.sink.pop_region();
         flow
     }
 
     /// Executes a `while` statement from a condition evaluation on.
     /// `pushed` says whether an iteration of this loop already holds the
-    /// top of the region stack: `false` on normal entry, `true` when a
+    /// innermost open region: `false` on normal entry, `true` when a
     /// checkpoint resume re-enters mid-loop.
     fn run_while(
         &mut self,
@@ -928,8 +1220,10 @@ impl<'a> Tracer<'a> {
         mut pushed: bool,
     ) -> ExecResult {
         let result = loop {
-            let cd_now = self.cd_of(stmt);
-            let step = self.eval_predicate(stmt, cond, cd_now, Some(pushed));
+            let cd_now = self.sink.cd_of(&self.frames, stmt);
+            let step = self
+                .tick()
+                .and_then(|()| self.eval_predicate(stmt, cond, cd_now, Some(pushed)));
             let (outcome, inst) = match step {
                 Ok(x) => x,
                 Err(e) => break Err(e),
@@ -938,12 +1232,12 @@ impl<'a> Tracer<'a> {
                 break Ok(Flow::Normal);
             }
             // Chain iterations: this instance's region replaces the
-            // previous iteration's on the stack; the *recording*
-            // above already nested it under the previous instance.
+            // previous iteration's; the *recording* above already nested
+            // it under the previous instance.
             if pushed {
-                self.region_stack.pop();
+                self.sink.pop_region();
             }
-            self.region_stack.push(inst);
+            self.sink.push_region(inst);
             pushed = true;
             match self.exec_block(body) {
                 Ok(Flow::Normal) | Ok(Flow::Continue) => continue,
@@ -953,16 +1247,16 @@ impl<'a> Tracer<'a> {
             }
         };
         if pushed {
-            self.region_stack.pop();
+            self.sink.pop_region();
         }
         result
     }
 
     /// Evaluates a predicate, applies a pending switch if this is the
-    /// chosen instance, records the event, and registers the outcome in
-    /// the frame's predicate table. `loop_ctx` is `None` for `if`
-    /// predicates and `Some(pushed)` for `while` condition evaluations;
-    /// it is snapshotted so a resume can re-enter the loop correctly.
+    /// chosen instance, and records the instance and its outcome.
+    /// `loop_ctx` is `None` for `if` predicates and `Some(pushed)` for
+    /// `while` condition evaluations; it is snapshotted so a resume can
+    /// re-enter the loop correctly.
     fn eval_predicate(
         &mut self,
         stmt: StmtId,
@@ -971,17 +1265,13 @@ impl<'a> Tracer<'a> {
         loop_ctx: Option<bool>,
     ) -> Result<(bool, InstId), Stop> {
         self.maybe_capture(stmt, loop_ctx);
-        let mark = self.deps.len();
+        let mark = self.sink.mark();
         let v = self.eval(cond)?;
         let mut outcome = v.truthy();
         // 0-based occurrence index of this predicate instance; every
         // `while` iteration re-enters here and counts separately.
-        let occurrence = {
-            let c = &mut self.occ[stmt.0 as usize];
-            let occurrence = *c;
-            *c += 1;
-            occurrence
-        };
+        let occurrence = self.occ[stmt.index()];
+        self.occ[stmt.index()] += 1;
         let is_switch_target = self.switch.is_some_and(|s| {
             s.pred == stmt && s.occurrence == occurrence && self.switched.is_none()
         });
@@ -997,15 +1287,14 @@ impl<'a> Tracer<'a> {
         if is_switch_target {
             self.switched = Some(inst);
         }
-        let slot = self.index.pred_slot(stmt);
-        self.frame_mut().preds[slot] = Some((inst, outcome));
+        self.sink.predicate(&mut self.frames, stmt, inst, outcome);
         Ok((outcome, inst))
     }
 
-    /// Captures a checkpoint at predicate entry when this statement's
-    /// current occurrence count is a requested capture point. Runs before
-    /// the condition is evaluated, so the snapshot precedes every side
-    /// effect of this predicate instance.
+    /// Captures a checkpoint at predicate entry when the sink asks for
+    /// this statement's current occurrence. Runs before the condition is
+    /// evaluated, so the snapshot precedes every side effect of this
+    /// predicate instance.
     ///
     /// Captures stop the moment a switch has fired: past the divergence
     /// point the state no longer equals the original run's, so a snapshot
@@ -1014,22 +1303,16 @@ impl<'a> Tracer<'a> {
     /// position before its own switch point (the trie spine), because its
     /// pre-switch prefix is the original execution verbatim.
     fn maybe_capture(&mut self, stmt: StmtId, loop_ctx: Option<bool>) {
-        if self.capture.is_empty() || self.switched.is_some() {
+        if self.switched.is_some() || !self.sink.captures(stmt, &self.occ) {
             return;
         }
-        let entry_occ = self.occ[stmt.0 as usize];
-        if self.capture[stmt.index()]
-            .binary_search(&entry_occ)
-            .is_err()
-        {
-            return;
-        }
+        let entry_occ = self.occ[stmt.index()];
         // Only statement-position calls stand between a resumable
         // suspension and `main`, and each records before entering its
         // callee: no operand or argument is pending, so the snapshot
         // needs no part of the dependence buffer.
         debug_assert!(
-            (self.deps.is_empty() && self.args.is_empty())
+            (self.sink.mark() == 0 && self.args.is_empty())
                 || self.frames.iter().skip(1).any(|f| f.call_site.is_none()),
             "pending operands at a resumable capture point"
         );
@@ -1045,20 +1328,34 @@ impl<'a> Tracer<'a> {
         let (trace_len, outputs_len) = if corrupt {
             (usize::MAX, usize::MAX)
         } else {
-            (self.rec.len(), self.outputs.len())
+            (self.next as usize, self.outputs.len())
         };
-        self.captured.push(Checkpoint {
+        self.sink.keep(Checkpoint {
             spec: SwitchSpec::new(stmt, entry_occ),
             globals: self.globals.clone(),
             frames: self.frames.clone(),
             occ: self.occ.clone(),
-            region_stack: self.region_stack.clone(),
+            region_stack: Vec::new(),
             input_pos: self.input_pos,
             input_underflows: self.input_underflows,
             trace_len,
             outputs_len,
             loop_pushed: loop_ctx,
         });
+    }
+}
+
+impl Eval<'_, Full<'_>> {
+    /// Closes a traced run that ended with `result`, returning it and the
+    /// checkpoints it captured.
+    fn into_traced(self, result: Result<(), Stop>) -> (TracedRun, Vec<Checkpoint>) {
+        let run = TracedRun {
+            trace: Trace::from_recorded(self.sink.rec.finish(), self.outputs, termination(result)),
+            switched: self.switched,
+            overridden: self.overridden,
+            input_underflows: self.input_underflows,
+        };
+        (run, self.sink.captured)
     }
 
     // --- checkpoint resume -------------------------------------------
@@ -1103,8 +1400,8 @@ impl<'a> Tracer<'a> {
 
     /// Resumes one path step. Intermediate steps re-enter a construct the
     /// suspension lies inside without re-recording its already-traced
-    /// events (the restored region stack and frames carry that context);
-    /// the final step re-executes the suspended predicate with the switch
+    /// events (the restored regions and frames carry that context); the
+    /// final step re-executes the suspended predicate with the switch
     /// armed.
     fn resume_step(
         &mut self,
@@ -1124,7 +1421,7 @@ impl<'a> Tracer<'a> {
                     else_blk,
                 },
             ) => {
-                let cd = self.cd_of(stmt.id);
+                let cd = self.sink.cd_of(&self.frames, stmt.id);
                 self.run_if(stmt.id, cond, then_blk, else_blk.as_ref(), cd)
             }
             (None, StmtKind::While { cond, body }) => {
@@ -1153,13 +1450,13 @@ impl<'a> Tracer<'a> {
             }
             (Some(Descend::Then), StmtKind::If { then_blk, .. }) => {
                 let flow = self.resume_block(then_blk, rest, cp, paths, k);
-                self.region_stack.pop();
+                self.sink.pop_region();
                 flow
             }
             (Some(Descend::Else), StmtKind::If { else_blk, .. }) => {
                 let blk = else_blk.as_ref().expect("path descends into else");
                 let flow = self.resume_block(blk, rest, cp, paths, k);
-                self.region_stack.pop();
+                self.sink.pop_region();
                 flow
             }
             (Some(Descend::Body), StmtKind::While { cond, body }) => {
@@ -1171,15 +1468,15 @@ impl<'a> Tracer<'a> {
                         self.run_while(stmt.id, cond, body, true)
                     }
                     Ok(Flow::Break) => {
-                        self.region_stack.pop();
+                        self.sink.pop_region();
                         Ok(Flow::Normal)
                     }
                     Ok(ret @ Flow::Return(..)) => {
-                        self.region_stack.pop();
+                        self.sink.pop_region();
                         Ok(ret)
                     }
                     Err(e) => {
-                        self.region_stack.pop();
+                        self.sink.pop_region();
                         Err(e)
                     }
                 }
@@ -1187,6 +1484,70 @@ impl<'a> Tracer<'a> {
             _ => unreachable!("resume path shape matches statement kinds"),
         }
     }
+}
+
+/// One step of a static resume path: which statement of the current block
+/// the suspension lies at, and how execution descends into it (`None`
+/// marks the suspension statement itself).
+struct Step {
+    index: usize,
+    descend: Option<Descend>,
+}
+
+enum Descend {
+    Then,
+    Else,
+    Body,
+}
+
+/// Depth-first search for the unique static path from `block` to the
+/// statement `target`, recorded as [`Step`]s.
+fn find_path(block: &Block, target: StmtId, out: &mut Vec<Step>) -> bool {
+    for (index, stmt) in block.stmts.iter().enumerate() {
+        if stmt.id == target {
+            out.push(Step {
+                index,
+                descend: None,
+            });
+            return true;
+        }
+        match &stmt.kind {
+            StmtKind::If {
+                then_blk, else_blk, ..
+            } => {
+                out.push(Step {
+                    index,
+                    descend: Some(Descend::Then),
+                });
+                if find_path(then_blk, target, out) {
+                    return true;
+                }
+                out.pop();
+                if let Some(e) = else_blk {
+                    out.push(Step {
+                        index,
+                        descend: Some(Descend::Else),
+                    });
+                    if find_path(e, target, out) {
+                        return true;
+                    }
+                    out.pop();
+                }
+            }
+            StmtKind::While { body, .. } => {
+                out.push(Step {
+                    index,
+                    descend: Some(Descend::Body),
+                });
+                if find_path(body, target, out) {
+                    return true;
+                }
+                out.pop();
+            }
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Keeps the first occurrence of each instance in `window`, in order, and
@@ -1216,6 +1577,68 @@ fn dedup_in_place(window: &mut [InstId], scratch: &mut Vec<(InstId, u32)>) -> us
     scratch.len()
 }
 
+/// Counts instances of the fault entry's statement in `seen` and, at the
+/// planned occurrence, stops the run the way the entry says (or panics,
+/// for [`FaultAction::Panic`]). `corrupt-checkpoint` and `panic-harness`
+/// entries never fire here — the former acts at checkpoint capture time,
+/// the latter in the verifier harness; both leave execution untouched.
+#[inline]
+fn fault_fires(seen: &mut u32, fault: Option<FaultEntry>, stmt: StmtId) -> Result<(), Stop> {
+    match fault {
+        Some(fault) if fault.site == FaultSite::Stmt(stmt) => fire(seen, fault, stmt),
+        _ => Ok(()),
+    }
+}
+
+#[cold]
+fn fire(seen: &mut u32, fault: FaultEntry, stmt: StmtId) -> Result<(), Stop> {
+    if matches!(
+        fault.action,
+        FaultAction::CorruptCheckpoint | FaultAction::PanicHarness
+    ) {
+        return Ok(());
+    }
+    let n = *seen;
+    *seen += 1;
+    if n != fault.occurrence {
+        return Ok(());
+    }
+    match fault.action {
+        FaultAction::Crash(kind) => Err(Stop::Crash(kind, format!("injected {kind} fault"))),
+        FaultAction::ExhaustBudget => Err(Stop::Budget),
+        FaultAction::Panic => panic!("injected panic at {stmt} (occurrence {n})"),
+        _ => Ok(()),
+    }
+}
+
+/// The element `index` of the pre-resolved global array `var`;
+/// `name` is only for error messages. Forced inline: every array load
+/// and store of every run goes through it.
+#[inline(always)]
+fn element<'g, D>(
+    globals: &'g Globals<D>,
+    var: VarId,
+    name: &str,
+    index: i64,
+) -> Result<&'g Cell<D>, Stop> {
+    let Some(Slot::Array(cells)) = globals.get(var) else {
+        return Err(not_an_array(name));
+    };
+    match usize::try_from(index).ok().and_then(|i| cells.get(i)) {
+        Some(cell) => Ok(cell),
+        None => Err(oob(index, name, cells.len())),
+    }
+}
+
+fn not_an_array(name: &str) -> Stop {
+    Stop::Crash(CrashKind::TypeError, format!("`{name}` is not an array"))
+}
+
+fn oob(index: i64, name: &str, len: usize) -> Stop {
+    let msg = format!("index {index} out of bounds for `{name}` (len {len})");
+    Stop::Crash(CrashKind::OobIndex, msg)
+}
+
 fn uninit_read(name: &str) -> Stop {
     Stop::Crash(
         CrashKind::UninitRead,
@@ -1229,15 +1652,6 @@ fn missing_callee(name: &str) -> Stop {
 
 fn unknown_var(name: &str) -> Stop {
     Stop::Crash(CrashKind::TypeError, format!("unknown variable `{name}`"))
-}
-
-/// Translates a fired fault entry into this interpreter's [`Stop`].
-fn check_fault(seen: &mut u32, fault: Option<FaultEntry>, stmt: StmtId) -> Result<(), Stop> {
-    match crate::fault_fires(seen, fault, stmt) {
-        None => Ok(()),
-        Some(crate::InjectedFault::Budget) => Err(Stop::Budget),
-        Some(crate::InjectedFault::Crash(kind, msg)) => Err(Stop::Crash(kind, msg)),
-    }
 }
 
 fn int_operand(v: Value, what: &str) -> Result<i64, Stop> {

@@ -1,18 +1,21 @@
-//! Allocation budget of the traced interpreter's per-event path.
+//! Allocation budget of the evaluator's per-event path, under each sink.
 //!
 //! Recording an event must not allocate: operands' defining instances go
 //! into one dependence buffer per run, single-definition cells hold their
 //! instance inline, and frames, globals and per-frame predicates are
 //! index-addressed tables. What is left is set-up (frames, counters, the
-//! globals) and the amortized growth of the recorded columns. This test
-//! counts the heap allocations a fresh and a checkpoint-resumed
-//! `run_traced` on sed ×250 make on their own thread, and holds each to
-//! fewer than one per 100 recorded events.
+//! globals) and the amortized growth of what the run keeps. These tests
+//! count the heap allocations runs on sed ×250 make on their own thread:
+//! a fresh and a checkpoint-resumed `run_traced` and a `run_values` each
+//! make fewer than one per 100 events, and a `run_plain_indexed` makes a
+//! fixed handful whatever its length — so a plain run that paid for
+//! recorder columns, predicate tables or spilled provenance shows here.
 
 use omislice_analysis::ProgramAnalysis;
 use omislice_corpus::{all_benchmarks, WorkloadGen};
 use omislice_interp::{
-    resume_switched, run_traced, run_traced_with_checkpoints, RunConfig, SwitchSpec,
+    resume_switched, run_plain_indexed, run_traced, run_traced_with_checkpoints, run_values,
+    RunConfig, SwitchSpec,
 };
 use omislice_lang::compile;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,17 +71,22 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The sweep's workload seed.
 const SWEEP_SEED: u64 = 0x5EED;
 
-#[test]
-fn traced_runs_allocate_less_than_once_per_hundred_events() {
+/// The fixed sed program, analyzed, with its input at `scale` from the
+/// sweep's workload seed.
+fn sed(scale: usize) -> (omislice_lang::Program, ProgramAnalysis, RunConfig) {
     let sed = all_benchmarks()
         .into_iter()
         .find(|b| b.name == "sed")
         .expect("sed is in the corpus");
     let program = compile(sed.fixed_src).expect("corpus compiles");
     let analysis = ProgramAnalysis::build(&program);
-    let config =
-        RunConfig::with_inputs(WorkloadGen::new(SWEEP_SEED).sized_for_benchmark("sed", 250));
+    let inputs = WorkloadGen::new(SWEEP_SEED).sized_for_benchmark("sed", scale);
+    (program, analysis, RunConfig::with_inputs(inputs))
+}
 
+#[test]
+fn traced_runs_allocate_less_than_once_per_hundred_events() {
+    let (program, analysis, config) = sed(250);
     let (base, allocs) = counted(|| run_traced(&program, &analysis, &config));
     let events = base.trace.len() as u64;
     assert!(base.trace.termination().is_normal());
@@ -120,4 +128,30 @@ fn traced_runs_allocate_less_than_once_per_hundred_events() {
         break;
     }
     assert!(measured, "some early checkpoint resumes into a long suffix");
+}
+
+#[test]
+fn value_runs_allocate_less_than_once_per_hundred_events() {
+    let (program, analysis, config) = sed(250);
+    let events = run_traced(&program, &analysis, &config).trace.len() as u64;
+    let (run, allocs) = counted(|| run_values(&program, analysis.index(), &config));
+    assert!(run.termination.is_normal());
+    assert!(
+        allocs * 100 < events,
+        "value run: {allocs} allocations for {events} events"
+    );
+}
+
+#[test]
+fn plain_runs_allocate_a_fixed_handful() {
+    for scale in [250, 1000] {
+        let (program, analysis, config) = sed(scale);
+        let (run, allocs) = counted(|| run_plain_indexed(&program, analysis.index(), &config));
+        assert!(run.is_normal());
+        assert!(
+            allocs < 64,
+            "plain run on sed ×{scale}: {allocs} allocations for {} steps",
+            run.steps
+        );
+    }
 }

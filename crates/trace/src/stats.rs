@@ -153,8 +153,8 @@ pub struct VerificationStats {
     /// High-water mark of bytes held by memoized checkpoints (a gauge,
     /// not a counter: `absorb` takes the max).
     pub checkpoint_bytes: usize,
-    /// Checkpoint captures declined by the cost model's break-even (the
-    /// gap to the best available donor was under the capture threshold).
+    /// Checkpoint captures declined by the capture break-even (the gap
+    /// to the best available donor was under the capture threshold).
     pub captures_skipped: usize,
     /// Checkpoints captured inline by spine runs on their way to the
     /// switch.

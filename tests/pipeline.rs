@@ -67,7 +67,7 @@ proptest! {
             config.step_budget = budget;
         }
         // An injected crash or budget stop at some instance of some
-        // statement: both interpreters must stop at the same event.
+        // statement: value and traced runs must stop at the same event.
         if let Some((stmt, occurrence, crash)) = fault {
             let stmt = StmtId(stmt.index(program.stmt_count() as usize) as u32);
             let action = if crash {
