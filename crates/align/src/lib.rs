@@ -50,7 +50,7 @@
 //! # Ok::<(), omislice_lang::FrontendError>(())
 //! ```
 
-use omislice_trace::{InstId, RegionTree, Siblings, Trace};
+use omislice_trace::{DescentChain, DescentStep, InstId, RegionTree, Siblings, Trace};
 use std::collections::HashMap;
 
 /// Aligns an original trace against a switched re-execution of the same
@@ -80,6 +80,84 @@ fn sub_regions<'a>(tree: &RegionTree<'a>, head: Option<InstId>) -> Siblings<'a> 
     match head {
         Some(h) => tree.children(h),
         None => tree.roots(),
+    }
+}
+
+/// The walk [`Aligner::match_inst`] makes to match `target` of `orig`
+/// against a re-execution switched at `p`, as the switched run can follow
+/// it while it records: the same ascent from `p` to the deepest region
+/// containing `target`, then each sub-region on the way down with its
+/// position, statement and branch.
+///
+/// # Panics
+///
+/// Panics if `p` or `target` is not an instance of `orig`.
+pub fn descent_chain(orig: &Trace, p: InstId, target: InstId) -> DescentChain {
+    assert!(
+        p.index() < orig.len() && target.index() < orig.len(),
+        "switch point {p} and target {target} must be instances of the trace"
+    );
+    let decided_at_switch = DescentChain {
+        switch: p,
+        root: None,
+        started: 0,
+        steps: Vec::new(),
+    };
+    if target <= p {
+        return decided_at_switch;
+    }
+    let tree = orig.regions();
+    let mut root = tree.parent(p);
+    while let Some(head) = root {
+        if tree.in_region(head, target) {
+            break;
+        }
+        root = tree.parent(head);
+    }
+    // The sub-regions of `root` holding `p` and `target`.
+    let below_root = |mut x: InstId| {
+        while tree.parent(x) != root {
+            x = tree.parent(x).expect("root contains x");
+        }
+        x
+    };
+    let holds_p = below_root(p);
+    if holds_p == below_root(target) {
+        // Only `p` itself can hold both: `target` is guarded by the
+        // branch the switch flips.
+        return decided_at_switch;
+    }
+    let mut path = vec![target];
+    while let Some(parent) = tree.parent(*path.last().expect("non-empty")) {
+        if Some(parent) == root {
+            break;
+        }
+        path.push(parent);
+    }
+    path.reverse();
+    let position = |head: Option<InstId>, c: InstId| {
+        sub_regions(&tree, head)
+            .position(|k| k == c)
+            .expect("c is a sub-region of head") as u32
+    };
+    let steps = path
+        .iter()
+        .enumerate()
+        .map(|(level, &c)| DescentStep {
+            position: position(level.checked_sub(1).map_or(root, |up| Some(path[up])), c),
+            stmt: orig.columns().stmt_of(c),
+            branch: if level + 1 < path.len() {
+                orig.columns().branch_of(c)
+            } else {
+                None
+            },
+        })
+        .collect();
+    DescentChain {
+        switch: p,
+        root,
+        started: position(root, holds_p) + 1,
+        steps,
     }
 }
 

@@ -57,13 +57,14 @@ fn main() {
     );
     println!(
         "  exposed {} · located {} · alignment probes {} over {} switches · \
-         verifier configs {} · journals compared {}",
+         verifier configs {} · journals compared {} · horizon configs {}",
         summary.exposed,
         summary.located,
         summary.alignment_probes,
         summary.alignment_switches,
         summary.verifier_configs,
         summary.journals_compared,
+        summary.horizon_configs,
     );
     if opts.chaos {
         println!(

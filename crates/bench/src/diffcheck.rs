@@ -37,7 +37,13 @@
 //!    (capture every divergence point) and a sparse one (ancestor-only
 //!    resumes) are byte-identical to the invariant-6 reference, whose
 //!    configurations include the from-scratch run (resume off, no
-//!    checkpoints at all), across `jobs`.
+//!    checkpoints at all), across `jobs`;
+//! 9. **Horizon equivalence** — a [`Verifier`] on the failing trace's
+//!    prefix view through `o×` returns the same verifications as one on
+//!    the full trace for sampled landed switches `p < o×` and uses
+//!    `u ≤ o×`, across `jobs` × resume × capture threshold, and each
+//!    switched run it memoized is the fully recorded run's first events,
+//!    ending at `o×`'s counterpart or where the counterpart is ruled out.
 //!
 //! Divergences are returned as human-readable failure strings carrying
 //! the seed, so every finding is reproducible with
@@ -47,7 +53,7 @@ use omislice::{
     build_journal, locate_fault, GroundTruthOracle, JournalMeta, LocateConfig, UserOracle,
     Verification, Verifier, VerifierMode, VerifyRequest,
 };
-use omislice_align::{Aligner, MatchMemo};
+use omislice_align::{descent_chain, Aligner, MatchMemo};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{run_plain, run_traced, ResumeMode, RunConfig, SwitchSpec};
 use omislice_lang::{generate_case, GenOptions, GeneratedCase};
@@ -105,6 +111,9 @@ pub struct DiffcheckSummary {
     /// Capture-plan configurations (dense and sparse trie × `jobs`)
     /// whose journals matched the invariant-6 reference byte-for-byte.
     pub scheduler_configs: usize,
+    /// Prefix-view verifier configurations whose verifications and
+    /// memoized runs passed invariant 9.
+    pub horizon_configs: usize,
     /// Faulted pipelines cross-checked against the clean oracle
     /// (`--chaos` only).
     pub chaos_pipelines: usize,
@@ -122,6 +131,7 @@ struct CaseStats {
     verifier_configs: usize,
     journals_compared: usize,
     scheduler_configs: usize,
+    horizon_configs: usize,
     chaos_pipelines: usize,
     chaos_recoveries: u64,
 }
@@ -142,6 +152,7 @@ pub fn run_diffcheck(opts: &DiffcheckOptions) -> DiffcheckSummary {
                 summary.located += 1;
                 summary.journals_compared += stats.journals_compared;
                 summary.scheduler_configs += stats.scheduler_configs;
+                summary.horizon_configs += stats.horizon_configs;
                 summary.chaos_pipelines += stats.chaos_pipelines;
                 summary.chaos_recoveries += stats.chaos_recoveries;
             }
@@ -234,6 +245,7 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
         verifier_configs: 0,
         journals_compared: 0,
         scheduler_configs: 0,
+        horizon_configs: 0,
         chaos_pipelines: 0,
         chaos_recoveries: 0,
     };
@@ -427,6 +439,69 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
         }
     }
 
+    // --- invariant 9: the prefix view and the horizon change nothing --
+    let view = trace.prefix(wrong.index() + 1);
+    let sampled: Vec<InstId> = preds
+        .iter()
+        .copied()
+        .filter(|&p| p < wrong)
+        .step_by(stride)
+        .take(max_switches)
+        .collect();
+    let u_stride = if quick {
+        (wrong.index() / 16).max(1)
+    } else {
+        1
+    };
+    let horizon_requests: Vec<VerifyRequest> = sampled
+        .iter()
+        .flat_map(|&p| {
+            (0..=wrong.0)
+                .rev()
+                .step_by(u_stride)
+                .map(move |u| VerifyRequest {
+                    p,
+                    u: InstId(u),
+                    var: use_var,
+                    wrong_output: wrong,
+                    expected: class.expected,
+                })
+        })
+        .collect();
+    let full_verdicts = Verifier::new(&case.faulty, &analysis, &config, trace, VerifierMode::Edge)
+        .verify_all(&horizon_requests);
+    for &jobs in &[1usize, 2] {
+        for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
+            for capture_threshold in [Some(1), None] {
+                let mut v =
+                    Verifier::new(&case.faulty, &analysis, &config, &view, VerifierMode::Edge)
+                        .with_jobs(jobs)
+                        .with_resume(resume)
+                        .with_capture_threshold(capture_threshold);
+                let what = format!("jobs={jobs} resume={resume:?} threshold={capture_threshold:?}");
+                if v.verify_all(&horizon_requests) != full_verdicts {
+                    return Err(format!("prefix-view verifications diverged ({what})"));
+                }
+                for &p in &sampled {
+                    let Some(run) = v.switched_trace(p) else {
+                        continue;
+                    };
+                    let spec =
+                        SwitchSpec::new(trace.event(p).stmt, trace.occurrence_index(p) as u32);
+                    let full = run_traced(&case.faulty, &analysis, &config.switched(spec)).trace;
+                    let end = decided_end(&view, &full, p, wrong);
+                    if run.len() != end || run.events_vec() != full.events_vec()[..end] {
+                        return Err(format!(
+                            "switch {p} recorded {} events, not the {end} through o×'s alignment ({what})",
+                            run.len()
+                        ));
+                    }
+                }
+                stats.horizon_configs += 1;
+            }
+        }
+    }
+
     // --- invariant 7 (--chaos): faulted pipelines match the clean one ---
     if chaos {
         let clean = reference.as_deref().expect("invariant 6 set the reference");
@@ -436,6 +511,38 @@ fn check_case(seed: u64, quick: bool, chaos: bool) -> Result<CaseStats, String> 
     }
 
     Ok(stats)
+}
+
+/// Where a switched run following `o×`'s descent chain must stop
+/// recording, read off its fully recorded form `sw`: one past `o×`'s
+/// counterpart, past the counterpart that differs in statement or branch,
+/// or past the first event outside a region that closed before the
+/// chain's position came (the run's end if none).
+fn decided_end(view: &Trace, sw: &Trace, p: InstId, wrong: InstId) -> usize {
+    let chain = descent_chain(view, p, wrong);
+    if chain.steps.is_empty() {
+        return p.index() + 1;
+    }
+    let tree = sw.regions();
+    let mut head = chain.root;
+    for (level, step) in chain.steps.iter().enumerate() {
+        let mut kids = match head {
+            Some(h) => tree.children(h),
+            None => tree.roots(),
+        };
+        let Some(c2) = kids.nth(step.position as usize) else {
+            let closed = head.and_then(|h| {
+                (h.index()..sw.len()).find(|&i| !tree.in_region(h, InstId(i as u32)))
+            });
+            return closed.map_or(sw.len(), |x| x + 1);
+        };
+        let ev = sw.event(c2);
+        if ev.stmt != step.stmt || level + 1 == chain.steps.len() || ev.branch != step.branch {
+            return c2.index() + 1;
+        }
+        head = Some(c2);
+    }
+    unreachable!("the last step decides")
 }
 
 /// Invariant 7: for every chaos plan of the sweep, run the *whole*
@@ -569,6 +676,7 @@ mod tests {
         assert!(summary.verifier_configs > 0);
         assert!(summary.journals_compared > 0);
         assert!(summary.scheduler_configs > 0, "invariant 8 must run");
+        assert!(summary.horizon_configs > 0, "invariant 9 must run");
         assert_eq!(summary.chaos_pipelines, 0);
     }
 

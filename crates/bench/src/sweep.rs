@@ -244,40 +244,60 @@ fn sibling_omislice() -> Option<std::path::PathBuf> {
     None
 }
 
-/// Measures served locate latency for one benchmark × workload against
-/// a server at `via`, using the first fault the workload exposes under
-/// the same default budgets the CLI and server run with. Returns `None`
-/// (with a note on stderr, so the dropped column is never silent) when
-/// no fault is exposed or a leg of the measurement fails.
-fn serve_sample(via: &str, b: &Benchmark, inputs: &[i64], reps: usize) -> Option<ServeSample> {
-    let skip = |why: String| {
-        eprintln!("sweep: no serve columns for {} ({why})", b.name);
-    };
-    let fixed = match compile(b.fixed_src) {
-        Ok(p) => p,
-        Err(_) => return None,
-    };
-    let plain_cfg = RunConfig::with_inputs(inputs.to_vec());
-    let want = run_plain(&fixed, &plain_cfg);
+/// The run configuration of one sweep tier. The default step budget
+/// guards *switched* runs against infinite loops; the sweep's base runs
+/// are known-terminating and the ×10000 tier legitimately exceeds it, so
+/// the ceiling grows with the tier. The timed columns and the serve
+/// sample's exposure check both run under it.
+fn tier_config(inputs: &[i64], scale: usize) -> RunConfig {
+    let mut config = RunConfig::with_inputs(inputs.to_vec());
+    config.step_budget = config.step_budget.max(scale as u64 * 1024);
+    config
+}
+
+/// The first fault of `b` whose faulty run, under `config`, terminates
+/// normally with outputs that differ from the fixed run's: its id and
+/// faulty source, or why there is none.
+fn exposed_fault(b: &Benchmark, config: &RunConfig) -> Result<(String, String), String> {
+    let fixed = compile(b.fixed_src).map_err(|e| e.to_string())?;
+    let want = run_plain(&fixed, config);
     if !want.is_normal() {
-        skip("fixed run not normal at this scale".to_string());
-        return None;
+        return Err("fixed run not normal at this scale".to_string());
     }
-    let mut chosen = None;
     for f in &b.faults {
         let faulty_src = f.apply(b.fixed_src);
         let Ok(faulty) = compile(&faulty_src) else {
             continue;
         };
-        let got = run_plain(&faulty, &plain_cfg);
+        let got = run_plain(&faulty, config);
         if got.is_normal() && got.outputs != want.outputs {
-            chosen = Some((f.id.to_string(), faulty_src));
-            break;
+            return Ok((f.id.to_string(), faulty_src));
         }
     }
-    let Some((fault, faulty_src)) = chosen else {
-        skip("no fault exposed by this workload".to_string());
-        return None;
+    Err("no fault exposed by this workload".to_string())
+}
+
+/// Measures served locate latency for one benchmark × workload against
+/// a server at `via`, using the first fault the workload exposes under
+/// the tier's budget ([`tier_config`]). Returns `None` (with a note on
+/// stderr, so the dropped column is never silent) when no fault is
+/// exposed or a leg of the measurement fails.
+fn serve_sample(
+    via: &str,
+    b: &Benchmark,
+    inputs: &[i64],
+    scale: usize,
+    reps: usize,
+) -> Option<ServeSample> {
+    let skip = |why: String| {
+        eprintln!("sweep: no serve columns for {} ({why})", b.name);
+    };
+    let (fault, faulty_src) = match exposed_fault(b, &tier_config(inputs, scale)) {
+        Ok(found) => found,
+        Err(why) => {
+            skip(why);
+            return None;
+        }
     };
 
     // Cold CLI baseline: a fresh process per run, parsing and tracing
@@ -400,12 +420,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
         let mut gen = WorkloadGen::new(SWEEP_SEED);
         for &scale in &opts.scales {
             let inputs = gen.sized_for_benchmark(b.name, scale);
-            let mut config = RunConfig::with_inputs(inputs.clone());
-            // The default step budget guards *switched* runs against
-            // infinite loops; the sweep's base runs are known-terminating
-            // and the ×10000 tier legitimately exceeds it, so let the
-            // ceiling grow with the tier.
-            config.step_budget = config.step_budget.max(scale as u64 * 1024);
+            let config = tier_config(&inputs, scale);
 
             let (plain, plain_ns) = timed_min(opts.reps, || {
                 run_plain_indexed(&program, analysis.index(), &config)
@@ -514,7 +529,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
             let serve = opts
                 .via
                 .as_deref()
-                .and_then(|via| serve_sample(via, &b, &inputs, opts.reps));
+                .and_then(|via| serve_sample(via, &b, &inputs, scale, opts.reps));
 
             samples.push(Sample {
                 benchmark: b.name.to_string(),
@@ -830,4 +845,29 @@ pub fn to_json(samples: &[Sample]) -> String {
         "{{\n  \"seed\": \"0x5EED\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
         body.join(",\n    ")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use omislice_interp::DEFAULT_STEP_BUDGET;
+
+    /// sed ×10000 runs past the default step budget, so a serve sample
+    /// checked under it found no exposed fault and the tier lost its
+    /// serve columns; under the budget the timed columns run with, the
+    /// fault is exposed.
+    #[test]
+    fn serve_sample_takes_the_timed_columns_budget() {
+        let sed = all_benchmarks()
+            .into_iter()
+            .find(|b| b.name == "sed")
+            .expect("the corpus has sed");
+        let inputs = WorkloadGen::new(SWEEP_SEED).sized_for_benchmark("sed", 10_000);
+        let config = tier_config(&inputs, 10_000);
+        assert_eq!(config.step_budget, 10_000 * 1024);
+        assert!(config.step_budget > DEFAULT_STEP_BUDGET);
+        assert_eq!(tier_config(&inputs, 10).step_budget, DEFAULT_STEP_BUDGET);
+        assert!(exposed_fault(&sed, &RunConfig::with_inputs(inputs.clone())).is_err());
+        assert!(exposed_fault(&sed, &config).is_ok());
+    }
 }

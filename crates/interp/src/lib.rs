@@ -32,8 +32,8 @@ pub mod store;
 pub mod tracer;
 
 pub use snapshot::{
-    resume_switched, resume_switched_capturing, run_traced_with_checkpoints, Checkpoint,
-    ResumeError, ResumeMode,
+    resume_switched, resume_switched_capturing, resume_switched_until, run_switched_until,
+    run_traced_with_checkpoints, Checkpoint, ResumeError, ResumeMode,
 };
 pub use tracer::{
     last_demand, run_plain, run_plain_indexed, run_traced, run_values, PlainRun, StmtValues,

@@ -19,7 +19,7 @@ use crate::tracer::{self, TracedRun};
 use crate::{RunConfig, SwitchSpec};
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::Program;
-use omislice_trace::{FaultAction, FaultSite, InstId, Trace};
+use omislice_trace::{DescentChain, FaultAction, FaultSite, InstId, Trace};
 use std::fmt;
 
 /// Interpreter state captured at a candidate predicate instance, from
@@ -171,7 +171,26 @@ pub fn run_traced_with_checkpoints(
     config: &RunConfig,
     specs: &[SwitchSpec],
 ) -> (TracedRun, Vec<Checkpoint>) {
-    tracer::run_traced_capturing(program, analysis, config, specs)
+    tracer::run_traced_capturing(program, analysis, config, specs, None)
+}
+
+/// [`run_traced_with_checkpoints`] for a switched run that records only
+/// what aligning instances up to the `chain`'s target can read: it
+/// follows the chain as regions open and close, and stops recording once
+/// the target's counterpart is recorded or ruled out (a region still
+/// open there counts as extending past it). The run then executes on,
+/// keeping outputs, budget, injected faults, demand and input underflows
+/// exactly as a fully recorded run would, so its termination is the
+/// same; its trace is the fully recorded run's first events, and its
+/// outputs those they emitted.
+pub fn run_switched_until(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    config: &RunConfig,
+    specs: &[SwitchSpec],
+    chain: DescentChain,
+) -> (TracedRun, Vec<Checkpoint>) {
+    tracer::run_traced_capturing(program, analysis, config, specs, Some(chain))
 }
 
 /// Resumes a switched run from `checkpoint`, reusing `base` (the
@@ -228,6 +247,44 @@ pub fn resume_switched_capturing(
     base: &Trace,
     capture: &[SwitchSpec],
 ) -> Result<(TracedRun, Vec<Checkpoint>), ResumeError> {
+    resume(program, analysis, config, checkpoint, base, capture, None)
+}
+
+/// [`resume_switched_capturing`] recording only up to the `chain`'s
+/// target, as [`run_switched_until`] does.
+///
+/// # Errors
+///
+/// Same refusal reasons as [`resume_switched`].
+pub fn resume_switched_until(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    config: &RunConfig,
+    checkpoint: &Checkpoint,
+    base: &Trace,
+    capture: &[SwitchSpec],
+    chain: DescentChain,
+) -> Result<(TracedRun, Vec<Checkpoint>), ResumeError> {
+    resume(
+        program,
+        analysis,
+        config,
+        checkpoint,
+        base,
+        capture,
+        Some(chain),
+    )
+}
+
+fn resume(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    config: &RunConfig,
+    checkpoint: &Checkpoint,
+    base: &Trace,
+    capture: &[SwitchSpec],
+    chain: Option<DescentChain>,
+) -> Result<(TracedRun, Vec<Checkpoint>), ResumeError> {
     if !checkpoint.is_resumable() {
         return Err(ResumeError::NotResumable);
     }
@@ -247,7 +304,7 @@ pub fn resume_switched_capturing(
         }
     }
     tracer::resume_switched_impl(
-        program, analysis, config, checkpoint, base, capture, fault_seen,
+        program, analysis, config, checkpoint, base, capture, fault_seen, chain,
     )
     .ok_or_else(|| ResumeError::Invalid("suspended call stack cannot be re-entered".to_string()))
 }

@@ -31,8 +31,8 @@ use omislice_lang::{
     StmtId, StmtKind, UnOp, VarId,
 };
 use omislice_trace::{
-    CrashKind, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent, Recorder,
-    Termination, Trace, Value,
+    CrashKind, DescentChain, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent,
+    Recorder, Termination, Trace, Value,
 };
 
 /// Maximum call depth; deeper recursion is reported as a runtime error
@@ -106,59 +106,129 @@ pub fn run_plain_indexed(program: &Program, index: &ProgramIndex, config: &RunCo
 /// instance has a value depends only on its statement's kind, so the
 /// `k`-th value of a statement is the value of its `k`-th instance.
 /// Nine bytes per valued instance: the payload, and whether it is a
-/// boolean.
+/// boolean, grouped by statement behind one offset per statement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StmtValues {
-    /// Payload per statement and instance (booleans as 0/1).
-    words: Vec<Vec<i64>>,
+    /// Where each statement's values start: `stmt_count + 1` offsets
+    /// into `words` and `bools`.
+    off: Vec<u32>,
+    /// Payloads, grouped by statement, each group in execution order
+    /// (booleans as 0/1).
+    words: Vec<i64>,
     /// Whether each payload is a boolean, parallel to `words`.
-    bools: Vec<Vec<bool>>,
+    bools: Vec<bool>,
 }
 
 impl StmtValues {
-    #[inline]
-    fn push(&mut self, stmt: StmtId, value: Value) {
-        let (word, is_bool) = match value {
-            Value::Int(n) => (n, false),
-            Value::Bool(b) => (b as i64, true),
-        };
-        self.words[stmt.index()].push(word);
-        self.bools[stmt.index()].push(is_bool);
+    /// The index range of `stmt`'s values, empty past the program.
+    fn range(&self, stmt: StmtId) -> std::ops::Range<usize> {
+        let s = stmt.index();
+        match (self.off.get(s), self.off.get(s + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    fn value(&self, i: usize) -> Value {
+        if self.bools[i] {
+            Value::Bool(self.words[i] != 0)
+        } else {
+            Value::Int(self.words[i])
+        }
     }
 
     /// The value of the `k`-th (0-based) valued instance of `stmt`, if
     /// it ran that often.
     pub fn get(&self, stmt: StmtId, k: usize) -> Option<Value> {
-        let word = *self.words.get(stmt.index())?.get(k)?;
-        Some(if self.bools[stmt.index()][k] {
-            Value::Bool(word != 0)
-        } else {
-            Value::Int(word)
-        })
+        let range = self.range(stmt);
+        (k < range.len()).then(|| self.value(range.start + k))
     }
 
     /// The values of `stmt`'s instances, in execution order.
     pub fn of(&self, stmt: StmtId) -> impl Iterator<Item = Value> + '_ {
-        let i = stmt.index();
-        let words = self.words.get(i).map_or(&[][..], Vec::as_slice);
-        let bools = self.bools.get(i).map_or(&[][..], Vec::as_slice);
-        words.iter().zip(bools).map(|(&w, &b)| {
-            if b {
-                Value::Bool(w != 0)
-            } else {
-                Value::Int(w)
-            }
-        })
+        self.range(stmt).map(|i| self.value(i))
     }
 
     /// Statements covered (the program's statement count).
     pub fn stmt_count(&self) -> usize {
-        self.words.len()
+        self.off.len().saturating_sub(1)
     }
 
     /// Bytes the values occupy: nine per valued instance.
     pub fn bytes(&self) -> usize {
-        9 * self.words.iter().map(Vec::len).sum::<usize>()
+        9 * self.words.len()
+    }
+}
+
+/// The value sink: a value run logs each value with its statement in
+/// execution order, then groups the log by statement once, at the end —
+/// no per-statement vectors to set up, grow or shrink. The log is a
+/// list of chunks, so it grows without copying what it holds.
+#[derive(Default)]
+struct ValueLog {
+    /// Filled chunks, in execution order.
+    full: Vec<(Vec<u32>, Vec<i64>)>,
+    /// The chunk being filled: statement per value, its top bit set when
+    /// the value is a boolean, and payload per value (booleans as 0/1).
+    tags: Vec<u32>,
+    words: Vec<i64>,
+}
+
+/// The boolean flag in a [`ValueLog`] tag.
+const BOOL_TAG: u32 = 1 << 31;
+
+/// Entries of a value log's first chunk; each next chunk doubles, up to
+/// [`MAX_CHUNK`].
+const FIRST_CHUNK: usize = 1 << 10;
+const MAX_CHUNK: usize = 1 << 16;
+
+impl ValueLog {
+    #[inline]
+    fn push(&mut self, tag: u32, word: i64) {
+        if self.tags.len() == self.tags.capacity() {
+            let cap = (2 * self.tags.capacity()).clamp(FIRST_CHUNK, MAX_CHUNK);
+            let tags = std::mem::replace(&mut self.tags, Vec::with_capacity(cap));
+            let words = std::mem::replace(&mut self.words, Vec::with_capacity(cap));
+            if !tags.is_empty() {
+                self.full.push((tags, words));
+            }
+        }
+        self.tags.push(tag);
+        self.words.push(word);
+    }
+
+    /// Groups the log by statement (a counting sort, stable within each
+    /// statement) over a program of `stmts` statements.
+    fn into_values(self, stmts: usize) -> StmtValues {
+        let chunks = || {
+            let last = std::iter::once((&self.tags, &self.words));
+            self.full.iter().map(|(t, w)| (t, w)).chain(last)
+        };
+        let mut off = vec![0u32; stmts + 1];
+        for (tags, _) in chunks() {
+            for &t in tags {
+                off[(t & !BOOL_TAG) as usize + 1] += 1;
+            }
+        }
+        for s in 1..off.len() {
+            off[s] += off[s - 1];
+        }
+        let n = off[stmts] as usize;
+        let mut words = vec![0i64; n];
+        let mut bools = vec![false; n];
+        // `off[s]` serves as statement `s`'s cursor, which leaves it at
+        // the start of `s + 1`; one rotation restores the offsets.
+        for (tags, chunk) in chunks() {
+            for (&t, &w) in tags.iter().zip(chunk) {
+                let cursor = &mut off[(t & !BOOL_TAG) as usize];
+                words[*cursor as usize] = w;
+                bools[*cursor as usize] = t & BOOL_TAG != 0;
+                *cursor += 1;
+            }
+        }
+        off.rotate_right(1);
+        off[0] = 0;
+        StmtValues { off, words, bools }
     }
 }
 
@@ -183,22 +253,12 @@ pub struct ValueRun {
 /// run is never scoped by a [`Supervisor`](omislice_trace::Supervisor)
 /// deadline, which only the failing run's recording observes.
 pub fn run_values(program: &Program, index: &ProgramIndex, config: &RunConfig) -> ValueRun {
-    let stmts = program.stmt_count() as usize;
-    let sink = StmtValues {
-        words: vec![Vec::new(); stmts],
-        bools: vec![Vec::new(); stmts],
-    };
-    let mut e = Eval::new(program, index, config, sink);
+    let mut e = Eval::new(program, index, config, ValueLog::default());
     let termination = termination(e.run_main());
-    let mut values = e.sink;
-    for (words, bools) in values.words.iter_mut().zip(&mut values.bools) {
-        words.shrink_to_fit();
-        bools.shrink_to_fit();
-    }
     ValueRun {
         outputs: e.outputs.into_iter().map(|o| o.value).collect(),
         termination,
-        values,
+        values: e.sink.into_values(program.stmt_count() as usize),
     }
 }
 
@@ -270,7 +330,7 @@ impl Drop for Demand {
 /// # Ok::<(), omislice_lang::FrontendError>(())
 /// ```
 pub fn run_traced(program: &Program, analysis: &ProgramAnalysis, config: &RunConfig) -> TracedRun {
-    run_traced_capturing(program, analysis, config, &[]).0
+    run_traced_capturing(program, analysis, config, &[], None).0
 }
 
 /// Like [`run_traced`], but additionally captures a [`Checkpoint`] of the
@@ -283,13 +343,24 @@ pub fn run_traced(program: &Program, analysis: &ProgramAnalysis, config: &RunCon
 /// condition), more than one checkpoint can carry the same spec; every
 /// one of them is a consistent suspension at or before the switch point,
 /// so resuming from any of them reproduces the switched run.
+///
+/// With a `chain`, the run stops recording once the chain's target is
+/// recorded or ruled out (see [`crate::run_switched_until`]).
 pub(crate) fn run_traced_capturing(
     program: &Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
     capture: &[SwitchSpec],
+    chain: Option<DescentChain>,
 ) -> (TracedRun, Vec<Checkpoint>) {
-    let sink = Full::new(analysis, Recorder::new(), Vec::new(), program, capture);
+    let sink = Full::new(
+        analysis,
+        Recorder::new(),
+        Vec::new(),
+        program,
+        capture,
+        chain,
+    );
     let mut e = Eval::new(program, analysis.index(), config, sink);
     // The recorder guard sits outside the event-append loop: one
     // `enabled()` check and one counter flush per run, never per event.
@@ -333,6 +404,7 @@ pub(crate) fn run_traced_capturing(
 /// prefix).
 /// The dependence buffer needs no restoring: it is empty at every
 /// resumable capture point.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn resume_switched_impl(
     program: &Program,
     analysis: &ProgramAnalysis,
@@ -341,10 +413,11 @@ pub(crate) fn resume_switched_impl(
     base: &Trace,
     capture: &[SwitchSpec],
     fault_seen: u32,
+    chain: Option<DescentChain>,
 ) -> Option<(TracedRun, Vec<Checkpoint>)> {
     let rec = Recorder::from_prefix(&base.columns_arc(), checkpoint.trace_len);
     let regions = checkpoint.region_stack.clone();
-    let sink = Full::new(analysis, rec, regions, program, capture);
+    let sink = Full::new(analysis, rec, regions, program, capture, chain);
     let mut e = Eval::new(program, analysis.index(), config, sink);
     // Reconstruct, per frame, the static path from the function body to
     // the statement the frame is suspended at: the call site of the next
@@ -500,14 +573,16 @@ impl Sink for () {
 }
 
 /// The value sink: a value run keeps each statement's values.
-impl Sink for StmtValues {
+impl Sink for ValueLog {
     const TICKS: bool = false;
     type Defs = ();
 
     #[inline]
     fn record(&mut self, _: InstId, ev: Ev, _: usize, _: u32) {
-        if let Some(v) = ev.value {
-            self.push(ev.stmt, v);
+        match ev.value {
+            None => {}
+            Some(Value::Int(n)) => self.push(ev.stmt.0, n),
+            Some(Value::Bool(b)) => self.push(ev.stmt.0 | BOOL_TAG, b as i64),
         }
     }
 }
@@ -537,6 +612,78 @@ struct Full<'a> {
     /// Events asked for so far, refused ones included (see
     /// [`last_demand`]).
     demand: Demand,
+    /// The descent chain a switched run follows, if it stops recording
+    /// once the chain's target is decided.
+    horizon: Option<Horizon>,
+    /// Whether events are still recorded: cleared once `horizon` is
+    /// passed, after which every hook but the demand count and the
+    /// recorder's deadline cadence does nothing.
+    live: bool,
+}
+
+/// Where a switched run stands on its [`DescentChain`]: the region the
+/// walk is in and how many of its sub-regions have begun.
+struct Horizon {
+    chain: DescentChain,
+    /// Whether the switch point has been recorded.
+    armed: bool,
+    /// Index of the step being looked for.
+    level: usize,
+    /// The switched counterpart of the region the step lies in (`None`:
+    /// the whole execution).
+    head: Option<InstId>,
+    /// Sub-regions of `head` begun so far.
+    seen: u32,
+}
+
+impl Horizon {
+    fn new(chain: DescentChain) -> Self {
+        Horizon {
+            head: chain.root,
+            seen: chain.started,
+            chain,
+            armed: false,
+            level: 0,
+        }
+    }
+
+    /// Advances over the just-recorded `inst` (statement `stmt`, branch
+    /// `branch`, region parent `parent`); true once the chain's target
+    /// has been recorded or ruled out. A region is an interval, so while
+    /// `head`'s stays open an event lies in it exactly when its parent
+    /// does not precede `head`.
+    fn passed(
+        &mut self,
+        inst: InstId,
+        stmt: StmtId,
+        branch: Option<bool>,
+        parent: Option<InstId>,
+    ) -> bool {
+        if !self.armed {
+            self.armed = inst == self.chain.switch;
+            return self.armed && self.chain.steps.is_empty();
+        }
+        if let Some(h) = self.head {
+            if parent.is_none_or(|rp| rp < h) {
+                return true; // `head` closed before the position came
+            }
+        }
+        if parent != self.head {
+            return false;
+        }
+        let step = self.chain.steps[self.level];
+        self.seen += 1;
+        if self.seen <= step.position {
+            return false;
+        }
+        if stmt != step.stmt || self.level + 1 == self.chain.steps.len() || branch != step.branch {
+            return true;
+        }
+        self.level += 1;
+        self.head = Some(inst);
+        self.seen = 0;
+        false
+    }
 }
 
 impl<'a> Full<'a> {
@@ -546,6 +693,7 @@ impl<'a> Full<'a> {
         region_stack: Vec<InstId>,
         program: &Program,
         capture: &[SwitchSpec],
+        chain: Option<DescentChain>,
     ) -> Self {
         Full {
             analysis,
@@ -556,6 +704,8 @@ impl<'a> Full<'a> {
             region_stack,
             capture: capture_table(program, capture),
             captured: Vec::new(),
+            horizon: chain.map(Horizon::new),
+            live: true,
         }
     }
 }
@@ -574,28 +724,39 @@ impl Sink for Full<'_> {
     }
 
     /// Records the event with its timestamp, region parent and call depth
-    /// and the deduplicated window as its data dependences.
+    /// and the deduplicated window as its data dependences, then advances
+    /// the horizon; once it is passed, later events are only counted.
     #[inline]
     fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32) {
+        if !self.live {
+            self.rec.tick();
+            return;
+        }
         let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
+        let region_parent = self.region_stack.last().copied();
         let recorded = self.rec.push(RawEvent {
             stmt: ev.stmt,
             value: ev.value,
             branch: ev.branch,
             deps: &self.deps[mark..mark + n],
             cd_parent: ev.cd_parent,
-            region_parent: self.region_stack.last().copied(),
+            region_parent,
             def_var: ev.def_var,
             cell_index: ev.cell_index,
             call_depth: depth,
         });
         debug_assert_eq!(recorded, inst, "the evaluator counts what is recorded");
         self.deps.truncate(mark);
+        if let Some(h) = &mut self.horizon {
+            self.live = !h.passed(inst, ev.stmt, ev.branch, region_parent);
+        }
     }
 
     #[inline]
     fn def_var(&mut self, var: VarId) {
-        self.rec.set_def_var_last(var);
+        if self.live {
+            self.rec.set_def_var_last(var);
+        }
     }
 
     #[inline]
@@ -605,7 +766,9 @@ impl Sink for Full<'_> {
 
     #[inline]
     fn read(&mut self, defs: &[InstId]) {
-        self.deps.extend_from_slice(defs);
+        if self.live {
+            self.deps.extend_from_slice(defs);
+        }
     }
 
     #[inline]
@@ -614,6 +777,9 @@ impl Sink for Full<'_> {
     }
 
     fn sources(&mut self, start: usize, end: Option<usize>) -> Defs {
+        if !self.live {
+            return Defs::default();
+        }
         let end = end.unwrap_or(self.deps.len());
         let window = &mut self.deps[start..end];
         let n = dedup_in_place(window, &mut self.scratch);
@@ -624,6 +790,9 @@ impl Sink for Full<'_> {
     /// branch outcome matches, falling back to the parent inherited from
     /// the call site for statements at the top level of their function.
     fn cd_of(&self, frames: &[Frame], stmt: StmtId) -> Option<InstId> {
+        if !self.live {
+            return None;
+        }
         let frame = frames.last().expect("at least one frame");
         let index = self.analysis.index();
         let mut best: Option<InstId> = None;
@@ -640,6 +809,9 @@ impl Sink for Full<'_> {
     /// Clears the frame's predicate table and inherits the innermost open
     /// region as the control-dependence parent of the callee's top level.
     fn enter(&self, frame: &mut Frame, info: &FnInfo) {
+        if !self.live {
+            return;
+        }
         frame.preds.clear();
         frame.preds.resize(info.preds as usize, None);
         frame.inherited_cd = self.region_stack.last().copied();
@@ -647,18 +819,25 @@ impl Sink for Full<'_> {
 
     #[inline]
     fn predicate(&self, frames: &mut [Frame], stmt: StmtId, inst: InstId, outcome: bool) {
+        if !self.live {
+            return;
+        }
         let frame = frames.last_mut().expect("at least one frame");
         frame.preds[self.analysis.index().pred_slot(stmt)] = Some((inst, outcome));
     }
 
     #[inline]
     fn push_region(&mut self, inst: InstId) {
-        self.region_stack.push(inst);
+        if self.live {
+            self.region_stack.push(inst);
+        }
     }
 
     #[inline]
     fn pop_region(&mut self) {
-        self.region_stack.pop();
+        if self.live {
+            self.region_stack.pop();
+        }
     }
 
     #[inline]
@@ -1348,9 +1527,16 @@ impl<'a, S: Sink> Eval<'a, S> {
 impl Eval<'_, Full<'_>> {
     /// Closes a traced run that ended with `result`, returning it and the
     /// checkpoints it captured.
-    fn into_traced(self, result: Result<(), Stop>) -> (TracedRun, Vec<Checkpoint>) {
+    /// A run that stopped recording keeps the outputs of what it
+    /// recorded.
+    fn into_traced(mut self, result: Result<(), Stop>) -> (TracedRun, Vec<Checkpoint>) {
+        let cols = self.sink.rec.finish();
+        let recorded = self
+            .outputs
+            .partition_point(|o| o.inst.index() < cols.len());
+        self.outputs.truncate(recorded);
         let run = TracedRun {
-            trace: Trace::from_recorded(self.sink.rec.finish(), self.outputs, termination(result)),
+            trace: Trace::from_recorded(cols, self.outputs, termination(result)),
             switched: self.switched,
             overridden: self.overridden,
             input_underflows: self.input_underflows,

@@ -346,6 +346,16 @@ pub fn locate_fault(
         .ok_or(LocateError::NoWrongOutput)?;
     let wrong = outputs.wrong;
 
+    // Stop at the failure: every dependence edge points back in time,
+    // every correct output precedes o×, and certainty flows only
+    // backward, so no instance after o× can enter the slice, the
+    // ranking, IPS, OS or provenance. The rest of Algorithm 2 runs on a
+    // view of the trace through o×: index, graph, confidence, the
+    // secondary uses of lines 12–18 and the verifier's base trace all
+    // end there, and switched runs record only until o× is aligned.
+    let view = trace.prefix(wrong.index() + 1);
+    let trace = &view;
+
     // Eagerly build the trace index and CSR adjacency with the session's
     // job count — every slice, prune, and potential-dep query below runs
     // on them.

@@ -36,6 +36,11 @@ pub trait UserOracle {
 
     /// Whether the program state produced by `inst` is benign (correct).
     ///
+    /// `trace` is the view of the failing trace through the first wrong
+    /// output ([`Trace::prefix`]) that the locator runs on, not the
+    /// trace [`UserOracle::classify_outputs`] saw: its instances are the
+    /// failing run's, numbered alike, but it ends at `o×`.
+    ///
     /// The answer must be a pure function of `(trace, inst)` within one
     /// localization: PruneSlicing asks each ranked instance at most once
     /// per round and never re-asks the candidates it has passed, so an

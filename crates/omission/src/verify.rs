@@ -43,7 +43,7 @@
 //! * every other leaf *resumes* from the deepest checkpoint at or before
 //!   its own position — its own if captured, otherwise an ancestor's,
 //!   re-executing only the gap (see
-//!   `omislice_interp::resume_switched_capturing`);
+//!   `omislice_interp::resume_switched_until`);
 //! * leaves are dispatched across threads ([`Verifier::with_jobs`])
 //!   through work-stealing deques seeded longest remaining suffix
 //!   first; results land in per-candidate slots and are merged in
@@ -52,6 +52,9 @@
 //! * each switched run executes once, at the full step budget: the
 //!   [`BudgetSchedule`] only counts the rungs the run's demand outgrew
 //!   (see [`Verifier::with_budget_schedule`]).
+//! * each switched run records only until the base trace's last
+//!   instance is aligned, then executes on unrecorded (see
+//!   [`descent_chain`]).
 //!
 //! Resumed and from-scratch switched runs are byte-identical (see
 //! `omislice_interp::snapshot`). [`ResumeMode::Disabled`] runs every
@@ -62,11 +65,11 @@
 //! thresholds.
 
 use crate::memo::{RunEntry, VerifyMemo};
-use omislice_align::{Aligner, MatchMemo};
+use omislice_align::{descent_chain, Aligner, MatchMemo};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
-    last_demand, resume_switched_capturing, run_traced_with_checkpoints, BudgetSchedule,
-    Checkpoint, ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
+    last_demand, resume_switched_until, run_switched_until, BudgetSchedule, Checkpoint,
+    ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
 };
 use omislice_lang::{Program, VarId};
 use omislice_slicing::DepGraph;
@@ -326,6 +329,12 @@ impl ComputedRun {
 /// once, and later locate iterations reuse earlier ones' runs. Batches
 /// submitted through [`Verifier::verify_all`] additionally resume
 /// switched runs from checkpoints and fan them out across threads.
+///
+/// Each switched run records only until the base trace's last instance
+/// is aligned (`omislice_interp::run_switched_until`): every use of the
+/// base trace is decided by then. `locate_fault` builds its verifier on
+/// the view of the failing trace through the first wrong output, so its
+/// switched runs stop recording at that output's counterpart.
 pub struct Verifier<'a> {
     program: &'a Program,
     analysis: &'a ProgramAnalysis,
@@ -503,6 +512,19 @@ impl<'a> Verifier<'a> {
     /// Instrumentation counters for this verifier's lifetime.
     pub fn stats(&self) -> &VerificationStats {
         &self.stats
+    }
+
+    /// The memoized switched run of predicate instance `p`, if one was
+    /// executed, its switch landed, and the memo still holds it: what
+    /// the run recorded, which ends once the base trace's last instance
+    /// is aligned. Reading it counts as a use in the memo's eviction
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a predicate instance of the base trace.
+    pub fn switched_trace(&self, p: InstId) -> Option<Arc<Trace>> {
+        self.memo.get_run(self.memo_key, self.spec_of(p))?.0
     }
 
     /// `VerifyDep(p, u, o×, v_exp)` for the use of `var` at instance `u`.
@@ -1081,6 +1103,10 @@ impl<'a> Verifier<'a> {
         capture: &[SwitchSpec],
     ) -> (ComputedRun, Vec<Checkpoint>) {
         let cfg = self.config.switched(spec);
+        // Record only until the base trace's last instance is aligned:
+        // every use the verifier can be asked about is decided by then.
+        let last = InstId(self.trace.len() as u32 - 1);
+        let chain = descent_chain(self.trace, p, last);
         let mut out = ComputedRun {
             run: None,
             outcome: RunOutcome::BudgetExhausted,
@@ -1095,13 +1121,14 @@ impl<'a> Verifier<'a> {
         let mut resumed: Option<(TracedRun, Vec<Checkpoint>)> = None;
         if let Some(cp) = donor {
             match catch_unwind(AssertUnwindSafe(|| {
-                resume_switched_capturing(
+                resume_switched_until(
                     self.program,
                     self.analysis,
                     &cfg,
                     cp,
                     self.trace,
                     capture,
+                    chain.clone(),
                 )
             })) {
                 Ok(Ok(run)) => {
@@ -1123,7 +1150,7 @@ impl<'a> Verifier<'a> {
         let (run, captured) = match resumed {
             Some(r) => r,
             None => match catch_unwind(AssertUnwindSafe(|| {
-                run_traced_with_checkpoints(self.program, self.analysis, &cfg, capture)
+                run_switched_until(self.program, self.analysis, &cfg, capture, chain)
             })) {
                 Ok(r) => r,
                 Err(_) => {

@@ -163,6 +163,21 @@ impl ValueProfile {
         self.values.get(stmt.index()).map_or(0, HashSet::len)
     }
 
+    /// Heap bytes the profile holds: each statement's value set is a
+    /// hash table of one control byte plus one [`Value`] per bucket, its
+    /// bucket count the next power of two above 8/7 of its capacity.
+    pub fn bytes(&self) -> usize {
+        let table = |set: &ValueSet| {
+            if set.capacity() == 0 {
+                return 0;
+            }
+            let buckets = (set.capacity() * 8 / 7).next_power_of_two();
+            buckets * (std::mem::size_of::<Value>() + 1) + 16
+        };
+        self.values.capacity() * std::mem::size_of::<ValueSet>()
+            + self.values.iter().map(table).sum::<usize>()
+    }
+
     /// Whether `value` was ever observed at `stmt`.
     pub fn observed(&self, stmt: StmtId, value: Value) -> bool {
         self.values

@@ -13,7 +13,13 @@
 //!   5. `prune_round` (one confidence pass per round, certainty extended
 //!      in place per benign judgement) equals re-running `prune_slice`
 //!      after every judgement, for random wrong outputs, extra edges,
-//!      benign oracles and judgement limits.
+//!      benign oracles and judgement limits;
+//!   6. nothing after the wrong output `o×` reaches the report: random
+//!      edges out of instances after `o×` leave `prune_round`'s ranking
+//!      and judgement count, the confidence of every instance up to `o×`,
+//!      `backward_slice(o×)` and `path_between(o×, x)` identical to the
+//!      graph without them and to the graph on the trace's prefix view
+//!      through `o×`.
 //!
 //! Every index and incremental shortcut must be invisible in results.
 
@@ -290,6 +296,73 @@ proptest! {
                 left -= got_n;
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn edges_out_of_instances_after_the_failure_change_nothing(
+        program in program_strategy(),
+        wrong_pick in any::<prop::sample::Index>(),
+        edge_picks in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..6),
+        late_picks in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..6),
+        oracle_seed in any::<u64>(),
+        benign_percent in 0u64..101,
+    ) {
+        let analysis = ProgramAnalysis::build(&program);
+        let trace = &run_traced(&program, &analysis, &RunConfig::default()).trace;
+        prop_assert!(trace.termination().is_normal());
+        let mut profile = ValueProfile::new();
+        profile.add_trace(trace);
+        let outputs = trace.outputs();
+        let w = wrong_pick.index(outputs.len());
+        let correct: Vec<InstId> = outputs[..w].iter().map(|o| o.inst).collect();
+        let wrong = outputs[w].inst;
+        let n = wrong.index() + 1;
+        let view = trace.prefix(n);
+        // Edges Algorithm 2 may add up to o×, and edges out of the
+        // instances after it (none when o× ends the trace).
+        let early: Vec<(InstId, InstId)> = edge_picks
+            .iter()
+            .map(|(a, b)| (InstId(a.index(n) as u32), InstId(b.index(n) as u32)))
+            .filter(|(from, to)| to < from)
+            .collect();
+        let late: Vec<(InstId, InstId)> = late_picks
+            .iter()
+            .filter(|_| trace.len() > n)
+            .map(|(a, b)| {
+                let from = n + a.index(trace.len() - n);
+                (InstId(from as u32), InstId(b.index(from) as u32))
+            })
+            .collect();
+        let is_benign = seeded_oracle(oracle_seed, benign_percent);
+
+        let mut without = DepGraph::new(trace);
+        let mut with = DepGraph::new(trace);
+        let mut on_view = DepGraph::new(&view);
+        for &(from, to) in &early {
+            without.add_edge(from, to);
+            with.add_edge(from, to);
+            on_view.add_edge(from, to);
+        }
+        for &(from, to) in &late {
+            with.add_edge(from, to);
+        }
+        let round = |graph: &DepGraph<'_>| {
+            let mut feedback = Feedback::default();
+            let (ps, judged) = prune_round(
+                graph, &analysis, &profile, &correct, wrong, &mut feedback, &is_benign, usize::MAX,
+            );
+            let conf: Vec<f64> = (0..n as u32).map(|i| ps.confidence.of(InstId(i))).collect();
+            let paths: Vec<Option<Vec<InstId>>> =
+                (0..n as u32).map(|x| graph.path_between(wrong, InstId(x))).collect();
+            (ps.ranked, judged, conf, graph.backward_slice(wrong), paths)
+        };
+        let want = round(&without);
+        prop_assert_eq!(&round(&with), &want, "edges out of instances after o×");
+        prop_assert_eq!(&round(&on_view), &want, "the prefix view through o×");
     }
 }
 

@@ -517,6 +517,22 @@ impl ColumnarTrace {
             .collect()
     }
 
+    /// Heap bytes the store's own columns hold, spare capacity
+    /// included: what keeping the store resident costs, where
+    /// [`ColumnarTrace::bytes`] counts the recorded data alone.
+    pub fn heap_bytes(&self) -> usize {
+        self.stmt.capacity() * std::mem::size_of::<StmtId>()
+            + self.meta.capacity()
+            + self.value.capacity() * 8
+            + self.call_depth.capacity() * 4
+            + self.cd_parent.capacity() * 4
+            + self.region_parent.capacity() * 4
+            + self.def_var.capacity() * 4
+            + self.deps_off.capacity() * 4
+            + self.deps.capacity() * 4
+            + self.cell_index.capacity() * 16
+    }
+
     /// Resident column bytes *owned by this store* (the
     /// `columnar.bytes` observability counter). A shared checkpoint
     /// prefix is charged to its donor, not double-counted: the memo's

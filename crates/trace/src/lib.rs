@@ -45,7 +45,7 @@ pub use format::{decode_trace, encode_trace, load_trace, save_trace, TraceFileEr
 pub use index::TraceIndex;
 pub use outcome::{CrashKind, RunOutcome};
 pub use recorder::Recorder;
-pub use region::{RegionTree, Siblings};
+pub use region::{DescentChain, DescentStep, RegionTree, Siblings};
 pub use stats::{TraceStats, VerificationStats};
 pub use supervisor::{
     note_recovery, take_recovery, Deadline, FaultAction, FaultEntry, FaultPlan, FaultSite,

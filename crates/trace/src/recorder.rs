@@ -82,6 +82,16 @@ impl Recorder {
     /// Records one event, returning its instance id.
     #[inline]
     pub fn push(&mut self, ev: RawEvent<'_>) -> InstId {
+        self.tick();
+        self.cols.push(ev)
+    }
+
+    /// Counts one executed event toward the next counted deadline check.
+    /// [`Recorder::push`] counts what it records; a run that has stopped
+    /// recording counts each later event here, so the checks keep their
+    /// cadence.
+    #[inline]
+    pub fn tick(&mut self) {
         if self.since_check == CHUNK_EVENTS {
             self.since_check = 0;
             if supervisor::scoped_deadline_check() {
@@ -89,7 +99,6 @@ impl Recorder {
             }
         }
         self.since_check += 1;
-        self.cols.push(ev)
     }
 
     /// Patches the defined variable of the event just pushed.

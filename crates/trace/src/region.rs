@@ -26,7 +26,49 @@
 use crate::columnar::{ColumnarTrace, NONE_U32};
 use crate::event::InstId;
 use crate::trace::Trace;
+use omislice_lang::StmtId;
 use std::fmt::Write as _;
+
+/// One level of a [`DescentChain`]: the sub-region Algorithm 1's
+/// lockstep walk enters, and what its counterpart must look like for the
+/// walk to go on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DescentStep {
+    /// Position among the enclosing region's sub-regions (0-based).
+    pub position: u32,
+    /// The statement the counterpart's head must execute.
+    pub stmt: StmtId,
+    /// The branch the counterpart's head must take for the walk to
+    /// descend below it (`None` on the last step, which is the target).
+    pub branch: Option<bool>,
+}
+
+/// The walk Algorithm 1 makes to match one instance `t` of an original
+/// run in a re-execution switched at `p`, read off the original's region
+/// tree alone: from the deepest region strictly above `p` that contains
+/// `t` (the `root`), the chain of sub-regions down to `t`, one
+/// [`DescentStep`] per level.
+///
+/// A switched run that follows the chain while it records learns when
+/// `t`'s counterpart is recorded or ruled out: a level's counterpart
+/// differs in statement or branch, or its region closes before the
+/// position is reached. Matches are monotone in trace order, so by then
+/// the match of every instance up to `t` is decided, and the run can
+/// stop recording (see `omislice_interp::run_switched_until`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DescentChain {
+    /// The switch point `p`: the run follows the chain from there.
+    pub switch: InstId,
+    /// The region the walk starts in (`None`: the whole execution).
+    pub root: Option<InstId>,
+    /// Sub-regions of `root` begun by the switch point, the one
+    /// containing it included: the position the next one takes.
+    pub started: u32,
+    /// The levels from `root` down to `t`; empty when `t`'s match is
+    /// decided at the switch point itself (`t` precedes or is `p`, or is
+    /// guarded by `p`'s original branch).
+    pub steps: Vec<DescentStep>,
+}
 
 /// Builds the subtree-size column of a trace: one reverse pass, since
 /// parents precede children, so `size[i]` is complete by the time `i` is

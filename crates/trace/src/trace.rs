@@ -143,6 +143,39 @@ impl Trace {
         }
     }
 
+    /// A view of the first `len` events: their columns are shared with
+    /// this trace ([`ColumnarTrace::share_prefix`], O(1)), its outputs
+    /// are those the events emitted, and its termination is the whole
+    /// run's. Index, region column and statement map are built afresh
+    /// on first use and cover only the view. What Algorithm 2 runs on
+    /// once the failure point `o×` is known: the view of `o× + 1` events
+    /// holds every instance that can reach the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the trace.
+    pub fn prefix(&self, len: usize) -> Trace {
+        let outputs = &self.outputs[..self.outputs.partition_point(|o| o.inst.index() < len)];
+        Trace::from_recorded(
+            ColumnarTrace::share_prefix(&self.cols, len),
+            outputs.to_vec(),
+            self.termination.clone(),
+        )
+    }
+
+    /// Heap bytes the trace holds: its own columns with their spare
+    /// capacity, its outputs, and the region column and statement map if
+    /// built (the query index is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.cols.heap_bytes()
+            + self.outputs.capacity() * std::mem::size_of::<OutputRecord>()
+            + self.regions.get().map_or(0, |r| r.capacity() * 4)
+            + self
+                .by_stmt
+                .get()
+                .map_or(0, |m| (m.off.capacity() + m.insts.capacity()) * 4)
+    }
+
     /// The columnar event store.
     pub fn columns(&self) -> &ColumnarTrace {
         &self.cols
