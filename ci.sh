@@ -518,6 +518,17 @@ fi
 echo "==> cargo build --release"
 cargo build "${OFFLINE[@]}" --release --workspace
 
+# The shipped binary links no test harness: `omislice-bench` (diffcheck,
+# the serve client, the naive oracles it drives) may reach the CLI only
+# through dev-dependencies.
+echo "==> release dependency gate (omislice-cli links no omislice-bench)"
+cli_deps=$(cargo tree "${OFFLINE[@]}" -e normal -p omislice-cli)
+if grep -q 'omislice-bench' <<<"$cli_deps"; then
+    echo "release dependency gate FAILED: omislice-cli depends on omislice-bench:" >&2
+    grep 'omislice-bench' <<<"$cli_deps" >&2
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test "${OFFLINE[@]}" -q --workspace
 

@@ -10,14 +10,12 @@
 //!                   [--trace-in <file.omitrace>]
 //!                   [--profile 4,5;6,7] [--mode edge|path|value]
 //!                   [--jobs N] [--no-resume] [--stats]
-//!                   [--capture-threshold N] [--early-exit]
 //!                   [--budget init[:factor[:attempts]]|off]
 //!                   [--fault-plan <plan>] [--deadline <ms>]
 //! omislice verify   <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
 //!                   [--var name] [--expected v] [--mode edge|path|value]
 //! omislice corpus   [list | locate <bench> <fault> [--jobs N] [--no-resume]
-//!                   [--capture-threshold N] [--early-exit] [--stats]
-//!                   [--budget ...] [--fault-plan <plan>] [--deadline <ms>]]
+//!                   [--stats] [--budget ...] [--fault-plan <plan>] [--deadline <ms>]]
 //! ```
 //!
 //! `locate` and `corpus locate` are two front ends of one pipeline: both
@@ -117,7 +115,6 @@ const USAGE: &str = "usage:
                    [--trace-in <file.omitrace>]
                    [--profile 4,5;6,7] [--mode edge|path|value]
                    [--jobs N] [--no-resume] [--stats]
-                   [--capture-threshold N] [--early-exit]
                    [--budget init[:factor[:attempts]]|off]
                    [--fault-plan <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
@@ -125,8 +122,7 @@ const USAGE: &str = "usage:
   omislice verify  <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
                    [--var name] [--expected v] [--mode edge|path|value]
   omislice corpus  [list | locate <bench> <fault> [--jobs N] [--no-resume]
-                   [--capture-threshold N] [--early-exit] [--stats]
-                   [--budget ...] [--fault-plan <plan>] [--deadline <ms>]
+                   [--stats] [--budget ...] [--fault-plan <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
                    [--profile-out <file.json>]]
   omislice serve   --addr <host:port> [--workers N] [--queue N]
@@ -430,17 +426,6 @@ fn mode_flag(opts: &Opts) -> Result<VerifierMode, CliError> {
     })
 }
 
-/// Parses `--capture-threshold N`: the minimum replay-gap (in events)
-/// that justifies snapshotting a checkpoint. `None` keeps the built-in
-/// break-even default.
-fn parse_capture_threshold(opts: &Opts) -> Result<Option<usize>, CliError> {
-    parse_flag::<usize>(
-        opts,
-        "capture-threshold",
-        "a non-negative integer of events",
-    )
-}
-
 /// Parses `--jobs N`, bounded to `1..=MAX_JOBS` like a served request's
 /// `jobs`. The default is [`default_jobs`], one worker per available core
 /// (a served request defaults to 1: the server's worker pool already
@@ -717,11 +702,6 @@ fn locate_metrics(
         vs.captures_skipped as f64,
     );
     set.push(
-        "verify_early_exit_cancelled",
-        "Requests cancelled by batch-level early exit",
-        vs.early_exit_cancelled as f64,
-    );
-    set.push(
         "verify_budget_retries",
         "Budget escalation retries",
         vs.budget_retries as f64,
@@ -744,9 +724,8 @@ fn locate_metrics(
 
 /// The value flags `locate` and `corpus locate` share: localization
 /// tuning, supervision, and observability (`--mode` is `locate`'s alone).
-const LOCATE_FLAGS: [&str; 8] = [
+const LOCATE_FLAGS: [&str; 7] = [
     "jobs",
-    "capture-threshold",
     "budget",
     "fault-plan",
     "deadline",
@@ -756,7 +735,7 @@ const LOCATE_FLAGS: [&str; 8] = [
 ];
 
 /// The boolean flags `locate` and `corpus locate` share.
-const LOCATE_SWITCHES: [&str; 4] = ["no-resume", "early-exit", "stats", "explain"];
+const LOCATE_SWITCHES: [&str; 3] = ["no-resume", "stats", "explain"];
 
 /// Everything both `locate` front ends take from their flags, parsed
 /// before any pipeline work so a malformed value costs nothing.
@@ -779,8 +758,6 @@ impl LocateFlags {
             } else {
                 ResumeMode::Auto
             },
-            capture_threshold: parse_capture_threshold(opts)?,
-            early_exit: opts.has("early-exit"),
             memo: Some(VerifyMemo::shared()),
             budget: parse_budget(opts.value("budget"))?,
             fault: sup.stmt_fault(),

@@ -1221,18 +1221,6 @@ fn malformed_numeric_flags_exit_2_with_usage() {
             "bad --jobs `257` (need an integer from 1 to 256)",
         ),
         (
-            vec![
-                "locate",
-                "--faulty",
-                f,
-                "--fixed",
-                g,
-                "--capture-threshold",
-                "soon",
-            ],
-            "bad --capture-threshold `soon`",
-        ),
-        (
             vec!["locate", "--faulty", f, "--fixed", g, "--budget", "x:y"],
             "bad --budget `x:y`",
         ),
@@ -1335,6 +1323,22 @@ fn usage_errors_exit_2_but_pipeline_failures_exit_1() {
         (
             &["corpus", "locate", "sed", "V3-F2", "--chaos", "save=enospc"],
             "--chaos",
+        ),
+        (
+            &["corpus", "locate", "sed", "V3-F3", "--early-exit"],
+            "--early-exit",
+        ),
+        (
+            &[
+                "locate",
+                "--faulty",
+                "a",
+                "--fixed",
+                "b",
+                "--capture-threshold",
+                "1",
+            ],
+            "--capture-threshold",
         ),
     ] {
         let out = omislice(args);

@@ -210,12 +210,10 @@ pub struct LocateConfig {
     pub deadline: Option<Deadline>,
     /// Capture break-even override in gap events (`None`: the cost
     /// model's static default,
-    /// [`crate::verify::DEFAULT_CAPTURE_THRESHOLD`]).
+    /// [`crate::verify::DEFAULT_CAPTURE_THRESHOLD`]). No front end sets
+    /// it; the differential checks vary it to show verdicts do not
+    /// depend on the capture plan.
     pub capture_threshold: Option<usize>,
-    /// Cancel each batch's tail once its first StrongId resolves the
-    /// top-ranked use (off by default; cancelled candidates verify NotId
-    /// under the expired-timer rule, which can suppress non-root edges).
-    pub early_exit: bool,
     /// A persistent run/checkpoint memo shared with other locate calls
     /// (corpus/fleet jobs, repeated sessions); `None` gives the verifier
     /// a private one. Entries are keyed by configuration fingerprint, so
@@ -236,7 +234,6 @@ impl Default for LocateConfig {
             fault: None,
             deadline: None,
             capture_threshold: None,
-            early_exit: false,
             memo: None,
         }
     }
@@ -366,7 +363,6 @@ pub fn locate_fault(
         .with_jobs(lc.jobs)
         .with_resume(lc.resume)
         .with_capture_threshold(lc.capture_threshold)
-        .with_early_exit(lc.early_exit)
         .with_budget_schedule(lc.budget)
         .with_fault(lc.fault)
         .with_deadline(lc.deadline.clone());

@@ -19,8 +19,8 @@
 //! once at the full step budget whatever the schedule, and runs are
 //! computed outside any deadline-dependent path). Those knobs are
 //! therefore deliberately *excluded* from the key, which is what makes
-//! cross-job and cross-request reuse sound. Entries produced by a *cancelled*
-//! candidate (deadline or early-exit) are synthetic expired-timer
+//! cross-job and cross-request reuse sound. Entries produced by a
+//! candidate the deadline *cancelled* are synthetic expired-timer
 //! verdicts, not executions — the verifier keeps those in its per-batch
 //! pinned view and never inserts them here.
 //!
@@ -38,7 +38,7 @@
 use omislice_interp::{Checkpoint, RunConfig, SwitchSpec};
 use omislice_lang::printer::print_program;
 use omislice_lang::Program;
-use omislice_trace::{RunOutcome, Trace};
+use omislice_trace::{Fnv1a, RunOutcome, Trace};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -124,7 +124,7 @@ impl VerifyMemo {
     /// runs are byte-identical across them, which is exactly what makes
     /// sharing sound.
     pub fn fingerprint(program: &Program, config: &RunConfig, trace_len: usize) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::default();
         h.write(print_program(program).as_bytes());
         for v in &config.inputs {
             h.write(&v.to_le_bytes());
@@ -273,27 +273,6 @@ fn run_bytes(entry: &RunEntry) -> usize {
     match &entry.0 {
         Some(run) => run.columns().bytes() + run.len() * 4 + 64,
         None => 64,
-    }
-}
-
-/// FNV-1a/64 — the same hash the trace format's trailer uses; collision
-/// quality is ample for configuration fingerprints.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

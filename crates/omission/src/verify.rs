@@ -49,9 +49,12 @@
 //!   first; results land in per-candidate slots and are merged in
 //!   candidate order, so verdicts, memo contents, and counters are
 //!   identical to a serial run;
+//! * a batch is prepared and judged in fixed waves of request order, so
+//!   at most one wave's switched runs are live at once; every request
+//!   is judged, since Algorithm 2 keeps every strong dependence;
 //! * each switched run executes once, at the full step budget: the
 //!   [`BudgetSchedule`] only counts the rungs the run's demand outgrew
-//!   (see [`Verifier::with_budget_schedule`]).
+//!   (see [`Verifier::with_budget_schedule`]);
 //! * each switched run records only until the base trace's last
 //!   instance is aligned, then executes on unrecorded (see
 //!   [`descent_chain`]).
@@ -92,21 +95,13 @@ use std::time::Instant;
 /// contract within a configuration).
 pub const DEFAULT_CAPTURE_THRESHOLD: usize = 32;
 
-/// Chunk size of the early-exit ladder: candidates are prepared and
-/// judged in fixed-size chunks (independent of the thread count, so the
-/// cut-off point is identical across `--jobs`), and once a chunk yields
-/// the batch's first StrongId — Algorithm 2's top-ranked use is resolved
-/// — every later candidate is cancelled under the paper's expired-timer
-/// rule instead of executed.
-const EARLY_EXIT_CHUNK: usize = 8;
-
 /// Wave size of `verify_all`: a batch's candidates are prepared, judged,
 /// and released in fixed-size waves so no more than this many switched
 /// runs (each pinning O(trace) bytes of columns and region tree) are
 /// live at once. Checkpoints captured by earlier waves persist in the
 /// memo, so a later wave's spine resumes instead of replaying from
-/// scratch. Like [`EARLY_EXIT_CHUNK`], boundaries depend only on the
-/// request order, never on the thread count.
+/// scratch. Wave boundaries depend only on the request order, never on
+/// the thread count.
 const VERIFY_WAVE: usize = 32;
 
 /// Work-stealing deques for one batch dispatch: each worker owns a deque
@@ -355,8 +350,8 @@ pub struct Verifier<'a> {
     /// the batch needs is held here from preparation to judging, so a
     /// concurrent memo eviction can never invalidate a result mid-batch.
     /// Cleared at each [`Verifier::verify_all`] entry — the memo, not
-    /// this map, owns entry lifetime. Cancelled candidates (deadline or
-    /// early-exit) also land here, and *only* here: their synthetic
+    /// this map, owns entry lifetime. Candidates cancelled by the
+    /// deadline also land here, and *only* here: their synthetic
     /// expired-timer outcomes must never poison the shared memo.
     runs: HashMap<SwitchSpec, RunEntry>,
     /// Region correspondences found while aligning against each pinned
@@ -366,10 +361,6 @@ pub struct Verifier<'a> {
     /// Capture break-even in gap events; `None` uses the static
     /// estimate [`DEFAULT_CAPTURE_THRESHOLD`].
     capture_threshold: Option<usize>,
-    /// Cancel a batch's tail once its first StrongId resolves the
-    /// top-ranked use (off by default: it trades completeness of the
-    /// non-root verdicts for wall time).
-    early_exit: bool,
     /// Memoized verdicts keyed by (p, u, var, strong-check-enabled).
     cache: HashMap<(InstId, InstId, VarId, bool), Verification>,
     stats: VerificationStats,
@@ -407,7 +398,6 @@ impl<'a> Verifier<'a> {
             runs: HashMap::new(),
             matches: HashMap::new(),
             capture_threshold: None,
-            early_exit: false,
             cache: HashMap::new(),
             stats: VerificationStats::default(),
         }
@@ -443,17 +433,6 @@ impl<'a> Verifier<'a> {
     /// [`DEFAULT_CAPTURE_THRESHOLD`]).
     pub fn with_capture_threshold(mut self, threshold: Option<usize>) -> Self {
         self.capture_threshold = threshold;
-        self
-    }
-
-    /// Enables batch-level early exit: once a batch whose requests all
-    /// target the same use yields its first StrongId, the remaining
-    /// candidates are cancelled under the paper's expired-timer rule
-    /// (they verify NotId without executing). The cut-off is decided in
-    /// fixed-size chunks of the serial candidate order, so it is
-    /// identical across thread counts and resume modes.
-    pub fn with_early_exit(mut self, early_exit: bool) -> Self {
-        self.early_exit = early_exit;
         self
     }
 
@@ -579,43 +558,37 @@ impl<'a> Verifier<'a> {
         // pins from earlier batches would keep evicted entries alive.
         self.runs.clear();
         self.matches.clear();
-        let out = if self.early_exit_applicable(requests) {
-            self.verify_all_early_exit(requests)
-        } else {
-            // Waves bound the batch's live memory: each switched run
-            // pins O(trace) bytes (its trace plus region tree), so a
-            // 256-candidate batch over a 200k-event trace would
-            // otherwise hold gigabytes at once. Judging and releasing
-            // per wave keeps at most `VERIFY_WAVE` runs live (plus
-            // whatever the memo retains under its byte cap), while
-            // checkpoints persist in the memo so later waves' spines
-            // resume from earlier waves' captures rather than replaying
-            // from scratch. Wave boundaries depend only on the request
-            // order, so verdicts and counters stay identical across
-            // jobs, resume modes, and capture thresholds.
-            let mut out = Vec::with_capacity(requests.len());
-            // One wave-boundary id per batch: the recorder's sequence
-            // counter only advances while recording and resets with it,
-            // so wave ids are stable across jobs and resume modes.
-            let batch = omislice_obs::enabled().then(omislice_obs::profile::next_seq);
-            for (w, wave) in requests.chunks(VERIFY_WAVE).enumerate() {
-                if w > 0 {
-                    self.runs.clear();
-                    self.matches.clear();
-                }
-                if let Some(b) = batch {
-                    omislice_obs::profile::mark(
-                        omislice_obs::profile::EventKind::Wave,
-                        "verify.wave",
-                        (b << 16) | w as u64,
-                    );
-                }
-                let missing = self.missing_specs(wave);
-                self.prepare_runs(&missing);
-                out.append(&mut self.judge(wave));
+        // Waves bound the batch's live memory: each switched run pins
+        // O(trace) bytes (its trace plus region tree), so a 256-candidate
+        // batch over a 200k-event trace would otherwise hold gigabytes at
+        // once. Judging and releasing per wave keeps at most
+        // `VERIFY_WAVE` runs live (plus whatever the memo retains under
+        // its byte cap), while checkpoints persist in the memo so later
+        // waves' spines resume from earlier waves' captures rather than
+        // replaying from scratch. Wave boundaries depend only on the
+        // request order, so verdicts and counters stay identical across
+        // jobs, resume modes, and capture thresholds.
+        let mut out = Vec::with_capacity(requests.len());
+        // One wave-boundary id per batch: the recorder's sequence counter
+        // only advances while recording and resets with it, so wave ids
+        // are stable across jobs and resume modes.
+        let batch = omislice_obs::enabled().then(omislice_obs::profile::next_seq);
+        for (w, wave) in requests.chunks(VERIFY_WAVE).enumerate() {
+            if w > 0 {
+                self.runs.clear();
+                self.matches.clear();
             }
-            out
-        };
+            if let Some(b) = batch {
+                omislice_obs::profile::mark(
+                    omislice_obs::profile::EventKind::Wave,
+                    "verify.wave",
+                    (b << 16) | w as u64,
+                );
+            }
+            let missing = self.missing_specs(wave);
+            self.prepare_runs(&missing);
+            out.append(&mut self.judge(wave));
+        }
         let snap = self.memo.snapshot();
         self.stats.checkpoint_bytes = self.stats.checkpoint_bytes.max(snap.checkpoint_bytes);
         // Per-batch gauge samples: the counter tracks in the Chrome trace
@@ -626,52 +599,6 @@ impl<'a> Verifier<'a> {
             "verify.memo.bytes",
             (snap.run_bytes + snap.checkpoint_bytes) as u64,
         );
-        out
-    }
-
-    /// Early exit applies to batches that all target one use with a
-    /// known expected value — Algorithm 2's primary batch shape, where a
-    /// StrongId resolves the top-ranked use outright.
-    fn early_exit_applicable(&self, requests: &[VerifyRequest]) -> bool {
-        self.early_exit
-            && requests.len() > EARLY_EXIT_CHUNK
-            && requests
-                .iter()
-                .all(|r| r.u == requests[0].u && r.expected.is_some())
-    }
-
-    /// The early-exit ladder: prepare and judge fixed-size chunks of the
-    /// request order; once a chunk yields the batch's first StrongId,
-    /// every candidate not yet executed is cancelled under the paper's
-    /// expired-timer rule (a synthetic [`RunOutcome::BudgetExhausted`]
-    /// entry pinned for this batch only, never memoized) and judged to
-    /// NotId without running. Chunk boundaries depend only on the
-    /// request order, so the cut-off is identical across thread counts
-    /// and resume modes.
-    fn verify_all_early_exit(&mut self, requests: &[VerifyRequest]) -> Vec<Verification> {
-        let mut out = Vec::with_capacity(requests.len());
-        let mut resolved = false;
-        for chunk in requests.chunks(EARLY_EXIT_CHUNK) {
-            if resolved {
-                for r in chunk {
-                    let spec = self.spec_of(r.p);
-                    if !self
-                        .cache
-                        .contains_key(&(r.p, r.u, r.var, r.expected.is_some()))
-                        && !self.runs.contains_key(&spec)
-                    {
-                        self.runs.insert(spec, (None, RunOutcome::BudgetExhausted));
-                        self.stats.early_exit_cancelled += 1;
-                    }
-                }
-            } else {
-                let missing = self.missing_specs(chunk);
-                self.prepare_runs(&missing);
-            }
-            let verdicts = self.judge(chunk);
-            resolved = resolved || verdicts.iter().any(|v| v.verdict == Verdict::StrongId);
-            out.extend(verdicts);
-        }
         out
     }
 
@@ -1193,6 +1120,9 @@ impl<'a> Verifier<'a> {
         (out, captured)
     }
 
+    /// Judges one request against its pinned run. Only [`Verifier::judge`]
+    /// calls it, after `missing_specs` and `prepare_runs` pinned the spec
+    /// of every request the verdict cache could not answer.
     fn verify_uncached(
         &mut self,
         p: InstId,
@@ -1204,20 +1134,10 @@ impl<'a> Verifier<'a> {
         let mode = self.mode;
         let orig = self.trace;
         let spec = self.spec_of(p);
-        if !self.runs.contains_key(&spec) {
-            // Lazy single-spec path (plain `verify`): probe the
-            // persistent memo before executing, same as a batch would.
-            if let Some(entry) = self.memo.get_run(self.memo_key, spec) {
-                self.stats.memo_hits += 1;
-                self.runs.insert(spec, entry);
-            } else {
-                self.prepare_runs(&[(spec, p)]);
-            }
-        }
         let (memo, outcome) = self
             .runs
             .get(&spec)
-            .expect("prepare_runs memoized this spec");
+            .expect("the batch pinned this spec before judging");
         let outcome = *outcome;
         let Some(run) = memo else {
             return Verification::not_id(outcome);
@@ -1762,83 +1682,6 @@ mod tests {
         let _ = d.verify_all(&requests);
         assert_eq!(d.stats().memo_hits, 0, "fingerprints separate configs");
         assert!(d.reexecution_count() > 0);
-    }
-
-    #[test]
-    fn early_exit_cancels_the_batch_tail_after_strong_id() {
-        // One real guard (switching it fixes the output) followed by a
-        // dozen decoys: with early exit on, the StrongId in the first
-        // chunk cancels every candidate not yet executed.
-        let src = "\
-            global flags = 0; global junk = 0;\
-            fn main() {\
-                let save = input();\
-                flags = 1;\
-                let i = 0;\
-                while i < 12 {\
-                    if i == 50 { junk = junk + 1; }\
-                    i = i + 1;\
-                }\
-                if save == 1 { flags = 2; }\
-                print(flags);\
-            }";
-        let s = setup(src, vec![0]);
-        let flags = s.analysis.index().vars().global("flags").unwrap();
-        let out = s.trace.outputs()[0].inst;
-        let req = |p| VerifyRequest {
-            p,
-            u: out,
-            var: flags,
-            wrong_output: out,
-            expected: Some(Value::Int(2)),
-        };
-        let mut requests = vec![req(s.trace.instances_of(StmtId(7))[0])];
-        requests.extend(s.trace.instances_of(StmtId(4)).iter().map(|&g| req(g)));
-        assert_eq!(requests.len(), 13, "guard + 12 decoys");
-
-        let mut full = Verifier::new(
-            &s.program,
-            &s.analysis,
-            &s.config,
-            &s.trace,
-            VerifierMode::Edge,
-        );
-        let full_results = full.verify_all(&requests);
-        assert_eq!(full_results[0].verdict, Verdict::StrongId);
-        assert_eq!(full.reexecution_count(), 13, "no early exit by default");
-        assert_eq!(full.stats().early_exit_cancelled, 0);
-
-        let mut reference: Option<Vec<Verification>> = None;
-        for jobs in [1usize, 4] {
-            let mut v = Verifier::new(
-                &s.program,
-                &s.analysis,
-                &s.config,
-                &s.trace,
-                VerifierMode::Edge,
-            )
-            .with_jobs(jobs)
-            .with_early_exit(true);
-            let results = v.verify_all(&requests);
-            assert_eq!(results[0], full_results[0], "the StrongId is untouched");
-            assert_eq!(
-                v.reexecution_count(),
-                EARLY_EXIT_CHUNK,
-                "only the first chunk executed (jobs={jobs})"
-            );
-            assert_eq!(
-                v.stats().early_exit_cancelled,
-                requests.len() - EARLY_EXIT_CHUNK
-            );
-            for r in &results[EARLY_EXIT_CHUNK..] {
-                assert_eq!(r.verdict, Verdict::NotId, "expired-timer rule");
-                assert_eq!(r.outcome, RunOutcome::BudgetExhausted);
-            }
-            match &reference {
-                Some(r) => assert_eq!(*r, results, "jobs={jobs}"),
-                None => reference = Some(results),
-            }
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ use omislice::{
     VerifierMode, MAX_JOBS,
 };
 use omislice_analysis::ProgramAnalysis;
-use omislice_bench::diffcheck::{run_diffcheck, DiffcheckOptions};
 use omislice_obs::{Json, MetricSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -234,7 +233,7 @@ fn canonical_profiles(profiles: &[Vec<i64>]) -> String {
 // --- POST /locate ----------------------------------------------------
 
 /// Every field `POST /locate` reads.
-const LOCATE_FIELDS: [&str; 16] = [
+const LOCATE_FIELDS: [&str; 14] = [
     "program",
     "faulty",
     "fixed",
@@ -243,8 +242,6 @@ const LOCATE_FIELDS: [&str; 16] = [
     "mode",
     "jobs",
     "no_resume",
-    "capture_threshold",
-    "early_exit",
     "budget",
     "fault_plan",
     "deadline_ms",
@@ -351,8 +348,6 @@ fn locate_config(
         } else {
             ResumeMode::Auto
         },
-        capture_threshold: opt_u64(body, "capture_threshold")?.map(|n| n as usize),
-        early_exit: opt_bool(body, "early_exit")?,
         memo: Some(Arc::clone(&state.memo)),
         budget,
         fault: sup.stmt_fault(),
@@ -444,6 +439,7 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
     known_fields(body, &["source", "input", "output", "jobs", "relevant"])?;
     let source = req_str(body, "source")?;
     let inputs = inputs_field(body, "input")?;
+    let jobs = jobs_field(body)?;
     let key = fnv64(&[
         b"slice",
         source.as_bytes(),
@@ -456,7 +452,10 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
             let analysis = ProgramAnalysis::build(&program);
             let config = RunConfig::with_inputs(inputs);
             let trace = run_traced(&program, &analysis, &config).trace;
-            let bytes = source.len() + trace.columns().bytes() + 4096;
+            // Relevant slices read the trace index: build it before the
+            // charge, so the charge covers all the cached trace will hold.
+            trace.build_index(jobs);
+            let bytes = PROGRAM_BYTES_PER_SOURCE_BYTE * source.len() + trace.heap_bytes();
             let arts = Arc::new(SliceArtifacts {
                 key,
                 program,
@@ -483,11 +482,9 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
         .get(idx)
         .ok_or_else(|| ApiError::bad("bad-field", format!("only {} outputs", outputs.len())))?
         .inst;
-    let jobs = jobs_field(body)?;
     let slice = if opt_bool(body, "relevant")? {
         relevant_slice_jobs(&arts.trace, &arts.analysis, criterion, jobs)
     } else {
-        arts.trace.build_index(jobs);
         DepGraph::with_jobs(&arts.trace, jobs).backward_slice(criterion)
     };
 
@@ -510,63 +507,6 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
         (
             "text",
             Json::str(render_slice(&arts.trace, &arts.analysis, &slice)),
-        ),
-    ]))
-}
-
-// --- POST /diffcheck -------------------------------------------------
-
-/// Cap on seeds per request, so one call cannot occupy a worker for
-/// unbounded time.
-const MAX_DIFFCHECK_SEEDS: u64 = 500;
-
-/// `POST /diffcheck`: run the differential invariant sweep in-process.
-pub fn handle_diffcheck(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
-    state.diffchecks.fetch_add(1, Ordering::Relaxed);
-    known_fields(body, &["seeds", "start_seed", "thorough", "chaos"])?;
-    let seeds = opt_u64(body, "seeds")?.unwrap_or(5);
-    if seeds == 0 || seeds > MAX_DIFFCHECK_SEEDS {
-        return Err(ApiError::bad(
-            "bad-field",
-            format!("`seeds` must be between 1 and {MAX_DIFFCHECK_SEEDS}"),
-        ));
-    }
-    let opts = DiffcheckOptions {
-        seeds,
-        start_seed: opt_u64(body, "start_seed")?.unwrap_or(0),
-        quick: !opt_bool(body, "thorough")?,
-        chaos: opt_bool(body, "chaos")?,
-    };
-    let summary = run_diffcheck(&opts);
-    Ok(Json::object([
-        (
-            "status",
-            Json::str(if summary.failures.is_empty() {
-                "ok"
-            } else {
-                "failed"
-            }),
-        ),
-        ("cases", Json::Int(summary.cases as i64)),
-        ("exposed", Json::Int(summary.exposed as i64)),
-        ("located", Json::Int(summary.located as i64)),
-        (
-            "journals_compared",
-            Json::Int(summary.journals_compared as i64),
-        ),
-        (
-            "scheduler_configs",
-            Json::Int(summary.scheduler_configs as i64),
-        ),
-        ("horizon_configs", Json::Int(summary.horizon_configs as i64)),
-        ("chaos_pipelines", Json::Int(summary.chaos_pipelines as i64)),
-        (
-            "chaos_recoveries",
-            Json::Int(summary.chaos_recoveries as i64),
-        ),
-        (
-            "failures",
-            Json::Array(summary.failures.iter().map(Json::str).collect()),
         ),
     ]))
 }
@@ -606,11 +546,6 @@ pub fn metrics_set(state: &ServerState) -> MetricSet {
         "serve_slice_requests",
         "POST /slice requests",
         state.slices.load(Ordering::Relaxed) as f64,
-    );
-    set.push(
-        "serve_diffcheck_requests",
-        "POST /diffcheck requests",
-        state.diffchecks.load(Ordering::Relaxed) as f64,
     );
     let cache = state.cache.stats();
     set.push(

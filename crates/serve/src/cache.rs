@@ -13,7 +13,7 @@
 use omislice::DebugSession;
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::Program;
-use omislice_trace::Trace;
+use omislice_trace::{Fnv1a, Trace};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -23,20 +23,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
 /// FNV-1a over length-delimited parts, so `("ab","c")` and `("a","bc")`
 /// hash differently.
 pub fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut byte = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv1a::default();
     for part in parts {
-        for b in (part.len() as u64).to_le_bytes() {
-            byte(b);
-        }
-        for &b in *part {
-            byte(b);
-        }
+        h.write(&(part.len() as u64).to_le_bytes());
+        h.write(part);
     }
-    h
+    h.finish()
 }
 
 /// Renders a cache key the way responses report it.
@@ -254,6 +246,14 @@ mod tests {
     fn fnv_separates_parts() {
         assert_ne!(fnv64(&[b"ab", b"c"]), fnv64(&[b"a", b"bc"]));
         assert_eq!(fnv64(&[b"ab", b"c"]), fnv64(&[b"ab", b"c"]));
+    }
+
+    #[test]
+    fn served_keys_are_stable() {
+        // The `/slice` key of one version, as responses have reported
+        // it: a changed hash would orphan every key a client holds.
+        let key = fnv64(&[b"slice", b"fn main() { print(input()); }", b"7"]);
+        assert_eq!(key_hex(key), "af7ff05ac67cd401");
     }
 
     #[test]

@@ -12,13 +12,12 @@
 //!
 //! Endpoints:
 //!
-//! | Route             | Meaning                                        |
-//! |-------------------|------------------------------------------------|
-//! | `POST /locate`    | run fault localization for a program version   |
-//! | `POST /slice`     | dynamic backward / relevant slice              |
-//! | `POST /diffcheck` | differential invariant sweep                   |
-//! | `GET /metrics`    | Prometheus text (or `?format=json`)            |
-//! | `GET /healthz`    | liveness                                       |
+//! | Route          | Meaning                                      |
+//! |----------------|----------------------------------------------|
+//! | `POST /locate` | run fault localization for a program version |
+//! | `POST /slice`  | dynamic backward / relevant slice            |
+//! | `GET /metrics` | Prometheus text (or `?format=json`)          |
+//! | `GET /healthz` | liveness                                     |
 //!
 //! Everything is hand-rolled over `std` (`TcpListener`, a bounded
 //! `sync_channel`, `catch_unwind`) — the build environment is offline,

@@ -7,9 +7,7 @@
 //! on entry so one request's degradations never leak into the next
 //! response on the same worker thread.
 
-use crate::api::{
-    error_body, handle_diffcheck, handle_locate, handle_slice, health_body, metrics_set, ApiError,
-};
+use crate::api::{error_body, handle_locate, handle_slice, health_body, metrics_set, ApiError};
 use crate::cache::{ArtifactCache, DEFAULT_CACHE_CAPACITY};
 use omislice::omislice_trace::take_recovery;
 use omislice::VerifyMemo;
@@ -58,7 +56,6 @@ pub struct ServerState {
     pub overloaded: AtomicU64,
     pub locates: AtomicU64,
     pub slices: AtomicU64,
-    pub diffchecks: AtomicU64,
 }
 
 impl ServerState {
@@ -73,7 +70,6 @@ impl ServerState {
             overloaded: AtomicU64::new(0),
             locates: AtomicU64::new(0),
             slices: AtomicU64::new(0),
-            diffchecks: AtomicU64::new(0),
         }
     }
 }
@@ -255,8 +251,7 @@ fn route(state: &ServerState, request: &crate::http::Request) -> (u16, Body) {
         }
         ("POST", "/locate") => guarded(state, &request.body, handle_locate),
         ("POST", "/slice") => guarded(state, &request.body, handle_slice),
-        ("POST", "/diffcheck") => guarded(state, &request.body, handle_diffcheck),
-        (_, "/healthz" | "/metrics" | "/locate" | "/slice" | "/diffcheck") => (
+        (_, "/healthz" | "/metrics" | "/locate" | "/slice") => (
             405,
             Body::Json(error_body(
                 "method-not-allowed",

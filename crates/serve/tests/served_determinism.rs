@@ -215,24 +215,26 @@ proptest! {
 #[test]
 fn retired_and_misspelled_fields_are_rejected() {
     let client = ServeClient::new(server_addr().to_string());
-    let mut retired = locate_body(6, 1, false);
-    let mut chaos = locate_body(6, 1, false);
-    let mut misspelled = locate_body(6, 1, false);
-    if let (Json::Object(a), Json::Object(b), Json::Object(c)) =
-        (&mut retired, &mut misspelled, &mut chaos)
-    {
-        a.push(("scheduler".to_string(), Json::str("flat")));
-        b.push(("no-resume".to_string(), Json::Bool(true)));
-        c.push(("chaos".to_string(), Json::str("handler=panic")));
-    }
+    let with = |field: &str, value: Json| {
+        let mut body = locate_body(6, 1, false);
+        if let Json::Object(pairs) = &mut body {
+            pairs.push((field.to_string(), value));
+        }
+        body
+    };
+    let retired = with("scheduler", Json::str("flat"));
+    let chaos = with("chaos", Json::str("handler=panic"));
+    let misspelled = with("no-resume", Json::Bool(true));
+    let early_exit = with("early_exit", Json::Bool(true));
+    let capture_threshold = with("capture_threshold", Json::Int(1));
     let slice = Json::object([("source", Json::str(FIXED)), ("relevent", Json::Bool(true))]);
-    let diffcheck = Json::object([("seed", Json::Int(1))]);
     for (route, body, field) in [
         ("/locate", &retired, "scheduler"),
         ("/locate", &chaos, "chaos"),
         ("/locate", &misspelled, "no-resume"),
+        ("/locate", &early_exit, "early_exit"),
+        ("/locate", &capture_threshold, "capture_threshold"),
         ("/slice", &slice, "relevent"),
-        ("/diffcheck", &diffcheck, "seed"),
     ] {
         let response = client.post(route, body).expect("request round-trips");
         assert_eq!(response.status, 400, "{route} `{field}`: {}", response.body);
@@ -247,4 +249,17 @@ fn retired_and_misspelled_fields_are_rejected() {
             "{route}: the error names `{field}`: {doc}"
         );
     }
+    // The differential harness is the `diffcheck` binary's alone.
+    let diffcheck = Json::object([("seeds", Json::Int(1))]);
+    let response = client
+        .post("/diffcheck", &diffcheck)
+        .expect("request round-trips");
+    assert_eq!(response.status, 404, "{}", response.body);
+    let doc = response.json().expect("error body parses");
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("not-found")
+    );
 }

@@ -96,6 +96,15 @@ impl TraceIndex {
         })
     }
 
+    /// Heap bytes the index holds: both timestamp columns, every
+    /// postings list, and the postings table's buckets, spare capacity
+    /// included.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.cd_tin.capacity() + self.cd_tout.capacity()) * 4
+            + self.preds.values().map(|v| v.capacity() * 4).sum::<usize>()
+            + self.preds.capacity() * (std::mem::size_of::<((StmtId, bool), Vec<InstId>)>() + 1)
+    }
+
     /// Whether `anc` is a *proper* CD ancestor of `desc` — i.e. `desc` is
     /// (transitively) dynamically control dependent on `anc`. O(1).
     #[inline]

@@ -41,7 +41,7 @@ pub mod value;
 pub use columnar::{ColumnarTrace, RawEvent};
 pub use dot::{ddg_to_dot, regions_to_dot};
 pub use event::{Event, EventRef, InstId, OutputRecord};
-pub use format::{decode_trace, encode_trace, load_trace, save_trace, TraceFileError};
+pub use format::{decode_trace, encode_trace, load_trace, save_trace, Fnv1a, TraceFileError};
 pub use index::TraceIndex;
 pub use outcome::{CrashKind, RunOutcome};
 pub use recorder::Recorder;

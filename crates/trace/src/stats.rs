@@ -159,10 +159,6 @@ pub struct VerificationStats {
     /// Checkpoints captured inline by spine runs on their way to the
     /// switch.
     pub inline_captures: usize,
-    /// Candidates cancelled by batch-level early exit after the batch's
-    /// top-ranked use resolved StrongId (expired-timer rule: NotId
-    /// without executing).
-    pub early_exit_cancelled: usize,
     /// Wall time spent executing switched runs (and building their
     /// region trees).
     pub execution_wall: Duration,
@@ -210,7 +206,6 @@ impl VerificationStats {
         self.checkpoint_bytes = self.checkpoint_bytes.max(other.checkpoint_bytes);
         self.captures_skipped += other.captures_skipped;
         self.inline_captures += other.inline_captures;
-        self.early_exit_cancelled += other.early_exit_cancelled;
         self.execution_wall += other.execution_wall;
         self.capture_wall += other.capture_wall;
         self.verdict_wall += other.verdict_wall;
@@ -255,11 +250,7 @@ impl fmt::Display for VerificationStats {
             "fault isolation  : {} invalid checkpoints, {} scratch fallbacks, {} panics isolated",
             self.invalid_checkpoints, self.scratch_fallbacks, self.panics_isolated
         )?;
-        writeln!(
-            f,
-            "deadline cancels : {} (+ {} early-exit)",
-            self.deadline_cancelled, self.early_exit_cancelled
-        )?;
+        writeln!(f, "deadline cancels : {}", self.deadline_cancelled)?;
         writeln!(f, "input underflows : {}", self.input_underflows)?;
         writeln!(
             f,
@@ -351,7 +342,6 @@ mod tests {
             checkpoint_bytes: 4096,
             captures_skipped: 3,
             inline_captures: 2,
-            early_exit_cancelled: 1,
             execution_wall: Duration::from_millis(2),
             capture_wall: Duration::from_millis(1),
             verdict_wall: Duration::from_millis(3),
@@ -378,7 +368,6 @@ mod tests {
         assert_eq!(a.checkpoint_bytes, 4096, "gauge takes the max, not the sum");
         assert_eq!(a.captures_skipped, 6);
         assert_eq!(a.inline_captures, 4);
-        assert_eq!(a.early_exit_cancelled, 2);
         assert_eq!(a.execution_wall, Duration::from_millis(4));
         let text = a.to_string();
         for needle in [
@@ -391,7 +380,7 @@ mod tests {
             "fault isolation",
             "input underflows",
             "memo",
-            "early-exit",
+            "deadline cancels",
         ] {
             assert!(text.contains(needle), "{text}");
         }

@@ -164,11 +164,12 @@ impl Trace {
     }
 
     /// Heap bytes the trace holds: its own columns with their spare
-    /// capacity, its outputs, and the region column and statement map if
-    /// built (the query index is not counted).
+    /// capacity, its outputs, and the query index, region column and
+    /// statement map if built.
     pub fn heap_bytes(&self) -> usize {
         self.cols.heap_bytes()
             + self.outputs.capacity() * std::mem::size_of::<OutputRecord>()
+            + self.index.get().map_or(0, TraceIndex::heap_bytes)
             + self.regions.get().map_or(0, |r| r.capacity() * 4)
             + self
                 .by_stmt
