@@ -32,8 +32,8 @@
 
 use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{
-    resume_switched, run_plain_indexed, run_traced, run_traced_with_checkpoints, run_values,
-    RunConfig, SwitchSpec, TracedRun,
+    resume_switched, run_plain_indexed, run_switched, run_traced, run_values, RunConfig,
+    SwitchSpec, TracedRun,
 };
 use omislice::omislice_lang::{generate_case, GenOptions, Program, StmtId};
 use omislice::omislice_trace::{encode_trace, Termination, Trace, Value};
@@ -658,7 +658,7 @@ fn switched_digests(
     let (cp, resumed) = specs
         .chunks(64)
         .find_map(|window| {
-            let (_, checkpoints) = run_traced_with_checkpoints(program, &analysis, config, window);
+            let (_, checkpoints) = run_switched(program, &analysis, config, window, None);
             checkpoints.into_iter().find_map(|cp| {
                 resume_switched(
                     program,
@@ -666,9 +666,11 @@ fn switched_digests(
                     &config.switched(cp.spec),
                     &cp,
                     &base.trace,
+                    &[],
+                    None,
                 )
                 .ok()
-                .map(|run| (cp, run))
+                .map(|(run, _)| (cp, run))
             })
         })
         .unwrap_or_else(|| panic!("{tag}: some checkpoint past the half resumes"));

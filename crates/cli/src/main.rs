@@ -10,12 +10,11 @@
 //!                   [--trace-in <file.omitrace>]
 //!                   [--profile 4,5;6,7] [--mode edge|path|value]
 //!                   [--jobs N] [--no-resume] [--stats]
-//!                   [--budget init[:factor[:attempts]]|off]
 //!                   [--fault-plan <plan>] [--deadline <ms>]
 //! omislice verify   <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
 //!                   [--var name] [--expected v] [--mode edge|path|value]
 //! omislice corpus   [list | locate <bench> <fault> [--jobs N] [--no-resume]
-//!                   [--stats] [--budget ...] [--fault-plan <plan>] [--deadline <ms>]]
+//!                   [--stats] [--fault-plan <plan>] [--deadline <ms>]]
 //! ```
 //!
 //! `locate` and `corpus locate` are two front ends of one pipeline: both
@@ -33,7 +32,7 @@
 
 use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{
-    parse_inputs, parse_profiles, run_plain, run_traced, BudgetSchedule, ResumeMode, RunConfig,
+    parse_inputs, parse_profiles, run_plain, run_traced, ResumeMode, RunConfig,
 };
 use omislice::omislice_lang::{compile, FrontendError, Program};
 use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
@@ -115,14 +114,13 @@ const USAGE: &str = "usage:
                    [--trace-in <file.omitrace>]
                    [--profile 4,5;6,7] [--mode edge|path|value]
                    [--jobs N] [--no-resume] [--stats]
-                   [--budget init[:factor[:attempts]]|off]
                    [--fault-plan <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
                    [--profile-out <file.json>]
   omislice verify  <file> [--input 1,2,3] --pred N[:occ] --use N[:occ]
                    [--var name] [--expected v] [--mode edge|path|value]
   omislice corpus  [list | locate <bench> <fault> [--jobs N] [--no-resume]
-                   [--stats] [--budget ...] [--fault-plan <plan>] [--deadline <ms>]
+                   [--stats] [--fault-plan <plan>] [--deadline <ms>]
                    [--obs-out <file.jsonl>] [--explain] [--metrics text|json]
                    [--profile-out <file.json>]]
   omislice serve   --addr <host:port> [--workers N] [--queue N]
@@ -392,10 +390,11 @@ fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
         .ok_or_else(|| format!("only {} outputs", outputs.len()))?
         .inst;
     let jobs = parse_jobs(&opts)?;
+    // Only a relevant slice queries the trace index; a backward slice
+    // and its rendering read the columns alone.
     let slice = if opts.has("relevant") {
         relevant_slice_jobs(trace, &analysis, criterion, jobs)
     } else {
-        trace.build_index(jobs);
         DepGraph::with_jobs(trace, jobs).backward_slice(criterion)
     };
     print!("{}", render_slice(trace, &analysis, &slice));
@@ -436,19 +435,6 @@ fn parse_jobs(opts: &Opts) -> Result<usize, CliError> {
         None => Ok(default_jobs()),
         Some(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
         Some(n) => Err(usage_err(format!("bad --jobs `{n}` (need {what})"))),
-    }
-}
-
-/// Parses `--budget init[:factor[:attempts]]` (or `off`: no rungs, no
-/// retries counted) into a [`BudgetSchedule`], the escalation accounting
-/// of `--stats`. The grammar lives with the type
-/// ([`BudgetSchedule::parse`]); this wrapper only names the flag.
-fn parse_budget(text: Option<&str>) -> Result<BudgetSchedule, CliError> {
-    match text {
-        None => Ok(BudgetSchedule::default()),
-        Some(t) => {
-            BudgetSchedule::parse(t).map_err(|e| usage_err(e.replacen("budget", "--budget", 1)))
-        }
     }
 }
 
@@ -702,11 +688,6 @@ fn locate_metrics(
         vs.captures_skipped as f64,
     );
     set.push(
-        "verify_budget_retries",
-        "Budget escalation retries",
-        vs.budget_retries as f64,
-    );
-    set.push(
         "verify_crashed_runs",
         "Switched runs that crashed (isolated)",
         vs.crashed_runs as f64,
@@ -724,9 +705,8 @@ fn locate_metrics(
 
 /// The value flags `locate` and `corpus locate` share: localization
 /// tuning, supervision, and observability (`--mode` is `locate`'s alone).
-const LOCATE_FLAGS: [&str; 7] = [
+const LOCATE_FLAGS: [&str; 6] = [
     "jobs",
-    "budget",
     "fault-plan",
     "deadline",
     "obs-out",
@@ -759,7 +739,6 @@ impl LocateFlags {
                 ResumeMode::Auto
             },
             memo: Some(VerifyMemo::shared()),
-            budget: parse_budget(opts.value("budget"))?,
             fault: sup.stmt_fault(),
             deadline: sup.deadline(),
             ..LocateConfig::default()

@@ -299,8 +299,6 @@ fn corpus_locate_accepts_budget_and_fault_plan() {
         "locate",
         "sed",
         "V3-F2",
-        "--budget",
-        "64:4:3",
         "--fault-plan",
         "S0:0=corrupt-checkpoint",
         "--stats",
@@ -312,9 +310,7 @@ fn corpus_locate_accepts_budget_and_fault_plan() {
     );
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("run outcomes"), "{text}");
-    assert!(text.contains("escalations"), "{text}");
-    let bad = omislice(&["corpus", "locate", "sed", "V3-F2", "--budget", "x:y"]);
-    assert!(!bad.status.success());
+    assert!(text.contains("fault isolation"), "{text}");
 }
 
 #[test]
@@ -1221,10 +1217,6 @@ fn malformed_numeric_flags_exit_2_with_usage() {
             "bad --jobs `257` (need an integer from 1 to 256)",
         ),
         (
-            vec!["locate", "--faulty", f, "--fixed", g, "--budget", "x:y"],
-            "bad --budget `x:y`",
-        ),
-        (
             vec!["locate", "--faulty", f, "--fixed", g, "--deadline", "nope"],
             "bad --deadline `nope`",
         ),
@@ -1339,6 +1331,14 @@ fn usage_errors_exit_2_but_pipeline_failures_exit_1() {
                 "1",
             ],
             "--capture-threshold",
+        ),
+        (
+            &["locate", "--faulty", "a", "--fixed", "b", "--budget", "64"],
+            "--budget",
+        ),
+        (
+            &["corpus", "locate", "sed", "V3-F2", "--budget", "off"],
+            "--budget",
         ),
     ] {
         let out = omislice(args);

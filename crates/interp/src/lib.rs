@@ -31,13 +31,10 @@ pub mod snapshot;
 pub mod store;
 pub mod tracer;
 
-pub use snapshot::{
-    resume_switched, resume_switched_capturing, resume_switched_until, run_switched_until,
-    run_traced_with_checkpoints, Checkpoint, ResumeError, ResumeMode,
-};
+pub use snapshot::{resume_switched, run_switched, Checkpoint, ResumeError, ResumeMode};
 pub use tracer::{
-    last_demand, run_plain, run_plain_indexed, run_traced, run_values, PlainRun, StmtValues,
-    TracedRun, ValueRun, MAX_CALL_DEPTH,
+    run_plain, run_plain_indexed, run_traced, run_values, PlainRun, StmtValues, TracedRun,
+    ValueRun, MAX_CALL_DEPTH,
 };
 
 use omislice_lang::StmtId;
@@ -84,114 +81,20 @@ impl OverrideSpec {
     }
 }
 
-/// The verifier's step-budget escalation schedule, kept as accounting
-/// only: rungs of `initial`, `initial·factor`, … steps below the
-/// configured full step budget, at most `attempts` rungs counting the
-/// full budget itself. No rung executes. A switched run executes once, at
-/// the full budget, and reports as *retries* the rungs below it that its
-/// demand outgrew ([`retries`](Self::retries)): exactly the attempts that
-/// would have expired had the run been re-executed at each rung until one
-/// did not. A step budget only bounds a run, so a run that finishes
-/// within a rung is the same run at the full budget, and its verdict
-/// equals a single attempt at the full budget
-/// ([`BudgetSchedule::disabled`], which reports no retries).
+/// A step count kept for omibench's `step_limit_is_the_first_budget_rung`
+/// test, its only reader: `sed-storm` sizes its versions below it. No run
+/// consults it; each switched run executes once, at
+/// [`RunConfig::step_budget`]. Remove it with the next change to omibench,
+/// once that test pins its own constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetSchedule {
-    /// The first rung, in steps.
+    /// The step count the benchmark pins: 16,384.
     pub initial: u64,
-    /// Multiplier between consecutive rungs (≥ 2 effective).
-    pub factor: u64,
-    /// Maximum rungs, the full budget included (≥ 1 effective).
-    pub attempts: u32,
 }
 
 impl Default for BudgetSchedule {
     fn default() -> Self {
-        BudgetSchedule {
-            initial: 16_384,
-            factor: 8,
-            attempts: 3,
-        }
-    }
-}
-
-impl BudgetSchedule {
-    /// A schedule with no escalation: one rung, the full budget.
-    pub fn disabled() -> Self {
-        BudgetSchedule {
-            initial: u64::MAX,
-            factor: 2,
-            attempts: 1,
-        }
-    }
-
-    /// Parses the textual schedule form shared by the CLI `--budget`
-    /// flag and serve request bodies: `init[:factor[:attempts]]`, or
-    /// `off` to disable escalation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed field.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        if text == "off" {
-            return Ok(BudgetSchedule::disabled());
-        }
-        let mut parts = text.split(':');
-        let default = BudgetSchedule::default();
-        let initial = parts
-            .next()
-            .unwrap_or_default()
-            .parse::<u64>()
-            .map_err(|_| {
-                format!("bad budget `{text}` (expected init[:factor[:attempts]] or off)")
-            })?;
-        let factor = match parts.next() {
-            Some(p) => p
-                .parse::<u64>()
-                .map_err(|_| format!("bad factor in budget `{text}`"))?,
-            None => default.factor,
-        };
-        let attempts = match parts.next() {
-            Some(p) => p
-                .parse::<u32>()
-                .map_err(|_| format!("bad attempts in budget `{text}`"))?,
-            None => default.attempts,
-        };
-        if parts.next().is_some() {
-            return Err(format!("bad budget `{text}` (too many fields)"));
-        }
-        Ok(BudgetSchedule {
-            initial,
-            factor,
-            attempts,
-        })
-    }
-
-    /// The strictly increasing rungs, ending at `cap` (the full
-    /// configured step budget). Rungs at or above `cap` are dropped, so
-    /// the last rung is always exactly `cap`.
-    pub fn budgets(&self, cap: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut b = self.initial.max(1);
-        while (out.len() as u32) + 1 < self.attempts.max(1) && b < cap {
-            out.push(b);
-            b = b.saturating_mul(self.factor.max(2));
-        }
-        out.push(cap);
-        out
-    }
-
-    /// The retries a run executed once at the full budget `cap` counts:
-    /// one per rung below `cap` that its `demand` (see
-    /// [`last_demand`]) exceeds, or every such rung when the run
-    /// ended budget-exhausted (at `cap`, or by an injected budget fault
-    /// that fires under any budget).
-    pub fn retries(&self, cap: u64, demand: u64, exhausted: bool) -> usize {
-        let budgets = self.budgets(cap);
-        budgets[..budgets.len() - 1]
-            .iter()
-            .filter(|&&b| exhausted || demand > b)
-            .count()
+        BudgetSchedule { initial: 16_384 }
     }
 }
 
@@ -948,68 +851,6 @@ mod tests {
             Ok(vec![vec![4, 5], vec![6], vec![]])
         );
         assert!(parse_profiles("4;y").is_err());
-    }
-
-    #[test]
-    fn budget_schedule_rungs_end_at_cap() {
-        let s = BudgetSchedule {
-            initial: 10,
-            factor: 10,
-            attempts: 3,
-        };
-        assert_eq!(s.budgets(5_000), vec![10, 100, 5_000]);
-        assert_eq!(s.budgets(50), vec![10, 50]);
-        assert_eq!(s.budgets(5), vec![5]);
-        assert_eq!(BudgetSchedule::disabled().budgets(7_777), vec![7_777]);
-        // Degenerate parameters are clamped, never loop forever.
-        let degenerate = BudgetSchedule {
-            initial: 0,
-            factor: 0,
-            attempts: 0,
-        };
-        assert_eq!(degenerate.budgets(9), vec![9]);
-    }
-
-    #[test]
-    fn retries_count_the_rungs_a_demand_outgrows() {
-        let s = BudgetSchedule {
-            initial: 10,
-            factor: 10,
-            attempts: 3,
-        };
-        // Rungs 10 and 100 below the cap of 5,000.
-        assert_eq!(s.retries(5_000, 10, false), 0, "a run of 10 fits rung 10");
-        assert_eq!(s.retries(5_000, 11, false), 1);
-        assert_eq!(s.retries(5_000, 101, false), 2);
-        assert_eq!(s.retries(5_000, 3, true), 2, "exhausted at every rung");
-        assert_eq!(BudgetSchedule::disabled().retries(5_000, 9_999, true), 0);
-    }
-
-    #[test]
-    fn demand_counts_the_refused_event_and_survives_a_panic() {
-        let (p, a) = setup("fn main() { let i = 0; while i < 5 { i = i + 1; } print(i); }");
-        let full = run_traced(&p, &a, &RunConfig::default());
-        let n = full.trace.len() as u64;
-        assert_eq!(last_demand(), n, "a completed run asks for its events");
-        for budget in [n - 1, n, n + 1] {
-            let cfg = RunConfig {
-                step_budget: budget,
-                ..RunConfig::default()
-            };
-            let run = run_traced(&p, &a, &cfg);
-            let exhausted = *run.trace.termination() == Termination::BudgetExhausted;
-            assert_eq!(exhausted, n > budget, "budget {budget}");
-            assert_eq!(last_demand(), if exhausted { budget + 1 } else { n });
-        }
-        // The injected panic fires at the print, the run's last event.
-        let cfg = RunConfig {
-            fault: stmt_fault("S3=panic"),
-            ..RunConfig::default()
-        };
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_traced(&p, &a, &cfg)));
-        assert!(caught.is_err());
-        assert_eq!(last_demand(), n, "known after the panic unwound");
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! original up to the switch point (the interpreter is deterministic and
 //! the switch is the first divergence). A [`Checkpoint`] captures the
 //! interpreter state at a candidate instance during the *original*
-//! traced run; [`resume_switched`] then replays the recorded prefix
-//! verbatim and re-executes only the suffix with the switch armed,
-//! producing the same [`TracedRun`] a from-scratch switched execution
-//! would.
+//! traced run ([`run_switched`]); [`resume_switched`] then replays the
+//! recorded prefix verbatim and re-executes only the suffix with the
+//! switch armed, producing the same [`TracedRun`] a from-scratch switched
+//! execution would.
 //!
 //! Checkpoints are taken at predicate *entry* (before the condition
 //! evaluates), keyed by the predicate's entry-occurrence count, so the
@@ -162,35 +162,27 @@ pub enum ResumeMode {
     Disabled,
 }
 
-/// Runs `program` traced, capturing a checkpoint at each requested
-/// switch spec's predicate instance. Returns the run plus the captured
+/// Runs `program` traced under `config`, switched or not, capturing a
+/// checkpoint at each `capture` spec's predicate instance it reaches.
+/// Returns the run, identical to `run_traced`'s, plus the captured
 /// checkpoints (a spec whose occurrence never executes yields none).
-pub fn run_traced_with_checkpoints(
+///
+/// With a `chain`, the run records only what aligning instances up to
+/// the chain's target can read: it follows the chain as regions open and
+/// close, and stops recording once the target's counterpart is recorded
+/// or ruled out (a region still open there counts as extending past it).
+/// The run then executes on, keeping outputs, budget, injected faults and
+/// input underflows exactly as a fully recorded run would, so its
+/// termination is the same; its trace is the fully recorded run's first
+/// events, and its outputs those they emitted.
+pub fn run_switched(
     program: &Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
-    specs: &[SwitchSpec],
+    capture: &[SwitchSpec],
+    chain: Option<DescentChain>,
 ) -> (TracedRun, Vec<Checkpoint>) {
-    tracer::run_traced_capturing(program, analysis, config, specs, None)
-}
-
-/// [`run_traced_with_checkpoints`] for a switched run that records only
-/// what aligning instances up to the `chain`'s target can read: it
-/// follows the chain as regions open and close, and stops recording once
-/// the target's counterpart is recorded or ruled out (a region still
-/// open there counts as extending past it). The run then executes on,
-/// keeping outputs, budget, injected faults, demand and input underflows
-/// exactly as a fully recorded run would, so its termination is the
-/// same; its trace is the fully recorded run's first events, and its
-/// outputs those they emitted.
-pub fn run_switched_until(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    config: &RunConfig,
-    specs: &[SwitchSpec],
-    chain: DescentChain,
-) -> (TracedRun, Vec<Checkpoint>) {
-    tracer::run_traced_capturing(program, analysis, config, specs, Some(chain))
+    tracer::run_traced_capturing(program, analysis, config, capture, chain)
 }
 
 /// Resumes a switched run from `checkpoint`, reusing `base` (the
@@ -203,80 +195,26 @@ pub fn run_switched_until(
 /// [`ResumeError::Invalid`] instead of slicing out of range.
 ///
 /// The result is byte-identical — events, outputs, termination — to
-/// `run_traced` with the same config, including step-budget behavior
-/// (the budget counts prefix events exactly as a from-scratch run
-/// would) and fault-injection behavior (a plan that would fire inside
-/// the prefix refuses with [`ResumeError::FaultInPrefix`] rather than
-/// diverge). When `config.switch` is unset the checkpoint's own spec is
-/// armed; setting it to a spec *downstream* of the checkpoint resumes
-/// the shared prefix and re-executes the original run up to that deeper
-/// switch point (the checkpoint-trie ancestor resume).
+/// [`run_switched`] with the same config, capture list and chain,
+/// including step-budget behavior (the budget counts prefix events
+/// exactly as a from-scratch run would) and fault-injection behavior (a
+/// plan that would fire inside the prefix refuses with
+/// [`ResumeError::FaultInPrefix`] rather than diverge). When
+/// `config.switch` is unset the checkpoint's own spec is armed; setting
+/// it to a spec *downstream* of the checkpoint resumes the shared prefix
+/// and re-executes the original run up to that deeper switch point (the
+/// checkpoint-trie ancestor resume). The re-executed suffix captures a
+/// [`Checkpoint`] at every `capture` spec it reaches *before* the armed
+/// switch fires: the replayed segment between two divergence points is
+/// original execution, so its snapshots are exactly what a capturing run
+/// from scratch would have produced, and requests at or past the switch
+/// point are skipped, never corrupted.
 ///
 /// # Errors
 ///
 /// Returns the refusal reason; every variant is recoverable by running
 /// the switched config from scratch.
 pub fn resume_switched(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    config: &RunConfig,
-    checkpoint: &Checkpoint,
-    base: &Trace,
-) -> Result<TracedRun, ResumeError> {
-    resume_switched_capturing(program, analysis, config, checkpoint, base, &[]).map(|(run, _)| run)
-}
-
-/// Like [`resume_switched`], but additionally captures a [`Checkpoint`]
-/// at every requested predicate instance the re-executed suffix reaches
-/// *before* the armed switch fires. Combined with an ancestor resume
-/// (`config.switch` armed downstream of `checkpoint`), this is how the
-/// checkpoint trie grows new nodes incrementally: the replayed segment
-/// between two divergence points is original execution, so its snapshots
-/// are exactly what a dedicated full capture run would have produced.
-/// Capture requests at or past the switch point are skipped, never
-/// corrupted.
-///
-/// # Errors
-///
-/// Same refusal reasons as [`resume_switched`].
-pub fn resume_switched_capturing(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    config: &RunConfig,
-    checkpoint: &Checkpoint,
-    base: &Trace,
-    capture: &[SwitchSpec],
-) -> Result<(TracedRun, Vec<Checkpoint>), ResumeError> {
-    resume(program, analysis, config, checkpoint, base, capture, None)
-}
-
-/// [`resume_switched_capturing`] recording only up to the `chain`'s
-/// target, as [`run_switched_until`] does.
-///
-/// # Errors
-///
-/// Same refusal reasons as [`resume_switched`].
-pub fn resume_switched_until(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    config: &RunConfig,
-    checkpoint: &Checkpoint,
-    base: &Trace,
-    capture: &[SwitchSpec],
-    chain: DescentChain,
-) -> Result<(TracedRun, Vec<Checkpoint>), ResumeError> {
-    resume(
-        program,
-        analysis,
-        config,
-        checkpoint,
-        base,
-        capture,
-        Some(chain),
-    )
-}
-
-fn resume(
     program: &Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
@@ -319,6 +257,17 @@ mod tests {
         let p = compile(src).unwrap();
         let a = ProgramAnalysis::build(&p);
         (p, a)
+    }
+
+    /// [`resume_switched`] without captures or a chain.
+    fn resume(
+        p: &Program,
+        a: &ProgramAnalysis,
+        config: &RunConfig,
+        cp: &Checkpoint,
+        base: &Trace,
+    ) -> Result<TracedRun, ResumeError> {
+        resume_switched(p, a, config, cp, base, &[], None).map(|(run, _)| run)
     }
 
     /// Every (predicate, occurrence) pair in `run`'s trace.
@@ -364,14 +313,14 @@ mod tests {
         let base = run_traced(&p, &a, &config);
         let specs = all_specs(&p, &base);
         assert!(!specs.is_empty(), "program has predicate instances");
-        let (rerun, checkpoints) = run_traced_with_checkpoints(&p, &a, &config, &specs);
+        let (rerun, checkpoints) = run_switched(&p, &a, &config, &specs, None);
         assert_eq!(rerun.trace.events_vec(), base.trace.events_vec());
         assert_eq!(checkpoints.len(), specs.len(), "one checkpoint per spec");
         let mut resumed_any = false;
         for cp in &checkpoints {
             let switched_config = config.switched(cp.spec);
             let scratch = run_traced(&p, &a, &switched_config);
-            match resume_switched(&p, &a, &switched_config, cp, &base.trace) {
+            match resume(&p, &a, &switched_config, cp, &base.trace) {
                 Ok(resumed) => {
                     resumed_any = true;
                     assert_eq!(
@@ -479,7 +428,7 @@ mod tests {
         let config = RunConfig::default();
         let base = run_traced(&p, &a, &config);
         let specs = all_specs(&p, &base);
-        let (_, checkpoints) = run_traced_with_checkpoints(&p, &a, &config, &specs);
+        let (_, checkpoints) = run_switched(&p, &a, &config, &specs, None);
         // The predicate inside `probe` runs under an expression-position
         // call: its checkpoint must refuse to resume.
         let cp = checkpoints
@@ -489,7 +438,7 @@ mod tests {
         assert!(!cp.is_resumable());
         let switched = config.switched(cp.spec);
         assert_eq!(
-            resume_switched(&p, &a, &switched, cp, &base.trace).unwrap_err(),
+            resume(&p, &a, &switched, cp, &base.trace).unwrap_err(),
             ResumeError::NotResumable
         );
     }
@@ -510,11 +459,11 @@ mod tests {
         };
         let base = run_traced(&p, &a, &config);
         let specs = all_specs(&p, &base);
-        let (_, checkpoints) = run_traced_with_checkpoints(&p, &a, &config, &specs);
+        let (_, checkpoints) = run_switched(&p, &a, &config, &specs, None);
         for cp in &checkpoints {
             let switched = config.switched(cp.spec);
             let scratch = run_traced(&p, &a, &switched);
-            let resumed = resume_switched(&p, &a, &switched, cp, &base.trace)
+            let resumed = resume(&p, &a, &switched, cp, &base.trace)
                 .expect("single-frame checkpoints resume");
             assert_eq!(
                 resumed.trace.events_vec().len(),
@@ -547,7 +496,7 @@ mod tests {
             )),
             ..config.clone()
         };
-        let (rerun, checkpoints) = run_traced_with_checkpoints(&p, &a, &corrupting, &specs);
+        let (rerun, checkpoints) = run_switched(&p, &a, &corrupting, &specs, None);
         // The corruption never perturbs the run itself.
         assert_eq!(rerun.trace.events_vec(), base.trace.events_vec());
         let bad = checkpoints
@@ -557,14 +506,14 @@ mod tests {
         assert!(bad.validate(&p, &base.trace).is_err());
         let switched = config.switched(bad.spec);
         assert!(matches!(
-            resume_switched(&p, &a, &switched, bad, &base.trace),
+            resume(&p, &a, &switched, bad, &base.trace),
             Err(ResumeError::Invalid(_))
         ));
         // Sibling checkpoints are untouched and still resume exactly.
         for cp in checkpoints.iter().filter(|c| c.spec.occurrence != 1) {
             let sw = config.switched(cp.spec);
             let scratch = run_traced(&p, &a, &sw);
-            let resumed = resume_switched(&p, &a, &sw, cp, &base.trace).unwrap();
+            let resumed = resume(&p, &a, &sw, cp, &base.trace).unwrap();
             assert_eq!(resumed.trace.events_vec(), scratch.trace.events_vec());
         }
     }
@@ -582,7 +531,7 @@ mod tests {
         let config = RunConfig::default();
         let base = run_traced(&p, &a, &config);
         let specs = all_specs(&p, &base);
-        let (_, checkpoints) = run_traced_with_checkpoints(&p, &a, &config, &specs);
+        let (_, checkpoints) = run_switched(&p, &a, &config, &specs, None);
         // Crash at the third instance of `i = i + 1` (statement S4).
         let plan = omislice_trace::FaultPlan::parse("S4:2=div-zero")
             .unwrap()
@@ -591,7 +540,7 @@ mod tests {
             let mut switched = config.switched(cp.spec);
             switched.fault = plan;
             let scratch = run_traced(&p, &a, &switched);
-            match resume_switched(&p, &a, &switched, cp, &base.trace) {
+            match resume(&p, &a, &switched, cp, &base.trace) {
                 Ok(resumed) => {
                     assert_eq!(
                         resumed.trace.events_vec(),
@@ -623,7 +572,7 @@ mod tests {
         let config = RunConfig::default();
         let base = run_traced(&p, &a, &config);
         let specs = all_specs(&p, &base);
-        let (_, checkpoints) = run_traced_with_checkpoints(&p, &a, &config, &specs);
+        let (_, checkpoints) = run_switched(&p, &a, &config, &specs, None);
         for cp in &checkpoints {
             assert!(cp.prefix_len() <= base.trace.events_vec().len());
         }

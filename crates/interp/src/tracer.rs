@@ -279,36 +279,6 @@ pub struct TracedRun {
     pub input_underflows: u64,
 }
 
-thread_local! {
-    static LAST_DEMAND: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The *demand* of the calling thread's most recent traced run, from
-/// scratch or resumed: how many events it asked to record, its replayed
-/// prefix included. A run that completes asks for exactly its events; one
-/// stopped at its step budget, or by an injected fault at an event, also
-/// asked for that one refused event. So the same run under a smaller
-/// budget `b` would have stopped budget-exhausted exactly when its demand
-/// exceeds `b`.
-///
-/// The value is published when the run returns and also while a panic
-/// unwinds out of it, so a caller that isolates the panic with
-/// `catch_unwind` still learns how far the run got.
-pub fn last_demand() -> u64 {
-    LAST_DEMAND.with(std::cell::Cell::get)
-}
-
-/// A run's demand counter; publishes it to [`last_demand`] when dropped,
-/// which happens on return and during unwinding alike.
-struct Demand(u64);
-
-impl Drop for Demand {
-    fn drop(&mut self) {
-        // `try_with`: a drop during thread teardown must not panic.
-        let _ = LAST_DEMAND.try_with(|d| d.set(self.0));
-    }
-}
-
 /// Executes `program` under `config`, producing a full trace.
 ///
 /// The `analysis` must have been built for the same program: the
@@ -345,7 +315,7 @@ pub fn run_traced(program: &Program, analysis: &ProgramAnalysis, config: &RunCon
 /// so resuming from any of them reproduces the switched run.
 ///
 /// With a `chain`, the run stops recording once the chain's target is
-/// recorded or ruled out (see [`crate::run_switched_until`]).
+/// recorded or ruled out (see [`crate::run_switched`]).
 pub(crate) fn run_traced_capturing(
     program: &Program,
     analysis: &ProgramAnalysis,
@@ -490,10 +460,10 @@ trait Sink {
     /// What the run's cells keep of the instances that defined them.
     type Defs: Provenance;
 
-    /// Whether instance `next` may run; asked before the step budget is
-    /// checked. `false` stops the run as budget-exhausted.
+    /// Whether the next instance may run, once it fits the step budget.
+    /// `false` stops the run as budget-exhausted.
     #[inline]
-    fn admit(&mut self, _next: u32) -> bool {
+    fn admit(&mut self) -> bool {
         true
     }
 
@@ -609,15 +579,12 @@ struct Full<'a> {
     /// indexed by statement, sorted. Empty on ordinary and resumed runs.
     capture: Vec<Vec<u32>>,
     captured: Vec<Checkpoint>,
-    /// Events asked for so far, refused ones included (see
-    /// [`last_demand`]).
-    demand: Demand,
     /// The descent chain a switched run follows, if it stops recording
     /// once the chain's target is decided.
     horizon: Option<Horizon>,
     /// Whether events are still recorded: cleared once `horizon` is
-    /// passed, after which every hook but the demand count and the
-    /// recorder's deadline cadence does nothing.
+    /// passed, after which every hook but the recorder's deadline cadence
+    /// does nothing.
     live: bool,
 }
 
@@ -697,7 +664,6 @@ impl<'a> Full<'a> {
     ) -> Self {
         Full {
             analysis,
-            demand: Demand(rec.len() as u64),
             rec,
             deps: Vec::new(),
             scratch: Vec::new(),
@@ -714,12 +680,11 @@ impl Sink for Full<'_> {
     const TICKS: bool = false;
     type Defs = Defs;
 
-    /// Counts the demand, and refuses once a scoped deadline expired at
-    /// the recorder's last counted check (the paper's expired-timer rule:
-    /// the run terminates as budget-exhausted).
+    /// Refuses once a scoped deadline expired at the recorder's last
+    /// counted check (the paper's expired-timer rule: the run terminates
+    /// as budget-exhausted).
     #[inline]
-    fn admit(&mut self, next: u32) -> bool {
-        self.demand.0 = next as u64 + 1;
+    fn admit(&mut self) -> bool {
         !self.rec.deadline_hit()
     }
 
@@ -1013,8 +978,7 @@ impl<'a, S: Sink> Eval<'a, S> {
     /// no event.
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn record(&mut self, ev: Ev, mark: usize) -> Result<InstId, Stop> {
-        let admitted = self.sink.admit(self.next);
-        if !S::TICKS && (u64::from(self.next) >= self.budget || !admitted) {
+        if !S::TICKS && (u64::from(self.next) >= self.budget || !self.sink.admit()) {
             return Err(Stop::Budget);
         }
         fault_fires(&mut self.fault_seen, self.fault, ev.stmt)?;

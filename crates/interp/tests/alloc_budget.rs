@@ -14,8 +14,7 @@
 use omislice_analysis::ProgramAnalysis;
 use omislice_corpus::{all_benchmarks, WorkloadGen};
 use omislice_interp::{
-    resume_switched, run_plain_indexed, run_traced, run_traced_with_checkpoints, run_values,
-    RunConfig, SwitchSpec,
+    resume_switched, run_plain_indexed, run_switched, run_traced, run_values, RunConfig, SwitchSpec,
 };
 use omislice_lang::compile;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -109,13 +108,13 @@ fn traced_runs_allocate_less_than_once_per_hundred_events() {
         }
         *occ += 1;
     }
-    let (_, checkpoints) = run_traced_with_checkpoints(&program, &analysis, &config, &specs[..64]);
+    let (_, checkpoints) = run_switched(&program, &analysis, &config, &specs[..64], None);
     let mut measured = false;
     for cp in checkpoints.iter().filter(|cp| cp.is_resumable()) {
         let switched = config.switched(cp.spec);
         let (resumed, allocs) =
-            counted(|| resume_switched(&program, &analysis, &switched, cp, &base.trace));
-        let resumed = resumed.expect("a resumable checkpoint resumes");
+            counted(|| resume_switched(&program, &analysis, &switched, cp, &base.trace, &[], None));
+        let (resumed, _) = resumed.expect("a resumable checkpoint resumes");
         let recorded = (resumed.trace.len() - cp.prefix_len()) as u64;
         if recorded < events / 2 {
             continue;

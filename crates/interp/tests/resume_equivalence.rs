@@ -14,7 +14,7 @@
 
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
-    resume_switched, run_traced, run_traced_with_checkpoints, RunConfig, SwitchSpec, TracedRun,
+    resume_switched, run_switched, run_traced, RunConfig, SwitchSpec, TracedRun,
 };
 use omislice_lang::{compile, Program};
 use omislice_trace::{InstId, Trace};
@@ -135,7 +135,7 @@ fn switched_runs(
 
     let scratch = run_traced(program, analysis, &switched_cfg);
 
-    let (_, checkpoints) = run_traced_with_checkpoints(program, analysis, &config, &[spec]);
+    let (_, checkpoints) = run_switched(program, analysis, &config, &[spec], None);
     let cp = checkpoints.iter().find(|cp| cp.spec == spec);
     // The switch point was reached in the base run, so the instrumented
     // re-run must capture it.
@@ -144,7 +144,9 @@ fn switched_runs(
     if !cp.is_resumable() {
         return Ok(Some((base, scratch, None)));
     }
-    let Ok(resumed) = resume_switched(program, analysis, &switched_cfg, cp, &base.trace) else {
+    let Ok((resumed, _)) =
+        resume_switched(program, analysis, &switched_cfg, cp, &base.trace, &[], None)
+    else {
         return Err(TestCaseError::fail(format!(
             "resumable checkpoint {spec:?} failed to resume"
         )));

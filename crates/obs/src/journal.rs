@@ -7,8 +7,8 @@
 //!   engine configuration (jobs, resume, mode);
 //! * one `iteration` record per Algorithm 2 expansion round — the chosen
 //!   use, every `VerifyDep` request with its verdict and run outcome,
-//!   the edges added by kind, budget escalations, and the pruned-slice
-//!   size before/after the round;
+//!   the edges added by kind, and the pruned-slice size before/after
+//!   the round;
 //! * a `summary` record — the final counters of the run;
 //! * an optional `recovery` record — present only when the pipeline
 //!   absorbed injected or real faults (or its deadline expired), with

@@ -98,10 +98,6 @@ fn iteration_record(it: &IterationRecord) -> Json {
         ("edges_added", Json::Array(edges)),
         ("slice_before", Json::UInt(it.slice_before as u64)),
         ("slice_after", Json::UInt(it.slice_after as u64)),
-        (
-            "budget_escalations",
-            Json::UInt(it.budget_escalations as u64),
-        ),
     ])
 }
 

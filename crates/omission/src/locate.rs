@@ -21,7 +21,7 @@ use crate::memo::VerifyMemo;
 use crate::oracle::{OutputClassification, UserOracle};
 use crate::verify::{Verdict, Verifier, VerifierMode, VerifyRequest};
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::{BudgetSchedule, ResumeMode, RunConfig};
+use omislice_interp::{ResumeMode, RunConfig};
 use omislice_lang::{Program, StmtId, VarId};
 use omislice_slicing::{
     is_potential_dep, potential_deps_by_var, prune_round, union_pd, DepGraph, Feedback,
@@ -126,8 +126,6 @@ pub struct IterationRecord {
     pub slice_before: usize,
     /// Pruned-slice size after re-pruning on the expanded graph.
     pub slice_after: usize,
-    /// Budget escalation retries performed by this round's switched runs.
-    pub budget_escalations: usize,
 }
 
 /// Why one statement sits in the final pruned slice: the chain of
@@ -190,13 +188,6 @@ pub struct LocateConfig {
     /// from scratch ([`ResumeMode::Disabled`] — escape hatch, the traces
     /// are byte-identical either way).
     pub resume: ResumeMode,
-    /// The step-budget escalation schedule switched runs are accounted
-    /// against. No rung executes: each switched run executes once, at
-    /// the full step budget (the paper's expired timer), and its retries
-    /// are the rungs below it that the run's demand outgrew
-    /// ([`BudgetSchedule::retries`]). Verdicts, outcomes and wall time do
-    /// not depend on it; only the `escalations` counters do.
-    pub budget: BudgetSchedule,
     /// The fault plan's statement entry, applied to the verifier's
     /// switched re-executions (robustness testing; `None` in normal
     /// operation).
@@ -208,8 +199,7 @@ pub struct LocateConfig {
     /// expired-timer rule) and the outcome is marked partial via
     /// [`LocateOutcome::deadline_expired`].
     pub deadline: Option<Deadline>,
-    /// Capture break-even override in gap events (`None`: the cost
-    /// model's static default,
+    /// Capture break-even override in gap events (`None`: the static
     /// [`crate::verify::DEFAULT_CAPTURE_THRESHOLD`]). No front end sets
     /// it; the differential checks vary it to show verdicts do not
     /// depend on the capture plan.
@@ -230,7 +220,6 @@ impl Default for LocateConfig {
             union_graph: None,
             jobs: default_jobs(),
             resume: ResumeMode::Auto,
-            budget: BudgetSchedule::default(),
             fault: None,
             deadline: None,
             capture_threshold: None,
@@ -363,7 +352,6 @@ pub fn locate_fault(
         .with_jobs(lc.jobs)
         .with_resume(lc.resume)
         .with_capture_threshold(lc.capture_threshold)
-        .with_budget_schedule(lc.budget)
         .with_fault(lc.fault)
         .with_deadline(lc.deadline.clone());
     if let Some(memo) = &lc.memo {
@@ -469,7 +457,6 @@ pub fn locate_fault(
         );
         expanded_uses.insert(u);
         let slice_before = ps.ranked.len();
-        let retries_before = verifier.stats().budget_retries;
         let mut request_log: Vec<RequestRecord> = Vec::new();
         let mut edge_log: Vec<EdgeRecord> = Vec::new();
 
@@ -590,7 +577,6 @@ pub fn locate_fault(
             edges_added: edge_log,
             slice_before,
             slice_after: ps.ranked.len(),
-            budget_escalations: verifier.stats().budget_retries - retries_before,
         });
     };
 
@@ -887,8 +873,6 @@ mod tests {
                 out.stats.budget_exhausted_runs,
                 out.stats.crashed_runs,
                 out.stats.switch_not_landed_runs,
-                out.stats.escalated_runs,
-                out.stats.budget_retries,
                 out.stats.panics_isolated,
                 out.stats.input_underflows,
             ),
@@ -972,7 +956,6 @@ mod tests {
                     normalized.stats.steps_saved = 0;
                     normalized.stats.resumed_runs = 0;
                     normalized.stats.invalid_checkpoints = 0;
-                    normalized.stats.scratch_fallbacks = 0;
                     normalized.stats.scratch_runs = 0;
                     match &reference {
                         Some(r) => {

@@ -13,14 +13,12 @@
 //! ## What is (and is not) safe to share
 //!
 //! A switched run is fully determined by the fingerprint plus the switch
-//! spec: thread count, resume mode, capture plan, budget escalation
-//! schedule, and deadline never change its bytes (resumed and
-//! from-scratch runs are byte-identical, every switched run executes
-//! once at the full step budget whatever the schedule, and runs are
-//! computed outside any deadline-dependent path). Those knobs are
-//! therefore deliberately *excluded* from the key, which is what makes
-//! cross-job and cross-request reuse sound. Entries produced by a
-//! candidate the deadline *cancelled* are synthetic expired-timer
+//! spec: thread count, resume mode, capture plan and deadline never
+//! change its bytes (resumed and from-scratch runs are byte-identical,
+//! and runs are computed outside any deadline-dependent path). Those
+//! knobs are therefore deliberately *excluded* from the key, which is
+//! what makes cross-job and cross-request reuse sound. Entries produced
+//! by a candidate the deadline *cancelled* are synthetic expired-timer
 //! verdicts, not executions — the verifier keeps those in its per-batch
 //! pinned view and never inserts them here.
 //!
@@ -119,10 +117,9 @@ impl VerifyMemo {
     /// are stored. Everything that can change a switched run's bytes or
     /// outcome is hashed: program source, inputs, step budget, the fault
     /// plan's statement entry, and the base trace length (a cheap guard
-    /// against stale pairings). Thread count, resume mode, capture plan,
-    /// budget escalation schedule, and deadline are excluded by design —
-    /// runs are byte-identical across them, which is exactly what makes
-    /// sharing sound.
+    /// against stale pairings). Thread count, resume mode, capture plan
+    /// and deadline are excluded by design — runs are byte-identical
+    /// across them, which is exactly what makes sharing sound.
     pub fn fingerprint(program: &Program, config: &RunConfig, trace_len: usize) -> u64 {
         let mut h = Fnv1a::default();
         h.write(print_program(program).as_bytes());
@@ -304,29 +301,22 @@ mod tests {
         assert_ne!(k, VerifyMemo::fingerprint(&p2, &c1, 10), "program");
         assert_ne!(k, VerifyMemo::fingerprint(&p1, &c2, 10), "inputs");
         assert_ne!(k, VerifyMemo::fingerprint(&p1, &c1, 11), "trace len");
-        // The budget schedule is accounting only — every switched run
-        // executes once, at the full step budget — so it is no part of
-        // the key: a verifier under another schedule finds the entry.
+        // A second verifier over the same configuration finds the run
+        // the first one memoized.
         let a1 = ProgramAnalysis::build(&p1);
         let trace = run_traced(&p1, &a1, &c1).trace;
         let guard = trace.instances_of(StmtId(1))[0];
         let out = trace.outputs()[0].inst;
         let x = a1.index().stmt(StmtId(0)).def.expect("`let x` defines x");
         let memo = VerifyMemo::shared();
-        let memo_hits = |budget| {
+        let memo_hits = || {
             let mut v = crate::Verifier::new(&p1, &a1, &c1, &trace, crate::VerifierMode::Edge)
-                .with_memo(Arc::clone(&memo))
-                .with_budget_schedule(budget);
+                .with_memo(Arc::clone(&memo));
             v.verify(guard, out, x, out, None);
             v.stats().memo_hits
         };
-        assert_eq!(memo_hits(omislice_interp::BudgetSchedule::default()), 0);
-        let tight = omislice_interp::BudgetSchedule {
-            initial: 16,
-            factor: 2,
-            attempts: 2,
-        };
-        assert_eq!(memo_hits(tight), 1, "budget");
+        assert_eq!(memo_hits(), 0);
+        assert_eq!(memo_hits(), 1, "same configuration");
     }
 
     #[test]
@@ -370,7 +360,7 @@ mod tests {
         let a = ProgramAnalysis::build(&p);
         let cfg = RunConfig::with_inputs(vec![1]);
         let spec = SwitchSpec::new(StmtId(1), 0);
-        let (_, cps) = omislice_interp::run_traced_with_checkpoints(&p, &a, &cfg, &[spec]);
+        let (_, cps) = omislice_interp::run_switched(&p, &a, &cfg, &[spec], None);
         let cp = Arc::new(cps.into_iter().next().expect("guard executes"));
         let memo = VerifyMemo::new(DEFAULT_MEMO_CAPACITY);
         assert_eq!(memo.insert_checkpoint(3, Arc::clone(&cp)), 0);

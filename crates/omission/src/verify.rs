@@ -43,7 +43,7 @@
 //! * every other leaf *resumes* from the deepest checkpoint at or before
 //!   its own position — its own if captured, otherwise an ancestor's,
 //!   re-executing only the gap (see
-//!   `omislice_interp::resume_switched_until`);
+//!   `omislice_interp::resume_switched`);
 //! * leaves are dispatched across threads ([`Verifier::with_jobs`])
 //!   through work-stealing deques seeded longest remaining suffix
 //!   first; results land in per-candidate slots and are merged in
@@ -52,9 +52,8 @@
 //! * a batch is prepared and judged in fixed waves of request order, so
 //!   at most one wave's switched runs are live at once; every request
 //!   is judged, since Algorithm 2 keeps every strong dependence;
-//! * each switched run executes once, at the full step budget: the
-//!   [`BudgetSchedule`] only counts the rungs the run's demand outgrew
-//!   (see [`Verifier::with_budget_schedule`]);
+//! * each switched run executes once, at the full step budget (the
+//!   paper's timer);
 //! * each switched run records only until the base trace's last
 //!   instance is aligned, then executes on unrecorded (see
 //!   [`descent_chain`]).
@@ -71,8 +70,8 @@ use crate::memo::{RunEntry, VerifyMemo};
 use omislice_align::{descent_chain, Aligner, MatchMemo};
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
-    last_demand, resume_switched_until, run_switched_until, BudgetSchedule, Checkpoint,
-    ResumeError, ResumeMode, RunConfig, SwitchSpec, TracedRun,
+    resume_switched, run_switched, Checkpoint, ResumeError, ResumeMode, RunConfig, SwitchSpec,
+    TracedRun,
 };
 use omislice_lang::{Program, VarId};
 use omislice_slicing::DepGraph;
@@ -255,14 +254,9 @@ struct ComputedRun {
     outcome: RunOutcome,
     /// Prefix events skipped when the run resumed from a checkpoint.
     saved: Option<usize>,
-    /// Budget schedule rungs the run's demand outgrew
-    /// ([`BudgetSchedule::retries`]).
-    retries: usize,
     /// The spec's checkpoint failed validation or its resumption
-    /// failed/panicked.
+    /// failed/panicked, forcing a from-scratch execution.
     invalid_checkpoint: bool,
-    /// A from-scratch execution was forced by an invalid checkpoint.
-    scratch_fallback: bool,
     /// A host panic was caught at the isolation boundary.
     panic_isolated: bool,
     /// The candidate was cancelled by an expired deadline before its
@@ -284,9 +278,7 @@ impl ComputedRun {
             run: None,
             outcome: RunOutcome::Crashed(CrashKind::Panic),
             saved: None,
-            retries: 0,
             invalid_checkpoint: false,
-            scratch_fallback: false,
             panic_isolated: true,
             deadline_cancelled: false,
             input_underflows: 0,
@@ -303,9 +295,7 @@ impl ComputedRun {
             run: None,
             outcome: RunOutcome::BudgetExhausted,
             saved: None,
-            retries: 0,
             invalid_checkpoint: false,
-            scratch_fallback: false,
             panic_isolated: false,
             deadline_cancelled: true,
             input_underflows: 0,
@@ -326,7 +316,7 @@ impl ComputedRun {
 /// switched runs from checkpoints and fan them out across threads.
 ///
 /// Each switched run records only until the base trace's last instance
-/// is aligned (`omislice_interp::run_switched_until`): every use of the
+/// is aligned (`omislice_interp::run_switched`): every use of the
 /// base trace is decided by then. `locate_fault` builds its verifier on
 /// the view of the failing trace through the first wrong output, so its
 /// switched runs stop recording at that output's counterpart.
@@ -338,7 +328,6 @@ pub struct Verifier<'a> {
     mode: VerifierMode,
     resume: ResumeMode,
     jobs: usize,
-    budget: BudgetSchedule,
     /// Cooperative deadline, checked only at serial batch boundaries so
     /// cancellation decisions are identical for any thread count.
     deadline: Option<Deadline>,
@@ -392,7 +381,6 @@ impl<'a> Verifier<'a> {
             mode,
             resume: ResumeMode::default(),
             jobs: 1,
-            budget: BudgetSchedule::default(),
             deadline: None,
             memo: VerifyMemo::shared(),
             runs: HashMap::new(),
@@ -433,19 +421,6 @@ impl<'a> Verifier<'a> {
     /// [`DEFAULT_CAPTURE_THRESHOLD`]).
     pub fn with_capture_threshold(mut self, threshold: Option<usize>) -> Self {
         self.capture_threshold = threshold;
-        self
-    }
-
-    /// Sets the budget escalation schedule the verifier accounts
-    /// switched runs against (default [`BudgetSchedule::default`]). No
-    /// rung executes: each switched run executes once, at the full step
-    /// budget, and counts as retries the rungs below it that its demand
-    /// outgrew ([`BudgetSchedule::retries`]), in `escalated_runs` and
-    /// `budget_retries`. Verdicts, outcomes and memoized runs do not
-    /// depend on the schedule; [`BudgetSchedule::disabled`] counts no
-    /// retries.
-    pub fn with_budget_schedule(mut self, budget: BudgetSchedule) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -928,15 +903,8 @@ impl<'a> Verifier<'a> {
                 }
                 None => self.stats.scratch_runs += 1,
             }
-            if c.retries > 0 {
-                self.stats.escalated_runs += 1;
-                self.stats.budget_retries += c.retries;
-            }
             if c.invalid_checkpoint {
                 self.stats.invalid_checkpoints += 1;
-            }
-            if c.scratch_fallback {
-                self.stats.scratch_fallbacks += 1;
             }
             if c.panic_isolated {
                 self.stats.panics_isolated += 1;
@@ -1018,10 +986,6 @@ impl<'a> Verifier<'a> {
     /// any panic *of the interpreter* behind `catch_unwind`; panics in the
     /// harness work around it are caught one level up by
     /// [`Verifier::compute_switched_isolated`].
-    ///
-    /// The budget schedule is pure accounting: the run's demand
-    /// ([`last_demand`], known even after an isolated panic) says which
-    /// rungs it outgrew.
     fn compute_switched(
         &self,
         spec: SwitchSpec,
@@ -1038,9 +1002,7 @@ impl<'a> Verifier<'a> {
             run: None,
             outcome: RunOutcome::BudgetExhausted,
             saved: None,
-            retries: 0,
             invalid_checkpoint: false,
-            scratch_fallback: false,
             panic_isolated: false,
             deadline_cancelled: false,
             input_underflows: 0,
@@ -1048,14 +1010,14 @@ impl<'a> Verifier<'a> {
         let mut resumed: Option<(TracedRun, Vec<Checkpoint>)> = None;
         if let Some(cp) = donor {
             match catch_unwind(AssertUnwindSafe(|| {
-                resume_switched_until(
+                resume_switched(
                     self.program,
                     self.analysis,
                     &cfg,
                     cp,
                     self.trace,
                     capture,
-                    chain.clone(),
+                    Some(chain.clone()),
                 )
             })) {
                 Ok(Ok(run)) => {
@@ -1068,16 +1030,13 @@ impl<'a> Verifier<'a> {
                 Ok(Err(ResumeError::NotResumable | ResumeError::FaultInPrefix)) => {}
                 // The checkpoint is corrupt (failed validation) or its
                 // resumption blew up: record it and fall back.
-                Ok(Err(ResumeError::Invalid(_))) | Err(_) => {
-                    out.invalid_checkpoint = true;
-                    out.scratch_fallback = true;
-                }
+                Ok(Err(ResumeError::Invalid(_))) | Err(_) => out.invalid_checkpoint = true,
             }
         }
         let (run, captured) = match resumed {
             Some(r) => r,
             None => match catch_unwind(AssertUnwindSafe(|| {
-                run_switched_until(self.program, self.analysis, &cfg, capture, chain)
+                run_switched(self.program, self.analysis, &cfg, capture, Some(chain))
             })) {
                 Ok(r) => r,
                 Err(_) => {
@@ -1086,9 +1045,6 @@ impl<'a> Verifier<'a> {
                     // unwound with it.
                     out.panic_isolated = true;
                     out.outcome = RunOutcome::Crashed(CrashKind::Panic);
-                    out.retries =
-                        self.budget
-                            .retries(self.config.step_budget, last_demand(), false);
                     return (out, Vec::new());
                 }
             },
@@ -1100,11 +1056,6 @@ impl<'a> Verifier<'a> {
             Termination::BudgetExhausted => RunOutcome::BudgetExhausted,
             Termination::RuntimeError(kind, _) => RunOutcome::Crashed(*kind),
         };
-        out.retries = self.budget.retries(
-            self.config.step_budget,
-            last_demand(),
-            out.outcome == RunOutcome::BudgetExhausted,
-        );
         // The switch must land at the same timestamp (identical prefix);
         // if the run was cut off before reaching it, treat the whole
         // re-execution as failed.
@@ -1645,26 +1596,6 @@ mod tests {
         assert_eq!(b.reexecution_count(), 0, "all runs came from the memo");
         assert_eq!(b.stats().memo_hits, a.reexecution_count());
 
-        // The budget schedule is accounting only: a verifier under a
-        // different schedule shares the same runs, answering every one
-        // from the memo (and so retrying none).
-        let mut c = Verifier::new(
-            &s.program,
-            &s.analysis,
-            &s.config,
-            &s.trace,
-            VerifierMode::Edge,
-        )
-        .with_memo(Arc::clone(&memo))
-        .with_budget_schedule(BudgetSchedule {
-            initial: 7,
-            factor: 100,
-            attempts: 3,
-        });
-        assert_eq!(c.verify_all(&requests), first);
-        assert_eq!(c.reexecution_count(), 0, "the schedule is not keyed");
-        assert_eq!(c.stats().memo_hits, a.reexecution_count());
-
         // A different fault plan changes runs, so it is a different
         // fingerprint: the shared memo never answers across
         // configurations that could disagree.
@@ -1827,8 +1758,6 @@ mod tests {
                     st.budget_exhausted_runs,
                     st.crashed_runs,
                     st.switch_not_landed_runs,
-                    st.escalated_runs,
-                    st.budget_retries,
                     st.panics_isolated,
                     st.input_underflows,
                 ];
@@ -1876,7 +1805,6 @@ mod tests {
                 // The resume attempt panicked first; it was written off
                 // as an invalid checkpoint and fell back to scratch.
                 assert_eq!(st.invalid_checkpoints, n_panicking);
-                assert_eq!(st.scratch_fallbacks, n_panicking);
             }
         }
     }
@@ -1913,7 +1841,6 @@ mod tests {
         assert_eq!(results, expected);
         let st = v.stats();
         assert_eq!(st.invalid_checkpoints, 1);
-        assert_eq!(st.scratch_fallbacks, 1);
         assert_eq!(
             st.resumed_runs,
             st.reexecutions - 2,
@@ -1924,8 +1851,8 @@ mod tests {
 
     /// The base run (input 1) takes the guard, shrinking the loop bound
     /// to 30; switching it leaves `lim` at 300, so the switched run is
-    /// ~10× longer than the base — long enough to blow a small first
-    /// budget rung but complete comfortably at the full budget.
+    /// ~10× longer than the base, yet completes comfortably within the
+    /// full budget.
     const LONG_SWITCH: &str = "\
         global n = 0; global i = 0; global lim = 300;\
         fn main() {\
@@ -1937,7 +1864,7 @@ mod tests {
         }";
 
     #[test]
-    fn budget_escalation_completes_long_runs() {
+    fn long_switched_run_completes_at_the_full_budget() {
         let program = compile(LONG_SWITCH).unwrap();
         let analysis = ProgramAnalysis::build(&program);
         let config = RunConfig {
@@ -1949,32 +1876,23 @@ mod tests {
         };
         let trace = run_traced(&program, &analysis, &config).trace;
         assert!(trace.termination().is_normal());
-        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge)
-            .with_budget_schedule(BudgetSchedule {
-                initial: 100,
-                factor: 100,
-                attempts: 3,
-            });
+        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge);
         let guard = trace.instances_of(StmtId(1))[0];
         let out = trace.outputs()[0].inst;
         let i = analysis.index().vars().global("i").unwrap();
         let r = v.verify(guard, out, i, out, None);
-        // First attempt (100 steps) expires, the escalated attempt at
-        // the full budget completes and yields a judgeable run.
+        // The run at the full budget completes and yields a judgeable
+        // run.
         assert_eq!(r.outcome, RunOutcome::Completed);
         let st = v.stats();
-        assert_eq!(st.escalated_runs, 1);
-        assert_eq!(st.budget_retries, 1);
         assert_eq!(st.completed_runs, 1);
         assert_eq!(st.budget_exhausted_runs, 0);
     }
 
     #[test]
-    fn escalated_switched_run_executes_once() {
-        // LONG_SWITCH's switched run outgrows the 100-step rung: the
-        // schedule counts that rung as a retry, but the run executes
-        // once, at the full budget — one traced run on the recorder,
-        // where re-executing each outgrown rung would record two.
+    fn long_switched_run_executes_once() {
+        // LONG_SWITCH's switched run, ~10× the base run, executes once,
+        // at the full budget: one traced run on the recorder.
         let program = compile(LONG_SWITCH).unwrap();
         let analysis = ProgramAnalysis::build(&program);
         let config = RunConfig {
@@ -1983,12 +1901,7 @@ mod tests {
             ..RunConfig::default()
         };
         let trace = run_traced(&program, &analysis, &config).trace;
-        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge)
-            .with_budget_schedule(BudgetSchedule {
-                initial: 100,
-                factor: 100,
-                attempts: 3,
-            });
+        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge);
         let guard = trace.instances_of(StmtId(1))[0];
         let out = trace.outputs()[0].inst;
         let i = analysis.index().vars().global("i").unwrap();
@@ -2004,7 +1917,6 @@ mod tests {
         omislice_obs::set_enabled(false);
         let rec = omislice_obs::drain();
         assert_eq!(r.outcome, RunOutcome::Completed);
-        assert_eq!(v.stats().budget_retries, 1);
         let thread = rec
             .events
             .iter()
@@ -2020,10 +1932,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_escalation_gives_up_at_cap() {
-        // The nonterminating switch from `nonterminating_switch_is_not_id`
-        // under an escalating schedule: every rung expires, the final one
-        // at the configured cap, and the run settles as budget-exhausted.
+    fn nonterminating_switched_run_exhausts_the_full_budget() {
+        // The nonterminating switch from `nonterminating_switch_is_not_id`,
+        // verified without an expected value: the one execution expires
+        // at the configured budget and settles as budget-exhausted.
         let src = "\
             global bound = 0;\
             fn main() {\
@@ -2043,12 +1955,7 @@ mod tests {
             fault: None,
         };
         let trace = run_traced(&program, &analysis, &config).trace;
-        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge)
-            .with_budget_schedule(BudgetSchedule {
-                initial: 100,
-                factor: 10,
-                attempts: 3,
-            });
+        let mut v = Verifier::new(&program, &analysis, &config, &trace, VerifierMode::Edge);
         let guard = trace.instances_of(StmtId(1))[0];
         let out = trace.outputs()[0].inst;
         let bound = analysis.index().vars().global("bound").unwrap();
@@ -2056,17 +1963,15 @@ mod tests {
         assert_eq!(r.verdict, Verdict::NotId);
         assert_eq!(r.outcome, RunOutcome::BudgetExhausted);
         let st = v.stats();
-        assert_eq!(st.budget_retries, 2, "rungs 100 and 1000 both expired");
-        assert_eq!(st.escalated_runs, 1);
+        assert_eq!(st.reexecutions, 1);
         assert_eq!(st.budget_exhausted_runs, 1);
     }
 
     #[test]
-    fn injected_budget_fault_exhausts_every_rung() {
+    fn injected_budget_fault_exhausts_every_switched_run() {
         // S7 (`b = b + 1`) runs in every switched re-execution, so a
-        // budget fault there makes each one expire at every rung; the
-        // engine escalates fruitlessly and settles on BudgetExhausted
-        // without disturbing determinism.
+        // budget fault there makes each one expire; the engine settles on
+        // BudgetExhausted without disturbing determinism.
         let s = setup(BATCH, vec![0]);
         let requests = batch_requests(&s);
         let mut v = Verifier::new(
@@ -2088,11 +1993,6 @@ mod tests {
             assert_eq!(r.outcome, RunOutcome::BudgetExhausted);
         }
         let st = v.stats();
-        let rungs = BudgetSchedule::default()
-            .budgets(s.config.step_budget)
-            .len();
         assert_eq!(st.budget_exhausted_runs, st.reexecutions);
-        assert_eq!(st.escalated_runs, st.reexecutions);
-        assert_eq!(st.budget_retries, st.reexecutions * (rungs - 1));
     }
 }

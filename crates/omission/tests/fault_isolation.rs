@@ -14,22 +14,20 @@
 //! take down a batch, and degraded results must not depend on
 //! scheduling or on the checkpoint fast path.
 //!
-//! A second property pins single execution against the literal budget
-//! escalation ladder: each switched run executes once, at the full step
-//! budget, and must report the verdicts, outcomes and counters of a
-//! ladder that re-executes it from scratch at every rung until one does
-//! not expire.
+//! A second property pins single execution against the literal ladder,
+//! the paper's timer taken literally: each switched run, resumed or not,
+//! must report the outcome and counters of the same switched run executed
+//! from scratch at the full step budget under `catch_unwind`.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::omislice_interp::{run_traced, BudgetSchedule, ResumeMode, RunConfig, SwitchSpec};
+use omislice::omislice_interp::{run_traced, ResumeMode, RunConfig, SwitchSpec};
 use omislice::omislice_lang::{compile, Program};
 use omislice::omislice_trace::{
-    CrashKind, FaultAction, FaultEntry, InstId, RunOutcome, Termination, Trace, VerificationStats,
+    CrashKind, FaultAction, FaultEntry, InstId, RunOutcome, Termination, Trace,
 };
 use omislice::{Verification, Verifier, VerifierMode, VerifyRequest};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 // --- tiny structured-program generator ----------------------------------
 
@@ -120,44 +118,28 @@ fn action_strategy() -> impl Strategy<Value = FaultAction> {
     ]
 }
 
-/// The escalation schedules the ladder property runs: the default, two
-/// dense ones that escalate even the generator's short runs, and off.
-fn schedules() -> [BudgetSchedule; 4] {
-    [
-        BudgetSchedule::default(),
-        BudgetSchedule::parse("1:2:12").unwrap(),
-        BudgetSchedule::parse("3:3:5").unwrap(),
-        BudgetSchedule::disabled(),
-    ]
-}
-
 /// What the literal ladder settles on for one switched run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct LadderRun {
     outcome: RunOutcome,
-    retries: usize,
     panicked: bool,
     input_underflows: u64,
 }
 
-/// The budget escalation ladder taken literally — the reference single
-/// execution must reproduce: the switched run executes from scratch at
-/// each rung of `schedule`, under `catch_unwind`, until a rung does not
-/// expire (or the last rung, the full budget, is reached). A
-/// `panic-harness` entry for this spec fires in the verifier before any
-/// rung runs.
+/// The literal ladder the single execution must reproduce: the switched
+/// run executes from scratch, at the full step budget, under
+/// `catch_unwind`. A `panic-harness` entry for this spec fires in the
+/// verifier before the run starts.
 fn literal_ladder(
     program: &Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
-    schedule: BudgetSchedule,
     trace: &Trace,
     p: InstId,
 ) -> LadderRun {
     let spec = SwitchSpec::new(trace.event(p).stmt, trace.occurrence_index(p) as u32);
-    let crashed = |retries| LadderRun {
+    let crashed = LadderRun {
         outcome: RunOutcome::Crashed(CrashKind::Panic),
-        retries,
         panicked: true,
         input_underflows: 0,
     };
@@ -168,44 +150,22 @@ fn literal_ladder(
             FaultAction::PanicHarness,
         ))
     {
-        return crashed(0);
+        return crashed;
     }
-    let rungs = schedule.budgets(config.step_budget);
-    for (rung, &budget) in rungs.iter().enumerate() {
-        let cfg = RunConfig {
-            step_budget: budget,
-            ..config.switched(spec)
-        };
-        let Ok(run) = catch_unwind(AssertUnwindSafe(|| run_traced(program, analysis, &cfg))) else {
-            return crashed(rung);
-        };
-        let outcome = match run.trace.termination() {
-            Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,
-            Termination::Normal => RunOutcome::SwitchNotLanded,
-            Termination::BudgetExhausted => RunOutcome::BudgetExhausted,
-            Termination::RuntimeError(kind, _) => RunOutcome::Crashed(*kind),
-        };
-        if outcome == RunOutcome::BudgetExhausted && rung + 1 < rungs.len() {
-            continue;
-        }
-        return LadderRun {
-            outcome,
-            retries: rung,
-            panicked: false,
-            input_underflows: run.input_underflows,
-        };
-    }
-    unreachable!("the last rung always settles")
-}
-
-/// `stats` with its wall-clock fields zeroed, so the rest compares
-/// exactly.
-fn counters(stats: &VerificationStats) -> VerificationStats {
-    VerificationStats {
-        execution_wall: Duration::ZERO,
-        capture_wall: Duration::ZERO,
-        verdict_wall: Duration::ZERO,
-        ..stats.clone()
+    let cfg = config.switched(spec);
+    let Ok(run) = catch_unwind(AssertUnwindSafe(|| run_traced(program, analysis, &cfg))) else {
+        return crashed;
+    };
+    let outcome = match run.trace.termination() {
+        Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,
+        Termination::Normal => RunOutcome::SwitchNotLanded,
+        Termination::BudgetExhausted => RunOutcome::BudgetExhausted,
+        Termination::RuntimeError(kind, _) => RunOutcome::Crashed(*kind),
+    };
+    LadderRun {
+        outcome,
+        panicked: false,
+        input_underflows: run.input_underflows,
     }
 }
 
@@ -362,8 +322,6 @@ proptest! {
                         stats.budget_exhausted_runs,
                         stats.crashed_runs,
                         stats.switch_not_landed_runs,
-                        stats.escalated_runs,
-                        stats.budget_retries,
                         stats.panics_isolated,
                         stats.input_underflows,
                     ],
@@ -387,12 +345,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Single execution against the literal ladder: for every schedule,
-    /// resume mode and worker count, the verdicts and outcomes equal the
-    /// ladder's, `escalated_runs`/`budget_retries` and every outcome
-    /// counter are the ladder's sums, and every other counter (resume,
-    /// capture, isolation) equals the same configuration's with
-    /// escalation off — the schedule is accounting only.
+    /// Single execution against the literal ladder: for every resume
+    /// mode and worker count, the outcomes equal the ladder's, and every
+    /// outcome counter, `panics_isolated` and `input_underflows` are the
+    /// ladder's sums over the distinct switched runs.
     #[test]
     fn single_execution_matches_the_literal_ladder(
         program in program_strategy(),
@@ -425,58 +381,44 @@ proptest! {
 
         for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
             for jobs in [1usize, 2] {
-                let verify = |schedule| {
-                    let mut v = Verifier::new(&program, &analysis, &config, trace, VerifierMode::Edge)
-                        .with_jobs(jobs)
-                        .with_resume(resume)
-                        .with_budget_schedule(schedule)
-                        .with_fault(Some(plan));
-                    let verdicts = v.verify_all(&requests);
-                    (verdicts, counters(v.stats()))
-                };
-                let (off_verdicts, off_stats) = verify(BudgetSchedule::disabled());
-                for schedule in schedules() {
-                    let (verdicts, stats) = verify(schedule);
-                    let mut expected = off_stats.clone();
-                    expected.escalated_runs = 0;
-                    expected.budget_retries = 0;
-                    expected.completed_runs = 0;
-                    expected.budget_exhausted_runs = 0;
-                    expected.crashed_runs = 0;
-                    expected.switch_not_landed_runs = 0;
-                    expected.panics_isolated = 0;
-                    expected.input_underflows = 0;
-                    let mut seen: Vec<InstId> = Vec::new();
-                    for (i, r) in requests.iter().enumerate() {
-                        let ladder = literal_ladder(&program, &analysis, &config, schedule, trace, r.p);
-                        prop_assert_eq!(
-                            verdicts[i].outcome, ladder.outcome,
-                            "{:?} {:?} jobs={} plan={:?}", schedule, resume, jobs, plan
-                        );
-                        prop_assert_eq!(verdicts[i], off_verdicts[i]);
-                        if seen.contains(&r.p) {
-                            continue;
-                        }
-                        seen.push(r.p);
-                        if ladder.retries > 0 {
-                            expected.escalated_runs += 1;
-                            expected.budget_retries += ladder.retries;
-                        }
-                        match ladder.outcome {
-                            RunOutcome::Completed => expected.completed_runs += 1,
-                            RunOutcome::BudgetExhausted => expected.budget_exhausted_runs += 1,
-                            RunOutcome::Crashed(_) => expected.crashed_runs += 1,
-                            RunOutcome::SwitchNotLanded => expected.switch_not_landed_runs += 1,
-                            RunOutcome::CheckpointInvalid => {}
-                        }
-                        expected.panics_isolated += usize::from(ladder.panicked);
-                        expected.input_underflows += ladder.input_underflows as usize;
-                    }
+                let mut v = Verifier::new(&program, &analysis, &config, trace, VerifierMode::Edge)
+                    .with_jobs(jobs)
+                    .with_resume(resume)
+                    .with_fault(Some(plan));
+                let verdicts = v.verify_all(&requests);
+                let stats = v.stats();
+                let mut expected = stats.clone();
+                expected.completed_runs = 0;
+                expected.budget_exhausted_runs = 0;
+                expected.crashed_runs = 0;
+                expected.switch_not_landed_runs = 0;
+                expected.panics_isolated = 0;
+                expected.input_underflows = 0;
+                let mut seen: Vec<InstId> = Vec::new();
+                for (i, r) in requests.iter().enumerate() {
+                    let ladder = literal_ladder(&program, &analysis, &config, trace, r.p);
                     prop_assert_eq!(
-                        &stats, &expected,
-                        "{:?} {:?} jobs={} plan={:?}", schedule, resume, jobs, plan
+                        verdicts[i].outcome, ladder.outcome,
+                        "{:?} jobs={} plan={:?}", resume, jobs, plan
                     );
+                    if seen.contains(&r.p) {
+                        continue;
+                    }
+                    seen.push(r.p);
+                    match ladder.outcome {
+                        RunOutcome::Completed => expected.completed_runs += 1,
+                        RunOutcome::BudgetExhausted => expected.budget_exhausted_runs += 1,
+                        RunOutcome::Crashed(_) => expected.crashed_runs += 1,
+                        RunOutcome::SwitchNotLanded => expected.switch_not_landed_runs += 1,
+                        RunOutcome::CheckpointInvalid => {}
+                    }
+                    expected.panics_isolated += usize::from(ladder.panicked);
+                    expected.input_underflows += ladder.input_underflows as usize;
                 }
+                prop_assert_eq!(
+                    stats, &expected,
+                    "{:?} jobs={} plan={:?}", resume, jobs, plan
+                );
             }
         }
     }

@@ -16,8 +16,7 @@
 
 use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::omislice_interp::{
-    resume_switched_capturing, run_traced, run_traced_with_checkpoints, ResumeMode, RunConfig,
-    SwitchSpec,
+    resume_switched, run_switched, run_traced, ResumeMode, RunConfig, SwitchSpec,
 };
 use omislice::omislice_lang::{compile, printer::stmt_head, Program, StmtId};
 use omislice::omislice_slicing::ValueProfile;
@@ -159,8 +158,7 @@ proptest! {
                 base.trace.occurrence_index(p) as u32,
             ))
             .collect();
-        let (_, checkpoints) =
-            run_traced_with_checkpoints(&program, &analysis, &config, &specs);
+        let (_, checkpoints) = run_switched(&program, &analysis, &config, &specs, None);
         prop_assert_eq!(checkpoints.len(), specs.len(), "every node captured");
 
         for (&p, spec) in preds.iter().zip(&specs) {
@@ -178,8 +176,8 @@ proptest! {
                 .filter(|cp| cp.is_resumable() && cp.prefix_len() < pos)
                 .max_by_key(|cp| cp.prefix_len());
             for cp in [exact, ancestor].into_iter().flatten() {
-                let Ok((resumed, _)) = resume_switched_capturing(
-                    &program, &analysis, &switched_cfg, cp, &base.trace, &[],
+                let Ok((resumed, _)) = resume_switched(
+                    &program, &analysis, &switched_cfg, cp, &base.trace, &[], None,
                 ) else {
                     return Err(TestCaseError::fail(format!(
                         "resumable checkpoint {:?} failed to resume for {spec:?}",

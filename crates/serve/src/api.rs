@@ -14,9 +14,7 @@
 
 use crate::cache::{fnv64, key_hex, parse_key_hex, SliceArtifacts};
 use crate::server::ServerState;
-use omislice::omislice_interp::{
-    parse_inputs, parse_profiles, run_traced, BudgetSchedule, ResumeMode, RunConfig,
-};
+use omislice::omislice_interp::{parse_inputs, parse_profiles, run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::{compile, FrontendError, Program};
 use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
 use omislice::omislice_trace::supervisor::fault_hit;
@@ -233,7 +231,7 @@ fn canonical_profiles(profiles: &[Vec<i64>]) -> String {
 // --- POST /locate ----------------------------------------------------
 
 /// Every field `POST /locate` reads.
-const LOCATE_FIELDS: [&str; 14] = [
+const LOCATE_FIELDS: [&str; 13] = [
     "program",
     "faulty",
     "fixed",
@@ -242,7 +240,6 @@ const LOCATE_FIELDS: [&str; 14] = [
     "mode",
     "jobs",
     "no_resume",
-    "budget",
     "fault_plan",
     "deadline_ms",
     "explain",
@@ -336,10 +333,6 @@ fn locate_config(
     body: &Json,
     sup: &Supervisor,
 ) -> Result<LocateConfig, ApiError> {
-    let budget = match opt_str(body, "budget")? {
-        Some(t) => BudgetSchedule::parse(t).map_err(|e| ApiError::bad("bad-field", e))?,
-        None => BudgetSchedule::default(),
-    };
     Ok(LocateConfig {
         mode: mode_field(body)?,
         jobs: jobs_field(body)?,
@@ -349,7 +342,6 @@ fn locate_config(
             ResumeMode::Auto
         },
         memo: Some(Arc::clone(&state.memo)),
-        budget,
         fault: sup.stmt_fault(),
         deadline: sup.deadline(),
         ..LocateConfig::default()

@@ -209,9 +209,10 @@ proptest! {
 }
 
 /// Every handler reads a fixed set of fields and refuses the rest: the
-/// retired `scheduler` and `chaos` knobs (fault plans travel in
-/// `fault_plan`) and a misspelled one answer 400 `bad-field` instead of
-/// silently running with their defaults.
+/// retired `scheduler`, `chaos`, `early_exit`, `capture_threshold` and
+/// `budget` knobs (fault plans travel in `fault_plan`) and a misspelled
+/// one answer 400 `bad-field` instead of silently running with their
+/// defaults.
 #[test]
 fn retired_and_misspelled_fields_are_rejected() {
     let client = ServeClient::new(server_addr().to_string());
@@ -227,6 +228,7 @@ fn retired_and_misspelled_fields_are_rejected() {
     let misspelled = with("no-resume", Json::Bool(true));
     let early_exit = with("early_exit", Json::Bool(true));
     let capture_threshold = with("capture_threshold", Json::Int(1));
+    let budget = with("budget", Json::str("64"));
     let slice = Json::object([("source", Json::str(FIXED)), ("relevent", Json::Bool(true))]);
     for (route, body, field) in [
         ("/locate", &retired, "scheduler"),
@@ -234,6 +236,7 @@ fn retired_and_misspelled_fields_are_rejected() {
         ("/locate", &misspelled, "no-resume"),
         ("/locate", &early_exit, "early_exit"),
         ("/locate", &capture_threshold, "capture_threshold"),
+        ("/locate", &budget, "budget"),
         ("/slice", &slice, "relevent"),
     ] {
         let response = client.post(route, body).expect("request round-trips");

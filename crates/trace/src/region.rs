@@ -54,7 +54,7 @@ pub struct DescentStep {
 /// differs in statement or branch, or its region closes before the
 /// position is reached. Matches are monotone in trace order, so by then
 /// the match of every instance up to `t` is decided, and the run can
-/// stop recording (see `omislice_interp::run_switched_until`).
+/// stop recording (see `omislice_interp::run_switched`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DescentChain {
     /// The switch point `p`: the run follows the chain from there.

@@ -123,18 +123,9 @@ pub struct VerificationStats {
     /// Switched executions that terminated normally without the switch
     /// ever landing.
     pub switch_not_landed_runs: usize,
-    /// Switched executions whose demand outgrew at least one rung of the
-    /// budget escalation schedule (each still executed once, at the full
-    /// budget).
-    pub escalated_runs: usize,
-    /// Total escalation retries across all switched executions: the
-    /// schedule rungs their demands outgrew.
-    pub budget_retries: usize,
     /// Checkpoints rejected by validation (or whose resumption failed /
     /// panicked); each one fell back to from-scratch execution.
     pub invalid_checkpoints: usize,
-    /// From-scratch executions forced by an invalid checkpoint.
-    pub scratch_fallbacks: usize,
     /// Panics caught at the per-candidate isolation boundary.
     pub panics_isolated: usize,
     /// Candidates cancelled by an expired cooperative deadline before
@@ -194,10 +185,7 @@ impl VerificationStats {
         self.budget_exhausted_runs += other.budget_exhausted_runs;
         self.crashed_runs += other.crashed_runs;
         self.switch_not_landed_runs += other.switch_not_landed_runs;
-        self.escalated_runs += other.escalated_runs;
-        self.budget_retries += other.budget_retries;
         self.invalid_checkpoints += other.invalid_checkpoints;
-        self.scratch_fallbacks += other.scratch_fallbacks;
         self.panics_isolated += other.panics_isolated;
         self.deadline_cancelled += other.deadline_cancelled;
         self.input_underflows += other.input_underflows;
@@ -242,13 +230,8 @@ impl fmt::Display for VerificationStats {
         )?;
         writeln!(
             f,
-            "escalations      : {} runs escalated ({} retries)",
-            self.escalated_runs, self.budget_retries
-        )?;
-        writeln!(
-            f,
-            "fault isolation  : {} invalid checkpoints, {} scratch fallbacks, {} panics isolated",
-            self.invalid_checkpoints, self.scratch_fallbacks, self.panics_isolated
+            "fault isolation  : {} invalid checkpoints, {} panics isolated",
+            self.invalid_checkpoints, self.panics_isolated
         )?;
         writeln!(f, "deadline cancels : {}", self.deadline_cancelled)?;
         writeln!(f, "input underflows : {}", self.input_underflows)?;
@@ -330,10 +313,7 @@ mod tests {
             budget_exhausted_runs: 1,
             crashed_runs: 2,
             switch_not_landed_runs: 3,
-            escalated_runs: 1,
-            budget_retries: 2,
             invalid_checkpoints: 1,
-            scratch_fallbacks: 1,
             panics_isolated: 1,
             deadline_cancelled: 1,
             input_underflows: 5,
@@ -356,10 +336,7 @@ mod tests {
         assert_eq!(a.budget_exhausted_runs, 2);
         assert_eq!(a.crashed_runs, 4);
         assert_eq!(a.switch_not_landed_runs, 6);
-        assert_eq!(a.escalated_runs, 2);
-        assert_eq!(a.budget_retries, 4);
         assert_eq!(a.invalid_checkpoints, 2);
-        assert_eq!(a.scratch_fallbacks, 2);
         assert_eq!(a.panics_isolated, 2);
         assert_eq!(a.deadline_cancelled, 2);
         assert_eq!(a.input_underflows, 10);
@@ -376,7 +353,6 @@ mod tests {
             "steps saved",
             "captures",
             "run outcomes",
-            "escalations",
             "fault isolation",
             "input underflows",
             "memo",
@@ -384,6 +360,10 @@ mod tests {
         ] {
             assert!(text.contains(needle), "{text}");
         }
+        assert!(
+            text.contains("fault isolation  : 2 invalid checkpoints, 2 panics isolated\n"),
+            "{text}"
+        );
         assert_eq!(VerificationStats::default().resume_ratio(), 0.0);
     }
 }
