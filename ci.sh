@@ -366,7 +366,10 @@ verify_smoke() {
 # and report a utilization sum no larger than the worker count, with a
 # non-empty collapsed-stack flamegraph next to it; the `--obs-out`
 # journal must validate; and the `--metrics json` object must report no
-# dropped events. The overhead guard then holds the enabled recorder to
+# dropped events. A second locate, grep V4-F2 at `--jobs 2`, fans its
+# candidates out over two workers: each must be claimed exactly once end
+# to end, so its profile must hold one `verify.candidate` slice per
+# re-execution. The overhead guard then holds the enabled recorder to
 # the <=5% contract. Run standalone with `./ci.sh profile-smoke`.
 profile_smoke() {
     echo "==> profile smoke (corpus locate --profile-out --obs-out --metrics json)"
@@ -388,6 +391,17 @@ profile_smoke() {
         echo "profile smoke FAILED: the recorder dropped events (see counter_profile_drops in $metrics)" >&2
         exit 1
     fi
+    RUST_BACKTRACE=1 ./target/release/omislice corpus locate grep V4-F2 \
+        --jobs 2 --profile-out "$prof" --metrics json >"$metrics" 2>/dev/null
+    ./target/release/validate_profile "$prof" --jobs 2
+    local slices reexecs
+    slices=$({ grep -o '"name":"verify.candidate"' "$prof" || true; } | wc -l)
+    reexecs=$(sed -n 's/.*"verify_reexecutions":\([0-9]*\).*/\1/p' "$metrics")
+    if [ -z "$reexecs" ] || [ "$reexecs" -eq 0 ] || [ "$slices" -ne "$reexecs" ]; then
+        echo "profile smoke FAILED: grep V4-F2 --jobs 2 recorded $slices verify.candidate slices for ${reexecs:-?} re-executions, want one per re-execution" >&2
+        exit 1
+    fi
+    echo "   claims: $slices verify.candidate slices = $reexecs re-executions"
     echo "==> recorder overhead guard"
     ./target/release/overhead_guard
     echo "profile smoke OK"

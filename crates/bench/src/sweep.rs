@@ -30,11 +30,11 @@ use std::time::Instant;
 pub const SWEEP_SEED: u64 = 0x5EED;
 
 /// What to sweep: workload scales (per benchmark) and the worker-thread
-/// count for index construction and frontier-parallel discovery.
+/// count for the dependence graph build.
 pub struct SweepOptions {
     /// Workload payload sizes, one series point per scale.
     pub scales: Vec<usize>,
-    /// Worker threads for the indexed slicers.
+    /// Worker threads for the CSR graph build.
     pub jobs: usize,
     /// Repetitions of each timed section; the minimum is reported (the
     /// Table 4 "best of N" methodology — every section is deterministic,
@@ -152,8 +152,6 @@ pub struct SchedSample {
     pub utilization: Vec<f64>,
     /// Verification tasks completed across all workers.
     pub tasks: u64,
-    /// Tasks taken from another worker's queue.
-    pub steals: u64,
     /// Recorder events lost to ring overflow or drain contention.
     pub drops: u64,
 }
@@ -433,14 +431,14 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
             // trace and amortized over every slice/locate query on it (the
             // locator builds both up front the same way), so their
             // construction is charged to neither slice timing.
-            run.trace.build_index(opts.jobs);
+            run.trace.index();
             let graph = DepGraph::with_jobs(&run.trace, opts.jobs);
 
             let (ds_dyn, rs_dyn, rs_ns) = match run.trace.outputs().last() {
                 Some(last) => {
                     let ds = graph.backward_slice(last.inst);
                     let (rs, rs_ns) = timed_min(opts.reps, || {
-                        relevant_slice_on(&graph, &analysis, last.inst, opts.jobs)
+                        relevant_slice_on(&graph, &analysis, last.inst)
                     });
                     (Some(ds.dynamic_size()), Some(rs.dynamic_size()), rs_ns)
                 }
@@ -555,7 +553,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
 /// The reference pass the sweep's phase columns and the overhead guard
 /// both measure: trace, index build, dependence graph, the relevant
 /// slice of the last output, and a resumed 16-request verify batch, with
-/// `jobs` threads for the index, graph, and slice.
+/// `jobs` threads for the graph build.
 pub fn reference_pass(
     program: &omislice::omislice_lang::Program,
     analysis: &ProgramAnalysis,
@@ -563,10 +561,10 @@ pub fn reference_pass(
     jobs: usize,
 ) {
     let run = run_traced(program, analysis, config);
-    run.trace.build_index(jobs);
+    run.trace.index();
     let graph = DepGraph::with_jobs(&run.trace, jobs);
     if let Some(last) = run.trace.outputs().last() {
-        let _ = relevant_slice_on(&graph, analysis, last.inst, jobs);
+        let _ = relevant_slice_on(&graph, analysis, last.inst);
     }
     let requests = verify_batch(&run.trace, analysis, 16);
     if !requests.is_empty() {
@@ -602,7 +600,6 @@ fn instrumented_pass(
             .map(|w| summary.utilization(w))
             .collect(),
         tasks: summary.workers.iter().map(|w| w.tasks).sum(),
-        steals: summary.workers.iter().map(|w| w.steals).sum(),
         drops: summary.drops,
     };
     // The trace phase is record plus index build: the index is built on
@@ -691,7 +688,7 @@ fn sample_json(s: &Sample) -> String {
     );
     let sched = format!(
         concat!(
-            "{{\"sched_utilization\":[{}],\"tasks\":{},\"steals\":{},",
+            "{{\"sched_utilization\":[{}],\"tasks\":{},",
             "\"profile_drops\":{}}}"
         ),
         s.sched
@@ -701,7 +698,6 @@ fn sample_json(s: &Sample) -> String {
             .collect::<Vec<_>>()
             .join(","),
         s.sched.tasks,
-        s.sched.steals,
         s.sched.drops,
     );
     let trace_io = format!(

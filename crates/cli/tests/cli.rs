@@ -520,8 +520,8 @@ fn metrics_of(out: &std::process::Output) -> omislice_obs::Json {
 }
 
 /// The key set of a metrics object. Only the set is stable: a counter
-/// that fired (say, a scheduling-dependent steal) is listed before the
-/// zero-filled ones.
+/// that fired (say, a memo gauge) is listed before the zero-filled
+/// ones.
 fn metric_keys(metrics: &omislice_obs::Json) -> std::collections::BTreeSet<String> {
     let omislice_obs::Json::Object(pairs) = metrics else {
         panic!("metrics are one JSON object");

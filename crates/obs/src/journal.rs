@@ -234,7 +234,7 @@ impl Validator {
                     .and_then(Json::as_array)
                     .ok_or("profile: missing `workers` array")?;
                 for (i, w) in workers.iter().enumerate() {
-                    for key in ["tasks", "steals", "busy_ns"] {
+                    for key in ["tasks", "busy_ns"] {
                         if w.get(key).and_then(Json::as_int).is_none() {
                             return Err(format!("profile: workers[{i}] missing integer `{key}`"));
                         }
@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn accepts_and_validates_profile_records() {
         let good = minimal()
-            + r#"{"type":"profile","events":42,"drops":0,"window_ns":9000,"workers":[{"worker":0,"tasks":20,"steals":2,"busy_ns":8000,"utilization":0.88}]}"#
+            + r#"{"type":"profile","events":42,"drops":0,"window_ns":9000,"workers":[{"worker":0,"tasks":20,"busy_ns":8000,"utilization":0.88}]}"#
             + "\n";
         Validator::check_document(&good).unwrap();
         // Profile must follow the summary.
@@ -526,7 +526,7 @@ mod tests {
             ("\"events\":42,", "events"),
             ("\"drops\":0,", "drops"),
             ("\"tasks\":20,", "tasks"),
-            ("\"steals\":2,", "steals"),
+            ("\"busy_ns\":8000,", "busy_ns"),
         ] {
             let doc = good.replace(needle, "");
             let err = Validator::check_document(&doc).unwrap_err();

@@ -15,8 +15,8 @@
 //!
 //! 1. **Disabled means free.** The global [recorder](profile) is off by
 //!    default; every instrumentation site guards on [`enabled`] (one
-//!    relaxed atomic load). Hot paths — tracer event append, CSR fill,
-//!    frontier claims — batch their counter updates so the enabled cost
+//!    relaxed atomic load). Hot paths — tracer event append, CSR fill —
+//!    batch their counter updates so the enabled cost
 //!    is one call per run or chunk, not per event. One [`drain`] yields
 //!    one [`Recording`]; metrics, the journal's `spans` and `profile`
 //!    records, the Chrome trace, and the flamegraph all derive from it.

@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 pub const KNOWN_COUNTERS: &[&str] = &[
     "columnar.bytes",
     "csr.fill.edges",
-    "frontier.claims",
     "profile.drops",
     "recovery.deadline_expirations",
     "recovery.load_retries",
@@ -29,7 +28,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     "tracer.runs",
     "verify.checkpoint.bytes",
     "verify.memo.bytes",
-    "verify.sched.steals",
 ];
 
 /// One exported metric.

@@ -1,8 +1,8 @@
 //! The event recorder: one switch, one per-thread ring, one drain.
 //!
 //! Every observation the pipeline makes — a phase span, a verification
-//! task on a worker lane, a wave boundary, a memo probe, a steal, a
-//! gauge sample — is one [`Event`] in the recording thread's
+//! task on a worker lane, a wave boundary, a memo probe, a gauge
+//! sample — is one [`Event`] in the recording thread's
 //! **fixed-capacity ring**, and batched counters sit beside the ring in
 //! the same per-thread slot. The recorder is process-wide and
 //! **disabled by default**: every emit site first asks [`enabled`] (one
@@ -23,7 +23,7 @@
 //!   `chrome://tracing`): a scheduler track, one track per verify
 //!   worker, one per span thread, and one counter track per gauge;
 //! * [`Recording::summarize`] and [`render_profile`] — per-worker
-//!   utilization, steal/task ratios, and wave occupancy;
+//!   tasks and utilization, and wave occupancy;
 //! * [`normalized_structure`] — the projection determinism tests
 //!   compare: timestamps, workers, and scheduling-dependent kinds
 //!   stripped, only tasks, waves, memo probes, and marks kept, sorted by
@@ -55,9 +55,9 @@ pub const GAUGES: [&str; 2] = ["verify.checkpoint.bytes", "verify.memo.bytes"];
 /// [`normalized_structure`] keeps only the kinds whose presence and ids
 /// are deterministic across jobs × resume (`Task`, `Wave`, `MemoHit`,
 /// `MemoMiss`, `Mark`). `Span` nesting follows the recording thread,
-/// `Steal` depends on scheduling, `Capture`/`CaptureSkip` on resume mode
-/// and capture planning, `Evict` on memo pressure, and `Counter` samples
-/// on timing — all excluded from the normalization.
+/// `Capture`/`CaptureSkip` on resume mode and capture planning, `Evict`
+/// on memo pressure, and `Counter` samples on timing — all excluded
+/// from the normalization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// A pipeline phase (`parse`, `verify`, …) on the recording thread;
@@ -74,8 +74,6 @@ pub enum EventKind {
     MemoMiss,
     /// A deterministic point marker (e.g. one locate iteration).
     Mark,
-    /// A worker took work from another worker's queue.
-    Steal,
     /// A checkpoint was captured for this candidate.
     Capture,
     /// A planned capture was skipped (cheap prefix or existing donor).
@@ -96,7 +94,6 @@ impl EventKind {
             EventKind::MemoHit => "memo_hit",
             EventKind::MemoMiss => "memo_miss",
             EventKind::Mark => "mark",
-            EventKind::Steal => "steal",
             EventKind::Capture => "capture",
             EventKind::CaptureSkip => "capture_skip",
             EventKind::Evict => "evict",
@@ -115,7 +112,7 @@ pub struct Event {
     pub name: &'static str,
     /// Registration ordinal of the recording thread.
     pub thread: u32,
-    /// Worker lane for tasks and steals, otherwise [`WORKER_MAIN`].
+    /// Worker lane for tasks, otherwise [`WORKER_MAIN`].
     pub worker: u32,
     /// Stable id: `batch << 16 | position` for tasks and waves, the
     /// instruction id for memo probes, the iteration number for marks.
@@ -260,11 +257,12 @@ fn event(kind: EventKind, name: &'static str, worker: u32, id: u64, value: u64) 
     }
 }
 
-/// Records an instant event on `worker`'s lane (a steal, an eviction).
+/// Records an instant event with a payload (an eviction) on the
+/// coordinating lane: only tasks run on worker lanes.
 #[inline]
-pub fn record(kind: EventKind, name: &'static str, worker: u32, id: u64, value: u64) {
+pub fn record(kind: EventKind, name: &'static str, id: u64, value: u64) {
     if enabled() {
-        push(event(kind, name, worker, id, value));
+        push(event(kind, name, WORKER_MAIN, id, value));
     }
 }
 
@@ -272,7 +270,7 @@ pub fn record(kind: EventKind, name: &'static str, worker: u32, id: u64, value: 
 /// iteration).
 #[inline]
 pub fn mark(kind: EventKind, name: &'static str, id: u64) {
-    record(kind, name, WORKER_MAIN, id, 0);
+    record(kind, name, id, 0);
 }
 
 /// Records one gauge sample (e.g. live bytes): a point on the
@@ -280,7 +278,7 @@ pub fn mark(kind: EventKind, name: &'static str, id: u64) {
 /// exported counter, which is the largest sample.
 #[inline]
 pub fn gauge(name: &'static str, value: u64) {
-    record(EventKind::Counter, name, WORKER_MAIN, 0, value);
+    record(EventKind::Counter, name, 0, value);
 }
 
 /// RAII guard for one span or task; records the interval on drop. Inert
@@ -346,8 +344,8 @@ pub struct Recording {
     /// not depend on which thread drained last.
     pub events: Vec<Event>,
     /// Counter totals by name: the batched adds, each of the
-    /// [`GAUGES`]' largest sample, `verify.sched.steals` (the
-    /// number of steal events), and `profile.drops` when events were lost.
+    /// [`GAUGES`]' largest sample, and `profile.drops` when events were
+    /// lost.
     pub counters: BTreeMap<&'static str, u64>,
     /// Events lost to full rings or drain contention.
     pub drops: u64,
@@ -383,13 +381,9 @@ pub fn drain() -> Recording {
             .then(a.thread.cmp(&b.thread))
     });
     for e in &rec.events {
-        match e.kind {
-            EventKind::Counter if e.value > 0 && GAUGES.contains(&e.name) => {
-                let top = rec.counters.entry(e.name).or_insert(0);
-                *top = (*top).max(e.value);
-            }
-            EventKind::Steal => *rec.counters.entry("verify.sched.steals").or_insert(0) += 1,
-            _ => {}
+        if e.kind == EventKind::Counter && e.value > 0 && GAUGES.contains(&e.name) {
+            let top = rec.counters.entry(e.name).or_insert(0);
+            *top = (*top).max(e.value);
         }
     }
     if rec.drops > 0 {
@@ -495,8 +489,6 @@ pub struct WorkerAgg {
     pub worker: u32,
     /// Tasks this worker completed.
     pub tasks: u64,
-    /// Tasks it took from another worker's queue.
-    pub steals: u64,
     /// Summed task wall time, nanoseconds.
     pub busy_ns: u64,
 }
@@ -595,25 +587,17 @@ impl Recording {
         }
     }
 
-    /// Aggregates per-worker tasks, steals, and busy time.
+    /// Aggregates per-worker tasks and busy time.
     pub fn summarize(&self) -> ProfileSummary {
         let mut workers: BTreeMap<u32, WorkerAgg> = BTreeMap::new();
-        for e in &self.events {
-            if !matches!(e.kind, EventKind::Task | EventKind::Steal) {
-                continue;
-            }
+        for e in self.tasks() {
             let w = workers.entry(e.worker).or_insert(WorkerAgg {
                 worker: e.worker,
                 tasks: 0,
-                steals: 0,
                 busy_ns: 0,
             });
-            if e.kind == EventKind::Task {
-                w.tasks += 1;
-                w.busy_ns += e.duration_ns();
-            } else {
-                w.steals += 1;
-            }
+            w.tasks += 1;
+            w.busy_ns += e.duration_ns();
         }
         // BTreeMap order puts WORKER_MAIN (u32::MAX) last.
         ProfileSummary {
@@ -693,7 +677,7 @@ fn lane_tid(worker: u32) -> u64 {
 /// * tid 0 `scheduler` — events from the coordinating thread: spine
 ///   tasks as `X` slices, waves / memo probes / marks as instants;
 /// * tid w+1 `verify-worker-w` — one track per worker: candidate
-///   executions as `X` slices, steals as instants;
+///   executions as `X` slices;
 /// * tid 1000+t `span-thread-t` — each thread's spans as `X` slices;
 /// * counter tracks (`ph:"C"`) for each gauge's samples, plus one point
 ///   for every `.bytes` counter that has none (the [`GAUGES`]
@@ -705,8 +689,8 @@ pub fn chrome_trace(rec: &Recording) -> Json {
     events.push(meta_event(0, "process_name", "omislice".into()));
     events.push(meta_event(0, "thread_name", "scheduler".into()));
     // Every lane up to the highest one seen gets a track: a spawned
-    // worker whose deque was stolen empty before it ran records nothing,
-    // yet the worker tracks stay contiguous from `verify-worker-0`.
+    // worker that found every leaf already claimed records nothing, yet
+    // the worker tracks stay contiguous from `verify-worker-0`.
     let lanes = rec
         .events
         .iter()
@@ -823,8 +807,8 @@ pub fn flamegraph(rec: &Recording) -> String {
     out
 }
 
-/// Renders the aggregated text report: per-worker utilization,
-/// steal/task ratio, wave occupancy histogram, and drop counts.
+/// Renders the aggregated text report: per-worker tasks and
+/// utilization, wave occupancy histogram, and drop counts.
 pub fn render_profile(rec: &Recording) -> String {
     let summary = rec.summarize();
     let mut out = String::new();
@@ -834,8 +818,6 @@ pub fn render_profile(rec: &Recording) -> String {
         summary.drops,
         summary.window_ns as f64 / 1e6
     ));
-    let mut total_tasks = 0u64;
-    let mut total_steals = 0u64;
     for w in &summary.workers {
         let label = if w.worker == WORKER_MAIN {
             "main".to_string()
@@ -843,19 +825,10 @@ pub fn render_profile(rec: &Recording) -> String {
             format!("worker {}", w.worker)
         };
         out.push_str(&format!(
-            "{label:>9}: {:>5} tasks  {:>4} steals  busy {:>9.3} ms  util {:>5.1}%\n",
+            "{label:>9}: {:>5} tasks  busy {:>9.3} ms  util {:>5.1}%\n",
             w.tasks,
-            w.steals,
             w.busy_ns as f64 / 1e6,
             summary.utilization(w) * 100.0
-        ));
-        total_tasks += w.tasks;
-        total_steals += w.steals;
-    }
-    if total_tasks > 0 {
-        out.push_str(&format!(
-            "steal/task ratio: {:.3}\n",
-            total_steals as f64 / total_tasks as f64
         ));
     }
     // Wave occupancy: tasks per batch sequence (the id's high bits).
@@ -1085,7 +1058,7 @@ pub(crate) mod tests {
             let _t = task("verify.candidate", 0, 1);
             gauge("verify.memo.bytes", 64);
         }
-        record(EventKind::Mark, "noop", WORKER_MAIN, 1, 0);
+        record(EventKind::Mark, "noop", 1, 0);
         let rec = drain();
         assert!(rec.events.is_empty());
         assert!(rec.counters.is_empty());
@@ -1100,8 +1073,8 @@ pub(crate) mod tests {
                 let _inner = task("verify.candidate", WORKER_MAIN, i);
             }
         }
-        counter_add("frontier.claims", 2);
-        counter_add("frontier.claims", 3);
+        counter_add("csr.fill.edges", 2);
+        counter_add("csr.fill.edges", 3);
         let rec = stop();
         assert_eq!(rec.events.len(), 4);
         let mut depths = Vec::new();
@@ -1112,7 +1085,7 @@ pub(crate) mod tests {
         for e in rec.events.iter().filter(|e| e.name == "verify.candidate") {
             assert!(e.ts_ns >= outer.ts_ns && e.end_ns() <= outer.end_ns());
         }
-        assert_eq!(rec.counters.get("frontier.claims"), Some(&5));
+        assert_eq!(rec.counters.get("csr.fill.edges"), Some(&5));
         let hist = rec.histogram();
         assert_eq!(hist["verify.candidate"].count, 3);
         assert!(hist["verify"].total_ns >= hist["verify.candidate"].total_ns);
@@ -1122,8 +1095,7 @@ pub(crate) mod tests {
     #[test]
     fn an_idle_worker_still_gets_its_track() {
         let _g = start();
-        // Worker 1 stole worker 0's only task before worker 0 ran.
-        record(EventKind::Steal, "verify.steal", 1, 7, 0);
+        // Worker 1 claimed the only task before worker 0 ran.
         drop(task("verify.candidate", 1, 7));
         let check = check_chrome_trace(&chrome_trace(&stop())).unwrap();
         assert_eq!(
@@ -1155,21 +1127,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn gauges_export_their_largest_sample_and_steals_their_count() {
+    fn gauges_export_their_largest_sample() {
         let _g = start();
         gauge("verify.memo.bytes", 300);
         gauge("verify.memo.bytes", 700);
         gauge("verify.memo.bytes", 500);
         gauge("test.depth", 4);
-        record(EventKind::Steal, "verify.steal", 0, 1, 0);
-        record(EventKind::Steal, "verify.steal", 1, 2, 0);
         counter_add("tracer.runs", 3);
         std::thread::spawn(|| counter_add("tracer.runs", 2))
             .join()
             .unwrap();
         let rec = stop();
         assert_eq!(rec.counters.get("verify.memo.bytes"), Some(&700));
-        assert_eq!(rec.counters.get("verify.sched.steals"), Some(&2));
         assert_eq!(
             rec.counters.get("tracer.runs"),
             Some(&5),
@@ -1247,7 +1216,7 @@ pub(crate) mod tests {
     fn ring_overflow_degrades_to_counted_drops() {
         let _g = start();
         for i in 0..(RING_CAPACITY as u64 + 100) {
-            record(EventKind::Mark, "m", WORKER_MAIN, i, 0);
+            record(EventKind::Mark, "m", i, 0);
         }
         let rec = stop();
         assert_eq!(rec.events.len(), RING_CAPACITY);
@@ -1259,7 +1228,7 @@ pub(crate) mod tests {
         assert_eq!(rec.events.last().unwrap().id, RING_CAPACITY as u64 - 1);
         // The next window starts clean.
         set_enabled(true);
-        record(EventKind::Mark, "m2", WORKER_MAIN, 7, 0);
+        record(EventKind::Mark, "m2", 7, 0);
         let next = stop();
         assert_eq!(next.events.len(), 1);
         assert_eq!(next.drops, 0);
@@ -1270,7 +1239,7 @@ pub(crate) mod tests {
         let mut events = vec![
             interval(EventKind::Task, "verify.candidate", 0, 100, 400),
             interval(EventKind::Task, "verify.candidate", 0, 100, 300),
-            interval(EventKind::Steal, "verify.steal", 0, 150, 0),
+            interval(EventKind::Task, "verify.candidate", 0, 300, 350),
         ];
         events[0].worker = 0;
         events[1].worker = 1;
@@ -1280,8 +1249,8 @@ pub(crate) mod tests {
         assert_eq!(summary.window_ns, 300);
         assert_eq!(summary.workers.len(), 2);
         assert_eq!(summary.workers[0].busy_ns, 300);
-        assert_eq!(summary.workers[1].busy_ns, 200);
-        assert_eq!(summary.workers[1].steals, 1);
+        assert_eq!(summary.workers[1].tasks, 2);
+        assert_eq!(summary.workers[1].busy_ns, 250);
         assert!(summary.utilization(&summary.workers[0]) > 0.99);
     }
 
@@ -1292,10 +1261,10 @@ pub(crate) mod tests {
         drop(span("verify"));
         mark(EventKind::Wave, "verify.wave", 1);
         mark(EventKind::MemoHit, "verify.memo", 7);
-        record(EventKind::Steal, "verify.steal", 2, 42, 0);
+        record(EventKind::Evict, "memo.evictions", 0, 1);
         gauge("queue.depth", 5);
         let a = normalized_structure(&stop());
-        // Same structure, different workers/timestamps/steals.
+        // Same structure, different workers/timestamps/evictions.
         set_enabled(true);
         reset();
         mark(EventKind::MemoHit, "verify.memo", 7);
@@ -1304,7 +1273,7 @@ pub(crate) mod tests {
         let b = normalized_structure(&stop());
         assert_eq!(a, b);
         assert!(a.contains("task verify.candidate 42"));
-        assert!(!a.contains("steal"));
+        assert!(!a.contains("evict"));
         assert!(!a.contains("counter"));
         assert!(!a.contains("span"));
     }
@@ -1317,7 +1286,7 @@ pub(crate) mod tests {
             drop(task("verify.candidate", 0, 1));
             drop(task("verify.candidate", 1, 2));
         }
-        record(EventKind::Steal, "verify.steal", 1, 2, 0);
+        record(EventKind::Evict, "memo.evictions", 0, 1);
         mark(EventKind::Wave, "verify.wave", 0);
         gauge("test.depth", 3);
         counter_add("columnar.bytes", 4096);

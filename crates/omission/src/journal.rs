@@ -205,7 +205,6 @@ pub fn build_journal(
                 Json::object([
                     ("worker", label),
                     ("tasks", Json::UInt(w.tasks)),
-                    ("steals", Json::UInt(w.steals)),
                     ("busy_ns", Json::UInt(w.busy_ns)),
                     ("utilization", Json::Float(ps.utilization(w))),
                 ])

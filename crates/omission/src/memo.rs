@@ -254,7 +254,6 @@ impl Inner {
             omislice_obs::profile::record(
                 omislice_obs::profile::EventKind::Evict,
                 "memo.evictions",
-                omislice_obs::profile::WORKER_MAIN,
                 0,
                 evicted,
             );

@@ -17,7 +17,7 @@ use crate::locate::{locate_fault, LocateConfig, LocateError, LocateOutcome};
 use crate::oracle::GroundTruthOracle;
 use crate::report::{render_explain, render_report};
 use omislice_analysis::{PdMode, ProgramAnalysis};
-use omislice_interp::{run_traced, run_values, RunConfig, DEFAULT_STEP_BUDGET};
+use omislice_interp::{run_traced, run_values, RunConfig};
 use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
 use omislice_slicing::ValueProfile;
 use omislice_trace::{note_recovery, RecoveryKind, Supervisor, Trace};
@@ -66,7 +66,6 @@ pub struct DebugSessionBuilder {
     failing_input: Vec<i64>,
     profile_inputs: Vec<Vec<i64>>,
     roots: Option<Vec<StmtId>>,
-    step_budget: Option<u64>,
     pd_mode: PdMode,
     supervisor: Supervisor,
     trace_file: Option<PathBuf>,
@@ -98,12 +97,6 @@ impl DebugSessionBuilder {
     /// the session derives them with [`try_seeded_roots`].
     pub fn root_cause_stmts(mut self, roots: impl IntoIterator<Item = StmtId>) -> Self {
         self.roots = Some(roots.into_iter().collect());
-        self
-    }
-
-    /// Overrides the step budget for all executions.
-    pub fn step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = Some(budget);
         self
     }
 
@@ -166,11 +159,7 @@ impl DebugSessionBuilder {
         };
         let analysis = ProgramAnalysis::build_with(&faulty, self.pd_mode);
         let reference_analysis = ProgramAnalysis::build(&reference);
-        let config = RunConfig {
-            inputs: self.failing_input,
-            step_budget: self.step_budget.unwrap_or(DEFAULT_STEP_BUDGET),
-            ..RunConfig::default()
-        };
+        let config = RunConfig::with_inputs(self.failing_input);
         let sup = &self.supervisor;
         let record = || sup.run(|| run_traced(&faulty, &analysis, &config).trace);
         let mut warnings = Vec::new();

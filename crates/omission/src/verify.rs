@@ -44,11 +44,11 @@
 //!   its own position — its own if captured, otherwise an ancestor's,
 //!   re-executing only the gap (see
 //!   `omislice_interp::resume_switched`);
-//! * leaves are dispatched across threads ([`Verifier::with_jobs`])
-//!   through work-stealing deques seeded longest remaining suffix
-//!   first; results land in per-candidate slots and are merged in
-//!   candidate order, so verdicts, memo contents, and counters are
-//!   identical to a serial run;
+//! * leaves are dispatched across threads ([`Verifier::with_jobs`]):
+//!   each worker claims the next leaf, longest remaining suffix first,
+//!   off one shared cursor; results land in per-candidate slots and are
+//!   merged in candidate order, so verdicts, memo contents, and
+//!   counters are identical to a serial run;
 //! * a batch is prepared and judged in fixed waves of request order, so
 //!   at most one wave's switched runs are live at once; every request
 //!   is judged, since Algorithm 2 keeps every strong dependence;
@@ -79,9 +79,10 @@ use omislice_trace::{
     CrashKind, Deadline, FaultAction, FaultEntry, InstId, RunOutcome, Termination, Trace, Value,
     VerificationStats,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default capture break-even, in gap events: a checkpoint is captured
@@ -102,47 +103,6 @@ pub const DEFAULT_CAPTURE_THRESHOLD: usize = 32;
 /// scratch. Wave boundaries depend only on the request order, never on
 /// the thread count.
 const VERIFY_WAVE: usize = 32;
-
-/// Work-stealing deques for one batch dispatch: each worker owns a deque
-/// seeded round-robin from the longest-first leaf list, pops its own from
-/// the front, and steals from the back of a victim's when empty. Steal
-/// counts surface through the `verify.sched.steals` obs counter (timing
-/// dependent by nature; the journal stripper drops the spans record, so
-/// they never leak into determinism-checked output).
-struct WorkQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl WorkQueues {
-    /// Distributes `order` (leaf indices, longest remaining suffix first)
-    /// over `workers` deques round-robin, so every worker starts with a
-    /// balanced share of the work.
-    fn seed(order: &[usize], workers: usize) -> Self {
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, &leaf) in order.iter().enumerate() {
-            deques[i % workers].push_back(leaf);
-        }
-        WorkQueues {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Next leaf for `worker`: its own front, else the back of the first
-    /// victim that has work. Returns the leaf and whether it was stolen.
-    fn pop(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(leaf) = self.deques[worker].lock().unwrap().pop_front() {
-            return Some((leaf, false));
-        }
-        let n = self.deques.len();
-        for k in 1..n {
-            let victim = (worker + k) % n;
-            if let Some(leaf) = self.deques[victim].lock().unwrap().pop_back() {
-                return Some((leaf, true));
-            }
-        }
-        None
-    }
-}
 
 /// Outcome of one implicit-dependence verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -392,7 +352,10 @@ impl<'a> Verifier<'a> {
     }
 
     /// Sets how many threads [`Verifier::verify_all`] may use for the
-    /// switched executions of one batch (default 1: fully serial).
+    /// switched executions of one batch (default 1: fully serial). The
+    /// workers claim leaves off one shared cursor, longest remaining
+    /// suffix first; with one worker the same loop runs inline on the
+    /// calling thread.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -513,9 +476,9 @@ impl<'a> Verifier<'a> {
     /// probed first (a hit pins the run for the batch without executing
     /// anything), the trie then captures missing checkpoints on the
     /// spine run and resumes every other leaf from its deepest available
-    /// checkpoint, fanning out across up to `jobs` threads through
-    /// longest-first work-stealing deques. Verdicts are
-    /// judged serially in request order, so results, memo contents, and
+    /// checkpoint, fanning out across up to `jobs` threads that claim
+    /// leaves longest remaining suffix first. Verdicts are judged
+    /// serially in request order, so results, memo contents, and
     /// counters are identical for any thread count.
     ///
     /// # Panics
@@ -653,9 +616,10 @@ impl<'a> Verifier<'a> {
     /// before the switch fires). Phase B resumes every remaining leaf
     /// from the deepest checkpoint at or before its own position (its
     /// own, a phase-A capture, or an earlier iteration's via the memo)
-    /// and dispatches them across workers through longest-first
-    /// work-stealing deques. Under [`ResumeMode::Disabled`] there is no
-    /// spine and no donor: every leaf runs from scratch.
+    /// and dispatches them across workers, which claim leaves longest
+    /// remaining suffix first off one shared cursor. Under
+    /// [`ResumeMode::Disabled`] there is no spine and no donor: every
+    /// leaf runs from scratch.
     fn prepare_runs(&mut self, missing: &[(SwitchSpec, InstId)]) {
         if missing.is_empty() {
             return;
@@ -814,8 +778,8 @@ impl<'a> Verifier<'a> {
             };
             leaves.push((i, donor));
         }
-        // Longest remaining suffix first; ties break on batch order so
-        // the seeded deques are deterministic (execution order affects
+        // Longest remaining suffix first; ties break on batch order, so
+        // the claim order is deterministic (execution order affects
         // nothing observable, but determinism is cheap here).
         let mut order: Vec<usize> = (0..leaves.len()).collect();
         order.sort_by_key(|&k| {
@@ -826,23 +790,17 @@ impl<'a> Verifier<'a> {
             (std::cmp::Reverse(self.trace.len().saturating_sub(saved)), k)
         });
         let workers = self.jobs.min(leaves.len()).max(1);
-        let queues = WorkQueues::seed(&order, workers);
+        let cursor = AtomicUsize::new(0);
         let this: &Verifier<'_> = self;
-        // One worker's loop: its own deque front first, then steals from
-        // the back of the others'.
+        // One worker's loop: claim the next leaf of `order` until none
+        // is left. Each claim is one `fetch_add`, so every leaf runs
+        // exactly once whichever worker takes it. `Relaxed` suffices:
+        // the cursor publishes no data (`order` and `leaves` are built
+        // before any worker spawns, and results return through `join`).
         let drain = |w: usize| {
             let mut local = Vec::new();
-            while let Some((k, stolen)) = queues.pop(w) {
+            while let Some(&k) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let (i, donor) = &leaves[k];
-                if stolen {
-                    omislice_obs::profile::record(
-                        omislice_obs::profile::EventKind::Steal,
-                        "verify.steal",
-                        w as u32,
-                        (seq << 16) | *i as u64,
-                        0,
-                    );
-                }
                 let (run, _) =
                     this.run_candidate(seq, w as u32, missing, *i, donor.as_deref(), &[]);
                 local.push((*i, run));
@@ -850,8 +808,8 @@ impl<'a> Verifier<'a> {
             local
         };
         let results = if workers == 1 {
-            // A single deque drains inline on the calling thread, in its
-            // seeded order: nothing to spawn, nothing to steal.
+            // One worker claims every leaf in order on the calling
+            // thread: nothing to spawn.
             drain(0)
         } else {
             let mut results = Vec::new();
@@ -1463,7 +1421,9 @@ mod tests {
         assert!(requests.len() >= 8, "enough candidates to fan out");
         let mut reference: Option<Vec<Verification>> = None;
         let mut reference_counts: Option<(usize, usize, usize)> = None;
-        for jobs in [1usize, 4] {
+        // Three workers leave the claim loop an uneven tail: the leaves
+        // do not divide evenly among them.
+        for jobs in [1usize, 2, 3, 4] {
             for resume in [ResumeMode::Auto, ResumeMode::Disabled] {
                 let mut v = Verifier::new(
                     &s.program,
@@ -1482,6 +1442,12 @@ mod tests {
                     v.verification_count(),
                     v.reexecution_count(),
                     v.stats().cache_hits,
+                );
+                // Every claimed leaf ran exactly once, resumed or not.
+                assert_eq!(
+                    v.stats().resumed_runs + v.stats().scratch_runs,
+                    v.reexecution_count(),
+                    "jobs={jobs} resume={resume:?}"
                 );
                 match (&reference, &reference_counts) {
                     (Some(r), Some(c)) => {

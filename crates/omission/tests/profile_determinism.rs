@@ -3,10 +3,10 @@
 //! scheduling-independent events (tasks, waves, memo probes, marks) is
 //! byte-identical across `--jobs {1, 2, 4}` and resume on/off (resume
 //! off is the from-scratch run, with no checkpoints at all), and the
-//! Chrome-trace export always passes the structural validator. Steals,
-//! checkpoint captures, evictions, and counter samples are excluded from
-//! the projection by design: they legitimately vary with scheduling and
-//! resume mode.
+//! Chrome-trace export always passes the structural validator.
+//! Checkpoint captures, evictions, and counter samples are excluded from
+//! the projection by design: they legitimately vary with resume mode,
+//! memo pressure and timing.
 //!
 //! The recorder is global state, so every test here serializes on one
 //! mutex and resets the rings (and the stable-id counter) per

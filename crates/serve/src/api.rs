@@ -446,7 +446,7 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
             let trace = run_traced(&program, &analysis, &config).trace;
             // Relevant slices read the trace index: build it before the
             // charge, so the charge covers all the cached trace will hold.
-            trace.build_index(jobs);
+            trace.index();
             let bytes = PROGRAM_BYTES_PER_SOURCE_BYTE * source.len() + trace.heap_bytes();
             let arts = Arc::new(SliceArtifacts {
                 key,

@@ -15,7 +15,7 @@ use omislice_analysis::ProgramAnalysis;
 use omislice_lang::Program;
 use omislice_trace::{Fnv1a, Trace};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default cache budget: a handful of sed×1000-sized working sets.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
@@ -51,6 +51,13 @@ pub struct SliceArtifacts {
     pub trace: Trace,
 }
 
+/// One cached artifact. Served keys hash a `locate` or `slice` tag
+/// first, so the two kinds never share a key and live in one map.
+enum Artifact {
+    Session(Arc<DebugSession>),
+    Slice(Arc<SliceArtifacts>),
+}
+
 struct Entry<T> {
     value: T,
     bytes: usize,
@@ -60,8 +67,7 @@ struct Entry<T> {
 #[derive(Default)]
 struct Inner {
     tick: u64,
-    sessions: HashMap<u64, Entry<Arc<DebugSession>>>,
-    slices: HashMap<u64, Entry<Arc<SliceArtifacts>>>,
+    entries: HashMap<u64, Entry<Artifact>>,
     bytes: usize,
     hits: u64,
     misses: u64,
@@ -98,114 +104,100 @@ impl ArtifactCache {
 
     /// Looks up a locate session, refreshing its LRU tick on a hit.
     pub fn get_session(&self, key: u64) -> Option<Arc<DebugSession>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let hit = inner.sessions.get_mut(&key).map(|e| {
-            e.tick = tick;
-            Arc::clone(&e.value)
-        });
-        match hit {
-            Some(v) => {
-                inner.hits += 1;
-                Some(v)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.get(key, |a| match a {
+            Artifact::Session(s) => Some(Arc::clone(s)),
+            Artifact::Slice(_) => None,
+        })
+    }
+
+    /// Looks up slice artifacts, refreshing their LRU tick on a hit.
+    pub fn get_slice(&self, key: u64) -> Option<Arc<SliceArtifacts>> {
+        self.get(key, |a| match a {
+            Artifact::Slice(s) => Some(Arc::clone(s)),
+            Artifact::Session(_) => None,
+        })
     }
 
     /// Inserts a locate session, evicting least-recently-used entries
     /// until the byte budget holds. First insert wins on a key race so
     /// concurrent builders agree on the shared value.
     pub fn insert_session(&self, key: u64, value: Arc<DebugSession>, bytes: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.sessions.contains_key(&key) {
-            return;
-        }
-        inner.sessions.insert(key, Entry { value, bytes, tick });
-        inner.bytes += bytes;
-        self.evict(&mut inner);
-    }
-
-    /// Looks up slice artifacts, refreshing their LRU tick on a hit.
-    pub fn get_slice(&self, key: u64) -> Option<Arc<SliceArtifacts>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let hit = inner.slices.get_mut(&key).map(|e| {
-            e.tick = tick;
-            Arc::clone(&e.value)
-        });
-        match hit {
-            Some(v) => {
-                inner.hits += 1;
-                Some(v)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.insert(key, Artifact::Session(value), bytes);
     }
 
     /// Inserts slice artifacts under the same budget as sessions.
     pub fn insert_slice(&self, key: u64, value: Arc<SliceArtifacts>, bytes: usize) {
-        let mut inner = self.inner.lock().unwrap();
+        self.insert(key, Artifact::Slice(value), bytes);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("no cache operation panics holding the lock")
+    }
+
+    /// The entry under `key` if `pick` accepts its kind, refreshing its
+    /// LRU tick; an entry of the other kind is a miss and keeps its tick.
+    fn get<T>(&self, key: u64, pick: impl FnOnce(&Artifact) -> Option<T>) -> Option<T> {
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.slices.contains_key(&key) {
+        let hit = inner.entries.get_mut(&key).and_then(|e| {
+            let value = pick(&e.value)?;
+            e.tick = tick;
+            Some(value)
+        });
+        if hit.is_some() {
+            inner.hits += 1;
+        } else {
+            inner.misses += 1;
+        }
+        hit
+    }
+
+    fn insert(&self, key: u64, value: Artifact, bytes: usize) {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        if inner.entries.contains_key(&key) {
             return;
         }
-        inner.slices.insert(key, Entry { value, bytes, tick });
+        inner.entries.insert(key, Entry { value, bytes, tick });
         inner.bytes += bytes;
         self.evict(&mut inner);
     }
 
-    /// Drops least-recently-used entries (across both kinds) until the
+    /// Drops least-recently-used entries, of either kind, until the
     /// budget holds. At least one entry always survives so an oversized
     /// single working set still serves.
     fn evict(&self, inner: &mut Inner) {
-        while inner.bytes > self.capacity && inner.sessions.len() + inner.slices.len() > 1 {
-            let oldest_session = inner
-                .sessions
+        while inner.bytes > self.capacity && inner.entries.len() > 1 {
+            let Some(oldest) = inner
+                .entries
                 .iter()
                 .min_by_key(|(_, e)| e.tick)
-                .map(|(k, e)| (*k, e.tick));
-            let oldest_slice = inner
-                .slices
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, e)| (*k, e.tick));
-            let evict_session = match (oldest_session, oldest_slice) {
-                (Some((_, st)), Some((_, lt))) => st <= lt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return,
+                .map(|(&k, _)| k)
+            else {
+                return;
             };
-            let freed = if evict_session {
-                let (k, _) = oldest_session.unwrap();
-                inner.sessions.remove(&k).map(|e| e.bytes)
-            } else {
-                let (k, _) = oldest_slice.unwrap();
-                inner.slices.remove(&k).map(|e| e.bytes)
-            };
-            inner.bytes -= freed.unwrap_or(0);
+            let freed = inner.entries.remove(&oldest).map_or(0, |e| e.bytes);
+            inner.bytes -= freed;
             inner.evictions += 1;
         }
     }
 
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
+        let sessions = inner
+            .entries
+            .values()
+            .filter(|e| matches!(e.value, Artifact::Session(_)))
+            .count();
         CacheStats {
             bytes: inner.bytes,
             capacity: self.capacity,
-            sessions: inner.sessions.len(),
-            slices: inner.slices.len(),
+            sessions,
+            slices: inner.entries.len() - sessions,
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
@@ -270,6 +262,42 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.evictions, 2);
         assert!(stats.bytes <= 100 || stats.sessions + stats.slices == 1);
+    }
+
+    /// A locate session for `faulty` against a program printing 0.
+    fn session(faulty: &str) -> Arc<DebugSession> {
+        let session = DebugSession::builder(faulty)
+            .reference("fn main() { print(0); }")
+            .build();
+        Arc::new(session.unwrap())
+    }
+
+    #[test]
+    fn eviction_crosses_kinds_in_tick_order() {
+        let cache = ArtifactCache::new(100);
+        let (k1, a1) = slice_artifacts("fn main() { print(1); }");
+        let (k3, a3) = slice_artifacts("fn main() { print(3); }");
+        let k2 = fnv64(&[b"locate", b"2"]);
+        let k4 = fnv64(&[b"locate", b"4"]);
+        cache.insert_slice(k1, a1, 40);
+        cache.insert_session(k2, session("fn main() { print(2); }"), 40);
+        // A session probe under a slice's key misses (the served 404
+        // `unknown-program`) and leaves the slice's tick alone.
+        assert!(cache.get_session(k1).is_none());
+        assert!(cache.get_slice(k2).is_none());
+        // The session is now the most recently used entry.
+        assert!(cache.get_session(k2).is_some());
+        cache.insert_slice(k3, a3, 40); // 120 B: the slice k1 is oldest
+        assert!(cache.get_slice(k1).is_none());
+        assert!(cache.get_slice(k3).is_some()); // refresh k3 past k2
+        cache.insert_session(k4, session("fn main() { print(4); }"), 40);
+        assert!(cache.get_session(k2).is_none(), "the session k2 is oldest");
+        assert!(cache.get_slice(k3).is_some());
+        assert!(cache.get_session(k4).is_some());
+        let stats = cache.stats();
+        assert_eq!((stats.sessions, stats.slices), (1, 1));
+        assert_eq!((stats.evictions, stats.bytes), (2, 80));
+        assert_eq!((stats.hits, stats.misses), (4, 4));
     }
 
     #[test]

@@ -266,3 +266,35 @@ fn retired_and_misspelled_fields_are_rejected() {
         Some("not-found")
     );
 }
+
+/// Sessions and `/slice` artifacts share one cache map, but a locate
+/// request's `program` hash must name a session: the hash of a cached
+/// slice answers 404 `unknown-program` like any other unknown hash.
+#[test]
+fn a_slice_hash_names_no_locate_program() {
+    let client = ServeClient::new(server_addr().to_string());
+    let slice = Json::object([
+        ("source", Json::str(FIXED)),
+        ("input", Json::Array(vec![Json::Int(5)])),
+    ]);
+    let response = client.post("/slice", &slice).expect("request round-trips");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let doc = response.json().expect("slice body parses");
+    let hash = doc
+        .get("program")
+        .and_then(Json::as_str)
+        .expect("slice reports its program hash")
+        .to_string();
+    let locate = Json::object([("program", Json::Str(hash))]);
+    let response = client
+        .post("/locate", &locate)
+        .expect("request round-trips");
+    assert_eq!(response.status, 404, "{}", response.body);
+    let doc = response.json().expect("error body parses");
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("unknown-program")
+    );
+}

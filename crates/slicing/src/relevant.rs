@@ -22,14 +22,6 @@ use omislice_analysis::ProgramAnalysis;
 use omislice_lang::VarId;
 use omislice_trace::{InstId, Trace};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Frontiers smaller than this are expanded serially even when `jobs > 1`
-/// — thread spawns cost more than the work they would split.
-const PARALLEL_FRONTIER_THRESHOLD: usize = 256;
-
-/// How many frontier slots one worker claims per fetch.
-const FRONTIER_CLAIM_CHUNK: usize = 64;
 
 /// Computes the set of potential-dependence predicate instances for one
 /// use instance `u` (all four conditions of Definition 1).
@@ -186,17 +178,16 @@ pub fn relevant_slice(trace: &Trace, analysis: &ProgramAnalysis, criterion: Inst
     relevant_slice_jobs(trace, analysis, criterion, 1)
 }
 
-/// Computes the relevant slice of `criterion`, discovering dependences of
-/// large BFS frontiers on up to `jobs` worker threads. The slice is
-/// identical for any `jobs`.
+/// Computes the relevant slice of `criterion`, filling the dependence
+/// graph on up to `jobs` threads. The slice is identical for any `jobs`.
 pub fn relevant_slice_jobs(
     trace: &Trace,
     analysis: &ProgramAnalysis,
     criterion: InstId,
     jobs: usize,
 ) -> Slice {
-    trace.build_index(jobs);
-    relevant_slice_on(&DepGraph::with_jobs(trace, jobs), analysis, criterion, jobs)
+    trace.index();
+    relevant_slice_on(&DepGraph::with_jobs(trace, jobs), analysis, criterion)
 }
 
 /// Computes the relevant slice of `criterion` over a prebuilt dependence
@@ -206,7 +197,6 @@ pub fn relevant_slice_on(
     graph: &DepGraph<'_>,
     analysis: &ProgramAnalysis,
     criterion: InstId,
-    jobs: usize,
 ) -> Slice {
     let _span = omislice_obs::span("slice");
     let trace = graph.trace();
@@ -215,23 +205,15 @@ pub fn relevant_slice_on(
     let mut frontier = vec![criterion];
     let mut next: Vec<InstId> = Vec::new();
     while !frontier.is_empty() {
-        if jobs > 1 && frontier.len() >= PARALLEL_FRONTIER_THRESHOLD {
-            for d in discover_parallel(graph, trace, analysis, &frontier, jobs) {
+        for &i in &frontier {
+            for d in graph.deps(i) {
                 if seen.insert(d.index()) {
                     next.push(d);
                 }
             }
-        } else {
-            for &i in &frontier {
-                for d in graph.deps(i) {
-                    if seen.insert(d.index()) {
-                        next.push(d);
-                    }
-                }
-                for (_, p) in potential_deps_by_var(trace, analysis, i) {
-                    if seen.insert(p.index()) {
-                        next.push(p);
-                    }
+            for (_, p) in potential_deps_by_var(trace, analysis, i) {
+                if seen.insert(p.index()) {
+                    next.push(p);
                 }
             }
         }
@@ -239,58 +221,6 @@ pub fn relevant_slice_on(
         next.clear();
     }
     Slice::from_insts(trace, seen.iter().map(|i| InstId(i as u32)))
-}
-
-/// Expands one BFS frontier on worker threads: slots are claimed in
-/// chunks off a shared atomic cursor (the `Verifier::verify_all` fan-out
-/// pattern); each worker returns the raw dependence lists, deduplicated
-/// by the caller's visited bitset. The discovered *set* is independent of
-/// scheduling, so the final slice is deterministic.
-fn discover_parallel(
-    graph: &DepGraph<'_>,
-    trace: &Trace,
-    analysis: &ProgramAnalysis,
-    frontier: &[InstId],
-    jobs: usize,
-) -> Vec<InstId> {
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<InstId> = Vec::new();
-                    let mut claims = 0u64;
-                    loop {
-                        let start = cursor.fetch_add(FRONTIER_CLAIM_CHUNK, Ordering::Relaxed);
-                        if start >= frontier.len() {
-                            break;
-                        }
-                        claims += 1;
-                        let end = (start + FRONTIER_CLAIM_CHUNK).min(frontier.len());
-                        for &i in &frontier[start..end] {
-                            local.extend(graph.deps(i));
-                            local.extend(
-                                potential_deps_by_var(trace, analysis, i)
-                                    .into_iter()
-                                    .map(|(_, p)| p),
-                            );
-                        }
-                    }
-                    // Flush once per worker, not per claim: keeps the
-                    // recorder out of the claim loop entirely.
-                    if omislice_obs::enabled() {
-                        omislice_obs::counter_add("frontier.claims", claims);
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut out = Vec::new();
-        for w in workers {
-            out.append(&mut w.join().expect("frontier workers do not panic"));
-        }
-        out
-    })
 }
 
 /// Reference implementation of [`relevant_slice`]: the original hash-set

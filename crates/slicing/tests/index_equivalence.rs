@@ -366,12 +366,12 @@ proptest! {
     }
 }
 
-/// A loop long enough that the relevant-slice BFS frontier crosses the
-/// parallel-discovery threshold: the multi-threaded path must agree with
-/// the naive slicer too (the proptest programs above stay small and
-/// exercise only the serial path).
+/// A loop long enough that its trace crosses the 4,096-event threshold
+/// of the chunked CSR fill: with `jobs > 1` the multi-threaded fill must
+/// agree with the naive slicer too (the proptest programs above stay
+/// small and exercise only the serial fill).
 #[test]
-fn parallel_frontier_matches_naive_on_large_trace() {
+fn chunked_fill_matches_naive_on_large_trace() {
     let src = "\
         global x = 0;\
         fn main() {\
@@ -388,6 +388,7 @@ fn parallel_frontier_matches_naive_on_large_trace() {
     let run = run_traced(&program, &analysis, &config);
     let trace = &run.trace;
     assert!(trace.termination().is_normal());
+    assert!(trace.len() >= 4096, "{} events", trace.len());
     let criterion = trace.outputs().last().unwrap().inst;
     let expected = relevant_slice_naive(trace, &analysis, criterion);
     for jobs in [1usize, 2, 4, 8] {

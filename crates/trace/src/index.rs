@@ -16,10 +16,9 @@
 //!
 //! The index is built on demand, once per trace, and only for a trace
 //! that is queried: relevant slicing over the failing run is its one
-//! reader. Construction parallelizes with the same `std::thread::scope`
-//! fan-out the verification engine uses: one worker owns the Euler tour,
-//! the rest build postings over contiguous trace chunks that are merged
-//! in trace order, so the result is identical for any thread count.
+//! reader. Both passes run on the calling thread: at the trace lengths a
+//! localization indexes, a second thread costs more to start than it
+//! saves.
 
 use crate::columnar::ColumnarTrace;
 use crate::event::InstId;
@@ -27,12 +26,8 @@ use crate::trace::Trace;
 use omislice_lang::StmtId;
 use std::collections::HashMap;
 
-/// Below this trace length the serial build wins; above it, chunked
-/// postings construction amortizes the thread spawns.
-const PARALLEL_BUILD_THRESHOLD: usize = 4096;
-
-/// Query index over one trace. Built once (lazily via [`Trace::index`] or
-/// eagerly via [`Trace::build_index`]); all queries are read-only.
+/// Query index over one trace. Built once, by the first call to
+/// [`Trace::index`]; all queries are read-only.
 #[derive(Debug, Clone)]
 pub struct TraceIndex {
     /// Euler-tour entry timestamps over the dynamic CD forest.
@@ -44,56 +39,21 @@ pub struct TraceIndex {
 }
 
 impl TraceIndex {
-    /// Builds the index serially.
-    pub fn build(trace: &Trace) -> Self {
-        Self::build_with_jobs(trace, 1)
-    }
-
-    /// Builds the index using up to `jobs` worker threads. The result is
-    /// identical for any `jobs`; only the wall time changes.
+    /// Builds the index: the Euler tour, then the predicate postings.
     ///
     /// # Panics
     ///
     /// Panics if an event's `cd_parent` does not precede it (the
     /// interpreter records parents before children by construction).
-    pub fn build_with_jobs(trace: &Trace, jobs: usize) -> Self {
+    pub fn build(trace: &Trace) -> Self {
         let _span = omislice_obs::span("index");
-        let n = trace.len();
-        let jobs = jobs.max(1).min(n.max(1));
-        if jobs == 1 || n < PARALLEL_BUILD_THRESHOLD {
-            let (cd_tin, cd_tout) = euler_tour(trace.columns());
-            let preds = postings(trace.columns(), 0, n);
-            return TraceIndex {
-                cd_tin,
-                cd_tout,
-                preds,
-            };
+        let cols = trace.columns();
+        let (cd_tin, cd_tout) = euler_tour(cols);
+        TraceIndex {
+            cd_tin,
+            cd_tout,
+            preds: postings(cols),
         }
-        std::thread::scope(|s| {
-            let euler = s.spawn(|| euler_tour(trace.columns()));
-            let chunk = n.div_ceil(jobs);
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    s.spawn(move || postings(trace.columns(), start, end))
-                })
-                .collect();
-            // Chunks join in trace order, so every postings list stays
-            // sorted and the merged map is thread-count independent.
-            let mut preds: HashMap<(StmtId, bool), Vec<InstId>> = HashMap::new();
-            for h in handles {
-                for (k, mut v) in h.join().expect("postings workers do not panic") {
-                    preds.entry(k).or_default().append(&mut v);
-                }
-            }
-            let (cd_tin, cd_tout) = euler.join().expect("euler worker does not panic");
-            TraceIndex {
-                cd_tin,
-                cd_tout,
-                preds,
-            }
-        })
     }
 
     /// Heap bytes the index holds: both timestamp columns, every
@@ -192,14 +152,11 @@ fn euler_tour(cols: &ColumnarTrace) -> (Vec<u32>, Vec<u32>) {
     (tin, tout)
 }
 
-/// Predicate postings for the chunk `[start, end)`.
-fn postings(
-    cols: &ColumnarTrace,
-    start: usize,
-    end: usize,
-) -> HashMap<(StmtId, bool), Vec<InstId>> {
+/// Predicate postings: each predicate instance, in trace order, under
+/// its `(statement, taken-branch)` key.
+fn postings(cols: &ColumnarTrace) -> HashMap<(StmtId, bool), Vec<InstId>> {
     let mut preds: HashMap<(StmtId, bool), Vec<InstId>> = HashMap::new();
-    for i in start..end {
+    for i in 0..cols.len() {
         let inst = InstId(i as u32);
         if let Some(b) = cols.branch_of(inst) {
             preds.entry((cols.stmt_of(inst), b)).or_default().push(inst);
@@ -280,8 +237,8 @@ mod tests {
 
     #[test]
     fn parallel_build_is_identical() {
-        // Big enough to cross the parallel threshold: a chain of nested
-        // regions plus alternating predicates.
+        // A job count leaves the index as the plain build makes it: a
+        // chain of nested regions plus alternating predicates.
         let n = 10_000u32;
         let events: Vec<Event> = (0..n)
             .map(|i| {
@@ -297,10 +254,10 @@ mod tests {
             .collect();
         let t = Trace::from_parts(events, vec![], Termination::Normal);
         let serial = TraceIndex::build(&t);
-        let parallel = TraceIndex::build_with_jobs(&t, 4);
-        assert_eq!(serial.cd_tin, parallel.cd_tin);
-        assert_eq!(serial.cd_tout, parallel.cd_tout);
-        assert_eq!(serial.preds, parallel.preds);
+        let with_jobs = t.build_index(4);
+        assert_eq!(serial.cd_tin, with_jobs.cd_tin);
+        assert_eq!(serial.cd_tout, with_jobs.cd_tout);
+        assert_eq!(serial.preds, with_jobs.preds);
     }
 
     #[test]

@@ -194,12 +194,10 @@ impl Trace {
         self.index.get_or_init(|| TraceIndex::build(self))
     }
 
-    /// Eagerly builds the query index with up to `jobs` worker threads
-    /// (a no-op if the index already exists). The index contents are
-    /// identical for any `jobs`.
-    pub fn build_index(&self, jobs: usize) -> &TraceIndex {
-        self.index
-            .get_or_init(|| TraceIndex::build_with_jobs(self, jobs))
+    /// [`Trace::index`] under its older name. The build is serial and
+    /// ignores the job count; omibench still calls `build_index(1)`.
+    pub fn build_index(&self, _jobs: usize) -> &TraceIndex {
+        self.index()
     }
 
     /// The region tree of this trace (Definition 3), its subtree-size
