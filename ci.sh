@@ -24,7 +24,7 @@ bench_smoke() {
     echo "==> bench smoke (sweep --scales 10)"
     cargo build "${OFFLINE[@]}" --release -p omislice-bench
     local out=/tmp/omislice-bench-smoke.json
-    ./target/release/sweep --scales 10 --jobs 2 --out "$out" >/dev/null
+    ./target/release/sweep --scales 10 --out "$out" >/dev/null
     if grep -q '"cache_hits":0,' "$out"; then
         echo "bench smoke FAILED: sweep reports a dead verifier memo" >&2
         exit 1
@@ -531,6 +531,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: a removal must not leave a dangling intra-doc link.
+# `--lib` keeps the `omislice` binary's docs from colliding with the
+# `omislice` library's.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc "${OFFLINE[@]}" --no-deps --workspace --lib
 
 omibench_check
 

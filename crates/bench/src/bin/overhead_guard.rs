@@ -84,7 +84,7 @@ fn pass_ns(
     config: &RunConfig,
 ) -> u128 {
     let t = Instant::now();
-    reference_pass(program, analysis, config, 1);
+    reference_pass(program, analysis, config);
     t.elapsed().as_nanos()
 }
 

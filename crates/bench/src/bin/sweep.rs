@@ -1,7 +1,7 @@
 //! Thin driver for the workload sweep (see `omislice_bench::sweep`).
 //!
 //! ```text
-//! sweep [--scales 10,50,250,1000,10000] [--jobs N] [--reps N] [--out BENCH_sweep.json]
+//! sweep [--scales 10,50,250,1000,10000] [--reps N] [--out BENCH_sweep.json]
 //!       [--via host:port]
 //! ```
 //!
@@ -14,8 +14,8 @@ use omislice_bench::sweep::{render_table, run_sweep, to_json, SweepOptions};
 fn usage(msg: &str) -> ! {
     eprintln!("sweep: {msg}");
     eprintln!(
-        "usage: sweep [--scales 10,50,250,1000,10000] [--jobs N] [--reps N] \
-         [--out BENCH_sweep.json] [--via host:port]"
+        "usage: sweep [--scales 10,50,250,1000,10000] [--reps N] [--out BENCH_sweep.json] \
+         [--via host:port]"
     );
     std::process::exit(2);
 }
@@ -40,12 +40,6 @@ fn main() {
                     .collect();
                 if opts.scales.is_empty() {
                     usage("bad --scales `` (need at least one integer)");
-                }
-            }
-            "--jobs" => {
-                opts.jobs = value.parse().unwrap_or(0);
-                if opts.jobs == 0 {
-                    usage(&format!("bad --jobs `{value}` (need a positive integer)"));
                 }
             }
             "--reps" => {

@@ -29,13 +29,11 @@ use std::time::Instant;
 /// The seed every sweep run uses, recorded in the JSON header.
 pub const SWEEP_SEED: u64 = 0x5EED;
 
-/// What to sweep: workload scales (per benchmark) and the worker-thread
-/// count for the dependence graph build.
+/// What to sweep: workload scales (per benchmark), repetitions, and an
+/// optional server to time served localizations against.
 pub struct SweepOptions {
     /// Workload payload sizes, one series point per scale.
     pub scales: Vec<usize>,
-    /// Worker threads for the CSR graph build.
-    pub jobs: usize,
     /// Repetitions of each timed section; the minimum is reported (the
     /// Table 4 "best of N" methodology — every section is deterministic,
     /// so the minimum is the least-perturbed measurement). Verification
@@ -51,7 +49,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             scales: vec![10, 50, 250, 1000, 10000],
-            jobs: 1,
             reps: 5,
             via: None,
         }
@@ -432,7 +429,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
             // locator builds both up front the same way), so their
             // construction is charged to neither slice timing.
             run.trace.index();
-            let graph = DepGraph::with_jobs(&run.trace, opts.jobs);
+            let graph = DepGraph::new(&run.trace);
 
             let (ds_dyn, rs_dyn, rs_ns) = match run.trace.outputs().last() {
                 Some(last) => {
@@ -499,7 +496,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
                 }
             });
 
-            let (phases, sched) = instrumented_pass(&program, &analysis, &config, opts.jobs);
+            let (phases, sched) = instrumented_pass(&program, &analysis, &config);
 
             let io = {
                 let path = std::env::temp_dir().join(format!(
@@ -552,17 +549,15 @@ pub fn run_sweep(opts: &SweepOptions) -> Vec<Sample> {
 
 /// The reference pass the sweep's phase columns and the overhead guard
 /// both measure: trace, index build, dependence graph, the relevant
-/// slice of the last output, and a resumed 16-request verify batch, with
-/// `jobs` threads for the graph build.
+/// slice of the last output, and a resumed 16-request verify batch.
 pub fn reference_pass(
     program: &omislice::omislice_lang::Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
-    jobs: usize,
 ) {
     let run = run_traced(program, analysis, config);
     run.trace.index();
-    let graph = DepGraph::with_jobs(&run.trace, jobs);
+    let graph = DepGraph::new(&run.trace);
     if let Some(last) = run.trace.outputs().last() {
         let _ = relevant_slice_on(&graph, analysis, last.inst);
     }
@@ -582,11 +577,10 @@ fn instrumented_pass(
     program: &omislice::omislice_lang::Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
-    jobs: usize,
 ) -> (PhaseSample, SchedSample) {
     omislice_obs::reset();
     omislice_obs::set_enabled(true);
-    reference_pass(program, analysis, config, jobs);
+    reference_pass(program, analysis, config);
     omislice_obs::set_enabled(false);
     let rec = omislice_obs::drain();
     let self_times = rec.self_times();

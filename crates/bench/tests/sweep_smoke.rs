@@ -10,7 +10,6 @@ use omislice_bench::sweep::{run_sweep, to_json, SweepOptions};
 fn sweep_scale10_hits_the_verifier_memo() {
     let samples = run_sweep(&SweepOptions {
         scales: vec![10],
-        jobs: 2,
         reps: 1,
         via: None,
     });

@@ -4,7 +4,7 @@
 //! omislice run      <file> [--input 1,2,3]
 //! omislice trace    <file> [--input 1,2,3] [--regions] [--dot] [--stats]
 //!                   [--save <file.omitrace>] [--fault-plan <plan>] [--deadline <ms>]
-//! omislice slice    <file> [--input 1,2,3] [--output N] [--relevant] [--jobs N]
+//! omislice slice    <file> [--input 1,2,3] [--output N] [--relevant]
 //! omislice cfg      <file> [--function main]
 //! omislice locate   --faulty <file> --fixed <file> [--input 1,2,3]
 //!                   [--trace-in <file.omitrace>]
@@ -35,7 +35,7 @@ use omislice::omislice_interp::{
     parse_inputs, parse_profiles, run_plain, run_traced, ResumeMode, RunConfig,
 };
 use omislice::omislice_lang::{compile, FrontendError, Program};
-use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
+use omislice::omislice_slicing::{relevant_slice, DepGraph};
 use omislice::omislice_trace::{
     take_recovery, FaultPlan, RecoveryLog, Supervisor, Trace, TraceStats,
 };
@@ -108,7 +108,7 @@ const USAGE: &str = "usage:
   omislice trace   <file> [--input 1,2,3] [--regions] [--dot] [--stats]
                    [--save <file.omitrace>] [--fault-plan <plan>] [--deadline <ms>]
                    [--profile-out <file.json>]
-  omislice slice   <file> [--input 1,2,3] [--output N] [--relevant] [--jobs N]
+  omislice slice   <file> [--input 1,2,3] [--output N] [--relevant]
   omislice cfg     <file> [--function main]
   omislice locate  --faulty <file> --fixed <file> [--input 1,2,3]
                    [--trace-in <file.omitrace>]
@@ -135,10 +135,10 @@ pipeline must recover, not abort:
   encode    corrupt          decode    corrupt        mmap   fail
   save      short-write, enospc        deadline  expire (one per plan)
   handler   panic (served requests only)
---jobs takes 1 to 256 and defaults to the host's available parallelism
-(one worker per core). --deadline <ms> cancels the run cooperatively;
-exit code 3 marks the partial report. Malformed invocations, unknown
-flags included, exit with code 2.";
+--jobs sets a localization's verify workers: 1 to 256, defaulting to
+the host's available parallelism (one worker per core). --deadline <ms>
+cancels the run cooperatively; exit code 3 marks the partial report.
+Malformed invocations, unknown flags included, exit with code 2.";
 
 fn run(args: Vec<String>) -> Result<ExitCode, CliError> {
     let mut it = args.into_iter();
@@ -369,7 +369,7 @@ fn supervised_exit(recovery: &RecoveryLog, deadline_expired: bool, what: &str) -
 }
 
 fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
-    let opts = Opts::parse(args, &["input", "output", "jobs"], &["relevant"])?;
+    let opts = Opts::parse(args, &["input", "output"], &["relevant"])?;
     let path = opts
         .positional
         .first()
@@ -389,13 +389,12 @@ fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
         .get(idx)
         .ok_or_else(|| format!("only {} outputs", outputs.len()))?
         .inst;
-    let jobs = parse_jobs(&opts)?;
     // Only a relevant slice queries the trace index; a backward slice
     // and its rendering read the columns alone.
     let slice = if opts.has("relevant") {
-        relevant_slice_jobs(trace, &analysis, criterion, jobs)
+        relevant_slice(trace, &analysis, criterion)
     } else {
-        DepGraph::with_jobs(trace, jobs).backward_slice(criterion)
+        DepGraph::new(trace).backward_slice(criterion)
     };
     print!("{}", render_slice(trace, &analysis, &slice));
     Ok(ExitCode::SUCCESS)
@@ -425,10 +424,8 @@ fn mode_flag(opts: &Opts) -> Result<VerifierMode, CliError> {
     })
 }
 
-/// Parses `--jobs N`, bounded to `1..=MAX_JOBS` like a served request's
-/// `jobs`. The default is [`default_jobs`], one worker per available core
-/// (a served request defaults to 1: the server's worker pool already
-/// spreads requests over the cores).
+/// Parses `--jobs N`, the verify workers: `1..=MAX_JOBS` like a served
+/// request's `jobs`, defaulting to [`default_jobs`] (one per core).
 fn parse_jobs(opts: &Opts) -> Result<usize, CliError> {
     let what = format!("an integer from 1 to {MAX_JOBS}");
     match parse_flag::<usize>(opts, "jobs", &what)? {
@@ -559,9 +556,8 @@ impl ObsOpts {
     }
 }
 
-/// Folds trace, locate, and verification counters — plus span
-/// aggregates when the recorder ran — into one exportable set. `jobs`
-/// is the worker count the localization ran with.
+/// Folds trace, locate and verification counters, plus span aggregates
+/// when the recorder ran, into one set; `jobs` counts the verify workers.
 fn locate_metrics(
     trace: &Trace,
     outcome: &LocateOutcome,
@@ -901,6 +897,9 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
     let p = trace
         .nth_instance(pred_stmt, pred_occ)
         .ok_or_else(|| format!("{pred_stmt} did not execute {} time(s)", pred_occ + 1))?;
+    if !trace.event(p).is_predicate() {
+        return Err(format!("{pred_stmt} is not an `if` or `while` predicate").into());
+    }
     let u = trace
         .nth_instance(use_stmt, use_occ)
         .ok_or_else(|| format!("{use_stmt} did not execute {} time(s)", use_occ + 1))?;

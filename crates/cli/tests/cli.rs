@@ -255,6 +255,29 @@ fn verify_reports_the_run_outcome() {
 }
 
 #[test]
+fn verify_rejects_a_pred_that_names_no_predicate() {
+    let path = write_temp("verify-nonpred", FAULTY);
+    // S0 is `let save = input() - 1;`: nothing there to switch.
+    let out = omislice(&[
+        "verify",
+        path.to_str().unwrap(),
+        "--input",
+        "5",
+        "--pred",
+        "0",
+        "--use",
+        "4",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "pipeline failure:\n{stderr}");
+    assert!(
+        stderr.contains("S0 is not an `if` or `while` predicate"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic output:\n{stderr}");
+}
+
+#[test]
 fn locate_survives_fault_injection_and_reports_isolation() {
     let fixed = write_temp("fixed3", FIXED);
     let faulty = write_temp("faulty3", FAULTY);
@@ -1221,8 +1244,6 @@ fn malformed_numeric_flags_exit_2_with_usage() {
             "bad --deadline `nope`",
         ),
         (vec!["slice", f, "--output", "last"], "bad --output `last`"),
-        (vec!["slice", f, "--jobs", "-2"], "bad --jobs `-2`"),
-        (vec!["slice", f, "--jobs", "200000"], "bad --jobs `200000`"),
         (
             vec![
                 "verify",
@@ -1340,6 +1361,7 @@ fn usage_errors_exit_2_but_pipeline_failures_exit_1() {
             &["corpus", "locate", "sed", "V3-F2", "--budget", "off"],
             "--budget",
         ),
+        (&["slice", "x.omi", "--jobs", "2"], "--jobs"),
     ] {
         let out = omislice(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");

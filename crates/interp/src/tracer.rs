@@ -1,7 +1,7 @@
-//! The evaluator: the one interpreter of the mini-language, generic over a
-//! [`Sink`] that decides what a run keeps beyond its outputs — the way a
-//! Valgrind tool decides what to keep of the events its core reports.
-//! Three sinks:
+//! The evaluator: the one interpreter of the mini-language, generic over
+//! a private `Sink` that decides what a run keeps beyond its outputs —
+//! the way a Valgrind tool decides what to keep of the events its core
+//! reports. Three sinks:
 //!
 //! * the no-op sink keeps nothing ([`run_plain`]): the paper's "Plain"
 //!   configuration, also used for cheap output-only re-executions such as

@@ -180,8 +180,8 @@ impl Json {
 }
 
 /// Parses one JSON document. Rejects trailing garbage and nesting deeper
-/// than [`MAX_PARSE_DEPTH`] (a hostile `[[[[...` would otherwise overflow
-/// the stack — the parser may see network request bodies).
+/// than `MAX_PARSE_DEPTH` (128; a hostile `[[[[...` would otherwise
+/// overflow the stack — the parser may see network request bodies).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         text,

@@ -80,9 +80,7 @@ pub use report::{describe_inst, render_explain, render_report, render_slice};
 pub use session::{
     seeded_roots, try_seeded_roots, DebugSession, DebugSessionBuilder, SessionError,
 };
-pub use switching::{
-    find_critical_predicate, find_critical_predicate_with_jobs, CriticalPredicate, SearchOrder,
-};
+pub use switching::{find_critical_predicate, CriticalPredicate, SearchOrder};
 pub use verify::{
     Verdict, Verification, Verifier, VerifierMode, VerifyRequest, DEFAULT_CAPTURE_THRESHOLD,
 };

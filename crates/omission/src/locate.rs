@@ -145,17 +145,17 @@ pub struct ProvenanceEntry {
     pub chain: Vec<ChainEdge>,
 }
 
-/// The most threads a front end lets one localization use (the CLI's
-/// `--jobs`, a served request's `jobs`). The verifier spawns up to one
-/// worker per job and the CSR fill one thread per chunk, so an
-/// unbounded value spawns thousands of threads for no gain.
+/// The most verify workers a front end lets one localization use (the
+/// CLI's `--jobs`, a served request's `jobs`). The verifier spawns up to
+/// one worker per job, so an unbounded value spawns thousands of threads
+/// for no gain.
 pub const MAX_JOBS: usize = 256;
 
-/// The default worker count of one localization: the host's available
-/// parallelism, clamped to `1..=MAX_JOBS` (1 when it cannot be read).
-/// [`LocateConfig::jobs`] and the CLI's `--jobs` start here; a served
-/// request keeps 1, because the server's worker pool already spreads
-/// requests over the cores.
+/// The default verify-worker count of one localization: the host's
+/// available parallelism, clamped to `1..=MAX_JOBS` (1 when it cannot be
+/// read). [`LocateConfig::jobs`] and the CLI's `--jobs` start here; a
+/// served request keeps 1, because the server's worker pool already
+/// spreads requests over the cores.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().clamp(1, MAX_JOBS))
 }
@@ -178,10 +178,10 @@ pub struct LocateConfig {
     /// definition was exercised by at least one profiled run.
     pub union_graph: Option<UnionGraph>,
     /// Threads the verifier may use for each batch of independent
-    /// switched executions (1 = fully serial: the claim loop runs inline),
-    /// and the chunk count of the graph's CSR fill. Defaults to
-    /// [`default_jobs`], one per available core. The outcome is identical
-    /// for any value; only the wall time changes.
+    /// switched executions (1 = fully serial: the claim loop runs inline).
+    /// Nothing else reads it. Defaults to [`default_jobs`], one per
+    /// available core. The outcome is identical for any value; only the
+    /// wall time changes.
     pub jobs: usize,
     /// Whether switched runs may resume from checkpoints captured on the
     /// original input ([`ResumeMode::Auto`]) or must always re-execute
@@ -342,11 +342,10 @@ pub fn locate_fault(
     let view = trace.prefix(wrong.index() + 1);
     let trace = &view;
 
-    // Eagerly build the trace index, and the CSR adjacency with the
-    // session's job count — every slice, prune, and potential-dep query
-    // below runs on them.
+    // Eagerly build the trace index and the CSR adjacency — every slice,
+    // prune, and potential-dep query below runs on them.
     trace.index();
-    let mut graph = DepGraph::with_jobs(trace, lc.jobs);
+    let mut graph = DepGraph::new(trace);
     let mut feedback = Feedback::default();
     let mut verifier = Verifier::new(program, analysis, config, trace, lc.mode)
         .with_jobs(lc.jobs)

@@ -23,7 +23,6 @@ use omislice_interp::{run_plain_indexed, RunConfig, SwitchSpec};
 use omislice_lang::Program;
 use omislice_slicing::DepGraph;
 use omislice_trace::{InstId, Trace, Value};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Instance-ordering strategy for the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,6 +52,8 @@ pub struct CriticalPredicate {
 /// program produce exactly `expected_outputs`.
 ///
 /// `trace` is the failing run of `program` under `config` (no switch).
+/// Candidates are re-executed one at a time, in `order`, until the first
+/// hit; `reexecutions` counts every switched run performed.
 pub fn find_critical_predicate(
     program: &Program,
     analysis: &ProgramAnalysis,
@@ -61,87 +62,22 @@ pub fn find_critical_predicate(
     expected_outputs: &[Value],
     order: SearchOrder,
 ) -> CriticalPredicate {
-    find_critical_predicate_with_jobs(program, analysis, config, trace, expected_outputs, order, 1)
-}
-
-/// [`find_critical_predicate`] with the switched re-executions of the
-/// search fanned out across up to `jobs` threads.
-///
-/// The candidates are tried in chunks: every instance of a chunk is
-/// re-executed concurrently, then the chunk is scanned *in candidate
-/// order*, so the instance reported is always the one the serial search
-/// finds first. Within a chunk, a hit cancels every not-yet-started
-/// candidate *behind* it in candidate order (they cannot change the
-/// answer), so `reexecutions` counts the runs actually performed: at
-/// least as many as the serial search, at most `chunk − 1` past the hit
-/// (with `jobs = 1` the chunks have size 1 and the count matches the
-/// serial search exactly; with more, the exact count depends on thread
-/// timing — only the reported instance is deterministic).
-pub fn find_critical_predicate_with_jobs(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    config: &RunConfig,
-    trace: &Trace,
-    expected_outputs: &[Value],
-    order: SearchOrder,
-    jobs: usize,
-) -> CriticalPredicate {
     let candidates = order_candidates(trace, order);
     let total = candidates.len();
-    let jobs = jobs.max(1);
     let mut reexecutions = 0;
-    let is_critical = |inst: InstId| {
+    for inst in candidates {
         let ev = trace.event(inst);
         let spec = SwitchSpec::new(ev.stmt, trace.occurrence_index(inst) as u32);
         let run = run_plain_indexed(program, analysis.index(), &config.switched(spec));
-        run.is_normal() && run.outputs == expected_outputs
-    };
-    let chunk_size = if jobs == 1 { 1 } else { jobs * 2 };
-    for chunk in candidates.chunks(chunk_size) {
-        let mut hits = vec![false; chunk.len()];
-        if jobs == 1 {
-            hits[0] = is_critical(chunk[0]);
-            reexecutions += 1;
-        } else {
-            let next = AtomicUsize::new(0);
-            let executed = AtomicUsize::new(0);
-            // Lowest hit index seen so far: candidates behind it cannot
-            // change the reported instance (the serial scan below takes
-            // the lowest hit), so workers skip them instead of running.
-            let best_hit = AtomicUsize::new(usize::MAX);
-            let slots: Vec<AtomicUsize> = (0..chunk.len()).map(|_| AtomicUsize::new(0)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..jobs.min(chunk.len()) {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&inst) = chunk.get(i) else {
-                            break;
-                        };
-                        if i > best_hit.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        if is_critical(inst) {
-                            slots[i].store(1, Ordering::Relaxed);
-                            best_hit.fetch_min(i, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            for (hit, slot) in hits.iter_mut().zip(&slots) {
-                *hit = slot.load(Ordering::Relaxed) == 1;
-            }
-            reexecutions += executed.load(Ordering::Relaxed);
-        }
-        if let Some(i) = hits.iter().position(|&h| h) {
+        reexecutions += 1;
+        if run.is_normal() && run.outputs == expected_outputs {
             return CriticalPredicate {
-                instance: Some(chunk[i]),
+                instance: Some(inst),
                 reexecutions,
                 candidates: total,
             };
         }
     }
-    let _ = analysis; // kept for symmetry with the verifier-based API
     CriticalPredicate {
         instance: None,
         reexecutions,
@@ -274,38 +210,6 @@ mod tests {
         let result = find_critical_predicate(&p, &a, &cfg, &t, &expected, SearchOrder::Lefs);
         let inst = result.instance.expect("one iteration's guard is critical");
         assert_eq!(t.event(inst).stmt, StmtId(2));
-    }
-
-    #[test]
-    fn parallel_search_finds_the_same_instance() {
-        // Many loop-guard instances, exactly one of which is critical:
-        // the chunked parallel search must return the same instance the
-        // serial search finds first, for any thread count.
-        let src = "\
-            global hits = 0;\
-            fn main() {\
-                let i = 0;\
-                while i < 8 {\
-                    if i == 20 { hits = hits + 1; }\
-                    i = i + 1;\
-                }\
-                print(hits);\
-            }";
-        let (p, a, cfg, t) = setup(src, vec![]);
-        let expected = vec![Value::Int(1)];
-        for order in [SearchOrder::Lefs, SearchOrder::Prioritized] {
-            let serial = find_critical_predicate(&p, &a, &cfg, &t, &expected, order);
-            for jobs in [2usize, 4] {
-                let par =
-                    find_critical_predicate_with_jobs(&p, &a, &cfg, &t, &expected, order, jobs);
-                assert_eq!(par.instance, serial.instance, "{order:?} jobs={jobs}");
-                assert_eq!(par.candidates, serial.candidates);
-                // Speculation may run past the hit, but never more than
-                // the chunk it was found in.
-                assert!(par.reexecutions >= serial.reexecutions);
-                assert!(par.reexecutions <= serial.reexecutions + jobs * 2);
-            }
-        }
     }
 
     #[test]

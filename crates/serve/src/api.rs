@@ -16,7 +16,7 @@ use crate::cache::{fnv64, key_hex, parse_key_hex, SliceArtifacts};
 use crate::server::ServerState;
 use omislice::omislice_interp::{parse_inputs, parse_profiles, run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::{compile, FrontendError, Program};
-use omislice::omislice_slicing::{relevant_slice_jobs, DepGraph};
+use omislice::omislice_slicing::{relevant_slice, DepGraph};
 use omislice::omislice_trace::supervisor::fault_hit;
 use omislice::omislice_trace::{take_recovery, FaultAction, FaultPlan, FaultSite, Supervisor};
 use omislice::{
@@ -167,9 +167,9 @@ fn mode_field(body: &Json) -> Result<VerifierMode, ApiError> {
     })
 }
 
-/// The request's `jobs`, default 1 rather than
-/// [`omislice::default_jobs`]: the server's worker pool already spreads
-/// concurrent requests over the cores.
+/// The locate request's `jobs` (its verify workers), default 1 rather
+/// than [`omislice::default_jobs`]: the server's worker pool already
+/// spreads concurrent requests over the cores.
 fn jobs_field(body: &Json) -> Result<usize, ApiError> {
     match opt_u64(body, "jobs")? {
         None => Ok(1),
@@ -428,10 +428,9 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
 /// run, with the parsed program and trace cached per version.
 pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> {
     state.slices.fetch_add(1, Ordering::Relaxed);
-    known_fields(body, &["source", "input", "output", "jobs", "relevant"])?;
+    known_fields(body, &["source", "input", "output", "relevant"])?;
     let source = req_str(body, "source")?;
     let inputs = inputs_field(body, "input")?;
-    let jobs = jobs_field(body)?;
     let key = fnv64(&[
         b"slice",
         source.as_bytes(),
@@ -475,9 +474,9 @@ pub fn handle_slice(state: &ServerState, body: &Json) -> Result<Json, ApiError> 
         .ok_or_else(|| ApiError::bad("bad-field", format!("only {} outputs", outputs.len())))?
         .inst;
     let slice = if opt_bool(body, "relevant")? {
-        relevant_slice_jobs(&arts.trace, &arts.analysis, criterion, jobs)
+        relevant_slice(&arts.trace, &arts.analysis, criterion)
     } else {
-        DepGraph::with_jobs(&arts.trace, jobs).backward_slice(criterion)
+        DepGraph::new(&arts.trace).backward_slice(criterion)
     };
 
     Ok(Json::object([

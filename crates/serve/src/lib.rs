@@ -6,9 +6,8 @@
 //! invocation. This crate promotes the pipeline into a long-running
 //! threaded HTTP/JSON server: parsed programs, analyses, failing
 //! traces, and the cross-iteration [`VerifyMemo`](omislice::VerifyMemo)
-//! persist across requests in a byte-budgeted
-//! [`ArtifactCache`](cache::ArtifactCache), shared immutably behind
-//! `Arc`s.
+//! persist across requests in a byte-budgeted [`ArtifactCache`], shared
+//! immutably behind `Arc`s.
 //!
 //! Endpoints:
 //!

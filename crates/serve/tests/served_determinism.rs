@@ -230,6 +230,7 @@ fn retired_and_misspelled_fields_are_rejected() {
     let capture_threshold = with("capture_threshold", Json::Int(1));
     let budget = with("budget", Json::str("64"));
     let slice = Json::object([("source", Json::str(FIXED)), ("relevent", Json::Bool(true))]);
+    let slice_jobs = Json::object([("source", Json::str(FIXED)), ("jobs", Json::UInt(2))]);
     for (route, body, field) in [
         ("/locate", &retired, "scheduler"),
         ("/locate", &chaos, "chaos"),
@@ -238,6 +239,7 @@ fn retired_and_misspelled_fields_are_rejected() {
         ("/locate", &capture_threshold, "capture_threshold"),
         ("/locate", &budget, "budget"),
         ("/slice", &slice, "relevent"),
+        ("/slice", &slice_jobs, "jobs"),
     ] {
         let response = client.post(route, body).expect("request round-trips");
         assert_eq!(response.status, 400, "{route} `{field}`: {}", response.body);

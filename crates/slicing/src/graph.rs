@@ -17,10 +17,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use omislice_lang::StmtId;
 
-/// Below this many events the serial CSR fill wins; above it, chunked
-/// parallel filling amortizes the thread spawns.
-const PARALLEL_FILL_THRESHOLD: usize = 4096;
-
 /// Extra dependence edges `from → to` (both in the same trace), where
 /// `to` precedes `from` in execution order — e.g. an implicit dependence
 /// from a use back to the predicate that suppressed its real definition.
@@ -40,46 +36,27 @@ pub struct DepGraph<'a> {
 }
 
 impl<'a> DepGraph<'a> {
-    /// A graph with only the trace's own dependences, built serially.
+    /// A graph with only the trace's own dependences. The CSR adjacency
+    /// is filled in one serial append pass: each instance's data
+    /// dependences, then its control-dependence parent, then its offset.
+    /// The edge array is reserved from the trace's own dependence count,
+    /// so a [`Trace::prefix`] view never reserves its donor's size.
     pub fn new(trace: &'a Trace) -> Self {
-        Self::with_jobs(trace, 1)
-    }
-
-    /// A graph with only the trace's own dependences; the CSR adjacency
-    /// is filled by up to `jobs` worker threads. Identical to
-    /// [`DepGraph::new`] for any `jobs` — chunk boundaries fall on CSR
-    /// offsets, so every worker writes a disjoint contiguous range.
-    pub fn with_jobs(trace: &'a Trace, jobs: usize) -> Self {
         let _span = omislice_obs::span("graph");
         let n = trace.len();
-        let mut offsets = vec![0u32; n + 1];
         let cols = trace.columns();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::with_capacity(cols.deps_len() + n);
+        offsets.push(0u32);
         for i in 0..n {
             let inst = InstId(i as u32);
-            let deg = cols.deps_of(inst).len() as u32 + cols.cd_parent_of(inst).is_some() as u32;
-            offsets[i + 1] = offsets[i] + deg;
+            edges.extend_from_slice(cols.deps_of(inst));
+            edges.extend(cols.cd_parent_of(inst));
+            offsets.push(edges.len() as u32);
         }
-        let mut edges = vec![InstId(0); offsets[n] as usize];
         // One guarded counter flush per fill, outside the per-event loop.
         if omislice_obs::enabled() {
-            omislice_obs::counter_add("csr.fill.edges", offsets[n] as u64);
-        }
-        let jobs = jobs.max(1).min(n.max(1));
-        if jobs == 1 || n < PARALLEL_FILL_THRESHOLD {
-            fill_edges(trace, &offsets, 0, n, &mut edges);
-        } else {
-            let chunk = n.div_ceil(jobs);
-            std::thread::scope(|s| {
-                let offsets = &offsets;
-                let mut rest: &mut [InstId] = &mut edges;
-                for start in (0..n).step_by(chunk) {
-                    let end = (start + chunk).min(n);
-                    let len = (offsets[end] - offsets[start]) as usize;
-                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                    rest = tail;
-                    s.spawn(move || fill_edges(trace, offsets, start, end, head));
-                }
-            });
+            omislice_obs::counter_add("csr.fill.edges", edges.len() as u64);
         }
         DepGraph {
             trace,
@@ -87,6 +64,12 @@ impl<'a> DepGraph<'a> {
             edges,
             extra: ExtraEdges::new(),
         }
+    }
+
+    /// [`DepGraph::new`] under its older name. The fill is serial and
+    /// ignores the job count; omibench still calls `with_jobs(&trace, 1)`.
+    pub fn with_jobs(trace: &'a Trace, _jobs: usize) -> Self {
+        Self::new(trace)
     }
 
     /// The underlying trace.
@@ -221,23 +204,6 @@ impl<'a> DepGraph<'a> {
             }
         }
         None
-    }
-}
-
-/// Fills the CSR edge ranges of instances `[start, end)` — each worker's
-/// `out` slice is the contiguous range `offsets[start]..offsets[end]`.
-fn fill_edges(trace: &Trace, offsets: &[u32], start: usize, end: usize, out: &mut [InstId]) {
-    let base = offsets[start] as usize;
-    let cols = trace.columns();
-    for (i, &off) in offsets.iter().enumerate().take(end).skip(start) {
-        let inst = InstId(i as u32);
-        let mut k = off as usize - base;
-        let deps = cols.deps_of(inst);
-        out[k..k + deps.len()].copy_from_slice(deps);
-        k += deps.len();
-        if let Some(cd) = cols.cd_parent_of(inst) {
-            out[k] = cd;
-        }
     }
 }
 
@@ -426,9 +392,35 @@ mod tests {
         assert_eq!(g.extra_edge_count(), 1);
     }
 
+    /// Asserts `g`'s base edges are each instance's data dependences then
+    /// its control parent, and that the edge array was reserved from
+    /// `t`'s own size, not from a donor's.
+    fn assert_csr_matches(t: &Trace) {
+        let g = DepGraph::new(t);
+        assert_eq!(g.offsets.len(), t.len() + 1);
+        for inst in t.insts() {
+            let ev = t.event(inst);
+            let mut expect: Vec<InstId> = ev.data_deps.to_vec();
+            expect.extend(ev.cd_parent);
+            assert_eq!(g.base_deps(inst), expect.as_slice(), "at {inst}");
+        }
+        let reserved = t.columns().deps_len() + t.len();
+        assert!(
+            g.edges.capacity() <= reserved,
+            "{} edges reserved for a {}-event view holding {reserved}",
+            g.edges.capacity(),
+            t.len()
+        );
+    }
+
     #[test]
-    fn parallel_csr_fill_matches_serial() {
-        // Long enough to cross the parallel-fill threshold.
+    fn base_deps_order_is_data_then_cd() {
+        assert_csr_matches(&trace_of(
+            "global x = 0; fn main() { let c = input(); if c > 0 { x = c + 1; } print(x); }",
+            vec![5],
+        ));
+        // Past 4,096 events, and prefix views of it: a view through an
+        // early instance must not reserve its donor's edge count.
         let t = trace_of(
             "global s = 0;
              fn main() {
@@ -439,26 +431,10 @@ mod tests {
              }",
             vec![2000],
         );
-        let serial = DepGraph::new(&t);
-        let parallel = DepGraph::with_jobs(&t, 4);
-        assert_eq!(serial.offsets, parallel.offsets);
-        assert_eq!(serial.edges, parallel.edges);
-        let out = t.outputs()[0].inst;
-        assert_eq!(serial.backward_slice(out), parallel.backward_slice(out));
-    }
-
-    #[test]
-    fn base_deps_order_is_data_then_cd() {
-        let t = trace_of(
-            "global x = 0; fn main() { let c = input(); if c > 0 { x = c + 1; } print(x); }",
-            vec![5],
-        );
-        let g = DepGraph::new(&t);
-        for inst in t.insts() {
-            let ev = t.event(inst);
-            let mut expect: Vec<InstId> = ev.data_deps.to_vec();
-            expect.extend(ev.cd_parent);
-            assert_eq!(g.base_deps(inst), expect.as_slice(), "at {inst}");
+        assert!(t.len() > 4096, "{} events", t.len());
+        assert_csr_matches(&t);
+        for len in [0, 1, 7, t.len() / 2, 4097, t.len() - 1] {
+            assert_csr_matches(&t.prefix(len));
         }
     }
 

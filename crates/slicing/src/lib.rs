@@ -50,6 +50,6 @@ pub use profile::ValueProfile;
 pub use prune::{prune_round, prune_slice, Feedback, PrunedSlice, RankedInst};
 pub use relevant::{
     is_potential_dep, potential_dep_instances, potential_deps_by_var, potential_deps_by_var_naive,
-    relevant_slice, relevant_slice_jobs, relevant_slice_naive, relevant_slice_on,
+    relevant_slice, relevant_slice_naive, relevant_slice_on,
 };
 pub use union_graph::{union_pd, UnionGraph};

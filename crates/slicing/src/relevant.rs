@@ -175,19 +175,8 @@ pub fn is_potential_dep(
 
 /// Computes the relevant slice of `criterion`.
 pub fn relevant_slice(trace: &Trace, analysis: &ProgramAnalysis, criterion: InstId) -> Slice {
-    relevant_slice_jobs(trace, analysis, criterion, 1)
-}
-
-/// Computes the relevant slice of `criterion`, filling the dependence
-/// graph on up to `jobs` threads. The slice is identical for any `jobs`.
-pub fn relevant_slice_jobs(
-    trace: &Trace,
-    analysis: &ProgramAnalysis,
-    criterion: InstId,
-    jobs: usize,
-) -> Slice {
     trace.index();
-    relevant_slice_on(&DepGraph::with_jobs(trace, jobs), analysis, criterion)
+    relevant_slice_on(&DepGraph::new(trace), analysis, criterion)
 }
 
 /// Computes the relevant slice of `criterion` over a prebuilt dependence

@@ -1,6 +1,6 @@
 //! Property: the indexed slicers are instance-for-instance identical to
-//! the naive reference implementations — for random structured programs,
-//! random inputs, and any worker-thread count:
+//! the naive reference implementations — for random structured programs
+//! and random inputs:
 //!
 //!   1. `Trace::cd_depends_on` (Euler-interval test) agrees with the
 //!      original parent-pointer walk on every instance pair;
@@ -8,8 +8,7 @@
 //!      the pairs of the original full-instance scan;
 //!   3. `DepGraph::backward_slice` (CSR + bitset) equals a hash-set BFS
 //!      over the allocated dependence vectors;
-//!   4. `relevant_slice_jobs` equals `relevant_slice_naive` for
-//!      `jobs ∈ {1, 2, 4}`;
+//!   4. `relevant_slice` equals `relevant_slice_naive`;
 //!   5. `prune_round` (one confidence pass per round, certainty extended
 //!      in place per benign judgement) equals re-running `prune_slice`
 //!      after every judgement, for random wrong outputs, extra edges,
@@ -27,9 +26,8 @@ use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{run_traced, RunConfig};
 use omislice_lang::{compile, Program};
 use omislice_slicing::{
-    potential_deps_by_var, potential_deps_by_var_naive, prune_round, prune_slice,
-    relevant_slice_jobs, relevant_slice_naive, DepGraph, Feedback, PrunedSlice, Slice,
-    ValueProfile,
+    potential_deps_by_var, potential_deps_by_var_naive, prune_round, prune_slice, relevant_slice,
+    relevant_slice_naive, DepGraph, Feedback, PrunedSlice, Slice, ValueProfile,
 };
 use omislice_trace::{InstId, Trace};
 use proptest::prelude::*;
@@ -162,20 +160,19 @@ proptest! {
             );
         }
 
-        // 3+4. Slices, across job counts.
+        // 3+4. Slices.
         let criterion = trace.outputs().last().expect("trailing print").inst;
-        let rs_ref = relevant_slice_naive(trace, &analysis, criterion);
-        for jobs in [1usize, 2, 4] {
-            let graph = DepGraph::with_jobs(trace, jobs);
-            let ds = graph.backward_slice(criterion);
-            prop_assert_eq!(
-                &ds,
-                &backward_slice_naive(&graph, trace, criterion),
-                "backward_slice diverged (jobs={})", jobs
-            );
-            let rs = relevant_slice_jobs(trace, &analysis, criterion, jobs);
-            prop_assert_eq!(&rs, &rs_ref, "relevant_slice diverged (jobs={})", jobs);
-        }
+        let graph = DepGraph::new(trace);
+        prop_assert_eq!(
+            &graph.backward_slice(criterion),
+            &backward_slice_naive(&graph, trace, criterion),
+            "backward_slice diverged"
+        );
+        prop_assert_eq!(
+            &relevant_slice(trace, &analysis, criterion),
+            &relevant_slice_naive(trace, &analysis, criterion),
+            "relevant_slice diverged"
+        );
     }
 }
 
@@ -366,12 +363,11 @@ proptest! {
     }
 }
 
-/// A loop long enough that its trace crosses the 4,096-event threshold
-/// of the chunked CSR fill: with `jobs > 1` the multi-threaded fill must
-/// agree with the naive slicer too (the proptest programs above stay
-/// small and exercise only the serial fill).
+/// A loop long enough that its trace runs past 4,096 events: the
+/// indexed relevant slicer must agree with the naive one on a large
+/// input too (the proptest programs above stay small).
 #[test]
-fn chunked_fill_matches_naive_on_large_trace() {
+fn relevant_slice_matches_naive_on_large_trace() {
     let src = "\
         global x = 0;\
         fn main() {\
@@ -390,9 +386,8 @@ fn chunked_fill_matches_naive_on_large_trace() {
     assert!(trace.termination().is_normal());
     assert!(trace.len() >= 4096, "{} events", trace.len());
     let criterion = trace.outputs().last().unwrap().inst;
-    let expected = relevant_slice_naive(trace, &analysis, criterion);
-    for jobs in [1usize, 2, 4, 8] {
-        let got = relevant_slice_jobs(trace, &analysis, criterion, jobs);
-        assert_eq!(got, expected, "jobs={jobs}");
-    }
+    assert_eq!(
+        relevant_slice(trace, &analysis, criterion),
+        relevant_slice_naive(trace, &analysis, criterion)
+    );
 }

@@ -96,7 +96,7 @@ struct Prefix {
 /// The columnar event store: one dense array per event field, a CSR
 /// arena for dependence lists, and a sparse sorted column for the rare
 /// array-store cell indices. Optionally the first events are a shared
-/// [`Prefix`] into a donor trace (checkpoint resume); the dense arrays
+/// `Prefix` into a donor trace (checkpoint resume); the dense arrays
 /// then hold only the tail recorded past the prefix, and every accessor
 /// routes prefix instances to the donor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

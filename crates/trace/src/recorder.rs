@@ -8,8 +8,8 @@
 //! [`TraceIndex`](crate::TraceIndex) is built on demand, and only for
 //! the trace that is queried (the failing run's relevant slicing).
 //!
-//! Every [`CHUNK_EVENTS`] recorded events the recorder makes one counted
-//! check of the deadline in scope on this thread
+//! Every `CHUNK_EVENTS` (4,096) recorded events the recorder makes one
+//! counted check of the deadline in scope on this thread
 //! ([`crate::supervisor::scoped_deadline_check`]); an expired check sets
 //! [`Recorder::deadline_hit`], which the interpreter polls per event.
 

@@ -8,13 +8,12 @@
 //! it re-packs the same events from owned rows. For any generated
 //! program × input vector the two must be observationally identical —
 //! same events, same per-statement postings, same control-dependence
-//! (Euler-tour) answers, same relevant slices at any worker count — and
+//! (Euler-tour) answers, same relevant slices — and
 //! the on-disk `omitrace/v1` round trip must be the identity.
 
 mod generator;
 
 use generator::program_strategy;
-use omislice::omislice_slicing::relevant_slice_jobs;
 use omislice::omislice_trace::{decode_trace, encode_trace};
 use omislice::prelude::*;
 use proptest::prelude::*;
@@ -102,20 +101,14 @@ proptest! {
     }
 
     #[test]
-    fn relevant_slices_agree_across_worker_counts((src, inputs) in program_strategy()) {
+    fn relevant_slices_agree_with_the_row_major_oracle((src, inputs) in program_strategy()) {
         let (program, analysis) = compiled(&src);
         let run = run_traced(&program, &analysis, &RunConfig::with_inputs(inputs));
         let Some(last) = run.trace.outputs().last() else { return Ok(()); };
         let oracle = oracle_of(&run.trace);
-        let want = relevant_slice_jobs(&oracle, &analysis, last.inst, 1);
-        for jobs in [1usize, 2, 4] {
-            let got = relevant_slice_jobs(&run.trace, &analysis, last.inst, jobs);
-            prop_assert_eq!(
-                got.insts(),
-                want.insts(),
-                "relevant slice (jobs {}) diverged on:\n{}", jobs, src
-            );
-        }
+        let got = relevant_slice(&run.trace, &analysis, last.inst);
+        let want = relevant_slice(&oracle, &analysis, last.inst);
+        prop_assert_eq!(got.insts(), want.insts(), "relevant slice diverged on:\n{}", src);
     }
 
     #[test]
