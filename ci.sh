@@ -73,7 +73,11 @@ obs_smoke() {
 # in-process — identical report and identical journal (minus the
 # wall-clock `spans` record) — and corrupted or truncated trace files
 # must climb the load ladder (warn, re-trace from source, same report),
-# never panic. Run standalone with `./ci.sh trace-smoke`.
+# never panic. The program prints its wrong output early, before a long
+# loop, so the in-process session records its failing run only through
+# that output while the saved trace holds the whole run; the journal
+# header's `trace_len` must still count the whole run. Run standalone
+# with `./ci.sh trace-smoke`.
 trace_smoke() {
     echo "==> trace smoke (trace --save / locate --trace-in round trip)"
     cargo build "${OFFLINE[@]}" --release -p omislice-cli
@@ -82,21 +86,31 @@ trace_smoke() {
     cat > "$dir/faulty.omi" <<'EOF'
 global flags = 0;
 fn main() { let save = input() - 1; flags = 1;
-            if save == 1 { flags = 2; } print(flags); }
+            if save == 1 { flags = 2; } print(flags);
+            let i = 0; let s = 0;
+            while i < 5000 { s = s + i % 7; i = i + 1; }
+            print(s); }
 EOF
     cat > "$dir/fixed.omi" <<'EOF'
 global flags = 0;
 fn main() { let save = input(); flags = 1;
-            if save == 1 { flags = 2; } print(flags); }
+            if save == 1 { flags = 2; } print(flags);
+            let i = 0; let s = 0;
+            while i < 5000 { s = s + i % 7; i = i + 1; }
+            print(s); }
 EOF
     ./target/release/omislice trace "$dir/faulty.omi" --input 1 \
-        --save "$dir/t.omitrace" 2>/dev/null
+        --save "$dir/t.omitrace" 2>"$dir/save.err"
     ./target/release/omislice locate --faulty "$dir/faulty.omi" \
         --fixed "$dir/fixed.omi" --input 1 \
         --obs-out "$dir/live.jsonl" > "$dir/live.out"
     ./target/release/omislice locate --faulty "$dir/faulty.omi" \
         --fixed "$dir/fixed.omi" --input 1 --trace-in "$dir/t.omitrace" \
         --obs-out "$dir/reload.jsonl" > "$dir/reload.out"
+    if ! grep -q "root cause captured : yes" "$dir/live.out"; then
+        echo "trace smoke FAILED: the live locate missed the root cause" >&2
+        exit 1
+    fi
     if ! cmp -s "$dir/live.out" "$dir/reload.out"; then
         echo "trace smoke FAILED: reports diverge between live and reloaded trace" >&2
         exit 1
@@ -104,6 +118,13 @@ EOF
     if ! diff <(grep -v '"type":"spans"' "$dir/live.jsonl") \
               <(grep -v '"type":"spans"' "$dir/reload.jsonl") >/dev/null; then
         echo "trace smoke FAILED: journals diverge between live and reloaded trace" >&2
+        exit 1
+    fi
+    local saved len
+    saved=$(sed -n 's/^saved \([0-9]*\) instance.*/\1/p' "$dir/save.err")
+    len=$(grep -o '"trace_len":[0-9]*' "$dir/live.jsonl" | cut -d: -f2)
+    if [ -z "$saved" ] || [ "$len" != "$saved" ]; then
+        echo "trace smoke FAILED: journal trace_len ${len:-?} is not the whole run's ${saved:-?} instances" >&2
         exit 1
     fi
     head -c 40 "$dir/t.omitrace" > "$dir/trunc.omitrace"

@@ -13,6 +13,7 @@
 //!    locator**: re-execution counts for the brute-force baseline the
 //!    paper's related-work section contrasts against.
 
+use omislice::omislice_interp::run_traced;
 use omislice::omislice_slicing::{
     analyze_confidence, potential_dep_instances, ConfidenceParams, DepGraph,
 };
@@ -122,8 +123,12 @@ fn relevant_plus_confidence() {
     for b in all_benchmarks() {
         for f in &b.faults {
             let session = b.session(f).expect("session builds");
-            let trace = session.trace();
             let analysis = session.analysis();
+            // The baseline adds potential edges out of every instance of
+            // the run, so it traces the whole failing run itself: the
+            // session keeps it only through `o×`.
+            let run = run_traced(session.program(), analysis, session.config());
+            let trace = &run.trace;
             let class = session
                 .oracle()
                 .classify_outputs(trace)
@@ -184,11 +189,15 @@ fn switching_vs_demand_driven() {
         for f in &b.faults {
             let session = b.session(f).expect("session builds");
             let expected = session.oracle().expected_outputs().to_vec();
+            // The search switches predicate instances of the whole failing
+            // run, which it traces itself: the session keeps the run only
+            // through `o×`.
+            let run = run_traced(session.program(), session.analysis(), session.config());
             let search = find_critical_predicate(
                 session.program(),
                 session.analysis(),
                 session.config(),
-                session.trace(),
+                &run.trace,
                 &expected,
                 SearchOrder::Prioritized,
             );

@@ -1,16 +1,18 @@
 //! Memory budget of one localization.
 //!
-//! A localization keeps only what its readers read: the failing run and
-//! the switched runs are traced, each region tree is one subtree size per
-//! instance, and the oracle's reference run and the profile runs keep
-//! values alone. This test counts live heap bytes with its own global
-//! allocator and holds the high-water mark of a sed ×250 `DebugSession`
-//! build plus `locate` (one verify worker) under a bound per event of the
-//! failing trace.
+//! A localization keeps only what its readers read: the failing run is
+//! traced only through its first wrong output, the switched runs only
+//! until that output's alignment is decided, each region tree is one
+//! subtree size per instance, and the oracle's reference run and the
+//! profile runs keep values alone. This test counts live heap bytes with
+//! its own global allocator and holds the high-water mark of a sed ×250
+//! `DebugSession` build plus `locate` (one verify worker) under a bound
+//! per statement instance of the failing run.
 
+use omislice::omislice_analysis::ProgramAnalysis;
 use omislice::{DebugSession, LocateConfig};
 use omislice_corpus::{all_benchmarks, WorkloadGen};
-use omislice_interp::{run_plain, RunConfig};
+use omislice_interp::{run_plain, run_traced, RunConfig};
 use omislice_lang::compile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,12 +76,15 @@ static GLOBAL: Counting = Counting;
 /// The seed of the drawn sed ×250 input.
 const SEED: u64 = 1;
 
-/// Peak live heap bytes per failing-trace event a localization may use.
-/// Measured on sed V3-F2 ×250 (seed 1, 53,866 events; the count is
-/// deterministic): 433 B/event (23.3 MB) with the reference and profile
-/// runs traced and a six-array region tree per aligned trace, 291 B/event
-/// (15.7 MB) with value runs and one subtree size per instance.
-const MAX_PEAK_BYTES_PER_EVENT: usize = 360;
+/// Peak live heap bytes per statement instance of the failing run a
+/// localization may use. Measured on sed V3-F2 ×250 (seed 1, 53,866
+/// instances; the count is deterministic): 433 B/instance (23.3 MB) with
+/// the reference and profile runs traced and a six-array region tree per
+/// aligned trace, 291 B/instance (15.7 MB) with value runs and one subtree
+/// size per instance (bound 360), and 62 B/instance (3.39 MB) with the
+/// failing run recorded only through its first wrong output: the bound is
+/// that plus the same ~24 % margin.
+const MAX_PEAK_BYTES_PER_EVENT: usize = 77;
 
 #[test]
 fn localization_peak_heap_stays_under_budget_per_event() {
@@ -101,6 +106,15 @@ fn localization_peak_heap_stays_under_budget_per_event() {
             want.is_normal() && got.is_normal() && want.outputs != got.outputs
         })
         .expect("a drawn input exposes the fault");
+    // The failing run's instance count, taken outside the counted window:
+    // the session traces the run only through its first wrong output.
+    let instances = run_traced(
+        &faulty,
+        &ProgramAnalysis::build(&faulty),
+        &RunConfig::with_inputs(inputs.clone()),
+    )
+    .trace
+    .len();
     drop((fixed, faulty));
 
     let base = LIVE.load(Ordering::Relaxed);
@@ -116,13 +130,13 @@ fn localization_peak_heap_stays_under_budget_per_event() {
     };
     let outcome = session.locate(&lc).expect("localization runs");
     let peak = PEAK.load(Ordering::Relaxed) - base;
-    let events = session.trace().len();
     assert!(outcome.found, "the seeded root is found");
-    let per_event = peak / events;
-    eprintln!("peak {peak} B over {events} failing-trace events: {per_event} B/event");
+    assert_eq!(session.run_instances(), instances);
+    let per_event = peak / instances;
+    eprintln!("peak {peak} B over {instances} failing-run instances: {per_event} B/instance");
     assert!(
         per_event <= MAX_PEAK_BYTES_PER_EVENT,
-        "peak heap {peak} B is {per_event} B per failing-trace event ({events} events), \
+        "peak heap {peak} B is {per_event} B per failing-run instance ({instances} instances), \
          over the {MAX_PEAK_BYTES_PER_EVENT} B budget"
     );
 }

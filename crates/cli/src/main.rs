@@ -36,16 +36,43 @@ use omislice::omislice_interp::{
 };
 use omislice::omislice_lang::{compile, FrontendError, Program};
 use omislice::omislice_slicing::{relevant_slice, DepGraph};
-use omislice::omislice_trace::{
-    take_recovery, FaultPlan, RecoveryLog, Supervisor, Trace, TraceStats,
-};
+use omislice::omislice_trace::{take_recovery, FaultPlan, RecoveryLog, Supervisor, TraceStats};
 use omislice::{
-    build_journal, default_jobs, describe_inst, render_slice, DebugSession, DebugSessionBuilder,
-    JournalMeta, LocateConfig, LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
+    default_jobs, describe_inst, render_slice, DebugSession, DebugSessionBuilder, JournalMeta,
+    LocateConfig, LocateOutcome, SessionError, VerifierMode, VerifyMemo, MAX_JOBS,
 };
 use omislice_corpus::all_benchmarks;
 use omislice_obs::{MetricSet, Recording, Reporter};
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// Writes command output to stdout, the one writer every command's
+/// output goes through. A reader that has gone away (`omislice … | head`)
+/// ends the process quietly with status 0, since nothing more can reach
+/// it; any other write failure ends it with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        let _ = writeln!(std::io::stderr(), "omislice: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Exit code for a run cut short by `--deadline`: the report is partial
 /// but well-formed, distinct from both success (0) and usage/pipeline
@@ -256,7 +283,7 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
     let config = RunConfig::with_inputs(input_flag(&opts)?);
     let result = run_plain(&program, &config);
     for v in &result.outputs {
-        println!("{v}");
+        outln!("{v}");
     }
     if result.input_underflows > 0 {
         Reporter::stderr().warn(&format!(
@@ -314,28 +341,28 @@ fn cmd_trace(args: Vec<String>) -> Result<ExitCode, CliError> {
         rep.section("trace statistics");
         rep.block(&TraceStats::compute(trace).to_string());
     } else if opts.has("regions") && opts.has("dot") {
-        print!(
+        out!(
             "{}",
             omislice::omislice_trace::regions_to_dot(trace, analysis.index())
         );
     } else if opts.has("regions") {
-        println!("{}", trace.regions().render_all());
+        outln!("{}", trace.regions().render_all());
     } else if opts.has("dot") {
-        print!(
+        out!(
             "{}",
             omislice::omislice_trace::ddg_to_dot(trace, analysis.index())
         );
     } else {
         for inst in trace.insts() {
-            println!("{}", describe_inst(trace, &analysis, inst));
+            outln!("{}", describe_inst(trace, &analysis, inst));
         }
-        println!(
+        outln!(
             "-- {} instances, termination {:?}",
             trace.len(),
             trace.termination()
         );
         if run.input_underflows > 0 {
-            println!(
+            outln!(
                 "-- {} input() call(s) ran past the end of the input stream (yielded 0)",
                 run.input_underflows
             );
@@ -396,7 +423,7 @@ fn cmd_slice(args: Vec<String>) -> Result<ExitCode, CliError> {
     } else {
         DepGraph::new(trace).backward_slice(criterion)
     };
-    print!("{}", render_slice(trace, &analysis, &slice));
+    out!("{}", render_slice(trace, &analysis, &slice));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -413,7 +440,7 @@ fn cmd_cfg(args: Vec<String>) -> Result<ExitCode, CliError> {
         .cfg(func)
         .ok_or_else(|| format!("no function `{func}` in `{path}`"))?;
     let index = analysis.index();
-    print!("{}", cfg.to_dot(|s| index.stmt(s).head.clone()));
+    out!("{}", cfg.to_dot(|s| index.stmt(s).head.clone()));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -542,15 +569,15 @@ impl ObsOpts {
                 rep.line(line);
             }
         } else {
-            print!("{text}");
+            out!("{text}");
         }
     }
 
     /// Prints the metric set to stdout in the requested format.
     fn emit_metrics(&self, set: &MetricSet) {
         match self.metrics {
-            Some(MetricsFormat::Text) => print!("{}", set.to_prometheus()),
-            Some(MetricsFormat::Json) => println!("{}", set.to_json()),
+            Some(MetricsFormat::Text) => out!("{}", set.to_prometheus()),
+            Some(MetricsFormat::Json) => outln!("{}", set.to_json()),
             None => {}
         }
     }
@@ -558,40 +585,47 @@ impl ObsOpts {
 
 /// Folds trace, locate and verification counters, plus span aggregates
 /// when the recorder ran, into one set; `jobs` counts the verify workers.
+/// `trace_instances` and `trace_outputs` count the whole failing run; the
+/// other `trace_*` gauges are computed over its trace through `o×`, the
+/// view Algorithm 2 reads, whether recorded or loaded.
 fn locate_metrics(
-    trace: &Trace,
+    session: &DebugSession,
     outcome: &LocateOutcome,
     jobs: usize,
     rec: Option<&Recording>,
 ) -> MetricSet {
     let mut set = MetricSet::new();
-    let ts = TraceStats::compute(trace);
+    let ts = TraceStats::compute(session.trace());
     set.push(
         "trace_instances",
-        "Instances in the failing trace",
-        ts.instances as f64,
+        "Instances the failing run executed",
+        session.run_instances() as f64,
     );
     set.push(
         "trace_unique_stmts",
-        "Distinct statements executed",
+        "Distinct statements executed through the first wrong output",
         ts.unique_stmts as f64,
     );
     set.push(
         "trace_predicate_instances",
-        "Predicate instances in the failing trace",
+        "Predicate instances through the first wrong output",
         ts.predicate_instances as f64,
     );
     set.push(
         "trace_data_edges",
-        "Dynamic data-dependence edges",
+        "Dynamic data-dependence edges through the first wrong output",
         ts.data_edges as f64,
     );
     set.push(
         "trace_control_edges",
-        "Dynamic control-dependence edges",
+        "Dynamic control-dependence edges through the first wrong output",
         ts.control_edges as f64,
     );
-    set.push("trace_outputs", "Output events", ts.outputs as f64);
+    set.push(
+        "trace_outputs",
+        "Outputs the failing run printed",
+        session.run_outputs().len() as f64,
+    );
     set.push(
         "locate_found",
         "1 when the root cause landed in the IPS",
@@ -779,11 +813,10 @@ impl LocateFlags {
                 .as_ref()
                 .filter(|_| obs.profile_out.is_some())
                 .map(Recording::summarize);
-            let records = build_journal(
+            let records = session.journal(
                 &JournalMeta { program },
                 &lc,
                 &outcome,
-                session.trace(),
                 Some(&recovery),
                 summary.as_ref(),
                 rec.as_ref(),
@@ -804,12 +837,7 @@ impl LocateFlags {
             }
         }
         if obs.metrics.is_some() {
-            obs.emit_metrics(&locate_metrics(
-                session.trace(),
-                &outcome,
-                lc.jobs,
-                rec.as_ref(),
-            ));
+            obs.emit_metrics(&locate_metrics(&session, &outcome, lc.jobs, rec.as_ref()));
         }
         Ok(supervised_exit(
             &recovery,
@@ -922,20 +950,20 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, CliError> {
         omislice::Verifier::new(&program, &analysis, &config, &trace, mode_flag(&opts)?);
     let result = verifier.verify(p, u, var, u, expected);
 
-    println!("predicate : {}", describe_inst(&trace, &analysis, p));
-    println!("use       : {}", describe_inst(&trace, &analysis, u));
-    println!("variable  : {}", analysis.index().vars().name(var));
-    println!("verdict   : {:?}", result.verdict);
-    println!("outcome   : {}", result.outcome);
+    outln!("predicate : {}", describe_inst(&trace, &analysis, p));
+    outln!("use       : {}", describe_inst(&trace, &analysis, u));
+    outln!("variable  : {}", analysis.index().vars().name(var));
+    outln!("verdict   : {:?}", result.verdict);
+    outln!("outcome   : {}", result.outcome);
     match result.matched_use {
-        Some(m) => println!(
+        Some(m) => outln!(
             "matched   : the use corresponds to t{} in the switched run",
             m.index()
         ),
-        None => println!("matched   : the use has NO counterpart in the switched run"),
+        None => outln!("matched   : the use has NO counterpart in the switched run"),
     }
     if let Some(v) = result.failure_value {
-        println!("value at the matched failure point: {v}");
+        outln!("value at the matched failure point: {v}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -945,14 +973,14 @@ fn cmd_corpus(args: Vec<String>) -> Result<ExitCode, CliError> {
     match opts.positional.first().map(String::as_str) {
         None | Some("list") => {
             for b in all_benchmarks() {
-                println!(
+                outln!(
                     "{} ({} LOC, {} procedures)",
                     b.name,
                     b.loc(),
                     b.procedures()
                 );
                 for f in &b.faults {
-                    println!("  {:8} [{}] {}", f.id, f.kind, f.description);
+                    outln!("  {:8} [{}] {}", f.id, f.kind, f.description);
                 }
             }
             Ok(ExitCode::SUCCESS)
@@ -1014,11 +1042,10 @@ fn cmd_serve(args: Vec<String>) -> Result<ExitCode, CliError> {
     }
     let workers = config.workers;
     let handle = omislice_serve::start(config)?;
-    println!(
+    outln!(
         "omislice serve listening on {} ({workers} workers)",
         handle.addr()
     );
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     handle.join();
     Ok(ExitCode::SUCCESS)

@@ -131,6 +131,49 @@ fn corpus_list_shows_all_faults() {
     }
 }
 
+/// `omislice corpus list | head -1`: once the reader has gone, a write
+/// fails with a broken pipe, which must end the process quietly with
+/// status 0, never with a panic (exit 101). Twice: the pipe closed after
+/// the first line is read, as `head -1` closes it (the process may have
+/// written every line by then), and closed before anything is written,
+/// which always breaks the first write.
+#[test]
+fn a_closed_stdout_ends_the_process_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let check = |out: std::process::Output, when: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{when}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{when}: {stderr}");
+        assert!(out.status.success(), "{when}: {:?} {stderr}", out.status);
+    };
+    let mut child = Command::new(env!("CARGO_BIN_EXE_omislice"))
+        .args(["corpus", "list"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("the first line arrives");
+    assert!(first.starts_with("flex"), "{first}");
+    check(
+        child.wait_with_output().expect("binary exits"),
+        "after one line",
+    );
+
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_omislice"))
+        .args(["corpus", "list"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    check(out, "before any line");
+}
+
 #[test]
 fn corpus_locate_runs_a_session() {
     let out = omislice(&["corpus", "locate", "sed", "V3-F2"]);

@@ -11,7 +11,12 @@
 //!   also used for cheap output-only re-executions;
 //! * [`run_values`] keeps each statement's values, for readers that
 //!   compare values and nothing else (the ground-truth oracle's
-//!   reference run, value profiles).
+//!   reference run, value profiles);
+//! * [`run_failing`] records a localization's failing run until its
+//!   first output that differs from the reference run's, which
+//!   [`run_values_publishing`] streams to it through an [`OutputFeed`]
+//!   from another thread, and folds the later values without recording
+//!   them.
 //!
 //! Whatever it records, every run supports **predicate switching**
 //! ([`SwitchSpec`]): forcing one dynamic instance of a chosen predicate to
@@ -27,14 +32,16 @@
 //! re-execution in Definition 2 ("reexecute with the same input, switch
 //! `p`") reproduces the original run exactly up to the switch point.
 
+pub mod feed;
 pub mod snapshot;
 pub mod store;
 pub mod tracer;
 
+pub use feed::OutputFeed;
 pub use snapshot::{resume_switched, run_switched, Checkpoint, ResumeError, ResumeMode};
 pub use tracer::{
-    run_plain, run_plain_indexed, run_traced, run_values, PlainRun, StmtValues, TracedRun,
-    ValueRun, MAX_CALL_DEPTH,
+    run_failing, run_plain, run_plain_indexed, run_traced, run_values, run_values_publishing,
+    FailingRun, PlainRun, StmtValues, TracedRun, ValueRun, MAX_CALL_DEPTH,
 };
 
 use omislice_lang::StmtId;

@@ -13,7 +13,10 @@
 //! * the full sink records the dynamic dependence graph — data
 //!   dependences, dynamic control dependences, region nesting, timestamps
 //!   ([`run_traced`]), the paper's "Graph" configuration — and captures
-//!   the checkpoints switched runs resume from.
+//!   the checkpoints switched runs resume from. A switched run's full
+//!   sink stops recording once its horizon is decided; the failing run's
+//!   ([`run_failing`]) stops at its first wrong output and folds the
+//!   values it no longer records.
 //!
 //! Every run keeps frames, globals and cells, the occurrence counters
 //! behind *predicate switching* (forcing a chosen dynamic predicate
@@ -22,6 +25,7 @@
 //! plain run is the trace erasure of a traced one: the three agree by
 //! construction.
 
+use crate::feed::{CloseOnDrop, OutputFeed};
 use crate::snapshot::Checkpoint;
 use crate::store::{Cell, Defs, Frame, Globals, Provenance, Slot};
 use crate::{OverrideSpec, RunConfig, SwitchSpec};
@@ -165,13 +169,15 @@ impl StmtValues {
 /// no per-statement vectors to set up, grow or shrink. The log is a
 /// list of chunks, so it grows without copying what it holds.
 #[derive(Default)]
-struct ValueLog {
+struct ValueLog<'a> {
     /// Filled chunks, in execution order.
     full: Vec<(Vec<u32>, Vec<i64>)>,
     /// The chunk being filled: statement per value, its top bit set when
     /// the value is a boolean, and payload per value (booleans as 0/1).
     tags: Vec<u32>,
     words: Vec<i64>,
+    /// Where the run publishes each output as it prints it, if anywhere.
+    feed: Option<&'a OutputFeed>,
 }
 
 /// The boolean flag in a [`ValueLog`] tag.
@@ -182,7 +188,7 @@ const BOOL_TAG: u32 = 1 << 31;
 const FIRST_CHUNK: usize = 1 << 10;
 const MAX_CHUNK: usize = 1 << 16;
 
-impl ValueLog {
+impl ValueLog<'_> {
     #[inline]
     fn push(&mut self, tag: u32, word: i64) {
         if self.tags.len() == self.tags.capacity() {
@@ -253,7 +259,33 @@ pub struct ValueRun {
 /// run is never scoped by a [`Supervisor`](omislice_trace::Supervisor)
 /// deadline, which only the failing run's recording observes.
 pub fn run_values(program: &Program, index: &ProgramIndex, config: &RunConfig) -> ValueRun {
-    let mut e = Eval::new(program, index, config, ValueLog::default());
+    run_values_into(program, index, config, ValueLog::default())
+}
+
+/// [`run_values`], publishing each output into `feed` as it is printed
+/// and closing the feed when the run returns or unwinds: the reference
+/// run a [`run_failing`] on another thread compares its outputs with.
+pub fn run_values_publishing(
+    program: &Program,
+    index: &ProgramIndex,
+    config: &RunConfig,
+    feed: &OutputFeed,
+) -> ValueRun {
+    let _close = CloseOnDrop(feed);
+    let sink = ValueLog {
+        feed: Some(feed),
+        ..ValueLog::default()
+    };
+    run_values_into(program, index, config, sink)
+}
+
+fn run_values_into(
+    program: &Program,
+    index: &ProgramIndex,
+    config: &RunConfig,
+    sink: ValueLog<'_>,
+) -> ValueRun {
+    let mut e = Eval::new(program, index, config, sink);
     let termination = termination(e.run_main());
     ValueRun {
         outputs: e.outputs.into_iter().map(|o| o.value).collect(),
@@ -332,19 +364,89 @@ pub(crate) fn run_traced_capturing(
         chain,
     );
     let mut e = Eval::new(program, analysis.index(), config, sink);
-    // The recorder guard sits outside the event-append loop: one
-    // `enabled()` check and one counter flush per run, never per event.
     let span = omislice_obs::span("trace");
     let result = e.run_main();
     let (run, captured) = e.into_traced(result);
+    count_recorded(&run.trace);
+    drop(span);
+    (run, captured)
+}
+
+/// Flushes a traced run's recorder counters. The recorder guard sits
+/// outside the event-append loop: one `enabled()` check and one counter
+/// flush per run, never per event.
+fn count_recorded(trace: &Trace) {
     if omislice_obs::enabled() {
-        let cols = run.trace.columns();
+        let cols = trace.columns();
         omislice_obs::counter_add("tracer.events", cols.len() as u64);
         omislice_obs::counter_add("tracer.runs", 1);
         omislice_obs::counter_add("columnar.bytes", cols.bytes() as u64);
     }
+}
+
+/// Result of a localization's failing run ([`run_failing`]).
+#[derive(Debug, Clone)]
+pub struct FailingRun {
+    /// The trace through the run's first output that differs from the
+    /// reference's output at the same position (`o×`), `o× + 1` events;
+    /// the whole trace when no output differs. Its outputs are those its
+    /// events emitted, its termination the whole run's.
+    pub trace: Trace,
+    /// Statement instances the whole run executed: the trace's length,
+    /// had the run been recorded to its end.
+    pub instances: usize,
+    /// Every value the whole run printed, in order.
+    pub outputs: Vec<Value>,
+}
+
+/// Executes the failing run of a localization: records it like
+/// [`run_traced`] while comparing each output it prints with the
+/// `reference` run's output at the same position, waiting only while
+/// the reference is still running and has not printed that far. An
+/// output the reference did not print (it ended with fewer) differs.
+///
+/// Once it has recorded the first output that differs, `o×`, the run
+/// stops recording the way a switched run does past its horizon: it
+/// executes on with the same deadline cadence, budget, faults, outputs
+/// and termination, and hands each later value to `fold` instead, once
+/// per change of its statement's value (a value equal to its
+/// statement's previous one is skipped, as [`run_traced`]'s value
+/// profile fold skips it). Nothing after `o×` can reach a localization's
+/// report, so its trace is the run through `o×`.
+pub fn run_failing(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    config: &RunConfig,
+    reference: &OutputFeed,
+    fold: &mut dyn FnMut(StmtId, Value),
+) -> FailingRun {
+    let mut sink = Full::new(analysis, Recorder::new(), Vec::new(), program, &[], None);
+    sink.reference = Some(reference);
+    sink.tail = Some(Tail {
+        fold,
+        last: vec![None; program.stmt_count() as usize],
+    });
+    let mut e = Eval::new(program, analysis.index(), config, sink);
+    let span = omislice_obs::span("trace");
+    let result = e.run_main();
+    if let Some(reference) = e.sink.reference {
+        reference.release(); // no output differed
+    }
+    let instances = e.next as usize;
+    // The trace keeps the outputs its events emitted; the whole run's
+    // become values in place.
+    let records = std::mem::take(&mut e.outputs);
+    let recorded = records.partition_point(|o| o.inst.index() < e.sink.rec.len());
+    e.outputs = records[..recorded].to_vec();
+    let outputs = records.into_iter().map(|o| o.value).collect();
+    let (run, _) = e.into_traced(result);
+    count_recorded(&run.trace);
     drop(span);
-    (run, captured)
+    FailingRun {
+        trace: run.trace,
+        instances,
+        outputs,
+    }
 }
 
 /// Resumes the suspended base run from `checkpoint` with `config.switch`
@@ -475,6 +577,11 @@ trait Sink {
     #[inline]
     fn def_var(&mut self, _var: VarId) {}
 
+    /// Notes the output `value` the instance just recorded printed, the
+    /// run's `position`-th (0-based).
+    #[inline]
+    fn output(&mut self, _value: Value, _position: usize) {}
+
     /// The length of the dependence buffer, where a window starts.
     #[inline]
     fn mark(&self) -> usize {
@@ -543,7 +650,7 @@ impl Sink for () {
 }
 
 /// The value sink: a value run keeps each statement's values.
-impl Sink for ValueLog {
+impl Sink for ValueLog<'_> {
     const TICKS: bool = false;
     type Defs = ();
 
@@ -553,6 +660,13 @@ impl Sink for ValueLog {
             None => {}
             Some(Value::Int(n)) => self.push(ev.stmt.0, n),
             Some(Value::Bool(b)) => self.push(ev.stmt.0 | BOOL_TAG, b as i64),
+        }
+    }
+
+    #[inline]
+    fn output(&mut self, value: Value, _position: usize) {
+        if let Some(feed) = self.feed {
+            feed.publish(value);
         }
     }
 }
@@ -582,10 +696,36 @@ struct Full<'a> {
     /// The descent chain a switched run follows, if it stops recording
     /// once the chain's target is decided.
     horizon: Option<Horizon>,
+    /// The reference outputs the failing run compares its own with until
+    /// one differs ([`run_failing`]); `None` on every other run and once
+    /// that output is recorded.
+    reference: Option<&'a OutputFeed>,
+    /// Where the failing run folds the values it no longer records.
+    tail: Option<Tail<'a>>,
     /// Whether events are still recorded: cleared once `horizon` is
-    /// passed, after which every hook but the recorder's deadline cadence
-    /// does nothing.
+    /// passed or the output `reference` rules wrong is recorded, after
+    /// which every hook but the recorder's deadline cadence and the tail
+    /// fold does nothing.
     live: bool,
+}
+
+/// The value fold of a run that stopped recording: each value goes to
+/// `fold` unless it equals its statement's previous one.
+struct Tail<'a> {
+    fold: &'a mut dyn FnMut(StmtId, Value),
+    /// The last value folded per statement.
+    last: Vec<Option<Value>>,
+}
+
+impl Tail<'_> {
+    #[inline]
+    fn fold(&mut self, stmt: StmtId, value: Value) {
+        let last = &mut self.last[stmt.index()];
+        if *last != Some(value) {
+            *last = Some(value);
+            (self.fold)(stmt, value);
+        }
+    }
 }
 
 /// Where a switched run stands on its [`DescentChain`]: the region the
@@ -671,6 +811,8 @@ impl<'a> Full<'a> {
             capture: capture_table(program, capture),
             captured: Vec::new(),
             horizon: chain.map(Horizon::new),
+            reference: None,
+            tail: None,
             live: true,
         }
     }
@@ -690,11 +832,15 @@ impl Sink for Full<'_> {
 
     /// Records the event with its timestamp, region parent and call depth
     /// and the deduplicated window as its data dependences, then advances
-    /// the horizon; once it is passed, later events are only counted.
+    /// the horizon; once recording stops, later events are only counted
+    /// and their values folded into the tail.
     #[inline]
     fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32) {
         if !self.live {
             self.rec.tick();
+            if let (Some(tail), Some(value)) = (&mut self.tail, ev.value) {
+                tail.fold(ev.stmt, value);
+            }
             return;
         }
         let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
@@ -721,6 +867,19 @@ impl Sink for Full<'_> {
     fn def_var(&mut self, var: VarId) {
         if self.live {
             self.rec.set_def_var_last(var);
+        }
+    }
+
+    /// Stops recording after the first output that differs from the
+    /// reference's at the same position, releasing the reference.
+    #[inline]
+    fn output(&mut self, value: Value, position: usize) {
+        if let Some(reference) = self.reference {
+            if reference.get(position) != Some(value) {
+                reference.release();
+                self.reference = None;
+                self.live = false;
+            }
         }
     }
 
@@ -1303,6 +1462,7 @@ impl<'a, S: Sink> Eval<'a, S> {
                     ..Ev::new(stmt.id, cd)
                 };
                 let inst = self.record(ev, mark)?;
+                self.sink.output(v, self.outputs.len());
                 self.outputs.push(OutputRecord { inst, value: v });
                 Ok(Flow::Normal)
             }

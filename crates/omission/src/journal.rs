@@ -114,11 +114,39 @@ fn iteration_record(it: &IterationRecord) -> Json {
 /// profile record is the opposite — scheduling facts — and is stripped
 /// alongside `spans`; a run without `--profile-out` emits no profile
 /// record at all, keeping clean journals byte-unchanged.
+///
+/// `trace` is the whole failing trace, whose length the header reports as
+/// `trace_len`; a [`DebugSession`](crate::DebugSession), which keeps the
+/// trace only through `o×`, builds its journal with
+/// [`DebugSession::journal`](crate::DebugSession::journal).
 pub fn build_journal(
     meta: &JournalMeta,
     lc: &LocateConfig,
     outcome: &LocateOutcome,
     trace: &Trace,
+    recovery: Option<&RecoveryLog>,
+    profile: Option<&ProfileSummary>,
+    spans: Option<&Recording>,
+) -> Vec<Json> {
+    let run = JournalRun {
+        trace,
+        instances: trace.len(),
+    };
+    journal_records(meta, lc, outcome, run, recovery, profile, spans)
+}
+
+/// What the journal reads of the failing run: a trace holding `o×`, and
+/// the whole run's instance count.
+pub(crate) struct JournalRun<'a> {
+    pub(crate) trace: &'a Trace,
+    pub(crate) instances: usize,
+}
+
+pub(crate) fn journal_records(
+    meta: &JournalMeta,
+    lc: &LocateConfig,
+    outcome: &LocateOutcome,
+    run: JournalRun<'_>,
     recovery: Option<&RecoveryLog>,
     profile: Option<&ProfileSummary>,
     spans: Option<&Recording>,
@@ -134,11 +162,11 @@ pub fn build_journal(
             Json::str(format!("{:?}", lc.resume).to_lowercase()),
         ),
         ("mode", Json::str(format!("{:?}", lc.mode).to_lowercase())),
-        ("trace_len", Json::UInt(trace.len() as u64)),
+        ("trace_len", Json::UInt(run.instances as u64)),
         ("wrong_output", Json::UInt(outcome.wrong_output.0 as u64)),
         (
             "wrong_stmt",
-            Json::UInt(trace.event(outcome.wrong_output).stmt.0 as u64),
+            Json::UInt(run.trace.event(outcome.wrong_output).stmt.0 as u64),
         ),
     ]));
     for it in &outcome.iteration_log {

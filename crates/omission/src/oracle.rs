@@ -11,7 +11,9 @@
 //! values against that reference run.
 
 use omislice_analysis::ProgramAnalysis;
-use omislice_interp::{run_values, RunConfig, StmtValues};
+use omislice_interp::{
+    run_values, run_values_publishing, OutputFeed, RunConfig, StmtValues, ValueRun,
+};
 use omislice_lang::{Program, StmtId};
 use omislice_trace::{InstId, Trace, Value};
 use std::collections::HashSet;
@@ -82,14 +84,28 @@ impl GroundTruthOracle {
         roots: impl IntoIterator<Item = StmtId>,
     ) -> Self {
         let _span = omislice_obs::span("reference");
-        let plain = RunConfig {
-            inputs: config.inputs.clone(),
-            step_budget: config.step_budget,
-            switch: None,
-            value_override: None,
-            fault: None,
-        };
-        let run = run_values(fixed_program, fixed_analysis.index(), &plain);
+        let run = run_values(fixed_program, fixed_analysis.index(), &reference(config));
+        GroundTruthOracle::from_run(run, roots)
+    }
+
+    /// [`GroundTruthOracle::new`], publishing the reference run's outputs
+    /// into `feed` as it prints them: the stream a failing run on another
+    /// thread stops recording by ([`omislice_interp::run_failing`]). The
+    /// feed is closed when the run returns or unwinds.
+    pub fn publishing(
+        fixed_program: &Program,
+        fixed_analysis: &ProgramAnalysis,
+        config: &RunConfig,
+        roots: impl IntoIterator<Item = StmtId>,
+        feed: &OutputFeed,
+    ) -> Self {
+        let _span = omislice_obs::span("reference");
+        let plain = reference(config);
+        let run = run_values_publishing(fixed_program, fixed_analysis.index(), &plain, feed);
+        GroundTruthOracle::from_run(run, roots)
+    }
+
+    fn from_run(run: ValueRun, roots: impl IntoIterator<Item = StmtId>) -> Self {
         GroundTruthOracle {
             outputs: run.outputs,
             values: run.values,
@@ -107,6 +123,18 @@ impl GroundTruthOracle {
     /// run's per-statement values.
     pub fn bytes(&self) -> usize {
         self.outputs.len() * std::mem::size_of::<Value>() + self.values.bytes()
+    }
+}
+
+/// The reference run's config: `config`'s inputs and budget, with no
+/// switch, override or injected fault.
+fn reference(config: &RunConfig) -> RunConfig {
+    RunConfig {
+        inputs: config.inputs.clone(),
+        step_budget: config.step_budget,
+        switch: None,
+        value_override: None,
+        fault: None,
     }
 }
 

@@ -13,14 +13,16 @@
 //! for byte by construction; a front end only turns flags or JSON into a
 //! builder and a [`LocateConfig`].
 
+use crate::journal::{journal_records, JournalMeta, JournalRun};
 use crate::locate::{locate_fault, LocateConfig, LocateError, LocateOutcome};
-use crate::oracle::GroundTruthOracle;
+use crate::oracle::{GroundTruthOracle, UserOracle};
 use crate::report::{render_explain, render_report};
 use omislice_analysis::{PdMode, ProgramAnalysis};
-use omislice_interp::{run_traced, run_values, RunConfig};
+use omislice_interp::{run_failing, run_values, FailingRun, OutputFeed, RunConfig};
 use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
+use omislice_obs::{Json, ProfileSummary, Recording};
 use omislice_slicing::ValueProfile;
-use omislice_trace::{note_recovery, RecoveryKind, Supervisor, Trace};
+use omislice_trace::{note_recovery, RecoveryKind, RecoveryLog, Supervisor, Trace, Value};
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 
@@ -135,10 +137,22 @@ impl DebugSessionBuilder {
     /// profile runs are read for values alone, so they are value runs
     /// ([`run_values`]). The reference run reads nothing the failing
     /// trace produces, so it runs on its own scoped thread beside the
-    /// failing-trace recording (or load) and the profile runs. The
-    /// supervisor's scope is the calling thread's, so the reference run
-    /// stays outside it (no fault fires and no recovery is noted there),
-    /// and a panic in it resumes on the caller.
+    /// failing run (or the trace load) and the profile runs, and
+    /// publishes each output as it prints it
+    /// ([`GroundTruthOracle::publishing`]). The failing run
+    /// ([`run_failing`]) compares each output it records with the
+    /// reference's at the same position and stops recording at the first
+    /// that differs, `o×`: it executes to its end with the same deadline
+    /// cadence, budget and termination, and folds every later value
+    /// straight into the value profile. A loaded trace is whole; the
+    /// session keeps its view through `o×` ([`Trace::prefix`]) once the
+    /// reference has finished. Either way the session also keeps the
+    /// whole run's instance count and outputs.
+    ///
+    /// The supervisor's scope is the calling thread's, so the reference
+    /// run stays outside it (no fault fires and no recovery is noted
+    /// there), and a panic in it resumes on the caller once the failing
+    /// run, which the closed feed releases, has returned.
     ///
     /// # Errors
     ///
@@ -161,26 +175,44 @@ impl DebugSessionBuilder {
         let reference_analysis = ProgramAnalysis::build(&reference);
         let config = RunConfig::with_inputs(self.failing_input);
         let sup = &self.supervisor;
-        let record = || sup.run(|| run_traced(&faulty, &analysis, &config).trace);
+        let feed = OutputFeed::new();
+        let mut profile = ValueProfile::new();
         let mut warnings = Vec::new();
-        let (trace, profile, oracle) = std::thread::scope(|s| {
+        let (run, oracle) = std::thread::scope(|s| {
             let reference_run = s.spawn(|| {
-                GroundTruthOracle::new(&reference, &reference_analysis, &config, roots.clone())
+                let roots = roots.clone();
+                GroundTruthOracle::publishing(
+                    &reference,
+                    &reference_analysis,
+                    &config,
+                    roots,
+                    &feed,
+                )
             });
-            let trace = match &self.trace_file {
-                None => record(),
-                Some(path) => sup.load_trace(path).unwrap_or_else(|e| {
-                    note_recovery(RecoveryKind::RetraceFallback);
-                    warnings.push(format!(
-                        "cannot load trace from `{}` ({e}); re-tracing from source",
-                        path.display()
-                    ));
-                    record()
+            let loaded = self.trace_file.as_ref().and_then(|path| {
+                sup.load_trace(path)
+                    .map_err(|e| {
+                        note_recovery(RecoveryKind::RetraceFallback);
+                        warnings.push(format!(
+                            "cannot load trace from `{}` ({e}); re-tracing from source",
+                            path.display()
+                        ));
+                    })
+                    .ok()
+            });
+            let run = match loaded {
+                Some(trace) => FailingRun {
+                    instances: trace.len(),
+                    outputs: trace.output_values(),
+                    trace,
+                },
+                None => sup.run(|| {
+                    let mut fold = |stmt, value| profile.observe(stmt, value);
+                    run_failing(&faulty, &analysis, &config, &feed, &mut fold)
                 }),
             };
             let profile_span = omislice_obs::span("value-profile");
-            let mut profile = ValueProfile::new();
-            profile.add_trace(&trace);
+            profile.add_trace(&run.trace);
             for inputs in self.profile_inputs {
                 let cfg = RunConfig {
                     inputs,
@@ -192,13 +224,22 @@ impl DebugSessionBuilder {
             let oracle = reference_run
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (trace, profile, oracle)
+            (run, oracle)
         });
+        // A recorded trace already ends at `o×`; a loaded one is cut here.
+        let trace = match oracle.classify_outputs(&run.trace) {
+            Some(c) if c.wrong.index() + 1 < run.trace.len() => {
+                run.trace.prefix(c.wrong.index() + 1)
+            }
+            _ => run.trace,
+        };
         Ok(DebugSession {
             faulty,
             analysis,
             config,
             trace,
+            run_instances: run.instances,
+            run_outputs: run.outputs,
             profile,
             oracle,
             roots,
@@ -213,7 +254,12 @@ pub struct DebugSession {
     faulty: Program,
     analysis: ProgramAnalysis,
     config: RunConfig,
+    /// The failing trace through `o×`.
     trace: Trace,
+    /// Statement instances the whole failing run executed.
+    run_instances: usize,
+    /// Every value the whole failing run printed.
+    run_outputs: Vec<Value>,
     profile: ValueProfile,
     oracle: GroundTruthOracle,
     roots: Vec<StmtId>,
@@ -280,9 +326,47 @@ impl DebugSession {
         &self.analysis
     }
 
-    /// The failing execution's trace.
+    /// The failing execution's trace through its first wrong output
+    /// `o×`: `o× + 1` events, the instances Algorithm 2 reads, numbered
+    /// as in the whole run, with the outputs they printed and the whole
+    /// run's termination. Nothing after `o×` can reach a report, so the
+    /// run was not recorded past it (or, loaded from a file, is cut
+    /// there). When no output is wrong, the whole run's trace. The whole
+    /// run's size and outputs are [`DebugSession::run_instances`] and
+    /// [`DebugSession::run_outputs`].
     pub fn trace(&self) -> &Trace {
         &self.trace
+    }
+
+    /// Statement instances the whole failing run executed: its trace's
+    /// length, had it been recorded to its end (the journal header's
+    /// `trace_len`).
+    pub fn run_instances(&self) -> usize {
+        self.run_instances
+    }
+
+    /// Every value the whole failing run printed, in order.
+    pub fn run_outputs(&self) -> &[Value] {
+        &self.run_outputs
+    }
+
+    /// The event journal of one localization of this session
+    /// ([`crate::build_journal`]), its header's `trace_len` the whole failing
+    /// run's instance count.
+    pub fn journal(
+        &self,
+        meta: &JournalMeta,
+        lc: &LocateConfig,
+        outcome: &LocateOutcome,
+        recovery: Option<&RecoveryLog>,
+        profile: Option<&ProfileSummary>,
+        spans: Option<&Recording>,
+    ) -> Vec<Json> {
+        let run = JournalRun {
+            trace: &self.trace,
+            instances: self.run_instances,
+        };
+        journal_records(meta, lc, outcome, run, recovery, profile, spans)
     }
 
     /// The run configuration of the failing execution.

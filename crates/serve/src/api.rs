@@ -12,7 +12,7 @@
 //! reads and answers 400 `bad-field` to any other, the way the CLI
 //! rejects unknown flags.
 
-use crate::cache::{fnv64, key_hex, parse_key_hex, SliceArtifacts};
+use crate::cache::{fnv64, key_hex, parse_key_hex, Built, SliceArtifacts};
 use crate::server::ServerState;
 use omislice::omislice_interp::{parse_inputs, parse_profiles, run_traced, ResumeMode, RunConfig};
 use omislice::omislice_lang::{compile, FrontendError, Program};
@@ -20,8 +20,7 @@ use omislice::omislice_slicing::{relevant_slice, DepGraph};
 use omislice::omislice_trace::supervisor::fault_hit;
 use omislice::omislice_trace::{take_recovery, FaultAction, FaultPlan, FaultSite, Supervisor};
 use omislice::{
-    build_journal, render_slice, DebugSession, JournalMeta, LocateConfig, SessionError,
-    VerifierMode, MAX_JOBS,
+    render_slice, DebugSession, JournalMeta, LocateConfig, SessionError, VerifierMode, MAX_JOBS,
 };
 use omislice_analysis::ProgramAnalysis;
 use omislice_obs::{Json, MetricSet};
@@ -248,7 +247,8 @@ const LOCATE_FIELDS: [&str; 13] = [
 ];
 
 /// Resolves the session for a locate request, with its cache key: by
-/// `program` hash (hit required), or by sources (a cache hit, or a fresh
+/// `program` hash (hit required), or by sources (a cache hit, the session
+/// a concurrent request for the same sources is building, or a fresh
 /// build whose failing trace records under the request's supervisor).
 fn resolve_session(
     state: &ServerState,
@@ -278,33 +278,31 @@ fn resolve_session(
         canonical_inputs(&inputs).as_bytes(),
         canonical_profiles(&profiles).as_bytes(),
     ]);
-    if let Some(session) = state.cache.get_session(key) {
-        return Ok((key, session, "hit"));
-    }
-
-    let session = DebugSession::builder(faulty_src)
-        .reference(fixed_src)
-        .failing_input(inputs)
-        .profile_inputs(profiles)
-        .supervisor(sup.clone())
-        .build()
-        .map_err(|e| match e {
-            SessionError::Faulty(e) => compile_error("faulty", faulty_src, &e),
-            SessionError::Reference(e) => compile_error("fixed", fixed_src, &e),
-            SessionError::StructuralMismatch(m) => ApiError::bad("structural-mismatch", m),
-            e @ SessionError::IdenticalPrograms => {
-                ApiError::bad("identical-programs", e.to_string())
-            }
-            e @ SessionError::MissingReference => ApiError::bad("missing-field", e.to_string()),
-        })?;
-    let bytes = session_bytes(faulty_src, fixed_src, &session);
-    let session = Arc::new(session);
-    // A deadline that expired during the build leaves a partial trace:
-    // serve the partial result but never cache it.
-    if !sup.deadline_expired() {
-        state.cache.insert_session(key, Arc::clone(&session), bytes);
-    }
-    Ok((key, session, "miss"))
+    let (session, hit) = state.cache.session_or_build(key, || {
+        let session = DebugSession::builder(faulty_src)
+            .reference(fixed_src)
+            .failing_input(inputs)
+            .profile_inputs(profiles)
+            .supervisor(sup.clone())
+            .build()
+            .map_err(|e| match e {
+                SessionError::Faulty(e) => compile_error("faulty", faulty_src, &e),
+                SessionError::Reference(e) => compile_error("fixed", fixed_src, &e),
+                SessionError::StructuralMismatch(m) => ApiError::bad("structural-mismatch", m),
+                e @ SessionError::IdenticalPrograms => {
+                    ApiError::bad("identical-programs", e.to_string())
+                }
+                e @ SessionError::MissingReference => ApiError::bad("missing-field", e.to_string()),
+            })?;
+        Ok(Built {
+            bytes: session_bytes(faulty_src, fixed_src, &session),
+            session: Arc::new(session),
+            // A deadline that expired during the build leaves a partial
+            // trace: serve the partial result but never cache or share it.
+            shared: !sup.deadline_expired(),
+        })
+    })?;
+    Ok((key, session, if hit { "hit" } else { "miss" }))
 }
 
 /// Heap bytes the faulty program and its analysis hold per byte of the
@@ -312,15 +310,18 @@ fn resolve_session(
 const PROGRAM_BYTES_PER_SOURCE_BYTE: usize = 16;
 
 /// What the artifact cache charges for a locate session built from
-/// `faulty_src` and `fixed_src`: the failing trace as it is held (columns
-/// with their spare capacity, outputs, anything built on it), the
-/// oracle's reference values, the value profile, and the faulty program
-/// with its analysis. A localization runs on a view of the trace that it
-/// drops on return, so a `locate` leaves the session's footprint as the
-/// build left it.
+/// `faulty_src` and `fixed_src`: the failing trace as it is held (its
+/// columns through the first wrong output with their spare capacity,
+/// outputs, anything built on it), the whole failing run's outputs, the
+/// failing input, the oracle's reference values, the value profile, and
+/// the faulty program with its analysis. A localization runs on a view of
+/// the trace that it drops on return, so a `locate` leaves the session's
+/// footprint as the build left it.
 pub fn session_bytes(faulty_src: &str, fixed_src: &str, session: &DebugSession) -> usize {
     PROGRAM_BYTES_PER_SOURCE_BYTE * (faulty_src.len() + fixed_src.len())
         + session.trace().heap_bytes()
+        + std::mem::size_of_val(session.run_outputs())
+        + std::mem::size_of_val(session.config().inputs.as_slice())
         + session.oracle().bytes()
         + session.profile().bytes()
 }
@@ -406,15 +407,7 @@ pub fn handle_locate(state: &ServerState, body: &Json) -> Result<Json, ApiError>
         };
         // Per-request journals never carry spans or profiles: the span
         // recorder is process-global and worker threads would interleave.
-        let records = build_journal(
-            &meta,
-            &lc,
-            &outcome,
-            session.trace(),
-            Some(&recovery),
-            None,
-            None,
-        );
+        let records = session.journal(&meta, &lc, &outcome, Some(&recovery), None, None);
         pairs.push(("journal", Json::Array(records)));
     }
     Ok(Json::Object(
@@ -552,7 +545,7 @@ pub fn metrics_set(state: &ServerState) -> MetricSet {
     set.push("serve_cache_hits", "Artifact cache hits", cache.hits as f64);
     set.push(
         "serve_cache_misses",
-        "Artifact cache misses",
+        "Artifact cache misses: one per build, however many requests waited for it, and one per unknown program hash",
         cache.misses as f64,
     );
     set.push(

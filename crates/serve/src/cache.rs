@@ -9,13 +9,15 @@
 //! deterministic logical tick orders entries and the least-recently-used
 //! one is dropped when the byte budget overflows, so a request replayed
 //! against a warm or a cold cache sees identical artifacts either way.
+//! Concurrent requests for one uncached locate session share one build
+//! ([`ArtifactCache::session_or_build`]).
 
 use omislice::DebugSession;
 use omislice_analysis::ProgramAnalysis;
 use omislice_lang::Program;
 use omislice_trace::{Fnv1a, Trace};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default cache budget: a handful of sed×1000-sized working sets.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
@@ -58,6 +60,15 @@ enum Artifact {
     Slice(Arc<SliceArtifacts>),
 }
 
+impl Artifact {
+    fn session(&self) -> Option<Arc<DebugSession>> {
+        match self {
+            Artifact::Session(s) => Some(Arc::clone(s)),
+            Artifact::Slice(_) => None,
+        }
+    }
+}
+
 struct Entry<T> {
     value: T,
     bytes: usize,
@@ -68,10 +79,69 @@ struct Entry<T> {
 struct Inner {
     tick: u64,
     entries: HashMap<u64, Entry<Artifact>>,
+    /// Locate sessions being built, by key: a request for one waits for
+    /// its build instead of starting another.
+    building: HashMap<u64, Arc<Flight>>,
     bytes: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+impl Inner {
+    /// The entry under `key` if `pick` accepts its kind, refreshing its
+    /// LRU tick; an entry of the other kind is a miss and keeps its tick.
+    fn find<T>(&mut self, key: u64, pick: impl FnOnce(&Artifact) -> Option<T>) -> Option<T> {
+        self.tick += 1;
+        let tick = self.tick;
+        let e = self.entries.get_mut(&key)?;
+        let value = pick(&e.value)?;
+        e.tick = tick;
+        Some(value)
+    }
+}
+
+/// One locate session build in flight, which requests for its key wait
+/// on. It ends with the session it shares, or `None` when it has none to
+/// share (it failed, panicked, or was cut short by its own deadline).
+type Flight = OnceLock<Option<Arc<DebugSession>>>;
+
+/// A locate session fresh from a build, as
+/// [`ArtifactCache::session_or_build`] takes it.
+pub struct Built {
+    pub session: Arc<DebugSession>,
+    /// What the cache charges for it.
+    pub bytes: usize,
+    /// Whether it may be cached and handed to the requests that waited
+    /// for it: a build cut short by its own deadline holds a partial
+    /// trace and may not.
+    pub shared: bool,
+}
+
+/// The one builder of a key while it builds. Dropped when the build
+/// returns, fails or unwinds: it retires the flight, caches what the
+/// build shares under the same lock, so a later request finds one or the
+/// other, and wakes the waiters.
+struct Lead<'a> {
+    cache: &'a ArtifactCache,
+    key: u64,
+    shared: Option<(Arc<DebugSession>, usize)>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let mut inner = self.cache.lock();
+        let flight = inner.building.remove(&self.key);
+        let shared = self.shared.take().map(|(session, bytes)| {
+            let entry = Artifact::Session(Arc::clone(&session));
+            self.cache.insert_locked(&mut inner, self.key, entry, bytes);
+            session
+        });
+        drop(inner);
+        if let Some(flight) = flight {
+            let _ = flight.set(shared);
+        }
+    }
 }
 
 /// Occupancy counters for `/metrics`.
@@ -104,10 +174,7 @@ impl ArtifactCache {
 
     /// Looks up a locate session, refreshing its LRU tick on a hit.
     pub fn get_session(&self, key: u64) -> Option<Arc<DebugSession>> {
-        self.get(key, |a| match a {
-            Artifact::Session(s) => Some(Arc::clone(s)),
-            Artifact::Slice(_) => None,
-        })
+        self.get(key, Artifact::session)
     }
 
     /// Looks up slice artifacts, refreshing their LRU tick on a hit.
@@ -118,11 +185,49 @@ impl ArtifactCache {
         })
     }
 
-    /// Inserts a locate session, evicting least-recently-used entries
-    /// until the byte budget holds. First insert wins on a key race so
-    /// concurrent builders agree on the shared value.
-    pub fn insert_session(&self, key: u64, value: Arc<DebugSession>, bytes: usize) {
-        self.insert(key, Artifact::Session(value), bytes);
+    /// The locate session under `key`, and whether it was a hit: the
+    /// cached session; the one a concurrent build of `key` shares when it
+    /// ends (a hit too, since nothing is built twice); or, as the key's
+    /// one builder, `build`'s, cached when it may be shared. Misses count
+    /// builds. A build that fails, panics or may not be shared releases
+    /// the requests waiting on it to look again, and one of them builds.
+    pub fn session_or_build<E>(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> Result<Built, E>,
+    ) -> Result<(Arc<DebugSession>, bool), E> {
+        loop {
+            let flight = {
+                let mut inner = self.lock();
+                if let Some(session) = inner.find(key, Artifact::session) {
+                    inner.hits += 1;
+                    return Ok((session, true));
+                }
+                match inner.building.get(&key) {
+                    Some(flight) => Arc::clone(flight),
+                    None => {
+                        inner.building.insert(key, Arc::default());
+                        inner.misses += 1;
+                        break;
+                    }
+                }
+            };
+            if let Some(session) = flight.wait().clone() {
+                self.lock().hits += 1;
+                return Ok((session, true));
+            }
+        }
+        let mut lead = Lead {
+            cache: self,
+            key,
+            shared: None,
+        };
+        let built = build()?;
+        if built.shared {
+            lead.shared = Some((Arc::clone(&built.session), built.bytes));
+        }
+        drop(lead);
+        Ok((built.session, false))
     }
 
     /// Inserts slice artifacts under the same budget as sessions.
@@ -136,17 +241,10 @@ impl ArtifactCache {
             .expect("no cache operation panics holding the lock")
     }
 
-    /// The entry under `key` if `pick` accepts its kind, refreshing its
-    /// LRU tick; an entry of the other kind is a miss and keeps its tick.
+    /// [`Inner::find`], counting a hit or a miss.
     fn get<T>(&self, key: u64, pick: impl FnOnce(&Artifact) -> Option<T>) -> Option<T> {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let hit = inner.entries.get_mut(&key).and_then(|e| {
-            let value = pick(&e.value)?;
-            e.tick = tick;
-            Some(value)
-        });
+        let hit = inner.find(key, pick);
         if hit.is_some() {
             inner.hits += 1;
         } else {
@@ -157,6 +255,10 @@ impl ArtifactCache {
 
     fn insert(&self, key: u64, value: Artifact, bytes: usize) {
         let mut inner = self.lock();
+        self.insert_locked(&mut inner, key, value, bytes);
+    }
+
+    fn insert_locked(&self, inner: &mut Inner, key: u64, value: Artifact, bytes: usize) {
         inner.tick += 1;
         let tick = inner.tick;
         if inner.entries.contains_key(&key) {
@@ -164,7 +266,7 @@ impl ArtifactCache {
         }
         inner.entries.insert(key, Entry { value, bytes, tick });
         inner.bytes += bytes;
-        self.evict(&mut inner);
+        self.evict(inner);
     }
 
     /// Drops least-recently-used entries, of either kind, until the
@@ -264,12 +366,22 @@ mod tests {
         assert!(stats.bytes <= 100 || stats.sessions + stats.slices == 1);
     }
 
-    /// A locate session for `faulty` against a program printing 0.
-    fn session(faulty: &str) -> Arc<DebugSession> {
-        let session = DebugSession::builder(faulty)
-            .reference("fn main() { print(0); }")
-            .build();
-        Arc::new(session.unwrap())
+    /// Builds and caches, under `key` at `bytes`, a locate session for
+    /// `faulty` against a program printing 0.
+    fn cache_session(cache: &ArtifactCache, key: u64, faulty: &str, bytes: usize) {
+        let build = || -> Result<Built, ()> {
+            let session = DebugSession::builder(faulty)
+                .reference("fn main() { print(0); }")
+                .build()
+                .unwrap();
+            Ok(Built {
+                session: Arc::new(session),
+                bytes,
+                shared: true,
+            })
+        };
+        let (_, hit) = cache.session_or_build(key, build).unwrap();
+        assert!(!hit, "{faulty} was not cached yet");
     }
 
     #[test]
@@ -280,7 +392,7 @@ mod tests {
         let k2 = fnv64(&[b"locate", b"2"]);
         let k4 = fnv64(&[b"locate", b"4"]);
         cache.insert_slice(k1, a1, 40);
-        cache.insert_session(k2, session("fn main() { print(2); }"), 40);
+        cache_session(&cache, k2, "fn main() { print(2); }", 40);
         // A session probe under a slice's key misses (the served 404
         // `unknown-program`) and leaves the slice's tick alone.
         assert!(cache.get_session(k1).is_none());
@@ -290,14 +402,15 @@ mod tests {
         cache.insert_slice(k3, a3, 40); // 120 B: the slice k1 is oldest
         assert!(cache.get_slice(k1).is_none());
         assert!(cache.get_slice(k3).is_some()); // refresh k3 past k2
-        cache.insert_session(k4, session("fn main() { print(4); }"), 40);
+        cache_session(&cache, k4, "fn main() { print(4); }", 40);
         assert!(cache.get_session(k2).is_none(), "the session k2 is oldest");
         assert!(cache.get_slice(k3).is_some());
         assert!(cache.get_session(k4).is_some());
         let stats = cache.stats();
         assert_eq!((stats.sessions, stats.slices), (1, 1));
         assert_eq!((stats.evictions, stats.bytes), (2, 80));
-        assert_eq!((stats.hits, stats.misses), (4, 4));
+        // Misses: the two session builds and four probes that found nothing.
+        assert_eq!((stats.hits, stats.misses), (4, 6));
     }
 
     #[test]

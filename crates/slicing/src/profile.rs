@@ -133,6 +133,14 @@ impl ValueProfile {
         self.runs += 1;
     }
 
+    /// Adds one value of `stmt` without counting a run: the fold of the
+    /// values a failing run no longer records past its first wrong output
+    /// ([`omislice_interp::run_failing`]), whose recorded trace
+    /// [`ValueProfile::add_trace`] folds and counts.
+    pub fn observe(&mut self, stmt: StmtId, value: Value) {
+        self.set(stmt.index()).insert(value);
+    }
+
     /// The value set of statement index `i`, grown on demand.
     fn set(&mut self, i: usize) -> &mut ValueSet {
         if i >= self.values.len() {

@@ -22,12 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     let session = sed.session(fault)?;
-    let trace = session.trace();
+    // The whole run's size and outputs; its trace ends at the first wrong
+    // output, all that the locator reads.
     println!(
         "failing run : {} statement instances, outputs {:?}",
-        trace.len(),
-        trace.output_values()
+        session.run_instances(),
+        session.run_outputs()
     );
+    let trace = session.trace();
     println!(
         "expected    : outputs {:?}",
         session.oracle().expected_outputs()

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // 1. The failure: print(flags) emits 1, but 9 was expected.
-    println!("faulty output : {:?}", session.trace().output_values());
+    println!("faulty output : {:?}", session.run_outputs());
 
     // 2. Classic dynamic slicing misses the root cause: the guard was not
     //    taken, so no dynamic dependence connects S1 to the output.
