@@ -349,6 +349,41 @@ verify_smoke() {
         exit 1
     fi
     echo "   traced: tracer_runs=$traced = reexecutions $reexecs + the failing run"
+    # A wrong output printed before a long loop: every switched run
+    # stops recording at that output's counterpart and must hand the loop
+    # to the tail sink, and the oracle's reference run must keep no more
+    # values than the failing trace through that output has instances. A
+    # silent fall-back to full-sink tails, or a reference kept whole,
+    # fails here.
+    local dir
+    dir=$(mktemp -d)
+    local body='flags = 1; if save == 1 { flags = 2; } print(flags);
+            let i = 0; let s = 0;
+            while i < 5000 { s = s + i % 7; i = i + 1; }
+            print(s); }'
+    printf 'global flags = 0;\nfn main() { let save = input() - 1; %s\n' "$body" > "$dir/faulty.omi"
+    printf 'global flags = 0;\nfn main() { let save = input(); %s\n' "$body" > "$dir/fixed.omi"
+    if ! RUST_BACKTRACE=1 ./target/release/omislice locate --faulty "$dir/faulty.omi" \
+        --fixed "$dir/fixed.omi" --input 1 --metrics text >"$metrics" 2>"$dir/err"; then
+        echo "verify smoke FAILED: locate on the early-failure program:" >&2
+        cat "$dir/err" >&2
+        exit 1
+    fi
+    rm -rf "$dir"
+    local handoffs kept view
+    reexecs=$(awk '$1 == "omislice_verify_reexecutions" {print int($2)}' "$metrics")
+    handoffs=$(awk '$1 == "omislice_verify_tail_handoffs" {print int($2)}' "$metrics")
+    kept=$(awk '$1 == "omislice_reference_kept_values" {print int($2)}' "$metrics")
+    view=$(awk '$1 == "omislice_trace_view_instances" {print int($2)}' "$metrics")
+    if [ "${reexecs:-0}" -lt 1 ] || [ "${handoffs:-x}" != "$reexecs" ]; then
+        echo "verify smoke FAILED: ${handoffs:-?} tail hand-offs for ${reexecs:-?} re-executions, want one per re-execution" >&2
+        exit 1
+    fi
+    if [ -z "$kept" ] || [ -z "$view" ] || [ "$kept" -gt "$view" ]; then
+        echo "verify smoke FAILED: the oracle keeps ${kept:-?} reference values for a ${view:-?}-instance trace through the wrong output" >&2
+        exit 1
+    fi
+    echo "   tail: hand-offs=$handoffs = reexecutions $reexecs; reference kept $kept values <= $view view instances"
     RUST_BACKTRACE=1 ./target/release/omislice corpus locate gzip V2-F3 \
         --metrics text >"$metrics"
     local prunings rounds

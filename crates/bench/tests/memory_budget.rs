@@ -8,14 +8,20 @@
 //! its own global allocator and holds the high-water mark of a sed ×250
 //! `DebugSession` build plus `locate` (one verify worker) under a bound
 //! per statement instance of the failing run.
+//!
+//! The oracle's reference run stops once it holds what a localization on
+//! the failing trace through `o×` can ask, and the oracle keeps exactly
+//! that: no more values than that trace has instances, and the same
+//! bytes whichever of the two runs finishes first.
 
 use omislice::omislice_analysis::ProgramAnalysis;
-use omislice::{DebugSession, LocateConfig};
+use omislice::{DebugSession, GroundTruthOracle, LocateConfig, UserOracle};
 use omislice_corpus::{all_benchmarks, WorkloadGen};
-use omislice_interp::{run_plain, run_traced, RunConfig};
+use omislice_interp::{run_failing, run_plain, run_traced, OutputFeed, RunConfig};
 use omislice_lang::compile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 /// Tracks live heap bytes and their high-water mark across all threads.
 struct Counting;
@@ -73,6 +79,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by each test for its whole run: the counter sees every thread's
+/// allocations, so no other test may run beside the measured one.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// The seed of the drawn sed ×250 input.
 const SEED: u64 = 1;
 
@@ -81,13 +91,16 @@ const SEED: u64 = 1;
 /// instances; the count is deterministic): 433 B/instance (23.3 MB) with
 /// the reference and profile runs traced and a six-array region tree per
 /// aligned trace, 291 B/instance (15.7 MB) with value runs and one subtree
-/// size per instance (bound 360), and 62 B/instance (3.39 MB) with the
-/// failing run recorded only through its first wrong output: the bound is
+/// size per instance (bound 360), 62 B/instance (3.39 MB) with the
+/// failing run recorded only through its first wrong output (bound 77),
+/// and 22 B/instance (1.21 MB) with every unrecorded tail on the tail
+/// sink and the reference stopped at the oracle's demand: the bound is
 /// that plus the same ~24 % margin.
-const MAX_PEAK_BYTES_PER_EVENT: usize = 77;
+const MAX_PEAK_BYTES_PER_EVENT: usize = 27;
 
-#[test]
-fn localization_peak_heap_stays_under_budget_per_event() {
+/// The sed V3-F2 sources and the first seed-`SEED` ×250 draw that
+/// exposes the fault.
+fn sed_case() -> (String, &'static str, Vec<i64>) {
     let sed = all_benchmarks()
         .into_iter()
         .find(|b| b.name == "sed")
@@ -106,6 +119,14 @@ fn localization_peak_heap_stays_under_budget_per_event() {
             want.is_normal() && got.is_normal() && want.outputs != got.outputs
         })
         .expect("a drawn input exposes the fault");
+    (faulty_src, sed.fixed_src, inputs)
+}
+
+#[test]
+fn localization_peak_heap_stays_under_budget_per_event() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (faulty_src, fixed_src, inputs) = sed_case();
+    let faulty = compile(&faulty_src).expect("fault applies");
     // The failing run's instance count, taken outside the counted window:
     // the session traces the run only through its first wrong output.
     let instances = run_traced(
@@ -115,12 +136,12 @@ fn localization_peak_heap_stays_under_budget_per_event() {
     )
     .trace
     .len();
-    drop((fixed, faulty));
+    drop(faulty);
 
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let session = DebugSession::builder(&faulty_src)
-        .reference(sed.fixed_src)
+        .reference(fixed_src)
         .failing_input(inputs)
         .build()
         .expect("session builds");
@@ -132,6 +153,12 @@ fn localization_peak_heap_stays_under_budget_per_event() {
     let peak = PEAK.load(Ordering::Relaxed) - base;
     assert!(outcome.found, "the seeded root is found");
     assert_eq!(session.run_instances(), instances);
+    let kept = session.oracle().kept_values();
+    assert!(
+        kept <= session.trace().len(),
+        "the oracle keeps {kept} reference values for a {}-event trace",
+        session.trace().len()
+    );
     let per_event = peak / instances;
     eprintln!("peak {peak} B over {instances} failing-run instances: {per_event} B/instance");
     assert!(
@@ -139,4 +166,95 @@ fn localization_peak_heap_stays_under_budget_per_event() {
         "peak heap {peak} B is {per_event} B per failing-run instance ({instances} instances), \
          over the {MAX_PEAK_BYTES_PER_EVENT} B budget"
     );
+}
+
+/// The order a rebuilt session oracle's two runs are forced into.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// The reference run returns before the failing run starts: the
+    /// demand arrives after it ended and holds everything.
+    ReferenceFirst,
+    /// Both runs start together at a barrier, as in a session's build,
+    /// where the demand mostly arrives while the reference still runs.
+    Together,
+}
+
+/// The session's oracle, rebuilt from the two runs of
+/// [`DebugSession`]'s build in `order`, then trimmed to the failing
+/// run's demand as the session trims it.
+fn rebuilt_oracle(
+    faulty_src: &str,
+    fixed_src: &str,
+    inputs: &[i64],
+    order: Order,
+) -> GroundTruthOracle {
+    let (faulty, fixed) = (compile(faulty_src).unwrap(), compile(fixed_src).unwrap());
+    let (analysis, fixed_analysis) = (
+        ProgramAnalysis::build(&faulty),
+        ProgramAnalysis::build(&fixed),
+    );
+    let config = RunConfig::with_inputs(inputs.to_vec());
+    let feed = OutputFeed::new();
+    let start = Barrier::new(2);
+    let mut oracle = std::thread::scope(|s| {
+        let reference = s.spawn(|| {
+            start.wait();
+            GroundTruthOracle::publishing(&fixed, &fixed_analysis, &config, [], &feed)
+        });
+        start.wait();
+        let joined =
+            |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("the reference returns");
+        match order {
+            Order::ReferenceFirst => {
+                let oracle = joined(reference);
+                run_failing(&faulty, &analysis, &config, &feed, |_, _| {});
+                oracle
+            }
+            Order::Together => {
+                run_failing(&faulty, &analysis, &config, &feed, |_, _| {});
+                joined(reference)
+            }
+        }
+    });
+    let demand = feed.demand().expect("the failing run has a wrong output");
+    oracle.keep(&demand);
+    oracle
+}
+
+#[test]
+fn the_oracle_holds_the_same_bytes_whoever_finishes_first() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (faulty_src, fixed_src, inputs) = sed_case();
+    let session = DebugSession::builder(&faulty_src)
+        .reference(fixed_src)
+        .failing_input(inputs.clone())
+        .build()
+        .expect("session builds");
+    let want = session.oracle();
+    let fixed = compile(fixed_src).unwrap();
+    let full = GroundTruthOracle::new(
+        &fixed,
+        &ProgramAnalysis::build(&fixed),
+        session.config(),
+        [],
+    );
+    assert!(want.kept_values() < full.kept_values(), "the demand trims");
+    let trace = session.trace();
+    for order in [Order::ReferenceFirst, Order::Together] {
+        let got = rebuilt_oracle(&faulty_src, fixed_src, &inputs, order);
+        assert_eq!(got.bytes(), want.bytes(), "{order:?}: bytes");
+        assert_eq!(got.kept_values(), want.kept_values(), "{order:?}: values");
+        assert_eq!(
+            got.expected_outputs(),
+            want.expected_outputs(),
+            "{order:?}: outputs"
+        );
+        for inst in trace.insts() {
+            assert_eq!(
+                got.is_benign(trace, inst),
+                full.is_benign(trace, inst),
+                "{order:?}: {inst}"
+            );
+        }
+    }
 }

@@ -583,11 +583,11 @@ impl ObsOpts {
     }
 }
 
-/// Folds trace, locate and verification counters, plus span aggregates
-/// when the recorder ran, into one set; `jobs` counts the verify workers.
-/// `trace_instances` and `trace_outputs` count the whole failing run; the
-/// other `trace_*` gauges are computed over its trace through `o×`, the
-/// view Algorithm 2 reads, whether recorded or loaded.
+/// Folds trace, oracle, locate and verification counters, plus span
+/// aggregates when the recorder ran, into one set; `jobs` counts the
+/// verify workers. `trace_instances` and `trace_outputs` count the whole
+/// failing run; the other `trace_*` gauges are computed over its trace
+/// through `o×`, the view Algorithm 2 reads, whether recorded or loaded.
 fn locate_metrics(
     session: &DebugSession,
     outcome: &LocateOutcome,
@@ -600,6 +600,11 @@ fn locate_metrics(
         "trace_instances",
         "Instances the failing run executed",
         session.run_instances() as f64,
+    );
+    set.push(
+        "trace_view_instances",
+        "Instances through the first wrong output",
+        session.trace().len() as f64,
     );
     set.push(
         "trace_unique_stmts",
@@ -625,6 +630,11 @@ fn locate_metrics(
         "trace_outputs",
         "Outputs the failing run printed",
         session.run_outputs().len() as f64,
+    );
+    set.push(
+        "reference_kept_values",
+        "Reference-run values the oracle keeps",
+        session.oracle().kept_values() as f64,
     );
     set.push(
         "locate_found",
@@ -686,6 +696,16 @@ fn locate_metrics(
         "verify_resumed_runs",
         "Re-executions resumed from a checkpoint",
         vs.resumed_runs as f64,
+    );
+    set.push(
+        "verify_resume_refused",
+        "Planned donor checkpoints refused as expected shapes (run from scratch)",
+        vs.resume_refused as f64,
+    );
+    set.push(
+        "verify_tail_handoffs",
+        "Re-executions that ran their unrecorded rest on the tail sink",
+        vs.tail_handoffs as f64,
     );
     set.push(
         "verify_steps_saved",

@@ -16,7 +16,14 @@
 //!   first output that differs from the reference run's, which
 //!   [`run_values_publishing`] streams to it through an [`OutputFeed`]
 //!   from another thread, and folds the later values without recording
-//!   them.
+//!   them; it hands the reference back the [`Demand`] of what it
+//!   recorded, and the reference keeps no more than that;
+//! * [`run_folding`] folds a run's values as it executes and keeps
+//!   nothing (value profiles).
+//!
+//! A traced run that stops recording (a switched run past its horizon,
+//! the failing run past its first wrong output) hands its rest to an
+//! evaluator that keeps no provenance, at about a plain run's cost.
 //!
 //! Whatever it records, every run supports **predicate switching**
 //! ([`SwitchSpec`]): forcing one dynamic instance of a chosen predicate to
@@ -37,11 +44,11 @@ pub mod snapshot;
 pub mod store;
 pub mod tracer;
 
-pub use feed::OutputFeed;
+pub use feed::{Demand, OutputFeed};
 pub use snapshot::{resume_switched, run_switched, Checkpoint, ResumeError, ResumeMode};
 pub use tracer::{
-    run_failing, run_plain, run_plain_indexed, run_traced, run_values, run_values_publishing,
-    FailingRun, PlainRun, StmtValues, TracedRun, ValueRun, MAX_CALL_DEPTH,
+    run_failing, run_folding, run_plain, run_plain_indexed, run_traced, run_values,
+    run_values_publishing, FailingRun, PlainRun, StmtValues, TracedRun, ValueRun, MAX_CALL_DEPTH,
 };
 
 use omislice_lang::StmtId;

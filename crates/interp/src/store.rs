@@ -103,6 +103,14 @@ impl<D> Cell<D> {
             defs,
         }
     }
+
+    /// This cell's value without its provenance.
+    fn erased(&self) -> Cell<()> {
+        Cell {
+            value: self.value,
+            defs: (),
+        }
+    }
 }
 
 impl Cell {
@@ -125,7 +133,7 @@ pub enum Slot<D = Defs> {
 
 /// Global storage, indexed by [`VarId`] (globals hold ids
 /// `0..global_count`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Globals<D = Defs> {
     slots: Vec<Slot<D>>,
 }
@@ -164,6 +172,18 @@ impl<D> Globals<D> {
     #[inline]
     pub(crate) fn get_mut(&mut self, var: VarId) -> Option<&mut Slot<D>> {
         self.slots.get_mut(var.index())
+    }
+
+    /// These globals' values without their provenance: the state a run
+    /// that records no dependences goes on from.
+    pub(crate) fn erased(&self) -> Globals<()> {
+        let slots = self.slots.iter().map(|slot| match slot {
+            Slot::Scalar(cell) => Slot::Scalar(cell.erased()),
+            Slot::Array(cells) => Slot::Array(cells.iter().map(Cell::erased).collect()),
+        });
+        Globals {
+            slots: slots.collect(),
+        }
     }
 }
 
@@ -219,6 +239,18 @@ impl<D: Default> Frame<D> {
 }
 
 impl<D> Frame<D> {
+    /// This frame without provenance or control-dependence context: what
+    /// a run that records no dependences goes on from.
+    pub(crate) fn erased(&self) -> Frame<()> {
+        Frame {
+            func: self.func,
+            locals: self.locals.iter().map(Cell::erased).collect(),
+            preds: Vec::new(),
+            inherited_cd: None,
+            call_site: self.call_site,
+        }
+    }
+
     /// The cell of `var` when it is a local of this frame's function.
     #[inline]
     pub(crate) fn local(&self, index: &ProgramIndex, var: VarId) -> Option<&Cell<D>> {

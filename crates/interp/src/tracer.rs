@@ -18,6 +18,13 @@
 //!   ([`run_failing`]) stops at its first wrong output and folds the
 //!   values it no longer records.
 //!
+//! A full sink that has stopped recording keeps nothing a cell's
+//! provenance feeds, so the run hands its rest off at the first predicate
+//! entry a checkpoint resume can re-enter (no expression-position call on
+//! the stack): the state there, its provenance dropped, resumes on the
+//! tail sink, which keeps the recorder's deadline cadence and, for the
+//! failing run, the value fold — at about a plain run's cost.
+//!
 //! Every run keeps frames, globals and cells, the occurrence counters
 //! behind *predicate switching* (forcing a chosen dynamic predicate
 //! instance to take the opposite branch), value overrides and injected
@@ -25,7 +32,7 @@
 //! plain run is the trace erasure of a traced one: the three agree by
 //! construction.
 
-use crate::feed::{CloseOnDrop, OutputFeed};
+use crate::feed::{CloseOnDrop, Demand, OutputFeed};
 use crate::snapshot::Checkpoint;
 use crate::store::{Cell, Defs, Frame, Globals, Provenance, Slot};
 use crate::{OverrideSpec, RunConfig, SwitchSpec};
@@ -162,6 +169,39 @@ impl StmtValues {
     pub fn bytes(&self) -> usize {
         9 * self.words.len()
     }
+
+    /// Values held, over all statements.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether no value is held.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Keeps only the first `counts[s]` values of each statement `s` (none
+    /// of a statement past the end of `counts`).
+    pub fn truncate(&mut self, counts: &[u32]) {
+        let mut kept = 0;
+        let mut off = Vec::with_capacity(self.off.len());
+        off.push(0);
+        for s in 0..self.stmt_count() {
+            let range = self.range(StmtId(s as u32));
+            let want = counts.get(s).map_or(0, |&n| n as usize);
+            for i in range.start..range.start + want.min(range.len()) {
+                self.words[kept] = self.words[i];
+                self.bools[kept] = self.bools[i];
+                kept += 1;
+            }
+            off.push(kept as u32);
+        }
+        self.off = off;
+        self.words.truncate(kept);
+        self.words.shrink_to_fit();
+        self.bools.truncate(kept);
+        self.bools.shrink_to_fit();
+    }
 }
 
 /// The value sink: a value run logs each value with its statement in
@@ -178,6 +218,27 @@ struct ValueLog<'a> {
     words: Vec<i64>,
     /// Where the run publishes each output as it prints it, if anywhere.
     feed: Option<&'a OutputFeed>,
+    /// What the feed's reader still wants of the run.
+    wanted: Wanted,
+    /// Outputs printed so far.
+    printed: usize,
+}
+
+/// What the reader of a publishing value run's feed still wants of it.
+#[derive(Default)]
+enum Wanted {
+    /// The reader has not released the feed yet: everything.
+    #[default]
+    Unknown,
+    /// No output differed: everything.
+    All,
+    /// Per statement, how many more of its values; how many values in
+    /// all; and how many outputs ([`Demand`]).
+    Some {
+        values: Vec<u32>,
+        missing: u64,
+        outputs: usize,
+    },
 }
 
 /// The boolean flag in a [`ValueLog`] tag.
@@ -201,6 +262,32 @@ impl ValueLog<'_> {
         }
         self.tags.push(tag);
         self.words.push(word);
+    }
+
+    /// Learns what the feed's reader wants once it has released the feed:
+    /// per statement, the values of its `demand` not yet logged.
+    #[cold]
+    fn learn(&mut self, demand: Option<Demand>) {
+        self.wanted = match demand {
+            None => Wanted::All,
+            Some(Demand {
+                mut values,
+                outputs,
+            }) => {
+                let logged = self.full.iter().flat_map(|(tags, _)| tags);
+                for &t in logged.chain(&self.tags) {
+                    if let Some(n) = values.get_mut((t & !BOOL_TAG) as usize) {
+                        *n = n.saturating_sub(1);
+                    }
+                }
+                let missing = values.iter().map(|&n| u64::from(n)).sum();
+                Wanted::Some {
+                    values,
+                    missing,
+                    outputs,
+                }
+            }
+        };
     }
 
     /// Groups the log by statement (a counting sort, stable within each
@@ -265,6 +352,13 @@ pub fn run_values(program: &Program, index: &ProgramIndex, config: &RunConfig) -
 /// [`run_values`], publishing each output into `feed` as it is printed
 /// and closing the feed when the run returns or unwinds: the reference
 /// run a [`run_failing`] on another thread compares its outputs with.
+///
+/// Once the reader releases the feed with a [`Demand`] (it found its
+/// first wrong output), the run logs only the values the demand still
+/// wants and stops as budget-exhausted once it holds them all and the
+/// outputs the demand wants; values logged before the demand arrived
+/// stay. A reader that releases without one (no output differed) leaves
+/// the run to its end.
 pub fn run_values_publishing(
     program: &Program,
     index: &ProgramIndex,
@@ -294,6 +388,23 @@ fn run_values_into(
     }
 }
 
+/// Executes `program` under `config` handing each value [`run_values`]
+/// would keep to `fold` instead, once per change of its statement's value
+/// (a value equal to its statement's previous one is skipped, as
+/// [`run_failing`]'s tail skips it), and keeps nothing: a value profile's
+/// run, folded as it executes. The run stops exactly where `run_values`
+/// would and, like it, is never scoped by a deadline. Returns how it
+/// ended.
+pub fn run_folding<F: FnMut(StmtId, Value)>(
+    program: &Program,
+    index: &ProgramIndex,
+    config: &RunConfig,
+    fold: F,
+) -> Termination {
+    let mut e = Eval::new(program, index, config, Fold::new(program, fold));
+    termination(e.run_main())
+}
+
 /// Result of a traced execution.
 #[derive(Debug, Clone)]
 pub struct TracedRun {
@@ -309,6 +420,12 @@ pub struct TracedRun {
     /// (each yielded `0`). Nonzero means the workload was silently
     /// truncated — worth surfacing instead of hiding behind zeros.
     pub input_underflows: u64,
+    /// Statement instances the run executed, recorded or not: the
+    /// trace's length when the run recorded to its end.
+    pub instances: usize,
+    /// Whether the run, having stopped recording, handed its rest to the
+    /// tail sink, which keeps no provenance (see [`crate::run_switched`]).
+    pub tail_handoff: bool,
 }
 
 /// Executes `program` under `config`, producing a full trace.
@@ -362,10 +479,12 @@ pub(crate) fn run_traced_capturing(
         program,
         capture,
         chain,
+        (),
     );
     let mut e = Eval::new(program, analysis.index(), config, sink);
     let span = omislice_obs::span("trace");
     let result = e.run_main();
+    let result = e.run_tail(result);
     let (run, captured) = e.into_traced(result);
     count_recorded(&run.trace);
     drop(span);
@@ -406,31 +525,43 @@ pub struct FailingRun {
 /// output the reference did not print (it ended with fewer) differs.
 ///
 /// Once it has recorded the first output that differs, `o×`, the run
-/// stops recording the way a switched run does past its horizon: it
-/// executes on with the same deadline cadence, budget, faults, outputs
-/// and termination, and hands each later value to `fold` instead, once
-/// per change of its statement's value (a value equal to its
-/// statement's previous one is skipped, as [`run_traced`]'s value
+/// releases `reference` with the [`Demand`] of its trace through `o×` —
+/// per statement, how many of its values that trace holds, and `o×`'s
+/// output position — so the reference keeps no more than a localization
+/// can ask of it and stops once it holds that. The run itself stops
+/// recording the way a switched run does past its horizon: it executes
+/// on with the same deadline cadence, budget, faults, outputs and
+/// termination, handing its rest to the tail sink at the first
+/// resumable predicate entry, and hands each later value to `fold`
+/// instead, once per change of its statement's value (a value equal to
+/// its statement's previous one is skipped, as [`run_traced`]'s value
 /// profile fold skips it). Nothing after `o×` can reach a localization's
-/// report, so its trace is the run through `o×`.
-pub fn run_failing(
+/// report, so its trace is the run through `o×`. When no output differs,
+/// the reference is released with no demand and keeps everything.
+pub fn run_failing<F: FnMut(StmtId, Value)>(
     program: &Program,
     analysis: &ProgramAnalysis,
     config: &RunConfig,
     reference: &OutputFeed,
-    fold: &mut dyn FnMut(StmtId, Value),
+    fold: F,
 ) -> FailingRun {
-    let mut sink = Full::new(analysis, Recorder::new(), Vec::new(), program, &[], None);
-    sink.reference = Some(reference);
-    sink.tail = Some(Tail {
+    let fold = Fold::new(program, fold);
+    let mut sink = Full::new(
+        analysis,
+        Recorder::new(),
+        Vec::new(),
+        program,
+        &[],
+        None,
         fold,
-        last: vec![None; program.stmt_count() as usize],
-    });
+    );
+    sink.reference = Some(reference);
     let mut e = Eval::new(program, analysis.index(), config, sink);
     let span = omislice_obs::span("trace");
     let result = e.run_main();
+    let result = e.run_tail(result);
     if let Some(reference) = e.sink.reference {
-        reference.release(); // no output differed
+        reference.release(None); // no output differed
     }
     let instances = e.next as usize;
     // The trace keeps the outputs its events emitted; the whole run's
@@ -489,28 +620,20 @@ pub(crate) fn resume_switched_impl(
 ) -> Option<(TracedRun, Vec<Checkpoint>)> {
     let rec = Recorder::from_prefix(&base.columns_arc(), checkpoint.trace_len);
     let regions = checkpoint.region_stack.clone();
-    let sink = Full::new(analysis, rec, regions, program, capture, chain);
+    let sink = Full::new(analysis, rec, regions, program, capture, chain, ());
     let mut e = Eval::new(program, analysis.index(), config, sink);
-    // Reconstruct, per frame, the static path from the function body to
-    // the statement the frame is suspended at: the call site of the next
-    // frame, or the switched predicate itself for the innermost frame.
-    let mut paths = Vec::with_capacity(checkpoint.frames.len());
-    for (k, frame) in checkpoint.frames.iter().enumerate() {
-        let target = match checkpoint.frames.get(k + 1) {
-            Some(next) => next.call_site.expect("is_resumable checked call sites"),
-            None => checkpoint.spec.pred,
-        };
-        let decl = e.fns.get(frame.func.index())?;
+    // Every frame's tables must fit its function, and every frame must
+    // be re-enterable along a static path.
+    for frame in &checkpoint.frames {
+        if frame.func.index() >= e.fns.len() {
+            return None;
+        }
         let info = analysis.index().function(frame.func);
         if frame.locals.len() != info.locals.len() || frame.preds.len() != info.preds as usize {
             return None;
         }
-        let mut steps = Vec::new();
-        if !find_path(&decl.body, target, &mut steps) {
-            return None;
-        }
-        paths.push(steps);
     }
+    let paths = e.resume_paths(checkpoint)?;
     // The state the base run had at the suspension, with the
     // checkpoint's own switch armed unless the config arms one.
     e.input_pos = checkpoint.input_pos;
@@ -524,6 +647,7 @@ pub(crate) fn resume_switched_impl(
     e.globals = checkpoint.globals.clone();
     e.frames = vec![checkpoint.frames[0].clone()];
     let result = e.resume_main(checkpoint, &paths);
+    let result = e.run_tail(result);
     Some(e.into_traced(result))
 }
 
@@ -573,9 +697,9 @@ trait Sink {
     /// dependence buffer from `mark`, and its call depth.
     fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32);
 
-    /// Sets the defined variable of the instance just recorded.
+    /// Sets the defined variable of `inst`, the instance just completed.
     #[inline]
-    fn def_var(&mut self, _var: VarId) {}
+    fn def_var(&mut self, _inst: InstId, _var: VarId) {}
 
     /// Notes the output `value` the instance just recorded printed, the
     /// run's `position`-th (0-based).
@@ -638,6 +762,19 @@ trait Sink {
     /// Keeps a checkpoint the evaluator captured, adding the open regions.
     #[inline]
     fn keep(&mut self, _checkpoint: Checkpoint<Self::Defs>) {}
+
+    /// Whether the sink has stopped keeping anything a cell's provenance
+    /// feeds, so the rest of the run can go on without provenance.
+    #[inline]
+    fn idle(&self) -> bool {
+        false
+    }
+
+    /// Whether the sink may still ask for checkpoints.
+    #[inline]
+    fn capturing(&self) -> bool {
+        false
+    }
 }
 
 /// The no-op sink: a plain run keeps nothing and is bounded by its ticks.
@@ -649,30 +786,132 @@ impl Sink for () {
     fn record(&mut self, _: InstId, _: Ev, _: usize, _: u32) {}
 }
 
-/// The value sink: a value run keeps each statement's values.
+/// The value sink: a value run keeps each statement's values — once a
+/// publishing run's reader has said what it wants, only those.
 impl Sink for ValueLog<'_> {
+    const TICKS: bool = false;
+    type Defs = ();
+
+    /// Refuses the next instance once the feed's reader has released the
+    /// feed with a demand the run already holds.
+    #[inline]
+    fn admit(&mut self) -> bool {
+        let Some(feed) = self.feed else {
+            return true;
+        };
+        if let Wanted::Unknown = self.wanted {
+            if !feed.released() {
+                return true;
+            }
+            self.learn(feed.demand());
+        }
+        match self.wanted {
+            Wanted::Some {
+                missing, outputs, ..
+            } => missing > 0 || self.printed < outputs,
+            _ => true,
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, _: InstId, ev: Ev, _: usize, _: u32) {
+        let Some(value) = ev.value else {
+            return;
+        };
+        if let Wanted::Some {
+            values, missing, ..
+        } = &mut self.wanted
+        {
+            match values.get_mut(ev.stmt.index()) {
+                Some(n) if *n > 0 => {
+                    *n -= 1;
+                    *missing -= 1;
+                }
+                _ => return,
+            }
+        }
+        match value {
+            Value::Int(n) => self.push(ev.stmt.0, n),
+            Value::Bool(b) => self.push(ev.stmt.0 | BOOL_TAG, b as i64),
+        }
+    }
+
+    #[inline]
+    fn output(&mut self, value: Value, position: usize) {
+        if let Some(feed) = self.feed {
+            feed.publish(value);
+            self.printed = position + 1;
+        }
+    }
+}
+
+/// The fold sink: each value goes to `f` unless it equals its
+/// statement's previous one, and nothing is kept. A value profile's run
+/// ([`run_folding`]), and what the failing run keeps of the events past
+/// its first wrong output.
+struct Fold<F> {
+    f: F,
+    /// The last value folded per statement.
+    last: Vec<Option<Value>>,
+}
+
+impl<F> Fold<F> {
+    fn new(program: &Program, f: F) -> Self {
+        Fold {
+            f,
+            last: vec![None; program.stmt_count() as usize],
+        }
+    }
+}
+
+impl<F: FnMut(StmtId, Value)> Sink for Fold<F> {
     const TICKS: bool = false;
     type Defs = ();
 
     #[inline]
     fn record(&mut self, _: InstId, ev: Ev, _: usize, _: u32) {
-        match ev.value {
-            None => {}
-            Some(Value::Int(n)) => self.push(ev.stmt.0, n),
-            Some(Value::Bool(b)) => self.push(ev.stmt.0 | BOOL_TAG, b as i64),
-        }
-    }
-
-    #[inline]
-    fn output(&mut self, value: Value, _position: usize) {
-        if let Some(feed) = self.feed {
-            feed.publish(value);
+        let Some(value) = ev.value else {
+            return;
+        };
+        let last = &mut self.last[ev.stmt.index()];
+        if *last != Some(value) {
+            *last = Some(value);
+            (self.f)(ev.stmt, value);
         }
     }
 }
 
-/// The full sink: records the trace and captures checkpoints.
-struct Full<'a> {
+/// The tail sink: the rest of a run whose full sink stopped recording,
+/// handed off at a resumable predicate entry. It keeps the full sink's
+/// deadline cadence, counting each event on the run's recorder, and
+/// passes the event on to `rest`, the sink of what the run keeps of its
+/// unrecorded events.
+struct Tail<'s, T> {
+    rec: &'s mut Recorder,
+    rest: &'s mut T,
+}
+
+impl<T: Sink<Defs = ()>> Sink for Tail<'_, T> {
+    const TICKS: bool = false;
+    type Defs = ();
+
+    /// Refuses once a scoped deadline expired, as the full sink does.
+    #[inline]
+    fn admit(&mut self) -> bool {
+        !self.rec.deadline_hit()
+    }
+
+    #[inline]
+    fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32) {
+        self.rec.tick();
+        self.rest.record(inst, ev, mark, depth);
+    }
+}
+
+/// The full sink: records the trace and captures checkpoints; `rest`
+/// keeps what the run keeps of the events it no longer records (nothing,
+/// or the failing run's fold).
+struct Full<'a, T = ()> {
     analysis: &'a ProgramAnalysis,
     /// The column writer the run appends into, polled for the
     /// supervisor's deadline.
@@ -700,32 +939,15 @@ struct Full<'a> {
     /// one differs ([`run_failing`]); `None` on every other run and once
     /// that output is recorded.
     reference: Option<&'a OutputFeed>,
-    /// Where the failing run folds the values it no longer records.
-    tail: Option<Tail<'a>>,
+    /// The sink of the events the run no longer records.
+    rest: T,
     /// Whether events are still recorded: cleared once `horizon` is
     /// passed or the output `reference` rules wrong is recorded, after
-    /// which every hook but the recorder's deadline cadence and the tail
-    /// fold does nothing.
+    /// which every hook but the recorder's deadline cadence and `rest`
+    /// does nothing, until the run hands off to the tail sink.
     live: bool,
-}
-
-/// The value fold of a run that stopped recording: each value goes to
-/// `fold` unless it equals its statement's previous one.
-struct Tail<'a> {
-    fold: &'a mut dyn FnMut(StmtId, Value),
-    /// The last value folded per statement.
-    last: Vec<Option<Value>>,
-}
-
-impl Tail<'_> {
-    #[inline]
-    fn fold(&mut self, stmt: StmtId, value: Value) {
-        let last = &mut self.last[stmt.index()];
-        if *last != Some(value) {
-            *last = Some(value);
-            (self.fold)(stmt, value);
-        }
-    }
+    /// Whether the tail sink ran the rest of the run.
+    handed_off: bool,
 }
 
 /// Where a switched run stands on its [`DescentChain`]: the region the
@@ -793,7 +1015,7 @@ impl Horizon {
     }
 }
 
-impl<'a> Full<'a> {
+impl<'a, T> Full<'a, T> {
     fn new(
         analysis: &'a ProgramAnalysis,
         rec: Recorder,
@@ -801,6 +1023,7 @@ impl<'a> Full<'a> {
         program: &Program,
         capture: &[SwitchSpec],
         chain: Option<DescentChain>,
+        rest: T,
     ) -> Self {
         Full {
             analysis,
@@ -812,13 +1035,14 @@ impl<'a> Full<'a> {
             captured: Vec::new(),
             horizon: chain.map(Horizon::new),
             reference: None,
-            tail: None,
+            rest,
             live: true,
+            handed_off: false,
         }
     }
 }
 
-impl Sink for Full<'_> {
+impl<T: Sink<Defs = ()>> Sink for Full<'_, T> {
     const TICKS: bool = false;
     type Defs = Defs;
 
@@ -833,14 +1057,12 @@ impl Sink for Full<'_> {
     /// Records the event with its timestamp, region parent and call depth
     /// and the deduplicated window as its data dependences, then advances
     /// the horizon; once recording stops, later events are only counted
-    /// and their values folded into the tail.
+    /// and passed on to `rest`.
     #[inline]
     fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32) {
         if !self.live {
             self.rec.tick();
-            if let (Some(tail), Some(value)) = (&mut self.tail, ev.value) {
-                tail.fold(ev.stmt, value);
-            }
+            self.rest.record(inst, ev, mark, depth);
             return;
         }
         let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
@@ -863,20 +1085,23 @@ impl Sink for Full<'_> {
         }
     }
 
+    /// Patches `inst` when it is the last event recorded, also when
+    /// recording stopped right after it.
     #[inline]
-    fn def_var(&mut self, var: VarId) {
-        if self.live {
+    fn def_var(&mut self, inst: InstId, var: VarId) {
+        if inst.index() + 1 == self.rec.len() {
             self.rec.set_def_var_last(var);
         }
     }
 
     /// Stops recording after the first output that differs from the
-    /// reference's at the same position, releasing the reference.
+    /// reference's at the same position, releasing the reference with the
+    /// demand of the trace recorded through it.
     #[inline]
     fn output(&mut self, value: Value, position: usize) {
         if let Some(reference) = self.reference {
             if reference.get(position) != Some(value) {
-                reference.release();
+                reference.release(Some(Demand::of(self.rec.columns(), position + 1)));
                 self.reference = None;
                 self.live = false;
             }
@@ -974,6 +1199,16 @@ impl Sink for Full<'_> {
         checkpoint.region_stack = self.region_stack.clone();
         self.captured.push(checkpoint);
     }
+
+    #[inline]
+    fn idle(&self) -> bool {
+        !self.live
+    }
+
+    #[inline]
+    fn capturing(&self) -> bool {
+        !self.capture.is_empty()
+    }
 }
 
 // --- the evaluator ---------------------------------------------------
@@ -982,6 +1217,10 @@ impl Sink for Full<'_> {
 enum Stop {
     Budget,
     Crash(CrashKind, String),
+    /// The sink stopped recording: the run unwinds from a resumable
+    /// predicate entry, whose state (without provenance) the tail sink
+    /// resumes ([`Eval::run_tail`]).
+    HandOff(Box<Checkpoint<()>>),
 }
 
 /// How a run that stopped with `result` terminated.
@@ -990,6 +1229,7 @@ fn termination(result: Result<(), Stop>) -> Termination {
         Ok(()) => Termination::Normal,
         Err(Stop::Budget) => Termination::BudgetExhausted,
         Err(Stop::Crash(kind, msg)) => Termination::RuntimeError(kind, msg),
+        Err(Stop::HandOff(_)) => unreachable!("a handed-off run ends on its tail sink"),
     }
 }
 
@@ -1399,7 +1639,7 @@ impl<'a, S: Sink> Eval<'a, S> {
                     .def
                     .ok_or_else(|| unknown_var(name))?;
                 self.write_scalar(var, name, v, inst)?;
-                self.sink.def_var(var);
+                self.sink.def_var(inst, var);
                 Ok(Flow::Normal)
             }
             StmtKind::Store { name, index, value } => {
@@ -1567,6 +1807,7 @@ impl<'a, S: Sink> Eval<'a, S> {
         cd: Option<InstId>,
         loop_ctx: Option<bool>,
     ) -> Result<(bool, InstId), Stop> {
+        self.maybe_hand_off(stmt, loop_ctx)?;
         self.maybe_capture(stmt, loop_ctx);
         let mark = self.sink.mark();
         let v = self.eval(cond)?;
@@ -1592,6 +1833,39 @@ impl<'a, S: Sink> Eval<'a, S> {
         }
         self.sink.predicate(&mut self.frames, stmt, inst, outcome);
         Ok((outcome, inst))
+    }
+
+    /// Hands the rest of the run off once the sink has stopped recording
+    /// (and asks for no more checkpoints): at the first predicate entry
+    /// with no expression-position call on the stack — an entry
+    /// `maybe_capture` may capture at, which a checkpoint resume can
+    /// re-enter — it unwinds with the state there, provenance dropped.
+    /// Below an expression-position call the run stays on its sink.
+    #[inline]
+    fn maybe_hand_off(&mut self, stmt: StmtId, loop_ctx: Option<bool>) -> Result<(), Stop> {
+        if !self.sink.idle() || (self.switched.is_none() && self.sink.capturing()) {
+            return Ok(());
+        }
+        self.hand_off(stmt, loop_ctx)
+    }
+
+    #[cold]
+    fn hand_off(&mut self, stmt: StmtId, loop_ctx: Option<bool>) -> Result<(), Stop> {
+        if self.frames.iter().skip(1).any(|f| f.call_site.is_none()) {
+            return Ok(());
+        }
+        Err(Stop::HandOff(Box::new(Checkpoint {
+            spec: SwitchSpec::new(stmt, self.occ[stmt.index()]),
+            globals: self.globals.erased(),
+            frames: self.frames.iter().map(Frame::erased).collect(),
+            occ: self.occ.clone(),
+            region_stack: Vec::new(),
+            input_pos: self.input_pos,
+            input_underflows: self.input_underflows,
+            trace_len: self.next as usize,
+            outputs_len: self.outputs.len(),
+            loop_pushed: loop_ctx,
+        })))
     }
 
     /// Captures a checkpoint at predicate entry when the sink asks for
@@ -1648,7 +1922,7 @@ impl<'a, S: Sink> Eval<'a, S> {
     }
 }
 
-impl Eval<'_, Full<'_>> {
+impl<'a, T: Sink<Defs = ()>> Eval<'a, Full<'a, T>> {
     /// Closes a traced run that ended with `result`, returning it and the
     /// checkpoints it captured.
     /// A run that stopped recording keeps the outputs of what it
@@ -1664,15 +1938,93 @@ impl Eval<'_, Full<'_>> {
             switched: self.switched,
             overridden: self.overridden,
             input_underflows: self.input_underflows,
+            instances: self.next as usize,
+            tail_handoff: self.sink.handed_off,
         };
         (run, self.sink.captured)
     }
 
+    /// Runs the rest of a run that handed off (`result` carries the state
+    /// at the hand-off) to its end on the tail sink, which counts events
+    /// on this run's recorder and passes them on to its `rest`, then takes
+    /// back what the rest changed; any other result passes through. The
+    /// tail resumes the state the way a switched run resumes a checkpoint,
+    /// with this run's switch, override and fault counters as they stand.
+    fn run_tail(&mut self, result: Result<(), Stop>) -> Result<(), Stop> {
+        let Err(Stop::HandOff(mut cp)) = result else {
+            return result;
+        };
+        self.sink.handed_off = true;
+        let sink = Tail {
+            rec: &mut self.sink.rec,
+            rest: &mut self.sink.rest,
+        };
+        let mut tail = Eval {
+            index: self.index,
+            fns: std::mem::take(&mut self.fns),
+            inputs: self.inputs,
+            input_pos: cp.input_pos,
+            input_underflows: cp.input_underflows,
+            budget: self.budget,
+            ticks: 0,
+            next: self.next,
+            switch: self.switch,
+            switched: self.switched,
+            value_override: self.value_override,
+            overridden: self.overridden,
+            fault: self.fault,
+            fault_seen: self.fault_seen,
+            occ: std::mem::take(&mut cp.occ),
+            outputs: std::mem::take(&mut self.outputs),
+            globals: std::mem::take(&mut cp.globals),
+            frames: vec![cp.frames[0].clone()],
+            spare: Vec::new(),
+            args: Vec::new(),
+            sink,
+        };
+        let paths = tail
+            .resume_paths(&cp)
+            .expect("a hand-off point is re-enterable");
+        let result = tail.resume_main(&cp, &paths);
+        self.fns = tail.fns;
+        self.input_pos = tail.input_pos;
+        self.input_underflows = tail.input_underflows;
+        self.next = tail.next;
+        self.switched = tail.switched;
+        self.overridden = tail.overridden;
+        self.fault_seen = tail.fault_seen;
+        self.outputs = tail.outputs;
+        result
+    }
+}
+
+impl<S: Sink> Eval<'_, S> {
     // --- checkpoint resume -------------------------------------------
+
+    /// Per frame of `cp`, the static path from the function body to the
+    /// statement the frame is suspended at: the call site of the next
+    /// frame, or the checkpoint's predicate for the innermost frame.
+    /// `None` when a frame's function or path no longer resolves.
+    fn resume_paths(&self, cp: &Checkpoint<S::Defs>) -> Option<Vec<Vec<Step>>> {
+        let mut paths = Vec::with_capacity(cp.frames.len());
+        for (k, frame) in cp.frames.iter().enumerate() {
+            let target = match cp.frames.get(k + 1) {
+                Some(next) => next.call_site?,
+                None => cp.spec.pred,
+            };
+            let decl = self.fns.get(frame.func.index())?;
+            let mut steps = Vec::new();
+            if !find_path(&decl.body, target, &mut steps) {
+                return None;
+            }
+            paths.push(steps);
+        }
+        Some(paths)
+    }
 
     /// Re-enters the suspended call stack: frame 0 is already in place;
     /// deeper frames are pushed as the descent crosses their call sites.
-    fn resume_main(&mut self, cp: &Checkpoint, paths: &[Vec<Step>]) -> Result<(), Stop> {
+    fn resume_main(&mut self, cp: &Checkpoint<S::Defs>, paths: &[Vec<Step>]) -> Result<(), Stop> {
         let main = self.fns[cp.frames[0].func.index()];
         match self.resume_block(&main.body, &paths[0], cp, paths, 0)? {
             Flow::Normal | Flow::Return(..) => Ok(()),
@@ -1688,7 +2040,7 @@ impl Eval<'_, Full<'_>> {
         &mut self,
         block: &Block,
         steps: &[Step],
-        cp: &Checkpoint,
+        cp: &Checkpoint<S::Defs>,
         paths: &[Vec<Step>],
         k: usize,
     ) -> ExecResult {
@@ -1718,7 +2070,7 @@ impl Eval<'_, Full<'_>> {
         stmt: &Stmt,
         step: &Step,
         rest: &[Step],
-        cp: &Checkpoint,
+        cp: &Checkpoint<S::Defs>,
         paths: &[Vec<Step>],
         k: usize,
     ) -> ExecResult {

@@ -10,6 +10,9 @@
 //! make fewer than one per 100 events, and a `run_plain_indexed` makes a
 //! fixed handful whatever its length — so a plain run that paid for
 //! recorder columns, predicate tables or spilled provenance shows here.
+//! So does a switched run that stops recording at its switch and hands
+//! its rest to the tail sink: the hand-off copies the state once, and the
+//! tail allocates nothing per event.
 
 use omislice_analysis::ProgramAnalysis;
 use omislice_corpus::{all_benchmarks, WorkloadGen};
@@ -17,6 +20,7 @@ use omislice_interp::{
     resume_switched, run_plain_indexed, run_switched, run_traced, run_values, RunConfig, SwitchSpec,
 };
 use omislice_lang::compile;
+use omislice_trace::DescentChain;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -151,6 +155,37 @@ fn plain_runs_allocate_a_fixed_handful() {
             allocs < 64,
             "plain run on sed ×{scale}: {allocs} allocations for {} steps",
             run.steps
+        );
+    }
+}
+
+#[test]
+fn tail_runs_allocate_a_fixed_handful() {
+    for scale in [250, 1000] {
+        let (program, analysis, config) = sed(scale);
+        let base = run_traced(&program, &analysis, &config).trace;
+        // The first predicate instance, switched with a chain decided at
+        // the switch: the run records its first events and runs the rest
+        // on the tail sink.
+        let p = base
+            .insts()
+            .find(|&i| base.event(i).is_predicate())
+            .expect("sed branches");
+        let switched = config.switched(SwitchSpec::new(base.event(p).stmt, 0));
+        let chain = DescentChain {
+            switch: p,
+            root: None,
+            started: 0,
+            steps: Vec::new(),
+        };
+        let ((run, _), allocs) =
+            counted(|| run_switched(&program, &analysis, &switched, &[], Some(chain)));
+        assert!(run.tail_handoff, "sed ×{scale}: the run hands off");
+        let tail = run.instances - run.trace.len();
+        assert!(tail > 10_000, "sed ×{scale}: a {tail}-event tail");
+        assert!(
+            allocs < 64,
+            "tail run on sed ×{scale}: {allocs} allocations for {tail} tail events"
         );
     }
 }

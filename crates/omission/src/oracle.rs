@@ -12,7 +12,7 @@
 
 use omislice_analysis::ProgramAnalysis;
 use omislice_interp::{
-    run_values, run_values_publishing, OutputFeed, RunConfig, StmtValues, ValueRun,
+    run_values, run_values_publishing, Demand, OutputFeed, RunConfig, StmtValues, ValueRun,
 };
 use omislice_lang::{Program, StmtId};
 use omislice_trace::{InstId, Trace, Value};
@@ -92,6 +92,19 @@ impl GroundTruthOracle {
     /// into `feed` as it prints them: the stream a failing run on another
     /// thread stops recording by ([`omislice_interp::run_failing`]). The
     /// feed is closed when the run returns or unwinds.
+    ///
+    /// Once the failing run releases the feed with its [`Demand`] — the
+    /// values of its trace through its first wrong output `o×` and the
+    /// outputs through `o×`'s position, all a localization on that trace
+    /// can ask — the reference run logs only what the demand still
+    /// wants and returns as soon as it holds it, having run no further
+    /// than the oracle can be asked about. What it logged before the
+    /// demand arrived stays, and a reference that ended first holds
+    /// everything: [`GroundTruthOracle::keep`] with the feed's demand
+    /// ([`OutputFeed::demand`]), once both runs have returned, trims the
+    /// oracle to exactly the demand whichever side finished first, so its
+    /// contents do not depend on thread timing. A failing run with no
+    /// wrong output releases no demand and the oracle keeps everything.
     pub fn publishing(
         fixed_program: &Program,
         fixed_analysis: &ProgramAnalysis,
@@ -113,10 +126,28 @@ impl GroundTruthOracle {
         }
     }
 
+    /// Keeps only what `demand` wants: the first `demand.values[s]`
+    /// values of each statement `s` and the first `demand.outputs`
+    /// outputs — everything a localization on the failing trace through
+    /// its first wrong output can ask ([`GroundTruthOracle::publishing`]).
+    pub fn keep(&mut self, demand: &Demand) {
+        self.outputs.truncate(demand.outputs);
+        self.outputs.shrink_to_fit();
+        self.values.truncate(&demand.values);
+    }
+
     /// The reference (fixed-program) run's printed values: the expected
-    /// output.
+    /// output — through the position of the failing run's first wrong
+    /// output once the oracle keeps a demand ([`GroundTruthOracle::keep`],
+    /// as a [`DebugSession`](crate::DebugSession)'s oracle does), the
+    /// whole of it otherwise ([`GroundTruthOracle::new`]).
     pub fn expected_outputs(&self) -> &[Value] {
         &self.outputs
+    }
+
+    /// Reference values the oracle keeps, over all statements.
+    pub fn kept_values(&self) -> usize {
+        self.values.len()
     }
 
     /// Bytes the oracle holds: the expected outputs and the reference

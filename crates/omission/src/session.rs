@@ -18,7 +18,7 @@ use crate::locate::{locate_fault, LocateConfig, LocateError, LocateOutcome};
 use crate::oracle::{GroundTruthOracle, UserOracle};
 use crate::report::{render_explain, render_report};
 use omislice_analysis::{PdMode, ProgramAnalysis};
-use omislice_interp::{run_failing, run_values, FailingRun, OutputFeed, RunConfig};
+use omislice_interp::{run_failing, FailingRun, OutputFeed, RunConfig};
 use omislice_lang::{compile, printer::stmt_head, FrontendError, Program, StmtId};
 use omislice_obs::{Json, ProfileSummary, Recording};
 use omislice_slicing::ValueProfile;
@@ -134,20 +134,27 @@ impl DebugSessionBuilder {
     /// profiling suite, and assembles the session.
     ///
     /// Only the failing run is traced: the oracle's reference run and the
-    /// profile runs are read for values alone, so they are value runs
-    /// ([`run_values`]). The reference run reads nothing the failing
-    /// trace produces, so it runs on its own scoped thread beside the
-    /// failing run (or the trace load) and the profile runs, and
+    /// profile runs are read for values alone, so the reference is a
+    /// value run ([`omislice_interp::run_values`]) and each profile run
+    /// folds its values into the profile as it computes them
+    /// ([`ValueProfile::add_run`]). The reference run reads nothing the
+    /// failing trace produces, so it runs on its own scoped thread beside
+    /// the failing run (or the trace load) and the profile runs, and
     /// publishes each output as it prints it
     /// ([`GroundTruthOracle::publishing`]). The failing run
     /// ([`run_failing`]) compares each output it records with the
     /// reference's at the same position and stops recording at the first
     /// that differs, `o×`: it executes to its end with the same deadline
     /// cadence, budget and termination, and folds every later value
-    /// straight into the value profile. A loaded trace is whole; the
-    /// session keeps its view through `o×` ([`Trace::prefix`]) once the
-    /// reference has finished. Either way the session also keeps the
-    /// whole run's instance count and outputs.
+    /// straight into the value profile. It hands the reference the
+    /// demand of its trace through `o×`, and the reference stops once it
+    /// holds that; the oracle keeps exactly the demand
+    /// ([`GroundTruthOracle::keep`]) whichever run finished first. A
+    /// loaded trace is whole: its outputs are read against the
+    /// reference's the same way ([`OutputFeed::read_trace`]), which sends
+    /// the same demand, and the session keeps its view through `o×`
+    /// ([`Trace::prefix`]). Either way the session also keeps the whole
+    /// run's instance count and outputs.
     ///
     /// The supervisor's scope is the calling thread's, so the reference
     /// run stays outside it (no fault fires and no recovery is noted
@@ -178,7 +185,7 @@ impl DebugSessionBuilder {
         let feed = OutputFeed::new();
         let mut profile = ValueProfile::new();
         let mut warnings = Vec::new();
-        let (run, oracle) = std::thread::scope(|s| {
+        let (run, mut oracle) = std::thread::scope(|s| {
             let reference_run = s.spawn(|| {
                 let roots = roots.clone();
                 GroundTruthOracle::publishing(
@@ -201,14 +208,17 @@ impl DebugSessionBuilder {
                     .ok()
             });
             let run = match loaded {
-                Some(trace) => FailingRun {
-                    instances: trace.len(),
-                    outputs: trace.output_values(),
-                    trace,
-                },
+                Some(trace) => {
+                    feed.read_trace(&trace);
+                    FailingRun {
+                        instances: trace.len(),
+                        outputs: trace.output_values(),
+                        trace,
+                    }
+                }
                 None => sup.run(|| {
-                    let mut fold = |stmt, value| profile.observe(stmt, value);
-                    run_failing(&faulty, &analysis, &config, &feed, &mut fold)
+                    let fold = |stmt, value| profile.observe(stmt, value);
+                    run_failing(&faulty, &analysis, &config, &feed, fold)
                 }),
             };
             let profile_span = omislice_obs::span("value-profile");
@@ -218,7 +228,7 @@ impl DebugSessionBuilder {
                     inputs,
                     ..config.clone()
                 };
-                profile.add_values(&run_values(&faulty, analysis.index(), &cfg).values);
+                profile.add_run(&faulty, analysis.index(), &cfg);
             }
             drop(profile_span);
             let oracle = reference_run
@@ -226,6 +236,9 @@ impl DebugSessionBuilder {
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (run, oracle)
         });
+        if let Some(demand) = feed.demand() {
+            oracle.keep(&demand);
+        }
         // A recorded trace already ends at `o×`; a loaded one is cut here.
         let trace = match oracle.classify_outputs(&run.trace) {
             Some(c) if c.wrong.index() + 1 < run.trace.len() => {

@@ -217,6 +217,12 @@ struct ComputedRun {
     /// The spec's checkpoint failed validation or its resumption
     /// failed/panicked, forcing a from-scratch execution.
     invalid_checkpoint: bool,
+    /// The planned donor was refused as an expected shape
+    /// ([`ResumeError::NotResumable`] or [`ResumeError::FaultInPrefix`]),
+    /// and the run went from scratch.
+    resume_refused: bool,
+    /// The run handed its unrecorded rest to the tail sink.
+    tail_handoff: bool,
     /// A host panic was caught at the isolation boundary.
     panic_isolated: bool,
     /// The candidate was cancelled by an expired deadline before its
@@ -239,6 +245,8 @@ impl ComputedRun {
             outcome: RunOutcome::Crashed(CrashKind::Panic),
             saved: None,
             invalid_checkpoint: false,
+            resume_refused: false,
+            tail_handoff: false,
             panic_isolated: true,
             deadline_cancelled: false,
             input_underflows: 0,
@@ -256,6 +264,8 @@ impl ComputedRun {
             outcome: RunOutcome::BudgetExhausted,
             saved: None,
             invalid_checkpoint: false,
+            resume_refused: false,
+            tail_handoff: false,
             panic_isolated: false,
             deadline_cancelled: true,
             input_underflows: 0,
@@ -864,6 +874,8 @@ impl<'a> Verifier<'a> {
             if c.invalid_checkpoint {
                 self.stats.invalid_checkpoints += 1;
             }
+            self.stats.resume_refused += usize::from(c.resume_refused);
+            self.stats.tail_handoffs += usize::from(c.tail_handoff);
             if c.panic_isolated {
                 self.stats.panics_isolated += 1;
             }
@@ -961,6 +973,8 @@ impl<'a> Verifier<'a> {
             outcome: RunOutcome::BudgetExhausted,
             saved: None,
             invalid_checkpoint: false,
+            resume_refused: false,
+            tail_handoff: false,
             panic_isolated: false,
             deadline_cancelled: false,
             input_underflows: 0,
@@ -985,7 +999,9 @@ impl<'a> Verifier<'a> {
                 // Expected shapes (an expression-position call frame, or
                 // a fault plan firing inside the prefix): run from
                 // scratch; the checkpoint itself is not at fault.
-                Ok(Err(ResumeError::NotResumable | ResumeError::FaultInPrefix)) => {}
+                Ok(Err(ResumeError::NotResumable | ResumeError::FaultInPrefix)) => {
+                    out.resume_refused = true;
+                }
                 // The checkpoint is corrupt (failed validation) or its
                 // resumption blew up: record it and fall back.
                 Ok(Err(ResumeError::Invalid(_))) | Err(_) => out.invalid_checkpoint = true,
@@ -1008,6 +1024,7 @@ impl<'a> Verifier<'a> {
             },
         };
         out.input_underflows = run.input_underflows;
+        out.tail_handoff = run.tail_handoff;
         out.outcome = match run.trace.termination() {
             Termination::Normal if run.switched == Some(p) => RunOutcome::Completed,
             Termination::Normal => RunOutcome::SwitchNotLanded,
@@ -1813,6 +1830,69 @@ mod tests {
             "the spine and the poisoned leaf run from scratch"
         );
         assert_eq!(st.panics_isolated, 0);
+    }
+
+    /// The guard runs inside `step`, which `main` calls in expression
+    /// position: a checkpoint captured at it suspends below that call.
+    const EXPR_CALL: &str = "\
+        global a = 0; global c0 = 0;\
+        fn step(i) { if c0 == 1 { a = a + i; } return i + 1; }\
+        fn main() {\
+            c0 = input();\
+            let i = 0;\
+            while i < 6 { i = step(i); }\
+            print(a);\
+        }";
+
+    #[test]
+    fn a_donor_below_an_expression_position_call_is_refused_and_counted() {
+        let s = setup(EXPR_CALL, vec![0]);
+        let a = s.analysis.index().vars().global("a").unwrap();
+        let out = s.trace.outputs()[0].inst;
+        let guards: Vec<InstId> = s
+            .trace
+            .insts()
+            .filter(|&i| s.trace.event(i).is_predicate() && s.trace.event(i).call_depth == 1)
+            .collect();
+        assert_eq!(guards.len(), 6);
+        // Two switches of the guard: the deeper one's run (the spine)
+        // captures a checkpoint for the other on its way, below `step`.
+        let requests: Vec<VerifyRequest> = [guards[1], guards[4]]
+            .iter()
+            .map(|&p| VerifyRequest {
+                p,
+                u: out,
+                var: a,
+                wrong_output: out,
+                expected: Some(Value::Int(15)),
+            })
+            .collect();
+        let mut scratch = Verifier::new(
+            &s.program,
+            &s.analysis,
+            &s.config,
+            &s.trace,
+            VerifierMode::Edge,
+        )
+        .with_resume(ResumeMode::Disabled);
+        let expected = scratch.verify_all(&requests);
+        let mut v = Verifier::new(
+            &s.program,
+            &s.analysis,
+            &s.config,
+            &s.trace,
+            VerifierMode::Edge,
+        )
+        .with_capture_threshold(Some(1));
+        let results = v.verify_all(&requests);
+        assert_eq!(results, expected);
+        let st = v.stats();
+        assert!(st.inline_captures >= 1, "the spine captured the donor");
+        assert_eq!(st.resume_refused, 1, "the donor is refused");
+        assert_eq!(st.reexecutions, 2);
+        assert_eq!(st.scratch_runs, 2, "both runs went from scratch");
+        assert_eq!(st.resumed_runs + st.scratch_runs, st.reexecutions);
+        assert_eq!(scratch.stats().resume_refused, 0);
     }
 
     /// The base run (input 1) takes the guard, shrinking the loop bound

@@ -6,8 +6,8 @@
 //! across runs; the observed *range* approximates the domain size used in
 //! the PLDI 2006 confidence estimate.
 
-use omislice_interp::StmtValues;
-use omislice_lang::StmtId;
+use omislice_interp::{run_folding, RunConfig, StmtValues};
+use omislice_lang::{Program, ProgramIndex, StmtId};
 use omislice_trace::{Trace, Value};
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -82,11 +82,48 @@ impl Hasher for FxHasher {
 
 type ValueSet = HashSet<Value, ValueHash>;
 
+/// The distinct values one statement produced: a hash set, and a bit per
+/// small value (integers 0–255, and both booleans) the set already holds,
+/// so the fold of a value seen before — most of a long run's values are
+/// loop indices, characters and flags — answers without a probe.
+#[derive(Debug, Clone)]
+struct Seen {
+    set: ValueSet,
+    small: [u64; 5],
+}
+
+impl Seen {
+    fn new(key: ValueHash) -> Self {
+        Seen {
+            set: ValueSet::with_hasher(key),
+            small: [0; 5],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, value: Value) {
+        let bit = match value {
+            Value::Int(n @ 0..=255) => n as usize,
+            Value::Bool(b) => 256 + b as usize,
+            Value::Int(_) => {
+                self.set.insert(value);
+                return;
+            }
+        };
+        let word = &mut self.small[bit / 64];
+        let mask = 1u64 << (bit % 64);
+        if *word & mask == 0 {
+            *word |= mask;
+            self.set.insert(value);
+        }
+    }
+}
+
 /// Distinct values observed per statement across profiled runs.
 #[derive(Debug, Clone, Default)]
 pub struct ValueProfile {
     /// One set per statement, indexed by `StmtId` (grown on demand).
-    values: Vec<ValueSet>,
+    values: Vec<Seen>,
     key: ValueHash,
     runs: usize,
 }
@@ -110,7 +147,7 @@ impl ValueProfile {
             }
             if last[i] != Some(v) {
                 last[i] = Some(v);
-                self.set(i).insert(v);
+                self.seen(i).insert(v);
             }
         });
         self.runs += 1;
@@ -126,10 +163,21 @@ impl ValueProfile {
             for v in values.of(StmtId(i as u32)) {
                 if last != Some(v) {
                     last = Some(v);
-                    self.set(i).insert(v);
+                    self.seen(i).insert(v);
                 }
             }
         }
+        self.runs += 1;
+    }
+
+    /// Executes `program` under `config` and folds its values into the
+    /// profile as the run computes them ([`run_folding`]), with no value
+    /// log: the profile [`ValueProfile::add_values`] makes of the same
+    /// run's [`omislice_interp::run_values`], one run counted.
+    pub fn add_run(&mut self, program: &Program, index: &ProgramIndex, config: &RunConfig) {
+        run_folding(program, index, config, |stmt, value| {
+            self.observe(stmt, value)
+        });
         self.runs += 1;
     }
 
@@ -137,16 +185,17 @@ impl ValueProfile {
     /// values a failing run no longer records past its first wrong output
     /// ([`omislice_interp::run_failing`]), whose recorded trace
     /// [`ValueProfile::add_trace`] folds and counts.
+    #[inline]
     pub fn observe(&mut self, stmt: StmtId, value: Value) {
-        self.set(stmt.index()).insert(value);
+        self.seen(stmt.index()).insert(value);
     }
 
-    /// The value set of statement index `i`, grown on demand.
-    fn set(&mut self, i: usize) -> &mut ValueSet {
+    /// The values of statement index `i`, grown on demand.
+    #[inline]
+    fn seen(&mut self, i: usize) -> &mut Seen {
         if i >= self.values.len() {
             let key = self.key;
-            self.values
-                .resize_with(i + 1, || ValueSet::with_hasher(key));
+            self.values.resize_with(i + 1, || Seen::new(key));
         }
         &mut self.values[i]
     }
@@ -168,21 +217,22 @@ impl ValueProfile {
     /// Number of distinct values observed at `stmt` (0 if never executed
     /// or it produces no value).
     pub fn range(&self, stmt: StmtId) -> usize {
-        self.values.get(stmt.index()).map_or(0, HashSet::len)
+        self.values.get(stmt.index()).map_or(0, |s| s.set.len())
     }
 
-    /// Heap bytes the profile holds: each statement's value set is a
-    /// hash table of one control byte plus one [`Value`] per bucket, its
-    /// bucket count the next power of two above 8/7 of its capacity.
+    /// Heap bytes the profile holds: per statement its small-value bits,
+    /// and its value set, a hash table of one control byte plus one
+    /// [`Value`] per bucket, its bucket count the next power of two above
+    /// 8/7 of its capacity.
     pub fn bytes(&self) -> usize {
-        let table = |set: &ValueSet| {
-            if set.capacity() == 0 {
+        let table = |seen: &Seen| {
+            if seen.set.capacity() == 0 {
                 return 0;
             }
-            let buckets = (set.capacity() * 8 / 7).next_power_of_two();
+            let buckets = (seen.set.capacity() * 8 / 7).next_power_of_two();
             buckets * (std::mem::size_of::<Value>() + 1) + 16
         };
-        self.values.capacity() * std::mem::size_of::<ValueSet>()
+        self.values.capacity() * std::mem::size_of::<Seen>()
             + self.values.iter().map(table).sum::<usize>()
     }
 
@@ -190,7 +240,7 @@ impl ValueProfile {
     pub fn observed(&self, stmt: StmtId, value: Value) -> bool {
         self.values
             .get(stmt.index())
-            .is_some_and(|s| s.contains(&value))
+            .is_some_and(|s| s.set.contains(&value))
     }
 
     /// The distinct values observed at `stmt`, in sorted order.
@@ -198,7 +248,7 @@ impl ValueProfile {
         let mut out: Vec<Value> = self
             .values
             .get(stmt.index())
-            .map(|s| s.iter().copied().collect())
+            .map(|s| s.set.iter().copied().collect())
             .unwrap_or_default();
         out.sort();
         out
@@ -276,6 +326,32 @@ mod tests {
         }
         assert_eq!(by_columns.run_count(), 3);
         assert_eq!(by_values.run_count(), 3);
+    }
+
+    #[test]
+    fn small_and_large_values_fold_alike() {
+        // Integers 0–255 and booleans answer repeats from their bits;
+        // negative and larger integers always probe the set.
+        let mut profile = ValueProfile::new();
+        let mut want = std::collections::BTreeSet::new();
+        for k in 0..2000i64 {
+            for v in [
+                Value::Int(k % 300),
+                Value::Int(-(k % 7)),
+                Value::Int(k % 5 * 1000),
+                Value::Bool(k % 3 == 0),
+            ] {
+                profile.observe(StmtId(2), v);
+                want.insert(v);
+            }
+        }
+        let want: Vec<Value> = want.into_iter().collect();
+        assert_eq!(profile.values(StmtId(2)), want);
+        assert_eq!(profile.range(StmtId(2)), want.len());
+        assert!(profile.observed(StmtId(2), Value::Int(255)));
+        assert!(profile.observed(StmtId(2), Value::Bool(false)));
+        assert!(!profile.observed(StmtId(2), Value::Int(300)));
+        assert_eq!(profile.range(StmtId(0)), 0);
     }
 
     #[test]

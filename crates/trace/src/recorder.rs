@@ -101,6 +101,11 @@ impl Recorder {
         self.since_check += 1;
     }
 
+    /// Everything recorded so far, prefix included.
+    pub fn columns(&self) -> &ColumnarTrace {
+        &self.cols
+    }
+
     /// Patches the defined variable of the event just pushed.
     pub fn set_def_var_last(&mut self, var: VarId) {
         self.cols.set_def_var_last(var);

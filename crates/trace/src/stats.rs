@@ -108,6 +108,14 @@ pub struct VerificationStats {
     /// Switched executions that ran from scratch (no checkpoint, a
     /// non-resumable one, or resumption disabled).
     pub scratch_runs: usize,
+    /// Planned donor checkpoints the resume refused as expected shapes
+    /// (one captured below an expression-position call, or a fault plan
+    /// firing inside the prefix); each of those runs went from scratch.
+    pub resume_refused: usize,
+    /// Switched executions that, past their horizon, handed the rest of
+    /// the run to the tail sink, which records nothing and keeps no
+    /// provenance.
+    pub tail_handoffs: usize,
     /// Trace events *not* re-executed thanks to resumption (the summed
     /// prefix lengths of the resumed runs).
     pub steps_saved: usize,
@@ -182,6 +190,8 @@ impl VerificationStats {
         self.reexecutions += other.reexecutions;
         self.resumed_runs += other.resumed_runs;
         self.scratch_runs += other.scratch_runs;
+        self.resume_refused += other.resume_refused;
+        self.tail_handoffs += other.tail_handoffs;
         self.steps_saved += other.steps_saved;
         self.completed_runs += other.completed_runs;
         self.budget_exhausted_runs += other.budget_exhausted_runs;
@@ -211,6 +221,8 @@ impl fmt::Display for VerificationStats {
             "re-executions    : {} ({} resumed, {} from scratch)",
             self.reexecutions, self.resumed_runs, self.scratch_runs
         )?;
+        writeln!(f, "resume refusals  : {}", self.resume_refused)?;
+        writeln!(f, "tail hand-offs   : {}", self.tail_handoffs)?;
         writeln!(
             f,
             "captures         : {} inline, {} skipped",
@@ -310,6 +322,8 @@ mod tests {
             reexecutions: 2,
             resumed_runs: 1,
             scratch_runs: 1,
+            resume_refused: 1,
+            tail_handoffs: 2,
             steps_saved: 40,
             completed_runs: 1,
             budget_exhausted_runs: 1,
@@ -334,6 +348,8 @@ mod tests {
         assert_eq!(a.verifications, 6);
         assert_eq!(a.reexecutions, 4);
         assert_eq!(a.steps_saved, 80);
+        assert_eq!(a.resume_refused, 2);
+        assert_eq!(a.tail_handoffs, 4);
         assert_eq!(a.completed_runs, 2);
         assert_eq!(a.budget_exhausted_runs, 2);
         assert_eq!(a.crashed_runs, 4);
@@ -351,6 +367,8 @@ mod tests {
         let text = a.to_string();
         for needle in [
             "re-executions",
+            "resume refusals",
+            "tail hand-offs",
             "resumed",
             "steps saved",
             "captures",

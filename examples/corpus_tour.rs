@@ -30,9 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.run_outputs()
     );
     let trace = session.trace();
+    // The oracle keeps the expected output only through the first wrong
+    // one; the fixed program's own run prints all of it.
+    let fixed = compile(sed.fixed_src)?;
     println!(
         "expected    : outputs {:?}",
-        session.oracle().expected_outputs()
+        run_plain(&fixed, session.config()).outputs
     );
 
     let class = session
