@@ -13,8 +13,8 @@
 //!    locator**: re-execution counts for the brute-force baseline the
 //!    paper's related-work section contrasts against.
 
-use omislice::omislice_interp::{run_plain, run_traced};
-use omislice::omislice_lang::compile;
+use omislice::omislice_interp::{run_traced, run_values};
+use omislice::omislice_lang::{compile, ProgramIndex};
 use omislice::omislice_slicing::{
     analyze_confidence, potential_dep_instances, ConfidenceParams, DepGraph,
 };
@@ -190,11 +190,12 @@ fn switching_vs_demand_driven() {
         for f in &b.faults {
             let session = b.session(f).expect("session builds");
             // The search compares whole outputs and switches predicate
-            // instances of the whole failing run, so it runs the fixed
-            // program and traces the failing run itself: the session's
-            // oracle and trace end at `o×`.
+            // instances of the whole failing run, so it runs the oracle's
+            // reference value run whole and traces the failing run itself:
+            // the session's oracle and trace end at `o×`.
             let fixed = compile(b.fixed_src).expect("corpus compiles");
-            let expected = run_plain(&fixed, session.config()).outputs;
+            let fixed_index = ProgramIndex::build(&fixed);
+            let expected = run_values(&fixed, &fixed_index, session.config()).outputs;
             let run = run_traced(session.program(), session.analysis(), session.config());
             let search = find_critical_predicate(
                 session.program(),

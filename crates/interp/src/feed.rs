@@ -37,11 +37,12 @@ pub struct Demand {
 }
 
 impl Demand {
-    /// The demand of a failing run's trace through `o×`: `cols` holds
-    /// exactly those events, and `o×` is the run's `outputs`-th output.
-    pub(crate) fn of(cols: &ColumnarTrace, outputs: usize) -> Demand {
+    /// The demand of a failing run's trace through `o×`: the first
+    /// `events` instances of `cols`, `o×` being the run's `outputs`-th
+    /// output.
+    pub(crate) fn of(cols: &ColumnarTrace, events: usize, outputs: usize) -> Demand {
         let mut values: Vec<u32> = Vec::new();
-        cols.for_each_value(&mut |stmt, _| {
+        cols.for_each_value_upto(events, &mut |stmt, _| {
             let s = stmt.index();
             if s >= values.len() {
                 values.resize(s + 1, 0);
@@ -133,14 +134,15 @@ impl OutputFeed {
     /// outputs while it runs: compares `trace`'s outputs in order with
     /// the published ones, waiting as [`run_failing`](crate::run_failing)
     /// waits, and releases the feed with the demand of `trace` through
-    /// the first that differs, or with none when none does.
-    pub fn read_trace(&self, trace: &Trace) {
-        let wrong =
-            (trace.outputs().iter().enumerate()).find(|(k, o)| self.get(*k) != Some(o.value));
-        self.release(wrong.map(|(k, o)| {
-            let view = trace.prefix(o.inst.index() + 1);
-            Demand::of(view.columns(), k + 1)
-        }));
+    /// the first that differs, `o×`, or with none when none does.
+    /// Returns the length of `trace` through `o×`, or `None` when no
+    /// output differs.
+    pub fn read_trace(&self, trace: &Trace) -> Option<usize> {
+        let wrong = (trace.outputs().iter().enumerate())
+            .find(|(k, o)| self.get(*k) != Some(o.value))
+            .map(|(k, o)| (o.inst.index() + 1, k + 1));
+        self.release(wrong.map(|(events, outputs)| Demand::of(trace.columns(), events, outputs)));
+        wrong.map(|(events, _)| events)
     }
 
     /// The run's `k`-th (0-based) output, waiting while the run has not

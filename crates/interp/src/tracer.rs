@@ -45,6 +45,7 @@ use omislice_trace::{
     CrashKind, DescentChain, FaultAction, FaultEntry, FaultSite, InstId, OutputRecord, RawEvent,
     Recorder, Termination, Trace, Value,
 };
+use std::cell::RefCell;
 
 /// Maximum call depth; deeper recursion is reported as a runtime error
 /// rather than overflowing the host stack.
@@ -479,12 +480,11 @@ pub(crate) fn run_traced_capturing(
         program,
         capture,
         chain,
-        (),
     );
     let mut e = Eval::new(program, analysis.index(), config, sink);
     let span = omislice_obs::span("trace");
     let result = e.run_main();
-    let result = e.run_tail(result);
+    let result = e.run_tail(result, &mut ());
     let (run, captured) = e.into_traced(result);
     count_recorded(&run.trace);
     drop(span);
@@ -545,39 +545,35 @@ pub fn run_failing<F: FnMut(StmtId, Value)>(
     reference: &OutputFeed,
     fold: F,
 ) -> FailingRun {
-    let fold = Fold::new(program, fold);
-    let mut sink = Full::new(
-        analysis,
-        Recorder::new(),
-        Vec::new(),
-        program,
-        &[],
-        None,
-        fold,
-    );
-    sink.reference = Some(reference);
-    let mut e = Eval::new(program, analysis.index(), config, sink);
+    // One fold on both sides of the hand-off: the full sink reaches it
+    // through a `dyn` call for the few events between `o×` and the
+    // hand-off (all of the rest, below an expression-position call), the
+    // tail sink directly.
+    let fold = RefCell::new(Fold::new(program, fold));
+    let mut window = |stmt, value| fold.borrow_mut().observe(stmt, value);
     let span = omislice_obs::span("trace");
-    let result = e.run_main();
-    let result = e.run_tail(result);
-    if let Some(reference) = e.sink.reference {
-        reference.release(None); // no output differed
-    }
-    let instances = e.next as usize;
-    // The trace keeps the outputs its events emitted; the whole run's
-    // become values in place.
-    let records = std::mem::take(&mut e.outputs);
-    let recorded = records.partition_point(|o| o.inst.index() < e.sink.rec.len());
-    e.outputs = records[..recorded].to_vec();
-    let outputs = records.into_iter().map(|o| o.value).collect();
-    let (run, _) = e.into_traced(result);
-    count_recorded(&run.trace);
+    let (mut e, result) = failing_main(program, analysis, config, reference, &mut window);
+    let result = e.run_tail(result, &mut *fold.borrow_mut());
+    let run = e.into_failing(result);
     drop(span);
-    FailingRun {
-        trace: run.trace,
-        instances,
-        outputs,
-    }
+    run
+}
+
+/// [`run_failing`] up to its hand-off: not generic, so the full sink's
+/// evaluator is compiled once, here, whatever the caller's fold.
+fn failing_main<'a>(
+    program: &'a Program,
+    analysis: &'a ProgramAnalysis,
+    config: &'a RunConfig,
+    reference: &'a OutputFeed,
+    window: &'a mut dyn FnMut(StmtId, Value),
+) -> (Eval<'a, Full<'a>>, Result<(), Stop>) {
+    let mut sink = Full::new(analysis, Recorder::new(), Vec::new(), program, &[], None);
+    sink.reference = Some(reference);
+    sink.fold = Some(window);
+    let mut e = Eval::new(program, analysis.index(), config, sink);
+    let result = e.run_main();
+    (e, result)
 }
 
 /// Resumes the suspended base run from `checkpoint` with `config.switch`
@@ -620,7 +616,7 @@ pub(crate) fn resume_switched_impl(
 ) -> Option<(TracedRun, Vec<Checkpoint>)> {
     let rec = Recorder::from_prefix(&base.columns_arc(), checkpoint.trace_len);
     let regions = checkpoint.region_stack.clone();
-    let sink = Full::new(analysis, rec, regions, program, capture, chain, ());
+    let sink = Full::new(analysis, rec, regions, program, capture, chain);
     let mut e = Eval::new(program, analysis.index(), config, sink);
     // Every frame's tables must fit its function, and every frame must
     // be re-enterable along a static path.
@@ -647,7 +643,7 @@ pub(crate) fn resume_switched_impl(
     e.globals = checkpoint.globals.clone();
     e.frames = vec![checkpoint.frames[0].clone()];
     let result = e.resume_main(checkpoint, &paths);
-    let result = e.run_tail(result);
+    let result = e.run_tail(result, &mut ());
     Some(e.into_traced(result))
 }
 
@@ -855,11 +851,20 @@ struct Fold<F> {
     last: Vec<Option<Value>>,
 }
 
-impl<F> Fold<F> {
+impl<F: FnMut(StmtId, Value)> Fold<F> {
     fn new(program: &Program, f: F) -> Self {
         Fold {
             f,
             last: vec![None; program.stmt_count() as usize],
+        }
+    }
+
+    #[inline]
+    fn observe(&mut self, stmt: StmtId, value: Value) {
+        let last = &mut self.last[stmt.index()];
+        if *last != Some(value) {
+            *last = Some(value);
+            (self.f)(stmt, value);
         }
     }
 }
@@ -870,13 +875,8 @@ impl<F: FnMut(StmtId, Value)> Sink for Fold<F> {
 
     #[inline]
     fn record(&mut self, _: InstId, ev: Ev, _: usize, _: u32) {
-        let Some(value) = ev.value else {
-            return;
-        };
-        let last = &mut self.last[ev.stmt.index()];
-        if *last != Some(value) {
-            *last = Some(value);
-            (self.f)(ev.stmt, value);
+        if let Some(value) = ev.value {
+            self.observe(ev.stmt, value);
         }
     }
 }
@@ -885,7 +885,7 @@ impl<F: FnMut(StmtId, Value)> Sink for Fold<F> {
 /// handed off at a resumable predicate entry. It keeps the full sink's
 /// deadline cadence, counting each event on the run's recorder, and
 /// passes the event on to `rest`, the sink of what the run keeps of its
-/// unrecorded events.
+/// unrecorded events (nothing, or the failing run's fold).
 struct Tail<'s, T> {
     rec: &'s mut Recorder,
     rest: &'s mut T,
@@ -908,10 +908,8 @@ impl<T: Sink<Defs = ()>> Sink for Tail<'_, T> {
     }
 }
 
-/// The full sink: records the trace and captures checkpoints; `rest`
-/// keeps what the run keeps of the events it no longer records (nothing,
-/// or the failing run's fold).
-struct Full<'a, T = ()> {
+/// The full sink: records the trace and captures checkpoints.
+struct Full<'a> {
     analysis: &'a ProgramAnalysis,
     /// The column writer the run appends into, polled for the
     /// supervisor's deadline.
@@ -939,11 +937,12 @@ struct Full<'a, T = ()> {
     /// one differs ([`run_failing`]); `None` on every other run and once
     /// that output is recorded.
     reference: Option<&'a OutputFeed>,
-    /// The sink of the events the run no longer records.
-    rest: T,
+    /// Where the failing run folds the values it no longer records,
+    /// until it hands off to the tail sink.
+    fold: Option<&'a mut dyn FnMut(StmtId, Value)>,
     /// Whether events are still recorded: cleared once `horizon` is
     /// passed or the output `reference` rules wrong is recorded, after
-    /// which every hook but the recorder's deadline cadence and `rest`
+    /// which every hook but the recorder's deadline cadence and `fold`
     /// does nothing, until the run hands off to the tail sink.
     live: bool,
     /// Whether the tail sink ran the rest of the run.
@@ -1015,7 +1014,7 @@ impl Horizon {
     }
 }
 
-impl<'a, T> Full<'a, T> {
+impl<'a> Full<'a> {
     fn new(
         analysis: &'a ProgramAnalysis,
         rec: Recorder,
@@ -1023,7 +1022,6 @@ impl<'a, T> Full<'a, T> {
         program: &Program,
         capture: &[SwitchSpec],
         chain: Option<DescentChain>,
-        rest: T,
     ) -> Self {
         Full {
             analysis,
@@ -1035,14 +1033,14 @@ impl<'a, T> Full<'a, T> {
             captured: Vec::new(),
             horizon: chain.map(Horizon::new),
             reference: None,
-            rest,
+            fold: None,
             live: true,
             handed_off: false,
         }
     }
 }
 
-impl<T: Sink<Defs = ()>> Sink for Full<'_, T> {
+impl Sink for Full<'_> {
     const TICKS: bool = false;
     type Defs = Defs;
 
@@ -1057,12 +1055,14 @@ impl<T: Sink<Defs = ()>> Sink for Full<'_, T> {
     /// Records the event with its timestamp, region parent and call depth
     /// and the deduplicated window as its data dependences, then advances
     /// the horizon; once recording stops, later events are only counted
-    /// and passed on to `rest`.
+    /// and their values folded.
     #[inline]
     fn record(&mut self, inst: InstId, ev: Ev, mark: usize, depth: u32) {
         if !self.live {
             self.rec.tick();
-            self.rest.record(inst, ev, mark, depth);
+            if let (Some(fold), Some(value)) = (&mut self.fold, ev.value) {
+                fold(ev.stmt, value);
+            }
             return;
         }
         let n = dedup_in_place(&mut self.deps[mark..], &mut self.scratch);
@@ -1101,7 +1101,8 @@ impl<T: Sink<Defs = ()>> Sink for Full<'_, T> {
     fn output(&mut self, value: Value, position: usize) {
         if let Some(reference) = self.reference {
             if reference.get(position) != Some(value) {
-                reference.release(Some(Demand::of(self.rec.columns(), position + 1)));
+                let events = self.rec.len();
+                reference.release(Some(Demand::of(self.rec.columns(), events, position + 1)));
                 self.reference = None;
                 self.live = false;
             }
@@ -1922,7 +1923,7 @@ impl<'a, S: Sink> Eval<'a, S> {
     }
 }
 
-impl<'a, T: Sink<Defs = ()>> Eval<'a, Full<'a, T>> {
+impl Eval<'_, Full<'_>> {
     /// Closes a traced run that ended with `result`, returning it and the
     /// checkpoints it captured.
     /// A run that stopped recording keeps the outputs of what it
@@ -1944,20 +1945,43 @@ impl<'a, T: Sink<Defs = ()>> Eval<'a, Full<'a, T>> {
         (run, self.sink.captured)
     }
 
+    /// Closes the failing run ([`run_failing`]) that ended with
+    /// `result`: releases a reference no output differed from, and keeps
+    /// the whole run's instance count and printed values beside the
+    /// trace, whose outputs are those its events emitted.
+    fn into_failing(self, result: Result<(), Stop>) -> FailingRun {
+        if let Some(reference) = self.sink.reference {
+            reference.release(None); // no output differed
+        }
+        let instances = self.next as usize;
+        let outputs = self.outputs.iter().map(|o| o.value).collect();
+        let (run, _) = self.into_traced(result);
+        count_recorded(&run.trace);
+        FailingRun {
+            trace: run.trace,
+            instances,
+            outputs,
+        }
+    }
+
     /// Runs the rest of a run that handed off (`result` carries the state
     /// at the hand-off) to its end on the tail sink, which counts events
-    /// on this run's recorder and passes them on to its `rest`, then takes
+    /// on this run's recorder and passes them on to `rest`, then takes
     /// back what the rest changed; any other result passes through. The
     /// tail resumes the state the way a switched run resumes a checkpoint,
     /// with this run's switch, override and fault counters as they stand.
-    fn run_tail(&mut self, result: Result<(), Stop>) -> Result<(), Stop> {
+    fn run_tail<R: Sink<Defs = ()>>(
+        &mut self,
+        result: Result<(), Stop>,
+        rest: &mut R,
+    ) -> Result<(), Stop> {
         let Err(Stop::HandOff(mut cp)) = result else {
             return result;
         };
         self.sink.handed_off = true;
         let sink = Tail {
             rec: &mut self.sink.rec,
-            rest: &mut self.sink.rest,
+            rest,
         };
         let mut tail = Eval {
             index: self.index,

@@ -15,7 +15,7 @@
 
 use crate::journal::{journal_records, JournalMeta, JournalRun};
 use crate::locate::{locate_fault, LocateConfig, LocateError, LocateOutcome};
-use crate::oracle::{GroundTruthOracle, UserOracle};
+use crate::oracle::GroundTruthOracle;
 use crate::report::{render_explain, render_report};
 use omislice_analysis::{PdMode, ProgramAnalysis};
 use omislice_interp::{run_failing, FailingRun, OutputFeed, RunConfig};
@@ -185,7 +185,7 @@ impl DebugSessionBuilder {
         let feed = OutputFeed::new();
         let mut profile = ValueProfile::new();
         let mut warnings = Vec::new();
-        let (run, mut oracle) = std::thread::scope(|s| {
+        let (run, cut, mut oracle) = std::thread::scope(|s| {
             let reference_run = s.spawn(|| {
                 let roots = roots.clone();
                 GroundTruthOracle::publishing(
@@ -207,19 +207,25 @@ impl DebugSessionBuilder {
                     })
                     .ok()
             });
-            let run = match loaded {
+            // A recorded trace ends at `o×`; a loaded one is whole, and
+            // its length through `o×` is where the session cuts it.
+            let (run, cut) = match loaded {
                 Some(trace) => {
-                    feed.read_trace(&trace);
-                    FailingRun {
+                    let cut = feed.read_trace(&trace);
+                    let run = FailingRun {
                         instances: trace.len(),
                         outputs: trace.output_values(),
                         trace,
-                    }
+                    };
+                    (run, cut)
                 }
-                None => sup.run(|| {
-                    let fold = |stmt, value| profile.observe(stmt, value);
-                    run_failing(&faulty, &analysis, &config, &feed, fold)
-                }),
+                None => {
+                    let run = sup.run(|| {
+                        let fold = |stmt, value| profile.observe(stmt, value);
+                        run_failing(&faulty, &analysis, &config, &feed, fold)
+                    });
+                    (run, None)
+                }
             };
             let profile_span = omislice_obs::span("value-profile");
             profile.add_trace(&run.trace);
@@ -234,16 +240,13 @@ impl DebugSessionBuilder {
             let oracle = reference_run
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (run, oracle)
+            (run, cut, oracle)
         });
         if let Some(demand) = feed.demand() {
             oracle.keep(&demand);
         }
-        // A recorded trace already ends at `o×`; a loaded one is cut here.
-        let trace = match oracle.classify_outputs(&run.trace) {
-            Some(c) if c.wrong.index() + 1 < run.trace.len() => {
-                run.trace.prefix(c.wrong.index() + 1)
-            }
+        let trace = match cut {
+            Some(len) if len < run.trace.len() => run.trace.prefix(len),
             _ => run.trace,
         };
         Ok(DebugSession {

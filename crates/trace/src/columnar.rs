@@ -490,7 +490,9 @@ impl ColumnarTrace {
         self.for_each_value_upto(self.len(), f);
     }
 
-    fn for_each_value_upto(&self, n: usize, f: &mut impl FnMut(StmtId, Value)) {
+    /// Like [`for_each_value`](Self::for_each_value), over the first `n`
+    /// instances only.
+    pub fn for_each_value_upto(&self, n: usize, f: &mut impl FnMut(StmtId, Value)) {
         let plen = self.prefix_len();
         if let Some(p) = &self.prefix {
             p.cols.for_each_value_upto(n.min(plen), f);

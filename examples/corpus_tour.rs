@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example corpus_tour`
 
+use omislice::omislice_interp::run_values;
 use omislice::prelude::*;
 use omislice::{LocateConfig, UserOracle};
 use omislice_corpus::all_benchmarks;
@@ -31,11 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let trace = session.trace();
     // The oracle keeps the expected output only through the first wrong
-    // one; the fixed program's own run prints all of it.
+    // one; its reference value run, run whole, prints all of it.
     let fixed = compile(sed.fixed_src)?;
+    let fixed_analysis = ProgramAnalysis::build(&fixed);
     println!(
         "expected    : outputs {:?}",
-        run_plain(&fixed, session.config()).outputs
+        run_values(&fixed, fixed_analysis.index(), session.config()).outputs
     );
 
     let class = session
